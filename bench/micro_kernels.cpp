@@ -9,19 +9,22 @@
 // cost. This replaces the earlier google-benchmark harness, whose
 // per-case sequential repetition had exactly that bias.
 //
-// Report: for each of the six vectorized hot kernels (batched Doppler
+// Report: for each of the seven vectorized hot kernels (batched Doppler
 // FFT, easy/hard beamforming GEMM, pulse-compression fast convolution,
-// QR factorization, recursive QR row-append) the binary prints scalar and
+// QR factorization, recursive QR row-append, the structured hard-weight
+// solve) the binary prints scalar and
 // AVX2 times, the speedup, and a roofline placement — achieved GFLOP/s
 // (flops measured by the library's own FlopScope instrumentation) against
 // min(FMA peak, intensity x stream bandwidth), both peaks measured on the
 // spot by probes in the dispatch tables. Gates (folded into the exit code
 // and BENCH_kernels.json for scripts/bench_compare.py):
 //
-//   * geometric-mean AVX2 speedup across the six kernels >= 2.0,
+//   * geometric-mean AVX2 speedup across the seven kernels >= 2.0,
+//   * AVX2 speedup >= 2.0 on each of qr_factor and qr_append (the
+//     reflector kernel's bar: per-row axpy dispatch left both near 1x),
 //   * sequential pipeline analogue (Table-8 scene, reduced) >= 1.3x.
 //
-// Both gates skip gracefully when the host or build lacks AVX2+FMA.
+// All gates skip gracefully when the host or build lacks AVX2+FMA.
 // The DESIGN.md ablations (recursive QR vs re-factorization, pulse
 // compression on M beams vs 2J channels, strided vs contiguous packing,
 // parallel_for spawn overhead) ride the same harness as plain timed rows.
@@ -158,7 +161,7 @@ double measure_stream_bandwidth() {
 }
 
 // ---------------------------------------------------------------------------
-// The six hot kernels, at the paper's Table-1 shapes (single rank).
+// The seven hot kernels, at the paper's Table-1 shapes (single rank).
 // ---------------------------------------------------------------------------
 
 struct HotKernel {
@@ -269,6 +272,25 @@ std::vector<HotKernel> make_hot_kernels() {
                       sizeof(cfloat)});
   }
 
+  // 7. Structured hard-weight solve at the hard compute shape: the J = 16
+  //    constraint rows folded into a carried 2J x 2J R (32 + 16 rows x 32
+  //    columns) carrying M = 6 steering columns, then back substitution.
+  {
+    auto r0 = std::make_shared<linalg::MatrixCF>(
+        linalg::QrFactorization<cfloat>(random_matrix(64, 32, 16)).r());
+    auto c = std::make_shared<linalg::MatrixCF>(random_matrix(16, 32, 17));
+    auto s = std::make_shared<linalg::MatrixCF>(random_matrix(16, 6, 18));
+    ks.push_back({"qr_hard_solve",
+                  [r0, c, s] {
+                    linalg::MatrixCF rhs(32, 6);
+                    auto r = linalg::qr_append_rows(*r0, *c, rhs, *s);
+                    linalg::back_substitute(r, rhs);
+                  },
+                  (static_cast<double>(r0->rows()) * r0->cols() * 2 +
+                   static_cast<double>(c->size()) + s->size() + 32.0 * 6) *
+                      sizeof(cfloat)});
+  }
+
   // Measure algorithmic flops once per kernel through the library's own
   // instrumentation (identical at both dispatch levels by construction).
   for (auto& k : ks) {
@@ -323,7 +345,7 @@ int main(int argc, char** argv) {
                                 {"name", "stream_triad"},
                                 {"bandwidth_gbs", stream_gbs}}));
 
-  // --- six hot kernels, scalar vs AVX2, interleaved ------------------------
+  // --- seven hot kernels, scalar vs AVX2, interleaved ----------------------
   auto hot = make_hot_kernels();
   std::vector<TimedCase> cases;
   for (const auto& k : hot) {
@@ -347,11 +369,14 @@ int main(int argc, char** argv) {
               "scalar", "avx2", "speedup", "GFLOP/s", "F/B", "roof%",
               "bound");
   double log_sum = 0.0;
+  std::vector<std::pair<std::string, double>> qr_speedups;
   for (const auto& k : hot) {
     const double s_sc = find_best(cases, k.name + "/scalar");
     const double s_vx = has_avx2 ? find_best(cases, k.name + "/avx2") : 0.0;
     const double speedup = has_avx2 && s_vx > 0.0 ? s_sc / s_vx : 0.0;
     if (has_avx2) log_sum += std::log(std::max(speedup, 1e-9));
+    if (k.name == "qr_factor" || k.name == "qr_append")
+      qr_speedups.emplace_back(k.name, speedup);
     const double active_s = has_avx2 ? s_vx : s_sc;
     const double peak = has_avx2 ? peak_avx2 : peak_scalar;
     const double gflops = k.flops_per_call / std::max(active_s, 1e-12) / 1e9;
@@ -393,6 +418,22 @@ int main(int argc, char** argv) {
                                 {"gate", 2.0},
                                 {"pass", has_avx2 ? (geomean >= 2.0 ? 1 : 0)
                                                   : 1}}));
+  for (const auto& [name, speedup] : qr_speedups) {
+    const bool pass = !has_avx2 || speedup >= 2.0;
+    if (has_avx2) {
+      std::printf("%s speedup %.2fx (gate: >= 2.0x)\n", name.c_str(),
+                  speedup);
+      if (!pass) {
+        std::printf("FAIL: %s SIMD speedup below 2x\n", name.c_str());
+        rc = 1;
+      }
+    }
+    bench::report_row(bench::row({{"kind", "summary"},
+                                  {"name", (name + "_speedup").c_str()},
+                                  {"speedup", speedup},
+                                  {"gate", 2.0},
+                                  {"pass", pass ? 1 : 0}}));
+  }
 
   // --- pipeline analogue: sequential STAP chain, Table-8 scene reduced ----
   bench::print_header("Pipeline analogue: sequential chain throughput");

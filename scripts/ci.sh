@@ -6,7 +6,8 @@
 #      portable numerical contract, must pass on any host), forced to AVX2
 #      where the CPU has it (skipped gracefully otherwise), then
 #      micro_kernels writes BENCH_kernels.json — its exit code asserts the
-#      >= 2x geomean kernel speedup and >= 1.3x pipeline-analogue gate.
+#      >= 2x geomean kernel speedup, >= 2x on each of qr_factor and
+#      qr_append, and the >= 1.3x pipeline-analogue gate.
 #  1c. Build-both-ways check: -DPPSTAP_ENABLE_AVX2=OFF must still compile
 #      and pass the kernel + dsp suites with dispatch resolved to scalar.
 #   2. Seed the machine-readable benchmark baseline: table 8 with --json
@@ -68,7 +69,12 @@
 #      zero lost/duplicated CPIs under every injection, containment
 #      recovering >= 90% of the clean baseline pace under a persistent
 #      straggler, and zero false quarantines on clean runs.
-#  11. Analyzer + regression gate: ppstap-analyze must reach a valid
+#  11. Live-pipeline benchmark smoke: builds livebench/ (its own
+#      standalone CMake project over src/ and tools/) and runs its
+#      bench_e2e_smoke ctest (label bench): the guarded workload end to end,
+#      untraced and traced, every declared metric emitted and finite, no
+#      failed CPI, and an analyzer verdict on its trace. No timing gate.
+#  12. Analyzer + regression gate: ppstap-analyze must reach a valid
 #      bottleneck verdict on the traced table-8 export, name the same
 #      gating group Table 9 does (Doppler), see zero dropped spans, and —
 #      via --assert-no-stragglers — score every rank's service floor
@@ -93,8 +99,9 @@ echo "=== kernels: SIMD dispatch A/B + roofline gates (BENCH_kernels.json) ==="
 # with dispatch forced to scalar on every host. The forced-AVX2 run proves
 # the vector path against the same oracles wherever the CPU has it; on a
 # host without AVX2+FMA it is skipped (PPSTAP_SIMD=avx2 would throw, by
-# design). micro_kernels then asserts the >= 2x geomean kernel speedup and
-# the >= 1.3x pipeline-analogue gate in its exit code, and bench_compare
+# design). micro_kernels then asserts the >= 2x geomean kernel speedup, the
+# >= 2x QR factor/append speedups and the >= 1.3x pipeline-analogue gate in
+# its exit code, and bench_compare
 # diffs the roofline numbers at the end (skipping automatically when the
 # baseline's simd level differs from this host's).
 PPSTAP_SIMD=scalar ./build/tests/test_kernels
@@ -168,6 +175,11 @@ cmake --build build-tsan -j "$JOBS" --target test_health ext_grayfail
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/tests/test_health
 TSAN_OPTIONS="halt_on_error=1" ./build-tsan/bench/ext_grayfail --smoke
 ./build/bench/ext_grayfail --json BENCH_grayfail.json
+
+echo "=== livebench: build + bench_e2e_smoke (ctest -L bench) ==="
+cmake -S livebench -B .bench_build/livebench -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build/livebench -j "$JOBS"
+ctest --test-dir .bench_build/livebench -L bench --output-on-failure
 
 echo "=== analyzer verdict + perf regression gate ==="
 ./build/tools/ppstap-analyze trace_table8.json \

@@ -706,6 +706,36 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
     }
 
     // --- data collection + personalized sends (Figs. 6b, 8) --------------
+    // Beamforming first: its edges are on this CPI's latency path (eq. 2),
+    // while the weight tasks' solves serve the next visit of this position.
+    // Sent last, the weight solves do not compete with the beamforming
+    // packs for the cores and caches.
+
+    // Easy beamforming: the full slab for the destination's bins, J
+    // channels, reorganized to (bin, range, channel) — Fig. 8.
+    for (int r = 0; r < tp.count(Task::kEasyBeamform); ++r) {
+      const auto bins = slice(s.easy_bins, tp.part_ebf, r);
+      std::vector<cfloat> buf;
+      buf.reserve(bins.size() * static_cast<size_t>(kl * j));
+      for (index_t bin : bins)
+        for (index_t k = 0; k < kl; ++k)
+          for (index_t ch = 0; ch < j; ++ch)
+            buf.push_back(stag.at(k, ch, bin));
+      send_cf(c, s, tp.rank_at(Task::kEasyBeamform, r), cpi, kDopToEasyBf,
+              buf, meas, acc);
+    }
+    // Hard beamforming: same with both stagger halves (2J channels).
+    for (int r = 0; r < tp.count(Task::kHardBeamform); ++r) {
+      const auto bins = slice(s.hard_bins, tp.part_hbf, r);
+      std::vector<cfloat> buf;
+      buf.reserve(bins.size() * static_cast<size_t>(kl * jj));
+      for (index_t bin : bins)
+        for (index_t k = 0; k < kl; ++k)
+          for (index_t ch = 0; ch < jj; ++ch)
+            buf.push_back(stag.at(k, ch, bin));
+      send_cf(c, s, tp.rank_at(Task::kHardBeamform, r), cpi, kDopToHardBf,
+              buf, meas, acc);
+    }
     // Easy weight task: training rows (J channels) at the easy training
     // cells inside this slab, for each destination's owned bins. On the
     // stale-weights rung a marker replaces the rows (the computer keeps
@@ -745,31 +775,6 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
         }
       send_cf(c, s, tp.rank_at(Task::kHardWeight, r), cpi, kDopToHardWt, buf,
               meas, acc);
-    }
-    // Easy beamforming: the full slab for the destination's bins, J
-    // channels, reorganized to (bin, range, channel) — Fig. 8.
-    for (int r = 0; r < tp.count(Task::kEasyBeamform); ++r) {
-      const auto bins = slice(s.easy_bins, tp.part_ebf, r);
-      std::vector<cfloat> buf;
-      buf.reserve(bins.size() * static_cast<size_t>(kl * j));
-      for (index_t bin : bins)
-        for (index_t k = 0; k < kl; ++k)
-          for (index_t ch = 0; ch < j; ++ch)
-            buf.push_back(stag.at(k, ch, bin));
-      send_cf(c, s, tp.rank_at(Task::kEasyBeamform, r), cpi, kDopToEasyBf,
-              buf, meas, acc);
-    }
-    // Hard beamforming: same with both stagger halves (2J channels).
-    for (int r = 0; r < tp.count(Task::kHardBeamform); ++r) {
-      const auto bins = slice(s.hard_bins, tp.part_hbf, r);
-      std::vector<cfloat> buf;
-      buf.reserve(bins.size() * static_cast<size_t>(kl * jj));
-      for (index_t bin : bins)
-        for (index_t k = 0; k < kl; ++k)
-          for (index_t ch = 0; ch < jj; ++ch)
-            buf.push_back(stag.at(k, ch, bin));
-      send_cf(c, s, tp.rank_at(Task::kHardBeamform, r), cpi, kDopToHardBf,
-              buf, meas, acc);
     }
     const double t3 = WallTimer::now();
     emit_phase_spans(c.rank(), Task::kDopplerFilter, cpi, t0, t1, t2, t3,

@@ -226,6 +226,108 @@ void bf_panel_avx2(const cfloat* conj_w, index_t ldcw, index_t j_channels,
   }
 }
 
+// Householder reflector over column chunks of up to 16 complex (NQ ymm
+// vectors of 4). The chunk's w lives in registers for both passes; a
+// partial last vector (kTail) goes through masked loads and stores, so no
+// element outside the block is touched.
+//
+// Multiplying by a scalar a = (ar, ai) is split into two independent FMA
+// chains: x * ar on the raw vector and swap(x) * (-ai, +ai) on the
+// re/im-swapped one. conj(v) (the w pass) and -v (the update pass) share
+// the second factor (vi, -vi); only the sign of the real broadcast differs.
+inline __m256 alt_imag(float im) {
+  const __m256 odd_sign =
+      _mm256_setr_ps(0.f, -0.f, 0.f, -0.f, 0.f, -0.f, 0.f, -0.f);
+  return _mm256_xor_ps(_mm256_set1_ps(im), odd_sign);
+}
+
+template <int NQ, bool kTail>
+inline __m256 chunk_load(const cfloat* p, int q, __m256i tail) {
+  if (kTail && q == NQ - 1) return _mm256_maskload_ps(fp(p + 4 * q), tail);
+  return _mm256_loadu_ps(fp(p + 4 * q));
+}
+
+template <int NQ, bool kTail>
+inline void chunk_store(cfloat* p, int q, __m256 v, __m256i tail) {
+  if (kTail && q == NQ - 1)
+    _mm256_maskstore_ps(fp(p + 4 * q), tail, v);
+  else
+    _mm256_storeu_ps(fp(p + 4 * q), v);
+}
+
+// The tail mask is built here from a lane count, not passed in: a function
+// taking a vector argument gets no vzeroupper on return, and the dirty
+// upper state then taxes every SSE instruction the scalar caller runs.
+template <int NQ, bool kTail>
+void reflect_chunk(cfloat v0, const cfloat* v, index_t ldv, float beta,
+                   cfloat* pivot, cfloat* rows, index_t ld, index_t k,
+                   int tail_floats) {
+  const __m256i tail =
+      _mm256_cmpgt_epi32(_mm256_set1_epi32(tail_floats),
+                         _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+  __m256 acc_r[NQ], acc_i[NQ];
+  const __m256 alt0 = alt_imag(v0.imag());
+  const __m256 r0 = _mm256_set1_ps(v0.real());
+  for (int q = 0; q < NQ; ++q) {
+    const __m256 x = chunk_load<NQ, kTail>(pivot, q, tail);
+    acc_r[q] = _mm256_mul_ps(r0, x);
+    acc_i[q] = _mm256_mul_ps(alt0, swap_pairs(x));
+  }
+  for (index_t i = 0; i < k; ++i) {
+    const cfloat vi = v[i * ldv];
+    const __m256 ar = _mm256_set1_ps(vi.real());
+    const __m256 alt = alt_imag(vi.imag());
+    const cfloat* row = rows + i * ld;
+    for (int q = 0; q < NQ; ++q) {
+      const __m256 x = chunk_load<NQ, kTail>(row, q, tail);
+      acc_r[q] = _mm256_fmadd_ps(ar, x, acc_r[q]);
+      acc_i[q] = _mm256_fmadd_ps(alt, swap_pairs(x), acc_i[q]);
+    }
+  }
+  const __m256 b = _mm256_set1_ps(beta);
+  __m256 w[NQ], ws[NQ];
+  for (int q = 0; q < NQ; ++q) {
+    w[q] = _mm256_mul_ps(_mm256_add_ps(acc_r[q], acc_i[q]), b);
+    ws[q] = swap_pairs(w[q]);
+  }
+  const __m256 nr0 = _mm256_set1_ps(-v0.real());
+  for (int q = 0; q < NQ; ++q) {
+    __m256 x = chunk_load<NQ, kTail>(pivot, q, tail);
+    x = _mm256_fmadd_ps(nr0, w[q], x);
+    chunk_store<NQ, kTail>(pivot, q, _mm256_fmadd_ps(alt0, ws[q], x), tail);
+  }
+  for (index_t i = 0; i < k; ++i) {
+    const cfloat vi = v[i * ldv];
+    const __m256 nr = _mm256_set1_ps(-vi.real());
+    const __m256 alt = alt_imag(vi.imag());
+    cfloat* row = rows + i * ld;
+    for (int q = 0; q < NQ; ++q) {
+      __m256 x = chunk_load<NQ, kTail>(row, q, tail);
+      x = _mm256_fmadd_ps(nr, w[q], x);
+      chunk_store<NQ, kTail>(row, q, _mm256_fmadd_ps(alt, ws[q], x), tail);
+    }
+  }
+}
+
+void reflect_avx2(cfloat v0, const cfloat* v, index_t ldv, float beta,
+                  cfloat* pivot, cfloat* rows, index_t ld, index_t k,
+                  index_t lw) {
+  using ChunkFn = void (*)(cfloat, const cfloat*, index_t, float, cfloat*,
+                           cfloat*, index_t, index_t, int);
+  static constexpr ChunkFn kChunks[4][2] = {
+      {reflect_chunk<1, false>, reflect_chunk<1, true>},
+      {reflect_chunk<2, false>, reflect_chunk<2, true>},
+      {reflect_chunk<3, false>, reflect_chunk<3, true>},
+      {reflect_chunk<4, false>, reflect_chunk<4, true>},
+  };
+  for (index_t c0 = 0; c0 < lw; c0 += 16) {
+    const index_t nc = lw - c0 < 16 ? lw - c0 : 16;
+    const auto rem = static_cast<int>(nc % 4);  // complex in a partial vector
+    kChunks[(nc + 3) / 4 - 1][rem != 0](v0, v, ldv, beta, pivot + c0,
+                                        rows + c0, ld, k, 2 * rem);
+  }
+}
+
 // Eight independent ymm FMA chains (the latency-throughput product of a
 // 2-port, ~4-cycle FMA unit): measures the core's fused multiply-add peak.
 // 8 accumulators x 8 lanes x 2 flops = 128 flops per iteration.
@@ -260,7 +362,7 @@ const KernelOps& avx2_ops() {
   static const KernelOps ops = {
       axpy_avx2,      mul_inplace_avx2, abs_sq_avx2,     energy_avx2,
       fft_stage_avx2, fft_stage2_avx2,  fft_stage4_avx2, bf_panel_avx2,
-      fma_probe_avx2, 128,
+      reflect_avx2,   fma_probe_avx2,   128,
   };
   return ops;
 }

@@ -51,6 +51,16 @@ void beamform_gemm(const cfloat* w, index_t ldw, index_t j_channels,
                    index_t m_active, const cfloat* x, index_t ldx, index_t k,
                    cfloat* out, index_t ldc);
 
+/// One Householder reflector H = I - beta v v^H applied to a block of
+/// 1 + k rows, `lw` columns each: the pivot row `pivot` (reflector element
+/// v0) and rows `rows + i * ld`, i < k (reflector elements v[i * ldv]).
+/// The pivot is a separate pointer because the row-append update keeps it
+/// in R while the other rows live in the appended block. One call per
+/// reflector: the scalar table runs detail::reflect_ref (the pre-kernel
+/// per-element order), the AVX2 table keeps w in registers.
+void reflect(cfloat v0, const cfloat* v, index_t ldv, float beta,
+             cfloat* pivot, cfloat* rows, index_t ld, index_t k, index_t lw);
+
 namespace detail {
 
 /// Per-ISA implementation table. `beamform_gemm` stays common (blocking and
@@ -70,6 +80,9 @@ struct KernelOps {
   void (*bf_panel)(const cfloat* conj_w, index_t ldcw, index_t j_channels,
                    index_t m_active, const cfloat* xt, index_t ldxt,
                    index_t k, cfloat* out, index_t ldc);
+  void (*reflect)(cfloat v0, const cfloat* v, index_t ldv, float beta,
+                  cfloat* pivot, cfloat* rows, index_t ld, index_t k,
+                  index_t lw);
   /// Roofline compute-peak probe: `iters` rounds of independent
   /// register-resident multiply-adds, result folded into *sink so the
   /// chains cannot be optimized away. The caller times it; each iteration
@@ -106,6 +119,11 @@ inline void fft_stage2(cfloat* data, index_t n) {
 }
 inline void fft_stage4(cfloat* data, index_t n, bool conj_tw) {
   detail::ops().fft_stage4(data, n, conj_tw);
+}
+inline void reflect(cfloat v0, const cfloat* v, index_t ldv, float beta,
+                    cfloat* pivot, cfloat* rows, index_t ld, index_t k,
+                    index_t lw) {
+  detail::ops().reflect(v0, v, ldv, beta, pivot, rows, ld, k, lw);
 }
 
 /// Compute-peak probe of the active dispatch table (see KernelOps).

@@ -6,6 +6,7 @@
 // in the FFT stages), so a forced-scalar run reproduces the legacy numerics
 // on any target the compiler supports.
 #include "kernels/kernels.hpp"
+#include "kernels/reflect_ref.hpp"
 
 namespace ppstap::kernels::detail {
 
@@ -94,6 +95,12 @@ void bf_panel_scalar(const cfloat* conj_w, index_t ldcw, index_t j_channels,
   }
 }
 
+void reflect_scalar(cfloat v0, const cfloat* v, index_t ldv, float beta,
+                    cfloat* pivot, cfloat* rows, index_t ld, index_t k,
+                    index_t lw) {
+  reflect_ref(v0, v, ldv, beta, pivot, rows, ld, k, lw);
+}
+
 // Eight independent scalar multiply-add chains: enough to cover the FPU
 // latency-throughput product on any recent core, so the measurement is the
 // scalar pipe's throughput, not one chain's latency. 16 flops per iter.
@@ -120,8 +127,8 @@ const KernelOps& scalar_ops() {
   static const KernelOps ops = {
       axpy_scalar,      mul_inplace_scalar, abs_sq_scalar,
       energy_scalar,    fft_stage_scalar,   fft_stage2_scalar,
-      fft_stage4_scalar, bf_panel_scalar,   fma_probe_scalar,
-      16,
+      fft_stage4_scalar, bf_panel_scalar,   reflect_scalar,
+      fma_probe_scalar, 16,
   };
   return ops;
 }

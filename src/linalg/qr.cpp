@@ -8,20 +8,23 @@
 
 #include "common/flops.hpp"
 #include "kernels/kernels.hpp"
+#include "kernels/reflect_ref.hpp"
 
 namespace ppstap::linalg {
 
 namespace {
 
-// y[0..n) += a * x[0..n) along a unit-stride row; the sample-precision
-// complex case runs through the dispatched SIMD kernel. The Householder
-// updates below are restructured so every inner loop has this shape.
+// One Householder reflector over a [pivot row; k rows] block (see
+// kernels::reflect). The sample-precision complex case runs through the
+// dispatched kernel; every other element type runs the reference loop the
+// scalar kernel table also uses, so both share one accumulation order.
 template <typename T>
-inline void axpy_row(const T& a, const T* x, T* y, index_t n) {
+inline void reflect(const T& v0, const T* v, index_t ldv, real_of_t<T> beta,
+                    T* pivot, T* rows, index_t ld, index_t k, index_t lw) {
   if constexpr (std::is_same_v<T, cfloat>) {
-    kernels::cf_axpy(a, x, y, n);
+    kernels::reflect(v0, v, ldv, beta, pivot, rows, ld, k, lw);
   } else {
-    for (index_t i = 0; i < n; ++i) y[i] += a * x[i];
+    kernels::detail::reflect_ref(v0, v, ldv, beta, pivot, rows, ld, k, lw);
   }
 }
 
@@ -35,6 +38,19 @@ T phase_of(const T& x) {
     return a == real_of_t<T>{0} ? T{1} : x / a;
   } else {
     return x < T{0} ? T{-1} : T{1};
+  }
+}
+
+// x * y without the NaN-recovery branch of std::complex's operator*: the
+// same products and sums per component, so finite results are bit-identical,
+// but a loop of them vectorizes.
+template <typename T>
+inline T mul_finite(const T& x, const T& y) {
+  if constexpr (real_dof<T> == 2) {
+    return T(x.real() * y.real() - x.imag() * y.imag(),
+             x.real() * y.imag() + x.imag() * y.real());
+  } else {
+    return x * y;
   }
 }
 
@@ -64,7 +80,6 @@ QrFactorization<T>::QrFactorization(const Matrix<T>& a)
   }
 
   std::uint64_t flops = 0;
-  std::vector<T> w(static_cast<size_t>(n_));
   for (index_t j = 0; j < n_; ++j) {
     // Build the Householder vector for column j from rows j..m-1.
     R norm_sq{};
@@ -80,23 +95,13 @@ QrFactorization<T>::QrFactorization(const Matrix<T>& a)
     beta_[static_cast<size_t>(j)] = beta;
     a_(j, j) = alpha;  // diagonal of R; tail of v stays in the column
 
-    // Apply H = I - beta v v^H to the trailing columns in two row-major
-    // passes: w = beta (v^H A_t) accumulated by row sweeps, then the rank-1
-    // update A_t -= v w. Both inner loops are unit-stride axpys; the per-
-    // element accumulation order over i is the same as the classic column
-    // form, so scalar dispatch reproduces its numerics.
+    // Apply H = I - beta v v^H to the trailing columns in one kernel call:
+    // the pivot row j and rows j+1..m-1, whose column j holds v's tail.
+    // (lw > 0 implies j + 1 < m, so the tail rows exist.)
     const index_t lw = n_ - j - 1;
-    if (lw > 0) {
-      T* wp = w.data();
-      std::fill(wp, wp + lw, T{});
-      axpy_row(conj_val(v0), &a_(j, j + 1), wp, lw);
-      for (index_t i = j + 1; i < m_; ++i)
-        axpy_row(conj_val(a_(i, j)), &a_(i, j + 1), wp, lw);
-      for (index_t c = 0; c < lw; ++c) wp[c] *= beta;
-      axpy_row(T{-v0}, wp, &a_(j, j + 1), lw);
-      for (index_t i = j + 1; i < m_; ++i)
-        axpy_row(T{-a_(i, j)}, wp, &a_(i, j + 1), lw);
-    }
+    if (lw > 0)
+      reflect(v0, &a_(j + 1, j), n_, beta, &a_(j, j + 1), &a_(j + 1, j + 1),
+              n_, m_ - j - 1, lw);
     const auto len = static_cast<std::uint64_t>(m_ - j);
     flops += 2 * len;  // norm accumulation
     flops += 2 * fma_flops<T>() * len * static_cast<std::uint64_t>(n_ - j - 1);
@@ -167,23 +172,17 @@ template <typename T>
 void QrFactorization<T>::apply_qh(Matrix<T>& b) const {
   PPSTAP_REQUIRE(b.rows() == m_, "rhs rows must match factorized matrix");
   const index_t nrhs = b.cols();
-  std::vector<T> w(static_cast<size_t>(nrhs));
+  if (nrhs == 0) return;
+  std::uint64_t flops = 0;
   for (index_t j = 0; j < n_; ++j) {
-    const T v0 = v0_[static_cast<size_t>(j)];
-    const auto beta = beta_[static_cast<size_t>(j)];
-    T* wp = w.data();
-    std::fill(wp, wp + nrhs, T{});
-    axpy_row(conj_val(v0), &b(j, 0), wp, nrhs);
-    for (index_t i = j + 1; i < m_; ++i)
-      axpy_row(conj_val(a_(i, j)), &b(i, 0), wp, nrhs);
-    for (index_t c = 0; c < nrhs; ++c) wp[c] *= beta;
-    axpy_row(T{-v0}, wp, &b(j, 0), nrhs);
-    for (index_t i = j + 1; i < m_; ++i)
-      axpy_row(T{-a_(i, j)}, wp, &b(i, 0), nrhs);
+    const index_t k = m_ - j - 1;  // reflector j has support on rows j..m-1
+    reflect(v0_[static_cast<size_t>(j)], k > 0 ? &a_(j + 1, j) : nullptr, n_,
+            beta_[static_cast<size_t>(j)], &b(j, 0),
+            k > 0 ? &b(j + 1, 0) : nullptr, nrhs, k, nrhs);
+    flops += 2 * fma_flops<T>() * static_cast<std::uint64_t>(k + 1) *
+             static_cast<std::uint64_t>(nrhs);
   }
-  count_flops(2 * fma_flops<T>() * static_cast<std::uint64_t>(m_) *
-              static_cast<std::uint64_t>(n_) *
-              static_cast<std::uint64_t>(nrhs));
+  count_flops(flops);
 }
 
 template <typename T>
@@ -204,15 +203,21 @@ void back_substitute(const Matrix<T>& r, Matrix<T>& b) {
   PPSTAP_REQUIRE(r.cols() == n, "R must be square");
   PPSTAP_REQUIRE(b.rows() == n, "rhs rows must match R");
   const index_t nrhs = b.cols();
+  if (nrhs == 0) return;
   for (index_t i = n - 1; i >= 0; --i) {
     const T diag = r(i, i);
     PPSTAP_REQUIRE(abs_sq(diag) > real_of_t<T>{0},
                    "singular triangular factor in back substitution");
-    for (index_t c = 0; c < nrhs; ++c) {
-      T acc = b(i, c);
-      for (index_t j = i + 1; j < n; ++j) acc -= r(i, j) * b(j, c);
-      b(i, c) = acc / diag;
+    // Row i accumulates in place over ascending j, unit stride across the
+    // right-hand sides; each b(i, c) sees the same operation sequence as a
+    // per-column dot product.
+    T* bi = &b(i, 0);
+    for (index_t j = i + 1; j < n; ++j) {
+      const T rij = r(i, j);
+      const T* bj = &b(j, 0);
+      for (index_t c = 0; c < nrhs; ++c) bi[c] -= mul_finite(rij, bj[c]);
     }
+    for (index_t c = 0; c < nrhs; ++c) bi[c] /= diag;
   }
   count_flops(fma_flops<T>() * static_cast<std::uint64_t>(n) *
               static_cast<std::uint64_t>(n) *
@@ -225,17 +230,18 @@ Matrix<T> least_squares(const Matrix<T>& a, const Matrix<T>& b) {
 }
 
 template <typename T>
-Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x) {
+Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x, Matrix<T>& rhs,
+                         Matrix<T> xrhs) {
   using Real = real_of_t<T>;
   const index_t n = r.rows();
   PPSTAP_REQUIRE(r.cols() == n, "R must be square in qr_append_rows");
   PPSTAP_REQUIRE(x.cols() == n, "appended rows must have R's column count");
   const index_t k = x.rows();
+  const index_t p = rhs.cols();
+  PPSTAP_REQUIRE(rhs.rows() == n && xrhs.rows() == k && xrhs.cols() == p,
+                 "right-hand sides must be n x p over k x p");
 
   Matrix<T> out = r;
-  std::vector<T> v(static_cast<size_t>(k));
-  std::vector<T> w2(static_cast<size_t>(n));
-
   std::uint64_t flops = 0;
   for (index_t j = 0; j < n; ++j) {
     // Householder on the sparse column [out(j,j); x(0..k-1, j)]: above-
@@ -250,33 +256,33 @@ Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x) {
     const T alpha = -ph * norm;
     const T v0 = x0 - alpha;
     Real v_sq = abs_sq(v0);
-    for (index_t i = 0; i < k; ++i) {
-      v[static_cast<size_t>(i)] = x(i, j);
-      v_sq += abs_sq(x(i, j));
-    }
+    for (index_t i = 0; i < k; ++i) v_sq += abs_sq(x(i, j));
     const Real beta = v_sq > Real{0} ? Real{2} / v_sq : Real{0};
     out(j, j) = alpha;
 
-    // Same two-pass row-major reflector application as the dense
-    // factorization: w = beta (v^H [R_row; X_t]), then the rank-1 update.
+    // The reflector's tail is column j of X, which no later step of this
+    // column touches: apply it to [R_row; X_t], then to [rhs_row; xrhs].
+    const T* v = k > 0 ? &x(0, j) : nullptr;
     const index_t lw = n - j - 1;
-    if (lw > 0) {
-      T* wp = w2.data();
-      std::fill(wp, wp + lw, T{});
-      axpy_row(conj_val(v0), &out(j, j + 1), wp, lw);
-      for (index_t i = 0; i < k; ++i)
-        axpy_row(conj_val(v[static_cast<size_t>(i)]), &x(i, j + 1), wp, lw);
-      for (index_t c = 0; c < lw; ++c) wp[c] *= beta;
-      axpy_row(T{-v0}, wp, &out(j, j + 1), lw);
-      for (index_t i = 0; i < k; ++i)
-        axpy_row(T{-v[static_cast<size_t>(i)]}, wp, &x(i, j + 1), lw);
-    }
+    if (lw > 0)
+      reflect(v0, v, n, beta, &out(j, j + 1), k > 0 ? &x(0, j + 1) : nullptr,
+              n, k, lw);
+    if (p > 0)
+      reflect(v0, v, n, beta, &rhs(j, 0), k > 0 ? &xrhs(0, 0) : nullptr, p,
+              k, p);
     flops += 2 * static_cast<std::uint64_t>(k + 1);
     flops += 2 * fma_flops<T>() * static_cast<std::uint64_t>(k + 1) *
-             static_cast<std::uint64_t>(n - j - 1);
+             static_cast<std::uint64_t>(lw + p);
   }
   count_flops(flops);
   return out;
+}
+
+template <typename T>
+Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x) {
+  Matrix<T> rhs(r.rows(), 0);
+  const index_t k = x.rows();
+  return qr_append_rows(r, std::move(x), rhs, Matrix<T>(k, 0));
 }
 
 template <typename T>
@@ -330,11 +336,24 @@ template double triangular_condition_estimate<float>(const Matrix<float>&);
 template double triangular_condition_estimate<double>(const Matrix<double>&);
 template Matrix<cfloat> qr_append_rows<cfloat>(const Matrix<cfloat>&,
                                                Matrix<cfloat>);
+template Matrix<cfloat> qr_append_rows<cfloat>(const Matrix<cfloat>&,
+                                               Matrix<cfloat>, Matrix<cfloat>&,
+                                               Matrix<cfloat>);
 template Matrix<cdouble> qr_append_rows<cdouble>(const Matrix<cdouble>&,
+                                                 Matrix<cdouble>);
+template Matrix<cdouble> qr_append_rows<cdouble>(const Matrix<cdouble>&,
+                                                 Matrix<cdouble>,
+                                                 Matrix<cdouble>&,
                                                  Matrix<cdouble>);
 template Matrix<float> qr_append_rows<float>(const Matrix<float>&,
                                              Matrix<float>);
+template Matrix<float> qr_append_rows<float>(const Matrix<float>&,
+                                             Matrix<float>, Matrix<float>&,
+                                             Matrix<float>);
 template Matrix<double> qr_append_rows<double>(const Matrix<double>&,
+                                               Matrix<double>);
+template Matrix<double> qr_append_rows<double>(const Matrix<double>&,
+                                               Matrix<double>, Matrix<double>&,
                                                Matrix<double>);
 template double append_column_norm_residual<cfloat>(const Matrix<cfloat>&,
                                                     const Matrix<cfloat>&,

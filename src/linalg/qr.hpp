@@ -5,7 +5,8 @@
 // training snapshots over beam-shape constraint rows. The easy Doppler bins
 // use a fresh QR per CPI; the hard bins use the *recursive block update* form
 // of QR (qr_append_rows), which re-triangularizes [lambda*R_old; X_new]
-// without touching old data — the paper's exponential-forgetting scheme.
+// without touching old data — the paper's exponential-forgetting scheme —
+// and solve by folding their constraint rows into R with the same update.
 #pragma once
 
 #include <vector>
@@ -76,11 +77,17 @@ Matrix<T> least_squares(const Matrix<T>& a, const Matrix<T>& b);
 /// dense: returns the updated n x n R. This is the block row-append QR
 /// update; combined with a scalar forgetting factor applied to R beforehand
 /// it implements the paper's recursive weight update for hard Doppler bins.
-/// X is consumed (used as workspace). If `rhs` and `xrhs` are given (n x p
-/// and k x p), they are updated by the same orthogonal transform so that
-/// least-squares solves against the accumulated data remain possible.
+/// X is consumed (used as workspace).
 template <typename T>
 Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x);
+
+/// The same update carrying right-hand sides: `rhs` (n x p) and `xrhs`
+/// (k x p) go through the same reflectors, so on return `rhs` holds the top
+/// n rows of Q^H [rhs; xrhs] and back_substitute(R_new, rhs) solves the
+/// least-squares problem [R; X] w ~ [rhs; xrhs]. `xrhs` is consumed like X.
+template <typename T>
+Matrix<T> qr_append_rows(const Matrix<T>& r, Matrix<T> x, Matrix<T>& rhs,
+                         Matrix<T> xrhs);
 
 /// ABFT invariant for the row-append update (PR 5): the re-triangularized
 /// R must preserve the column norms of the stacked [r_old; x] matrix.
@@ -113,13 +120,25 @@ extern template Matrix<float> least_squares<float>(const Matrix<float>&,
 extern template Matrix<double> least_squares<double>(const Matrix<double>&,
                                                      const Matrix<double>&);
 extern template Matrix<cfloat> qr_append_rows<cfloat>(const Matrix<cfloat>&,
-                                                      Matrix<cfloat>);
+                                         Matrix<cfloat>);
+extern template Matrix<cfloat> qr_append_rows<cfloat>(const Matrix<cfloat>&,
+                                         Matrix<cfloat>, Matrix<cfloat>&,
+                                         Matrix<cfloat>);
 extern template Matrix<cdouble> qr_append_rows<cdouble>(const Matrix<cdouble>&,
-                                                        Matrix<cdouble>);
+                                         Matrix<cdouble>);
+extern template Matrix<cdouble> qr_append_rows<cdouble>(const Matrix<cdouble>&,
+                                         Matrix<cdouble>, Matrix<cdouble>&,
+                                         Matrix<cdouble>);
 extern template Matrix<float> qr_append_rows<float>(const Matrix<float>&,
-                                                    Matrix<float>);
+                                         Matrix<float>);
+extern template Matrix<float> qr_append_rows<float>(const Matrix<float>&,
+                                         Matrix<float>, Matrix<float>&,
+                                         Matrix<float>);
 extern template Matrix<double> qr_append_rows<double>(const Matrix<double>&,
-                                                      Matrix<double>);
+                                         Matrix<double>);
+extern template Matrix<double> qr_append_rows<double>(const Matrix<double>&,
+                                         Matrix<double>, Matrix<double>&,
+                                         Matrix<double>);
 extern template double triangular_condition_estimate<cfloat>(
     const Matrix<cfloat>&);
 extern template double triangular_condition_estimate<cdouble>(

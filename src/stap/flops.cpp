@@ -27,19 +27,30 @@ std::uint64_t qr_flops(std::uint64_t m, std::uint64_t n) {
   return total;
 }
 
-// Least-squares solve against an already factorized m x n system with
-// `nrhs` right-hand sides: apply Q^H then back-substitute.
-std::uint64_t ls_solve_flops(std::uint64_t m, std::uint64_t n,
-                             std::uint64_t nrhs) {
-  return 16 * m * n * nrhs + 8 * n * n * nrhs / 2;
+// Back substitution against an n x n triangular factor, matching
+// linalg::back_substitute's counter.
+std::uint64_t back_substitute_flops(std::uint64_t n, std::uint64_t nrhs) {
+  return 8 * n * n * nrhs / 2;
 }
 
-// Block row-append QR update of k rows onto an n x n R, matching
+// Least-squares solve against an already factorized m x n system with
+// `nrhs` right-hand sides: apply Q^H (reflector j touches rows j..m-1)
+// then back-substitute.
+std::uint64_t ls_solve_flops(std::uint64_t m, std::uint64_t n,
+                             std::uint64_t nrhs) {
+  std::uint64_t total = 0;
+  for (std::uint64_t j = 0; j < n; ++j) total += 16 * (m - j) * nrhs;
+  return total + back_substitute_flops(n, nrhs);
+}
+
+// Block row-append QR update of k rows onto an n x n R carrying `nrhs`
+// right-hand sides through the same reflectors, matching
 // linalg::qr_append_rows' counter.
-std::uint64_t qr_append_flops(std::uint64_t k, std::uint64_t n) {
+std::uint64_t qr_append_flops(std::uint64_t k, std::uint64_t n,
+                              std::uint64_t nrhs) {
   std::uint64_t total = 0;
   for (std::uint64_t j = 0; j < n; ++j)
-    total += 2 * (k + 1) + 16 * (k + 1) * (n - j - 1);
+    total += 2 * (k + 1) + 16 * (k + 1) * (n - j - 1 + nrhs);
   return total;
 }
 
@@ -91,15 +102,17 @@ std::uint64_t analytic_flops(Task t, const StapParams& p) {
       return n_easy * (qr_flops(rows, j) + ls_solve_flops(rows, j, m));
     }
     case Task::kHardWeight: {
-      // Per (hard bin, segment): recursive row-append update plus the
-      // constrained solve on the (2J + J) x 2J system.
+      // Per (hard bin, segment): fade the carried R's upper triangle by the
+      // forgetting factor, fold in the new training rows, then fold the J
+      // constraint rows into a copy of R carrying the M steering columns
+      // and back-substitute.
       const std::uint64_t jj = 2 * j;
       const std::uint64_t samples =
           static_cast<std::uint64_t>(p.hard_samples_per_segment);
-      const std::uint64_t fade = 6 * jj * jj / 2;  // scale R by lambda
-      const std::uint64_t per = fade + qr_append_flops(samples, jj) +
-                                qr_flops(jj + j, jj) +
-                                ls_solve_flops(jj + j, jj, m);
+      const std::uint64_t fade = jj * (jj + 1);
+      const std::uint64_t per = fade + qr_append_flops(samples, jj, 0) +
+                                qr_append_flops(j, jj, m) +
+                                back_substitute_flops(jj, m);
       return n_hard * segs * per;
     }
     case Task::kEasyBeamform:

@@ -7,6 +7,7 @@
 #include <ostream>
 
 #include "common/check.hpp"
+#include "common/flops.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/serialize.hpp"
 
@@ -17,57 +18,117 @@ namespace {
 // Data-scale proxy for the constraint rows: mean magnitude of the retained
 // triangular factor. Scaling the constraint with the data keeps the
 // beam-shape/clutter-null compromise (Appendix A's k) independent of the
-// absolute signal level.
+// absolute signal level. The magnitudes are taken in double from |x|^2,
+// which cannot overflow for float input; std::abs's hypot is several
+// times slower and this scan runs once per hard solve.
 float mean_abs_upper(const linalg::MatrixCF& r) {
   double acc = 0.0;
   index_t count = 0;
   for (index_t i = 0; i < r.rows(); ++i)
     for (index_t j = i; j < r.cols(); ++j) {
-      acc += std::abs(r(i, j));
+      acc += std::sqrt(static_cast<double>(r(i, j).real()) * r(i, j).real() +
+                       static_cast<double>(r(i, j).imag()) * r(i, j).imag());
       ++count;
     }
   return count > 0 ? static_cast<float>(acc / static_cast<double>(count))
                    : 0.0f;
 }
 
-// Condition-guarded constrained least squares (the tentpole's numerical-
-// health guard). Factorize A and check the R-diagonal condition estimate;
-// above StapParams::condition_threshold, retry EXACTLY ONCE with `load *
-// I_n` appended below A (diagonal loading at data scale, zero right-hand
-// side) — the loaded problem is well posed even for a rank-deficient or
-// all-zero training stack. The retry is counted in `health` so a degraded
-// solve always leaves a ledger entry.
-linalg::MatrixCF guarded_least_squares(const linalg::MatrixCF& a,
-                                       const linalg::MatrixCF& b,
+// One triangularization of a weight least-squares problem: the n x n
+// factor, the top n rows of Q^H b, and (when the ABFT gate is on) the
+// column-norm residual of the transform that produced them.
+struct Triangularized {
+  linalg::MatrixCF r;
+  linalg::MatrixCF qhb;
+  double residual = 0.0;
+};
+
+// Condition-guarded constrained least squares (the numerical-health guard),
+// one policy for both weight paths. `triangularize(load, with_residual)`
+// factors the problem, with `load * I_n` rows (zero right-hand side)
+// appended when load > 0. The plain factor is solved when its ABFT
+// residual passes and its R-diagonal condition estimate is at most
+// `threshold`; otherwise the guard retries EXACTLY ONCE with diagonal
+// loading at data scale — the loaded problem is well posed even for a
+// rank-deficient or all-zero training stack. Every retry is counted in
+// `health`, so a degraded solve always leaves a ledger entry: a residual
+// above `abft_tol` (a factor corrupted mid-flight) as qr_residual_retries,
+// and, if the loaded factor fails it too, qr_residual_rejects.
+template <typename Triangularize>
+linalg::MatrixCF guarded_least_squares(Triangularize&& triangularize,
                                        double threshold, float load,
                                        WeightHealth& health,
-                                       double abft_tol = 0.0) {
-  linalg::QrFactorization<cfloat> qr(a);
-  // ABFT residual gate (PR 5): a factorization that no longer preserves
-  // the input's column norms was corrupted mid-flight; route it through
-  // the loading retry like an ill-conditioned solve.
-  const bool residual_bad =
-      abft_tol > 0.0 && qr.column_norm_residual() > abft_tol;
-  if (residual_bad)
+                                       double abft_tol) {
+  const bool gated = abft_tol > 0.0;
+  Triangularized t = triangularize(0.0f, gated);
+  const bool residual_bad = gated && t.residual > abft_tol;
+  if (residual_bad) {
     ++health.qr_residual_retries;
-  else if (qr.condition_estimate() <= threshold)
-    return qr.solve(b);
-  else
+  } else if (linalg::triangular_condition_estimate(t.r) <= threshold) {
+    linalg::back_substitute(t.r, t.qhb);
+    return std::move(t.qhb);
+  } else {
     ++health.loading_retries;
-
-  const index_t n = a.cols();
+  }
   if (load <= 0.0f || !std::isfinite(load)) load = 1.0f;
-  linalg::MatrixCF a2(a.rows() + n, n);
-  for (index_t i = 0; i < a.rows(); ++i)
+  t = triangularize(load, gated);
+  if (gated && t.residual > abft_tol) {
+    // Persistent: no solve of a broken factor (it may not even be
+    // invertible); the all-zero result sends every column through
+    // patch_bad_columns to the quiescent weights.
+    ++health.qr_residual_rejects;
+    return linalg::MatrixCF(t.qhb.rows(), t.qhb.cols());
+  }
+  linalg::back_substitute(t.r, t.qhb);
+  return std::move(t.qhb);
+}
+
+// Dense path (easy bins): Householder QR of [A; load I] against [B; 0].
+Triangularized triangularize_dense(const linalg::MatrixCF& a,
+                                   const linalg::MatrixCF& b, float load,
+                                   bool with_residual) {
+  const index_t n = a.cols();
+  const index_t extra = load > 0.0f ? n : 0;
+  linalg::MatrixCF a2(a.rows() + extra, n);
+  linalg::MatrixCF b2(a.rows() + extra, b.cols());
+  for (index_t i = 0; i < a.rows(); ++i) {
     for (index_t j = 0; j < n; ++j) a2(i, j) = a(i, j);
-  for (index_t i = 0; i < n; ++i) a2(a.rows() + i, i) = load;
-  linalg::MatrixCF b2(a.rows() + n, b.cols());
-  for (index_t i = 0; i < b.rows(); ++i)
     for (index_t j = 0; j < b.cols(); ++j) b2(i, j) = b(i, j);
-  linalg::QrFactorization<cfloat> qr2(a2);
-  if (abft_tol > 0.0 && qr2.column_norm_residual() > abft_tol)
-    ++health.qr_residual_rejects;  // persistent — patch_bad_columns screens
-  return qr2.solve(b2);
+  }
+  for (index_t i = 0; i < extra; ++i) a2(a.rows() + i, i) = load;
+  linalg::QrFactorization<cfloat> qr(a2);
+  qr.apply_qh(b2);
+  Triangularized t{qr.r(), linalg::MatrixCF(n, b.cols()),
+                   with_residual ? qr.column_norm_residual() : 0.0};
+  for (index_t i = 0; i < n; ++i)
+    for (index_t j = 0; j < b.cols(); ++j) t.qhb(i, j) = b2(i, j);
+  return t;
+}
+
+// Structured path (hard bins): R is already triangular, so only the
+// constraint rows C (and the loading rows) are folded into a copy of it
+// with the row-append update, carrying [0; S] through the same reflectors.
+// A dense QR of [R; C] would spend most of its work on R's structural
+// zeros.
+Triangularized triangularize_fold(const linalg::MatrixCF& r,
+                                  const linalg::MatrixCF& c,
+                                  const linalg::MatrixCF& s, float load,
+                                  bool with_residual) {
+  const index_t n = r.rows();
+  const index_t extra = load > 0.0f ? n : 0;
+  linalg::MatrixCF x(c.rows() + extra, n);
+  linalg::MatrixCF xs(c.rows() + extra, s.cols());
+  for (index_t i = 0; i < c.rows(); ++i) {
+    for (index_t j = 0; j < n; ++j) x(i, j) = c(i, j);
+    for (index_t j = 0; j < s.cols(); ++j) xs(i, j) = s(i, j);
+  }
+  for (index_t i = 0; i < extra; ++i) x(c.rows() + i, i) = load;
+  Triangularized t;
+  t.qhb = linalg::MatrixCF(n, s.cols());
+  t.r = linalg::qr_append_rows(r, x, t.qhb, std::move(xs));
+  if (with_residual)
+    t.residual = linalg::append_column_norm_residual(r, x, t.r);
+  return t;
 }
 
 // Post-solve screen: replace any non-finite or identically-zero weight
@@ -213,9 +274,11 @@ WeightSet EasyWeightComputer::compute() const {
       for (index_t r = 0; r < j; ++r)
         b(total_rows + r, c) = steering_(r, c);
 
-    linalg::MatrixCF w = guarded_least_squares(a, b, p_.condition_threshold,
-                                               scale, health_,
-                                               p_.abft_tolerance);
+    linalg::MatrixCF w = guarded_least_squares(
+        [&](float load, bool with_residual) {
+          return triangularize_dense(a, b, load, with_residual);
+        },
+        p_.condition_threshold, scale, health_, p_.abft_tolerance);
     patch_bad_columns(w, quiescent, health_);
     normalize_columns(w);
     out.weights.push_back(std::move(w));
@@ -312,7 +375,8 @@ void HardWeightComputer::update(
       for (index_t b = 0; b < x.cols(); ++b) x(a, b) = std::conj(x(a, b));
     linalg::MatrixCF faded = r_[i];
     for (index_t a = 0; a < faded.rows(); ++a)
-      for (index_t b = 0; b < faded.cols(); ++b) faded(a, b) *= lambda;
+      for (index_t b = a; b < faded.cols(); ++b) faded(a, b) *= lambda;
+    count_flops(static_cast<std::uint64_t>(faded.rows() * (faded.rows() + 1)));
     if (p_.abft_tolerance <= 0.0) {
       r_[i] = linalg::qr_append_rows(faded, std::move(x));
       continue;
@@ -361,21 +425,14 @@ std::vector<linalg::MatrixCF> HardWeightComputer::compute() const {
     const float scale = mean_abs_upper(r);
     const float avg = static_cast<float>(p_.beam_constraint_wt) * scale;
 
-    // A = [R; C] where C = avg [I_J | stag_phase I_J]: the J constraint
-    // rows demand that the pair of staggered subweights, combined with
-    // the bin's stagger phase, reproduce the steering vector.
-    linalg::MatrixCF a(jj + j, jj);
-    for (index_t row = 0; row < jj; ++row)
-      for (index_t col = row; col < jj; ++col) a(row, col) = r(row, col);
+    // Constraint rows C = avg [I_J | stag_phase I_J] against S: the pair
+    // of staggered subweights, combined with the bin's stagger phase, must
+    // reproduce the steering vector. The problem is [R; C] w ~ [0; S].
+    linalg::MatrixCF c(j, jj);
     for (index_t row = 0; row < j; ++row) {
-      a(jj + row, row) = avg;
-      a(jj + row, j + row) = avg * stag_phase;
+      c(row, row) = avg;
+      c(row, j + row) = avg * stag_phase;
     }
-
-    linalg::MatrixCF b(jj + j, m);
-    for (index_t c = 0; c < m; ++c)
-      for (index_t row = 0; row < j; ++row)
-        b(jj + row, c) = steering_(row, c);
 
     // Quiescent fallback for this unit: both staggered subweights carry the
     // steering vector, the second rotated back by the bin's stagger phase so
@@ -388,9 +445,11 @@ std::vector<linalg::MatrixCF> HardWeightComputer::compute() const {
       }
     normalize_columns(quiescent);
 
-    linalg::MatrixCF w = guarded_least_squares(a, b, p_.condition_threshold,
-                                               scale, health_,
-                                               p_.abft_tolerance);
+    linalg::MatrixCF w = guarded_least_squares(
+        [&](float load, bool with_residual) {
+          return triangularize_fold(r, c, steering_, load, with_residual);
+        },
+        p_.condition_threshold, scale, health_, p_.abft_tolerance);
     patch_bad_columns(w, quiescent, health_);
     normalize_columns(w);
     out.push_back(std::move(w));

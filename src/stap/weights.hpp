@@ -37,11 +37,13 @@ namespace ppstap::stap {
 ///    (or identically zero) after the retry and were replaced column-wise
 ///    by the quiescent (normalized steering) beamformer.
 ///  * qr_residual_retries — factorizations whose ABFT column-norm residual
-///    exceeded StapParams::abft_tolerance and were re-run once (fresh QR:
-///    through the diagonal-loading path; recursive append: recomputed).
-///  * qr_residual_rejects — recursive append updates that failed the
-///    residual gate twice and were discarded so the corruption never
-///    entered the carried R.
+///    exceeded StapParams::abft_tolerance and were re-run once (weight
+///    solves — the easy QR and the hard constraint fold: through the
+///    diagonal-loading path; recursive append: recomputed).
+///  * qr_residual_rejects — factorizations that failed the residual gate
+///    twice: recursive append updates are discarded so the corruption never
+///    enters the carried R; weight solves fall back to the quiescent
+///    weights (counted in quiescent_fallbacks too).
 struct WeightHealth {
   std::uint64_t nonfinite_training_blocks = 0;
   std::uint64_t loading_retries = 0;
@@ -133,8 +135,10 @@ class HardWeightComputer {
   void update(const std::vector<linalg::MatrixCF>& per_unit_rows);
 
   /// Solve the constrained problem for every owned unit from the current R
-  /// state, in units() order (each 2J x M). Valid immediately (R is seeded
-  /// with diagonal loading), improving as updates accumulate.
+  /// state, in units() order (each 2J x M): the J constraint rows are
+  /// folded into a copy of R (qr_append_rows, steering carried as the
+  /// right-hand side) and the result back-substituted. Valid immediately
+  /// (R is seeded with diagonal loading), improving as updates accumulate.
   std::vector<linalg::MatrixCF> compute() const;
 
   /// Checkpoint / restore the recursive triangular factors.

@@ -17,6 +17,7 @@
 #include <cmath>
 #include <complex>
 #include <cstdlib>
+#include <cstring>
 #include <vector>
 
 #include "common/flops.hpp"
@@ -49,6 +50,19 @@ std::vector<cfloat> random_cf(index_t n, unsigned seed) {
     z = cfloat(static_cast<float>(g.real()), static_cast<float>(g.imag()));
   }
   return v;
+}
+
+linalg::MatrixCF random_matrix(index_t rows, index_t cols, unsigned seed) {
+  const auto v = random_cf(rows * cols, seed);
+  linalg::MatrixCF m(rows, cols);
+  std::copy(v.begin(), v.end(), m.data());
+  return m;
+}
+
+bool same_bits(const linalg::MatrixCF& a, const linalg::MatrixCF& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(cfloat)) == 0;
 }
 
 double max_abs(const std::vector<cfloat>& v) {
@@ -259,6 +273,49 @@ TEST(KernelEquivalence, DopplerFilterEndToEnd) {
               1e-5 * scale);
 }
 
+// The Householder reflector: one call per reflector over a [pivot row;
+// k rows] block. Shapes straddle every chunk boundary (16 complex per
+// register chunk, 4 per vector) and leave padding columns (ld > lw) and a
+// pivot tail that must come back untouched — the masked tail stores may
+// not write past the block.
+TEST(KernelEquivalence, ReflectAdversarialShapes) {
+  SKIP_WITHOUT_AVX2();
+  const auto& sc = kernels::detail::scalar_ops();
+  const auto& vx = kernels::detail::avx2_ops();
+  for (index_t lw : {1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 47}) {
+    for (index_t k : {0, 1, 30}) {
+      const index_t ld = lw + 3;
+      const index_t ldv = 2;  // strided reflector tail, as in a QR column
+      const auto v = random_cf(std::max<index_t>(k, 1) * ldv, 51);
+      const cfloat v0(0.8f, -0.4f);
+      double v_sq = std::norm(v0);
+      for (index_t i = 0; i < k; ++i)
+        v_sq += std::norm(v[static_cast<size_t>(i * ldv)]);
+      const auto beta = static_cast<float>(2.0 / v_sq);
+
+      const auto pivot0 = random_cf(lw + 2, 52);
+      const auto rows0 = random_cf(std::max<index_t>(k, 1) * ld, 53);
+      auto piv_sc = pivot0, piv_vx = pivot0;
+      auto rows_sc = rows0, rows_vx = rows0;
+      sc.reflect(v0, v.data(), ldv, beta, piv_sc.data(), rows_sc.data(), ld,
+                 k, lw);
+      vx.reflect(v0, v.data(), ldv, beta, piv_vx.data(), rows_vx.data(), ld,
+                 k, lw);
+      expect_close(piv_vx, piv_sc, 1e-5, "reflect pivot");
+      expect_close(rows_vx, rows_sc, 1e-5, "reflect rows");
+      for (index_t c = lw; c < lw + 2; ++c)
+        ASSERT_EQ(piv_vx[static_cast<size_t>(c)],
+                  pivot0[static_cast<size_t>(c)])
+            << "lw=" << lw << " k=" << k;
+      for (index_t i = 0; i < k; ++i)
+        for (index_t c = lw; c < ld; ++c)
+          ASSERT_EQ(rows_vx[static_cast<size_t>(i * ld + c)],
+                    rows0[static_cast<size_t>(i * ld + c)])
+              << "lw=" << lw << " k=" << k;
+    }
+  }
+}
+
 // --------------------------------------------------------------------------
 // Dispatch and environment knobs.
 // --------------------------------------------------------------------------
@@ -352,7 +409,175 @@ TEST(KernelInvariants, QrAbftDetectionPowerUnchanged) {
         diff = std::max<double>(
             diff, std::abs(cdouble(r_clean(rr, cc)) - cdouble(r_bad(rr, cc))));
     EXPECT_GT(diff, 1e-2) << "level=" << static_cast<int>(lvl);
+
+    // The structured constraint fold (rows appended onto an existing R,
+    // right-hand sides carried): the append gate keeps the same clean /
+    // corrupt separation. A fold of a corrupted copy of the appended rows
+    // no longer preserves the declared [R; C] column norms.
+    const linalg::MatrixCF c = random_matrix(8, 17, 79);
+    const linalg::MatrixCF xrhs = random_matrix(8, 3, 80);
+    linalg::MatrixCF rhs(17, 3);
+    const auto r_fold = linalg::qr_append_rows(r_clean, c, rhs, xrhs);
+    EXPECT_LT(linalg::append_column_norm_residual(r_clean, c, r_fold), 1e-4)
+        << "level=" << static_cast<int>(lvl);
+    auto c_bad = c;
+    c_bad(2, 5) += cfloat(4.0f, 0.0f);
+    linalg::MatrixCF rhs_bad(17, 3);
+    const auto r_bad_fold =
+        linalg::qr_append_rows(r_clean, c_bad, rhs_bad, xrhs);
+    EXPECT_GT(linalg::append_column_norm_residual(r_clean, c, r_bad_fold),
+              1e-2)
+        << "level=" << static_cast<int>(lvl);
   }
+}
+
+// The pre-kernel Householder loops (one unit-stride axpy per row) and the
+// per-column back substitution, kept verbatim as the bitwise reference:
+// under forced scalar dispatch the reflector kernel and the row-sweep back
+// substitution must reproduce them exactly.
+namespace seed {
+
+void axpy(cfloat a, const cfloat* x, cfloat* y, index_t n) {
+  for (index_t i = 0; i < n; ++i) y[i] += a * x[i];
+}
+
+cfloat phase_of(const cfloat& x) {
+  const float a = std::abs(x);
+  return a == 0.0f ? cfloat(1.0f) : x / a;
+}
+
+struct Factored {
+  linalg::MatrixCF a;
+  std::vector<cfloat> v0;
+  std::vector<float> beta;
+};
+
+Factored factor(const linalg::MatrixCF& in) {
+  Factored f{in, {}, {}};
+  auto& a = f.a;
+  const index_t m = a.rows(), n = a.cols();
+  std::vector<cfloat> w(static_cast<size_t>(n));
+  for (index_t j = 0; j < n; ++j) {
+    float norm_sq = 0.0f;
+    for (index_t i = j; i < m; ++i) norm_sq += linalg::abs_sq(a(i, j));
+    const float norm = std::sqrt(norm_sq);
+    const cfloat x0 = a(j, j);
+    const cfloat alpha = -phase_of(x0) * norm;
+    const cfloat v0 = x0 - alpha;
+    const float v_sq = norm_sq - linalg::abs_sq(x0) + linalg::abs_sq(v0);
+    const float beta = v_sq > 0.0f ? 2.0f / v_sq : 0.0f;
+    f.v0.push_back(v0);
+    f.beta.push_back(beta);
+    a(j, j) = alpha;
+    const index_t lw = n - j - 1;
+    if (lw > 0) {
+      cfloat* wp = w.data();
+      std::fill(wp, wp + lw, cfloat{});
+      axpy(std::conj(v0), &a(j, j + 1), wp, lw);
+      for (index_t i = j + 1; i < m; ++i)
+        axpy(std::conj(a(i, j)), &a(i, j + 1), wp, lw);
+      for (index_t c = 0; c < lw; ++c) wp[c] *= beta;
+      axpy(-v0, wp, &a(j, j + 1), lw);
+      for (index_t i = j + 1; i < m; ++i) axpy(-a(i, j), wp, &a(i, j + 1), lw);
+    }
+  }
+  return f;
+}
+
+void apply_qh(const Factored& f, linalg::MatrixCF& b) {
+  const index_t m = f.a.rows(), n = f.a.cols(), nrhs = b.cols();
+  std::vector<cfloat> w(static_cast<size_t>(nrhs));
+  for (index_t j = 0; j < n; ++j) {
+    const cfloat v0 = f.v0[static_cast<size_t>(j)];
+    cfloat* wp = w.data();
+    std::fill(wp, wp + nrhs, cfloat{});
+    axpy(std::conj(v0), &b(j, 0), wp, nrhs);
+    for (index_t i = j + 1; i < m; ++i)
+      axpy(std::conj(f.a(i, j)), &b(i, 0), wp, nrhs);
+    for (index_t c = 0; c < nrhs; ++c) wp[c] *= f.beta[static_cast<size_t>(j)];
+    axpy(-v0, wp, &b(j, 0), nrhs);
+    for (index_t i = j + 1; i < m; ++i) axpy(-f.a(i, j), wp, &b(i, 0), nrhs);
+  }
+}
+
+linalg::MatrixCF append_rows(const linalg::MatrixCF& r, linalg::MatrixCF x) {
+  const index_t n = r.rows(), k = x.rows();
+  linalg::MatrixCF out = r;
+  std::vector<cfloat> v(static_cast<size_t>(k)), w(static_cast<size_t>(n));
+  for (index_t j = 0; j < n; ++j) {
+    float norm_sq = linalg::abs_sq(out(j, j));
+    for (index_t i = 0; i < k; ++i) norm_sq += linalg::abs_sq(x(i, j));
+    const float norm = std::sqrt(norm_sq);
+    const cfloat x0 = out(j, j);
+    const cfloat alpha = -phase_of(x0) * norm;
+    const cfloat v0 = x0 - alpha;
+    float v_sq = linalg::abs_sq(v0);
+    for (index_t i = 0; i < k; ++i) {
+      v[static_cast<size_t>(i)] = x(i, j);
+      v_sq += linalg::abs_sq(x(i, j));
+    }
+    const float beta = v_sq > 0.0f ? 2.0f / v_sq : 0.0f;
+    out(j, j) = alpha;
+    const index_t lw = n - j - 1;
+    if (lw > 0) {
+      cfloat* wp = w.data();
+      std::fill(wp, wp + lw, cfloat{});
+      axpy(std::conj(v0), &out(j, j + 1), wp, lw);
+      for (index_t i = 0; i < k; ++i)
+        axpy(std::conj(v[static_cast<size_t>(i)]), &x(i, j + 1), wp, lw);
+      for (index_t c = 0; c < lw; ++c) wp[c] *= beta;
+      axpy(-v0, wp, &out(j, j + 1), lw);
+      for (index_t i = 0; i < k; ++i)
+        axpy(-v[static_cast<size_t>(i)], wp, &x(i, j + 1), lw);
+    }
+  }
+  return out;
+}
+
+void back_substitute(const linalg::MatrixCF& r, linalg::MatrixCF& b) {
+  const index_t n = r.rows();
+  for (index_t i = n - 1; i >= 0; --i)
+    for (index_t c = 0; c < b.cols(); ++c) {
+      cfloat acc = b(i, c);
+      for (index_t j = i + 1; j < n; ++j) acc -= r(i, j) * b(j, c);
+      b(i, c) = acc / r(i, i);
+    }
+}
+
+}  // namespace seed
+
+TEST(KernelInvariants, ScalarQrBitIdenticalToAxpyLoops) {
+  SimdGuard guard;
+  kernels::force_simd_level(SimdLevel::kScalar);
+  // The easy solve's shape (112 x 16, 6 rhs), a square factor (the
+  // reflector with an empty tail), and the hard append (30 rows into 32).
+  for (auto [m, n] : {std::pair<index_t, index_t>{112, 16}, {48, 32},
+                      {17, 17}}) {
+    const auto a = random_matrix(m, n, 61);
+    const linalg::QrFactorization<cfloat> qr(a);
+    const auto ref = seed::factor(a);
+    linalg::MatrixCF r_ref(n, n);
+    for (index_t i = 0; i < n; ++i)
+      for (index_t j = i; j < n; ++j) r_ref(i, j) = ref.a(i, j);
+    EXPECT_TRUE(same_bits(qr.r(), r_ref)) << m << "x" << n;
+
+    auto b = random_matrix(m, 6, 62), b_ref = b;
+    const auto x = qr.solve(b);
+    qr.apply_qh(b);
+    seed::apply_qh(ref, b_ref);
+    EXPECT_TRUE(same_bits(b, b_ref)) << m << "x" << n;
+
+    linalg::MatrixCF x_ref(n, 6);
+    for (index_t i = 0; i < n; ++i)
+      for (index_t c = 0; c < 6; ++c) x_ref(i, c) = b_ref(i, c);
+    seed::back_substitute(r_ref, x_ref);
+    EXPECT_TRUE(same_bits(x, x_ref)) << m << "x" << n;
+  }
+  const auto r0 =
+      linalg::QrFactorization<cfloat>(random_matrix(64, 32, 63)).r();
+  const auto x = random_matrix(30, 32, 64);
+  EXPECT_TRUE(
+      same_bits(linalg::qr_append_rows(r0, x), seed::append_rows(r0, x)));
 }
 
 // Solve correctness at both levels: QR least squares recovers a planted

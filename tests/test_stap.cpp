@@ -7,10 +7,14 @@
 
 #include <cmath>
 #include <numbers>
+#include <sstream>
 
 #include "common/flops.hpp"
 #include "common/rng.hpp"
 #include "dsp/waveform.hpp"
+#include "linalg/qr.hpp"
+#include "linalg/serialize.hpp"
+#include "stap/analysis.hpp"
 #include "stap/beamform.hpp"
 #include "stap/cfar.hpp"
 #include "stap/doppler.hpp"
@@ -657,6 +661,188 @@ TEST(Weights, MismatchedTrainingShapeThrows) {
 }
 
 // ---------------------------------------------------------------------------
+// Structured hard solve: tolerance oracle
+//
+// The hard path folds the J constraint rows into a copy of the carried R
+// instead of factoring the dense [R; C] stack, so its arithmetic differs
+// from a dense solve; these tests hold it to a double-precision dense
+// solve of the same problem and to the guard behaviour of the dense path.
+// ---------------------------------------------------------------------------
+
+// Training snapshots (rows x 2J) for a hard unit: two spatial interferers,
+// each with its own phase between the stagger halves, over unit noise.
+linalg::MatrixCF hard_snapshots(index_t rows, index_t j, Rng& rng) {
+  const auto v1 = synth::spatial_steering(j, 0.45);
+  const auto v2 = synth::spatial_steering(j, -0.3);
+  const cdouble rot1 = std::polar(1.0, 0.7), rot2 = std::polar(1.0, -1.9);
+  linalg::MatrixCF x(rows, 2 * j);
+  for (index_t r = 0; r < rows; ++r) {
+    const cdouble a1 = rng.cnormal() * 10.0, a2 = rng.cnormal() * 5.0;
+    for (index_t c = 0; c < j; ++c) {
+      const cdouble e1 = cdouble(v1[static_cast<size_t>(c)]);
+      const cdouble e2 = cdouble(v2[static_cast<size_t>(c)]);
+      const cdouble lo = a1 * e1 + a2 * e2 + rng.cnormal();
+      const cdouble hi = a1 * rot1 * e1 + a2 * rot2 * e2 + rng.cnormal();
+      x(r, c) = cfloat(static_cast<float>(lo.real()),
+                       static_cast<float>(lo.imag()));
+      x(r, j + c) = cfloat(static_cast<float>(hi.real()),
+                           static_cast<float>(hi.imag()));
+    }
+  }
+  return x;
+}
+
+// A single-unit computer's carried R, read back through its checkpoint.
+linalg::MatrixCF carried_r(const HardWeightComputer& comp) {
+  std::stringstream ss;
+  comp.save(ss);
+  std::uint64_t count = 0;
+  ss.read(reinterpret_cast<char*>(&count), sizeof(count));
+  return linalg::read_matrix<cfloat>(ss);
+}
+
+void restore_r(HardWeightComputer& comp, const linalg::MatrixCF& r) {
+  std::stringstream ss;
+  const std::uint64_t count = 1;
+  ss.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  linalg::write_matrix(ss, r);
+  comp.restore(ss);
+}
+
+// The dense reference: [R; C] w ~ [0; S] solved by a double-precision
+// Householder QR, columns unit-normalized — the problem the hard path
+// solved before the structured fold, in the precision that makes it an
+// oracle.
+linalg::MatrixCD dense_hard_oracle(const StapParams& p,
+                                   const linalg::MatrixCF& r,
+                                   const linalg::MatrixCF& steering,
+                                   index_t bin) {
+  const index_t j = p.num_channels, jj = 2 * j, m = steering.cols();
+  double abs_acc = 0.0;
+  index_t count = 0;
+  for (index_t a = 0; a < jj; ++a)
+    for (index_t b = a; b < jj; ++b, ++count) abs_acc += std::abs(r(a, b));
+  const double avg =
+      p.beam_constraint_wt * abs_acc / static_cast<double>(count);
+  const double phi = -2.0 * std::numbers::pi * static_cast<double>(bin) *
+                     static_cast<double>(p.stagger) /
+                     static_cast<double>(p.num_pulses);
+  linalg::MatrixCD a(jj + j, jj), b(jj + j, m);
+  for (index_t row = 0; row < jj; ++row)
+    for (index_t col = row; col < jj; ++col) a(row, col) = cdouble(r(row, col));
+  for (index_t row = 0; row < j; ++row) {
+    a(jj + row, row) = avg;
+    a(jj + row, j + row) = avg * std::polar(1.0, phi);
+    for (index_t c = 0; c < m; ++c) b(jj + row, c) = cdouble(steering(row, c));
+  }
+  auto w = linalg::QrFactorization<cdouble>(a).solve(b);
+  for (index_t c = 0; c < m; ++c) {
+    double n2 = 0.0;
+    for (index_t i = 0; i < jj; ++i) n2 += std::norm(w(i, c));
+    for (index_t i = 0; i < jj; ++i) w(i, c) /= std::sqrt(n2);
+  }
+  return w;
+}
+
+TEST(Weights, StructuredHardSolveMatchesDenseOracle) {
+  StapParams p;  // paper shape: 2J = 32 columns, J = 16 constraint rows
+  const index_t j = p.num_channels, jj = 2 * j;
+  const auto steering = synth::steering_matrix(j, p.num_beams,
+                                               p.beam_center_rad,
+                                               p.beam_span_rad);
+  const index_t bin = p.hard_bins()[3];
+  HardWeightComputer comp(p, steering, {HardUnit{bin, 0}});
+  Rng rng(123);
+  for (int cpi = 0; cpi < 8; ++cpi)
+    comp.update({hard_snapshots(p.hard_samples_per_segment, j, rng)});
+
+  const auto w = comp.compute()[0];
+  ASSERT_TRUE(comp.health().clean());
+  const auto oracle = dense_hard_oracle(p, carried_r(comp), steering, bin);
+
+  // Interference-plus-noise covariance of the same process, from a large
+  // seeded training set, for the SINR comparison.
+  Rng cov_rng(321);
+  const auto rin = sample_covariance(hard_snapshots(4000, j, cov_rng), 0.0f);
+  const double phi = -2.0 * std::numbers::pi * static_cast<double>(bin) *
+                     static_cast<double>(p.stagger) /
+                     static_cast<double>(p.num_pulses);
+  const cfloat back(static_cast<float>(std::cos(phi)),
+                    static_cast<float>(-std::sin(phi)));
+  linalg::MatrixCF w_oracle(jj, p.num_beams);
+  for (index_t i = 0; i < jj; ++i)
+    for (index_t c = 0; c < p.num_beams; ++c)
+      w_oracle(i, c) = cfloat(oracle(i, c));
+
+  for (index_t c = 0; c < p.num_beams; ++c) {
+    double err2 = 0.0;
+    for (index_t i = 0; i < jj; ++i)
+      err2 += std::norm(cdouble(w(i, c)) - oracle(i, c));
+    EXPECT_LE(std::sqrt(err2), 1e-4) << "beam " << c;
+
+    // Target at this beam's look direction in both stagger halves.
+    std::vector<cfloat> v(static_cast<size_t>(jj));
+    for (index_t i = 0; i < j; ++i) {
+      v[static_cast<size_t>(i)] = steering(i, c);
+      v[static_cast<size_t>(j + i)] = back * steering(i, c);
+    }
+    const double db = 10.0 * std::log10(sinr(w, c, rin, v) /
+                                        sinr(w_oracle, c, rin, v));
+    EXPECT_LE(std::abs(db), 0.1) << "beam " << c;
+  }
+}
+
+TEST(Weights, StructuredHardSolveRetriesOnAllZeroR) {
+  StapParams p = StapParams::small_test();
+  const index_t jj = p.num_staggered_channels();
+  const auto steering = synth::steering_matrix(
+      p.num_channels, p.num_beams, p.beam_center_rad, p.beam_span_rad);
+  HardWeightComputer comp(p, steering, {HardUnit{p.hard_bins()[0], 0}});
+  // All-zero training state: the constraint rows alone leave the fold
+  // rank-deficient, so the guard must take its one loading retry.
+  restore_r(comp, linalg::MatrixCF(jj, jj));
+  const auto w = comp.compute()[0];
+  EXPECT_EQ(comp.health().loading_retries, 1u);
+  EXPECT_EQ(comp.health().qr_residual_retries, 0u);
+  for (index_t c = 0; c < w.cols(); ++c) {
+    double n2 = 0.0;
+    for (index_t i = 0; i < jj; ++i) {
+      ASSERT_TRUE(std::isfinite(std::abs(w(i, c))));
+      n2 += std::norm(w(i, c));
+    }
+    EXPECT_NEAR(n2, 1.0, 1e-4);
+  }
+}
+
+TEST(Weights, StructuredHardSolveCountsCorruptedFold) {
+  StapParams p = StapParams::small_test();
+  p.abft_tolerance = 1e-3;
+  const auto steering = synth::steering_matrix(
+      p.num_channels, p.num_beams, p.beam_center_rad, p.beam_span_rad);
+  HardWeightComputer comp(p, steering, {HardUnit{p.hard_bins()[0], 0}});
+  Rng rng(5);
+  comp.update(
+      {hard_snapshots(p.hard_samples_per_segment, p.num_channels, rng)});
+  (void)comp.compute();
+  ASSERT_TRUE(comp.health().clean());
+
+  // An exponent-corrupted carried R entry: finite, but large enough that
+  // the float reflector norms of the constraint fold overflow. The double-
+  // accumulated column-norm gate must see the fold break and retry it.
+  auto r = carried_r(comp);
+  r(1, 3) = cfloat(3e37f, r(1, 3).imag());
+  restore_r(comp, r);
+  const auto w = comp.compute()[0];
+  EXPECT_EQ(comp.health().qr_residual_retries, 1u);
+  // The loaded retry overflows the same way: rejected, and the unit falls
+  // back to its quiescent weights instead of solving a broken factor.
+  EXPECT_EQ(comp.health().qr_residual_rejects, 1u);
+  EXPECT_EQ(comp.health().quiescent_fallbacks, 1u);
+  for (index_t i = 0; i < w.size(); ++i)
+    ASSERT_TRUE(std::isfinite(std::abs(w.data()[i])));
+}
+
+// ---------------------------------------------------------------------------
 // Beamforming
 // ---------------------------------------------------------------------------
 
@@ -1052,6 +1238,56 @@ TEST(Flops, MeasuredBeamformMatchesAnalytic) {
   FlopScope scope;
   (void)easy_beamform(data, w, p);
   EXPECT_EQ(scope.count(), analytic_flops(Task::kEasyBeamform, p));
+}
+
+// Random training (rows x cols) for the flop-ledger tests.
+linalg::MatrixCF random_rows(index_t rows, index_t cols, Rng& rng) {
+  linalg::MatrixCF x(rows, cols);
+  for (index_t i = 0; i < x.size(); ++i) {
+    const cdouble z = rng.cnormal();
+    x.data()[i] = cfloat(static_cast<float>(z.real()),
+                         static_cast<float>(z.imag()));
+  }
+  return x;
+}
+
+TEST(Flops, MeasuredEasyWeightMatchesAnalytic) {
+  StapParams p = StapParams::small_test();
+  const auto steering = synth::steering_matrix(
+      p.num_channels, p.num_beams, p.beam_center_rad, p.beam_span_rad);
+  EasyWeightComputer comp(p, steering, p.easy_bins());
+  Rng rng(17);
+  // A full history window: the pooled system has the analytic row count.
+  for (index_t h = 0; h < p.easy_history; ++h) {
+    std::vector<linalg::MatrixCF> rows;
+    for (index_t b = 0; b < p.num_easy(); ++b)
+      rows.push_back(random_rows(p.easy_samples_per_cpi, p.num_channels, rng));
+    comp.push_training(std::move(rows));
+  }
+  FlopScope scope;
+  (void)comp.compute();
+  ASSERT_TRUE(comp.health().clean());
+  EXPECT_EQ(scope.count(), analytic_flops(Task::kEasyWeight, p));
+}
+
+TEST(Flops, MeasuredHardWeightMatchesAnalytic) {
+  StapParams p = StapParams::small_test();
+  const auto steering = synth::steering_matrix(
+      p.num_channels, p.num_beams, p.beam_center_rad, p.beam_span_rad);
+  const auto bins = p.hard_bins();
+  HardWeightComputer comp(
+      p, steering,
+      HardWeightComputer::units_for_bins(p, std::span<const index_t>(bins)));
+  Rng rng(18);
+  std::vector<linalg::MatrixCF> rows;
+  for (size_t u = 0; u < comp.units().size(); ++u)
+    rows.push_back(random_rows(p.hard_samples_per_segment,
+                               p.num_staggered_channels(), rng));
+  FlopScope scope;
+  comp.update(rows);
+  (void)comp.compute();
+  ASSERT_TRUE(comp.health().clean());
+  EXPECT_EQ(scope.count(), analytic_flops(Task::kHardWeight, p));
 }
 
 }  // namespace
