@@ -107,7 +107,6 @@ class JsonReport {
     static constexpr const char* kCounters[] = {
         "cpi_source.regenerations",
         "pipeline.cpis_shed",
-        "pipeline.failovers",
         "comm.retransmissions",
         "overload.rejections",
         "overload.level_changes",

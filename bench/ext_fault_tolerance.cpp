@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
         static_cast<int>(n_cpis / 2) * kTagStride + kEdgeDopToHardWt));
     auto pipe = make_pipeline();
     core::FaultToleranceConfig ft;
-    ft.spare_rank = true;
+    ft.spares = 1;
     pipe.set_fault_tolerance(ft);
     pipe.set_fault_plan(&plan);
     auto r = pipe.run(gen, n_cpis, 2, 2);
@@ -187,28 +187,30 @@ int main(int argc, char** argv) {
 
     std::printf("\nspare-rank failover (hard weight rank killed at CPI "
                 "%ld):\n", static_cast<long>(n_cpis / 2));
-    if (r.faults.failovers.size() == 1) {
-      const auto& fo = r.faults.failovers[0];
+    if (r.healing.events.size() == 1 &&
+        r.healing.events[0].mechanism == "spare") {
+      const auto& ev = r.healing.events[0];
       std::printf("  recovered rank %d at CPI %ld, measured stall %.4f s "
                   "(model migration stall at paper scale: %.4f s)\n",
-                  fo.rank, static_cast<long>(fo.resume_cpi),
-                  fo.recovery_stall_seconds, model_stall);
+                  ev.rank, static_cast<long>(ev.resume_cpi),
+                  ev.mttr_seconds, model_stall);
       std::printf("  throughput %.2f CPI/s (%.1f%% of baseline), %zu "
                   "detections (baseline %zu)\n",
                   r.throughput, 100.0 * r.throughput / r0.throughput, dets,
                   base_dets);
       bench::report_row(bench::row(
           {{"kind", "failover"},
-           {"killed_rank", fo.rank},
-           {"resume_cpi", fo.resume_cpi},
-           {"recovery_stall_s", fo.recovery_stall_seconds},
+           {"killed_rank", ev.rank},
+           {"resume_cpi", ev.resume_cpi},
+           {"recovery_stall_s", ev.mttr_seconds},
            {"model_migration_stall_s", model_stall},
            {"throughput_cpi_per_s", r.throughput},
            {"throughput_vs_baseline", r.throughput / r0.throughput},
            {"detections", dets}}));
     } else {
-      std::printf("  unexpected failover count %zu\n",
-                  r.faults.failovers.size());
+      std::printf("  expected one spare takeover, healing ledger has %zu "
+                  "events\n",
+                  r.healing.events.size());
       return bench::report_finish(1);
     }
   }

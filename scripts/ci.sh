@@ -20,9 +20,11 @@
 #      obs-labelled tests with -DPPSTAP_ENABLE_TRACING=OFF, proving the
 #      no-op stub API stays in sync with the real one.
 #   4. ThreadSanitizer job: the comm runtime, the pipeline correctness
-#      tests, and the fault-tolerance suite (kill/failover, deadline
-#      shedding, retransmission) run under -fsanitize=thread — the fault
-#      paths cross threads at every step (death notification, spare
+#      tests, the fault-tolerance suite (kill/failover, deadline
+#      shedding, retransmission), and the checkpoint/resume, overload
+#      (degradation rungs) and integrity (ABFT recompute) suites that
+#      exercise the stage driver's exits run under -fsanitize=thread — the
+#      fault paths cross threads at every step (death notification, spare
 #      take-over, mailbox discard), so a data race there is a correctness
 #      bug even when the race-free interleaving happens to pass.
 #   5. ASan+UBSan job: the comm/core/fault/overload/kernels-labelled
@@ -132,16 +134,16 @@ cmake -B build-notrace -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build build-notrace -j "$JOBS"
 ctest --test-dir build-notrace -L obs --output-on-failure -j "$JOBS"
 
-echo "=== TSan: comm + core + fault tolerance + elastic migration ==="
+echo "=== TSan: comm + core + fault tolerance + elastic migration + stage driver ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "$JOBS" \
       --target test_comm test_collectives test_core test_fault_tolerance \
-               test_elastic
+               test_elastic test_checkpoint test_overload test_integrity
 TSAN_OPTIONS="halt_on_error=1" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic)$'
+      -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_checkpoint|test_overload|test_integrity)$'
 
 echo "=== ASan+UBSan: comm + core + fault + overload ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -13,7 +13,6 @@ FaultToleranceConfig FaultToleranceConfig::from_env() {
     cfg.shedding = true;
     cfg.cpi_deadline_seconds = *d;
   }
-  if (auto f = parse_env_flag("PPSTAP_FAULT_SPARE")) cfg.spare_rank = *f;
   // 0 is accepted (explicitly no pool) so sweeps can export unconditionally.
   if (auto n = parse_env_int("PPSTAP_SPARES", 0, 64))
     cfg.spares = static_cast<int>(*n);

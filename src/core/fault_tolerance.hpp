@@ -1,25 +1,30 @@
 // Fault-tolerance policies for the pipelined STAP runtime.
 //
 // The paper's target is a radar flight processor: a real-time system that
-// must keep streaming CPIs when a node stalls or dies, not abort. Two
-// policies hang off ParallelStapPipeline (both default-off; the fault-free
-// path is byte-identical to the plain pipeline):
+// must keep streaming CPIs when a node stalls or dies, not abort. Three
+// policies hang off ParallelStapPipeline (all default-off; the fault-free
+// path computes exactly what the plain pipeline computes):
 //
 //  * Deadline-aware CPI shedding — a task that cannot assemble CPI i's
 //    inputs within `cpi_deadline_seconds` emits a `dropped` marker
 //    downstream instead of stalling the stream; the CFAR sink records the
 //    CPI as shed. Late frames for a shed CPI are discarded on arrival.
 //
-//  * Spare-rank failover — the world gets one standby rank; weight-task
-//    ranks checkpoint their adaptive state (easy training history / hard
-//    triangular factors, via the weight-computer save/restore) after every
-//    CPI, and a killed weight rank is revived on the spare: state restored,
-//    identity and mailbox assumed, stream resumed at the next CPI. The
-//    measured recovery stall is the empirical counterpart of the machine
-//    model's ReallocationPlan::migration_stall.
+//  * Spare pool — the world gets `spares` standby ranks, each able to
+//    assume any role. Weight-task ranks checkpoint their adaptive state
+//    (easy training history / hard triangular factors, via the
+//    weight-computer save/restore) after every CPI; a pool member claims a
+//    dead rank, restores that state (or, for a stateless task, the
+//    topology role), assumes the identity and mailbox, and resumes the
+//    stream. The measured recovery stall is the empirical counterpart of
+//    the machine model's ReallocationPlan::migration_stall.
+//
+//  * Shrink-to-survivors — with the pool exhausted, a dead rank's group is
+//    re-planned across the survivors by the elastic engine.
 //
 // PipelineResult carries a FaultLedger accounting for every shed CPI,
-// retransmission, injected fault, and failover.
+// retransmission, injected fault, and uncovered death; each recovery is a
+// HealingEvent (healing.hpp) with its MTTR.
 #pragma once
 
 #include <array>
@@ -37,16 +42,12 @@ struct FaultToleranceConfig {
   /// from the start of that task's receive phase.
   double cpi_deadline_seconds = 0.25;
 
-  /// Spare-rank failover (policy (b)): run one standby rank that revives
-  /// killed weight-task ranks from their checkpoints. Kept for
-  /// back-compat; equivalent to `spares = 1` when `spares` is unset.
-  bool spare_rank = false;
   /// Spare pool size (PR 8): N standby ranks, each able to assume *any*
   /// role. Weight ranks resume from their per-CPI checkpoints; the
   /// stateless tasks (Doppler, beamform, PC, CFAR) resume from the
   /// topology epoch, with any half-consumed in-flight CPI shed by the
   /// deadline machinery (so mid-CPI stateless recovery wants `shedding`
-  /// on). 0 defers to `spare_rank`.
+  /// on). 0 means no pool.
   int spares = 0;
   /// When the pool is exhausted (or empty) and a rank of a migratable
   /// group dies, let the elastic engine shrink the group to the survivors
@@ -55,31 +56,15 @@ struct FaultToleranceConfig {
   /// How often the idle spare polls for deaths (and for stream completion).
   double death_poll_seconds = 0.002;
 
-  /// Effective spare-pool size.
-  int spare_count() const { return spares > 0 ? spares : (spare_rank ? 1 : 0); }
-
-  bool any() const {
-    return shedding || spare_count() > 0 || heal_shrink;
-  }
+  bool any() const { return shedding || spares > 0 || heal_shrink; }
 
   /// Read the PPSTAP_FAULT_* / PPSTAP_SPARES / PPSTAP_HEAL* environment
   /// knobs (see README):
   ///   PPSTAP_FAULT_DEADLINE  seconds; > 0 enables shedding with that budget
-  ///   PPSTAP_FAULT_SPARE     nonzero enables one spare rank (legacy)
-  ///   PPSTAP_SPARES          spare-pool size (overrides PPSTAP_FAULT_SPARE)
+  ///   PPSTAP_SPARES          spare-pool size
   ///   PPSTAP_HEAL_SHRINK     nonzero enables shrink-to-survivors
   ///   PPSTAP_FAULT_POLL      seconds; overrides death_poll_seconds
   static FaultToleranceConfig from_env();
-};
-
-/// One completed spare-rank recovery.
-struct FailoverEvent {
-  int rank = -1;      ///< global rank that died and was revived
-  int task = -1;      ///< stap::Task index of that rank
-  index_t resume_cpi = 0;  ///< first CPI processed by the spare
-  /// Seconds from the rank's death to restore-complete on the spare (the
-  /// measured analogue of the simulator's migration_stall).
-  double recovery_stall_seconds = 0.0;
 };
 
 /// Everything that went wrong (or was injected) during a pipeline run.
@@ -102,7 +87,6 @@ struct FaultLedger {
   /// (summed CommStats::dup_discarded). On a drained run this matches
   /// frames_duplicated — every injected duplicate was caught.
   std::uint64_t dup_discarded = 0;
-  std::vector<FailoverEvent> failovers;
   /// Ranks that died and were never healed — no spare left to claim them
   /// and no shrink could re-plan their group. Their CPIs are shed instead
   /// of hanging the stream, and the gap is ledgered here.
@@ -120,7 +104,7 @@ struct FaultLedger {
            frames_dropped == 0 && frames_corrupted == 0 && kills == 0 &&
            stage_slowdowns == 0 && frames_jittered == 0 &&
            frames_duplicated == 0 && dup_discarded == 0 &&
-           failovers.empty() && uncovered_ranks.empty();
+           uncovered_ranks.empty();
   }
 };
 

@@ -13,6 +13,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 
 #include "comm/fault.hpp"
 #include "comm/world.hpp"
@@ -127,7 +128,7 @@ struct Shared {
   // Numerical-health counters aggregated from every weight computer at
   // task exit; guarded by mu.
   stap::WeightHealth numerics;
-  // Idle-poll wakeups of the spare rank's backoff ladder.
+  // Idle-poll wakeups of the spare pool's backoff ladders.
   std::atomic<std::uint64_t> spare_wakeups{0};
   std::atomic<bool> stream_done{false};  // every CFAR rank finished
   /// Per-(global rank) weight-state checkpoint: serialized computers and
@@ -137,7 +138,6 @@ struct Shared {
     std::string blob;
   };
   std::map<int, Checkpoint> checkpoints;
-  std::vector<FailoverEvent> failovers;  // guarded by mu
   /// Idle members left in the universal spare pool. The claiming spare
   /// decrements; whoever takes the pool to zero clears every recoverable
   /// flag so further deaths surface as prompt dead-peer statuses instead
@@ -198,6 +198,26 @@ struct Shared {
       for (const int rr : tp.ranks[t])
         if (rr == r) return static_cast<int>(t);
     return -1;
+  }
+
+  // Training rows of weight rank `r` of task `wt`, in the order Doppler
+  // packs and the weight task unpacks them: one block per owned easy bin
+  // (the easy training cells) or per owned hard (bin, segment) unit (that
+  // segment's cells).
+  struct TrainBlock {
+    index_t bin;
+    const std::vector<index_t>* cells;
+  };
+  std::vector<TrainBlock> train_blocks(Task wt, index_t r) const {
+    std::vector<TrainBlock> out;
+    if (wt == Task::kEasyWeight) {
+      for (const index_t bin : slice(easy_bins, topo(0).part_ewt, r))
+        out.push_back({bin, &easy_cells});
+    } else {
+      for (const auto& u : slice(hard_units, topo(0).part_hwu, r))
+        out.push_back({u.bin, &hard_cells[static_cast<size_t>(u.segment)]});
+    }
+    return out;
   }
 
   // Range-cell positions of `cells` inside Doppler rank d's slab under
@@ -341,22 +361,21 @@ comm::FlowContext flow_for(index_t cpi, Edge e) {
   return fc;
 }
 
-void send_cf(Comm& c, Shared& s, int dest, index_t cpi, Edge e,
-             std::vector<cfloat>& buf, bool measured, PhaseAcc& acc) {
-  const std::uint64_t n = buf.size() * sizeof(cfloat);
+// Send one redistribution frame on edge `e` for consumer CPI `cpi`. With the
+// integrity layer on, the digest is appended to `buf` first. The payload
+// bytes are charged to `acc` and to the edge's counter when `measured`.
+template <typename T>
+void send_frame(Comm& c, Shared& s, int dest, index_t cpi, Edge e,
+                std::vector<T>& buf, bool measured, PhaseAcc& acc) {
+  const std::uint64_t n = buf.size() * sizeof(T);
   comm::FlowContext fc;
   const comm::FlowContext* flow = nullptr;
   if (obs::tracing_enabled()) {
     fc = flow_for(cpi, e);
     flow = &fc;
   }
-  if (s.integ.enabled) {
-    append_digest(buf);
-    c.send<cfloat>(dest, tag_for(cpi, e), buf, flow);
-    buf.resize(buf.size() - digest_elems<cfloat>());
-  } else {
-    c.send<cfloat>(dest, tag_for(cpi, e), buf, flow);
-  }
+  if (s.integ.enabled) append_digest(buf);
+  c.send<T>(dest, tag_for(cpi, e), buf, flow);
   if (measured) {
     acc.bytes += n;
     s.edge_bytes[static_cast<size_t>(e)].fetch_add(n,
@@ -378,48 +397,49 @@ void emit_phase_spans(int rank, Task t, index_t cpi, double t0, double t1,
              static_cast<std::int64_t>(send_bytes), -1});
 }
 
-// Deadline-aware receive helper: one per rank, reset per CPI. When
-// inactive every recv is the plain blocking call and behaviour is
-// identical to the fault-free pipeline. The helper must be active whenever
-// *any* upstream task may emit markers — deadline shedding OR overload
-// control — because a plain recv cannot represent a marker (it unpacks to
-// an empty payload and trips the length checks). With shedding enabled,
-// the first recv of a CPI starts the real-time budget; a recv that cannot
-// complete within the remaining budget (or that delivers a shed marker /
-// hits a dead peer / consumes an unrecoverably corrupt frame) returns
-// nullopt, after which the CPI must be shed. Remaining inputs are still
-// polled with a zero deadline so whatever already arrived is drained, and
-// sources that never delivered go on the stale list — their late frames
-// are discarded at the start of subsequent CPIs. (A kCorrupt frame is
-// already consumed and is NOT staled.) With overload control but no
-// shedding, the budget is effectively infinite: markers are recognized,
-// nothing times out.
+// Budget large enough to be "never" yet safely representable in the comm
+// layer's chrono arithmetic (about three years).
+constexpr double kNoDeadline = 1e8;
+
+// Deadline-aware receive helper: one per rank and stage, reset per CPI.
+// Every receive is the comm layer's deadline receive, because any upstream
+// task may emit shed markers (deadline shedding, overload control, integrity
+// escalation) and only the deadline receive can represent one. The first
+// recv of a CPI starts the real-time budget — cpi_deadline_seconds with
+// shedding on, kNoDeadline otherwise, so without shedding markers are
+// recognized and nothing times out. A recv that cannot complete within the
+// remaining budget (or that delivers a shed marker / hits a dead peer /
+// consumes an unrecoverably corrupt frame) returns nullopt, after which the
+// CPI must be shed. Remaining inputs are still polled with a zero deadline
+// so whatever already arrived is drained, and sources that never delivered
+// go on the stale list — their late frames are discarded at the start of
+// subsequent CPIs. (A kCorrupt frame is already consumed and is NOT
+// staled.)
 struct FtRecv {
   Comm& c;
-  const FaultToleranceConfig& cfg;
-  bool active = false;
-  double budget = 0.0;    // per-CPI real-time budget, seconds
+  Shared& s;
   double deadline = 0.0;  // absolute, WallTimer base
   bool missed = false;    // some input did not make this CPI's deadline
   std::vector<std::pair<int, int>> stale{};  // (src, tag) awaiting discard
 
   void begin() {
-    if (!active) return;
-    deadline = WallTimer::now() + budget;
+    deadline = WallTimer::now() +
+               (s.ft.shedding ? s.ft.cpi_deadline_seconds : kNoDeadline);
     missed = false;
     for (auto it = stale.begin(); it != stale.end();)
       it = c.discard(it->first, it->second) > 0 ? stale.erase(it) : it + 1;
   }
 
+  /// CPI `cpi`'s frame from `src` on edge `e`, digest checked and stripped.
   /// nullopt => marker, timeout, dead peer, or corrupt frame: the CPI
   /// cannot complete.
   template <typename T>
-  std::optional<std::vector<T>> recv(int src, int tag) {
-    if (!active) return c.recv<T>(src, tag);
+  std::optional<std::vector<T>> recv(int src, index_t cpi, Edge e) {
+    const int tag = tag_for(cpi, e);
     const double remaining =
         missed ? 0.0 : std::max(0.0, deadline - WallTimer::now());
     auto r = c.recv_bytes_for(src, tag, remaining);
-    if (r.status == comm::RecvStatus::kPeerDead && cfg.heal_shrink) {
+    if (r.status == comm::RecvStatus::kPeerDead && s.ft.heal_shrink) {
       // The dead peer is being healed by a topology shrink: hold the edge
       // to the CPI deadline like any other stall instead of shedding
       // instantly. A prompt dead-peer shed would let the sink sprint to
@@ -434,7 +454,11 @@ struct FtRecv {
         r = c.recv_bytes_for(src, tag, 0.0);
       }
     }
-    if (r.ok()) return r.as<T>();
+    if (r.ok()) {
+      std::vector<T> buf = r.as<T>();
+      strip_digest(src, buf, cpi);
+      return buf;
+    }
     missed = true;
     if (r.status == comm::RecvStatus::kTimeout ||
         r.status == comm::RecvStatus::kPeerDead)
@@ -442,56 +466,34 @@ struct FtRecv {
     return std::nullopt;
   }
 
-  std::optional<std::vector<cfloat>> recv_cf(int src, int tag) {
-    return recv<cfloat>(src, tag);
+  // Strip the digest trailing the payload and compare it against the bytes
+  // actually delivered; a mismatch is counted and attributed to the
+  // producing task. (The transport already checksums every frame, so a
+  // mismatch here means the producer's buffer changed between verification
+  // and pack, or the redistribution reassembly disagrees with the
+  // producer.) Runs before the caller's payload-length checks — it shrinks
+  // the buffer back to the payload proper.
+  template <typename T>
+  void strip_digest(int src, std::vector<T>& buf, index_t cpi) {
+    if (!s.integ.enabled) return;
+    if (buf.size() < digest_elems<T>()) return;
+    std::uint64_t d = 0;
+    std::memcpy(&d, buf.data() + buf.size() - digest_elems<T>(), sizeof d);
+    buf.resize(buf.size() - digest_elems<T>());
+    if (d == checksum_of(std::span<const T>(buf))) return;
+    s.integ_digest_mismatches.fetch_add(1, std::memory_order_relaxed);
+    const int t = s.task_of_rank(src, cpi);
+    if (t >= 0)
+      s.integ_digest_by_task[static_cast<size_t>(t)].fetch_add(
+          1, std::memory_order_relaxed);
+    if (obs::tracing_enabled()) {
+      const double now = WallTimer::now();
+      obs::emit({"digest_mismatch", "integrity", c.rank(),
+                 obs::kIntegrityTrack, static_cast<std::int64_t>(cpi), now,
+                 now, -1, static_cast<std::int64_t>(src)});
+    }
   }
 };
-
-// Budget large enough to be "never" yet safely representable in the comm
-// layer's chrono arithmetic (about three years).
-constexpr double kNoDeadline = 1e8;
-
-FtRecv make_ftr(Comm& c, Shared& s) {
-  FtRecv f{c, s.ft};
-  // Integrity escalations emit shed markers on the regular edges, so every
-  // receiver must recognize markers whenever the layer is on. Spare-rank
-  // mode also needs the deadline-aware path (with an effectively infinite
-  // budget): once the spare is consumed, a later weight-rank death is
-  // unrecoverable and a plain recv would block forever, whereas the
-  // deadline recv surfaces a prompt dead-peer status and the CPI sheds.
-  f.active = s.ft.any() || s.ctrl != nullptr || s.integ.enabled;
-  f.budget = s.ft.shedding ? s.ft.cpi_deadline_seconds : kNoDeadline;
-  return f;
-}
-
-// Strip the digest trailing the payload and compare it against the bytes
-// actually delivered; a mismatch is counted and attributed to the producing
-// task. (The transport already checksums every frame, so a mismatch here
-// means the producer's buffer changed between verification and pack, or the
-// redistribution reassembly disagrees with the producer.) Must run before
-// the caller's payload-length checks — it shrinks the buffer back to the
-// payload proper.
-template <typename T>
-void strip_digest(FtRecv& ftr, Shared& s, int src, std::vector<T>& buf,
-                  index_t cpi) {
-  if (!s.integ.enabled) return;
-  if (buf.size() < digest_elems<T>()) return;
-  std::uint64_t d = 0;
-  std::memcpy(&d, buf.data() + buf.size() - digest_elems<T>(), sizeof d);
-  buf.resize(buf.size() - digest_elems<T>());
-  if (d == checksum_of(std::span<const T>(buf))) return;
-  s.integ_digest_mismatches.fetch_add(1, std::memory_order_relaxed);
-  const int t = s.task_of_rank(src, cpi);
-  if (t >= 0)
-    s.integ_digest_by_task[static_cast<size_t>(t)].fetch_add(
-        1, std::memory_order_relaxed);
-  if (obs::tracing_enabled()) {
-    const double now = WallTimer::now();
-    obs::emit({"digest_mismatch", "integrity", ftr.c.rank(),
-               obs::kIntegrityTrack, static_cast<std::int64_t>(cpi), now, now,
-               -1, static_cast<std::int64_t>(src)});
-  }
-}
 
 // Gray-failure injection (kSlow): stretch this rank's compute stage by the
 // plan's multiplicative slowdown, realized as a sleep on top of the real
@@ -573,6 +575,87 @@ bool run_checked(Comm& c, Shared& s, Task t, index_t cpi, ComputeFn&& compute,
   return ok;
 }
 
+// ---------------------------------------------------------------------------
+// Stage driver: the Figure-10 cycle every task runs
+// ---------------------------------------------------------------------------
+
+// One CPI's cycle as the driver hands it to a task's hooks.
+struct Cycle {
+  const Topology& tp;  // topology governing this CPI
+  index_t cpi;
+  int me;     // this rank's position in its task group under tp
+  bool meas;  // inside the measured (timed, byte-counted) window
+  FtRecv& in;
+  PhaseAcc& acc;
+  double t0 = 0.0;  // receive phase start
+  double t1 = 0.0;  // receive phase end
+};
+
+// Shed exit: markers take the place of every frame task `t` would have sent
+// for this CPI, so each downstream receiver sheds it instead of waiting.
+void forward_markers(Comm& c, const Cycle& x, Task t) {
+  for (int e = 0; e < kNumPipelineEdges; ++e) {
+    const auto se = static_cast<SimEdge>(e);
+    if (sim_edge_src(se) != t) continue;
+    const Task dst = sim_edge_dst(se);
+    for (int r = 0; r < x.tp.count(dst); ++r)
+      c.send_marker(x.tp.rank_at(dst, r),
+                    tag_for(x.cpi, static_cast<Edge>(e)));
+  }
+}
+
+// Runs task `t` on this rank from CPI `begin`. Returns the first CPI it did
+// not process as a `t` rank (s.n_cpis when it ran to the end): a committed
+// migration that changes the rank's role hands control back to run_roles,
+// which re-dispatches the new task at the returned CPI.
+//
+// The driver owns everything the tasks share: the migration barrier and
+// role check, the deadline receive, the phase clock and spans, health
+// sampling, the PhaseAcc bookkeeping and the shed exit. Each task supplies
+// three hooks over a Cycle and a fresh `Cpi` holding that CPI's buffers,
+// released when the cycle ends:
+//   recv(x, d)     receive + unpack; false sheds the CPI
+//   compute(x, d)  compute + invariant through run_checked; false escalates
+//   send(x, d)     pack + send
+// A shed or escalated CPI skips the remaining hooks, forwards markers to
+// the task's downstream groups, and takes no health sample.
+template <typename Cpi, typename RecvFn, typename CompFn, typename SendFn>
+index_t drive(Comm& c, Shared& s, Task t, index_t begin, RecvFn&& recv,
+              CompFn&& compute, SendFn&& send) {
+  FtRecv in{c, s};
+  PhaseAcc acc;
+  index_t cpi = begin;
+  for (; cpi < s.n_cpis; ++cpi) {
+    const Topology& tp = s.barrier(c, cpi);
+    const Topology::Role role = tp.role_of(c.rank());
+    if (role.task != t) break;
+    Cycle x{tp, cpi, role.local, s.measured(cpi), in, acc};
+    Cpi d;
+    const std::uint64_t bytes0 = acc.bytes;
+    x.t0 = WallTimer::now();
+    in.begin();
+    bool ok = recv(x, d);
+    x.t1 = WallTimer::now();
+    if (ok) ok = compute(x, d);
+    const double t2 = WallTimer::now();
+    if (ok)
+      send(x, d);
+    else
+      forward_markers(c, x, t);
+    const double t3 = WallTimer::now();
+    emit_phase_spans(c.rank(), t, cpi, x.t0, x.t1, t2, t3,
+                     acc.bytes - bytes0);
+    if (ok) observe_health(c, s, t, cpi, x.t0, x.t1, t3);
+    if (x.meas) {
+      acc.recv += x.t1 - x.t0;
+      acc.comp += t2 - x.t1;
+      acc.send += t3 - t2;
+    }
+  }
+  acc.commit(s, t, s.measured_count());
+  return cpi;
+}
+
 /// Spare-rank resume request: restore the serialized weight computers and
 /// re-enter the CPI loop at `cpi`. `restored` fires once state is back
 /// (recovery-stall measurement point).
@@ -585,260 +668,193 @@ struct Resume {
 // ---------------------------------------------------------------------------
 // Task 0: Doppler filter processing (partitioned along K)
 // ---------------------------------------------------------------------------
-// Returns the first CPI this rank did NOT process as a Doppler rank
-// (s.n_cpis when it ran to the end): a committed migration that changes
-// this rank's role hands control back to the per-rank driver loop, which
-// re-dispatches the new task's body at the returned CPI.
 index_t run_doppler(Comm& c, Shared& s, index_t begin) {
   const auto& p = s.p;
   const index_t j = p.num_channels;
   const index_t jj = p.num_staggered_channels();
   stap::DopplerFilter filter(p);
-  PhaseAcc acc;
+  struct Cpi {
+    index_t k0 = 0, kl = 0;
+    DegradationLevel level = DegradationLevel::kFull;
+    cube::CpiCube slab, stag;
+  };
 
-  index_t next = s.n_cpis;
-  for (index_t cpi = begin; cpi < s.n_cpis; ++cpi) {
-    // Migration hook: record progress, join a pending barrier, resolve
-    // this CPI's topology. On a committed migration that moved this rank,
-    // bail out to the driver loop.
-    const Topology& tp = s.barrier(c, cpi);
-    const Topology::Role role = tp.role_of(c.rank());
-    if (role.task != Task::kDopplerFilter) {
-      next = cpi;
-      break;
-    }
-    const int me = role.local;
-    if (c.rank() == s.eng->coordinator_rank()) s.eng->policy_tick(c, cpi);
-    const index_t k0 = tp.part_k.offset(me);
-    const index_t kl = tp.part_k.length(me);
-    const bool meas = s.measured(cpi);
-    const std::uint64_t bytes0 = acc.bytes;
-
-    // Admission gate (pacing, bounded queue, degradation ladder). The
-    // decision is memoized: every Doppler rank gets the same answer, and
-    // it is fixed before any frame of this CPI is sent.
-    const auto adm = s.source.admit(cpi);
-    const double t0 = WallTimer::now();
-    if (me == 0) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      s.input_ready[static_cast<size_t>(cpi)] = t0;
-    }
-    if (me == 0 && obs::tracing_enabled() &&
-        adm.level != DegradationLevel::kFull)
-      obs::emit({degradation_level_name(adm.level), "overload", c.rank(),
-                 obs::kFaultTrack, static_cast<std::int64_t>(cpi), t0, t0,
-                 static_cast<std::int64_t>(adm.level), -1});
-
-    if (!adm.admit) {
-      // Rejected at admission (kShedInput): the cube is never generated;
-      // shed markers take the place of every downstream frame.
-      for (int r = 0; r < tp.count(Task::kEasyWeight); ++r)
-        c.send_marker(tp.rank_at(Task::kEasyWeight, r),
-                      tag_for(cpi, kDopToEasyWt));
-      for (int r = 0; r < tp.count(Task::kHardWeight); ++r)
-        c.send_marker(tp.rank_at(Task::kHardWeight, r),
-                      tag_for(cpi, kDopToHardWt));
-      for (int r = 0; r < tp.count(Task::kEasyBeamform); ++r)
-        c.send_marker(tp.rank_at(Task::kEasyBeamform, r),
-                      tag_for(cpi, kDopToEasyBf));
-      for (int r = 0; r < tp.count(Task::kHardBeamform); ++r)
-        c.send_marker(tp.rank_at(Task::kHardBeamform, r),
-                      tag_for(cpi, kDopToHardBf));
-      const double t3 = WallTimer::now();
-      emit_phase_spans(c.rank(), Task::kDopplerFilter, cpi, t0, t0, t0, t3,
-                       0);
-      if (meas) acc.send += t3 - t0;
-      continue;
-    }
-    // Training is suppressed on the frozen/stale rungs: kFrozenHard stops
-    // feeding the hard recursion, kStaleWeights stops both weight tasks.
-    const bool skip_hard_training = adm.level >= DegradationLevel::kFrozenHard;
-    const bool skip_easy_training =
-        adm.level >= DegradationLevel::kStaleWeights;
-
-    // "Receive": fetch this rank's range slab from the radar feed.
-    auto full = s.source.get(cpi, c.rank());
-    cube::CpiCube slab(kl, j, p.num_pulses);
-    for (index_t k = 0; k < kl; ++k)
-      for (index_t ch = 0; ch < j; ++ch) {
-        auto src = full->line(k0 + k, ch);
-        std::copy(src.begin(), src.end(), slab.line(k, ch).begin());
-      }
-    full.reset();
-    const double t1 = WallTimer::now();
-
-    cube::CpiCube stag;
-    const bool ok = run_checked(
-        c, s, Task::kDopplerFilter, cpi,
-        [&](int attempt) {
-          stag = filter.filter(slab, k0);
-          maybe_flip(s, Task::kDopplerFilter, cpi, c.rank(), attempt,
-                     float_view(stag));
-        },
-        [&] { return filter.parseval_check(slab, stag, k0, s.integ.tolerance); });
-    const double t2 = WallTimer::now();
-
-    if (!ok) {
-      // Persistent corruption in the filter output: drop this rank's slab
-      // from the CPI exactly like an admission reject — markers take the
-      // place of every downstream frame and the sink ledgers one shed.
-      for (int r = 0; r < tp.count(Task::kEasyWeight); ++r)
-        c.send_marker(tp.rank_at(Task::kEasyWeight, r),
-                      tag_for(cpi, kDopToEasyWt));
-      for (int r = 0; r < tp.count(Task::kHardWeight); ++r)
-        c.send_marker(tp.rank_at(Task::kHardWeight, r),
-                      tag_for(cpi, kDopToHardWt));
-      for (int r = 0; r < tp.count(Task::kEasyBeamform); ++r)
-        c.send_marker(tp.rank_at(Task::kEasyBeamform, r),
-                      tag_for(cpi, kDopToEasyBf));
-      for (int r = 0; r < tp.count(Task::kHardBeamform); ++r)
-        c.send_marker(tp.rank_at(Task::kHardBeamform, r),
-                      tag_for(cpi, kDopToHardBf));
-      const double t3e = WallTimer::now();
-      emit_phase_spans(c.rank(), Task::kDopplerFilter, cpi, t0, t1, t2, t3e,
-                       0);
-      if (meas) {
-        acc.recv += t1 - t0;
-        acc.comp += t2 - t1;
-        acc.send += t3e - t2;
-      }
-      continue;
-    }
-
-    // --- data collection + personalized sends (Figs. 6b, 8) --------------
-    // Beamforming first: its edges are on this CPI's latency path (eq. 2),
-    // while the weight tasks' solves serve the next visit of this position.
-    // Sent last, the weight solves do not compete with the beamforming
-    // packs for the cores and caches.
-
-    // Easy beamforming: the full slab for the destination's bins, J
-    // channels, reorganized to (bin, range, channel) — Fig. 8.
-    for (int r = 0; r < tp.count(Task::kEasyBeamform); ++r) {
-      const auto bins = slice(s.easy_bins, tp.part_ebf, r);
-      std::vector<cfloat> buf;
-      buf.reserve(bins.size() * static_cast<size_t>(kl * j));
-      for (index_t bin : bins)
-        for (index_t k = 0; k < kl; ++k)
-          for (index_t ch = 0; ch < j; ++ch)
-            buf.push_back(stag.at(k, ch, bin));
-      send_cf(c, s, tp.rank_at(Task::kEasyBeamform, r), cpi, kDopToEasyBf,
-              buf, meas, acc);
-    }
-    // Hard beamforming: same with both stagger halves (2J channels).
-    for (int r = 0; r < tp.count(Task::kHardBeamform); ++r) {
-      const auto bins = slice(s.hard_bins, tp.part_hbf, r);
-      std::vector<cfloat> buf;
-      buf.reserve(bins.size() * static_cast<size_t>(kl * jj));
-      for (index_t bin : bins)
-        for (index_t k = 0; k < kl; ++k)
-          for (index_t ch = 0; ch < jj; ++ch)
-            buf.push_back(stag.at(k, ch, bin));
-      send_cf(c, s, tp.rank_at(Task::kHardBeamform, r), cpi, kDopToHardBf,
-              buf, meas, acc);
-    }
-    // Easy weight task: training rows (J channels) at the easy training
-    // cells inside this slab, for each destination's owned bins. On the
-    // stale-weights rung a marker replaces the rows (the computer keeps
-    // serving its last weights).
-    for (int r = 0; r < tp.count(Task::kEasyWeight); ++r) {
-      if (skip_easy_training) {
-        c.send_marker(tp.rank_at(Task::kEasyWeight, r),
-                      tag_for(cpi, kDopToEasyWt));
-        continue;
-      }
-      std::vector<cfloat> buf;
-      const auto bins = slice(s.easy_bins, tp.part_ewt, r);
-      for (index_t bin : bins)
-        for (index_t cell : s.easy_cells) {
-          if (cell < k0 || cell >= k0 + kl) continue;
-          for (index_t ch = 0; ch < j; ++ch)
-            buf.push_back(stag.at(cell - k0, ch, bin));
+  return drive<Cpi>(
+      c, s, Task::kDopplerFilter, begin,
+      [&](Cycle& x, Cpi& d) {
+        if (c.rank() == s.eng->coordinator_rank()) s.eng->policy_tick(c, x.cpi);
+        d.k0 = x.tp.part_k.offset(x.me);
+        d.kl = x.tp.part_k.length(x.me);
+        // Admission gate (pacing, bounded queue, degradation ladder). The
+        // decision is memoized: every Doppler rank gets the same answer, and
+        // it is fixed before any frame of this CPI is sent. Its wait is not
+        // part of the cycle, so the phase clock starts behind it.
+        const auto adm = s.source.admit(x.cpi);
+        x.t0 = WallTimer::now();
+        if (x.me == 0) {
+          std::lock_guard<std::mutex> lock(s.mu);
+          s.input_ready[static_cast<size_t>(x.cpi)] = x.t0;
         }
-      send_cf(c, s, tp.rank_at(Task::kEasyWeight, r), cpi, kDopToEasyWt, buf,
-              meas, acc);
-    }
-    // Hard weight task: 2J-channel training rows per (bin, segment) unit.
-    // Frozen from kFrozenHard up — the recursion reuses its last R.
-    for (int r = 0; r < tp.count(Task::kHardWeight); ++r) {
-      if (skip_hard_training) {
-        c.send_marker(tp.rank_at(Task::kHardWeight, r),
-                      tag_for(cpi, kDopToHardWt));
-        continue;
-      }
-      std::vector<cfloat> buf;
-      const auto units = slice(s.hard_units, tp.part_hwu, r);
-      for (const auto& u : units)
-        for (index_t cell : s.hard_cells[static_cast<size_t>(u.segment)]) {
-          if (cell < k0 || cell >= k0 + kl) continue;
-          for (index_t ch = 0; ch < jj; ++ch)
-            buf.push_back(stag.at(cell - k0, ch, u.bin));
-        }
-      send_cf(c, s, tp.rank_at(Task::kHardWeight, r), cpi, kDopToHardWt, buf,
-              meas, acc);
-    }
-    const double t3 = WallTimer::now();
-    emit_phase_spans(c.rank(), Task::kDopplerFilter, cpi, t0, t1, t2, t3,
-                     acc.bytes - bytes0);
-    observe_health(c, s, Task::kDopplerFilter, cpi, t0, t1, t3);
+        if (x.me == 0 && obs::tracing_enabled() &&
+            adm.level != DegradationLevel::kFull)
+          obs::emit({degradation_level_name(adm.level), "overload", c.rank(),
+                     obs::kFaultTrack, static_cast<std::int64_t>(x.cpi), x.t0,
+                     x.t0, static_cast<std::int64_t>(adm.level), -1});
+        // Rejected at admission (kShedInput): the cube is never generated.
+        if (!adm.admit) return false;
+        d.level = adm.level;
 
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-      acc.send += t3 - t2;
-    }
-  }
-  acc.commit(s, Task::kDopplerFilter, s.measured_count());
-  return next;
+        // "Receive": fetch this rank's range slab from the radar feed.
+        auto full = s.source.get(x.cpi, c.rank());
+        d.slab = cube::CpiCube(d.kl, j, p.num_pulses);
+        for (index_t k = 0; k < d.kl; ++k)
+          for (index_t ch = 0; ch < j; ++ch) {
+            auto src = full->line(d.k0 + k, ch);
+            std::copy(src.begin(), src.end(), d.slab.line(k, ch).begin());
+          }
+        return true;
+      },
+      [&](Cycle& x, Cpi& d) {
+        return run_checked(
+            c, s, Task::kDopplerFilter, x.cpi,
+            [&](int attempt) {
+              d.stag = filter.filter(d.slab, d.k0);
+              maybe_flip(s, Task::kDopplerFilter, x.cpi, c.rank(), attempt,
+                         float_view(d.stag));
+            },
+            [&] {
+              return filter.parseval_check(d.slab, d.stag, d.k0,
+                                           s.integ.tolerance);
+            });
+      },
+      [&](Cycle& x, Cpi& d) {
+        // --- data collection + personalized sends (Figs. 6b, 8) ----------
+        // Beamforming first: its edges are on this CPI's latency path
+        // (eq. 2), while the weight tasks' solves serve the next visit of
+        // this position. Sent last, the weight solves do not compete with
+        // the beamforming packs for the cores and caches.
+        //
+        // Beamforming: the full slab for the destination's bins, J (easy)
+        // or both stagger halves' 2J (hard) channels, reorganized to
+        // (bin, range, channel) — Fig. 8.
+        for (const bool hard : {false, true}) {
+          const Task bf = hard ? Task::kHardBeamform : Task::kEasyBeamform;
+          const auto& bin_list = hard ? s.hard_bins : s.easy_bins;
+          const BlockPartition& part = hard ? x.tp.part_hbf : x.tp.part_ebf;
+          const index_t nch = hard ? jj : j;
+          for (int r = 0; r < x.tp.count(bf); ++r) {
+            const auto bins = slice(bin_list, part, r);
+            std::vector<cfloat> buf;
+            buf.reserve(bins.size() * static_cast<size_t>(d.kl * nch));
+            for (index_t bin : bins)
+              for (index_t k = 0; k < d.kl; ++k)
+                for (index_t ch = 0; ch < nch; ++ch)
+                  buf.push_back(d.stag.at(k, ch, bin));
+            send_frame(c, s, x.tp.rank_at(bf, r), x.cpi,
+                       hard ? kDopToHardBf : kDopToEasyBf, buf, x.meas,
+                       x.acc);
+          }
+        }
+        // Weight tasks: training rows at each destination's training cells
+        // inside this slab. On the frozen/stale rungs a marker replaces the
+        // rows and the computer keeps serving its last weights: kFrozenHard
+        // stops feeding the hard recursion, kStaleWeights both tasks.
+        for (const bool hard : {false, true}) {
+          const Task wt = hard ? Task::kHardWeight : Task::kEasyWeight;
+          const Edge e = hard ? kDopToHardWt : kDopToEasyWt;
+          const index_t nch = hard ? jj : j;
+          const bool frozen =
+              d.level >= (hard ? DegradationLevel::kFrozenHard
+                               : DegradationLevel::kStaleWeights);
+          for (int r = 0; r < x.tp.count(wt); ++r) {
+            const int dest = x.tp.rank_at(wt, r);
+            if (frozen) {
+              c.send_marker(dest, tag_for(x.cpi, e));
+              continue;
+            }
+            std::vector<cfloat> buf;
+            for (const auto& blk : s.train_blocks(wt, r))
+              for (index_t cell : *blk.cells) {
+                if (cell < d.k0 || cell >= d.k0 + d.kl) continue;
+                for (index_t ch = 0; ch < nch; ++ch)
+                  buf.push_back(d.stag.at(cell - d.k0, ch, blk.bin));
+              }
+            send_frame(c, s, dest, x.cpi, e, buf, x.meas, x.acc);
+          }
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
-// Task 1: easy weight computation (partitioned along easy bins)
+// Tasks 1/2: easy and hard weight computation
 // ---------------------------------------------------------------------------
-void run_easy_wt(Comm& c, Shared& s, int me, const Resume* resume = nullptr) {
+// The easy task owns a slice of the easy bins and solves afresh from its
+// training history; the hard task owns (bin, segment) units and updates
+// recursive QR factors. One computer per transmit position: training pools
+// only same-azimuth looks (paper §3). A fresh rank first sends the quiescent
+// weights that beamform each position's first visit (TD_{1,3} bootstrap); a
+// spare resumes from the dead rank's checkpoint instead.
+template <typename Computer>
+index_t run_weight_task(Comm& c, Shared& s, int me, const Resume* resume) {
+  constexpr bool hard = std::is_same_v<Computer, stap::HardWeightComputer>;
+  const Task task = hard ? Task::kHardWeight : Task::kEasyWeight;
+  const Task bf_task = hard ? Task::kHardBeamform : Task::kEasyBeamform;
+  const Edge in_edge = hard ? kDopToHardWt : kDopToEasyWt;
+  const Edge out_edge = hard ? kHardWtToBf : kEasyWtToBf;
   const auto& p = s.p;
-  const index_t j = p.num_channels;
+  const index_t nch = hard ? p.num_staggered_channels() : p.num_channels;
+  const index_t segs = hard ? p.num_segments : 1;  // weight blocks per bin
   const index_t positions = p.num_beam_positions;
   // The weight and beamforming groups never migrate, so their partitions
-  // and rank lists are epoch-0 invariants; only the Doppler fan-in below is
+  // and rank lists are epoch-0 invariants; only the Doppler fan-in is
   // resolved per CPI.
   const Topology& tp0 = s.topo(0);
-  const auto bins = slice(s.easy_bins, tp0.part_ewt, me);
-  // One computer per transmit position: training pools only same-azimuth
-  // looks (paper §3).
-  std::vector<stap::EasyWeightComputer> computers;
-  for (index_t pos = 0; pos < positions; ++pos)
-    computers.emplace_back(p, s.steering[static_cast<size_t>(pos)],
-                           std::vector<index_t>(bins.begin(), bins.end()));
-  PhaseAcc acc;
+  const BlockPartition& wpart = hard ? tp0.part_hwu : tp0.part_ewt;
+  const BlockPartition& bpart = hard ? tp0.part_hbf : tp0.part_ebf;
+  const index_t w0 = wpart.offset(me);
+  const auto blocks = s.train_blocks(task, me);
+  std::vector<Computer> computers;
+  for (index_t pos = 0; pos < positions; ++pos) {
+    const auto& steering = s.steering[static_cast<size_t>(pos)];
+    if constexpr (hard) {
+      const auto units = slice(s.hard_units, wpart, me);
+      computers.emplace_back(
+          p, steering, std::vector<stap::HardUnit>(units.begin(), units.end()));
+    } else {
+      const auto bins = slice(s.easy_bins, wpart, me);
+      computers.emplace_back(p, steering,
+                             std::vector<index_t>(bins.begin(), bins.end()));
+    }
+  }
+  auto solve = [](const Computer& comp) {
+    if constexpr (hard)
+      return comp.compute();
+    else
+      return comp.compute().weights;
+  };
 
-  // Each Doppler rank's contribution rows (cells of the global training
-  // list inside its slab); recomputed when a migration resizes the group.
-  int rows_for_dops = -1;
-  std::vector<std::vector<index_t>> rows_from;
-
-  // Send the quiescent weights that beamform the first visit of each
-  // position (TD_{1,3} bootstrap).
-  auto send_weights = [&](const stap::WeightSet& w, index_t for_cpi) {
-    for (int r = 0; r < tp0.count(Task::kEasyBeamform); ++r) {
-      const index_t lo =
-          std::max(tp0.part_ewt.offset(me), tp0.part_ebf.offset(r));
-      const index_t hi =
-          std::min(tp0.part_ewt.offset(me) + tp0.part_ewt.length(me),
-                   tp0.part_ebf.offset(r) + tp0.part_ebf.length(r));
+  // Beamforming rank r owns bins [b0, b0+bl), i.e. blocks
+  // [b0*segs, (b0+bl)*segs) of the bin-major block list, and receives the
+  // overlap with this rank's blocks.
+  auto send_weights = [&](const std::vector<MatrixCF>& w, index_t for_cpi,
+                          PhaseAcc& acc) {
+    for (int r = 0; r < tp0.count(bf_task); ++r) {
+      const index_t lo = std::max(w0, bpart.offset(r) * segs);
+      const index_t hi = std::min(w0 + wpart.length(me),
+                                  (bpart.offset(r) + bpart.length(r)) * segs);
       std::vector<cfloat> buf;
       for (index_t pos = lo; pos < hi; ++pos) {
-        const auto& wm =
-            w.weights[static_cast<size_t>(pos - tp0.part_ewt.offset(me))];
+        const auto& wm = w[static_cast<size_t>(pos - w0)];
         buf.insert(buf.end(), wm.data(), wm.data() + wm.size());
       }
-      send_cf(c, s, tp0.rank_at(Task::kEasyBeamform, r), for_cpi,
-              kEasyWtToBf, buf, s.measured(for_cpi), acc);
+      send_frame(c, s, tp0.rank_at(bf_task, r), for_cpi, out_edge, buf,
+                 s.measured(for_cpi), acc);
     }
   };
   // Checkpoint the computers' state after every CPI so a spare can resume
   // at exactly the next CPI (keyed by the global rank the spare assumes).
   auto save_ckpt = [&](index_t next_cpi) {
-    if (s.ft.spare_count() == 0) return;
+    if (s.ft.spares == 0) return;
     std::ostringstream os;
     for (const auto& comp : computers) comp.save(os);
     std::lock_guard<std::mutex> lock(s.mu);
@@ -848,285 +864,129 @@ void run_easy_wt(Comm& c, Shared& s, int me, const Resume* resume = nullptr) {
   };
 
   index_t start_cpi = 0;
-  if (resume) {
+  PhaseAcc boot;  // bootstrap bytes, folded into the task's totals below
+  if (resume != nullptr) {
     std::istringstream is(resume->blob);
     for (auto& comp : computers) comp.restore(is);
     start_cpi = resume->cpi;
     if (resume->restored) resume->restored(start_cpi);
   } else {
     for (index_t pos = 0; pos < positions && pos < s.n_cpis; ++pos)
-      send_weights(computers[static_cast<size_t>(pos)].compute(), pos);
+      send_weights(solve(computers[static_cast<size_t>(pos)]), pos, boot);
     save_ckpt(0);
   }
 
-  FtRecv ftr = make_ftr(c, s);
-  // Last solved weights per transmit position: the stale-weights rung
-  // resends them without paying for a solve.
-  std::vector<std::optional<stap::WeightSet>> last_w(
-      static_cast<size_t>(positions));
-  const index_t total_cells = static_cast<index_t>(s.easy_cells.size());
-  for (index_t cpi = start_cpi; cpi < s.n_cpis; ++cpi) {
-    const Topology& tp = s.barrier(c, cpi);
-    const bool meas = s.measured(cpi);
-    const std::uint64_t bytes0 = acc.bytes;
-    const double t0 = WallTimer::now();
-    ftr.begin();
-
-    if (tp.count(Task::kDopplerFilter) != rows_for_dops) {
-      rows_for_dops = tp.count(Task::kDopplerFilter);
-      rows_from.assign(static_cast<size_t>(rows_for_dops), {});
-      for (int d = 0; d < rows_for_dops; ++d)
-        rows_from[static_cast<size_t>(d)] =
-            s.cell_positions_in_slab(s.easy_cells, d, tp.part_k);
-    }
-
-    bool complete = true;
-    std::vector<MatrixCF> training(bins.size(), MatrixCF(total_cells, j));
-    for (int d = 0; d < tp.count(Task::kDopplerFilter); ++d) {
-      const int src = tp.rank_at(Task::kDopplerFilter, d);
-      auto bufo = ftr.recv_cf(src, tag_for(cpi, kDopToEasyWt));
-      if (!bufo) {
-        complete = false;
-        continue;
-      }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      size_t off = 0;
-      for (size_t bi = 0; bi < bins.size(); ++bi)
-        for (index_t row : rows_from[static_cast<size_t>(d)]) {
-          PPSTAP_CHECK(off + static_cast<size_t>(j) <= buf.size(),
-                       "short easy training message");
-          for (index_t ch = 0; ch < j; ++ch)
-            training[bi](row, ch) = buf[off++];
-        }
-      PPSTAP_CHECK(off == buf.size(), "easy training message length");
-    }
-    const double t1 = WallTimer::now();
-
-    // A shed CPI skips the training update; the previous weights still
-    // flow downstream so beamforming never starves (degraded adaptivity,
-    // not a stalled stream).
-    auto& computer = computers[static_cast<size_t>(cpi % positions)];
-    if (complete) computer.push_training(std::move(training));
-    auto& cache = last_w[static_cast<size_t>(cpi % positions)];
-    stap::WeightSet w;
-    bool wt_markers = false;
-    if (s.ctrl != nullptr &&
-        s.ctrl->level_for(cpi) >= DegradationLevel::kStaleWeights && cache) {
-      w = *cache;  // stale rung: resend without solving
-    } else {
-      const bool wok = run_checked(
-          c, s, Task::kEasyWeight, cpi,
-          [&](int attempt) {
-            w = computer.compute();
-            maybe_flip_weights(s, Task::kEasyWeight, cpi, c.rank(), attempt,
-                               w.weights);
-          },
-          [&] { return weights_unit_norm(w.weights, s.integ.tolerance); });
-      if (wok)
-        cache = w;
-      else if (cache)
-        w = *cache;  // escalate into the stale-weight fallback
-      else
-        wt_markers = true;  // nothing trustworthy yet: let BF shed
-    }
-    const double t2 = WallTimer::now();
-
-    // These weights serve the *next visit* of the same transmit position.
-    if (cpi + positions < s.n_cpis) {
-      if (wt_markers)
-        for (int r = 0; r < tp0.count(Task::kEasyBeamform); ++r)
-          c.send_marker(tp0.rank_at(Task::kEasyBeamform, r),
-                        tag_for(cpi + positions, kEasyWtToBf));
-      else
-        send_weights(w, cpi + positions);
-    }
-    save_ckpt(cpi + 1);
-    const double t3 = WallTimer::now();
-    emit_phase_spans(c.rank(), Task::kEasyWeight, cpi, t0, t1, t2, t3,
-                     acc.bytes - bytes0);
-    observe_health(c, s, Task::kEasyWeight, cpi, t0, t1, t3);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-      acc.send += t3 - t2;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& comp : computers) s.numerics += comp.health();
-  }
-  acc.commit(s, Task::kEasyWeight, s.measured_count());
-}
-
-// ---------------------------------------------------------------------------
-// Task 2: hard weight computation (partitioned over (bin, segment) units)
-// ---------------------------------------------------------------------------
-void run_hard_wt(Comm& c, Shared& s, int me, const Resume* resume = nullptr) {
-  const auto& p = s.p;
-  const index_t jj = p.num_staggered_channels();
-  const index_t positions = p.num_beam_positions;
-  // Weight/BF groups never migrate: epoch-0 partitions are invariant here.
-  const Topology& tp0 = s.topo(0);
-  const auto units = slice(s.hard_units, tp0.part_hwu, me);
-  std::vector<stap::HardWeightComputer> computers;
-  for (index_t pos = 0; pos < positions; ++pos)
-    computers.emplace_back(
-        p, s.steering[static_cast<size_t>(pos)],
-        std::vector<stap::HardUnit>(units.begin(), units.end()));
-  PhaseAcc acc;
-
-  // Row positions per (unit, doppler rank); recomputed when a migration
+  // Row positions per (block, Doppler rank); recomputed when a migration
   // resizes the Doppler group.
   int rows_for_dops = -1;
-  std::vector<std::vector<std::vector<index_t>>> rows_from(units.size());
-
-  const index_t u_base = tp0.part_hwu.offset(me);
-  auto send_weights = [&](const std::vector<MatrixCF>& w, index_t for_cpi) {
-    for (int r = 0; r < tp0.count(Task::kHardBeamform); ++r) {
-      // Hard BF rank r owns bin positions [b0, b0+bl) — i.e. unit
-      // positions [b0*S, (b0+bl)*S) in the bin-major unit list.
-      const index_t segs = p.num_segments;
-      const index_t r_lo = tp0.part_hbf.offset(r) * segs;
-      const index_t r_hi = r_lo + tp0.part_hbf.length(r) * segs;
-      const index_t lo = std::max(u_base, r_lo);
-      const index_t hi = std::min(u_base + tp0.part_hwu.length(me), r_hi);
-      std::vector<cfloat> buf;
-      for (index_t pos = lo; pos < hi; ++pos) {
-        const auto& wm = w[static_cast<size_t>(pos - u_base)];
-        buf.insert(buf.end(), wm.data(), wm.data() + wm.size());
-      }
-      send_cf(c, s, tp0.rank_at(Task::kHardBeamform, r), for_cpi,
-              kHardWtToBf, buf, s.measured(for_cpi), acc);
-    }
-  };
-  auto save_ckpt = [&](index_t next_cpi) {
-    if (s.ft.spare_count() == 0) return;
-    std::ostringstream os;
-    for (const auto& comp : computers) comp.save(os);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto& ck = s.checkpoints[c.rank()];
-    ck.next_cpi = next_cpi;
-    ck.blob = os.str();
-  };
-
-  index_t start_cpi = 0;
-  if (resume) {
-    std::istringstream is(resume->blob);
-    for (auto& comp : computers) comp.restore(is);
-    start_cpi = resume->cpi;
-    if (resume->restored) resume->restored(start_cpi);
-  } else {
-    for (index_t pos = 0; pos < positions && pos < s.n_cpis; ++pos)
-      send_weights(computers[static_cast<size_t>(pos)].compute(), pos);
-    save_ckpt(0);
-  }
-
-  FtRecv ftr = make_ftr(c, s);
-  // Last solved weights per transmit position (stale-weights rung).
+  std::vector<std::vector<std::vector<index_t>>> rows_from(blocks.size());
+  // Last solved weights per transmit position: the stale-weights rung
+  // resends them without paying for a solve.
   std::vector<std::optional<std::vector<MatrixCF>>> last_w(
       static_cast<size_t>(positions));
-  for (index_t cpi = start_cpi; cpi < s.n_cpis; ++cpi) {
-    const Topology& tp = s.barrier(c, cpi);
-    const bool meas = s.measured(cpi);
-    const std::uint64_t bytes0 = acc.bytes;
-    const double t0 = WallTimer::now();
-    ftr.begin();
-
-    if (tp.count(Task::kDopplerFilter) != rows_for_dops) {
-      rows_for_dops = tp.count(Task::kDopplerFilter);
-      for (size_t ui = 0; ui < units.size(); ++ui) {
-        rows_from[ui].assign(static_cast<size_t>(rows_for_dops), {});
-        for (int d = 0; d < rows_for_dops; ++d)
-          rows_from[ui][static_cast<size_t>(d)] = s.cell_positions_in_slab(
-              s.hard_cells[static_cast<size_t>(units[ui].segment)], d,
-              tp.part_k);
-      }
-    }
-
+  struct Cpi {
+    std::vector<MatrixCF> training, w;
     bool complete = true;
-    std::vector<MatrixCF> training;
-    training.reserve(units.size());
-    for (size_t ui = 0; ui < units.size(); ++ui)
-      training.emplace_back(
-          static_cast<index_t>(p.hard_samples_per_segment), jj);
-    for (int d = 0; d < tp.count(Task::kDopplerFilter); ++d) {
-      const int src = tp.rank_at(Task::kDopplerFilter, d);
-      auto bufo = ftr.recv_cf(src, tag_for(cpi, kDopToHardWt));
-      if (!bufo) {
-        complete = false;
-        continue;
-      }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      size_t off = 0;
-      for (size_t ui = 0; ui < units.size(); ++ui)
-        for (index_t row : rows_from[ui][static_cast<size_t>(d)]) {
-          PPSTAP_CHECK(off + static_cast<size_t>(jj) <= buf.size(),
-                       "short hard training message");
-          for (index_t ch = 0; ch < jj; ++ch)
-            training[ui](row, ch) = buf[off++];
+    bool markers = false;  // nothing trustworthy to send: let BF shed
+  };
+
+  const index_t next = drive<Cpi>(
+      c, s, task, start_cpi,
+      [&](Cycle& x, Cpi& d) {
+        const int dops = x.tp.count(Task::kDopplerFilter);
+        if (dops != rows_for_dops) {
+          rows_for_dops = dops;
+          for (size_t b = 0; b < blocks.size(); ++b) {
+            rows_from[b].assign(static_cast<size_t>(dops), {});
+            for (int r = 0; r < dops; ++r)
+              rows_from[b][static_cast<size_t>(r)] = s.cell_positions_in_slab(
+                  *blocks[b].cells, r, x.tp.part_k);
+          }
         }
-      PPSTAP_CHECK(off == buf.size(), "hard training message length");
-    }
-    const double t1 = WallTimer::now();
+        for (const auto& blk : blocks)
+          d.training.emplace_back(static_cast<index_t>(blk.cells->size()),
+                                  nch);
+        for (int r = 0; r < dops; ++r) {
+          auto buf = x.in.recv<cfloat>(x.tp.rank_at(Task::kDopplerFilter, r),
+                                       x.cpi, in_edge);
+          if (!buf) {
+            d.complete = false;
+            continue;
+          }
+          size_t off = 0;
+          for (size_t b = 0; b < blocks.size(); ++b)
+            for (index_t row : rows_from[b][static_cast<size_t>(r)]) {
+              PPSTAP_CHECK(off + static_cast<size_t>(nch) <= buf->size(),
+                           "short training message");
+              for (index_t ch = 0; ch < nch; ++ch)
+                d.training[b](row, ch) = (*buf)[off++];
+            }
+          PPSTAP_CHECK(off == buf->size(), "training message length");
+        }
+        return true;
+      },
+      [&](Cycle& x, Cpi& d) {
+        // A shed CPI skips the training update (the hard recursion's
+        // forgetting state stays untouched; the frozen-hard rung arrives
+        // here as a training marker). The current weights still flow
+        // downstream so beamforming never starves (degraded adaptivity,
+        // not a stalled stream).
+        auto& computer = computers[static_cast<size_t>(x.cpi % positions)];
+        if (d.complete) {
+          if constexpr (hard)
+            computer.update(d.training);
+          else
+            computer.push_training(std::move(d.training));
+        }
+        auto& cache = last_w[static_cast<size_t>(x.cpi % positions)];
+        if (s.ctrl != nullptr &&
+            s.ctrl->level_for(x.cpi) >= DegradationLevel::kStaleWeights &&
+            cache) {
+          d.w = *cache;  // stale rung: resend without solving
+        } else if (run_checked(
+                       c, s, task, x.cpi,
+                       [&](int attempt) {
+                         d.w = solve(computer);
+                         maybe_flip_weights(s, task, x.cpi, c.rank(), attempt,
+                                            d.w);
+                       },
+                       [&] {
+                         return weights_unit_norm(d.w, s.integ.tolerance);
+                       })) {
+          cache = d.w;
+        } else if (cache) {
+          d.w = *cache;  // escalate into the stale-weight fallback
+        } else {
+          d.markers = true;
+        }
+        return true;
+      },
+      [&](Cycle& x, Cpi& d) {
+        // These weights serve the *next visit* of the same transmit
+        // position.
+        const index_t for_cpi = x.cpi + positions;
+        if (for_cpi < s.n_cpis) {
+          if (d.markers)
+            for (int r = 0; r < tp0.count(bf_task); ++r)
+              c.send_marker(tp0.rank_at(bf_task, r),
+                            tag_for(for_cpi, out_edge));
+          else
+            send_weights(d.w, for_cpi, x.acc);
+        }
+        save_ckpt(x.cpi + 1);
+      });
 
-    // A shed CPI skips the recursive update (forgetting state untouched);
-    // the current weights still flow downstream. (The frozen-hard rung
-    // arrives here as a training marker: update skipped, solve kept.)
-    auto& computer = computers[static_cast<size_t>(cpi % positions)];
-    if (complete) computer.update(training);
-    auto& cache = last_w[static_cast<size_t>(cpi % positions)];
-    std::vector<MatrixCF> w;
-    bool wt_markers = false;
-    if (s.ctrl != nullptr &&
-        s.ctrl->level_for(cpi) >= DegradationLevel::kStaleWeights && cache) {
-      w = *cache;  // stale rung: resend without solving
-    } else {
-      const bool wok = run_checked(
-          c, s, Task::kHardWeight, cpi,
-          [&](int attempt) {
-            w = computer.compute();
-            maybe_flip_weights(s, Task::kHardWeight, cpi, c.rank(), attempt,
-                               w);
-          },
-          [&] { return weights_unit_norm(w, s.integ.tolerance); });
-      if (wok)
-        cache = w;
-      else if (cache)
-        w = *cache;  // escalate into the stale-weight fallback
-      else
-        wt_markers = true;  // nothing trustworthy yet: let BF shed
-    }
-    const double t2 = WallTimer::now();
+  std::lock_guard<std::mutex> lock(s.mu);
+  for (const auto& comp : computers) s.numerics += comp.health();
+  s.bytes_sent[static_cast<size_t>(task)] += boot.bytes;
+  return next;
+}
 
-    // These weights serve the *next visit* of the same transmit position.
-    if (cpi + positions < s.n_cpis) {
-      if (wt_markers)
-        for (int r = 0; r < tp0.count(Task::kHardBeamform); ++r)
-          c.send_marker(tp0.rank_at(Task::kHardBeamform, r),
-                        tag_for(cpi + positions, kHardWtToBf));
-      else
-        send_weights(w, cpi + positions);
-    }
-    save_ckpt(cpi + 1);
-    const double t3 = WallTimer::now();
-    emit_phase_spans(c.rank(), Task::kHardWeight, cpi, t0, t1, t2, t3,
-                     acc.bytes - bytes0);
-    observe_health(c, s, Task::kHardWeight, cpi, t0, t1, t3);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-      acc.send += t3 - t2;
-    }
-  }
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    for (const auto& comp : computers) s.numerics += comp.health();
-  }
-  acc.commit(s, Task::kHardWeight, s.measured_count());
+index_t run_weights(Comm& c, Shared& s, Task t, int me,
+                    const Resume* resume = nullptr) {
+  return t == Task::kHardWeight
+             ? run_weight_task<stap::HardWeightComputer>(c, s, me, resume)
+             : run_weight_task<stap::EasyWeightComputer>(c, s, me, resume);
 }
 
 // ---------------------------------------------------------------------------
@@ -1136,9 +996,9 @@ void run_hard_wt(Comm& c, Shared& s, int me, const Resume* resume = nullptr) {
 // rank's identity re-enters here at the CPI the dead rank was processing
 // (its weight cache starts cold, so an in-flight CPI whose weights were
 // already consumed falls back to the shed path rather than wedging).
-void run_beamform(Comm& c, Shared& s, int me, bool hard, index_t begin = 0) {
+index_t run_beamform(Comm& c, Shared& s, Task task, int me, index_t begin) {
   const auto& p = s.p;
-  const Task task = hard ? Task::kHardBeamform : Task::kEasyBeamform;
+  const bool hard = task == Task::kHardBeamform;
   const Task wt_task = hard ? Task::kHardWeight : Task::kEasyWeight;
   const Edge data_edge = hard ? kDopToHardBf : kDopToEasyBf;
   const Edge wt_edge = hard ? kHardWtToBf : kEasyWtToBf;
@@ -1153,180 +1013,131 @@ void run_beamform(Comm& c, Shared& s, int me, bool hard, index_t begin = 0) {
   const index_t k = p.num_range;
   const index_t m = p.num_beams;
   const index_t segs = hard ? p.num_segments : 1;
+  const auto form = hard ? stap::hard_beamform : stap::easy_beamform;
+  const auto check =
+      hard ? stap::hard_beamform_check : stap::easy_beamform_check;
 
   const auto bins = slice(bin_list, part, me);
   const index_t b0 = part.offset(me);
   const index_t bl = part.length(me);
   const index_t positions = p.num_beam_positions;
-  // Stale-weight fallback (shedding only): the last complete weight set
-  // received for each transmit position.
+  // Stale-weight fallback: the last complete weight set received for each
+  // transmit position.
   std::vector<std::optional<stap::WeightSet>> wcache(
       static_cast<size_t>(positions));
-  FtRecv ftr = make_ftr(c, s);
-  PhaseAcc acc;
-
-  for (index_t cpi = begin; cpi < s.n_cpis; ++cpi) {
-    const Topology& tp = s.barrier(c, cpi);
-    const bool meas = s.measured(cpi);
-    const std::uint64_t bytes0 = acc.bytes;
-    const double t0 = WallTimer::now();
-    ftr.begin();
-    bool shed = false;
-
-    // Weights for this CPI (sent by the weight task while processing the
-    // previous CPI — the temporal dependency).
+  struct Cpi {
     stap::WeightSet w;
-    w.bins.assign(bins.begin(), bins.end());
-    w.weights.assign(static_cast<size_t>(bl * segs), MatrixCF());
-    bool weights_complete = true;
-    for (int r = 0; r < tp0.count(wt_task); ++r) {
-      const int src = tp0.rank_at(wt_task, r);
-      auto bufo = ftr.recv_cf(src, tag_for(cpi, wt_edge));
-      if (!bufo) {
-        weights_complete = false;
-        continue;
-      }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      size_t off = 0;
-      const index_t my_lo = b0 * segs;
-      const index_t my_hi = (b0 + bl) * segs;
-      const index_t lo = std::max(wpart.offset(r), my_lo);
-      const index_t hi = std::min(wpart.offset(r) + wpart.length(r), my_hi);
-      for (index_t pos = lo; pos < hi; ++pos) {
-        MatrixCF wm(nch, m);
-        PPSTAP_CHECK(off + static_cast<size_t>(wm.size()) <= buf.size(),
-                     "short weight message");
-        std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                    static_cast<size_t>(wm.size()), wm.data());
-        off += static_cast<size_t>(wm.size());
-        w.weights[static_cast<size_t>(pos - my_lo)] = std::move(wm);
-      }
-      PPSTAP_CHECK(off == buf.size(), "weight message length");
-    }
-    if (ftr.active) {
-      auto& cache = wcache[static_cast<size_t>(cpi % positions)];
-      if (weights_complete)
-        cache = w;  // refresh the fallback for this position
-      else if (cache)
-        w = *cache;  // beamform with the position's last known weights
-      else
-        shed = true;  // nothing to beamform with yet
-    }
+    cube::CpiCube data, out;
+  };
 
-    // Doppler data, reassembled into the bin-major (bin, range, channel)
-    // cube of Fig. 8.
-    cube::CpiCube data(bl, k, nch);
-    for (int d = 0; d < tp.count(Task::kDopplerFilter); ++d) {
-      const int src = tp.rank_at(Task::kDopplerFilter, d);
-      auto bufo = ftr.recv_cf(src, tag_for(cpi, data_edge));
-      if (!bufo) {
-        shed = true;
-        continue;
-      }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      const index_t dk0 = tp.part_k.offset(d);
-      const index_t dkl = tp.part_k.length(d);
-      PPSTAP_CHECK(static_cast<index_t>(buf.size()) == bl * dkl * nch,
-                   "doppler data message length");
-      size_t off = 0;
-      for (index_t b = 0; b < bl; ++b)
-        for (index_t kk = 0; kk < dkl; ++kk) {
-          std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                      static_cast<size_t>(nch),
-                      data.line(b, dk0 + kk).begin());
-          off += static_cast<size_t>(nch);
+  return drive<Cpi>(
+      c, s, task, begin,
+      [&](Cycle& x, Cpi& d) {
+        bool complete = true;
+        // Weights for this CPI (sent by the weight task while processing
+        // the previous visit — the temporal dependency).
+        d.w.bins.assign(bins.begin(), bins.end());
+        d.w.weights.assign(static_cast<size_t>(bl * segs), MatrixCF());
+        bool weights_complete = true;
+        for (int r = 0; r < tp0.count(wt_task); ++r) {
+          auto buf = x.in.recv<cfloat>(tp0.rank_at(wt_task, r), x.cpi,
+                                       wt_edge);
+          if (!buf) {
+            weights_complete = false;
+            continue;
+          }
+          size_t off = 0;
+          const index_t my_lo = b0 * segs;
+          const index_t my_hi = (b0 + bl) * segs;
+          const index_t lo = std::max(wpart.offset(r), my_lo);
+          const index_t hi =
+              std::min(wpart.offset(r) + wpart.length(r), my_hi);
+          for (index_t pos = lo; pos < hi; ++pos) {
+            MatrixCF wm(nch, m);
+            PPSTAP_CHECK(off + static_cast<size_t>(wm.size()) <= buf->size(),
+                         "short weight message");
+            std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
+                        static_cast<size_t>(wm.size()), wm.data());
+            off += static_cast<size_t>(wm.size());
+            d.w.weights[static_cast<size_t>(pos - my_lo)] = std::move(wm);
+          }
+          PPSTAP_CHECK(off == buf->size(), "weight message length");
         }
-    }
-    const double t1 = WallTimer::now();
+        auto& cache = wcache[static_cast<size_t>(x.cpi % positions)];
+        if (weights_complete)
+          cache = d.w;  // refresh the fallback for this position
+        else if (cache)
+          d.w = *cache;  // beamform with the position's last known weights
+        else
+          complete = false;  // nothing to beamform with yet
 
-    if (shed) {
-      // CPI i cannot be produced within the budget: propagate the dropped
-      // marker downstream so the stream keeps moving.
-      for (int r = 0; r < tp.count(Task::kPulseCompression); ++r)
-        c.send_marker(tp.rank_at(Task::kPulseCompression, r),
-                      tag_for(cpi, out_edge));
-      const double t3 = WallTimer::now();
-      emit_phase_spans(c.rank(), task, cpi, t0, t1, t1, t3, 0);
-      if (meas) {
-        acc.recv += t1 - t0;
-        acc.send += t3 - t1;
-      }
-      continue;
-    }
-
-    // The reduced-beams rungs shrink the beamform work; skipped beams stay
-    // zero in the output cube, so CFAR simply reports nothing there.
-    const index_t active =
-        s.ctrl != nullptr ? active_beams_for(s.ctrl->level_for(cpi), m) : m;
-    cube::CpiCube out;
-    const bool ok = run_checked(
-        c, s, task, cpi,
-        [&](int attempt) {
-          out = hard ? stap::hard_beamform(data, w, p, active)
-                     : stap::easy_beamform(data, w, p, active);
-          maybe_flip(s, task, cpi, c.rank(), attempt, float_view(out));
-        },
-        [&] {
-          return hard ? stap::hard_beamform_check(data, w, p, out, active,
-                                                  s.integ.tolerance)
-                      : stap::easy_beamform_check(data, w, p, out, active,
-                                                  s.integ.tolerance);
-        });
-    const double t2 = WallTimer::now();
-
-    if (!ok) {
-      // Persistent corruption in the beamformed cube: escalate through the
-      // existing shed path so downstream keeps moving.
-      for (int r = 0; r < tp.count(Task::kPulseCompression); ++r)
-        c.send_marker(tp.rank_at(Task::kPulseCompression, r),
-                      tag_for(cpi, out_edge));
-      const double t3e = WallTimer::now();
-      emit_phase_spans(c.rank(), task, cpi, t0, t1, t2, t3e, 0);
-      if (meas) {
-        acc.recv += t1 - t0;
-        acc.comp += t2 - t1;
-        acc.send += t3e - t2;
-      }
-      continue;
-    }
-
-    // Route each bin's M x K block to the pulse compression owner of its
-    // *global* Doppler bin.
-    for (int r = 0; r < tp.count(Task::kPulseCompression); ++r) {
-      const index_t g0 = tp.part_pc.offset(r);
-      const index_t g1 = g0 + tp.part_pc.length(r);
-      std::vector<cfloat> buf;
-      for (index_t b = 0; b < bl; ++b) {
-        const index_t gbin = bins[static_cast<size_t>(b)];
-        if (gbin < g0 || gbin >= g1) continue;
-        for (index_t mm = 0; mm < m; ++mm) {
-          auto line = out.line(b, mm);
-          buf.insert(buf.end(), line.begin(), line.end());
+        // Doppler data, reassembled into the bin-major (bin, range,
+        // channel) cube of Fig. 8.
+        d.data = cube::CpiCube(bl, k, nch);
+        for (int r = 0; r < x.tp.count(Task::kDopplerFilter); ++r) {
+          auto buf = x.in.recv<cfloat>(
+              x.tp.rank_at(Task::kDopplerFilter, r), x.cpi, data_edge);
+          if (!buf) {
+            complete = false;
+            continue;
+          }
+          const index_t dk0 = x.tp.part_k.offset(r);
+          const index_t dkl = x.tp.part_k.length(r);
+          PPSTAP_CHECK(static_cast<index_t>(buf->size()) == bl * dkl * nch,
+                       "doppler data message length");
+          size_t off = 0;
+          for (index_t b = 0; b < bl; ++b)
+            for (index_t kk = 0; kk < dkl; ++kk) {
+              std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
+                          static_cast<size_t>(nch),
+                          d.data.line(b, dk0 + kk).begin());
+              off += static_cast<size_t>(nch);
+            }
         }
-      }
-      send_cf(c, s, tp.rank_at(Task::kPulseCompression, r), cpi, out_edge,
-              buf, meas, acc);
-    }
-    const double t3 = WallTimer::now();
-    emit_phase_spans(c.rank(), task, cpi, t0, t1, t2, t3, acc.bytes - bytes0);
-    observe_health(c, s, task, cpi, t0, t1, t3);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-      acc.send += t3 - t2;
-    }
-  }
-  acc.commit(s, task, s.measured_count());
+        return complete;
+      },
+      [&](Cycle& x, Cpi& d) {
+        // The reduced-beams rungs shrink the beamform work; skipped beams
+        // stay zero in the output cube, so CFAR simply reports nothing
+        // there.
+        const index_t active =
+            s.ctrl != nullptr ? active_beams_for(s.ctrl->level_for(x.cpi), m)
+                              : m;
+        return run_checked(
+            c, s, task, x.cpi,
+            [&](int attempt) {
+              d.out = form(d.data, d.w, p, active);
+              maybe_flip(s, task, x.cpi, c.rank(), attempt,
+                         float_view(d.out));
+            },
+            [&] {
+              return check(d.data, d.w, p, d.out, active, s.integ.tolerance);
+            });
+      },
+      [&](Cycle& x, Cpi& d) {
+        // Route each bin's M x K block to the pulse compression owner of
+        // its *global* Doppler bin.
+        for (int r = 0; r < x.tp.count(Task::kPulseCompression); ++r) {
+          const index_t g0 = x.tp.part_pc.offset(r);
+          const index_t g1 = g0 + x.tp.part_pc.length(r);
+          std::vector<cfloat> buf;
+          for (index_t b = 0; b < bl; ++b) {
+            const index_t gbin = bins[static_cast<size_t>(b)];
+            if (gbin < g0 || gbin >= g1) continue;
+            for (index_t mm = 0; mm < m; ++mm) {
+              auto line = d.out.line(b, mm);
+              buf.insert(buf.end(), line.begin(), line.end());
+            }
+          }
+          send_frame(c, s, x.tp.rank_at(Task::kPulseCompression, r), x.cpi,
+                     out_edge, buf, x.meas, x.acc);
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
 // Task 5: pulse compression (partitioned along all Doppler bins)
 // ---------------------------------------------------------------------------
-// Like run_doppler, returns the first CPI this rank did not process as a
-// pulse-compression rank (s.n_cpis when it ran to the end).
 index_t run_pc(Comm& c, Shared& s, index_t begin) {
   const auto& p = s.p;
   const index_t m = p.num_beams;
@@ -1335,331 +1146,239 @@ index_t run_pc(Comm& c, Shared& s, index_t begin) {
   // are epoch-0 invariants. This rank's own bin span is per CPI.
   const Topology& tp0 = s.topo(0);
   stap::PulseCompressor compressor(p, s.replica);
-  FtRecv ftr = make_ftr(c, s);
-  PhaseAcc acc;
-
-  auto recv_from_bf = [&](index_t cpi, bool hard, bool& shed, index_t g0,
-                          index_t gl) {
-    const Task bf_task = hard ? Task::kHardBeamform : Task::kEasyBeamform;
-    const Edge edge = hard ? kHardBfToPc : kEasyBfToPc;
-    const BlockPartition& part = hard ? tp0.part_hbf : tp0.part_ebf;
-    const std::vector<index_t>& bin_list = hard ? s.hard_bins : s.easy_bins;
-    std::vector<std::pair<index_t, std::vector<cfloat>>> rows;
-    for (int r = 0; r < tp0.count(bf_task); ++r) {
-      const int src = tp0.rank_at(bf_task, r);
-      auto bufo = ftr.recv_cf(src, tag_for(cpi, edge));
-      if (!bufo) {
-        shed = true;
-        continue;
-      }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      size_t off = 0;
-      const auto bins = slice(bin_list, part, r);
-      for (index_t gbin : bins) {
-        if (gbin < g0 || gbin >= g0 + gl) continue;
-        std::vector<cfloat> row(static_cast<size_t>(m * k));
-        PPSTAP_CHECK(off + row.size() <= buf.size(),
-                     "short beamformed message");
-        std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                    row.size(), row.begin());
-        off += row.size();
-        rows.emplace_back(gbin, std::move(row));
-      }
-      PPSTAP_CHECK(off == buf.size(), "beamformed message length");
-    }
-    return rows;
-  };
-
-  index_t next = s.n_cpis;
-  for (index_t cpi = begin; cpi < s.n_cpis; ++cpi) {
-    const Topology& tp = s.barrier(c, cpi);
-    const Topology::Role role = tp.role_of(c.rank());
-    if (role.task != Task::kPulseCompression) {
-      next = cpi;
-      break;
-    }
-    const index_t g0 = tp.part_pc.offset(role.local);
-    const index_t gl = tp.part_pc.length(role.local);
-    const bool meas = s.measured(cpi);
-    const std::uint64_t bytes0 = acc.bytes;
-    const double t0 = WallTimer::now();
-    ftr.begin();
-
-    cube::CpiCube bf(gl, m, k);
-    bool shed = false;
-    for (bool hard : {false, true})
-      for (auto& [gbin, row] : recv_from_bf(cpi, hard, shed, g0, gl)) {
-        cfloat* dst = &bf.at(gbin - g0, 0, 0);
-        std::copy(row.begin(), row.end(), dst);
-      }
-    const double t1 = WallTimer::now();
-
-    if (shed) {
-      for (int r = 0; r < tp.count(Task::kCfar); ++r)
-        c.send_marker(tp.rank_at(Task::kCfar, r), tag_for(cpi, kPcToCfar));
-      const double t3 = WallTimer::now();
-      emit_phase_spans(c.rank(), Task::kPulseCompression, cpi, t0, t1, t1,
-                       t3, 0);
-      if (meas) {
-        acc.recv += t1 - t0;
-        acc.send += t3 - t1;
-      }
-      continue;
-    }
-
-    const index_t active =
-        s.ctrl != nullptr ? active_beams_for(s.ctrl->level_for(cpi), m) : m;
+  struct Cpi {
+    index_t g0 = 0, gl = 0;  // this rank's span of global Doppler bins
+    cube::CpiCube bf;
     cube::RealCube power;
     std::vector<double> row_energy;
-    const bool ok = run_checked(
-        c, s, Task::kPulseCompression, cpi,
-        [&](int attempt) {
-          power = compressor.compress(bf, active,
-                                      s.integ.enabled ? &row_energy : nullptr);
-          maybe_flip(s, Task::kPulseCompression, cpi, c.rank(), attempt,
-                     float_view(power));
-        },
-        [&] {
-          return stap::pc_energy_check(power, row_energy, active,
-                                       s.integ.tolerance);
-        });
-    const double t2 = WallTimer::now();
+  };
 
-    if (!ok) {
-      for (int r = 0; r < tp.count(Task::kCfar); ++r)
-        c.send_marker(tp.rank_at(Task::kCfar, r), tag_for(cpi, kPcToCfar));
-      const double t3e = WallTimer::now();
-      emit_phase_spans(c.rank(), Task::kPulseCompression, cpi, t0, t1, t2,
-                       t3e, 0);
-      if (meas) {
-        acc.recv += t1 - t0;
-        acc.comp += t2 - t1;
-        acc.send += t3e - t2;
-      }
-      continue;
-    }
-
-    for (int r = 0; r < tp.count(Task::kCfar); ++r) {
-      const index_t c0 = tp.part_cfar.offset(r);
-      const index_t c1 = c0 + tp.part_cfar.length(r);
-      const index_t lo = std::max(g0, c0);
-      const index_t hi = std::min(g0 + gl, c1);
-      std::vector<float> buf;
-      for (index_t bin = lo; bin < hi; ++bin) {
-        const float* src = &power.at(bin - g0, 0, 0);
-        buf.insert(buf.end(), src, src + m * k);
-      }
-      const std::uint64_t n = buf.size() * sizeof(float);
-      if (s.integ.enabled) append_digest(buf);
-      comm::FlowContext fc;
-      const comm::FlowContext* flow = nullptr;
-      if (obs::tracing_enabled()) {
-        fc = flow_for(cpi, kPcToCfar);
-        flow = &fc;
-      }
-      c.send<float>(tp.rank_at(Task::kCfar, r), tag_for(cpi, kPcToCfar), buf,
-                    flow);
-      if (meas) {
-        acc.bytes += n;
-        s.edge_bytes[static_cast<size_t>(kPcToCfar)].fetch_add(
-            n, std::memory_order_relaxed);
-      }
-    }
-    const double t3 = WallTimer::now();
-    emit_phase_spans(c.rank(), Task::kPulseCompression, cpi, t0, t1, t2, t3,
-                     acc.bytes - bytes0);
-    observe_health(c, s, Task::kPulseCompression, cpi, t0, t1, t3);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-      acc.send += t3 - t2;
-    }
-  }
-  acc.commit(s, Task::kPulseCompression, s.measured_count());
-  return next;
+  return drive<Cpi>(
+      c, s, Task::kPulseCompression, begin,
+      [&](Cycle& x, Cpi& d) {
+        d.g0 = x.tp.part_pc.offset(x.me);
+        d.gl = x.tp.part_pc.length(x.me);
+        d.bf = cube::CpiCube(d.gl, m, k);
+        bool complete = true;
+        for (const bool hard : {false, true}) {
+          const Task bf_task = hard ? Task::kHardBeamform : Task::kEasyBeamform;
+          const BlockPartition& part = hard ? tp0.part_hbf : tp0.part_ebf;
+          const auto& bin_list = hard ? s.hard_bins : s.easy_bins;
+          for (int r = 0; r < tp0.count(bf_task); ++r) {
+            auto buf = x.in.recv<cfloat>(tp0.rank_at(bf_task, r), x.cpi,
+                                         hard ? kHardBfToPc : kEasyBfToPc);
+            if (!buf) {
+              complete = false;
+              continue;
+            }
+            size_t off = 0;
+            const auto row = static_cast<size_t>(m * k);
+            for (index_t gbin : slice(bin_list, part, r)) {
+              if (gbin < d.g0 || gbin >= d.g0 + d.gl) continue;
+              PPSTAP_CHECK(off + row <= buf->size(),
+                           "short beamformed message");
+              std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
+                          row, &d.bf.at(gbin - d.g0, 0, 0));
+              off += row;
+            }
+            PPSTAP_CHECK(off == buf->size(), "beamformed message length");
+          }
+        }
+        return complete;
+      },
+      [&](Cycle& x, Cpi& d) {
+        const index_t active =
+            s.ctrl != nullptr ? active_beams_for(s.ctrl->level_for(x.cpi), m)
+                              : m;
+        return run_checked(
+            c, s, Task::kPulseCompression, x.cpi,
+            [&](int attempt) {
+              d.power = compressor.compress(
+                  d.bf, active, s.integ.enabled ? &d.row_energy : nullptr);
+              maybe_flip(s, Task::kPulseCompression, x.cpi, c.rank(), attempt,
+                         float_view(d.power));
+            },
+            [&] {
+              return stap::pc_energy_check(d.power, d.row_energy, active,
+                                           s.integ.tolerance);
+            });
+      },
+      [&](Cycle& x, Cpi& d) {
+        for (int r = 0; r < x.tp.count(Task::kCfar); ++r) {
+          const index_t c0 = x.tp.part_cfar.offset(r);
+          const index_t c1 = c0 + x.tp.part_cfar.length(r);
+          const index_t lo = std::max(d.g0, c0);
+          const index_t hi = std::min(d.g0 + d.gl, c1);
+          std::vector<float> buf;
+          for (index_t bin = lo; bin < hi; ++bin) {
+            const float* src = &d.power.at(bin - d.g0, 0, 0);
+            buf.insert(buf.end(), src, src + m * k);
+          }
+          send_frame(c, s, x.tp.rank_at(Task::kCfar, r), x.cpi, kPcToCfar,
+                     buf, x.meas, x.acc);
+        }
+      });
 }
 
 // ---------------------------------------------------------------------------
 // Task 6: CFAR (partitioned along all Doppler bins); pipeline sink
 // ---------------------------------------------------------------------------
-// Like run_doppler, returns the first CPI this rank did not process as a
-// CFAR rank (s.n_cpis when it ran to the end).
+// The sink never takes the driver's shed exit — it has no downstream group.
+// A shed CPI still reaches its send phase, the detection-report commit,
+// which ledgers the drop instead of stalling the stream on incomplete
+// power data.
 index_t run_cfar(Comm& c, Shared& s, index_t begin) {
   const auto& p = s.p;
   const index_t m = p.num_beams;
   const index_t k = p.num_range;
-  FtRecv ftr = make_ftr(c, s);
-  PhaseAcc acc;
-
-  index_t next = s.n_cpis;
-  for (index_t cpi = begin; cpi < s.n_cpis; ++cpi) {
-    const Topology& tp = s.barrier(c, cpi);
-    const Topology::Role role = tp.role_of(c.rank());
-    if (role.task != Task::kCfar) {
-      next = cpi;
-      break;
-    }
-    const index_t c0 = tp.part_cfar.offset(role.local);
-    const index_t cl = tp.part_cfar.length(role.local);
-    std::vector<index_t> my_bins(static_cast<size_t>(cl));
-    for (index_t i = 0; i < cl; ++i) my_bins[static_cast<size_t>(i)] = c0 + i;
-    const bool meas = s.measured(cpi);
-    const double t0 = WallTimer::now();
-    ftr.begin();
-    bool shed = false;
-
-    cube::RealCube power(cl, m, k);
-    for (int r = 0; r < tp.count(Task::kPulseCompression); ++r) {
-      const index_t g0 = tp.part_pc.offset(r);
-      const index_t g1 = g0 + tp.part_pc.length(r);
-      const index_t lo = std::max(c0, g0);
-      const index_t hi = std::min(c0 + cl, g1);
-      const int src = tp.rank_at(Task::kPulseCompression, r);
-      auto bufo = ftr.recv<float>(src, tag_for(cpi, kPcToCfar));
-      if (!bufo) {
-        shed = true;
-        continue;
-      }
-      auto& buf = *bufo;
-      strip_digest(ftr, s, src, buf, cpi);
-      PPSTAP_CHECK(static_cast<index_t>(buf.size()) ==
-                       std::max<index_t>(0, hi - lo) * m * k,
-                   "power message length");
-      size_t off = 0;
-      for (index_t bin = lo; bin < hi; ++bin) {
-        std::copy_n(buf.begin() + static_cast<std::ptrdiff_t>(off),
-                    static_cast<size_t>(m * k), &power.at(bin - c0, 0, 0));
-        off += static_cast<size_t>(m * k);
-      }
-    }
-    const double t1 = WallTimer::now();
-
-    // A shed CPI reports no detections — the sink records the drop in the
-    // ledger instead of stalling the stream on incomplete power data.
+  struct Cpi {
+    std::vector<index_t> bins;  // this rank's global Doppler bins
+    cube::RealCube power;
     std::vector<stap::Detection> dets;
-    if (!shed) {
-      const bool ok = run_checked(
-          c, s, Task::kCfar, cpi,
-          [&](int attempt) {
-            dets = stap::cfar_detect(power, my_bins, p);
-            maybe_flip_detections(s, cpi, c.rank(), attempt, dets);
-          },
-          [&] { return stap::verify_detections(dets, power, my_bins, p); });
-      if (!ok) {
-        // Persistently corrupt report: suppress it and ledger the CPI as
-        // shed rather than publish wrong detections.
-        dets.clear();
-        shed = true;
-      }
-    }
-    const double t2 = WallTimer::now();
+    bool shed = false;
+  };
 
-    bool cpi_done = false;
-    bool cpi_shed = false;
-    double latency = 0.0;
-    std::vector<index_t> retro;
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      // Quorum completion: a permanently dead CFAR peer will never tick, so
-      // the CPI completes on the live members alone — and must shed, since
-      // the corpse's range slice is missing from the report. Post-shrink
-      // epochs drop the corpse from the group, so live == group and
-      // coverage is whole again. While the peer is merely dead-recoverable
-      // (a pool spare will revive it and deliver its ticks) the full group
-      // count stands.
-      const int group = tp.count(Task::kCfar);
-      int live = 0;
-      for (int r = 0; r < group; ++r)
-        live += s.eng->rank_permanently_dead(tp.rank_at(Task::kCfar, r))
-                    ? 0
-                    : 1;
-      if (live < group) {
-        shed = true;
-        dets.clear();
-        // Sweep CPIs this rank already ticked at full group strength whose
-        // last tick died with the peer: complete them as shed now, or the
-        // admission backlog pins on completions that can never come.
-        for (index_t j = 0; j < cpi; ++j) {
-          const auto ji = static_cast<size_t>(j);
-          if (s.completion[ji] > 0.0) continue;
-          const Topology& tj = s.topo(j);
-          int live_j = 0;
-          for (int r = 0; r < tj.count(Task::kCfar); ++r)
-            live_j += s.eng->rank_permanently_dead(
-                          tj.rank_at(Task::kCfar, r))
-                          ? 0
-                          : 1;
-          if (s.cfar_done[ji] >= live_j && live_j > 0) {
-            s.shed[ji] = 1;
-            s.detections[ji].clear();
-            s.completion[ji] = WallTimer::now();
-            retro.push_back(j);
+  return drive<Cpi>(
+      c, s, Task::kCfar, begin,
+      [&](Cycle& x, Cpi& d) {
+        const index_t c0 = x.tp.part_cfar.offset(x.me);
+        const index_t cl = x.tp.part_cfar.length(x.me);
+        for (index_t i = 0; i < cl; ++i) d.bins.push_back(c0 + i);
+        d.power = cube::RealCube(cl, m, k);
+        for (int r = 0; r < x.tp.count(Task::kPulseCompression); ++r) {
+          const index_t g0 = x.tp.part_pc.offset(r);
+          const index_t g1 = g0 + x.tp.part_pc.length(r);
+          const index_t lo = std::max(c0, g0);
+          const index_t hi = std::min(c0 + cl, g1);
+          auto buf = x.in.recv<float>(
+              x.tp.rank_at(Task::kPulseCompression, r), x.cpi, kPcToCfar);
+          if (!buf) {
+            d.shed = true;
+            continue;
+          }
+          PPSTAP_CHECK(static_cast<index_t>(buf->size()) ==
+                           std::max<index_t>(0, hi - lo) * m * k,
+                       "power message length");
+          size_t off = 0;
+          for (index_t bin = lo; bin < hi; ++bin) {
+            std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
+                        static_cast<size_t>(m * k),
+                        &d.power.at(bin - c0, 0, 0));
+            off += static_cast<size_t>(m * k);
           }
         }
-      }
-      if (shed) s.shed[static_cast<size_t>(cpi)] = 1;
-      auto& sink = s.detections[static_cast<size_t>(cpi)];
-      // A shed CPI reports nothing: wipe contributions a peer banked
-      // before this rank learned the CPI cannot complete whole (e.g. the
-      // dead CFAR peer ticked here before dying mid-stream).
-      if (shed) sink.clear();
-      sink.insert(sink.end(), dets.begin(), dets.end());
-      if (++s.cfar_done[static_cast<size_t>(cpi)] >= live &&
-          s.completion[static_cast<size_t>(cpi)] == 0.0) {
-        const double done = WallTimer::now();
-        s.completion[static_cast<size_t>(cpi)] = done;
-        cpi_done = true;
-        cpi_shed = s.shed[static_cast<size_t>(cpi)] != 0;
-        const double in = s.input_ready[static_cast<size_t>(cpi)];
-        latency = in > 0.0 ? done - in : 0.0;
-      }
-    }
-    // The sink closes the overload-control loop: latency samples drive the
-    // SLO term, completions release throttled producers.
-    if (cpi_done && s.ctrl != nullptr)
-      s.ctrl->on_complete(cpi, latency, cpi_shed);
-    for (const index_t j : retro)
-      if (s.ctrl != nullptr) s.ctrl->on_complete(j, 0.0, true);
-    if (shed && obs::tracing_enabled())
-      obs::emit({"shed_cpi", "fault", c.rank(), obs::kFaultTrack,
-                 static_cast<std::int64_t>(cpi), t0, t1, -1, -1});
-    // The sink has no downstream send; its "send" span is the detection
-    // report commit, so every task traces a full recv/comp/send triple.
-    if (obs::tracing_enabled())
-      emit_phase_spans(c.rank(), Task::kCfar, cpi, t0, t1, t2,
-                       WallTimer::now(), 0);
-    observe_health(c, s, Task::kCfar, cpi, t0, t1, t2);
-    // Detector tick from the sink, not the coordinator: the pipelined
-    // front can sprint arbitrarily far ahead of a straggler (and exit its
-    // loop before the victim has min_samples), while the sink only reaches
-    // CPI i after every upstream rank has sampled it — scans always score
-    // mature statistics.
-    if (role.local == 0) health_scan(s, tp, cpi);
-
-    if (meas) {
-      acc.recv += t1 - t0;
-      acc.comp += t2 - t1;
-    }
-  }
-  // Stream-completion bookkeeping (releasing an idle spare) moved to the
-  // driver loop: only ranks whose *final* role is CFAR count, and a rank
-  // migrating away mid-stream must not tick the counter.
-  acc.commit(s, Task::kCfar, s.measured_count());
-  return next;
+        return true;
+      },
+      [&](Cycle& x, Cpi& d) {
+        // A shed CPI reports no detections.
+        if (!d.shed &&
+            !run_checked(
+                c, s, Task::kCfar, x.cpi,
+                [&](int attempt) {
+                  d.dets = stap::cfar_detect(d.power, d.bins, p);
+                  maybe_flip_detections(s, x.cpi, c.rank(), attempt, d.dets);
+                },
+                [&] {
+                  return stap::verify_detections(d.dets, d.power, d.bins, p);
+                })) {
+          // Persistently corrupt report: suppress it and ledger the CPI as
+          // shed rather than publish wrong detections.
+          d.dets.clear();
+          d.shed = true;
+        }
+        return true;
+      },
+      [&](Cycle& x, Cpi& d) {
+        const index_t cpi = x.cpi;
+        bool cpi_done = false;
+        bool cpi_shed = false;
+        double latency = 0.0;
+        std::vector<index_t> retro;
+        {
+          std::lock_guard<std::mutex> lock(s.mu);
+          // Quorum completion: a permanently dead CFAR peer will never
+          // tick, so the CPI completes on the live members alone — and must
+          // shed, since the corpse's range slice is missing from the
+          // report. Post-shrink epochs drop the corpse from the group, so
+          // live == group and coverage is whole again. While the peer is
+          // merely dead-recoverable (a pool spare will revive it and
+          // deliver its ticks) the full group count stands.
+          const int group = x.tp.count(Task::kCfar);
+          int live = 0;
+          for (int r = 0; r < group; ++r)
+            live += s.eng->rank_permanently_dead(x.tp.rank_at(Task::kCfar, r))
+                        ? 0
+                        : 1;
+          if (live < group) {
+            d.shed = true;
+            d.dets.clear();
+            // Sweep CPIs this rank already ticked at full group strength
+            // whose last tick died with the peer: complete them as shed
+            // now, or the admission backlog pins on completions that can
+            // never come.
+            for (index_t j = 0; j < cpi; ++j) {
+              const auto ji = static_cast<size_t>(j);
+              if (s.completion[ji] > 0.0) continue;
+              const Topology& tj = s.topo(j);
+              int live_j = 0;
+              for (int r = 0; r < tj.count(Task::kCfar); ++r)
+                live_j += s.eng->rank_permanently_dead(
+                              tj.rank_at(Task::kCfar, r))
+                              ? 0
+                              : 1;
+              if (s.cfar_done[ji] >= live_j && live_j > 0) {
+                s.shed[ji] = 1;
+                s.detections[ji].clear();
+                s.completion[ji] = WallTimer::now();
+                retro.push_back(j);
+              }
+            }
+          }
+          if (d.shed) s.shed[static_cast<size_t>(cpi)] = 1;
+          auto& sink = s.detections[static_cast<size_t>(cpi)];
+          // A shed CPI reports nothing: wipe contributions a peer banked
+          // before this rank learned the CPI cannot complete whole (e.g.
+          // the dead CFAR peer ticked here before dying mid-stream).
+          if (d.shed) sink.clear();
+          sink.insert(sink.end(), d.dets.begin(), d.dets.end());
+          if (++s.cfar_done[static_cast<size_t>(cpi)] >= live &&
+              s.completion[static_cast<size_t>(cpi)] == 0.0) {
+            const double done = WallTimer::now();
+            s.completion[static_cast<size_t>(cpi)] = done;
+            cpi_done = true;
+            cpi_shed = s.shed[static_cast<size_t>(cpi)] != 0;
+            const double in = s.input_ready[static_cast<size_t>(cpi)];
+            latency = in > 0.0 ? done - in : 0.0;
+          }
+        }
+        // The sink closes the overload-control loop: latency samples drive
+        // the SLO term, completions release throttled producers.
+        if (cpi_done && s.ctrl != nullptr)
+          s.ctrl->on_complete(cpi, latency, cpi_shed);
+        for (const index_t j : retro)
+          if (s.ctrl != nullptr) s.ctrl->on_complete(j, 0.0, true);
+        if (d.shed && obs::tracing_enabled())
+          obs::emit({"shed_cpi", "fault", c.rank(), obs::kFaultTrack,
+                     static_cast<std::int64_t>(cpi), x.t0, x.t1, -1, -1});
+        // Detector tick from the sink, not the coordinator: the pipelined
+        // front can sprint arbitrarily far ahead of a straggler (and exit
+        // its loop before the victim has min_samples), while the sink only
+        // reaches CPI i after every upstream rank has sampled it — scans
+        // always score mature statistics.
+        if (x.me == 0) health_scan(s, x.tp, cpi);
+      });
 }
 
 // ---------------------------------------------------------------------------
 // Role dispatch
 // ---------------------------------------------------------------------------
 // Runs whatever tasks this rank's topology role demands from `cpi` to the
-// end of the stream. The migratable tasks return the CPI at which a
-// committed migration changed this rank's role and the loop re-enters the
-// new task's body there; the stateful weight/BF tasks never change role and
-// always run to the end. Shared by the normal per-rank driver body (cpi 0)
-// and by a spare that just assumed a dead stateless rank's identity (the
-// dead rank's frozen progress).
+// end of the stream. Each task returns the CPI at which a committed
+// migration changed this rank's role (only the migratable Doppler / PC /
+// CFAR groups ever do) and the loop re-enters the new task's body there.
+// Shared by the normal per-rank driver body (cpi 0) and by a spare that
+// just assumed a dead stateless rank's identity (the dead rank's frozen
+// progress).
 void run_roles(Comm& c, Shared& s, index_t cpi) {
   const int rank = c.rank();
   while (cpi < s.n_cpis) {
@@ -1670,20 +1389,12 @@ void run_roles(Comm& c, Shared& s, index_t cpi) {
         cpi = run_doppler(c, s, cpi);
         break;
       case Task::kEasyWeight:
-        run_easy_wt(c, s, role.local);
-        cpi = s.n_cpis;
-        break;
       case Task::kHardWeight:
-        run_hard_wt(c, s, role.local);
-        cpi = s.n_cpis;
+        cpi = run_weights(c, s, role.task, role.local);
         break;
       case Task::kEasyBeamform:
-        run_beamform(c, s, role.local, /*hard=*/false, cpi);
-        cpi = s.n_cpis;
-        break;
       case Task::kHardBeamform:
-        run_beamform(c, s, role.local, /*hard=*/true, cpi);
-        cpi = s.n_cpis;
+        cpi = run_beamform(c, s, role.task, role.local, cpi);
         break;
       case Task::kPulseCompression:
         cpi = run_pc(c, s, cpi);
@@ -1782,8 +1493,6 @@ void run_spare(comm::World& world, Comm& c, Shared& s) {
       const double t_up = WallTimer::now();
       {
         std::lock_guard<std::mutex> lock(s.mu);
-        s.failovers.push_back(FailoverEvent{
-            dead, static_cast<int>(task), cpi, t_up - t_death});
         HealingEvent ev;
         ev.rank = dead;
         ev.task = static_cast<int>(task);
@@ -1799,10 +1508,7 @@ void run_spare(comm::World& world, Comm& c, Shared& s) {
     };
     if (stateful) {
       resume.restored = record;
-      if (role.task == Task::kEasyWeight)
-        run_easy_wt(c, s, role.local, &resume);
-      else
-        run_hard_wt(c, s, role.local, &resume);
+      run_weights(c, s, role.task, role.local, &resume);
     } else {
       record(at);
       run_roles(c, s, at);
@@ -1887,7 +1593,7 @@ PipelineResult ParallelStapPipeline::run(
   // Gray-failure detector: shared by every rank thread through Shared.
   // Constructed unconditionally (cheap), wired only when enabled so the
   // disabled path costs nothing per CPI.
-  HealthMonitor monitor(hc_, assign_.total() + ft_.spare_count());
+  HealthMonitor monitor(hc_, assign_.total() + ft_.spares);
   if (hc_.enabled) s.health = &monitor;
 
   // The controller lives on the driver's stack for the run; every rank
@@ -1913,15 +1619,15 @@ PipelineResult ParallelStapPipeline::run(
   // member every topology rank is recoverable — the pool is universal, any
   // role can be assumed (weight state from its per-CPI checkpoint, the
   // stateless roles from the dead rank's frozen progress point).
-  comm::World world(assign_.total() + ft_.spare_count());
+  comm::World world(assign_.total() + ft_.spares);
   world.set_fault_plan(plan_);
-  s.spares_left.store(ft_.spare_count(), std::memory_order_relaxed);
-  if (ft_.spare_count() > 0)
+  s.spares_left.store(ft_.spares, std::memory_order_relaxed);
+  if (ft_.spares > 0)
     for (int g = 0; g < assign_.total(); ++g) world.set_recoverable(g);
 
   // The migration engine is always installed: with elastic disabled and no
   // forced migrations it never leaves epoch 0 and every topo(cpi) lookup is
-  // the initial layout. The spare rank (one past assign_.total()) is not
+  // the initial layout. An idle pool spare (rank >= assign_.total()) is not
   // part of any topology and never participates in a barrier.
   ElasticEngine eng(&world, params, Topology::initial(params, assign_), el_,
                     num_cpis);
@@ -2120,18 +1826,18 @@ PipelineResult ParallelStapPipeline::run(
     result.faults.frames_jittered = fs.jittered;
     result.faults.frames_duplicated = fs.duplicated;
   }
-  result.faults.failovers = std::move(s.failovers);
-  // Any topology rank dead at exit with neither a covering takeover nor a
-  // committed shrink died uncovered: its CPIs were shed (prompt dead-peer
-  // statuses, not hangs) and the gap is ledgered here — both in the fault
-  // ledger and as an "uncovered" healing event.
+  // Any topology rank dead at exit with neither a healing event (spare
+  // takeover, shrink, quarantine) nor a shrink in flight died uncovered:
+  // its CPIs were shed (prompt dead-peer statuses, not hangs) and the gap
+  // is ledgered here — both in the fault ledger and as an "uncovered"
+  // healing event.
   {
     const std::vector<int> shrunk = eng.shrunk_ranks();
     for (int g = 0; g < assign_.total(); ++g) {
       if (!world.rank_dead(g)) continue;
       bool covered = false;
-      for (const auto& f : result.faults.failovers)
-        if (f.rank == g) covered = true;
+      for (const auto& ev : s.healing)
+        if (ev.rank == g && ev.mechanism != "uncovered") covered = true;
       for (const int r : shrunk)
         if (r == g) covered = true;
       if (covered) continue;
@@ -2146,8 +1852,6 @@ PipelineResult ParallelStapPipeline::run(
   if (!result.faults.clean()) {
     reg.counter("pipeline.cpis_shed")
         .add(static_cast<std::uint64_t>(result.faults.shed_cpis.size()));
-    reg.counter("pipeline.failovers")
-        .add(static_cast<std::uint64_t>(result.faults.failovers.size()));
     reg.counter("comm.retransmissions").add(result.faults.retransmissions);
     if (result.faults.stage_slowdowns > 0)
       reg.counter("fault.stage_slowdowns").add(result.faults.stage_slowdowns);
@@ -2163,7 +1867,7 @@ PipelineResult ParallelStapPipeline::run(
           .add(static_cast<std::uint64_t>(
               result.faults.uncovered_ranks.size()));
   }
-  if (ft_.spare_count() > 0)
+  if (ft_.spares > 0)
     reg.counter("spare.poll_wakeups")
         .add(s.spare_wakeups.load(std::memory_order_relaxed));
 

@@ -95,7 +95,7 @@ struct PipelineResult {
   /// edge, indexed like core::SimEdge (sim.hpp).
   std::array<double, kNumPipelineEdges> bytes_per_edge_per_cpi{};
 
-  /// Shed CPIs, retransmissions, injected faults, failovers. Empty
+  /// Shed CPIs, retransmissions, injected faults, uncovered deaths. Empty
   /// (faults.clean()) on a fault-free run. Shed CPIs have no detections
   /// and are excluded from the latency averages, but their completion
   /// still counts toward throughput — the stream kept moving.

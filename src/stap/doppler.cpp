@@ -113,19 +113,31 @@ bool DopplerFilter::parseval_check(const cube::CpiCube& raw,
                          scale * scale;
         }
         double freq_energy = 0.0;
+        cdouble freq_sum{};
+        double peak_sq = 0.0;
         const auto line = stag.line(k, w * j + ch);
         for (index_t i = 0; i < n; ++i) {
-          const cfloat v = line[static_cast<size_t>(i)];
-          freq_energy += static_cast<double>(v.real()) *
-                             static_cast<double>(v.real()) +
-                         static_cast<double>(v.imag()) *
-                             static_cast<double>(v.imag());
+          const cdouble v(line[static_cast<size_t>(i)]);
+          const double e = std::norm(v);
+          freq_energy += e;
+          freq_sum += v;
+          peak_sq = std::max(peak_sq, e);
         }
         freq_energy /= static_cast<double>(n);
         if (!std::isfinite(freq_energy)) return false;
         const double floor = 1e-30;
         if (std::abs(freq_energy - time_energy) >
             tol * std::max(time_energy, floor))
+          return false;
+        // Inverse DFT at sample 0: sum_n X[n] = N * window[0] * gain * x[0].
+        // Linear in every output element, so it catches the corruptions
+        // whose energy change hides under the Parseval tolerance (a flip
+        // that zeroes one small element of a high-CNR line).
+        const cdouble x0 =
+            cdouble(pulses[static_cast<size_t>(shift)]) *
+            (static_cast<double>(window_[0]) * gain * static_cast<double>(n));
+        if (std::abs(freq_sum - x0) >
+            tol * std::max(std::sqrt(peak_sq), floor))
           return false;
       }
     }

@@ -33,12 +33,17 @@ class DopplerFilter {
   /// (1.0 when correction is disabled).
   float range_gain(index_t k) const;
 
-  /// ABFT invariant (PR 5): Parseval's theorem per FFT line. For every
-  /// (range cell, channel, stagger window), the Doppler-domain energy
-  /// sum |X[n]|^2 must equal N * sum |window * gain * x[i]|^2 (forward
-  /// transforms are unscaled). Both sides accumulate in double, so `tol`
-  /// (relative) only has to absorb the kernel's float rounding. Returns
-  /// false as soon as any line deviates or holds a non-finite value.
+  /// ABFT invariant: two checksums per FFT line. For every
+  /// (range cell, channel, stagger window), Parseval's theorem — the
+  /// Doppler-domain energy sum |X[n]|^2 must equal
+  /// N * sum |window * gain * x[i]|^2 (forward transforms are unscaled) —
+  /// and the inverse DFT at sample 0 — sum X[n] must equal
+  /// N * window[0] * gain * x[0], relative to the line's largest |X[n]|.
+  /// The energy check bounds large errors; the linear one catches a
+  /// corrupted element too small to move the line's energy. Both sides
+  /// accumulate in double, so `tol` (relative) only has to absorb the
+  /// kernel's float rounding. Returns false as soon as any line deviates
+  /// or holds a non-finite value.
   bool parseval_check(const cube::CpiCube& raw, const cube::CpiCube& stag,
                       index_t k_offset, double tol) const;
 

@@ -198,7 +198,7 @@ TEST(Checkpoint, DigestContinuityAcrossSpareFailover) {
   core::ParallelStapPipeline par(
       f.p, a, f.steering(), {gen.replica().begin(), gen.replica().end()});
   core::FaultToleranceConfig ft;
-  ft.spare_rank = true;
+  ft.spares = 1;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
   core::IntegrityConfig ic;
@@ -206,8 +206,9 @@ TEST(Checkpoint, DigestContinuityAcrossSpareFailover) {
   par.set_integrity(ic);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
-  ASSERT_EQ(res.faults.failovers.size(), 1u);
-  EXPECT_EQ(res.faults.failovers[0].rank, victim);
+  ASSERT_EQ(res.healing.events.size(), 1u);
+  EXPECT_EQ(res.healing.events[0].mechanism, "spare");
+  EXPECT_EQ(res.healing.events[0].rank, victim);
   EXPECT_TRUE(res.faults.shed_cpis.empty());
   EXPECT_EQ(res.integrity.digest_mismatches, 0u);
   for (auto n : res.integrity.digest_mismatch_by_task) EXPECT_EQ(n, 0u);

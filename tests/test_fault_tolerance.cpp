@@ -136,7 +136,7 @@ TEST(FaultTolerance, HardWeightKillFailsOverWithExactDetections) {
   ParallelStapPipeline par(f.p, a, f.steering(),
                            {gen.replica().begin(), gen.replica().end()});
   FaultToleranceConfig ft;
-  ft.spare_rank = true;
+  ft.spares = 1;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
@@ -149,12 +149,13 @@ TEST(FaultTolerance, HardWeightKillFailsOverWithExactDetections) {
 
   EXPECT_TRUE(res.faults.shed_cpis.empty());
   EXPECT_EQ(res.faults.kills, 1u);
-  ASSERT_EQ(res.faults.failovers.size(), 1u);
-  const auto& fo = res.faults.failovers[0];
-  EXPECT_EQ(fo.rank, victim);
-  EXPECT_EQ(fo.task, static_cast<int>(Task::kHardWeight));
-  EXPECT_EQ(fo.resume_cpi, kill_cpi);
-  EXPECT_GT(fo.recovery_stall_seconds, 0.0);
+  ASSERT_EQ(res.healing.events.size(), 1u);
+  const auto& ev = res.healing.events[0];
+  EXPECT_EQ(ev.mechanism, "spare");
+  EXPECT_EQ(ev.rank, victim);
+  EXPECT_EQ(ev.task, static_cast<int>(Task::kHardWeight));
+  EXPECT_EQ(ev.resume_cpi, kill_cpi);
+  EXPECT_GT(ev.mttr_seconds, 0.0);
 }
 
 TEST(FaultTolerance, EasyWeightKillFailsOverWithExactDetections) {
@@ -174,7 +175,7 @@ TEST(FaultTolerance, EasyWeightKillFailsOverWithExactDetections) {
   ParallelStapPipeline par(f.p, a, f.steering(),
                            {gen.replica().begin(), gen.replica().end()});
   FaultToleranceConfig ft;
-  ft.spare_rank = true;
+  ft.spares = 1;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
@@ -182,11 +183,12 @@ TEST(FaultTolerance, EasyWeightKillFailsOverWithExactDetections) {
   for (index_t cpi = 0; cpi < n_cpis; ++cpi)
     expect_cpi_matches(res.detections[static_cast<size_t>(cpi)],
                        ref[static_cast<size_t>(cpi)], cpi);
-  ASSERT_EQ(res.faults.failovers.size(), 1u);
-  EXPECT_EQ(res.faults.failovers[0].rank, victim);
-  EXPECT_EQ(res.faults.failovers[0].task,
+  ASSERT_EQ(res.healing.events.size(), 1u);
+  EXPECT_EQ(res.healing.events[0].mechanism, "spare");
+  EXPECT_EQ(res.healing.events[0].rank, victim);
+  EXPECT_EQ(res.healing.events[0].task,
             static_cast<int>(Task::kEasyWeight));
-  EXPECT_EQ(res.faults.failovers[0].resume_cpi, kill_cpi);
+  EXPECT_EQ(res.healing.events[0].resume_cpi, kill_cpi);
 }
 
 // Deadline shedding under an injected in-flight delay: the stalled CPI is
@@ -235,7 +237,7 @@ TEST(FaultTolerance, DeadlineSheddingUnderInjectedDelay) {
   ASSERT_EQ(res.faults.shed_cpis, std::vector<index_t>{shed_cpi});
   EXPECT_TRUE(res.detections[static_cast<size_t>(shed_cpi)].empty());
   EXPECT_GE(res.faults.frames_delayed, 1u);
-  EXPECT_TRUE(res.faults.failovers.empty());
+  EXPECT_EQ(res.healing.spare_takeovers(), 0);
 
   // Every non-shed CPI still matches the sequential reference exactly.
   for (index_t cpi = 0; cpi < n_cpis; ++cpi) {
@@ -309,7 +311,7 @@ TEST(FaultTolerance, StaleWeightReuseSurvivesSpareFailover) {
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(), dsp::lfm_chirp(8));
   FaultToleranceConfig ft;
-  ft.spare_rank = true;
+  ft.spares = 1;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
 
@@ -330,11 +332,12 @@ TEST(FaultTolerance, StaleWeightReuseSurvivesSpareFailover) {
 
   // The failover happened and was ledgered.
   EXPECT_EQ(res.faults.kills, 1u);
-  ASSERT_EQ(res.faults.failovers.size(), 1u);
-  EXPECT_EQ(res.faults.failovers[0].rank, victim);
-  EXPECT_EQ(res.faults.failovers[0].task,
+  ASSERT_EQ(res.healing.events.size(), 1u);
+  EXPECT_EQ(res.healing.events[0].mechanism, "spare");
+  EXPECT_EQ(res.healing.events[0].rank, victim);
+  EXPECT_EQ(res.healing.events[0].task,
             static_cast<int>(Task::kHardWeight));
-  EXPECT_EQ(res.faults.failovers[0].resume_cpi, kill_cpi);
+  EXPECT_EQ(res.healing.events[0].resume_cpi, kill_cpi);
 
   // The ladder reached stale-weight reuse; throttling (not rejection)
   // absorbed the pressure, so nothing was shed.
@@ -381,7 +384,7 @@ TEST(FaultTolerance, SecondWeightDeathIsUncoveredNotWedged) {
   ParallelStapPipeline par(f.p, a, f.steering(),
                            {gen.replica().begin(), gen.replica().end()});
   FaultToleranceConfig ft;
-  ft.spare_rank = true;
+  ft.spares = 1;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
@@ -393,9 +396,11 @@ TEST(FaultTolerance, SecondWeightDeathIsUncoveredNotWedged) {
   // order: the covered and uncovered ranks must together be exactly the
   // two victims.
   EXPECT_EQ(res.faults.kills, 2u);
-  ASSERT_EQ(res.faults.failovers.size(), 1u);
+  ASSERT_EQ(res.healing.spare_takeovers(), 1);
   ASSERT_EQ(res.faults.uncovered_ranks.size(), 1u);
-  const int covered = res.faults.failovers[0].rank;
+  int covered = -1;
+  for (const auto& ev : res.healing.events)
+    if (ev.mechanism == "spare") covered = ev.rank;
   const int uncovered = res.faults.uncovered_ranks[0];
   EXPECT_NE(covered, uncovered);
   EXPECT_TRUE(covered == first_victim || covered == second_victim);
@@ -451,7 +456,7 @@ TEST(FaultTolerance, PersistentCorruptionExhaustsRetransmissionAndSheds) {
   EXPECT_TRUE(res.detections[static_cast<size_t>(bad_cpi)].empty());
   EXPECT_GE(res.faults.retransmissions, 5u);
   EXPECT_GE(res.faults.frames_corrupted, 5u);
-  EXPECT_TRUE(res.faults.failovers.empty());
+  EXPECT_EQ(res.healing.spare_takeovers(), 0);
 
   // Every other CPI is untouched — still exact against the sequential
   // reference.
@@ -493,7 +498,6 @@ TEST(FaultTolerance, CorrelatedWeightKillsBothHealWithPool) {
 
   // Both deaths were covered — nothing shed, nothing uncovered.
   EXPECT_EQ(res.faults.kills, 2u);
-  ASSERT_EQ(res.faults.failovers.size(), 2u);
   EXPECT_TRUE(res.faults.uncovered_ranks.empty());
   EXPECT_TRUE(res.faults.shed_cpis.empty());
 
@@ -581,7 +585,7 @@ TEST(FaultTolerance, PermanentPcDeathShrinksToSurvivor) {
   // was reported.
   EXPECT_EQ(res.faults.kills, 1u);
   EXPECT_TRUE(res.faults.uncovered_ranks.empty());
-  EXPECT_TRUE(res.faults.failovers.empty());
+  EXPECT_EQ(res.healing.spare_takeovers(), 0);
   ASSERT_EQ(res.healing.events.size(), 1u);
   const auto& ev = res.healing.events[0];
   EXPECT_EQ(ev.mechanism, "shrink");

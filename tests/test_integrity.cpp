@@ -82,6 +82,49 @@ TEST(KernelInvariants, DopplerParsevalCleanAndFlipped) {
   EXPECT_TRUE(filter.parseval_check(raw, stag, 0, kTol));
   flip_float_bit(float_view(stag), 30, /*salt=*/11);
   EXPECT_FALSE(filter.parseval_check(raw, stag, 0, kTol));
+
+  // Flip sweep over a 40 dB-CNR scene at the small scene's N = 32 and the
+  // paper's N = 128. Bit 30 of an element with |v| >= 2 is already set, so
+  // the flip zeroes it; on a clutter-dominated line that removes only a
+  // few parts per million of the line's energy, which hides under the
+  // Parseval tolerance. Every flip must still be caught.
+  for (const index_t n : {32, 128}) {
+    StapParams q;
+    q.num_range = 128;
+    q.num_segments = 4;
+    if (n == 32) {
+      q.num_channels = 8;
+      q.num_pulses = 32;
+      q.num_beams = 2;
+      q.num_hard = 12;
+      q.stagger = 2;
+      q.num_segments = 3;
+      q.easy_samples_per_cpi = 24;
+      q.hard_samples_per_segment = 16;
+    }
+    q.validate();
+    synth::ScenarioParams sp;
+    sp.num_range = q.num_range;
+    sp.num_channels = q.num_channels;
+    sp.num_pulses = q.num_pulses;
+    sp.clutter.cnr_db = 40.0;
+    const auto scene = synth::ScenarioGenerator(sp).generate(0);
+    stap::DopplerFilter f(q);
+    auto clean = f.filter(scene, 0);
+    ASSERT_TRUE(f.parseval_check(scene, clean, 0, kTol)) << "N=" << n;
+    const auto clean_v = float_view(clean);
+    int zeroed = 0;
+    for (std::uint64_t salt = 0; salt < 64; ++salt) {
+      auto hit = clean;
+      const auto hit_v = float_view(hit);
+      flip_float_bit(hit_v, 30, salt);
+      for (size_t i = 0; i < hit_v.size(); ++i)
+        if (hit_v[i] != clean_v[i] && std::abs(clean_v[i]) >= 2.0f) ++zeroed;
+      EXPECT_FALSE(f.parseval_check(scene, hit, 0, kTol))
+          << "N=" << n << " salt=" << salt;
+    }
+    EXPECT_GT(zeroed, 0) << "N=" << n;
+  }
 }
 
 TEST(KernelInvariants, EasyBeamformChecksumCleanAndFlipped) {

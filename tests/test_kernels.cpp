@@ -18,6 +18,7 @@
 #include <complex>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/flops.hpp"
@@ -428,6 +429,45 @@ TEST(KernelInvariants, QrAbftDetectionPowerUnchanged) {
     EXPECT_GT(linalg::append_column_norm_residual(r_clean, c, r_bad_fold),
               1e-2)
         << "level=" << static_cast<int>(lvl);
+  }
+}
+
+// Orthogonality of the float factorization's Q at every dispatch level:
+// Q^H is recovered by applying the stored reflectors to the m x m
+// identity, and ||Q^H Q - I||_F (accumulated in double) must stay within a
+// small multiple of m * eps. Shapes put the widths and row counts of
+// KernelEquivalence.ReflectAdversarialShapes on the first reflector.
+TEST(KernelInvariants, QrQIsOrthogonalAtAdversarialShapes) {
+  SimdGuard guard;
+  std::vector<SimdLevel> levels{SimdLevel::kScalar};
+  if (kernels::avx2_available()) levels.push_back(SimdLevel::kAvx2);
+  const double eps = std::numeric_limits<float>::epsilon();
+  for (SimdLevel lvl : levels) {
+    kernels::force_simd_level(lvl);
+    for (index_t lw : {1, 3, 4, 5, 15, 16, 17, 31, 32, 33, 47}) {
+      for (index_t k : {0, 1, 30}) {
+        const index_t n = lw + 1;
+        const index_t m = n + k;
+        const linalg::QrFactorization<cfloat> qr(random_matrix(m, n, 61));
+        linalg::MatrixCF qh(m, m);
+        for (index_t i = 0; i < m; ++i) qh(i, i) = cfloat(1.0f, 0.0f);
+        qr.apply_qh(qh);
+        // Rows of Q^H are the columns of Q conjugated, so the Gram matrix
+        // of those rows is Q^H Q.
+        double err_sq = 0.0;
+        for (index_t a = 0; a < m; ++a)
+          for (index_t b = 0; b < m; ++b) {
+            cdouble g{};
+            for (index_t c = 0; c < m; ++c)
+              g += cdouble(qh(a, c)) * std::conj(cdouble(qh(b, c)));
+            if (a == b) g -= 1.0;
+            err_sq += std::norm(g);
+          }
+        EXPECT_LE(std::sqrt(err_sq), 4.0 * static_cast<double>(m) * eps)
+            << "m=" << m << " n=" << n
+            << " level=" << static_cast<int>(lvl);
+      }
+    }
   }
 }
 
