@@ -303,11 +303,16 @@ int main(int argc, char** argv) {
   }
 
   // --- panel 3: persistent corruption escalates to one ledgered shed -------
+  // Both flips are pinned to one Doppler rank, so they hit its execution
+  // and its recompute; unpinned, they could land on two of the four
+  // Doppler ranks' first executions, and each would simply be repaired.
   {
     FaultPlan plan(/*seed=*/31);
-    plan.add_compute(FaultPlan::flip_stage(
+    auto persistent = FaultPlan::flip_stage(
         static_cast<int>(stap::Task::kDopplerFilter), /*cpi=*/10, /*bit=*/30,
-        /*max_applications=*/2));
+        /*max_applications=*/2);
+    persistent.rank = ds.a.first_rank(stap::Task::kDopplerFilter);
+    plan.add_compute(persistent);
     auto pipe = make_detect_pipe();
     core::IntegrityConfig ic;
     ic.enabled = true;

@@ -27,12 +27,14 @@
 #      fault paths cross threads at every step (death notification, spare
 #      take-over, mailbox discard), so a data race there is a correctness
 #      bug even when the race-free interleaving happens to pass.
-#   5. ASan+UBSan job: the comm/core/fault/overload/kernels-labelled
+#   5. ASan+UBSan job: the comm/core/fault/overload/kernels/stap-labelled
 #      suites under -fsanitize=address,undefined. The overload paths hand
 #      frames across degraded/shed boundaries and retry solves on
 #      conditioning failures — exactly where a stale pointer or signed
 #      overflow would hide; the kernel suite's blocked/tail paths are where
-#      a vector remainder overrun would.
+#      a vector remainder overrun would, and the stap suite's in-place
+#      Doppler row view and range-major pack index math are where a slab
+#      overrun would.
 #   6. Overload bench: ext_overload sweeps offered load vs policy and
 #      writes BENCH_overload.json; its exit code asserts the degradation
 #      ladder beats shed-only admission at 2x load.
@@ -145,16 +147,16 @@ TSAN_OPTIONS="halt_on_error=1" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
       -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_checkpoint|test_overload|test_integrity)$'
 
-echo "=== ASan+UBSan: comm + core + fault + overload ==="
+echo "=== ASan+UBSan: comm + core + fault + overload + kernels + stap ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "$JOBS" \
       --target test_comm test_collectives test_core test_sim \
                test_pipeline_properties test_beam_cycling \
-               test_fault_tolerance test_overload test_kernels
+               test_fault_tolerance test_overload test_kernels test_stap
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -L 'comm|core|fault|overload|kernels'
+      -L 'comm|core|fault|overload|kernels|stap'
 
 echo "=== bench: overload ladder vs shed-only (BENCH_overload.json) ==="
 ./build/bench/ext_overload --json BENCH_overload.json

@@ -191,6 +191,7 @@ bool FaultPlan::compute_flip_due(int task, long long cpi, int rank,
     const ComputeFaultRule& r = compute_rules_[i];
     if (r.task >= 0 && r.task != task) continue;
     if (r.cpi >= 0 && r.cpi != cpi) continue;
+    if (r.rank >= 0 && r.rank != rank) continue;
     if (r.max_applications >= 0 &&
         compute_applications_[i] >= r.max_applications)
       continue;

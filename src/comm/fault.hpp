@@ -92,6 +92,7 @@ struct ComputeFaultRule {
   double probability = 1.0; ///< per matching execution, seeded coin
   int bit = 30;             ///< bit to flip (30 = top exponent bit)
   int max_applications = 1; ///< stop after N flips, -1 = unlimited
+  int rank = -1;            ///< executing global rank, -1 = any
 };
 
 /// Counters of faults actually applied during the current run.
@@ -152,7 +153,9 @@ class FaultPlan {
   static FaultRule duplicate_message(int src, int dest, int tag);
   /// Flip `bit` of one output element of `task`'s execution for `cpi`
   /// (once by default; pass max_applications = 2 to also corrupt the
-  /// recompute and force an escalation).
+  /// recompute and force an escalation — when the task has several ranks,
+  /// also pin the rule's `rank`, or the two flips may land on two ranks'
+  /// first executions and both be repaired).
   static ComputeFaultRule flip_stage(int task, long long cpi, int bit = 30,
                                      int max_applications = 1);
 

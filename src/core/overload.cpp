@@ -62,8 +62,10 @@ OverloadController::OverloadController(const OverloadConfig& cfg,
     : cfg_(cfg) {
   cfg_.validate();
   PPSTAP_REQUIRE(num_cpis >= 0, "negative CPI count");
-  memo_.assign(static_cast<size_t>(num_cpis), std::int8_t{-1});
+  memo_ = std::vector<std::atomic<std::int8_t>>(static_cast<size_t>(num_cpis));
+  for (auto& m : memo_) m.store(-1, std::memory_order_relaxed);
   was_admitted_.assign(static_cast<size_t>(num_cpis), std::uint8_t{0});
+  decided_at_.assign(static_cast<size_t>(num_cpis), 0.0);
   done_early_.assign(static_cast<size_t>(num_cpis), std::uint8_t{0});
   latencies_.reserve(kLatencyWindow);
 }
@@ -137,10 +139,15 @@ OverloadController::Admission OverloadController::admit(index_t cpi) {
   PPSTAP_REQUIRE(cpi >= 0 && cpi < static_cast<index_t>(memo_.size()),
                  "admission for an out-of-range CPI");
   const auto cached = [&]() -> Admission {
-    return {was_admitted_[static_cast<size_t>(cpi)] != 0,
-            static_cast<DegradationLevel>(memo_[static_cast<size_t>(cpi)])};
+    const auto i = static_cast<size_t>(cpi);
+    return {was_admitted_[i] != 0,
+            static_cast<DegradationLevel>(
+                memo_[i].load(std::memory_order_relaxed)),
+            decided_at_[i]};
   };
+  const Admission refused{false, DegradationLevel::kShedInput, 0.0};
   if (memo_[static_cast<size_t>(cpi)] >= 0) return cached();
+  if (closed_) return refused;
 
   // Arrival pacing: CPI i exists no earlier than its front-end arrival
   // time. Every contender waits; whoever holds the lock when the deadline
@@ -149,12 +156,13 @@ OverloadController::Admission OverloadController::admit(index_t cpi) {
     if (start_time_ < 0.0) start_time_ = WallTimer::now();
     const double due = start_time_ + static_cast<double>(cpi) *
                                          cfg_.arrival_period_seconds;
-    while (memo_[static_cast<size_t>(cpi)] < 0) {
+    while (memo_[static_cast<size_t>(cpi)] < 0 && !closed_) {
       const double now = WallTimer::now();
       if (now >= due) break;
       cv_.wait_for(lk, std::chrono::duration<double>(due - now));
     }
     if (memo_[static_cast<size_t>(cpi)] >= 0) return cached();
+    if (closed_) return refused;
   }
 
   if (cfg_.ladder) step_ladder_locked();
@@ -168,10 +176,11 @@ OverloadController::Admission OverloadController::admit(index_t cpi) {
       max_level_ = std::max(max_level_, decided);
     } else {
       ++throttle_waits_;
-      while (memo_[static_cast<size_t>(cpi)] < 0 &&
+      while (memo_[static_cast<size_t>(cpi)] < 0 && !closed_ &&
              backlog_locked() >= cfg_.queue_high)
         cv_.wait(lk);
       if (memo_[static_cast<size_t>(cpi)] >= 0) return cached();
+      if (closed_) return refused;
     }
   }
 
@@ -185,10 +194,20 @@ OverloadController::Admission OverloadController::admit(index_t cpi) {
   } else {
     rejected_.push_back(cpi);
   }
-  memo_[static_cast<size_t>(cpi)] = static_cast<std::int8_t>(decided);
+  memo_[static_cast<size_t>(cpi)].store(static_cast<std::int8_t>(decided),
+                                        std::memory_order_release);
   was_admitted_[static_cast<size_t>(cpi)] = admit ? 1 : 0;
+  decided_at_[static_cast<size_t>(cpi)] = WallTimer::now();
   cv_.notify_all();
-  return {admit, static_cast<DegradationLevel>(decided)};
+  return cached();
+}
+
+void OverloadController::close() {
+  {
+    std::lock_guard<std::mutex> lk(mu_);
+    closed_ = true;
+  }
+  cv_.notify_all();
 }
 
 void OverloadController::on_complete(index_t cpi, double latency_seconds,

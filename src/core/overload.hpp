@@ -31,6 +31,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
@@ -145,26 +146,40 @@ class OverloadController {
   struct Admission {
     bool admit = true;
     DegradationLevel level = DegradationLevel::kFull;
+    /// WallTimer time the decision was made — the CPI's admission stamp
+    /// and its eq. (2) latency origin, identical for every caller.
+    double at = 0.0;
   };
 
   /// Decide (or look up) the fate of `cpi`. The first caller paces to the
   /// arrival schedule, samples backlog/latency health, walks the ladder,
   /// and applies the queue_high bound; the decision is memoized so every
-  /// later caller gets the identical answer.
+  /// later caller gets the identical answer. After close(), an undecided
+  /// CPI is refused at once ({false, kShedInput, 0}) without being decided
+  /// or ledgered.
   Admission admit(index_t cpi);
+
+  /// Wake every admission waiting on pacing or the throttle and refuse all
+  /// undecided CPIs from now on. The front end closes the controller when
+  /// it stops, so no thread stays parked on a backlog that will never
+  /// drain (e.g. a rank died with no spare). Safe from any thread.
+  void close();
 
   /// Sink-side completion feed: `latency_seconds` is admission-to-CFAR
   /// latency, `shed` marks CPIs that degraded to a shed downstream (their
   /// latency is not a health sample). Unblocks throttled admissions.
   void on_complete(index_t cpi, double latency_seconds, bool shed);
 
-  /// The memoized level for `cpi` (kFull when not yet decided). Safe to
-  /// call without synchronization from any task that received one of the
-  /// CPI's frames: the decision is written before the first send.
+  /// The memoized level for `cpi` (kFull when not yet decided). Lock-free
+  /// and safe from any thread; a task that received one of the CPI's
+  /// frames always sees the decision (it is written before the first
+  /// send), while a task shedding a CPI nobody sent may race the front
+  /// end's admission of it and read either answer.
   DegradationLevel level_for(index_t cpi) const {
     if (cpi < 0 || cpi >= static_cast<index_t>(memo_.size()))
       return DegradationLevel::kFull;
-    const std::int8_t v = memo_[static_cast<size_t>(cpi)];
+    const std::int8_t v =
+        memo_[static_cast<size_t>(cpi)].load(std::memory_order_acquire);
     return v < 0 ? DegradationLevel::kFull : static_cast<DegradationLevel>(v);
   }
 
@@ -199,9 +214,12 @@ class OverloadController {
   std::condition_variable cv_;
 
   // Per-CPI decisions; preallocated so admit() never reallocates while
-  // level_for() reads concurrently. -1 = undecided.
-  std::vector<std::int8_t> memo_;
+  // level_for() reads concurrently. -1 = undecided. Written under mu_,
+  // read lock-free by level_for().
+  std::vector<std::atomic<std::int8_t>> memo_;
   std::vector<std::uint8_t> was_admitted_;
+  std::vector<double> decided_at_;  // admission stamps, beside memo_
+  bool closed_ = false;
   // CPIs the sink completed *before* their admission decision (a dead rank
   // lets the sink shed-drain far ahead of the source). Credited to
   // completed_ at admission so the throttle backlog can never deadlock on

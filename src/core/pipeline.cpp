@@ -146,7 +146,7 @@ struct Shared {
   std::vector<HealingEvent> healing;  // guarded by mu
 
   std::mutex mu;
-  std::vector<double> input_ready;  // per CPI, set by Doppler rank 0
+  std::vector<double> input_ready;  // per CPI: its admission stamp
   std::vector<double> completion;   // per CPI, set by the last CFAR rank
   std::vector<int> cfar_done;
   int cfar_ranks_finished = 0;
@@ -204,18 +204,14 @@ struct Shared {
   // packs and the weight task unpacks them: one block per owned easy bin
   // (the easy training cells) or per owned hard (bin, segment) unit (that
   // segment's cells).
-  struct TrainBlock {
-    index_t bin;
-    const std::vector<index_t>* cells;
-  };
-  std::vector<TrainBlock> train_blocks(Task wt, index_t r) const {
-    std::vector<TrainBlock> out;
+  std::vector<stap::TrainingBlock> train_blocks(Task wt, index_t r) const {
+    std::vector<stap::TrainingBlock> out;
     if (wt == Task::kEasyWeight) {
       for (const index_t bin : slice(easy_bins, topo(0).part_ewt, r))
-        out.push_back({bin, &easy_cells});
+        out.push_back({bin, easy_cells});
     } else {
       for (const auto& u : slice(hard_units, topo(0).part_hwu, r))
-        out.push_back({u.bin, &hard_cells[static_cast<size_t>(u.segment)]});
+        out.push_back({u.bin, hard_cells[static_cast<size_t>(u.segment)]});
     }
     return out;
   }
@@ -224,7 +220,7 @@ struct Shared {
   // partition `pk`, as indices into `cells` (so senders and receivers
   // agree on row order).
   std::vector<index_t> cell_positions_in_slab(
-      const std::vector<index_t>& cells, index_t d,
+      std::span<const index_t> cells, index_t d,
       const BlockPartition& pk) const {
     const index_t k0 = pk.offset(d);
     const index_t k1 = k0 + pk.length(d);
@@ -673,10 +669,37 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
   const index_t j = p.num_channels;
   const index_t jj = p.num_staggered_channels();
   stap::DopplerFilter filter(p);
+  // Kept across CPIs: the staggered slab, the frame buffer, and the
+  // range-major gather plan of every outgoing frame ([hard] per
+  // destination rank), rebuilt only when a migration moves this rank's
+  // slab. The weight and beamforming groups never migrate.
+  cube::CpiCube stag;
+  std::vector<cfloat> buf;
+  index_t plan_k0 = -1, plan_kl = -1;
+  std::array<std::vector<std::vector<stap::PackRow>>, 2> bf_rows, wt_rows;
+  auto plan = [&](const Topology& tp, index_t k0, index_t kl) {
+    if (k0 == plan_k0 && kl == plan_kl) return;
+    plan_k0 = k0;
+    plan_kl = kl;
+    for (const bool hard : {false, true}) {
+      const Task bf = hard ? Task::kHardBeamform : Task::kEasyBeamform;
+      const Task wt = hard ? Task::kHardWeight : Task::kEasyWeight;
+      const auto& bin_list = hard ? s.hard_bins : s.easy_bins;
+      const BlockPartition& part = hard ? tp.part_hbf : tp.part_ebf;
+      auto& bfr = bf_rows[hard];
+      auto& wtr = wt_rows[hard];
+      bfr.clear();
+      wtr.clear();
+      for (int r = 0; r < tp.count(bf); ++r)
+        bfr.push_back(stap::beamform_pack_rows(slice(bin_list, part, r), kl));
+      for (int r = 0; r < tp.count(wt); ++r)
+        wtr.push_back(stap::training_pack_rows(s.train_blocks(wt, r), k0, kl));
+    }
+  };
   struct Cpi {
     index_t k0 = 0, kl = 0;
     DegradationLevel level = DegradationLevel::kFull;
-    cube::CpiCube slab, stag;
+    std::shared_ptr<const cube::CpiCube> full;
   };
 
   return drive<Cpi>(
@@ -686,14 +709,15 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
         d.k0 = x.tp.part_k.offset(x.me);
         d.kl = x.tp.part_k.length(x.me);
         // Admission gate (pacing, bounded queue, degradation ladder). The
-        // decision is memoized: every Doppler rank gets the same answer, and
-        // it is fixed before any frame of this CPI is sent. Its wait is not
-        // part of the cycle, so the phase clock starts behind it.
+        // decision is memoized: every Doppler rank and the front end get
+        // the same answer and the same admission stamp — the CPI's latency
+        // origin, whichever thread decided. Its wait is not part of the
+        // cycle, so the phase clock starts behind it.
         const auto adm = s.source.admit(x.cpi);
         x.t0 = WallTimer::now();
-        if (x.me == 0) {
+        {
           std::lock_guard<std::mutex> lock(s.mu);
-          s.input_ready[static_cast<size_t>(x.cpi)] = x.t0;
+          s.input_ready[static_cast<size_t>(x.cpi)] = adm.at;
         }
         if (x.me == 0 && obs::tracing_enabled() &&
             adm.level != DegradationLevel::kFull)
@@ -704,30 +728,26 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
         if (!adm.admit) return false;
         d.level = adm.level;
 
-        // "Receive": fetch this rank's range slab from the radar feed.
-        auto full = s.source.get(x.cpi, c.rank());
-        d.slab = cube::CpiCube(d.kl, j, p.num_pulses);
-        for (index_t k = 0; k < d.kl; ++k)
-          for (index_t ch = 0; ch < j; ++ch) {
-            auto src = full->line(d.k0 + k, ch);
-            std::copy(src.begin(), src.end(), d.slab.line(k, ch).begin());
-          }
+        // "Receive": the radar feed's shared cube; this rank's rows of it
+        // are read in place.
+        d.full = s.source.get(x.cpi, c.rank());
         return true;
       },
       [&](Cycle& x, Cpi& d) {
         return run_checked(
             c, s, Task::kDopplerFilter, x.cpi,
             [&](int attempt) {
-              d.stag = filter.filter(d.slab, d.k0);
+              filter.filter_rows(*d.full, d.k0, d.kl, stag);
               maybe_flip(s, Task::kDopplerFilter, x.cpi, c.rank(), attempt,
-                         float_view(d.stag));
+                         float_view(stag));
             },
             [&] {
-              return filter.parseval_check(d.slab, d.stag, d.k0,
-                                           s.integ.tolerance);
+              return filter.parseval_check_rows(*d.full, d.k0, stag,
+                                                s.integ.tolerance);
             });
       },
       [&](Cycle& x, Cpi& d) {
+        plan(x.tp, d.k0, d.kl);
         // --- data collection + personalized sends (Figs. 6b, 8) ----------
         // Beamforming first: its edges are on this CPI's latency path
         // (eq. 2), while the weight tasks' solves serve the next visit of
@@ -739,17 +759,9 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
         // (bin, range, channel) — Fig. 8.
         for (const bool hard : {false, true}) {
           const Task bf = hard ? Task::kHardBeamform : Task::kEasyBeamform;
-          const auto& bin_list = hard ? s.hard_bins : s.easy_bins;
-          const BlockPartition& part = hard ? x.tp.part_hbf : x.tp.part_ebf;
-          const index_t nch = hard ? jj : j;
           for (int r = 0; r < x.tp.count(bf); ++r) {
-            const auto bins = slice(bin_list, part, r);
-            std::vector<cfloat> buf;
-            buf.reserve(bins.size() * static_cast<size_t>(d.kl * nch));
-            for (index_t bin : bins)
-              for (index_t k = 0; k < d.kl; ++k)
-                for (index_t ch = 0; ch < nch; ++ch)
-                  buf.push_back(d.stag.at(k, ch, bin));
+            stap::pack_rows(stag, bf_rows[hard][static_cast<size_t>(r)],
+                            hard ? jj : j, buf);
             send_frame(c, s, x.tp.rank_at(bf, r), x.cpi,
                        hard ? kDopToHardBf : kDopToEasyBf, buf, x.meas,
                        x.acc);
@@ -762,7 +774,6 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
         for (const bool hard : {false, true}) {
           const Task wt = hard ? Task::kHardWeight : Task::kEasyWeight;
           const Edge e = hard ? kDopToHardWt : kDopToEasyWt;
-          const index_t nch = hard ? jj : j;
           const bool frozen =
               d.level >= (hard ? DegradationLevel::kFrozenHard
                                : DegradationLevel::kStaleWeights);
@@ -772,13 +783,8 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
               c.send_marker(dest, tag_for(x.cpi, e));
               continue;
             }
-            std::vector<cfloat> buf;
-            for (const auto& blk : s.train_blocks(wt, r))
-              for (index_t cell : *blk.cells) {
-                if (cell < d.k0 || cell >= d.k0 + d.kl) continue;
-                for (index_t ch = 0; ch < nch; ++ch)
-                  buf.push_back(d.stag.at(cell - d.k0, ch, blk.bin));
-              }
+            stap::pack_rows(stag, wt_rows[hard][static_cast<size_t>(r)],
+                            hard ? jj : j, buf);
             send_frame(c, s, dest, x.cpi, e, buf, x.meas, x.acc);
           }
         }
@@ -900,11 +906,11 @@ index_t run_weight_task(Comm& c, Shared& s, int me, const Resume* resume) {
             rows_from[b].assign(static_cast<size_t>(dops), {});
             for (int r = 0; r < dops; ++r)
               rows_from[b][static_cast<size_t>(r)] = s.cell_positions_in_slab(
-                  *blocks[b].cells, r, x.tp.part_k);
+                  blocks[b].cells, r, x.tp.part_k);
           }
         }
         for (const auto& blk : blocks)
-          d.training.emplace_back(static_cast<index_t>(blk.cells->size()),
+          d.training.emplace_back(static_cast<index_t>(blk.cells.size()),
                                   nch);
         for (int r = 0; r < dops; ++r) {
           auto buf = x.in.recv<cfloat>(x.tp.rank_at(Task::kDopplerFilter, r),
@@ -1612,6 +1618,7 @@ PipelineResult ParallelStapPipeline::run(
       obs::set_track_name(obs::kFaultTrack, "fault");
     if (integ_.enabled)
       obs::set_track_name(obs::kIntegrityTrack, "integrity");
+    obs::set_track_name(obs::kSourceTrack, "source");
   }
 
   // Extra ranks beyond the assignment form the spare pool; they stay idle
@@ -1664,10 +1671,20 @@ PipelineResult ParallelStapPipeline::run(
       obs::flight_dump("shrink");
     });
 
-  world.run([&](Comm& c) {
-    if (c.rank() >= s.a.total()) return run_spare(world, c, s);
-    run_roles(c, s, 0);
-  });
+  // The radar front end runs beside the ranks. The guard stops it on every
+  // exit (normal completion, a rank's exception, a world abort) before the
+  // controller it may be parked in goes out of scope.
+  source.start(num_cpis);
+  {
+    struct StopSource {
+      CpiSource& src;
+      ~StopSource() { src.stop(); }
+    } stop_source{source};
+    world.run([&](Comm& c) {
+      if (c.rank() >= s.a.total()) return run_spare(world, c, s);
+      run_roles(c, s, 0);
+    });
+  }
 
   // --- self-healing post-pass -----------------------------------------------
   // A sink-side death can leave a CPI permanently incomplete: its cfar_done

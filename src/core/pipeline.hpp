@@ -61,7 +61,7 @@ struct PipelineResult {
 
   /// Measured at the sink: 1 / mean inter-completion gap (CPIs per second).
   double throughput = 0.0;
-  /// Mean input-arrival to detection-report time over the measured CPIs.
+  /// Mean admission to detection-report time over the measured CPIs.
   double latency = 0.0;
   std::vector<double> per_cpi_latency;
   /// CPI index of each per_cpi_latency entry (measured, non-shed CPIs in

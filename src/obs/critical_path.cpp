@@ -60,10 +60,16 @@ BottleneckReport analyze_spans(const std::vector<Span>& spans) {
   // traces (one thread per rank) and simulator traces (rank = task index).
   std::map<Key, Triple> triples;
   std::map<Key, std::vector<const Span*>> flows;
+  std::map<std::int64_t, const Span*> fronts;  // front-end span per CPI
   for (const Span& s : spans) {
     if (std::strcmp(s.category, "flow") == 0 &&
         std::strcmp(s.name, "xfer") == 0) {
       if (s.cpi >= 0 && s.src_rank >= 0) flows[{s.rank, s.cpi}].push_back(&s);
+      continue;
+    }
+    if (std::strcmp(s.category, "source") == 0 &&
+        std::strcmp(s.name, "generate") == 0) {
+      if (s.cpi >= 0) fronts[s.cpi] = &s;
       continue;
     }
     if (std::strcmp(s.category, "pipeline") != 0) continue;
@@ -231,11 +237,26 @@ BottleneckReport analyze_spans(const std::vector<Span>& spans) {
             gate = f;
       }
       if (gate == nullptr) {
-        // Source stage (no spatial inputs): its whole recv is ingest work.
-        // The CPI entered the system when the FIRST rank of the source
-        // group started on it; if the walked rank began later (it was
-        // still finishing the previous CPI), that skew is source-side
-        // queueing and belongs to the end-to-end latency budget.
+        // Source stage (no spatial inputs). With a front-end span the CPI
+        // entered the system at its admission: generation is the front
+        // end's compute, the published cube then waits (queue) until the
+        // walked rank starts on it, and the recv work after publication
+        // is ingest. A rank already waiting on the front end overlaps it.
+        if (const auto fit = fronts.find(cpi); fit != fronts.end()) {
+          const Span* g = fit->second;
+          const double pickup = std::clamp(g->t_end, tr->r0, tr->r1);
+          ch.unpack += tr->r1 - pickup;
+          ch.queue += std::max(0.0, tr->r0 - g->t_end);
+          ch.compute += std::min(g->t_end, pickup) - g->t_start;
+          t_in = g->t_start;
+          ok = true;
+          break;
+        }
+        // Without one, the recv is all ingest work. The CPI entered the
+        // system when the FIRST rank of the source group started on it;
+        // if the walked rank began later (it was still finishing the
+        // previous CPI), that skew is source-side queueing and belongs to
+        // the end-to-end latency budget.
         ch.unpack += tr->r1 - tr->r0;
         double first = tr->r0;
         const auto src_it = by_task.find({tr->task, cpi});
@@ -374,6 +395,10 @@ std::vector<Span> spans_from_trace(const Json& chrome_doc) {
     } else if (cat->as_string() == "flow" && name->as_string() == "xfer") {
       s.category = "flow";
       s.name = "xfer";
+    } else if (cat->as_string() == "source" &&
+               name->as_string() == "generate") {
+      s.category = "source";
+      s.name = "generate";
     } else {
       continue;
     }

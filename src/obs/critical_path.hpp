@@ -19,7 +19,9 @@
 //    eq. 2), tiling the end-to-end latency into compute, unpack, pack,
 //    transport, and queue segments. The tiles telescope, so the
 //    decomposition closes the latency budget by construction; the reported
-//    accounted_fraction drops below 1 only when spans are missing.
+//    accounted_fraction drops below 1 only when spans are missing. A chain
+//    starts at the CPI's front-end "generate" span (its admission) when the
+//    trace has one, else at the source stage's first recv.
 //  * A Table-9/10-style recommendation: how many ranks to add to the
 //    gating group to bring its intrinsic time down to the runner-up's.
 //
@@ -66,8 +68,8 @@ struct StageStat {
 struct CpiChain {
   std::int64_t cpi = -1;
   int hops = 0;
-  double latency = 0.0;    ///< sink send end - source recv start
-  double compute = 0.0;    ///< comp phases on the chain
+  double latency = 0.0;    ///< sink send end - admission (or source recv)
+  double compute = 0.0;    ///< comp phases + front-end generation
   double unpack = 0.0;     ///< recv-side work after the gating delivery
   double pack = 0.0;       ///< send-side work up to the gating frame's send
   double transport = 0.0;  ///< send call -> delivery, minus queue residency
@@ -109,9 +111,10 @@ struct BottleneckReport {
 };
 
 /// Analyze a span set (e.g. obs::snapshot()). Uses spans with category
-/// "pipeline" (names "recv"/"comp"/"send") and "flow" (name "xfer");
-/// everything else is ignored. When more than 8 distinct complete CPIs are
-/// present the first and last two are trimmed (startup / drain transients).
+/// "pipeline" (names "recv"/"comp"/"send"), "flow" (name "xfer") and
+/// "source" (name "generate"); everything else is ignored. When more than
+/// 8 distinct complete CPIs are present the first and last two are trimmed
+/// (startup / drain transients).
 BottleneckReport analyze_spans(const std::vector<Span>& spans);
 
 /// Analyze an exported Chrome trace document (the inverse of

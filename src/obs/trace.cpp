@@ -199,6 +199,7 @@ Json chrome_trace_json() {
   names.emplace(kCommTrack, "comm");
   names.emplace(kSeqTrack, "sequential");
   names.emplace(kFlowTrack, "flow");
+  names.emplace(kSourceTrack, "source");
 
   double t0 = 0.0;
   for (const Span& s : spans)

@@ -73,6 +73,9 @@ inline constexpr int kIntegrityTrack = -4;
 /// Causal flow spans: one "xfer" per delivered redistribution frame,
 /// carrying the FlowContext the sender piggybacked on it.
 inline constexpr int kFlowTrack = -5;
+/// The radar front end: one "generate" span (category "source") per CPI,
+/// from its admission to the published input cube.
+inline constexpr int kSourceTrack = -6;
 
 struct Config {
   bool enabled = false;

@@ -33,36 +33,52 @@ float DopplerFilter::range_gain(index_t k) const {
 
 cube::CpiCube DopplerFilter::filter(const cube::CpiCube& raw,
                                     index_t k_offset) const {
-  const index_t k_local = raw.extent(0);
+  PPSTAP_REQUIRE(k_offset >= 0, "slab offset must be nonnegative");
+  cube::CpiCube out;
+  filter_into(raw, 0, raw.extent(0), k_offset, out);
+  return out;
+}
+
+void DopplerFilter::filter_rows(const cube::CpiCube& full, index_t k0,
+                                index_t kl, cube::CpiCube& out) const {
+  PPSTAP_REQUIRE(k0 >= 0 && kl >= 0 && k0 + kl <= full.extent(0),
+                 "row range must lie inside the cube");
+  filter_into(full, k0, kl, k0, out);
+}
+
+void DopplerFilter::filter_into(const cube::CpiCube& raw, index_t row0,
+                                index_t kl, index_t k_gain0,
+                                cube::CpiCube& out) const {
   const index_t j = p_.num_channels;
   const index_t n = p_.num_pulses;
   const index_t wlen = p_.window_length();
   PPSTAP_REQUIRE(raw.extent(1) == j && raw.extent(2) == n,
                  "raw slab must be K_local x J x N");
-  PPSTAP_REQUIRE(k_offset >= 0, "slab offset must be nonnegative");
+  if (out.extent(0) != kl || out.extent(1) != 2 * j || out.extent(2) != n)
+    out = cube::CpiCube(kl, 2 * j, n);
 
-  cube::CpiCube out(k_local, 2 * j, n);
-
-  parallel_for_blocks(kernels::kernel_threads(p_.intra_task_threads), k_local,
+  parallel_for_blocks(kernels::kernel_threads(p_.intra_task_threads), kl,
                       [&](index_t k_begin, index_t k_end) {
   std::vector<float> wg(static_cast<size_t>(wlen));
   for (index_t k = k_begin; k < k_end; ++k) {
-    const float gain = range_gain(k_offset + k);
+    const float gain = range_gain(k_gain0 + k);
     // The range gain folds into the window multiply.
     for (index_t i = 0; i < wlen; ++i)
       wg[static_cast<size_t>(i)] = window_[static_cast<size_t>(i)] * gain;
     for (index_t ch = 0; ch < j; ++ch) {
-      const auto pulses = raw.line(k, ch);
+      const auto pulses = raw.line(row0 + k, ch);
 
       // Window both staggers directly into the output cube — the 2J lines
       // of one range gate are contiguous there, so a single batched FFT
-      // call transforms all of them.
+      // call transforms all of them. The zero padding is written
+      // explicitly: `out` may be a reused buffer.
 
       // First stagger window: pulses [0, wlen), zero-padded to N.
       auto line0 = out.line(k, ch);
       for (index_t i = 0; i < wlen; ++i)
         line0[static_cast<size_t>(i)] =
             pulses[static_cast<size_t>(i)] * wg[static_cast<size_t>(i)];
+      std::fill(line0.begin() + wlen, line0.end(), cfloat{});
 
       // Second stagger window: pulses [stagger, stagger + wlen).
       auto line1 = out.line(k, j + ch);
@@ -70,6 +86,7 @@ cube::CpiCube DopplerFilter::filter(const cube::CpiCube& raw,
         line1[static_cast<size_t>(i)] =
             pulses[static_cast<size_t>(i + p_.stagger)] *
             wg[static_cast<size_t>(i)];
+      std::fill(line1.begin() + wlen, line1.end(), cfloat{});
 
       // Windowing cost: one real*complex multiply per sample per window
       // (plus the folded gain multiply when range correction is on).
@@ -81,24 +98,39 @@ cube::CpiCube DopplerFilter::filter(const cube::CpiCube& raw,
         2 * j);
   }
   });
-  return out;
 }
 
 bool DopplerFilter::parseval_check(const cube::CpiCube& raw,
                                    const cube::CpiCube& stag,
                                    index_t k_offset, double tol) const {
-  const index_t k_local = raw.extent(0);
+  PPSTAP_REQUIRE(stag.extent(0) == raw.extent(0),
+                 "staggered slab must be K_local x 2J x N");
+  return check_rows(raw, 0, stag, k_offset, tol);
+}
+
+bool DopplerFilter::parseval_check_rows(const cube::CpiCube& full, index_t k0,
+                                        const cube::CpiCube& stag,
+                                        double tol) const {
+  PPSTAP_REQUIRE(k0 >= 0 && k0 + stag.extent(0) <= full.extent(0),
+                 "row range must lie inside the cube");
+  return check_rows(full, k0, stag, k0, tol);
+}
+
+bool DopplerFilter::check_rows(const cube::CpiCube& raw, index_t row0,
+                               const cube::CpiCube& stag, index_t k_gain0,
+                               double tol) const {
+  const index_t k_local = stag.extent(0);
   const index_t j = p_.num_channels;
   const index_t n = p_.num_pulses;
   const index_t wlen = p_.window_length();
-  PPSTAP_REQUIRE(stag.extent(0) == k_local && stag.extent(1) == 2 * j &&
-                     stag.extent(2) == n,
+  PPSTAP_REQUIRE(raw.extent(1) == j && raw.extent(2) == n &&
+                     stag.extent(1) == 2 * j && stag.extent(2) == n,
                  "staggered slab must be K_local x 2J x N");
 
   for (index_t k = 0; k < k_local; ++k) {
-    const double gain = range_gain(k_offset + k);
+    const double gain = range_gain(k_gain0 + k);
     for (index_t ch = 0; ch < j; ++ch) {
-      const auto pulses = raw.line(k, ch);
+      const auto pulses = raw.line(row0 + k, ch);
       for (int w = 0; w < 2; ++w) {
         const index_t shift = w == 0 ? 0 : p_.stagger;
         double time_energy = 0.0;
@@ -143,6 +175,49 @@ bool DopplerFilter::parseval_check(const cube::CpiCube& raw,
     }
   }
   return true;
+}
+
+std::vector<PackRow> beamform_pack_rows(std::span<const index_t> bins,
+                                        index_t kl) {
+  std::vector<PackRow> rows;
+  rows.reserve(bins.size() * static_cast<size_t>(kl));
+  const auto nb = static_cast<index_t>(bins.size());
+  for (index_t k = 0; k < kl; ++k)
+    for (index_t b = 0; b < nb; ++b)
+      rows.push_back({k, bins[static_cast<size_t>(b)], b * kl + k});
+  return rows;
+}
+
+std::vector<PackRow> training_pack_rows(std::span<const TrainingBlock> blocks,
+                                        index_t k0, index_t kl) {
+  std::vector<PackRow> rows;
+  for (const auto& blk : blocks)
+    for (const index_t cell : blk.cells)
+      if (cell >= k0 && cell < k0 + kl)
+        rows.push_back({cell - k0, blk.bin,
+                        static_cast<index_t>(rows.size())});
+  std::stable_sort(
+      rows.begin(), rows.end(),
+      [](const PackRow& a, const PackRow& b) { return a.k < b.k; });
+  return rows;
+}
+
+void pack_rows(const cube::CpiCube& stag, std::span<const PackRow> rows,
+               index_t nch, std::vector<cfloat>& out) {
+  PPSTAP_REQUIRE(nch >= 0 && nch <= stag.extent(1),
+                 "pack channel count exceeds the slab");
+  out.resize(rows.size() * static_cast<size_t>(nch));
+  const index_t n = stag.extent(2);
+  const cfloat* base = stag.data();
+  for (const PackRow& r : rows) {
+    PPSTAP_CHECK(r.k >= 0 && r.k < stag.extent(0) && r.bin >= 0 &&
+                     r.bin < n && r.row >= 0 &&
+                     r.row < static_cast<index_t>(rows.size()),
+                 "pack row outside the staggered slab or the frame");
+    const cfloat* src = base + r.k * stag.extent(1) * n + r.bin;
+    cfloat* dst = out.data() + r.row * nch;
+    for (index_t ch = 0; ch < nch; ++ch) dst[ch] = src[ch * n];
+  }
 }
 
 }  // namespace ppstap::stap

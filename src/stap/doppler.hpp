@@ -8,10 +8,14 @@
 //
 // The function operates on any range slab (the task is embarrassingly
 // parallel along K, Fig. 5), so the sequential pipeline and each parallel
-// Doppler node share the same kernel.
+// Doppler node share the same kernel. A parallel node filters its rows of
+// the shared input cube in place — no slab copy — and packs the staggered
+// output for the downstream tasks with the range-major gathers below.
 #pragma once
 
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "cube/cube.hpp"
 #include "stap/params.hpp"
@@ -28,6 +32,13 @@ class DopplerFilter {
   /// `k_offset` is the slab's first global range cell — needed only when
   /// range correction is enabled, whose gain depends on absolute range.
   cube::CpiCube filter(const cube::CpiCube& raw, index_t k_offset = 0) const;
+
+  /// Filter rows [k0, k0 + kl) of a full K x J x N cube, read in place,
+  /// into `out` (kl x 2J x N; its storage is reused when the shape already
+  /// matches). Bit-identical to filter() of a copied slab with
+  /// k_offset = k0.
+  void filter_rows(const cube::CpiCube& full, index_t k0, index_t kl,
+                   cube::CpiCube& out) const;
 
   /// The range-correction amplitude gain applied to global range cell `k`
   /// (1.0 when correction is disabled).
@@ -47,11 +58,59 @@ class DopplerFilter {
   bool parseval_check(const cube::CpiCube& raw, const cube::CpiCube& stag,
                       index_t k_offset, double tol) const;
 
+  /// parseval_check for filter_rows(): `stag` holds rows
+  /// [k0, k0 + stag.extent(0)) of the full cube `full`.
+  bool parseval_check_rows(const cube::CpiCube& full, index_t k0,
+                           const cube::CpiCube& stag, double tol) const;
+
  private:
+  // The shared bodies: local row k of the output reads row `row0 + k` of
+  // `raw` and takes the range gain of global cell `k_gain0 + k`.
+  void filter_into(const cube::CpiCube& raw, index_t row0, index_t kl,
+                   index_t k_gain0, cube::CpiCube& out) const;
+  bool check_rows(const cube::CpiCube& raw, index_t row0,
+                  const cube::CpiCube& stag, index_t k_gain0,
+                  double tol) const;
+
   StapParams p_;
   std::vector<float> window_;
   struct PlanHolder;  // hides dsp::FftPlan to keep this header light
   std::shared_ptr<const PlanHolder> plan_;
 };
+
+/// One row of a Doppler redistribution frame: channels [0, nch) of the
+/// staggered slab at local range row `k` and Doppler bin `bin` land at frame
+/// offset `row * nch`.
+struct PackRow {
+  index_t k = 0;
+  index_t bin = 0;
+  index_t row = 0;
+};
+
+/// A weight task's training block: Doppler bin `bin` sampled at the global
+/// range cells `cells`, in frame order.
+struct TrainingBlock {
+  index_t bin = 0;
+  std::span<const index_t> cells;
+};
+
+/// Rows of a beamforming frame (Fig. 8): (bin, range, channel) order over
+/// `bins` and the slab's `kl` range rows. Returned range-major.
+std::vector<PackRow> beamform_pack_rows(std::span<const index_t> bins,
+                                        index_t kl);
+
+/// Rows of a weight task's training frame: block after block, the block's
+/// cells that fall inside the slab [k0, k0 + kl), in cell order. Returned
+/// range-major.
+std::vector<PackRow> training_pack_rows(std::span<const TrainingBlock> blocks,
+                                        index_t k0, index_t kl);
+
+/// Gather `rows` of the staggered slab into `out` (resized to
+/// rows.size() * nch, storage reused). The rows are visited in the order
+/// given — range-major from the builders above — so each range row's 2J
+/// Doppler lines are read while cache-resident instead of the whole slab
+/// being swept once per bin.
+void pack_rows(const cube::CpiCube& stag, std::span<const PackRow> rows,
+               index_t nch, std::vector<cfloat>& out);
 
 }  // namespace ppstap::stap

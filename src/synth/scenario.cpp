@@ -1,5 +1,6 @@
 #include "synth/scenario.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -75,11 +76,20 @@ void ScenarioGenerator::add_clutter(cube::CpiCube& cpi, index_t cpi_index,
                      static_cast<float>(gamma.imag()));
       const auto& a = patch_spatial_[static_cast<size_t>(pc)];
       const auto& d = patch_temporal_[static_cast<size_t>(pc)];
+      const float* dv = reinterpret_cast<const float*>(d.data());
       for (index_t j = 0; j < p.num_channels; ++j) {
         const cfloat ga = g * a[static_cast<size_t>(j)];
-        auto line = cpi.line(k, j);
-        for (index_t n = 0; n < p.num_pulses; ++n)
-          line[static_cast<size_t>(n)] += ga * d[static_cast<size_t>(n)];
+        const float gr = ga.real(), gi = ga.imag();
+        float* out = reinterpret_cast<float*>(cpi.line(k, j).data());
+        // line[n] += ga * d[n], spelled out on the real and imaginary parts:
+        // the same operation sequence as std::complex's multiply-add (no
+        // contraction, no fast-math), minus the NaN-recovery branch that
+        // keeps the compiler from vectorizing it.
+        for (index_t n = 0; n < p.num_pulses; ++n) {
+          const float dr = dv[2 * n], di = dv[2 * n + 1];
+          out[2 * n] += gr * dr - gi * di;
+          out[2 * n + 1] += gr * di + gi * dr;
+        }
       }
     }
   }
@@ -162,8 +172,18 @@ void ScenarioGenerator::spread_with_chirp(cube::CpiCube& cpi) const {
 }
 
 cube::CpiCube ScenarioGenerator::generate(index_t cpi_index) const {
+  cube::CpiCube cpi;
+  generate(cpi_index, cpi);
+  return cpi;
+}
+
+void ScenarioGenerator::generate(index_t cpi_index, cube::CpiCube& cpi) const {
   const auto& p = params_;
-  cube::CpiCube cpi(p.num_range, p.num_channels, p.num_pulses);
+  if (cpi.extent(0) != p.num_range || cpi.extent(1) != p.num_channels ||
+      cpi.extent(2) != p.num_pulses)
+    cpi = cube::CpiCube(p.num_range, p.num_channels, p.num_pulses);
+  else
+    std::fill(cpi.data(), cpi.data() + cpi.size(), cfloat{});
   Rng rng = Rng(p.seed).fork(static_cast<std::uint64_t>(cpi_index));
 
   add_clutter(cpi, cpi_index, rng);
@@ -171,7 +191,6 @@ cube::CpiCube ScenarioGenerator::generate(index_t cpi_index) const {
   spread_with_chirp(cpi);  // clutter+targets pass through the transmit pulse
   add_jammers(cpi, rng);   // jammers do not carry the transmit waveform
   add_noise(cpi, rng);     // receiver noise is added after the waveform
-  return cpi;
 }
 
 }  // namespace ppstap::synth

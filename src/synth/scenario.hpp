@@ -83,6 +83,11 @@ class ScenarioGenerator {
   /// stride (the corner-turned layout of the paper's interface boards).
   cube::CpiCube generate(index_t cpi_index) const;
 
+  /// generate() into `out`, reusing its storage when the shape already
+  /// matches (a front end cycling a few cube buffers allocates nothing per
+  /// CPI). Bit-identical to generate(cpi_index).
+  void generate(index_t cpi_index, cube::CpiCube& out) const;
+
   /// Amplitude gain of the transmit beam active on CPI `cpi_index` toward
   /// `azimuth_rad` (1.0 when transmit cycling is disabled).
   double transmit_gain(index_t cpi_index, double azimuth_rad) const;

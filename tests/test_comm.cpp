@@ -624,6 +624,26 @@ TEST(FaultInjection, PlanReplaysIdenticallyAcrossRuns) {
   }
 }
 
+// A compute flip pinned to one rank lands only on that rank's executions:
+// with max_applications = 2 it corrupts both its first execution and its
+// recompute, whichever peer of the task group reaches the CPI first.
+TEST(FaultInjection, ComputeFlipPinnedToOneRank) {
+  FaultPlan plan;
+  auto rule = FaultPlan::flip_stage(/*task=*/0, /*cpi=*/10, /*bit=*/30,
+                                    /*max_applications=*/2);
+  rule.rank = 3;
+  plan.add_compute(rule);
+  int bit = -1;
+  EXPECT_FALSE(plan.compute_flip_due(0, 10, /*rank=*/2, 0, &bit));
+  EXPECT_FALSE(plan.compute_flip_due(0, 10, /*rank=*/4, 0, &bit));
+  EXPECT_TRUE(plan.compute_flip_due(0, 10, /*rank=*/3, 0, &bit));
+  EXPECT_EQ(bit, 30);
+  EXPECT_FALSE(plan.compute_flip_due(0, 10, /*rank=*/2, 1, &bit));
+  EXPECT_TRUE(plan.compute_flip_due(0, 10, /*rank=*/3, 1, &bit));
+  EXPECT_FALSE(plan.compute_flip_due(0, 10, /*rank=*/3, 2, &bit));
+  EXPECT_EQ(plan.stats().flips, 2u);
+}
+
 // PR 8 (death-path edge case): a sender dies while one of its frames is
 // mid-retransmission at the receiver. The receiver must not wedge waiting
 // for repairs from a corpse — it burns the budget against the mailbox

@@ -5,12 +5,19 @@
 // performance, never results).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstring>
+#include <map>
+#include <mutex>
 #include <thread>
 
+#include "comm/fault.hpp"
 #include "core/assignment.hpp"
 #include "core/cpi_source.hpp"
 #include "core/pipeline.hpp"
+#include "obs/trace.hpp"
 #include "stap/sequential.hpp"
 #include "synth/steering.hpp"
 
@@ -175,6 +182,153 @@ TEST(CpiSource, RegenerationStormThrows) {
 }
 
 // ---------------------------------------------------------------------------
+// The front-end producer
+// ---------------------------------------------------------------------------
+
+ScenarioParams tiny_scene() {
+  ScenarioParams sp;
+  sp.num_range = 16;
+  sp.num_channels = 2;
+  sp.num_pulses = 8;
+  sp.clutter.num_patches = 2;
+  sp.chirp_length = 0;
+  return sp;
+}
+
+// A generator that records which CPIs it was asked for.
+struct RecordingGenerator {
+  explicit RecordingGenerator(const ScenarioGenerator& g) : gen(g) {}
+  const ScenarioGenerator& gen;
+  std::mutex mu;
+  std::vector<index_t> calls;
+
+  CpiSource::Generator fn() {
+    return [this](index_t cpi, cube::CpiCube& out) {
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        calls.push_back(cpi);
+      }
+      gen.generate(cpi, out);
+    };
+  }
+  std::vector<index_t> snapshot() {
+    std::lock_guard<std::mutex> lock(mu);
+    return calls;
+  }
+};
+
+// Poll `pred` (the producer runs on its own thread) with a generous bound.
+template <typename Pred>
+bool eventually(Pred pred) {
+  for (int i = 0; i < 20000; ++i) {
+    if (pred()) return true;
+    std::this_thread::sleep_for(std::chrono::microseconds(500));
+  }
+  return pred();
+}
+
+TEST(CpiSource, ProducerStaysOneCpiAheadOfTheFastestConsumer) {
+  ScenarioGenerator gen(tiny_scene());
+  RecordingGenerator rec(gen);
+  CpiSource source(rec.fn());
+  const index_t n = 6;
+  source.start(n);
+  // Before any consumer: the producer prepares CPI 0 and stops there.
+  ASSERT_TRUE(eventually([&] { return source.produced() == 1; }));
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(source.produced(), 1);
+  for (index_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(source.admit(i).admit);
+    const auto cube = source.get(i);
+    const auto ref = gen.generate(i);
+    ASSERT_EQ(std::memcmp(cube->data(), ref.data(),
+                          static_cast<size_t>(ref.size()) * sizeof(cfloat)),
+              0)
+        << "cpi " << i;
+    // Consumer at i: the producer may finish i + 1, never i + 2.
+    const index_t ahead = std::min(i + 2, n);
+    ASSERT_TRUE(eventually([&] { return source.produced() == ahead; }));
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    EXPECT_EQ(source.produced(), ahead) << "consumer at " << i;
+  }
+  source.stop();
+  // Every CPI generated exactly once, by the producer, in order.
+  std::vector<index_t> want(static_cast<size_t>(n));
+  for (index_t i = 0; i < n; ++i) want[static_cast<size_t>(i)] = i;
+  EXPECT_EQ(rec.snapshot(), want);
+  EXPECT_EQ(source.regeneration_count(), 0);
+}
+
+TEST(CpiSource, CpiRejectedAtAdmissionIsNeverGenerated) {
+  ScenarioGenerator gen(tiny_scene());
+  RecordingGenerator rec(gen);
+  OverloadConfig cfg;
+  cfg.enabled = true;
+  cfg.ladder = false;
+  cfg.queue_low = cfg.queue_high = 1;  // one CPI in flight; reject beyond
+  OverloadController ctrl(cfg, 4);
+  CpiSource source(rec.fn());
+  source.set_overload_controller(&ctrl);
+  source.start(4);
+  ASSERT_TRUE(source.admit(0).admit);
+  (void)source.get(0);
+  // CPI 0 is still in flight, so the producer's admission of CPI 1 is
+  // rejected and the producer passes over it.
+  ASSERT_TRUE(eventually([&] { return source.produced() >= 2; }));
+  EXPECT_FALSE(source.admit(1).admit);
+  ctrl.on_complete(0, 1e-3, false);
+  ASSERT_TRUE(source.admit(2).admit);
+  (void)source.get(2);
+  source.stop();
+  // The producer may have gone on to reject CPI 3 as well (CPI 2 is in
+  // flight); whatever it rejected, it never generated.
+  const auto calls = rec.snapshot();
+  const auto rejected = ctrl.ledger().rejected_cpis;
+  ASSERT_FALSE(rejected.empty());
+  EXPECT_EQ(rejected.front(), 1);
+  for (const index_t cpi : rejected)
+    EXPECT_EQ(std::count(calls.begin(), calls.end(), cpi), 0) << "cpi " << cpi;
+  EXPECT_EQ(std::count(calls.begin(), calls.end(), index_t{2}), 1);
+}
+
+TEST(CpiSource, ProducerFailureSurfacesAtGet) {
+  ScenarioGenerator gen(tiny_scene());
+  CpiSource source([&gen](index_t cpi, cube::CpiCube& out) {
+    if (cpi == 1) throw Error("front end failed on CPI 1");
+    gen.generate(cpi, out);
+  });
+  source.start(4);
+  ASSERT_TRUE(source.admit(0).admit);
+  EXPECT_NE(source.get(0), nullptr);
+  ASSERT_TRUE(source.admit(1).admit);
+  EXPECT_THROW((void)source.get(1), Error);
+  EXPECT_THROW((void)source.get(2), Error);  // nothing is produced past it
+  source.stop();
+}
+
+TEST(CpiSource, StopWakesAProducerParkedInTheThrottle) {
+  ScenarioGenerator gen(tiny_scene());
+  OverloadConfig cfg;
+  cfg.enabled = true;
+  cfg.ladder = false;
+  cfg.reject_when_full = false;  // throttle
+  cfg.queue_low = cfg.queue_high = 1;
+  OverloadController ctrl(cfg, 8);
+  CpiSource source(gen);
+  source.set_overload_controller(&ctrl);
+  source.start(8);
+  ASSERT_TRUE(source.admit(0).admit);
+  (void)source.get(0);
+  // CPI 0 never completes: the producer blocks admitting CPI 1.
+  ASSERT_TRUE(eventually([&] { return ctrl.ledger().throttle_waits == 1; }));
+  source.stop();  // must return
+  EXPECT_EQ(source.produced(), 1);
+  // The closed controller refuses undecided CPIs without ledgering them.
+  EXPECT_FALSE(ctrl.admit(1).admit);
+  EXPECT_TRUE(ctrl.ledger().rejected_cpis.empty());
+}
+
+// ---------------------------------------------------------------------------
 // Parallel pipeline == sequential reference
 // ---------------------------------------------------------------------------
 
@@ -298,6 +452,93 @@ TEST(ParallelPipeline, ReportsTimingAndThroughput) {
   EXPECT_GT(result.bytes_sent_per_cpi[static_cast<size_t>(
                 Task::kDopplerFilter)],
             result.bytes_sent_per_cpi[static_cast<size_t>(Task::kEasyWeight)]);
+}
+
+// Latency starts at the admission decision, shared by every Doppler rank:
+// with two of them, whichever rank (or the front end) admitted the CPI, no
+// rank's receive phase can start before the latency origin. The front
+// end's trace span starts at that admission stamp.
+TEST(ParallelPipeline, LatencyStartsAtTheAdmissionStamp) {
+  auto f = Fixture::make();
+  NodeAssignment a{{2, 1, 1, 1, 1, 1, 1}};
+  ScenarioGenerator gen(f.sp);
+  ParallelStapPipeline par(f.p, a, f.steering(),
+                           {gen.replica().begin(), gen.replica().end()});
+  OverloadConfig ov;
+  ov.enabled = true;
+  ov.ladder = false;
+  ov.arrival_period_seconds = 2e-3;  // paced: the admission wait is real
+  par.set_overload(ov);
+  obs::reset();
+  obs::Config on;
+  on.enabled = true;
+  obs::configure(on);
+  if (!obs::tracing_enabled())
+    GTEST_SKIP() << "built with PPSTAP_ENABLE_TRACING=OFF";
+  const index_t n = 12;
+  auto r = par.run(gen, n, 1, 1);
+  const auto spans = obs::snapshot();
+  obs::configure(obs::Config{});
+  obs::reset();
+
+  std::map<std::int64_t, double> first_recv;
+  std::map<std::int64_t, double> front;
+  for (const auto& sp : spans) {
+    if (std::strcmp(sp.name, "recv") == 0 &&
+        sp.task == static_cast<int>(Task::kDopplerFilter)) {
+      auto [it, fresh] = first_recv.try_emplace(sp.cpi, sp.t_start);
+      if (!fresh) it->second = std::min(it->second, sp.t_start);
+    }
+    if (std::strcmp(sp.name, "generate") == 0) front[sp.cpi] = sp.t_start;
+  }
+  ASSERT_EQ(r.per_cpi_index.size(), r.per_cpi_latency.size());
+  ASSERT_FALSE(r.per_cpi_index.empty());
+  for (size_t i = 0; i < r.per_cpi_index.size(); ++i) {
+    const auto cpi = r.per_cpi_index[i];
+    const double done = r.completion_times[static_cast<size_t>(cpi)];
+    ASSERT_TRUE(front.count(cpi) && first_recv.count(cpi)) << "cpi " << cpi;
+    EXPECT_DOUBLE_EQ(r.per_cpi_latency[i], done - front[cpi]);
+    // Every Doppler rank received the CPI after its admission, so no
+    // rank's clock can push the origin later.
+    EXPECT_GE(r.per_cpi_latency[i], done - first_recv[cpi]) << "cpi " << cpi;
+  }
+}
+
+// The Doppler rank dies with no spare while the front end is throttled at
+// one CPI in flight: the CPIs it never sent are shed, everything before
+// them is exact, and run() returns — the producer, left waiting for a
+// consumer that will never come, is stopped with the stream.
+TEST(ParallelPipeline, ReturnsWhenTheDopplerRankDiesWithNoSpare) {
+  auto f = Fixture::make();
+  NodeAssignment a;
+  const index_t n = 10, kill_cpi = 5;
+  ScenarioGenerator gen(f.sp);
+  stap::SequentialStap seq(f.p, f.steering(), gen.replica());
+  ParallelStapPipeline par(f.p, a, f.steering(),
+                           {gen.replica().begin(), gen.replica().end()});
+  OverloadConfig ov;
+  ov.enabled = true;
+  ov.ladder = false;
+  ov.reject_when_full = false;
+  ov.queue_low = ov.queue_high = 1;
+  par.set_overload(ov);
+  comm::FaultPlan plan;
+  // Doppler's first send of a CPI is its easy-beamforming frame (edge 2).
+  plan.add(comm::FaultPlan::kill_on_send(a.first_rank(Task::kDopplerFilter),
+                                         static_cast<int>(kill_cpi) * 16 + 2));
+  par.set_fault_plan(&plan);
+  auto r = par.run(gen, n, 1, 1);
+
+  EXPECT_EQ(r.faults.kills, 1u);
+  EXPECT_GT(r.overload.throttle_waits, 0u);
+  std::vector<index_t> want_shed;
+  for (index_t cpi = kill_cpi; cpi < n; ++cpi) want_shed.push_back(cpi);
+  EXPECT_EQ(r.faults.shed_cpis, want_shed);
+  for (index_t cpi = 0; cpi < kill_cpi; ++cpi) {
+    auto ref = seq.process(gen.generate(cpi)).detections;
+    const auto& got = r.detections[static_cast<size_t>(cpi)];
+    ASSERT_EQ(got.size(), ref.size()) << "cpi " << cpi;
+  }
 }
 
 TEST(ParallelPipeline, RejectsMismatchedScenario) {

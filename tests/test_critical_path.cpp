@@ -146,6 +146,41 @@ TEST(CriticalPath, ChainsTelescopeWithNoGaps) {
   EXPECT_NEAR(rep.mean_latency, 1.40, 1e-9);
 }
 
+Span front_end(std::int64_t cpi, double t0, double t1) {
+  return {"generate", "source", -1, kSourceTrack, cpi, t0, t1, -1, -1};
+}
+
+// With a radar front end, a CPI enters the system at its admission: the
+// chain starts at the front-end span. Generation counts as compute, a cube
+// published before the source rank picks it up waits as queue, and a rank
+// already waiting on the front end overlaps it (only the recv work after
+// publication is ingest). The stage verdict is unchanged.
+TEST(CriticalPath, ChainsStartAtTheFrontEndSpan) {
+  auto spans = synthetic_pipeline(2);
+  // CPI 0: published at T-0.05, picked up at the source recv start T.
+  spans.push_back(front_end(0, -0.20, -0.05));
+  // CPI 1: published at T+0.03, inside the source's recv [T, T+0.05).
+  spans.push_back(front_end(1, 0.90, 1.03));
+  const auto rep = analyze_spans(spans);
+  ASSERT_TRUE(rep.valid) << rep.note;
+  EXPECT_EQ(rep.gating_task, 1);
+  EXPECT_NEAR(rep.period, 0.58, 1e-9);
+  ASSERT_EQ(rep.chains.size(), 2u);
+  const auto& c0 = rep.chains[0];
+  EXPECT_NEAR(c0.latency, 1.60, 1e-9);
+  EXPECT_NEAR(c0.compute, 0.90 + 0.15, 1e-9);
+  EXPECT_NEAR(c0.queue, 0.02 + 0.05, 1e-9);
+  EXPECT_NEAR(c0.unpack, 0.13, 1e-9);
+  const auto& c1 = rep.chains[1];
+  EXPECT_NEAR(c1.latency, 1.50, 1e-9);
+  EXPECT_NEAR(c1.compute, 0.90 + 0.13, 1e-9);
+  EXPECT_NEAR(c1.queue, 0.02, 1e-9);
+  EXPECT_NEAR(c1.unpack, 0.13 - 0.03, 1e-9);
+  for (const auto& ch : rep.chains)
+    EXPECT_NEAR(ch.accounted(), ch.latency, 1e-9);
+  EXPECT_NEAR(rep.accounted_fraction, 1.0, 1e-9);
+}
+
 TEST(CriticalPath, TemporalEdgesBoundWaitButStayOffTheChain) {
   // A temporal delivery (edge 4: weights trained on an earlier CPI) lands
   // at T+0.80, after the spatial input at T+0.42. It extends stage 1's
@@ -261,6 +296,19 @@ TEST_F(TracedTest, ChromeTraceRoundTripPreservesTheVerdict) {
   EXPECT_EQ(round.chains.size(), direct.chains.size());
   EXPECT_NEAR(round.accounted_fraction, direct.accounted_fraction, 1e-6);
   EXPECT_NEAR(round.mean_latency, direct.mean_latency, 1e-6);
+}
+
+TEST_F(TracedTest, ChromeTraceRoundTripKeepsTheFrontEndSpan) {
+  for (const auto& s : synthetic_pipeline(3)) emit(s);
+  for (int i = 0; i < 3; ++i)
+    emit(front_end(i, i - 0.20, i - 0.05));
+  const auto direct = analyze_spans(snapshot());
+  const auto round = analyze_trace(chrome_trace_json());
+  ASSERT_EQ(round.chains.size(), direct.chains.size());
+  for (size_t i = 0; i < direct.chains.size(); ++i) {
+    EXPECT_NEAR(direct.chains[i].latency, 1.60, 1e-9);
+    EXPECT_NEAR(round.chains[i].latency, direct.chains[i].latency, 1e-6);
+  }
 }
 
 TEST_F(TracedTest, CommEmitsFlowSpanOnDelivery) {

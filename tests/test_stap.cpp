@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <numbers>
 #include <sstream>
 
 #include "common/flops.hpp"
 #include "common/rng.hpp"
+#include "cube/partition.hpp"
 #include "dsp/waveform.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/serialize.hpp"
@@ -335,6 +337,133 @@ TEST(Doppler, LinearInInput) {
     err = std::max(err, static_cast<double>(std::abs(
                             fsum.data()[i] - fa.data()[i] - fb.data()[i])));
   EXPECT_LT(err, 1e-3);
+}
+
+cube::CpiCube random_cube(index_t k, index_t j, index_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  cube::CpiCube c(k, j, n);
+  for (index_t i = 0; i < c.size(); ++i) {
+    const auto z = rng.cnormal();
+    c.data()[i] =
+        cfloat(static_cast<float>(z.real()), static_cast<float>(z.imag()));
+  }
+  return c;
+}
+
+bool bitwise_equal(const cube::CpiCube& a, const cube::CpiCube& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(cfloat)) == 0;
+}
+
+// A parallel Doppler rank filters its rows of the shared input cube in
+// place; the result must be the copied-slab filter bit for bit (range
+// correction on, so the global row offset matters), for every part of an
+// uneven partition, into a fresh or a reused (dirty) output buffer. The
+// Parseval/inverse-DFT ABFT check must agree between the two views.
+TEST(Doppler, InPlaceRowsMatchCopiedSlabBitwise) {
+  StapParams p = StapParams::small_test();
+  p.range_correction = true;
+  DopplerFilter f(p);
+  const auto full = random_cube(p.num_range, p.num_channels, p.num_pulses, 21);
+  const cube::BlockPartition part(p.num_range, 3);  // 22 / 21 / 21 rows
+  cube::CpiCube reused = random_cube(5, 2 * p.num_channels, p.num_pulses, 4);
+  for (index_t r = 0; r < part.parts(); ++r) {
+    const index_t k0 = part.offset(r), kl = part.length(r);
+    cube::CpiCube slab(kl, p.num_channels, p.num_pulses);
+    for (index_t k = 0; k < kl; ++k)
+      for (index_t ch = 0; ch < p.num_channels; ++ch) {
+        auto src = full.line(k0 + k, ch);
+        std::copy(src.begin(), src.end(), slab.line(k, ch).begin());
+      }
+    const auto copied = f.filter(slab, k0);
+    cube::CpiCube fresh;
+    f.filter_rows(full, k0, kl, fresh);
+    EXPECT_TRUE(bitwise_equal(fresh, copied)) << "part " << r;
+    f.filter_rows(full, k0, kl, reused);
+    EXPECT_TRUE(bitwise_equal(reused, copied)) << "part " << r << " reused";
+
+    EXPECT_TRUE(f.parseval_check(slab, copied, k0, 1e-4));
+    EXPECT_TRUE(f.parseval_check_rows(full, k0, fresh, 1e-4));
+    // A corrupted element trips both views alike.
+    cube::CpiCube bad = fresh;
+    bad.at(kl / 2, 1, 3) *= 4.0f;
+    EXPECT_FALSE(f.parseval_check(slab, bad, k0, 1e-4));
+    EXPECT_FALSE(f.parseval_check_rows(full, k0, bad, 1e-4));
+  }
+  cube::CpiCube out;
+  EXPECT_THROW(f.filter_rows(full, 60, 10, out), Error);
+}
+
+// The Doppler rank's range-major gathers must emit the exact frames of the
+// bin-major loops they replaced, for uneven destination partitions and an
+// uneven slab.
+TEST(Doppler, RangeMajorPacksMatchBinMajorFrames) {
+  StapParams p = StapParams::small_test();
+  const index_t jj = p.num_staggered_channels();
+  const cube::BlockPartition kpart(p.num_range, 3);
+  const auto easy = p.easy_bins();
+  const auto hard = p.hard_bins();
+  const auto easy_cells = easy_training_cells(p);
+  std::vector<std::vector<index_t>> hard_cells;
+  for (index_t seg = 0; seg < p.num_segments; ++seg)
+    hard_cells.push_back(hard_training_cells(p, seg));
+  const auto units = HardWeightComputer::units_for_bins(p, hard);
+  std::vector<cfloat> frame;
+
+  for (index_t d = 0; d < kpart.parts(); ++d) {
+    const index_t k0 = kpart.offset(d), kl = kpart.length(d);
+    const auto stag = random_cube(kl, jj, p.num_pulses, 100 + d);
+
+    // Beamforming frames: (bin, range, channel), bins split 3 ways.
+    for (const bool is_hard : {false, true}) {
+      const auto& bins = is_hard ? hard : easy;
+      const index_t nch = is_hard ? jj : p.num_channels;
+      const cube::BlockPartition bpart(static_cast<index_t>(bins.size()), 3);
+      for (index_t r = 0; r < bpart.parts(); ++r) {
+        const std::span<const index_t> mine(
+            bins.data() + bpart.offset(r),
+            static_cast<size_t>(bpart.length(r)));
+        std::vector<cfloat> ref;
+        for (const index_t bin : mine)
+          for (index_t k = 0; k < kl; ++k)
+            for (index_t ch = 0; ch < nch; ++ch)
+              ref.push_back(stag.at(k, ch, bin));
+        pack_rows(stag, beamform_pack_rows(mine, kl), nch, frame);
+        EXPECT_EQ(frame, ref) << "bf hard=" << is_hard << " slab " << d
+                              << " dest " << r;
+      }
+    }
+
+    // Training frames: block after block, the cells inside the slab.
+    for (const bool is_hard : {false, true}) {
+      const index_t nch = is_hard ? jj : p.num_channels;
+      std::vector<TrainingBlock> all;
+      if (is_hard)
+        for (const auto& u : units)
+          all.push_back({u.bin, hard_cells[static_cast<size_t>(u.segment)]});
+      else
+        for (const index_t bin : easy) all.push_back({bin, easy_cells});
+      const cube::BlockPartition wpart(static_cast<index_t>(all.size()), 3);
+      for (index_t r = 0; r < wpart.parts(); ++r) {
+        const std::span<const TrainingBlock> blocks(
+            all.data() + wpart.offset(r), static_cast<size_t>(wpart.length(r)));
+        std::vector<cfloat> ref;
+        for (const auto& blk : blocks)
+          for (const index_t cell : blk.cells) {
+            if (cell < k0 || cell >= k0 + kl) continue;
+            for (index_t ch = 0; ch < nch; ++ch)
+              ref.push_back(stag.at(cell - k0, ch, blk.bin));
+          }
+        const auto rows = training_pack_rows(blocks, k0, kl);
+        for (size_t i = 1; i < rows.size(); ++i)
+          ASSERT_LE(rows[i - 1].k, rows[i].k) << "not range-major";
+        pack_rows(stag, rows, nch, frame);
+        EXPECT_EQ(frame, ref) << "wt hard=" << is_hard << " slab " << d
+                              << " dest " << r;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,9 +2,13 @@
 // ridge statistics, target injection, determinism, and waveform spreading.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <numbers>
+#include <span>
 
+#include "common/checksum.hpp"
+#include "kernels/dispatch.hpp"
 #include "synth/scenario.hpp"
 #include "synth/steering.hpp"
 
@@ -220,6 +224,95 @@ TEST(Scenario, ChirpLongerThanRangeThrows) {
   auto sp = small_scenario();
   sp.chirp_length = sp.num_range + 1;
   EXPECT_THROW(ScenarioGenerator{sp}, Error);
+}
+
+// Golden scene stream. The pipeline oracles compare the parallel detections
+// against stap::SequentialStap on the *same* generated cubes, so a change to
+// the generator's arithmetic would pass those comparisons while silently
+// moving every scene. These checksums pin generate(0..2) bit for bit on the
+// two live-benchmark scene shapes (the paper-width "wall" scene and the
+// small fan-out scene), per SIMD level: the chirp spreading runs through the
+// dispatched FFT kernels, whose AVX2 path differs in low-order bits.
+ScenarioParams wall_scene() {
+  ScenarioParams sp;
+  sp.num_range = 128;
+  sp.num_channels = 16;
+  sp.num_pulses = 128;
+  sp.clutter.num_patches = 8;
+  sp.clutter.cnr_db = 40.0;
+  sp.chirp_length = 32;
+  sp.targets = {Target{40, 0.3, 0.0, 10.0}, Target{77, -0.2, 0.1, 12.0},
+                Target{100, 0.18, -0.05, 9.0}};
+  return sp;
+}
+
+ScenarioParams small_fanout_scene() {
+  ScenarioParams sp;
+  sp.num_range = 128;
+  sp.num_channels = 8;
+  sp.num_pulses = 32;
+  sp.clutter.num_patches = 2;
+  sp.clutter.cnr_db = 40.0;
+  sp.chirp_length = 16;
+  sp.targets = {Target{30, 0.25, 0.0, 11.0}, Target{90, -0.3, 0.0, 13.0}};
+  // Transmit cycling and a jammer put every generator term under the pin.
+  sp.transmit_azimuths = {-0.35, 0.0, 0.35};
+  sp.jammers = {Jammer{0.6, 25.0}};
+  return sp;
+}
+
+void expect_stream(const ScenarioParams& sp,
+                   const std::array<std::uint64_t, 3>& golden,
+                   const char* what) {
+  const ScenarioGenerator gen(sp);
+  const auto sum = [](const cube::CpiCube& c) {
+    return checksum_of(
+        std::span<const cfloat>(c.data(), static_cast<size_t>(c.size())));
+  };
+  // The storage-reusing overload must match too: `reused` still holds the
+  // previous CPI when the next one is generated into it.
+  cube::CpiCube reused;
+  for (index_t i = 0; i < 3; ++i) {
+    gen.generate(i, reused);
+    EXPECT_EQ(sum(gen.generate(i)), golden[static_cast<size_t>(i)])
+        << what << " scene, CPI " << i << ", simd "
+        << kernels::simd_info().level_name;
+    EXPECT_EQ(sum(reused), golden[static_cast<size_t>(i)])
+        << what << " scene, CPI " << i << " into a reused cube";
+  }
+}
+
+struct SimdRestore {
+  kernels::SimdLevel saved = kernels::simd_level();
+  ~SimdRestore() { kernels::force_simd_level(saved); }
+};
+
+TEST(Scenario, GoldenStreamScalar) {
+  SimdRestore restore;
+  kernels::force_simd_level(kernels::SimdLevel::kScalar);
+  expect_stream(wall_scene(),
+                {3703481559611120406ull, 17670648622645049761ull,
+                 16776936653020900831ull},
+                "wall");
+  expect_stream(small_fanout_scene(),
+                {8324111784885965892ull, 8913348387278996496ull,
+                 2879642320099796394ull},
+                "small");
+}
+
+TEST(Scenario, GoldenStreamAvx2) {
+  if (!kernels::avx2_available())
+    GTEST_SKIP() << "host or build lacks AVX2+FMA";
+  SimdRestore restore;
+  kernels::force_simd_level(kernels::SimdLevel::kAvx2);
+  expect_stream(wall_scene(),
+                {14282097504986523719ull, 10614921431768409911ull,
+                 17163810378407247246ull},
+                "wall");
+  expect_stream(small_fanout_scene(),
+                {11293079985265774785ull, 14407032073496670189ull,
+                 10098317591528639222ull},
+                "small");
 }
 
 }  // namespace
