@@ -26,15 +26,18 @@
 #      exercise the stage driver's exits run under -fsanitize=thread — the
 #      fault paths cross threads at every step (death notification, spare
 #      take-over, mailbox discard), so a data race there is a correctness
-#      bug even when the race-free interleaving happens to pass.
-#   5. ASan+UBSan job: the comm/core/fault/overload/kernels/stap-labelled
-#      suites under -fsanitize=address,undefined. The overload paths hand
-#      frames across degraded/shed boundaries and retry solves on
-#      conditioning failures — exactly where a stale pointer or signed
+#      bug even when the race-free interleaving happens to pass. The synth
+#      suite joins them: scene generation runs its three phases on a team
+#      of threads, and a block-boundary off-by-one there is a race.
+#   5. ASan+UBSan job: the comm/core/fault/overload/kernels/stap/synth-
+#      labelled suites under -fsanitize=address,undefined. The overload
+#      paths hand frames across degraded/shed boundaries and retry solves
+#      on conditioning failures — exactly where a stale pointer or signed
 #      overflow would hide; the kernel suite's blocked/tail paths are where
-#      a vector remainder overrun would, and the stap suite's in-place
-#      Doppler row view and range-major pack index math are where a slab
-#      overrun would.
+#      a vector remainder overrun would, the stap suite's in-place Doppler
+#      row view and range-major pack index math are where a slab overrun
+#      would, and the synth suite's per-block stream offsets and chirp
+#      column groups are where a block-boundary overrun would.
 #   6. Overload bench: ext_overload sweeps offered load vs policy and
 #      writes BENCH_overload.json; its exit code asserts the degradation
 #      ladder beats shed-only admission at 2x load.
@@ -136,27 +139,29 @@ cmake -B build-notrace -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build build-notrace -j "$JOBS"
 ctest --test-dir build-notrace -L obs --output-on-failure -j "$JOBS"
 
-echo "=== TSan: comm + core + fault tolerance + elastic migration + stage driver ==="
+echo "=== TSan: comm + core + fault tolerance + elastic migration + stage driver + synth ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "$JOBS" \
       --target test_comm test_collectives test_core test_fault_tolerance \
-               test_elastic test_checkpoint test_overload test_integrity
+               test_elastic test_checkpoint test_overload test_integrity \
+               test_synth
 TSAN_OPTIONS="halt_on_error=1" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_checkpoint|test_overload|test_integrity)$'
+      -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_checkpoint|test_overload|test_integrity|test_synth)$'
 
-echo "=== ASan+UBSan: comm + core + fault + overload + kernels + stap ==="
+echo "=== ASan+UBSan: comm + core + fault + overload + kernels + stap + synth ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "$JOBS" \
       --target test_comm test_collectives test_core test_sim \
                test_pipeline_properties test_beam_cycling \
-               test_fault_tolerance test_overload test_kernels test_stap
+               test_fault_tolerance test_overload test_kernels test_stap \
+               test_synth
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -L 'comm|core|fault|overload|kernels|stap'
+      -L 'comm|core|fault|overload|kernels|stap|synth'
 
 echo "=== bench: overload ladder vs shed-only (BENCH_overload.json) ==="
 ./build/bench/ext_overload --json BENCH_overload.json

@@ -12,6 +12,14 @@
 
 namespace ppstap {
 
+std::pair<index_t, index_t> block_range(index_t total, index_t blocks,
+                                        index_t i) {
+  const index_t base = total / blocks;
+  const index_t rem = total % blocks;
+  const index_t begin = i * base + std::min(i, rem);
+  return {begin, begin + base + (i < rem ? 1 : 0)};
+}
+
 void parallel_for_blocks(index_t threads, index_t total,
                          const std::function<void(index_t, index_t)>& fn) {
   PPSTAP_REQUIRE(threads >= 1, "need at least one thread");
@@ -23,14 +31,6 @@ void parallel_for_blocks(index_t threads, index_t total,
     return;
   }
 
-  const index_t base = total / used;
-  const index_t rem = total % used;
-  const auto bounds = [&](index_t i) {
-    const index_t begin = i * base + std::min(i, rem);
-    return std::pair<index_t, index_t>{begin,
-                                       begin + base + (i < rem ? 1 : 0)};
-  };
-
   // The flop counter is thread-local; when the caller is instrumented, each
   // worker runs under its own FlopScope and the counts fold back into the
   // caller after the join, so totals are thread-count invariant.
@@ -41,7 +41,7 @@ void parallel_for_blocks(index_t threads, index_t total,
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(used - 1));
   for (index_t i = 1; i < used; ++i) {
-    const auto [begin, end] = bounds(i);
+    const auto [begin, end] = block_range(total, used, i);
     workers.emplace_back([&, begin = begin, end = end] {
       try {
         if (count_enabled) {
@@ -57,7 +57,7 @@ void parallel_for_blocks(index_t threads, index_t total,
       }
     });
   }
-  const auto [begin0, end0] = bounds(0);
+  const auto [begin0, end0] = block_range(total, used, 0);
   try {
     fn(begin0, end0);
   } catch (...) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 
 #include "common/types.hpp"
 
@@ -13,6 +14,13 @@ namespace ppstap {
 
 /// SplitMix64-based generator with explicit, portable normal/uniform
 /// sampling (independent of libstdc++ distribution internals).
+///
+/// The state is a Weyl sequence (state += gamma per draw), so the state
+/// after m draws is s0 + m * gamma: skip(n) jumps ahead in O(1). Each
+/// cnormal() on a generator without a cached normal() half consumes exactly
+/// two draws and leaves no half cached, so a loop of cnormal() calls puts
+/// every sample at a closed-form stream offset, and disjoint blocks of such
+/// a loop can run on copies skipped to their own offsets.
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : state_(seed) {}
@@ -30,13 +38,21 @@ class Rng {
   /// second sample).
   double normal();
 
-  /// Complex circular Gaussian with E|z|^2 = 1.
+  /// Complex circular Gaussian with E|z|^2 = 1. Two draws when no
+  /// normal() half is cached.
   cdouble cnormal();
+
+  /// Advance the stream by `n` draws of next_u64() in O(1). Requires no
+  /// cached normal() half (it would be out of step with the jumped state).
+  void skip(std::uint64_t n);
 
   /// Derive an independent stream (e.g. one per range cell or per CPI).
   Rng fork(std::uint64_t salt) const;
 
  private:
+  /// One Box–Muller pair from two uniforms.
+  std::pair<double, double> box_muller();
+
   std::uint64_t state_;
   bool have_cached_ = false;
   double cached_ = 0.0;

@@ -3,12 +3,15 @@
 // In the flight system, CPI cubes arrive from separate front-end hardware,
 // which fills the next CPI while the Doppler nodes process the current one,
 // and every Doppler node reads its range slab of the same CPI. Here the
-// scene generator plays the radar, on one producer thread (start()/stop())
-// that runs at most one CPI ahead of the fastest Doppler rank: it begins
+// scene generator plays the radar. One producer thread (start()/stop())
+// walks the CPIs at most one ahead of the fastest Doppler rank: it begins
 // CPI i only after some rank has been admitted CPI i-1, so it double-buffers
-// the feed without ever racing ahead of what the pipeline admits. The
-// producer passes admission *before* it generates, so a rejected CPI costs
-// no front-end work and the arrival pacing is unchanged.
+// the feed without ever racing ahead of what the pipeline admits. It
+// synthesizes each cube data-parallel, leading a team of up to
+// ScenarioGenerator::team() threads spawned per CPI, and the cube is
+// bit-identical to a serial generate(). The producer passes admission
+// *before* it generates, so a rejected CPI costs no front-end work and the
+// arrival pacing is unchanged.
 //
 // Cubes are memoized so the P0 Doppler ranks share one per CPI, and cubes
 // older than a small window are evicted. get() generates inline only on a

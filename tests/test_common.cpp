@@ -123,6 +123,59 @@ TEST(Rng, ForkedStreamsAreIndependentAndDeterministic) {
   EXPECT_NE(f1.next_u64(), f2.next_u64());
 }
 
+// Jump-ahead: the SplitMix64 state is a Weyl sequence, so skip(n) must land
+// exactly where n draws would — the contract parallel scene generation
+// rests on.
+TEST(Rng, SkipMatchesSequentialDraws) {
+  for (const std::uint64_t n : {0ull, 1ull, 2ull, 1000ull}) {
+    Rng drawn(0xfeedULL), jumped(0xfeedULL);
+    for (std::uint64_t i = 0; i < n; ++i) (void)drawn.next_u64();
+    jumped.skip(n);
+    for (int i = 0; i < 4; ++i)
+      EXPECT_EQ(drawn.next_u64(), jumped.next_u64()) << "n = " << n;
+  }
+}
+
+TEST(Rng, SkipFarAheadMatchesTheWeylState) {
+  // 2^40 draws are out of reach one by one; the state they would leave is
+  // seed + 2^40 * gamma (mod 2^64), which a fresh generator can start from.
+  constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  constexpr std::uint64_t kSeed = 0x0123456789abcdefULL;
+  constexpr std::uint64_t n = std::uint64_t{1} << 40;
+  Rng jumped(kSeed);
+  jumped.skip(n);
+  Rng oracle(kSeed + n * kGamma);
+  for (int i = 0; i < 4; ++i) EXPECT_EQ(jumped.next_u64(), oracle.next_u64());
+  // Jumps compose: 2^40 = 1024 jumps of 2^30.
+  Rng stepped(kSeed);
+  for (int i = 0; i < 1024; ++i) stepped.skip(std::uint64_t{1} << 30);
+  Rng again(kSeed);
+  again.skip(n);
+  EXPECT_EQ(stepped.next_u64(), again.next_u64());
+}
+
+TEST(Rng, ComplexNormalConsumesExactlyTwoDraws) {
+  Rng sampled(31), jumped(31);
+  for (int i = 0; i < 5; ++i) {
+    (void)sampled.cnormal();
+    jumped.skip(2);
+    EXPECT_EQ(sampled.next_u64(), jumped.next_u64()) << "after cnormal " << i;
+  }
+}
+
+TEST(Rng, SkipRefusesACachedNormalHalf) {
+  Rng r(11), twin(11);
+  (void)r.normal();  // caches the second Box–Muller half
+  (void)twin.normal();
+  EXPECT_THROW(r.skip(2), Error);
+  // The refused jump left the stream untouched: the cached half is still
+  // served, and both generators stay in lockstep afterwards.
+  EXPECT_EQ(r.normal(), twin.normal());
+  r.skip(3);
+  twin.skip(3);
+  EXPECT_EQ(r.next_u64(), twin.next_u64());
+}
+
 // --- hardened environment parsing ------------------------------------------
 
 class EnvParse : public ::testing::Test {

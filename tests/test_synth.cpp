@@ -4,8 +4,11 @@
 
 #include <array>
 #include <cmath>
+#include <complex>
+#include <cstring>
 #include <numbers>
 #include <span>
+#include <thread>
 
 #include "common/checksum.hpp"
 #include "kernels/dispatch.hpp"
@@ -313,6 +316,127 @@ TEST(Scenario, GoldenStreamAvx2) {
                 {11293079985265774785ull, 14407032073496670189ull,
                  10098317591528639222ull},
                 "small");
+}
+
+// Parallel generation. Every draw sits at a closed-form stream offset and
+// every element sees its additions in the serial order, so the cube must be
+// memcmp-identical to the one-thread cube at any team size — including
+// teams larger than the range extent and ragged range and column blocks.
+void expect_team_invariant(const ScenarioParams& sp, const char* what) {
+  const ScenarioGenerator gen(sp);
+  const auto same_bytes = [](const cube::CpiCube& a, const cube::CpiCube& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<size_t>(a.size()) * sizeof(cfloat)) == 0;
+  };
+  cube::CpiCube reused;  // holds the previous CPI when the next one lands
+  for (index_t cpi = 0; cpi < 3; ++cpi) {
+    cube::CpiCube serial;
+    gen.generate(cpi, serial, 1);
+    for (const index_t team : {2, 3, 4, 7}) {
+      cube::CpiCube fresh;
+      gen.generate(cpi, fresh, team);
+      EXPECT_TRUE(same_bytes(fresh, serial))
+          << what << " scene, CPI " << cpi << ", team " << team;
+      gen.generate(cpi, reused, team);
+      EXPECT_TRUE(same_bytes(reused, serial))
+          << what << " scene, CPI " << cpi << ", team " << team
+          << ", reused cube";
+    }
+    EXPECT_TRUE(same_bytes(gen.generate(cpi), serial))
+        << what << " scene, CPI " << cpi << ", default team";
+  }
+}
+
+// J*N = 15 columns: the chirp's last group of eight columns is ragged.
+ScenarioParams tiny_scene(index_t num_range, index_t chirp_length) {
+  ScenarioParams sp;
+  sp.num_range = num_range;
+  sp.num_channels = 3;
+  sp.num_pulses = 5;
+  sp.clutter.num_patches = 3;
+  sp.chirp_length = chirp_length;
+  sp.targets = {Target{0, 0.2, 0.1, 10.0}, Target{num_range - 1, -0.3, 0.0,
+                                                  12.0}};
+  sp.jammers = {Jammer{0.5, 20.0}, Jammer{-0.4, 15.0}};
+  sp.transmit_azimuths = {-0.3, 0.3};
+  return sp;
+}
+
+TEST(Scenario, ParallelGenerateIsBitIdenticalAtEveryTeamSize) {
+  expect_team_invariant(tiny_scene(1, 0), "K=1");
+  expect_team_invariant(tiny_scene(1, 1), "K=1 chirped");
+  expect_team_invariant(tiny_scene(3, 2), "K=3 (below the team)");
+  expect_team_invariant(tiny_scene(37, 8), "K=37 (ragged, Bluestein chirp)");
+  expect_team_invariant(tiny_scene(37, 0), "K=37 unchirped");
+  expect_team_invariant(wall_scene(), "wall");
+  auto jammed = small_fanout_scene();  // jammer + transmit-beam cycling
+  jammed.jammers.push_back(Jammer{-0.2, 30.0});
+  expect_team_invariant(jammed, "small, two jammers");
+  jammed.chirp_length = 0;
+  expect_team_invariant(jammed, "small, two jammers, unchirped");
+}
+
+// An oracle for the chirp's column bookkeeping: on a ragged 3x5 plane, with
+// targets on several channels and the noise 100 dB down, every (channel,
+// pulse) column of the chirped scene is the circular convolution of the
+// unchirped column with the replica, at every team size.
+TEST(Scenario, ChirpSpreadIsTheCircularConvolutionOfEachColumn) {
+  ScenarioParams impulse = tiny_scene(37, 0);
+  impulse.clutter.num_patches = 0;
+  impulse.jammers.clear();
+  impulse.transmit_azimuths.clear();
+  impulse.noise_power = 1e-12;
+  impulse.targets = {Target{3, 0.2, 0.3, 100.0}, Target{20, -0.1, -0.2, 100.0},
+                     Target{36, 0.4, 0.0, 100.0}};
+  ScenarioParams spread = impulse;
+  spread.chirp_length = 8;
+  const ScenarioGenerator gen_impulse(impulse), gen_spread(spread);
+  const auto x = gen_impulse.generate(0);
+  const auto& replica = gen_spread.replica();
+  const index_t k_len = spread.num_range;
+  for (const index_t team : {1, 3, 7}) {
+    cube::CpiCube y;
+    gen_spread.generate(0, y, team);
+    double peak = 0.0, worst = 0.0;
+    for (index_t j = 0; j < spread.num_channels; ++j)
+      for (index_t n = 0; n < spread.num_pulses; ++n)
+        for (index_t k = 0; k < k_len; ++k) {
+          std::complex<double> ref{};
+          for (size_t m = 0; m < replica.size(); ++m) {
+            const index_t src = (k - static_cast<index_t>(m) + k_len) % k_len;
+            ref += std::complex<double>(x.at(src, j, n)) *
+                   std::complex<double>(replica[m]);
+          }
+          peak = std::max(peak, std::abs(ref));
+          worst = std::max(
+              worst, std::abs(std::complex<double>(y.at(k, j, n)) - ref));
+        }
+    EXPECT_GT(peak, 0.0);
+    EXPECT_LT(worst, 1e-3 * peak) << "team " << team;
+  }
+}
+
+TEST(Scenario, TeamLeavesACoreToThePipelineAndSkipsTinyCubes) {
+  const ScenarioGenerator wall(wall_scene());  // 256K samples
+  EXPECT_GE(wall.team(), 1);
+  EXPECT_LE(wall.team(), 3);
+  const auto cores = static_cast<index_t>(std::thread::hardware_concurrency());
+  if (cores >= 2) {
+    EXPECT_LE(wall.team(), cores - 1);
+  }
+  if (cores >= 4) {
+    EXPECT_EQ(wall.team(), 3);
+  }
+  // Below two members' worth of samples the scene stays serial.
+  EXPECT_EQ(ScenarioGenerator(small_fanout_scene()).team(), 1);  // 32K
+  EXPECT_EQ(ScenarioGenerator(tiny_scene(37, 0)).team(), 1);
+}
+
+TEST(Scenario, ZeroTeamThrows) {
+  const ScenarioGenerator gen(tiny_scene(4, 0));
+  cube::CpiCube out;
+  EXPECT_THROW(gen.generate(0, out, 0), Error);
 }
 
 }  // namespace
