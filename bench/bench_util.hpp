@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/events.hpp"
 #include "core/machine.hpp"
 #include "core/sim.hpp"
 #include "kernels/dispatch.hpp"
@@ -97,66 +98,17 @@ class JsonReport {
   }
 
  private:
-  /// Fault/overload/numerics accounting pulled from the global metrics
-  /// registry, recorded in every --json document: a clean run writes all
-  /// zeros, a degraded run shows exactly how it degraded.
+  /// Every registry counter and gauge, recorded in every --json document:
+  /// the run event log's counters (one per event kind; publishing an empty
+  /// stream declares them, so a clean run writes all zeros) plus the front
+  /// end's. A degraded run shows exactly how it degraded.
   static obs::Json robustness_summary() {
+    core::publish({});
     const obs::Json reg = obs::Registry::global().to_json();
-    const obs::Json* counters = reg.find("counters");
-    const obs::Json* gauges = reg.find("gauges");
-    static constexpr const char* kCounters[] = {
-        "cpi_source.regenerations",
-        "pipeline.cpis_shed",
-        "comm.retransmissions",
-        "overload.rejections",
-        "overload.level_changes",
-        "overload.throttle_waits",
-        "spare.poll_wakeups",
-        "stap.nonfinite_training_blocks",
-        "stap.loading_retries",
-        "stap.quiescent_fallbacks",
-        "stap.qr_residual_retries",
-        "stap.qr_residual_rejects",
-        "integrity.checks_passed",
-        "integrity.checks_failed",
-        "integrity.recomputes",
-        "integrity.repairs",
-        "integrity.escalations",
-        "integrity.digest_mismatches",
-        "elastic.migrations_committed",
-        "elastic.migrations_rolled_back",
-        "overload.elastic_assists",
-        "pipeline.uncovered_failures",
-        "elastic.shrinks_committed",
-        "overload.capacity_losses",
-        "healing.spare_takeovers",
-        "healing.shrinks",
-        "healing.quarantines",
-        "healing.uncovered",
-        "cpi_source.regeneration_storms",
-        "comm.dup_discarded",
-        "fault.stage_slowdowns",
-        "fault.frames_jittered",
-        "fault.frames_duplicated",
-        "health.suspects",
-        "health.quarantines",
-        "health.flap_suppressed",
-        "health.vetoed"};
     obs::Json out = obs::Json::object();
-    for (const char* key : kCounters) {
-      const obs::Json* v =
-          counters != nullptr ? counters->find(key) : nullptr;
-      out[key] = v != nullptr ? *v : obs::Json(0.0);
-    }
-    // Per-rank regeneration attribution is dynamic (one counter per
-    // straggling rank): copy whatever exists; clean runs emit none.
-    if (counters != nullptr && counters->is_object())
-      for (const auto& [k, v] : counters->as_object())
-        if (k.rfind("cpi_source.regenerations.rank", 0) == 0) out[k] = v;
-    const obs::Json* max_level =
-        gauges != nullptr ? gauges->find("overload.max_level") : nullptr;
-    out["overload.max_level"] =
-        max_level != nullptr ? *max_level : obs::Json(0.0);
+    for (const char* section : {"counters", "gauges"})
+      if (const obs::Json* m = reg.find(section); m != nullptr && m->is_object())
+        for (const auto& [k, v] : m->as_object()) out[k] = v;
     // Trace exporter health: spans currently held and spans lost to
     // ring-buffer wrap (nonzero dropped_count invalidates chain stitching).
     out["trace.spans"] = obs::span_count();

@@ -84,17 +84,18 @@ void live_cross_validation() {
       switch_cpi, stap::Task::kPulseCompression, stap::Task::kDopplerFilter});
   pipe.set_elastic(el);
   const auto live = pipe.run(gen, n_cpis, /*warmup=*/2, /*cooldown=*/2);
-  if (live.migrations.committed() != 1) {
+  const auto commits = live.events.of(core::EventKind::kMigrationCommit);
+  const auto rollbacks = live.events.of(core::EventKind::kMigrationRollback);
+  if (commits.size() != 1) {
     std::printf("\nlive cross-validation: migration did not commit "
                 "(%zu attempts) — skipping\n",
-                live.migrations.attempts.size());
+                commits.size() + rollbacks.size());
     return;
   }
-  const auto& ev = live.migrations.attempts[0];
-  const double live_gap = median_gap(live.completion_times, 2,
-                                     ev.barrier_cpi);
-  const double live_stall_periods =
-      live_gap > 0.0 ? ev.stall_seconds / live_gap : 0.0;
+  const core::Event& ev = commits[0];
+  const double stall = core::barrier_stall_seconds(live, ev.cpi);
+  const double live_gap = median_gap(live.completion_times, 2, ev.cpi);
+  const double live_stall_periods = live_gap > 0.0 ? stall / live_gap : 0.0;
 
   core::PipelineSimulator sim_small(p, core::ParagonParams::calibrated());
   core::ReallocationPlan plan;
@@ -121,14 +122,14 @@ void live_cross_validation() {
               static_cast<long long>(switch_cpi));
   std::printf("  live:  barrier CPI %lld, stall %.4f s = %.2f periods "
               "(quiesce + checkpoint + re-route)\n",
-              static_cast<long long>(ev.barrier_cpi), ev.stall_seconds,
+              static_cast<long long>(ev.cpi), stall,
               live_stall_periods);
   std::printf("  sim:   migration stall %.6f s = %.3f periods (state "
               "transfer), switch transient %.2f periods (drain + refill)\n",
               rs.migration_stall, sim_stall_periods, sim_transient_periods);
   bench::report_row(bench::row({{"phase", "live_cross_validation"},
-                                {"barrier_cpi", ev.barrier_cpi},
-                                {"live_stall_s", ev.stall_seconds},
+                                {"barrier_cpi", ev.cpi},
+                                {"live_stall_s", stall},
                                 {"live_stall_periods", live_stall_periods},
                                 {"sim_stall_periods", sim_stall_periods},
                                 {"sim_transient_periods",

@@ -133,27 +133,29 @@ int run_perf_panel() {
   auto rm = pipe.run(gen, n_cpis, warmup, cooldown);
 
   int rc = 0;
-  if (rm.migrations.committed() != 1) {
+  const auto attempts = rm.events.migrations();
+  const auto committed = rm.events.count(core::EventKind::kMigrationCommit);
+  if (committed != 1) {
     std::printf("FAIL: forced migration did not commit (%zu attempts, %d "
                 "committed)\n",
-                rm.migrations.attempts.size(), rm.migrations.committed());
+                attempts.size(), static_cast<int>(committed));
     return 1;
   }
-  const core::MigrationEvent& ev = rm.migrations.attempts[0];
+  const core::Event& ev = attempts[0];
+  const double stall = core::barrier_stall_seconds(rm, ev.cpi);
 
   // Steady-state windows: post-migration excludes the barrier transient;
   // the same absolute window is measured in the baseline run.
-  const index_t post_lo = ev.barrier_cpi + 4;
+  const index_t post_lo = ev.cpi + 4;
   const index_t post_hi = n_cpis - cooldown;
-  const double gap_before = median_gap(rm.completion_times, warmup,
-                                       ev.barrier_cpi);
+  const double gap_before = median_gap(rm.completion_times, warmup, ev.cpi);
   const double gap_after = median_gap(rm.completion_times, post_lo, post_hi);
   const double gap_base = median_gap(rb.completion_times, post_lo, post_hi);
   const double live_gain = gap_base > 0.0 && gap_after > 0.0
                                ? gap_base / gap_after - 1.0
                                : 0.0;
   const double live_stall_periods =
-      gap_before > 0.0 ? ev.stall_seconds / gap_before : 0.0;
+      gap_before > 0.0 ? stall / gap_before : 0.0;
 
   // Simulator cross-validation: the same before/after assignments through
   // the re-allocation model, with the stall extracted by the same
@@ -183,9 +185,9 @@ int run_perf_panel() {
 
   std::printf("barrier CPI %lld (requested %lld), migrating rank %d, "
               "stall %.4f s (%.2f periods)\n",
-              static_cast<long long>(ev.barrier_cpi),
-              static_cast<long long>(migrate_at), ev.migrating_rank,
-              ev.stall_seconds, live_stall_periods);
+              static_cast<long long>(ev.cpi),
+              static_cast<long long>(migrate_at), ev.rank, stall,
+              live_stall_periods);
   std::printf("%-22s %12s %12s %10s\n", "", "gap (s/CPI)", "CPI/s", "");
   std::printf("%-22s %12.4f %12.2f\n", "pre-migration", gap_before,
               gap_before > 0.0 ? 1.0 / gap_before : 0.0);
@@ -209,8 +211,8 @@ int run_perf_panel() {
   const double gain_gated = host_parallel ? live_gain : sim_gain;
 
   bench::report_row(bench::row({{"kind", "perf"},
-                                {"barrier_cpi", ev.barrier_cpi},
-                                {"stall_s", ev.stall_seconds},
+                                {"barrier_cpi", ev.cpi},
+                                {"stall_s", stall},
                                 {"stall_periods", live_stall_periods},
                                 {"gap_pre_s", gap_before},
                                 {"gap_post_s", gap_after},
@@ -343,7 +345,7 @@ int run_chaos_panel() {
   // CPI of every scenario must reproduce.
   core::ParallelStapPipeline base(setup.p, a, steering, replica);
   auto rb = base.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
-  if (!rb.faults.clean() || !rb.migrations.clean()) {
+  if (!rb.faults.clean() || !rb.events.migrations().empty()) {
     std::printf("FAIL: chaos baseline run is not clean\n");
     return 1;
   }
@@ -477,16 +479,13 @@ int run_chaos_panel() {
 
     std::string why;
     bool ok = true;
-    // The attempt happened and resolved — never wedged, never pending.
-    if (res.migrations.attempts.empty()) {
+    // The attempt happened and resolved — never wedged (an attempt still
+    // pending when the stream drains is recorded as rolled back).
+    const auto attempts = res.events.migrations();
+    if (attempts.empty()) {
       ok = false;
       why = "no migration attempt";
     }
-    for (const auto& ev : res.migrations.attempts)
-      if (ev.outcome != "committed" && ev.outcome != "rolled_back") {
-        ok = false;
-        why = "unresolved attempt";
-      }
     // Zero lost or duplicated CPIs: the sink timestamped every CPI
     // (shed CPIs complete too), and nothing appears twice.
     if (res.detections.size() != static_cast<size_t>(n_cpis) ||
@@ -498,11 +497,13 @@ int run_chaos_panel() {
     // scenario explicitly expects pool exhaustion (the kill scenarios run
     // without spares); and where one is expected it must actually appear,
     // otherwise the kill never landed and the scenario tested nothing.
-    if (!sc.expect_uncovered && !res.faults.uncovered_ranks.empty()) {
+    const bool uncovered =
+        res.events.count(core::EventKind::kHealUncovered) > 0;
+    if (!sc.expect_uncovered && uncovered) {
       ok = false;
       why = "unexpected uncovered failure";
     }
-    if (sc.expect_uncovered && res.faults.uncovered_ranks.empty()) {
+    if (sc.expect_uncovered && !uncovered) {
       ok = false;
       why = "expected uncovered failure missing";
     }
@@ -549,12 +550,12 @@ int run_chaos_panel() {
       }
       ++exact;
     }
-    const std::string outcome = res.migrations.attempts.empty()
-                                    ? "none"
-                                    : res.migrations.attempts[0].outcome;
-    const std::string reason = res.migrations.attempts.empty()
-                                   ? ""
-                                   : res.migrations.attempts[0].abort_reason;
+    const std::string outcome =
+        attempts.empty() ? "none"
+        : attempts[0].kind == core::EventKind::kMigrationRollback
+            ? "rolled_back"
+            : "committed";
+    const std::string reason = attempts.empty() ? "" : attempts[0].note;
     std::printf("%-34s %-12s %-22s %5zu %6zu %s%s\n", sc.name.c_str(),
                 outcome.c_str(), reason.empty() ? "-" : reason.c_str(),
                 res.faults.shed_cpis.size(), exact, ok ? "ok" : "FAIL ",
@@ -563,16 +564,13 @@ int run_chaos_panel() {
     // reason) is a legal race — e.g. a once-corrupted vote either repairs
     // in time or misses the budget — so rows carry only the invariants:
     // the attempt resolved, and the scenario's checks passed.
-    const bool resolved =
-        !res.migrations.attempts.empty() &&
-        (res.migrations.attempts[0].outcome == "committed" ||
-         res.migrations.attempts[0].outcome == "rolled_back");
+    const bool resolved = !attempts.empty();
     bench::report_row(bench::row({{"kind", "chaos"},
                                   {"scenario", sc.name},
                                   {"resolved", resolved ? 1 : 0},
                                   {"shed_cpis", res.faults.shed_cpis.size()},
                                   {"exact_cpis", exact},
-                                  {"kills", res.faults.kills},
+                                  {"kills", res.events.count(core::EventKind::kKill)},
                                   {"pass", ok ? 1 : 0}}));
     if (!ok) ++failures;
   }

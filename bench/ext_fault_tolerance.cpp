@@ -128,7 +128,8 @@ int main(int argc, char** argv) {
                     {"throughput_vs_baseline",
                      r.throughput / r0.throughput},
                     {"shed_cpis", r.faults.shed_cpis.size()},
-                    {"frames_delayed", r.faults.frames_delayed},
+                    {"frames_delayed",
+                     r.events.count(core::EventKind::kFrameDelayed)},
                     {"detections", dets}}));
   }
 
@@ -148,14 +149,16 @@ int main(int argc, char** argv) {
     for (const auto& d : r.detections) dets += d.size();
     std::printf("%-12.2f %9.2f /s %14llu %14llu %12zu\n", prob,
                 r.throughput,
-                static_cast<unsigned long long>(r.faults.frames_corrupted),
+                static_cast<unsigned long long>(
+                    r.events.count(core::EventKind::kFrameCorrupted)),
                 static_cast<unsigned long long>(r.faults.retransmissions),
                 dets);
     bench::report_row(
         bench::row({{"kind", "corruption_sweep"},
                     {"corrupt_probability", prob},
                     {"throughput_cpi_per_s", r.throughput},
-                    {"frames_corrupted", r.faults.frames_corrupted},
+                    {"frames_corrupted",
+                     r.events.count(core::EventKind::kFrameCorrupted)},
                     {"retransmissions", r.faults.retransmissions},
                     {"detections", dets}}));
   }
@@ -187,13 +190,13 @@ int main(int argc, char** argv) {
 
     std::printf("\nspare-rank failover (hard weight rank killed at CPI "
                 "%ld):\n", static_cast<long>(n_cpis / 2));
-    if (r.healing.events.size() == 1 &&
-        r.healing.events[0].mechanism == "spare") {
-      const auto& ev = r.healing.events[0];
+    const auto heals = r.events.heals();
+    if (heals.size() == 1 && heals[0].kind == core::EventKind::kHealSpare) {
+      const auto& ev = heals[0];
       std::printf("  recovered rank %d at CPI %ld, measured stall %.4f s "
                   "(model migration stall at paper scale: %.4f s)\n",
-                  ev.rank, static_cast<long>(ev.resume_cpi),
-                  ev.mttr_seconds, model_stall);
+                  ev.rank, static_cast<long>(ev.cpi), ev.seconds,
+                  model_stall);
       std::printf("  throughput %.2f CPI/s (%.1f%% of baseline), %zu "
                   "detections (baseline %zu)\n",
                   r.throughput, 100.0 * r.throughput / r0.throughput, dets,
@@ -201,16 +204,16 @@ int main(int argc, char** argv) {
       bench::report_row(bench::row(
           {{"kind", "failover"},
            {"killed_rank", ev.rank},
-           {"resume_cpi", ev.resume_cpi},
-           {"recovery_stall_s", ev.mttr_seconds},
+           {"resume_cpi", ev.cpi},
+           {"recovery_stall_s", ev.seconds},
            {"model_migration_stall_s", model_stall},
            {"throughput_cpi_per_s", r.throughput},
            {"throughput_vs_baseline", r.throughput / r0.throughput},
            {"detections", dets}}));
     } else {
-      std::printf("  expected one spare takeover, healing ledger has %zu "
-                  "events\n",
-                  r.healing.events.size());
+      std::printf("  expected one spare takeover, the event log has %zu "
+                  "heals\n",
+                  heals.size());
       return bench::report_finish(1);
     }
   }

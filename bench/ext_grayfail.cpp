@@ -193,24 +193,25 @@ int main(int argc, char** argv) {
   base_pipe.set_health(health_on());
   auto base = base_pipe.run(gen, n_cpis, 2, 2);
   gate(base.faults.clean(), "baseline: fault ledger not clean");
-  gate(base.health.quarantines == 0, "baseline: false quarantine");
-  gate(base.healing.clean(), "baseline: phantom healing event");
+  gate(base.events.count(core::EventKind::kQuarantine) == 0,
+       "baseline: false quarantine");
+  gate(base.events.heals().empty(), "baseline: phantom healing event");
   const double base_period = tail_period(base, 2);
   std::printf("clean baseline (health armed): %.2f CPI/s, %zu detections, "
               "%.4f s/CPI steady-state, %llu health events\n",
               base.throughput, total_dets(base), base_period,
-              static_cast<unsigned long long>(base.health.events.size()));
+              static_cast<unsigned long long>(base.events.verdicts().size()));
   std::printf("per-rank service floors (ms):");
-  for (const auto& rh : base.health.ranks)
-    std::printf(" r%d=%.2f", rh.rank, 1e3 * rh.floor_service);
+  for (const auto& rh : base.events.of(core::EventKind::kRankHealth))
+    std::printf(" r%d=%.2f", rh.rank, 1e3 * rh.seconds);
   std::printf("\n");
   bench::report_row(bench::row(
       {{"kind", "baseline"},
        {"throughput_cpi_per_s", base.throughput},
        {"steady_period_s", base_period},
        {"detections", total_dets(base)},
-       {"health_events", base.health.events.size()},
-       {"false_quarantines", base.health.quarantines}}));
+       {"health_events", base.events.verdicts().size()},
+       {"false_quarantines", base.events.count(core::EventKind::kQuarantine)}}));
 
   // --- panel 2: slowdown sweep, containment OFF ----------------------------
   if (!smoke) {
@@ -225,18 +226,18 @@ int main(int argc, char** argv) {
       auto r = pipe.run(gen, n_cpis, 2, 2);
       gate_stream_whole(r, base,
                         "slowdown " + std::to_string(factor) + "x");
-      gate(r.faults.stage_slowdowns > 0,
+      gate(r.events.count(core::EventKind::kStageSlowdown) > 0,
            "slowdown sweep: no stage was slowed");
       std::printf("%-10.1f %9.2f /s %9.1f%% %12llu %12zu\n", factor,
                   r.throughput, 100.0 * r.throughput / base.throughput,
-                  static_cast<unsigned long long>(r.faults.stage_slowdowns),
+                  static_cast<unsigned long long>(r.events.count(core::EventKind::kStageSlowdown)),
                   total_dets(r));
       bench::report_row(bench::row(
           {{"kind", "slowdown_sweep"},
            {"factor", factor},
            {"throughput_cpi_per_s", r.throughput},
            {"throughput_vs_baseline", r.throughput / base.throughput},
-           {"stage_slowdowns", r.faults.stage_slowdowns},
+           {"stage_slowdowns", r.events.count(core::EventKind::kStageSlowdown)},
            {"detections", total_dets(r)}}));
     }
   }
@@ -269,18 +270,21 @@ int main(int argc, char** argv) {
 
     gate_stream_whole(off, base, "containment OFF");
     gate_stream_whole(on, base, "containment ON");
-    gate(on.health.quarantines == 1, "containment ON: quarantine count");
-    gate(on.healing.quarantines() == 1,
-         "containment ON: healing mechanism not \"quarantine\"");
+    gate(on.events.count(core::EventKind::kQuarantine) == 1,
+         "containment ON: quarantine count");
+    int quarantine_heals = 0;
     index_t resume_cpi = 0;
     double mttr = 0.0;
-    for (const auto& e : on.healing.events)
-      if (e.mechanism == "quarantine") {
+    for (const auto& e : on.events.heals())
+      if (std::string(e.cause) == "quarantine") {
+        ++quarantine_heals;
         gate(e.rank == victim, "containment ON: wrong rank evicted");
-        gate(e.mttr_seconds > 0.0, "containment ON: zero MTTR");
-        resume_cpi = e.resume_cpi;
-        mttr = e.mttr_seconds;
+        gate(e.seconds > 0.0, "containment ON: zero MTTR");
+        resume_cpi = e.cpi;
+        mttr = e.seconds;
       }
+    gate(quarantine_heals == 1,
+         "containment ON: healing cause not \"quarantine\"");
     // Gate (b): post-recovery the spare restores the clean pace; OFF is
     // left pacing at the straggler. Both sides measured as steady-state
     // sink inter-completion gaps, compared against the clean baseline's.
@@ -297,13 +301,14 @@ int main(int argc, char** argv) {
          "containment ON is not faster than OFF");
     std::printf("\npersistent %.0fx straggler on rank %d:\n", factor,
                 victim);
-    for (const auto& e : on.health.events)
-      std::printf("  [health] cpi %lld rank %d task %d z=%.1f %s\n", e.cpi,
-                  e.rank, e.task, e.zscore, e.action.c_str());
+    for (const auto& e : on.events.verdicts())
+      std::printf("  [health] cpi %lld rank %d task %d z=%.1f %s\n",
+                  static_cast<long long>(e.cpi), e.rank, e.task, e.seconds,
+                  core::info(e.kind).counter);
     std::printf("  OFF: %.4f s/CPI (%.0f%% of baseline pace), ledger %llu "
                 "slow stages\n",
                 off_period, 100.0 * off_pace,
-                static_cast<unsigned long long>(off.faults.stage_slowdowns));
+                static_cast<unsigned long long>(off.events.count(core::EventKind::kStageSlowdown)));
     std::printf("  ON:  quarantined at CPI %ld (MTTR %.6f s), post-recovery "
                 "%.4f s/CPI = %.0f%% of baseline pace\n",
                 static_cast<long>(resume_cpi), mttr, on_period,
@@ -315,11 +320,12 @@ int main(int argc, char** argv) {
          {"off_pace_vs_baseline", off_pace},
          {"on_steady_period_s", on_period},
          {"recovered_vs_baseline", recovered},
-         {"quarantines", on.health.quarantines},
+         {"quarantines", on.events.count(core::EventKind::kQuarantine)},
          {"quarantine_mttr_s", mttr},
          {"resume_cpi", resume_cpi},
-         {"flap_suppressed", on.health.flap_suppressed},
-         {"vetoed", on.health.vetoed}}));
+         {"flap_suppressed",
+          on.events.count(core::EventKind::kFlapSuppressed)},
+         {"vetoed", on.events.count(core::EventKind::kVetoed)}}));
   }
 
   // --- panel 4: flaky link (heavy-tailed jitter) ---------------------------
@@ -333,22 +339,22 @@ int main(int argc, char** argv) {
     pipe.set_fault_plan(&plan);
     auto r = pipe.run(gen, n_cpis, 2, 2);
     gate_stream_whole(r, base, "flaky link");
-    gate(r.faults.frames_jittered > 0, "flaky link: nothing jittered");
+    gate(r.events.count(core::EventKind::kFrameJittered) > 0, "flaky link: nothing jittered");
     // Delivery wait is queue time, not service time: a flaky link must
     // never read as a slow rank.
-    gate(r.health.quarantines == 0, "flaky link: false quarantine");
+    gate(r.events.count(core::EventKind::kQuarantine) == 0, "flaky link: false quarantine");
     std::printf("\nflaky link (Pareto jitter, p=0.5): %llu frames "
                 "jittered, %.2f CPI/s, %zu detections, %llu quarantines\n",
-                static_cast<unsigned long long>(r.faults.frames_jittered),
+                static_cast<unsigned long long>(r.events.count(core::EventKind::kFrameJittered)),
                 r.throughput, total_dets(r),
-                static_cast<unsigned long long>(r.health.quarantines));
+                static_cast<unsigned long long>(r.events.count(core::EventKind::kQuarantine)));
     bench::report_row(bench::row(
         {{"kind", "flaky_link"},
-         {"frames_jittered", r.faults.frames_jittered},
+         {"frames_jittered", r.events.count(core::EventKind::kFrameJittered)},
          {"throughput_cpi_per_s", r.throughput},
          {"throughput_vs_baseline", r.throughput / base.throughput},
          {"detections", total_dets(r)},
-         {"false_quarantines", r.health.quarantines}}));
+         {"false_quarantines", r.events.count(core::EventKind::kQuarantine)}}));
   }
 
   // --- panel 5: duplicate storm --------------------------------------------
@@ -365,23 +371,23 @@ int main(int argc, char** argv) {
     pipe.set_fault_plan(&plan);
     auto r = pipe.run(gen, n_cpis, 2, 2);
     gate_stream_whole(r, base, "duplicate storm");
-    gate(r.faults.frames_duplicated > 0, "duplicate storm: no duplicates");
-    gate(r.faults.dup_discarded > 0,
+    gate(r.events.count(core::EventKind::kFrameDuplicated) > 0, "duplicate storm: no duplicates");
+    gate(r.events.count(core::EventKind::kDupDiscarded) > 0,
          "duplicate storm: receiver discarded nothing");
-    gate(r.health.quarantines == 0, "duplicate storm: false quarantine");
+    gate(r.events.count(core::EventKind::kQuarantine) == 0, "duplicate storm: false quarantine");
     std::printf("\nduplicate storm (2 edges, p=1.0): %llu duplicated, %llu "
                 "discarded by the seq ledger, %zu detections (baseline "
                 "%zu)\n",
-                static_cast<unsigned long long>(r.faults.frames_duplicated),
-                static_cast<unsigned long long>(r.faults.dup_discarded),
+                static_cast<unsigned long long>(r.events.count(core::EventKind::kFrameDuplicated)),
+                static_cast<unsigned long long>(r.events.count(core::EventKind::kDupDiscarded)),
                 total_dets(r), total_dets(base));
     bench::report_row(bench::row(
         {{"kind", "duplicate_storm"},
-         {"frames_duplicated", r.faults.frames_duplicated},
-         {"dup_discarded", r.faults.dup_discarded},
+         {"frames_duplicated", r.events.count(core::EventKind::kFrameDuplicated)},
+         {"dup_discarded", r.events.count(core::EventKind::kDupDiscarded)},
          {"throughput_cpi_per_s", r.throughput},
          {"detections", total_dets(r)},
-         {"false_quarantines", r.health.quarantines}}));
+         {"false_quarantines", r.events.count(core::EventKind::kQuarantine)}}));
   }
 
   std::printf("\n%s: %d gate failure%s\n",

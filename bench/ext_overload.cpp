@@ -127,8 +127,8 @@ int main(int argc, char** argv) {
     st.p99 = r.latency_percentiles.p99;
     st.throughput = r.throughput;
     st.shed = r.faults.shed_cpis.size();
-    st.max_level = r.overload.max_level;
-    st.level_changes = r.overload.level_changes;
+    st.max_level = r.events.max_level();
+    st.level_changes = r.events.count(core::EventKind::kLevelChange);
     return st;
   };
 

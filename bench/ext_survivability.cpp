@@ -732,35 +732,40 @@ int run_soak_panel(bool smoke) {
     if (res.detections.size() != static_cast<size_t>(sc.n_cpis) ||
         res.completion_times.size() != static_cast<size_t>(sc.n_cpis))
       fail("stream size mismatch");
-    if (res.faults.kills != sc.kills) fail("kill count mismatch");
+    const auto& ev = res.events;
+    const std::uint64_t kills = ev.count(core::EventKind::kKill);
+    const auto spares = static_cast<int>(ev.count(core::EventKind::kHealSpare));
+    const auto shrinks =
+        static_cast<int>(ev.count(core::EventKind::kHealShrink));
+    const auto uncovered =
+        static_cast<int>(ev.count(core::EventKind::kHealUncovered));
+    if (kills != sc.kills) fail("kill count mismatch");
 
-    // Healing ledger: exactly the expected mechanisms, each repair with a
+    // Healing records: exactly the expected mechanisms, each repair with a
     // positive MTTR inside the scenario's bound.
-    if (res.healing.spare_takeovers() != sc.spare_heals)
-      fail("spare takeover count mismatch");
-    if (res.healing.shrinks() != sc.shrink_heals)
-      fail("shrink count mismatch");
-    if (res.healing.uncovered() != sc.uncovered)
-      fail("uncovered count mismatch");
-    if (static_cast<int>(res.faults.uncovered_ranks.size()) != sc.uncovered)
-      fail("uncovered ledger mismatch");
-    for (const auto& ev : res.healing.events) {
-      if (ev.mechanism == "uncovered") continue;
-      if (!(ev.mttr_seconds > 0.0 && ev.mttr_seconds <= sc.mttr_bound_s))
+    if (spares != sc.spare_heals) fail("spare takeover count mismatch");
+    if (shrinks != sc.shrink_heals) fail("shrink count mismatch");
+    if (uncovered != sc.uncovered) fail("uncovered count mismatch");
+    double max_mttr = 0.0;
+    for (const auto& h : ev.heals()) {
+      if (h.kind == core::EventKind::kHealUncovered) continue;
+      if (!(h.seconds > 0.0 && h.seconds <= sc.mttr_bound_s))
         fail("mttr out of bounds");
-      if (ev.mechanism == "shrink" &&
-          !(ev.resume_cpi > 0 && ev.resume_cpi < sc.n_cpis - 1))
+      if (h.kind == core::EventKind::kHealShrink &&
+          !(h.cpi > 0 && h.cpi < sc.n_cpis - 1))
         fail("shrink barrier outside the stream");
+      max_mttr = std::max(max_mttr, h.seconds);
     }
-    worst_mttr = std::max(worst_mttr, res.healing.max_mttr_seconds());
+    worst_mttr = std::max(worst_mttr, max_mttr);
 
-    // A migration window in flight must resolve, never wedge.
-    if (sc.migration) {
-      if (res.migrations.attempts.empty()) fail("no migration attempt");
-      for (const auto& ev : res.migrations.attempts)
-        if (ev.outcome != "committed" && ev.outcome != "rolled_back")
-          fail("unresolved migration attempt");
-    }
+    // A migration window in flight must resolve, never wedge (an attempt
+    // still pending when the stream drains is recorded as rolled back).
+    if (sc.migration && ev.migrations().empty())
+      fail("no migration attempt");
+
+    // Every shed CPI has exactly one recorded origin.
+    for (index_t c : res.faults.shed_cpis)
+      if (ev.shed_cause(c) == nullptr) fail("shed CPI without a cause");
 
     // Shed ledger: no duplicates, no out-of-range entries, no detections
     // on a shed CPI, and none at all where the scenario promises a
@@ -809,20 +814,18 @@ int run_soak_panel(bool smoke) {
     }
 
     std::printf("%-32s %5d %5d %6d %4zu %5zu %8.3f %s%s\n", sc.name.c_str(),
-                res.healing.spare_takeovers(), res.healing.shrinks(),
-                res.healing.uncovered(), res.faults.shed_cpis.size(), exact,
-                res.healing.max_mttr_seconds(), ok ? "ok" : "FAIL ",
-                ok ? "" : why.c_str());
+                spares, shrinks, uncovered, res.faults.shed_cpis.size(), exact,
+                max_mttr, ok ? "ok" : "FAIL ", ok ? "" : why.c_str());
     bench::report_row(
         bench::row({{"kind", "soak"},
                     {"scenario", sc.name},
-                    {"kills", res.faults.kills},
-                    {"spare_heals", res.healing.spare_takeovers()},
-                    {"shrink_heals", res.healing.shrinks()},
-                    {"uncovered", res.healing.uncovered()},
+                    {"kills", kills},
+                    {"spare_heals", spares},
+                    {"shrink_heals", shrinks},
+                    {"uncovered", uncovered},
                     {"shed_cpis", res.faults.shed_cpis.size()},
                     {"exact_cpis", exact},
-                    {"max_mttr_s", res.healing.max_mttr_seconds()},
+                    {"max_mttr_s", max_mttr},
                     {"retransmissions", res.faults.retransmissions},
                     {"pass", ok ? 1 : 0}}));
     if (!ok) ++failures;
@@ -908,13 +911,13 @@ int run_throughput_panel() {
   pipe.set_overload(ov);
   auto res = pipe.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
-  if (res.healing.shrinks() != 1 || !res.faults.uncovered_ranks.empty()) {
+  const auto shrink_heals = res.events.of(core::EventKind::kHealShrink);
+  if (shrink_heals.size() != 1 ||
+      res.events.count(core::EventKind::kHealUncovered) != 0) {
     std::printf("FAIL: the death did not heal by shrink\n");
     return 1;
   }
-  const auto shrink_ev =
-      *std::find_if(res.healing.events.begin(), res.healing.events.end(),
-                    [](const auto& e) { return e.mechanism == "shrink"; });
+  const auto shrink_ev = shrink_heals[0];
 
   // The reduced-topology prediction: a fault-free run on the survivor
   // assignment under the identical admission regime, measured over the
@@ -928,7 +931,7 @@ int run_throughput_panel() {
     return 1;
   }
 
-  const index_t lo = shrink_ev.resume_cpi + 2;
+  const index_t lo = shrink_ev.cpi + 2;
   const index_t hi = n_cpis - 1;
   const double gap_healed = median_gap(res.completion_times, lo, hi);
   const double gap_red = median_gap(rr.completion_times, lo, hi);
@@ -950,8 +953,8 @@ int run_throughput_panel() {
 
   std::printf("shrink at CPI %lld (MTTR %.3f s); post-shrink window "
               "[%lld, %lld)\n",
-              static_cast<long long>(shrink_ev.resume_cpi),
-              shrink_ev.mttr_seconds, static_cast<long long>(lo),
+              static_cast<long long>(shrink_ev.cpi),
+              shrink_ev.seconds, static_cast<long long>(lo),
               static_cast<long long>(hi));
   std::printf("%-28s %12s %12s\n", "", "gap (s/CPI)", "CPI/s");
   std::printf("%-28s %12.4f %12.2f\n", "healed run, post-shrink",
@@ -979,8 +982,8 @@ int run_throughput_panel() {
     if (sim_red.throughput_measured <= 0.0) rc = 1;
   }
   bench::report_row(bench::row({{"kind", "throughput"},
-                                {"resume_cpi", shrink_ev.resume_cpi},
-                                {"mttr", shrink_ev.mttr_seconds},
+                                {"resume_cpi", shrink_ev.cpi},
+                                {"mttr", shrink_ev.seconds},
                                 {"gap_healed_s", gap_healed},
                                 {"gap_reduced_s", gap_red},
                                 {"ratio", ratio},

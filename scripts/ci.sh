@@ -139,17 +139,17 @@ cmake -B build-notrace -S . -DCMAKE_BUILD_TYPE=Release \
 cmake --build build-notrace -j "$JOBS"
 ctest --test-dir build-notrace -L obs --output-on-failure -j "$JOBS"
 
-echo "=== TSan: comm + core + fault tolerance + elastic migration + stage driver + synth ==="
+echo "=== TSan: comm + core + fault tolerance + elastic migration + stage driver + synth + event log ==="
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "$JOBS" \
       --target test_comm test_collectives test_core test_fault_tolerance \
                test_elastic test_checkpoint test_overload test_integrity \
-               test_synth
+               test_synth test_events
 TSAN_OPTIONS="halt_on_error=1" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_checkpoint|test_overload|test_integrity|test_synth)$'
+      -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_checkpoint|test_overload|test_integrity|test_synth|test_events)$'
 
 echo "=== ASan+UBSan: comm + core + fault + overload + kernels + stap + synth ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \

@@ -37,7 +37,11 @@ CpiSource::CpiSource(Generator gen, index_t window, index_t max_regenerations)
     : gen_(std::move(gen)),
       window_(window),
       max_regenerations_(max_regenerations),
-      pool_(std::make_shared<Pool>()) {}
+      pool_(std::make_shared<Pool>()) {
+  // Listed in every export, at zero, once a source exists.
+  obs::Registry::global().counter("cpi_source.regenerations");
+  obs::Registry::global().counter("cpi_source.regeneration_storms");
+}
 
 CpiSource::~CpiSource() { stop(); }
 

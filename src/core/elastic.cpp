@@ -13,7 +13,6 @@
 #include "common/env.hpp"
 #include "common/timer.hpp"
 #include "obs/critical_path.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace ppstap::core {
@@ -136,13 +135,6 @@ class AdaptiveWeightStateTransfer final : public SolverStateTransfer {
   Task task_;
 };
 
-void emit_migration_span(const char* name, int rank, index_t barrier_cpi,
-                         double t0, double t1) {
-  if (!obs::tracing_enabled()) return;
-  obs::emit({name, "fault", rank, obs::kFaultTrack,
-             static_cast<std::int64_t>(barrier_cpi), t0, t1, -1, -1});
-}
-
 }  // namespace
 
 bool task_migratable(Task t) {
@@ -255,25 +247,14 @@ void ElasticConfig::validate() const {
   }
 }
 
-int MigrationLedger::committed() const {
-  int n = 0;
-  for (const auto& e : attempts) n += e.outcome == "committed" ? 1 : 0;
-  return n;
-}
-
-int MigrationLedger::rolled_back() const {
-  int n = 0;
-  for (const auto& e : attempts) n += e.outcome == "rolled_back" ? 1 : 0;
-  return n;
-}
-
 ElasticEngine::ElasticEngine(comm::World* world, const stap::StapParams& p,
                              Topology initial, ElasticConfig cfg,
-                             index_t n_cpis)
+                             index_t n_cpis, EventLog& log)
     : world_(world),
       params_(p),
       cfg_(std::move(cfg)),
       n_cpis_(n_cpis),
+      log_(log),
       total_ranks_(initial.total()),
       coordinator_rank_(initial.rank_at(Task::kDopplerFilter, 0)) {
   cfg_.validate();
@@ -376,8 +357,7 @@ void ElasticEngine::participate(comm::Comm& c, Proposal& p) {
 }
 
 void ElasticEngine::collect_votes(comm::Comm& c, Proposal& p) {
-  const double t0 = WallTimer::now();
-  const double deadline = t0 + cfg_.stall_budget_seconds;
+  const double deadline = WallTimer::now() + cfg_.stall_budget_seconds;
   const char* reason = nullptr;
   // A live-rank migration aborts if the mover died; a shrink aborts if its
   // target came back to life (a late spare takeover raced the proposal).
@@ -416,10 +396,6 @@ void ElasticEngine::collect_votes(comm::Comm& c, Proposal& p) {
   }
   const int out = resolve(p, reason == nullptr ? kCommitted : kRolledBack,
                           reason == nullptr ? "" : reason);
-  emit_migration_span(out == kCommitted
-                          ? (p.shrink ? "shrink_commit" : "migration_commit")
-                          : "migration_rollback",
-                      c.rank(), p.barrier_cpi, t0, WallTimer::now());
   const VerdictPayload verdict{static_cast<std::int32_t>(p.attempt),
                                out == kCommitted ? 1 : 0,
                                static_cast<std::int64_t>(p.barrier_cpi)};
@@ -457,8 +433,7 @@ void ElasticEngine::await_verdict(comm::Comm& c, Proposal& p) {
   if (out == kCommitted) wait_epoch_covering(p.barrier_cpi);
 }
 
-int ElasticEngine::resolve(Proposal& p, int outcome,
-                           const std::string& reason) {
+int ElasticEngine::resolve(Proposal& p, int outcome, const char* reason) {
   int expected = kPending;
   if (!p.outcome.compare_exchange_strong(expected, outcome,
                                          std::memory_order_acq_rel)) {
@@ -471,20 +446,10 @@ int ElasticEngine::resolve(Proposal& p, int outcome,
   const double commit_time = WallTimer::now();
   if (outcome == kCommitted) {
     publish_epoch(p);
-    if (p.shrink) {
-      obs::Registry::global().counter("elastic.shrinks_committed").add(1);
-    } else {
-      committed_.fetch_add(1, std::memory_order_relaxed);
-      obs::Registry::global().counter("elastic.migrations_committed").add(1);
-    }
-  } else {
-    obs::Registry::global().counter("elastic.migrations_rolled_back").add(1);
+    if (!p.shrink) committed_.fetch_add(1, std::memory_order_relaxed);
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
-    MigrationEvent& e = events_[static_cast<size_t>(p.attempt)];
-    e.outcome = outcome == kCommitted ? "committed" : "rolled_back";
-    e.abort_reason = reason;
     if (outcome != kCommitted) {
       cooldown_until_ = p.barrier_cpi + cfg_.cooldown_cpis;
       // A rolled-back shrink may be re-proposed at the next tick.
@@ -501,10 +466,34 @@ int ElasticEngine::resolve(Proposal& p, int outcome,
   Proposal* expect_p = &p;
   pending_.compare_exchange_strong(expect_p, nullptr);
   cv_.notify_all();
-  // Flight recorder: every rolled-back migration leaves a bounded trace
-  // ring on disk (no-op unless armed), same as aborts and failovers.
-  if (outcome != kCommitted) obs::flight_dump("migration_rollback");
+  // A rollback also arms the flight recorder (the kind table says so).
+  record_outcome(p, outcome, reason);
   return outcome;
+}
+
+void ElasticEngine::record_outcome(const Proposal& p, int outcome,
+                                   const char* reason) {
+  Event e{outcome != kCommitted ? EventKind::kMigrationRollback
+          : p.shrink            ? EventKind::kShrinkCommit
+                                : EventKind::kMigrationCommit};
+  e.time = WallTimer::now();
+  e.rank = p.migrating_rank;
+  e.task = static_cast<int>(p.donor);
+  e.cpi = p.barrier_cpi;
+  e.cause = p.trigger;
+  e.seconds = e.time - p.proposed_at;
+  e.peer = p.shrink ? -1 : static_cast<int>(p.recipient);
+  e.note = reason;
+  log_.record(e);
+}
+
+void ElasticEngine::finish() {
+  Proposal* p = pending_.load(std::memory_order_acquire);
+  if (p == nullptr) return;
+  int expected = kPending;
+  if (p->outcome.compare_exchange_strong(expected, kRolledBack,
+                                         std::memory_order_acq_rel))
+    record_outcome(*p, kRolledBack, "unresolved_at_exit");
 }
 
 void ElasticEngine::publish_epoch(const Proposal& p) {
@@ -608,16 +597,10 @@ bool ElasticEngine::propose_shrink(index_t cpi, int dead_rank) {
   p.recipient = task;
   p.migrating_rank = dead_rank;
   p.shrink = true;
+  p.trigger = "shrink";
+  p.proposed_at = WallTimer::now();
   p.next = std::move(candidate);
   p.next_checksum = p.next.checksum();
-  MigrationEvent e;
-  e.attempt = p.attempt;
-  e.barrier_cpi = barrier;
-  e.donor_task = static_cast<int>(task);
-  e.recipient_task = -1;
-  e.migrating_rank = dead_rank;
-  e.trigger = "shrink";
-  events_.push_back(std::move(e));
   last_barrier_cpi_ = barrier;
   shrunk_ranks_.push_back(dead_rank);
   lock.unlock();
@@ -637,7 +620,7 @@ bool ElasticEngine::request_overload_assist() {
   if (committed_.load(std::memory_order_relaxed) >= cfg_.max_migrations)
     return false;
   overload_assist_.store(true, std::memory_order_release);
-  obs::Registry::global().counter("overload.elastic_assists").add(1);
+  log_.record({EventKind::kElasticAssist});
   return true;
 }
 
@@ -674,16 +657,10 @@ bool ElasticEngine::propose(index_t cpi, Task donor, Task recipient,
   p.donor = donor;
   p.recipient = recipient;
   p.migrating_rank = migrating;
+  p.trigger = trigger;
+  p.proposed_at = WallTimer::now();
   p.next = std::move(candidate);
   p.next_checksum = p.next.checksum();
-  MigrationEvent e;
-  e.attempt = p.attempt;
-  e.barrier_cpi = barrier;
-  e.donor_task = static_cast<int>(donor);
-  e.recipient_task = static_cast<int>(recipient);
-  e.migrating_rank = migrating;
-  e.trigger = trigger;
-  events_.push_back(std::move(e));
   last_barrier_cpi_ = barrier;
   lock.unlock();
   pending_.store(&p, std::memory_order_seq_cst);
@@ -792,21 +769,6 @@ void ElasticEngine::policy_tick(comm::Comm& c, index_t cpi) {
   last_candidate_donor_ = -1;
   last_candidate_recipient_ = -1;
   propose(cpi, static_cast<Task>(donor), recipient, "policy");
-}
-
-MigrationLedger ElasticEngine::ledger() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  MigrationLedger out;
-  out.attempts = events_;
-  for (MigrationEvent& e : out.attempts) {
-    if (e.outcome.empty()) {
-      // The stream drained before any rank could resolve the barrier
-      // (e.g. every participant died first): account it as rolled back.
-      e.outcome = "rolled_back";
-      e.abort_reason = "unresolved_at_exit";
-    }
-  }
-  return out;
 }
 
 }  // namespace ppstap::core

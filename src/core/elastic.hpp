@@ -39,7 +39,8 @@
 // amortized over a horizon exceeding the expected quiesce stall, with
 // two-tick hysteresis), and an OverloadController assist rung that asks for
 // a migration toward the gating group before degrading to frozen-hard or
-// stale weights. Every attempt — committed or rolled back — is ledgered.
+// stale weights. Every attempt — committed or rolled back — is recorded
+// into the run's event log when it resolves.
 #pragma once
 
 #include <array>
@@ -51,10 +52,10 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
 
 #include "core/assignment.hpp"
+#include "core/events.hpp"
 #include "cube/partition.hpp"
 #include "stap/flops.hpp"
 #include "stap/params.hpp"
@@ -184,34 +185,13 @@ struct ElasticConfig {
   void validate() const;
 };
 
-/// One migration attempt, from proposal to resolution.
-struct MigrationEvent {
-  int attempt = 0;
-  index_t barrier_cpi = 0;
-  int donor_task = -1;
-  int recipient_task = -1;
-  int migrating_rank = -1;
-  std::string trigger;  ///< "policy" | "overload" | "forced" | "shrink"
-  std::string outcome;  ///< "committed" | "rolled_back" ("" while pending)
-  std::string abort_reason;  ///< empty on commit
-  /// Excess sink inter-completion gap at the barrier CPI (filled post-run
-  /// by the driver; the measured analogue of sim migration_stall).
-  double stall_seconds = 0.0;
-};
-
-struct MigrationLedger {
-  std::vector<MigrationEvent> attempts;
-  int committed() const;
-  int rolled_back() const;
-  bool clean() const { return attempts.empty(); }
-};
-
 /// The shared migration engine: one instance per pipeline run, used
 /// concurrently by every rank thread.
 class ElasticEngine {
  public:
   ElasticEngine(comm::World* world, const stap::StapParams& p,
-                Topology initial, ElasticConfig cfg, index_t n_cpis);
+                Topology initial, ElasticConfig cfg, index_t n_cpis,
+                EventLog& log);
 
   /// Topology governing `cpi`. Lock-free fast path.
   const Topology& topo(index_t cpi) const;
@@ -273,8 +253,10 @@ class ElasticEngine {
   /// Ranks healed by a committed shrink so far (for uncovered accounting).
   std::vector<int> shrunk_ranks() const;
 
-  /// Post-run accounting (call after the stream drains).
-  MigrationLedger ledger() const;
+  /// Records an attempt still pending when the stream drained (e.g. every
+  /// participant died first) as rolled back, reason "unresolved_at_exit".
+  /// Call after the stream drains.
+  void finish();
 
  private:
   struct Epoch {
@@ -294,6 +276,8 @@ class ElasticEngine {
     /// being removed rather than a live rank changing groups. Participants
     /// learn the flavour through the shared pending pointer.
     bool shrink = false;
+    const char* trigger = "";  ///< "policy" | "overload" | "forced" | "shrink"
+    double proposed_at = 0.0;  ///< WallTimer stamp; the span's start
     Topology next;
     std::uint64_t next_checksum = 0;
     std::atomic<int> outcome{kPending};
@@ -309,9 +293,10 @@ class ElasticEngine {
   void participate(comm::Comm& c, Proposal& p);
   void collect_votes(comm::Comm& c, Proposal& p);
   void await_verdict(comm::Comm& c, Proposal& p);
-  /// CAS to `outcome`; the winner finalizes the ledger entry (and, on
-  /// commit, publishes the new epoch). Returns the resolved outcome.
-  int resolve(Proposal& p, int outcome, const std::string& reason);
+  /// CAS to `outcome`; the winner records the attempt (and, on commit,
+  /// publishes the new epoch). Returns the resolved outcome.
+  int resolve(Proposal& p, int outcome, const char* reason);
+  void record_outcome(const Proposal& p, int outcome, const char* reason);
   void publish_epoch(const Proposal& p);
   void wait_epoch_covering(index_t cpi);
   bool any_rank_dead() const;
@@ -320,6 +305,7 @@ class ElasticEngine {
   stap::StapParams params_;
   ElasticConfig cfg_;
   index_t n_cpis_;
+  EventLog& log_;
   int total_ranks_;
   int coordinator_rank_;
 
@@ -333,7 +319,6 @@ class ElasticEngine {
 
   std::deque<Proposal> proposals_;            // stable addresses
   std::atomic<Proposal*> pending_{nullptr};   // the unresolved attempt
-  std::vector<MigrationEvent> events_;        // parallel to proposals_
 
   /// Highest CPI each rank has reached (top-of-loop), for barrier safety.
   std::vector<std::atomic<index_t>> progress_;

@@ -22,16 +22,10 @@
 //  * Shrink-to-survivors — with the pool exhausted, a dead rank's group is
 //    re-planned across the survivors by the elastic engine.
 //
-// PipelineResult carries a FaultLedger accounting for every shed CPI,
-// retransmission, injected fault, and uncovered death; each recovery is a
-// HealingEvent (healing.hpp) with its MTTR.
+// Every shed CPI (with its origin), retransmission, injected fault and
+// recovery (with its MTTR) is a record in the run's event log (events.hpp).
 #pragma once
 
-#include <array>
-#include <cstdint>
-#include <vector>
-
-#include "common/types.hpp"
 
 namespace ppstap::core {
 
@@ -51,7 +45,7 @@ struct FaultToleranceConfig {
   int spares = 0;
   /// When the pool is exhausted (or empty) and a rank of a migratable
   /// group dies, let the elastic engine shrink the group to the survivors
-  /// under a new topology epoch instead of ledgering an uncovered failure.
+  /// under a new topology epoch instead of recording an uncovered failure.
   bool heal_shrink = false;
   /// How often the idle spare polls for deaths (and for stream completion).
   double death_poll_seconds = 0.002;
@@ -65,47 +59,6 @@ struct FaultToleranceConfig {
   ///   PPSTAP_HEAL_SHRINK     nonzero enables shrink-to-survivors
   ///   PPSTAP_FAULT_POLL      seconds; overrides death_poll_seconds
   static FaultToleranceConfig from_env();
-};
-
-/// Everything that went wrong (or was injected) during a pipeline run.
-struct FaultLedger {
-  /// CPIs the sink recorded as shed (ascending; detections for these CPIs
-  /// are absent and their latency is excluded from the averages).
-  std::vector<index_t> shed_cpis;
-  /// Checksum-failure refetches summed over all ranks.
-  std::uint64_t retransmissions = 0;
-  // Injected-fault counts from the installed FaultPlan, if any.
-  std::uint64_t frames_delayed = 0;
-  std::uint64_t frames_dropped = 0;
-  std::uint64_t frames_corrupted = 0;
-  std::uint64_t kills = 0;
-  // Gray-failure injections (PR 10).
-  std::uint64_t stage_slowdowns = 0;   ///< stage executions stretched by kSlow
-  std::uint64_t frames_jittered = 0;   ///< heavy-tailed delivery delays
-  std::uint64_t frames_duplicated = 0; ///< kDuplicate re-deliveries enqueued
-  /// Re-delivered frames dropped by the receivers' idempotence ledger
-  /// (summed CommStats::dup_discarded). On a drained run this matches
-  /// frames_duplicated — every injected duplicate was caught.
-  std::uint64_t dup_discarded = 0;
-  /// Ranks that died and were never healed — no spare left to claim them
-  /// and no shrink could re-plan their group. Their CPIs are shed instead
-  /// of hanging the stream, and the gap is ledgered here.
-  std::vector<int> uncovered_ranks;
-  /// Per-edge retransmission histogram summed over all ranks, mirroring
-  /// comm::CommStats::retry_histogram (rows = tag-slot buckets, data edges
-  /// 0-8 plus an "other" bucket; column a = frames delivered after exactly
-  /// a+1 refetches, last column = budget exhausted). Dimensions match
-  /// comm::kRetryEdgeBuckets x (comm::kMaxRetransmitAttempts + 1),
-  /// static_asserted at the aggregation site.
-  std::array<std::array<std::uint64_t, 6>, 10> retry_histogram{};
-
-  bool clean() const {
-    return shed_cpis.empty() && retransmissions == 0 && frames_delayed == 0 &&
-           frames_dropped == 0 && frames_corrupted == 0 && kills == 0 &&
-           stage_slowdowns == 0 && frames_jittered == 0 &&
-           frames_duplicated == 0 && dup_discarded == 0 &&
-           uncovered_ranks.empty();
-  }
 };
 
 }  // namespace ppstap::core

@@ -5,7 +5,6 @@
 
 #include "common/check.hpp"
 #include "common/env.hpp"
-#include "obs/metrics.hpp"
 
 namespace ppstap::core {
 
@@ -37,8 +36,10 @@ void HealthConfig::validate() const {
   PPSTAP_REQUIRE(min_service >= 0.0, "health min_service must be >= 0");
 }
 
-HealthMonitor::HealthMonitor(const HealthConfig& cfg, int n_ranks)
+HealthMonitor::HealthMonitor(const HealthConfig& cfg, int n_ranks,
+                             EventLog& log)
     : cfg_(cfg),
+      log_(log),
       state_(static_cast<size_t>(n_ranks)),
       quarantine_flag_(static_cast<size_t>(n_ranks)),
       revived_(static_cast<size_t>(n_ranks)) {
@@ -172,38 +173,33 @@ void HealthMonitor::scan(long long cpi,
         ++s.strikes;
         if (!s.suspect) {
           s.suspect = true;
-          ++suspects_;
-          events_.push_back({r, s.task, cpi, z, "suspect"});
+          verdict(EventKind::kSuspect, r, s, cpi, z);
         }
         if (s.strikes < cfg_.dwell) continue;
         // Confirmed. Flap budget first, then the do-no-harm prediction.
         if (!cfg_.quarantine) continue;
         if (s.quarantine_count >= cfg_.flap_limit) {
-          ++flap_suppressed_;
-          events_.push_back({r, s.task, cpi, z, "flap_suppressed"});
+          verdict(EventKind::kFlapSuppressed, r, s, cpi, z);
           s.strikes = 0;
           continue;
         }
         if (!do_no_harm_ok(groups, g, r, peers, spare_available,
                            shrink_available)) {
-          ++vetoed_;
-          events_.push_back({r, s.task, cpi, z, "vetoed"});
+          verdict(EventKind::kVetoed, r, s, cpi, z);
           s.strikes = 0;
           continue;
         }
         s.quarantined = true;
         ++s.quarantine_count;
-        ++quarantines_;
-        events_.push_back({r, s.task, cpi, z, "quarantine"});
+        verdict(EventKind::kQuarantine, r, s, cpi, z);
         quarantine_flag_[static_cast<size_t>(r)].store(
             true, std::memory_order_release);
-        obs::Registry::global().counter("health.quarantines").add(1);
       } else if (s.strikes > 0 && z < 0.5 * cfg_.zscore) {
         // Hysteresis: strikes only clear well below the threshold, so a
         // rank flickering around it neither escalates nor resets per tick.
         s.strikes = 0;
         s.suspect = false;
-        events_.push_back({r, s.task, cpi, z, "clear"});
+        verdict(EventKind::kClear, r, s, cpi, z);
       }
     }
   }
@@ -227,31 +223,23 @@ void HealthMonitor::on_revived(int rank) {
   s.task = keep_task;
 }
 
-HealthLedger HealthMonitor::ledger() const {
+void HealthMonitor::verdict(EventKind kind, int rank, const RankState& s,
+                            long long cpi, double z) const {
+  Event e{kind, 0.0, rank, s.task, static_cast<index_t>(cpi)};
+  e.seconds = z;
+  log_.record(e);
+}
+
+void HealthMonitor::record_ranks() const {
   std::lock_guard<std::mutex> lock(mu_);
-  HealthLedger out;
   for (size_t i = 0; i < state_.size(); ++i) {
     const RankState& s = state_[i];
-    if (s.samples == 0 && !s.quarantined && s.quarantine_count == 0) continue;
-    RankHealth r;
-    r.rank = static_cast<int>(i);
-    r.task = s.task;
-    r.samples = s.samples;
-    r.ewma_service = s.ewma_service;
-    r.ewma_queue = s.ewma_queue;
-    r.floor_service = floor_of(s);
-    r.last_zscore = s.last_zscore;
-    r.strikes = s.strikes;
-    r.suspect = s.suspect;
-    r.quarantined = s.quarantine_count > 0;
-    out.ranks.push_back(r);
+    if (s.samples == 0) continue;
+    Event e{EventKind::kRankHealth, 0.0, static_cast<int>(i), s.task};
+    e.count = static_cast<std::uint64_t>(s.samples);
+    e.seconds = floor_of(s);
+    log_.record(e);
   }
-  out.events = events_;
-  out.suspects = suspects_;
-  out.quarantines = quarantines_;
-  out.flap_suppressed = flap_suppressed_;
-  out.vetoed = vetoed_;
-  return out;
 }
 
 }  // namespace ppstap::core

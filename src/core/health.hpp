@@ -13,7 +13,7 @@
 //    *intrinsic* per-CPI service (compute + send, i.e. t3 - t1 — the
 //    queue-wait absorbed in the receive phase is excluded, so ranks merely
 //    blocked *behind* a straggler are never flagged) plus an EWMA of its
-//    queue wait for the ledger. The sink's periodic scan (the pipelined
+//    queue wait for reporting. The sink's periodic scan (the pipelined
 //    front can run arbitrarily far ahead of a straggler, so the scan rides
 //    the rank that is last to see every CPI — by the time the sink
 //    completes CPI i, every upstream rank has sampled it) scores each
@@ -40,17 +40,18 @@
 //    voluntary death: the monitor raises a flag the rank itself polls at
 //    its next CPI barrier and honours by throwing comm::RankKilled, which
 //    hands the rank to the existing recovery machinery (spare-pool
-//    takeover, else elastic shrink-to-survivors), ledgered with mechanism
+//    takeover, else elastic shrink-to-survivors), recorded with cause
 //    "quarantine" and MTTR. Two guards precede eviction: a flap budget
 //    (`flap_limit` quarantines per rank per run, so an intermittently slow
 //    rank is not evicted repeatedly), and a do-no-harm gate — an eq.-1
 //    throughput prediction built from the same per-group intrinsic EWMAs
 //    the critical-path analyzer uses: eviction must shrink the pipeline
 //    period (straggler group healed vs. every other group's estimate) by
-//    at least `min_gain`, otherwise the verdict is vetoed and ledgered.
+//    at least `min_gain`, otherwise the verdict is vetoed and recorded.
 //
-// Everything is exported as a HealthLedger on PipelineResult and as
-// health.* counters in every bench --json robustness block.
+// Every verdict (suspect, clear, quarantine, flap suppression, veto) is
+// recorded into the run's event log, plus one kRankHealth exit record per
+// scored rank; the health.* counters derive from those records.
 #pragma once
 
 #include <array>
@@ -58,8 +59,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <string>
 #include <vector>
+
+#include "core/events.hpp"
 
 namespace ppstap::core {
 
@@ -75,7 +77,7 @@ struct HealthConfig {
   /// (PPSTAP_HEALTH_DWELL).
   int dwell = 3;
   /// Whether a confirmed straggler is actually evicted
-  /// (PPSTAP_HEALTH_QUARANTINE); off = detect-and-ledger only.
+  /// (PPSTAP_HEALTH_QUARANTINE); off = detect-and-record only.
   bool quarantine = true;
   /// EWMA weight of the newest per-CPI sample.
   double alpha = 0.3;
@@ -101,44 +103,6 @@ struct HealthConfig {
   void validate() const;
 };
 
-/// Final per-rank health summary (one row per rank that produced samples).
-struct RankHealth {
-  int rank = -1;
-  int task = -1;  ///< stap::Task ordinal of the last observed role
-  long long samples = 0;
-  double ewma_service = 0.0;  ///< intrinsic per-CPI service estimate, s
-  double ewma_queue = 0.0;    ///< receive queue-wait estimate, s
-  /// Window-minimum service (the scored statistic): min over the last
-  /// kFloorWindow raw samples — preemption-noise free.
-  double floor_service = 0.0;
-  double last_zscore = 0.0;   ///< peer z-score at the last scan
-  int strikes = 0;            ///< consecutive straggler scans, current
-  bool suspect = false;       ///< at least one strike outstanding
-  bool quarantined = false;   ///< evicted by the monitor this run
-};
-
-/// One detector state transition, in scan order.
-struct HealthEvent {
-  int rank = -1;
-  int task = -1;
-  long long cpi = -1;     ///< coordinator CPI at the scan
-  double zscore = 0.0;
-  /// "suspect" | "clear" | "quarantine" | "flap_suppressed" | "vetoed"
-  std::string action;
-};
-
-struct HealthLedger {
-  std::vector<RankHealth> ranks;
-  std::vector<HealthEvent> events;
-  std::uint64_t suspects = 0;         ///< suspect transitions raised
-  std::uint64_t quarantines = 0;      ///< evictions actually requested
-  std::uint64_t flap_suppressed = 0;  ///< evictions stopped by the budget
-  std::uint64_t vetoed = 0;           ///< evictions stopped by do-no-harm
-  /// A clean bill: nothing was ever suspected (the false-quarantine gate
-  /// on clean runs asserts this, not just quarantines == 0).
-  bool clean() const { return events.empty(); }
-};
-
 /// One task group presented to a scan: the live, scoreable ranks.
 struct HealthGroup {
   int task = -1;
@@ -150,7 +114,7 @@ struct HealthGroup {
 /// quarantine_requested() at its CPI barrier.
 class HealthMonitor {
  public:
-  HealthMonitor(const HealthConfig& cfg, int n_ranks);
+  HealthMonitor(const HealthConfig& cfg, int n_ranks, EventLog& log);
 
   /// Fold one Fig.-10 cycle: `service_s` is the intrinsic time (t3 - t1),
   /// `queue_s` the receive wait (t1 - t0). Ignored once the rank is
@@ -173,7 +137,7 @@ class HealthMonitor {
   }
 
   /// Whether `rank` was ever evicted by this monitor (attribution for the
-  /// healing ledger: its death gets mechanism "quarantine", not "spare").
+  /// healing record: its death gets cause "quarantine", not "death").
   bool was_quarantined(int rank) const;
 
   /// A spare took over `rank`'s identity: clear the eviction request,
@@ -190,8 +154,10 @@ class HealthMonitor {
 
   const HealthConfig& config() const { return cfg_; }
 
-  /// Post-run accounting (call after the stream drains).
-  HealthLedger ledger() const;
+  /// Records one kRankHealth exit record per rank that produced samples
+  /// (count = samples, seconds = service floor). Call after the stream
+  /// drains.
+  void record_ranks() const;
 
  private:
   /// Raw samples per floor window: small enough that a freshly slowed
@@ -225,15 +191,13 @@ class HealthMonitor {
                      const std::vector<double>& healthy,
                      bool spare_available, bool shrink_available) const;
   double group_period(const HealthGroup& g) const;  ///< caller holds mu_
+  void verdict(EventKind kind, int rank, const RankState& s, long long cpi,
+               double z) const;
 
   HealthConfig cfg_;
+  EventLog& log_;
   mutable std::mutex mu_;
   std::vector<RankState> state_;
-  std::vector<HealthEvent> events_;
-  std::uint64_t suspects_ = 0;
-  std::uint64_t quarantines_ = 0;
-  std::uint64_t flap_suppressed_ = 0;
-  std::uint64_t vetoed_ = 0;
   std::vector<std::atomic<bool>> quarantine_flag_;
   std::vector<std::atomic<bool>> revived_;
 };

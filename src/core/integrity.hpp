@@ -13,13 +13,8 @@
 // mismatch to the producing task.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <span>
-#include <vector>
-
-#include "common/types.hpp"
-#include "stap/flops.hpp"
 
 namespace ppstap::core {
 
@@ -40,30 +35,6 @@ struct IntegrityConfig {
   /// Reads PPSTAP_ABFT / PPSTAP_ABFT_TOL (hardened parse, see
   /// common/env.hpp).
   static IntegrityConfig from_env();
-};
-
-/// One detected invariant failure and how it ended.
-struct IntegrityEvent {
-  int task = -1;        ///< stap::Task of the failing stage
-  index_t cpi = -1;     ///< CPI whose output failed verification
-  bool repaired = false;  ///< true: recompute passed; false: escalated
-};
-
-/// Integrity accounting for one pipeline run, returned on PipelineResult.
-struct IntegrityLedger {
-  std::uint64_t checks_passed = 0;   ///< invariant verifications that passed
-  std::uint64_t checks_failed = 0;   ///< detections (first + repeat failures)
-  std::uint64_t recomputes = 0;      ///< bounded stage re-executions
-  std::uint64_t repairs = 0;         ///< recomputes whose re-check passed
-  std::uint64_t escalations = 0;     ///< persistent failures handed to the
-                                     ///< shed / stale-weight machinery
-  std::uint64_t digest_mismatches = 0;  ///< end-to-end digest failures
-  /// Digest mismatches attributed to each producing task.
-  std::array<std::uint64_t, static_cast<size_t>(stap::kNumTasks)>
-      digest_mismatch_by_task{};
-  std::vector<IntegrityEvent> events;  ///< ordered detection outcomes
-
-  bool clean() const { return checks_failed == 0 && digest_mismatches == 0; }
 };
 
 /// Deterministically flip one bit of one element of a float buffer — the

@@ -58,8 +58,8 @@ void OverloadConfig::validate() const {
 }
 
 OverloadController::OverloadController(const OverloadConfig& cfg,
-                                       index_t num_cpis)
-    : cfg_(cfg) {
+                                       index_t num_cpis, EventLog& log)
+    : cfg_(cfg), log_(log) {
   cfg_.validate();
   PPSTAP_REQUIRE(num_cpis >= 0, "negative CPI count");
   memo_ = std::vector<std::atomic<std::int8_t>>(static_cast<size_t>(num_cpis));
@@ -118,20 +118,21 @@ void OverloadController::step_ladder_locked() {
       assist_consumed_ = true;
       if (elastic_assist_()) return;
     }
-    ++level_;
-    ++level_changes_;
-    healthy_streak_ = 0;
+    set_level_locked(level_ + 1);
   } else if (target < level_) {
     ++healthy_streak_;
-    if (healthy_streak_ >= cfg_.dwell) {
-      --level_;
-      ++level_changes_;
-      healthy_streak_ = 0;
-    }
+    if (healthy_streak_ >= cfg_.dwell) set_level_locked(level_ - 1);
   } else {
     healthy_streak_ = 0;
   }
-  max_level_ = std::max(max_level_, level_);
+}
+
+void OverloadController::set_level_locked(int level) {
+  level_ = level;
+  healthy_streak_ = 0;
+  Event e{EventKind::kLevelChange};
+  e.peer = level;
+  log_.record(e);
 }
 
 OverloadController::Admission OverloadController::admit(index_t cpi) {
@@ -173,9 +174,8 @@ OverloadController::Admission OverloadController::admit(index_t cpi) {
     if (cfg_.reject_when_full) {
       admit = false;
       decided = static_cast<int>(DegradationLevel::kShedInput);
-      max_level_ = std::max(max_level_, decided);
     } else {
-      ++throttle_waits_;
+      log_.record({EventKind::kThrottle, 0.0, -1, -1, cpi});
       while (memo_[static_cast<size_t>(cpi)] < 0 && !closed_ &&
              backlog_locked() >= cfg_.queue_high)
         cv_.wait(lk);
@@ -192,7 +192,13 @@ OverloadController::Admission OverloadController::admit(index_t cpi) {
     // pin the backlog and deadlock the throttle.
     if (done_early_[static_cast<size_t>(cpi)] != 0) ++completed_;
   } else {
-    rejected_.push_back(cpi);
+    log_.record({EventKind::kShed, 0.0, -1, -1, cpi, "admission"});
+  }
+  if (decided > 0) {
+    Event e{EventKind::kDegraded, 0.0, -1, -1, cpi};
+    e.peer = decided;
+    e.note = degradation_level_name(static_cast<DegradationLevel>(decided));
+    log_.record(e);
   }
   memo_[static_cast<size_t>(cpi)].store(static_cast<std::int8_t>(decided),
                                         std::memory_order_release);
@@ -243,31 +249,13 @@ void OverloadController::set_elastic_assist(std::function<bool()> assist) {
 
 void OverloadController::note_capacity_loss() {
   std::lock_guard<std::mutex> lk(mu_);
-  ++capacity_losses_;
+  log_.record({EventKind::kCapacityLoss});
   // One immediate producing-rung escalation: the degradation ladder
   // absorbs the lost capacity before the backlog can pile up. The shed
   // rung stays reachable only through the queue_high bound / SLO path.
-  if (cfg_.ladder && level_ < kNumDegradationLevels - 2) {
-    ++level_;
-    ++level_changes_;
-    healthy_streak_ = 0;
-    max_level_ = std::max(max_level_, level_);
-  }
+  if (cfg_.ladder && level_ < kNumDegradationLevels - 2)
+    set_level_locked(level_ + 1);
   cv_.notify_all();
-}
-
-OverloadLedger OverloadController::ledger() const {
-  std::lock_guard<std::mutex> lk(mu_);
-  OverloadLedger out;
-  out.rejected_cpis = rejected_;
-  out.levels.reserve(memo_.size());
-  for (const std::int8_t v : memo_)
-    out.levels.push_back(v < 0 ? 0 : static_cast<int>(v));
-  out.level_changes = level_changes_;
-  out.throttle_waits = throttle_waits_;
-  out.capacity_losses = capacity_losses_;
-  out.max_level = max_level_;
-  return out;
 }
 
 }  // namespace ppstap::core

@@ -39,6 +39,7 @@
 #include <vector>
 
 #include "common/types.hpp"
+#include "core/events.hpp"
 
 namespace ppstap::core {
 
@@ -118,30 +119,16 @@ struct OverloadConfig {
   void validate() const;
 };
 
-/// Post-run accounting of every overload-control decision.
-struct OverloadLedger {
-  /// CPIs rejected at admission (ascending).
-  std::vector<index_t> rejected_cpis;
-  /// Per-CPI degradation level as decided at admission (kFull for CPIs the
-  /// run never reached).
-  std::vector<int> levels;
-  std::uint64_t level_changes = 0;   ///< ladder transitions (both ways)
-  std::uint64_t throttle_waits = 0;  ///< admissions that blocked on backlog
-  std::uint64_t capacity_losses = 0;  ///< note_capacity_loss notifications
-  int max_level = 0;                 ///< highest rung reached
-
-  bool clean() const {
-    return rejected_cpis.empty() && level_changes == 0 &&
-           throttle_waits == 0 && capacity_losses == 0 && max_level == 0;
-  }
-};
-
 /// The admission/ladder controller. One instance is shared by every rank of
 /// a pipeline run; admit() is called by the Doppler ranks (first caller per
 /// CPI decides, the rest read the memo), on_complete() by the CFAR sink.
+/// Every decision is recorded into the run's event log: rejections (a
+/// kShed with cause "admission"), degraded admissions, ladder transitions,
+/// throttle waits and capacity losses.
 class OverloadController {
  public:
-  OverloadController(const OverloadConfig& cfg, index_t num_cpis);
+  OverloadController(const OverloadConfig& cfg, index_t num_cpis,
+                     EventLog& log);
 
   struct Admission {
     bool admit = true;
@@ -156,7 +143,7 @@ class OverloadController {
   /// and applies the queue_high bound; the decision is memoized so every
   /// later caller gets the identical answer. After close(), an undecided
   /// CPI is refused at once ({false, kShedInput, 0}) without being decided
-  /// or ledgered.
+  /// or recorded.
   Admission admit(index_t cpi);
 
   /// Wake every admission waiting on pacing or the throttle and refuse all
@@ -197,19 +184,18 @@ class OverloadController {
   /// Healing notification (PR 8): a rank was permanently lost and its
   /// group shrunk to the survivors, so pipeline capacity dropped.
   /// Escalates the ladder one producing rung immediately (the backlog has
-  /// not had time to reflect the loss) and counts the loss in the ledger.
+  /// not had time to reflect the loss) and records the loss.
   /// Nonblocking; safe from any thread.
   void note_capacity_loss();
-
-  /// Snapshot of the run's accounting (call after the stream drains).
-  OverloadLedger ledger() const;
 
  private:
   bool slo_violated_locked() const;
   void step_ladder_locked();
   index_t backlog_locked() const { return admitted_ - completed_; }
+  void set_level_locked(int level);
 
   OverloadConfig cfg_;
+  EventLog& log_;
   mutable std::mutex mu_;
   std::condition_variable cv_;
 
@@ -234,11 +220,6 @@ class OverloadController {
   index_t completed_ = 0;
   int level_ = 0;
   int healthy_streak_ = 0;
-  int max_level_ = 0;
-  std::uint64_t level_changes_ = 0;
-  std::uint64_t throttle_waits_ = 0;
-  std::uint64_t capacity_losses_ = 0;
-  std::vector<index_t> rejected_;
 
   // Sliding window of recent end-to-end latencies for the p95 health test.
   static constexpr size_t kLatencyWindow = 32;

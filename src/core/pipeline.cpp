@@ -115,21 +115,8 @@ struct Shared {
   // detection bench measures true silent corruption.
   IntegrityConfig integ;
   comm::FaultPlan* plan = nullptr;
-  std::atomic<std::uint64_t> integ_checks_passed{0};
-  std::atomic<std::uint64_t> integ_checks_failed{0};
-  std::atomic<std::uint64_t> integ_recomputes{0};
-  std::atomic<std::uint64_t> integ_repairs{0};
-  std::atomic<std::uint64_t> integ_escalations{0};
-  std::atomic<std::uint64_t> integ_digest_mismatches{0};
-  std::array<std::atomic<std::uint64_t>,
-             static_cast<size_t>(stap::kNumTasks)>
-      integ_digest_by_task{};
-  std::vector<IntegrityEvent> integ_events;  // guarded by mu
-  // Numerical-health counters aggregated from every weight computer at
-  // task exit; guarded by mu.
-  stap::WeightHealth numerics;
-  // Idle-poll wakeups of the spare pool's backoff ladders.
-  std::atomic<std::uint64_t> spare_wakeups{0};
+  /// The run's event log: every shed origin, repair, heal and tally.
+  EventLog log;
   std::atomic<bool> stream_done{false};  // every CFAR rank finished
   /// Per-(global rank) weight-state checkpoint: serialized computers and
   /// the CPI the restored rank should resume at. Guarded by mu.
@@ -143,7 +130,6 @@ struct Shared {
   /// flag so further deaths surface as prompt dead-peer statuses instead
   /// of parking receivers on a recovery that will never come.
   std::atomic<int> spares_left{0};
-  std::vector<HealingEvent> healing;  // guarded by mu
 
   std::mutex mu;
   std::vector<double> input_ready;  // per CPI: its admission stamp
@@ -236,6 +222,7 @@ struct Shared {
 struct PhaseAcc {
   double recv = 0, comp = 0, send = 0;
   std::uint64_t bytes = 0;
+  std::uint64_t checks_passed = 0;  // ABFT verifications that passed
   void commit(Shared& s, Task t, index_t measured_cpis) {
     std::lock_guard<std::mutex> lock(s.mu);
     auto& sum = s.timing_sum[static_cast<size_t>(t)];
@@ -416,12 +403,17 @@ struct FtRecv {
   Shared& s;
   double deadline = 0.0;  // absolute, WallTimer base
   bool missed = false;    // some input did not make this CPI's deadline
+  // Shed cause of the first receive that failed other than by a marker, or
+  // nullptr. A CPI lost only to markers was shed upstream and is recorded
+  // there; forwarding writes nothing.
+  const char* origin = nullptr;
   std::vector<std::pair<int, int>> stale{};  // (src, tag) awaiting discard
 
   void begin() {
     deadline = WallTimer::now() +
                (s.ft.shedding ? s.ft.cpi_deadline_seconds : kNoDeadline);
     missed = false;
+    origin = nullptr;
     for (auto it = stale.begin(); it != stale.end();)
       it = c.discard(it->first, it->second) > 0 ? stale.erase(it) : it + 1;
   }
@@ -459,11 +451,15 @@ struct FtRecv {
     if (r.status == comm::RecvStatus::kTimeout ||
         r.status == comm::RecvStatus::kPeerDead)
       stale.emplace_back(src, tag);
+    if (origin == nullptr && !r.marker)
+      origin = r.status == comm::RecvStatus::kTimeout    ? "timeout"
+               : r.status == comm::RecvStatus::kPeerDead ? "dead_peer"
+                                                          : "corrupt";
     return std::nullopt;
   }
 
   // Strip the digest trailing the payload and compare it against the bytes
-  // actually delivered; a mismatch is counted and attributed to the
+  // actually delivered; a mismatch is recorded and attributed to the
   // producing task. (The transport already checksums every frame, so a
   // mismatch here means the producer's buffer changed between verification
   // and pack, or the redistribution reassembly disagrees with the
@@ -477,17 +473,10 @@ struct FtRecv {
     std::memcpy(&d, buf.data() + buf.size() - digest_elems<T>(), sizeof d);
     buf.resize(buf.size() - digest_elems<T>());
     if (d == checksum_of(std::span<const T>(buf))) return;
-    s.integ_digest_mismatches.fetch_add(1, std::memory_order_relaxed);
-    const int t = s.task_of_rank(src, cpi);
-    if (t >= 0)
-      s.integ_digest_by_task[static_cast<size_t>(t)].fetch_add(
-          1, std::memory_order_relaxed);
-    if (obs::tracing_enabled()) {
-      const double now = WallTimer::now();
-      obs::emit({"digest_mismatch", "integrity", c.rank(),
-                 obs::kIntegrityTrack, static_cast<std::int64_t>(cpi), now,
-                 now, -1, static_cast<std::int64_t>(src)});
-    }
+    Event e{EventKind::kDigestMismatch, 0.0, c.rank(),
+            s.task_of_rank(src, cpi), cpi};
+    e.peer = src;
+    s.log.record(e);
   }
 };
 
@@ -532,45 +521,6 @@ void health_scan(Shared& s, const Topology& tp, index_t cpi) {
   s.health->scan(cpi, groups, spare, s.ft.heal_shrink);
 }
 
-// The detect → recompute-once → escalate policy around one stage execution.
-// `compute(attempt)` produces the stage output (and applies any injected
-// flip); `verify()` checks the ABFT invariant over the current output.
-// Returns false when the stage must escalate: both executions failed
-// verification, and the caller falls back to its shed / stale machinery.
-template <typename ComputeFn, typename VerifyFn>
-bool run_checked(Comm& c, Shared& s, Task t, index_t cpi, ComputeFn&& compute,
-                 VerifyFn&& verify) {
-  const double c_start = WallTimer::now();
-  compute(0);
-  maybe_straggle(c, s, cpi, WallTimer::now() - c_start);
-  if (!s.integ.enabled) return true;
-  if (verify()) {
-    s.integ_checks_passed.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-  const double t_fail = WallTimer::now();
-  s.integ_checks_failed.fetch_add(1, std::memory_order_relaxed);
-  s.integ_recomputes.fetch_add(1, std::memory_order_relaxed);
-  compute(1);
-  const bool ok = verify();
-  if (ok) {
-    s.integ_repairs.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    s.integ_checks_failed.fetch_add(1, std::memory_order_relaxed);
-    s.integ_escalations.fetch_add(1, std::memory_order_relaxed);
-  }
-  {
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.integ_events.push_back(IntegrityEvent{static_cast<int>(t), cpi, ok});
-  }
-  if (obs::tracing_enabled())
-    obs::emit({ok ? "abft_repair" : "abft_escalate", "integrity", c.rank(),
-               obs::kIntegrityTrack, static_cast<std::int64_t>(cpi), t_fail,
-               WallTimer::now(), -1, -1});
-  if (!ok) obs::flight_dump("integrity_escalation");
-  return ok;
-}
-
 // ---------------------------------------------------------------------------
 // Stage driver: the Figure-10 cycle every task runs
 // ---------------------------------------------------------------------------
@@ -586,6 +536,48 @@ struct Cycle {
   double t0 = 0.0;  // receive phase start
   double t1 = 0.0;  // receive phase end
 };
+
+// Records this CPI's shed where it originated (no-op for a nullptr cause:
+// the CPI was lost to markers and its origin is recorded upstream). The
+// span covers the cycle so far.
+void record_shed(Comm& c, Shared& s, Task t, const Cycle& x,
+                 const char* cause) {
+  if (cause == nullptr) return;
+  Event e{EventKind::kShed, WallTimer::now(), c.rank(), static_cast<int>(t),
+          x.cpi, cause};
+  e.seconds = e.time - x.t0;
+  s.log.record(e);
+}
+
+// The detect → recompute-once → escalate policy around one stage execution.
+// `compute(attempt)` produces the stage output (and applies any injected
+// flip); `verify()` checks the ABFT invariant over the current output.
+// Returns false when the stage must escalate: both executions failed
+// verification, and the caller falls back to its shed / stale machinery.
+template <typename ComputeFn, typename VerifyFn>
+bool run_checked(Comm& c, Shared& s, Task t, Cycle& x, ComputeFn&& compute,
+                 VerifyFn&& verify) {
+  const double c_start = WallTimer::now();
+  compute(0);
+  maybe_straggle(c, s, x.cpi, WallTimer::now() - c_start);
+  if (!s.integ.enabled) return true;
+  if (verify()) {
+    ++x.acc.checks_passed;
+    return true;
+  }
+  const double t_fail = WallTimer::now();
+  compute(1);
+  const bool ok = verify();
+  Event e{EventKind::kCheckFailed, WallTimer::now(), c.rank(),
+          static_cast<int>(t), x.cpi};
+  e.count = ok ? 1 : 2;
+  s.log.record(e);
+  e.kind = ok ? EventKind::kAbftRepair : EventKind::kAbftEscalate;
+  e.count = 1;
+  e.seconds = e.time - t_fail;
+  s.log.record(e);
+  return ok;
+}
 
 // Shed exit: markers take the place of every frame task `t` would have sent
 // for this CPI, so each downstream receiver sheds it instead of waiting.
@@ -630,14 +622,16 @@ index_t drive(Comm& c, Shared& s, Task t, index_t begin, RecvFn&& recv,
     const std::uint64_t bytes0 = acc.bytes;
     x.t0 = WallTimer::now();
     in.begin();
-    bool ok = recv(x, d);
+    const bool received = recv(x, d);
     x.t1 = WallTimer::now();
-    if (ok) ok = compute(x, d);
+    const bool ok = received && compute(x, d);
     const double t2 = WallTimer::now();
-    if (ok)
+    if (ok) {
       send(x, d);
-    else
+    } else {
+      record_shed(c, s, t, x, received ? "abft" : in.origin);
       forward_markers(c, x, t);
+    }
     const double t3 = WallTimer::now();
     emit_phase_spans(c.rank(), t, cpi, x.t0, x.t1, t2, t3,
                      acc.bytes - bytes0);
@@ -649,6 +643,8 @@ index_t drive(Comm& c, Shared& s, Task t, index_t begin, RecvFn&& recv,
     }
   }
   acc.commit(s, t, s.measured_count());
+  s.log.tally(EventKind::kCheckPassed, acc.checks_passed, c.rank(),
+              static_cast<int>(t));
   return cpi;
 }
 
@@ -719,12 +715,8 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
           std::lock_guard<std::mutex> lock(s.mu);
           s.input_ready[static_cast<size_t>(x.cpi)] = adm.at;
         }
-        if (x.me == 0 && obs::tracing_enabled() &&
-            adm.level != DegradationLevel::kFull)
-          obs::emit({degradation_level_name(adm.level), "overload", c.rank(),
-                     obs::kFaultTrack, static_cast<std::int64_t>(x.cpi), x.t0,
-                     x.t0, static_cast<std::int64_t>(adm.level), -1});
-        // Rejected at admission (kShedInput): the cube is never generated.
+        // Rejected at admission (kShedInput, recorded by the controller):
+        // the cube is never generated.
         if (!adm.admit) return false;
         d.level = adm.level;
 
@@ -735,7 +727,7 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
       },
       [&](Cycle& x, Cpi& d) {
         return run_checked(
-            c, s, Task::kDopplerFilter, x.cpi,
+            c, s, Task::kDopplerFilter, x,
             [&](int attempt) {
               filter.filter_rows(*d.full, d.k0, d.kl, stag);
               maybe_flip(s, Task::kDopplerFilter, x.cpi, c.rank(), attempt,
@@ -950,7 +942,7 @@ index_t run_weight_task(Comm& c, Shared& s, int me, const Resume* resume) {
             cache) {
           d.w = *cache;  // stale rung: resend without solving
         } else if (run_checked(
-                       c, s, task, x.cpi,
+                       c, s, task, x,
                        [&](int attempt) {
                          d.w = solve(computer);
                          maybe_flip_weights(s, task, x.cpi, c.rank(), attempt,
@@ -982,8 +974,18 @@ index_t run_weight_task(Comm& c, Shared& s, int me, const Resume* resume) {
         save_ckpt(x.cpi + 1);
       });
 
+  stap::WeightHealth h;
+  for (const auto& comp : computers) h += comp.health();
+  const int t = static_cast<int>(task);
+  s.log.tally(EventKind::kNonfiniteTraining, h.nonfinite_training_blocks,
+              c.rank(), t);
+  s.log.tally(EventKind::kLoadingRetry, h.loading_retries, c.rank(), t);
+  s.log.tally(EventKind::kQuiescentFallback, h.quiescent_fallbacks, c.rank(),
+              t);
+  s.log.tally(EventKind::kQrResidualRetry, h.qr_residual_retries, c.rank(), t);
+  s.log.tally(EventKind::kQrResidualReject, h.qr_residual_rejects, c.rank(),
+              t);
   std::lock_guard<std::mutex> lock(s.mu);
-  for (const auto& comp : computers) s.numerics += comp.health();
   s.bytes_sent[static_cast<size_t>(task)] += boot.bytes;
   return next;
 }
@@ -1070,12 +1072,16 @@ index_t run_beamform(Comm& c, Shared& s, Task task, int me, index_t begin) {
           PPSTAP_CHECK(off == buf->size(), "weight message length");
         }
         auto& cache = wcache[static_cast<size_t>(x.cpi % positions)];
-        if (weights_complete)
+        if (weights_complete) {
           cache = d.w;  // refresh the fallback for this position
-        else if (cache)
+        } else if (cache) {
           d.w = *cache;  // beamform with the position's last known weights
-        else
+        } else {
           complete = false;  // nothing to beamform with yet
+          // Weight markers come only from a weight rank's ABFT escalation;
+          // with no cached weights to fall back on, the shed starts here.
+          if (x.in.origin == nullptr) x.in.origin = "abft";
+        }
 
         // Doppler data, reassembled into the bin-major (bin, range,
         // channel) cube of Fig. 8.
@@ -1110,7 +1116,7 @@ index_t run_beamform(Comm& c, Shared& s, Task task, int me, index_t begin) {
             s.ctrl != nullptr ? active_beams_for(s.ctrl->level_for(x.cpi), m)
                               : m;
         return run_checked(
-            c, s, task, x.cpi,
+            c, s, task, x,
             [&](int attempt) {
               d.out = form(d.data, d.w, p, active);
               maybe_flip(s, task, x.cpi, c.rank(), attempt,
@@ -1197,7 +1203,7 @@ index_t run_pc(Comm& c, Shared& s, index_t begin) {
             s.ctrl != nullptr ? active_beams_for(s.ctrl->level_for(x.cpi), m)
                               : m;
         return run_checked(
-            c, s, Task::kPulseCompression, x.cpi,
+            c, s, Task::kPulseCompression, x,
             [&](int attempt) {
               d.power = compressor.compress(
                   d.bf, active, s.integ.enabled ? &d.row_energy : nullptr);
@@ -1231,7 +1237,7 @@ index_t run_pc(Comm& c, Shared& s, index_t begin) {
 // ---------------------------------------------------------------------------
 // The sink never takes the driver's shed exit — it has no downstream group.
 // A shed CPI still reaches its send phase, the detection-report commit,
-// which ledgers the drop instead of stalling the stream on incomplete
+// which completes it as shed instead of stalling the stream on incomplete
 // power data.
 index_t run_cfar(Comm& c, Shared& s, index_t begin) {
   const auto& p = s.p;
@@ -1277,20 +1283,24 @@ index_t run_cfar(Comm& c, Shared& s, index_t begin) {
       },
       [&](Cycle& x, Cpi& d) {
         // A shed CPI reports no detections.
-        if (!d.shed &&
-            !run_checked(
-                c, s, Task::kCfar, x.cpi,
-                [&](int attempt) {
-                  d.dets = stap::cfar_detect(d.power, d.bins, p);
-                  maybe_flip_detections(s, x.cpi, c.rank(), attempt, d.dets);
-                },
-                [&] {
-                  return stap::verify_detections(d.dets, d.power, d.bins, p);
-                })) {
-          // Persistently corrupt report: suppress it and ledger the CPI as
-          // shed rather than publish wrong detections.
+        if (d.shed) {
+          record_shed(c, s, Task::kCfar, x, x.in.origin);
+        } else if (!run_checked(
+                       c, s, Task::kCfar, x,
+                       [&](int attempt) {
+                         d.dets = stap::cfar_detect(d.power, d.bins, p);
+                         maybe_flip_detections(s, x.cpi, c.rank(), attempt,
+                                               d.dets);
+                       },
+                       [&] {
+                         return stap::verify_detections(d.dets, d.power,
+                                                        d.bins, p);
+                       })) {
+          // Persistently corrupt report: suppress it and shed the CPI
+          // rather than publish wrong detections.
           d.dets.clear();
           d.shed = true;
+          record_shed(c, s, Task::kCfar, x, "abft");
         }
         return true;
       },
@@ -1298,6 +1308,7 @@ index_t run_cfar(Comm& c, Shared& s, index_t begin) {
         const index_t cpi = x.cpi;
         bool cpi_done = false;
         bool cpi_shed = false;
+        bool quorum_shed = false;
         double latency = 0.0;
         std::vector<index_t> retro;
         {
@@ -1316,6 +1327,7 @@ index_t run_cfar(Comm& c, Shared& s, index_t begin) {
                         ? 0
                         : 1;
           if (live < group) {
+            quorum_shed = !d.shed;
             d.shed = true;
             d.dets.clear();
             // Sweep CPIs this rank already ticked at full group strength
@@ -1361,11 +1373,14 @@ index_t run_cfar(Comm& c, Shared& s, index_t begin) {
         // the SLO term, completions release throttled producers.
         if (cpi_done && s.ctrl != nullptr)
           s.ctrl->on_complete(cpi, latency, cpi_shed);
-        for (const index_t j : retro)
+        // A dead CFAR peer's missing slice sheds at the sink itself, and so
+        // does every CPI its death left incomplete (the sweep).
+        if (quorum_shed) record_shed(c, s, Task::kCfar, x, "dead_peer");
+        for (const index_t j : retro) {
           if (s.ctrl != nullptr) s.ctrl->on_complete(j, 0.0, true);
-        if (d.shed && obs::tracing_enabled())
-          obs::emit({"shed_cpi", "fault", c.rank(), obs::kFaultTrack,
-                     static_cast<std::int64_t>(cpi), x.t0, x.t1, -1, -1});
+          s.log.record({EventKind::kShed, 0.0, c.rank(),
+                        static_cast<int>(Task::kCfar), j, "sweep"});
+        }
         // Detector tick from the sink, not the coordinator: the pipelined
         // front can sprint arbitrarily far ahead of a straggler (and exit
         // its loop before the victim has min_samples), while the sink only
@@ -1441,87 +1456,120 @@ void run_spare(comm::World& world, Comm& c, Shared& s) {
   // waking at a fixed interval: an idle spare costs (almost) nothing while
   // a death early in the stream is still claimed promptly.
   Backoff bo(s.ft.death_poll_seconds);
-  while (!s.stream_done.load(std::memory_order_acquire)) {
-    std::optional<int> dead;
+  std::optional<int> dead;
+  while (!dead && !s.stream_done.load(std::memory_order_acquire)) {
     try {
       dead = world.wait_for_death(bo.next_timeout());
     } catch (const Error&) {
-      s.spare_wakeups.store(bo.wakeups(), std::memory_order_relaxed);
-      return;  // world aborted while standing by
+      break;  // world aborted while standing by
     }
-    if (!dead) {
-      bo.idle();
-      continue;
-    }
-    bo.reset();
-    s.spare_wakeups.store(bo.wakeups(), std::memory_order_relaxed);
-
-    const double t_death = world.death_time(*dead);
-
-    // Resolve the dead rank's role at its frozen progress point (the
-    // top-of-loop store a dead rank can never advance past).
-    const index_t at = std::max<index_t>(0, s.eng->progress_of(*dead));
-    const Topology::Role role = s.topo(at).role_of(*dead);
-    PPSTAP_CHECK(role.local >= 0, "dead rank not in the topology");
-    const bool stateful =
-        role.task == Task::kEasyWeight || role.task == Task::kHardWeight;
-
-    Resume resume;
-    if (stateful) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      auto it = s.checkpoints.find(*dead);
-      PPSTAP_CHECK(it != s.checkpoints.end(),
-                   "no checkpoint for the dead rank");
-      resume.cpi = it->second.next_cpi;
-      resume.blob = it->second.blob;
-    }
-
-    c.take_over(*dead);
-    // A quarantined straggler's death is attributed to the monitor, and
-    // the revival clears its eviction request and statistics — the rank id
-    // now names healthy replacement hardware, so per-rank slowdown rules
-    // keyed on the old identity no longer apply.
-    const bool was_quarantined =
-        s.health != nullptr && s.health->was_quarantined(*dead);
-    if (s.health != nullptr) s.health->on_revived(*dead);
-    // This claim consumed one pool member. Whoever takes the pool to zero
-    // clears every recoverable flag (the taken-over id included — the
-    // revived rank is alive again, so the flag only governs a *repeat*
-    // death) so any further death surfaces to receivers as a prompt
-    // dead-peer status — the CPI sheds and the driver ledgers an uncovered
-    // failure or the shrink path re-plans — instead of parking them on a
-    // recovery wait that nobody will ever satisfy.
-    if (s.spares_left.fetch_sub(1, std::memory_order_acq_rel) - 1 <= 0)
-      for (int g = 0; g < s.a.total(); ++g) world.set_recoverable(g, false);
-
-    auto record = [&s, &c, dead = *dead, task = role.task, t_death,
-                   was_quarantined](index_t cpi) {
-      const double t_up = WallTimer::now();
-      {
-        std::lock_guard<std::mutex> lock(s.mu);
-        HealingEvent ev;
-        ev.rank = dead;
-        ev.task = static_cast<int>(task);
-        ev.mechanism = was_quarantined ? "quarantine" : "spare";
-        ev.resume_cpi = cpi;
-        ev.mttr_seconds = t_up - t_death;
-        s.healing.push_back(ev);
-      }
-      if (obs::tracing_enabled())
-        obs::emit({"heal_spare", "fault", c.rank(), obs::kFaultTrack,
-                   static_cast<std::int64_t>(cpi), t_death, t_up, -1, -1});
-      obs::flight_dump("failover");
-    };
-    if (stateful) {
-      resume.restored = record;
-      run_weights(c, s, role.task, role.local, &resume);
-    } else {
-      record(at);
-      run_roles(c, s, at);
-    }
-    return;  // each pool member covers one failure
+    if (!dead) bo.idle();
   }
-  s.spare_wakeups.store(bo.wakeups(), std::memory_order_relaxed);
+  s.log.tally(EventKind::kSpareWakeups, bo.wakeups(), c.rank());
+  if (!dead) return;
+  const double t_death = world.death_time(*dead);
+
+  // Resolve the dead rank's role at its frozen progress point (the
+  // top-of-loop store a dead rank can never advance past).
+  const index_t at = std::max<index_t>(0, s.eng->progress_of(*dead));
+  const Topology::Role role = s.topo(at).role_of(*dead);
+  PPSTAP_CHECK(role.local >= 0, "dead rank not in the topology");
+  const bool stateful =
+      role.task == Task::kEasyWeight || role.task == Task::kHardWeight;
+
+  Resume resume;
+  if (stateful) {
+    std::lock_guard<std::mutex> lock(s.mu);
+    auto it = s.checkpoints.find(*dead);
+    PPSTAP_CHECK(it != s.checkpoints.end(),
+                 "no checkpoint for the dead rank");
+    resume.cpi = it->second.next_cpi;
+    resume.blob = it->second.blob;
+  }
+
+  c.take_over(*dead);
+  // A quarantined straggler's death is attributed to the monitor, and
+  // the revival clears its eviction request and statistics — the rank id
+  // now names healthy replacement hardware, so per-rank slowdown rules
+  // keyed on the old identity no longer apply.
+  const bool was_quarantined =
+      s.health != nullptr && s.health->was_quarantined(*dead);
+  if (s.health != nullptr) s.health->on_revived(*dead);
+  // This claim consumed one pool member. Whoever takes the pool to zero
+  // clears every recoverable flag (the taken-over id included — the
+  // revived rank is alive again, so the flag only governs a *repeat*
+  // death) so any further death surfaces to receivers as a prompt
+  // dead-peer status — the CPI sheds and the run records an uncovered
+  // failure or the shrink path re-plans — instead of parking them on a
+  // recovery wait that nobody will ever satisfy.
+  if (s.spares_left.fetch_sub(1, std::memory_order_acq_rel) - 1 <= 0)
+    for (int g = 0; g < s.a.total(); ++g) world.set_recoverable(g, false);
+
+  auto record = [&s, dead = *dead, task = role.task, t_death,
+                 was_quarantined](index_t cpi) {
+    Event e{EventKind::kHealSpare, WallTimer::now(), dead,
+            static_cast<int>(task), cpi,
+            was_quarantined ? "quarantine" : "death"};
+    e.seconds = e.time - t_death;
+    s.log.record(e);
+  };
+  if (stateful) {
+    resume.restored = record;
+    run_weights(c, s, role.task, role.local, &resume);
+  } else {
+    record(at);
+    run_roles(c, s, at);
+  }
+}
+
+// Post-stream accounting, recorded before the log is read.
+void record_exit(Shared& s, comm::World& world, const HealthMonitor& monitor) {
+  // A sink-side death can leave a CPI permanently incomplete: its
+  // cfar_done counter never reaches the group size, so completion stays
+  // zero even though the stream moved on. Sweep every such CPI into a
+  // shed (no CPI is ever silently lost) and suppress its partial
+  // detections, exactly like any other shed.
+  bool any_rank_dead = false;
+  for (int g = 0; g < s.a.total(); ++g) any_rank_dead |= world.rank_dead(g);
+  for (index_t cpi = 0; any_rank_dead && cpi < s.n_cpis; ++cpi) {
+    const auto i = static_cast<size_t>(cpi);
+    if (s.completion[i] != 0.0) continue;
+    s.shed[i] = 1;
+    s.detections[i].clear();
+    s.log.record({EventKind::kShed, 0.0, -1, -1, cpi, "sweep"});
+  }
+  // A topology rank dead at exit with neither a heal nor a shrink in
+  // flight died uncovered: its CPIs were shed (prompt dead-peer statuses,
+  // not hangs) and the gap is recorded here.
+  const std::vector<Event> heals = s.log.snapshot().heals();
+  const std::vector<int> shrunk = s.eng->shrunk_ranks();
+  for (int g = 0; g < s.a.total(); ++g) {
+    if (!world.rank_dead(g)) continue;
+    bool covered = std::find(shrunk.begin(), shrunk.end(), g) != shrunk.end();
+    for (const Event& h : heals) covered |= h.rank == g;
+    if (!covered)
+      s.log.record({EventKind::kHealUncovered, 0.0, g,
+                    s.task_of_rank(g, s.n_cpis - 1)});
+  }
+  s.eng->finish();
+  monitor.record_ranks();
+  // Exit tallies: transport per rank, injected faults per run.
+  const auto& stats = world.last_stats();
+  for (size_t r = 0; r < stats.size(); ++r) {
+    const int rank = static_cast<int>(r);
+    s.log.tally(EventKind::kRetransmit, stats[r].retransmissions, rank);
+    s.log.tally(EventKind::kDupDiscarded, stats[r].dup_discarded, rank);
+  }
+  if (s.plan == nullptr) return;
+  const comm::FaultStats fs = s.plan->stats();
+  s.log.tally(EventKind::kFrameDelayed, fs.delayed);
+  s.log.tally(EventKind::kFrameDropped, fs.dropped);
+  s.log.tally(EventKind::kFrameCorrupted, fs.corrupted);
+  s.log.tally(EventKind::kFrameJittered, fs.jittered);
+  s.log.tally(EventKind::kFrameDuplicated, fs.duplicated);
+  s.log.tally(EventKind::kStageSlowdown, fs.slowed);
+  s.log.tally(EventKind::kFlip, fs.flips);
+  s.log.tally(EventKind::kKill, fs.kills);
 }
 
 }  // namespace
@@ -1599,14 +1647,14 @@ PipelineResult ParallelStapPipeline::run(
   // Gray-failure detector: shared by every rank thread through Shared.
   // Constructed unconditionally (cheap), wired only when enabled so the
   // disabled path costs nothing per CPI.
-  HealthMonitor monitor(hc_, assign_.total() + ft_.spares);
+  HealthMonitor monitor(hc_, assign_.total() + ft_.spares, s.log);
   if (hc_.enabled) s.health = &monitor;
 
   // The controller lives on the driver's stack for the run; every rank
   // shares it through Shared, and the source gates admission on it.
   std::optional<OverloadController> ctrl;
   if (ov_.enabled) {
-    ctrl.emplace(ov_, num_cpis);
+    ctrl.emplace(ov_, num_cpis, s.log);
     s.ctrl = &*ctrl;
     source.set_overload_controller(&*ctrl);
   }
@@ -1637,38 +1685,26 @@ PipelineResult ParallelStapPipeline::run(
   // the initial layout. An idle pool spare (rank >= assign_.total()) is not
   // part of any topology and never participates in a barrier.
   ElasticEngine eng(&world, params, Topology::initial(params, assign_), el_,
-                    num_cpis);
+                    num_cpis, s.log);
   s.eng = &eng;
   if (s.ctrl != nullptr && el_.any())
     s.ctrl->set_elastic_assist(
         [&eng] { return eng.request_overload_assist(); });
   // Pool-exhausted fallback: a permanently dead rank's group shrinks to
   // the survivors through the quiesce/re-plan/commit protocol. The commit
-  // callback reports the healing event (MTTR = death to epoch commit) and
-  // tells the overload controller capacity dropped.
+  // callback records the heal (MTTR = death to epoch commit) and tells the
+  // overload controller capacity dropped.
   if (ft_.heal_shrink)
     eng.set_shrink(true, [&world, &s](int rank, int task, index_t begin_cpi,
                                       double commit_time) {
       const double t_death = world.death_time(rank);
-      {
-        std::lock_guard<std::mutex> lock(s.mu);
-        HealingEvent ev;
-        ev.rank = rank;
-        ev.task = task;
-        ev.mechanism = s.health != nullptr && s.health->was_quarantined(rank)
-                           ? "quarantine"
-                           : "shrink";
-        ev.resume_cpi = begin_cpi;
-        ev.mttr_seconds = t_death > 0.0 ? commit_time - t_death : 0.0;
-        s.healing.push_back(ev);
-      }
+      const bool quarantined =
+          s.health != nullptr && s.health->was_quarantined(rank);
+      Event e{EventKind::kHealShrink, commit_time, rank, task, begin_cpi,
+              quarantined ? "quarantine" : "death"};
+      e.seconds = t_death > 0.0 ? commit_time - t_death : 0.0;
+      s.log.record(e);
       if (s.ctrl != nullptr) s.ctrl->note_capacity_loss();
-      if (obs::tracing_enabled())
-        obs::emit({"heal_shrink", "fault", rank, obs::kFaultTrack,
-                   static_cast<std::int64_t>(begin_cpi),
-                   t_death > 0.0 ? t_death : commit_time, commit_time, -1,
-                   -1});
-      obs::flight_dump("shrink");
     });
 
   // The radar front end runs beside the ranks. The guard stops it on every
@@ -1686,27 +1722,16 @@ PipelineResult ParallelStapPipeline::run(
     });
   }
 
-  // --- self-healing post-pass -----------------------------------------------
-  // A sink-side death can leave a CPI permanently incomplete: its cfar_done
-  // counter never reaches the group size, so completion stays zero even
-  // though the stream moved on. Account every such CPI as shed (no CPI is
-  // ever silently lost — it is either completed or ledgered) and suppress
-  // its partial detections, exactly like any other shed.
-  bool any_rank_dead = false;
-  for (int g = 0; g < assign_.total(); ++g)
-    any_rank_dead |= world.rank_dead(g);
-  if (any_rank_dead) {
-    for (index_t cpi = 0; cpi < num_cpis; ++cpi) {
-      const auto i = static_cast<size_t>(cpi);
-      if (s.completion[i] == 0.0) {
-        s.shed[i] = 1;
-        s.detections[i].clear();
-      }
-    }
-  }
-
-  // --- assemble the result --------------------------------------------------
+  // --- assemble the result; all accounting derives from the event log ------
+  record_exit(s, world, monitor);
   PipelineResult result;
+  result.events = s.log.snapshot();
+  Summaries sum = summarize(result.events);
+  result.faults = std::move(sum.faults);
+  result.overload = std::move(sum.overload);
+  result.integrity = std::move(sum.integrity);
+  publish(result.events);
+
   result.detections = std::move(s.detections);
   for (auto& dets : result.detections)
     std::sort(dets.begin(), dets.end(), [](const auto& a, const auto& b) {
@@ -1795,221 +1820,33 @@ PipelineResult ParallelStapPipeline::run(
                 std::memory_order_relaxed)) /
         static_cast<double>(s.measured_count());
 
-  // Publish to the process-wide metrics registry for exporters.
-  auto& reg = obs::Registry::global();
-  auto& hist = reg.histogram("pipeline.cpi_latency_seconds",
-                             obs::Histogram::exponential_bounds(1e-5, 1e3,
-                                                                1.35));
-  for (const double lat : result.per_cpi_latency) hist.observe(lat);
-  reg.gauge("pipeline.throughput_cpi_per_s").set(result.throughput);
-  for (int t = 0; t < stap::kNumTasks; ++t) {
-    const std::string name = stap::task_name(static_cast<stap::Task>(t));
-    reg.gauge("pipeline.queue_wait_s." + name)
-        .set(result.queue_wait_per_cpi[static_cast<size_t>(t)]);
-  }
-  for (int e = 0; e < kNumPipelineEdges; ++e)
-    reg.counter(std::string("pipeline.edge_bytes.") +
-                sim_edge_name(static_cast<SimEdge>(e)))
-        .add(s.edge_bytes[static_cast<size_t>(e)].load(
-            std::memory_order_relaxed));
-
-  // --- fault ledger ---------------------------------------------------------
-  for (index_t cpi = 0; cpi < num_cpis; ++cpi)
-    if (s.shed[static_cast<size_t>(cpi)])
-      result.faults.shed_cpis.push_back(cpi);
+  static_assert(std::tuple_size_v<decltype(result.retry_histogram)> ==
+                    comm::kRetryEdgeBuckets,
+                "retry histogram buckets must mirror the comm layer");
   static_assert(
-      std::tuple_size_v<decltype(result.faults.retry_histogram)> ==
-          comm::kRetryEdgeBuckets,
-      "fault ledger histogram buckets must mirror the comm layer");
-  static_assert(
-      std::tuple_size_v<
-          decltype(result.faults.retry_histogram)::value_type> ==
+      std::tuple_size_v<decltype(result.retry_histogram)::value_type> ==
           comm::kMaxRetransmitAttempts + 1,
-      "fault ledger histogram attempts must mirror the comm layer");
-  for (const auto& st : stats) {
-    result.faults.retransmissions += st.retransmissions;
-    result.faults.dup_discarded += st.dup_discarded;
+      "retry histogram attempts must mirror the comm layer");
+  for (const auto& st : stats)
     for (size_t b = 0; b < st.retry_histogram.size(); ++b)
       for (size_t a = 0; a < st.retry_histogram[b].size(); ++a)
-        result.faults.retry_histogram[b][a] += st.retry_histogram[b][a];
-  }
-  if (plan_ != nullptr) {
-    const comm::FaultStats fs = plan_->stats();
-    result.faults.frames_delayed = fs.delayed;
-    result.faults.frames_dropped = fs.dropped;
-    result.faults.frames_corrupted = fs.corrupted;
-    result.faults.kills = fs.kills;
-    result.faults.stage_slowdowns = fs.slowed;
-    result.faults.frames_jittered = fs.jittered;
-    result.faults.frames_duplicated = fs.duplicated;
-  }
-  // Any topology rank dead at exit with neither a healing event (spare
-  // takeover, shrink, quarantine) nor a shrink in flight died uncovered:
-  // its CPIs were shed (prompt dead-peer statuses, not hangs) and the gap
-  // is ledgered here — both in the fault ledger and as an "uncovered"
-  // healing event.
-  {
-    const std::vector<int> shrunk = eng.shrunk_ranks();
-    for (int g = 0; g < assign_.total(); ++g) {
-      if (!world.rank_dead(g)) continue;
-      bool covered = false;
-      for (const auto& ev : s.healing)
-        if (ev.rank == g && ev.mechanism != "uncovered") covered = true;
-      for (const int r : shrunk)
-        if (r == g) covered = true;
-      if (covered) continue;
-      result.faults.uncovered_ranks.push_back(g);
-      HealingEvent ev;
-      ev.rank = g;
-      ev.task = s.task_of_rank(g, s.n_cpis - 1);
-      ev.mechanism = "uncovered";
-      s.healing.push_back(ev);
-    }
-  }
-  if (!result.faults.clean()) {
-    reg.counter("pipeline.cpis_shed")
-        .add(static_cast<std::uint64_t>(result.faults.shed_cpis.size()));
-    reg.counter("comm.retransmissions").add(result.faults.retransmissions);
-    if (result.faults.stage_slowdowns > 0)
-      reg.counter("fault.stage_slowdowns").add(result.faults.stage_slowdowns);
-    if (result.faults.frames_jittered > 0)
-      reg.counter("fault.frames_jittered").add(result.faults.frames_jittered);
-    if (result.faults.frames_duplicated > 0)
-      reg.counter("fault.frames_duplicated")
-          .add(result.faults.frames_duplicated);
-    if (result.faults.dup_discarded > 0)
-      reg.counter("comm.dup_discarded").add(result.faults.dup_discarded);
-    if (!result.faults.uncovered_ranks.empty())
-      reg.counter("pipeline.uncovered_failures")
-          .add(static_cast<std::uint64_t>(
-              result.faults.uncovered_ranks.size()));
-  }
-  if (ft_.spares > 0)
-    reg.counter("spare.poll_wakeups")
-        .add(s.spare_wakeups.load(std::memory_order_relaxed));
-
-  // --- healing ledger -------------------------------------------------------
-  std::sort(s.healing.begin(), s.healing.end(),
-            [](const HealingEvent& a, const HealingEvent& b) {
-              return std::tie(a.resume_cpi, a.rank) <
-                     std::tie(b.resume_cpi, b.rank);
-            });
-  result.healing.events = std::move(s.healing);
-  if (!result.healing.clean()) {
-    reg.counter("healing.spare_takeovers")
-        .add(result.healing.spare_takeovers());
-    reg.counter("healing.shrinks").add(result.healing.shrinks());
-    reg.counter("healing.quarantines").add(result.healing.quarantines());
-    reg.counter("healing.uncovered").add(result.healing.uncovered());
-  }
-
-  // --- health ledger --------------------------------------------------------
-  if (s.health != nullptr) {
-    result.health = s.health->ledger();
-    if (!result.health.clean()) {
-      reg.counter("health.suspects").add(result.health.suspects);
-      reg.counter("health.flap_suppressed")
-          .add(result.health.flap_suppressed);
-      reg.counter("health.vetoed").add(result.health.vetoed);
-      // health.quarantines is bumped at eviction time by the monitor.
-    }
-  }
-
-  // --- overload + numerical-health ledgers ----------------------------------
-  if (s.ctrl != nullptr) {
-    result.overload = s.ctrl->ledger();
-    if (!result.overload.clean()) {
-      reg.counter("overload.rejections")
-          .add(static_cast<std::uint64_t>(
-              result.overload.rejected_cpis.size()));
-      reg.counter("overload.level_changes")
-          .add(result.overload.level_changes);
-      reg.counter("overload.throttle_waits")
-          .add(result.overload.throttle_waits);
-      reg.counter("overload.capacity_losses")
-          .add(result.overload.capacity_losses);
-      reg.gauge("overload.max_level")
-          .set(static_cast<double>(result.overload.max_level));
-    }
-  } else {
-    result.overload.levels.assign(static_cast<size_t>(num_cpis), 0);
-  }
-  result.numerics = s.numerics;
-  if (!result.numerics.clean()) {
-    reg.counter("stap.nonfinite_training_blocks")
-        .add(result.numerics.nonfinite_training_blocks);
-    reg.counter("stap.loading_retries").add(result.numerics.loading_retries);
-    reg.counter("stap.quiescent_fallbacks")
-        .add(result.numerics.quiescent_fallbacks);
-    reg.counter("stap.qr_residual_retries")
-        .add(result.numerics.qr_residual_retries);
-    reg.counter("stap.qr_residual_rejects")
-        .add(result.numerics.qr_residual_rejects);
-  }
-
-  // --- integrity ledger -----------------------------------------------------
-  result.integrity.checks_passed =
-      s.integ_checks_passed.load(std::memory_order_relaxed);
-  result.integrity.checks_failed =
-      s.integ_checks_failed.load(std::memory_order_relaxed);
-  result.integrity.recomputes =
-      s.integ_recomputes.load(std::memory_order_relaxed);
-  result.integrity.repairs = s.integ_repairs.load(std::memory_order_relaxed);
-  result.integrity.escalations =
-      s.integ_escalations.load(std::memory_order_relaxed);
-  result.integrity.digest_mismatches =
-      s.integ_digest_mismatches.load(std::memory_order_relaxed);
-  for (int t = 0; t < stap::kNumTasks; ++t)
-    result.integrity.digest_mismatch_by_task[static_cast<size_t>(t)] =
-        s.integ_digest_by_task[static_cast<size_t>(t)].load(
-            std::memory_order_relaxed);
-  std::sort(s.integ_events.begin(), s.integ_events.end(),
-            [](const IntegrityEvent& a, const IntegrityEvent& b) {
-              return std::tie(a.cpi, a.task) < std::tie(b.cpi, b.task);
-            });
-  result.integrity.events = std::move(s.integ_events);
-
-  // --- migration ledger -----------------------------------------------------
-  result.migrations = eng.ledger();
-  if (!result.migrations.attempts.empty()) {
-    // Measured quiesce stall per attempt: the excess of the barrier CPI's
-    // sink inter-completion gap over the run's median gap (the live
-    // analogue of the simulator's migration_stall).
-    std::vector<double> gaps;
-    for (index_t cpi = 1; cpi < num_cpis; ++cpi) {
-      const auto i = static_cast<size_t>(cpi);
-      if (s.completion[i] > 0.0 && s.completion[i - 1] > 0.0)
-        gaps.push_back(s.completion[i] - s.completion[i - 1]);
-    }
-    double median_gap = 0.0;
-    if (!gaps.empty()) {
-      auto mid = gaps.begin() + static_cast<std::ptrdiff_t>(gaps.size() / 2);
-      std::nth_element(gaps.begin(), mid, gaps.end());
-      median_gap = *mid;
-    }
-    for (auto& e : result.migrations.attempts) {
-      const auto b = static_cast<size_t>(e.barrier_cpi);
-      if (e.barrier_cpi >= 1 && b < s.completion.size() &&
-          s.completion[b] > 0.0 && s.completion[b - 1] > 0.0)
-        e.stall_seconds = std::max(
-            0.0, (s.completion[b] - s.completion[b - 1]) - median_gap);
-    }
-  }
+        result.retry_histogram[b][a] += st.retry_histogram[b][a];
   result.completion_times = s.completion;
-  if (result.integrity.checks_passed > 0) {
-    reg.counter("integrity.checks_passed")
-        .add(result.integrity.checks_passed);
-  }
-  if (!result.integrity.clean()) {
-    reg.counter("integrity.checks_failed")
-        .add(result.integrity.checks_failed);
-    reg.counter("integrity.recomputes").add(result.integrity.recomputes);
-    reg.counter("integrity.repairs").add(result.integrity.repairs);
-    reg.counter("integrity.escalations").add(result.integrity.escalations);
-    reg.counter("integrity.digest_mismatches")
-        .add(result.integrity.digest_mismatches);
-  }
   return result;
+}
+
+double barrier_stall_seconds(const PipelineResult& r, index_t barrier_cpi) {
+  const std::vector<double>& done = r.completion_times;
+  const auto b = static_cast<size_t>(barrier_cpi);
+  if (barrier_cpi < 1 || b >= done.size() || done[b] <= 0.0 ||
+      done[b - 1] <= 0.0)
+    return 0.0;
+  std::vector<double> gaps;
+  for (size_t i = 1; i < done.size(); ++i)
+    if (done[i] > 0.0 && done[i - 1] > 0.0) gaps.push_back(done[i] - done[i - 1]);
+  const auto mid = gaps.begin() + static_cast<std::ptrdiff_t>(gaps.size() / 2);
+  std::nth_element(gaps.begin(), mid, gaps.end());
+  return std::max(0.0, (done[b] - done[b - 1]) - *mid);
 }
 
 }  // namespace ppstap::core

@@ -21,8 +21,8 @@
 
 #include "core/assignment.hpp"
 #include "core/elastic.hpp"
+#include "core/events.hpp"
 #include "core/fault_tolerance.hpp"
-#include "core/healing.hpp"
 #include "core/health.hpp"
 #include "core/integrity.hpp"
 #include "core/overload.hpp"
@@ -95,48 +95,38 @@ struct PipelineResult {
   /// edge, indexed like core::SimEdge (sim.hpp).
   std::array<double, kNumPipelineEdges> bytes_per_edge_per_cpi{};
 
-  /// Shed CPIs, retransmissions, injected faults, uncovered deaths. Empty
-  /// (faults.clean()) on a fault-free run. Shed CPIs have no detections
-  /// and are excluded from the latency averages, but their completion
-  /// still counts toward throughput — the stream kept moving.
-  FaultLedger faults;
+  /// Every run event in record order (events.hpp): sheds with their
+  /// origin, transport and injected-fault tallies, integrity repairs,
+  /// overload decisions, migrations, healing and health verdicts. Healing,
+  /// migration and health outcomes are queries over it.
+  Events events;
 
-  /// Overload-control accounting: per-CPI degradation levels, rejected
-  /// CPIs, ladder transitions. All-kFull/empty when the controller is off.
-  OverloadLedger overload;
+  /// summarize(events): shed CPIs (no detections, excluded from the
+  /// latency averages, but their completion still counts toward
+  /// throughput — the stream kept moving) and retransmissions; CPIs
+  /// rejected at admission; ABFT failures, repairs and escalations.
+  FaultSummary faults;
+  OverloadSummary overload;
+  IntegritySummary integrity;
 
-  /// Numerical-health guard firings aggregated over every weight computer
-  /// of the run (screened training blocks, diagonal-loading retries,
-  /// quiescent fallbacks). numerics.clean() on a healthy run.
-  stap::WeightHealth numerics;
-
-  /// ABFT accounting: invariant checks passed/failed, bounded recomputes,
-  /// repairs, escalations into the shed machinery, and end-to-end digest
-  /// mismatches attributed to the producing task. integrity.clean() on a
-  /// corruption-free run (and trivially when PPSTAP_ABFT is off).
-  IntegrityLedger integrity;
-
-  /// Live rank-migration accounting: every elastic attempt (committed or
-  /// rolled back) with its barrier CPI and measured quiesce stall.
-  /// migrations.clean() when no migration was ever proposed.
-  MigrationLedger migrations;
-
-  /// Self-healing accounting (PR 8): one event per rank death — spare
-  /// takeover, shrink-to-survivors, quarantine, or uncovered — with
-  /// per-recovery MTTR. healing.clean() when no rank ever died.
-  HealingLedger healing;
-
-  /// Gray-failure detector accounting (PR 10): per-rank service/queue
-  /// EWMAs, peer z-scores, and every detector transition (suspect, clear,
-  /// quarantine, flap-suppression, do-no-harm veto). health.clean() when
-  /// nothing was ever suspected (and trivially when PPSTAP_HEALTH is off).
-  HealthLedger health;
+  /// Per-edge retransmission histogram summed over all ranks, mirroring
+  /// comm::CommStats::retry_histogram (rows = tag-slot buckets, data edges
+  /// 0-8 plus an "other" bucket; column a = frames delivered after exactly
+  /// a+1 refetches, last column = budget exhausted). Dimensions are
+  /// static_asserted against the comm layer at the aggregation site.
+  std::array<std::array<std::uint64_t, 6>, 10> retry_histogram{};
 
   /// Absolute sink completion timestamp per CPI (WallTimer base; 0.0 for
   /// CPIs that never completed) — lets benches window steady-state
   /// throughput around a migration barrier.
   std::vector<double> completion_times;
 };
+
+/// Measured quiesce stall of a migration whose barrier is `barrier_cpi`:
+/// the excess of that CPI's sink inter-completion gap over the run's
+/// median gap (the live analogue of the simulator's migration_stall); 0
+/// when either completion is missing.
+double barrier_stall_seconds(const PipelineResult& r, index_t barrier_cpi);
 
 /// Runs the parallel pipelined STAP application on an in-process rank world.
 class ParallelStapPipeline {

@@ -42,6 +42,13 @@ class Counter {
 class Gauge {
  public:
   void set(double v) { v_.store(v, std::memory_order_relaxed); }
+  /// Raise to `v` when it exceeds the current value (a running maximum).
+  void raise(double v) {
+    double cur = v_.load(std::memory_order_relaxed);
+    while (v > cur &&
+           !v_.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+    }
+  }
   double value() const { return v_.load(std::memory_order_relaxed); }
 
  private:

@@ -206,14 +206,14 @@ TEST(Checkpoint, DigestContinuityAcrossSpareFailover) {
   par.set_integrity(ic);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
-  ASSERT_EQ(res.healing.events.size(), 1u);
-  EXPECT_EQ(res.healing.events[0].mechanism, "spare");
-  EXPECT_EQ(res.healing.events[0].rank, victim);
+  const auto heals = res.events.heals();
+  ASSERT_EQ(heals.size(), 1u);
+  EXPECT_EQ(heals[0].kind, core::EventKind::kHealSpare);
+  EXPECT_EQ(heals[0].rank, victim);
   EXPECT_TRUE(res.faults.shed_cpis.empty());
-  EXPECT_EQ(res.integrity.digest_mismatches, 0u);
-  for (auto n : res.integrity.digest_mismatch_by_task) EXPECT_EQ(n, 0u);
+  EXPECT_EQ(res.events.count(core::EventKind::kDigestMismatch), 0u);
   EXPECT_TRUE(res.integrity.clean());
-  EXPECT_GT(res.integrity.checks_passed, 0u);
+  EXPECT_GT(res.events.count(core::EventKind::kCheckPassed), 0u);
 }
 
 // PR 7: digests must stay continuous across a live elastic migration. The
@@ -241,13 +241,12 @@ TEST(Checkpoint, DigestContinuityAcrossLiveMigration) {
   par.set_integrity(ic);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
-  ASSERT_EQ(res.migrations.attempts.size(), 1u);
-  EXPECT_EQ(res.migrations.committed(), 1);
+  ASSERT_EQ(res.events.migrations().size(), 1u);
+  EXPECT_EQ(res.events.count(core::EventKind::kMigrationCommit), 1u);
   EXPECT_TRUE(res.faults.clean());
-  EXPECT_EQ(res.integrity.digest_mismatches, 0u);
-  for (auto n : res.integrity.digest_mismatch_by_task) EXPECT_EQ(n, 0u);
+  EXPECT_EQ(res.events.count(core::EventKind::kDigestMismatch), 0u);
   EXPECT_TRUE(res.integrity.clean());
-  EXPECT_GT(res.integrity.checks_passed, 0u);
+  EXPECT_GT(res.events.count(core::EventKind::kCheckPassed), 0u);
   ASSERT_EQ(res.detections.size(), static_cast<size_t>(n_cpis));
 }
 

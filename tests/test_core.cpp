@@ -266,7 +266,8 @@ TEST(CpiSource, CpiRejectedAtAdmissionIsNeverGenerated) {
   cfg.enabled = true;
   cfg.ladder = false;
   cfg.queue_low = cfg.queue_high = 1;  // one CPI in flight; reject beyond
-  OverloadController ctrl(cfg, 4);
+  EventLog log;
+  OverloadController ctrl(cfg, 4, log);
   CpiSource source(rec.fn());
   source.set_overload_controller(&ctrl);
   source.start(4);
@@ -285,7 +286,7 @@ TEST(CpiSource, CpiRejectedAtAdmissionIsNeverGenerated) {
   // The producer may have gone on to reject CPI 3 as well (CPI 2 is in
   // flight); whatever it rejected, it never generated.
   const auto calls = rec.snapshot();
-  const auto rejected = ctrl.ledger().rejected_cpis;
+  const auto rejected = summarize(log.snapshot()).overload.rejected_cpis;
   ASSERT_FALSE(rejected.empty());
   EXPECT_EQ(rejected.front(), 1);
   for (const index_t cpi : rejected)
@@ -315,19 +316,21 @@ TEST(CpiSource, StopWakesAProducerParkedInTheThrottle) {
   cfg.ladder = false;
   cfg.reject_when_full = false;  // throttle
   cfg.queue_low = cfg.queue_high = 1;
-  OverloadController ctrl(cfg, 8);
+  EventLog log;
+  OverloadController ctrl(cfg, 8, log);
   CpiSource source(gen);
   source.set_overload_controller(&ctrl);
   source.start(8);
   ASSERT_TRUE(source.admit(0).admit);
   (void)source.get(0);
   // CPI 0 never completes: the producer blocks admitting CPI 1.
-  ASSERT_TRUE(eventually([&] { return ctrl.ledger().throttle_waits == 1; }));
+  ASSERT_TRUE(eventually(
+      [&] { return log.snapshot().count(EventKind::kThrottle) == 1; }));
   source.stop();  // must return
   EXPECT_EQ(source.produced(), 1);
-  // The closed controller refuses undecided CPIs without ledgering them.
+  // The closed controller refuses undecided CPIs without recording them.
   EXPECT_FALSE(ctrl.admit(1).admit);
-  EXPECT_TRUE(ctrl.ledger().rejected_cpis.empty());
+  EXPECT_TRUE(summarize(log.snapshot()).overload.rejected_cpis.empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -531,8 +534,8 @@ TEST(ParallelPipeline, ReturnsWhenTheDopplerRankDiesWithNoSpare) {
   par.set_fault_plan(&plan);
   auto r = par.run(gen, n, 1, 1);
 
-  EXPECT_EQ(r.faults.kills, 1u);
-  EXPECT_GT(r.overload.throttle_waits, 0u);
+  EXPECT_EQ(r.events.count(EventKind::kKill), 1u);
+  EXPECT_GT(r.events.count(EventKind::kThrottle), 0u);
   std::vector<index_t> want_shed;
   for (index_t cpi = kill_cpi; cpi < n; ++cpi) want_shed.push_back(cpi);
   EXPECT_EQ(r.faults.shed_cpis, want_shed);

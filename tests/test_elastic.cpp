@@ -17,6 +17,7 @@
 #include "core/assignment.hpp"
 #include "core/elastic.hpp"
 #include "core/pipeline.hpp"
+#include "obs/metrics.hpp"
 #include "stap/sequential.hpp"
 #include "synth/steering.hpp"
 
@@ -233,7 +234,7 @@ TEST(ElasticMigration, ForcedMigrationCommitsBitExact) {
                             {gen_base.replica().begin(),
                              gen_base.replica().end()});
   auto res_base = base.run(gen_base, n_cpis, /*warmup=*/1, /*cooldown=*/1);
-  ASSERT_TRUE(res_base.migrations.clean());
+  ASSERT_TRUE(res_base.events.migrations().empty());
 
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(),
@@ -241,19 +242,18 @@ TEST(ElasticMigration, ForcedMigrationCommitsBitExact) {
   par.set_elastic(forced_pc_to_doppler(/*at_cpi=*/4));
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
-  ASSERT_EQ(res.migrations.attempts.size(), 1u);
-  const MigrationEvent& e = res.migrations.attempts[0];
-  EXPECT_EQ(res.migrations.committed(), 1);
-  EXPECT_EQ(res.migrations.rolled_back(), 0);
-  EXPECT_EQ(e.trigger, "forced");
-  EXPECT_EQ(e.outcome, "committed");
-  EXPECT_TRUE(e.abort_reason.empty());
-  EXPECT_EQ(e.donor_task, static_cast<int>(Task::kPulseCompression));
-  EXPECT_EQ(e.recipient_task, static_cast<int>(Task::kDopplerFilter));
-  EXPECT_EQ(e.migrating_rank, a.first_rank(Task::kPulseCompression) + 1);
-  EXPECT_GE(e.barrier_cpi, 4);
-  EXPECT_LE(e.barrier_cpi, n_cpis - 2);
-  EXPECT_GE(e.stall_seconds, 0.0);
+  const auto attempts = res.events.migrations();
+  ASSERT_EQ(attempts.size(), 1u);
+  const Event& e = attempts[0];
+  EXPECT_EQ(e.kind, EventKind::kMigrationCommit);
+  EXPECT_STREQ(e.cause, "forced");
+  EXPECT_STREQ(e.note, "");
+  EXPECT_EQ(e.task, static_cast<int>(Task::kPulseCompression));
+  EXPECT_EQ(e.peer, static_cast<int>(Task::kDopplerFilter));
+  EXPECT_EQ(e.rank, a.first_rank(Task::kPulseCompression) + 1);
+  EXPECT_GE(e.cpi, 4);
+  EXPECT_LE(e.cpi, n_cpis - 2);
+  EXPECT_GE(barrier_stall_seconds(res, e.cpi), 0.0);
 
   // Zero lost or duplicated CPIs, and the sink timestamped every one.
   ASSERT_EQ(res.detections.size(), static_cast<size_t>(n_cpis));
@@ -298,11 +298,11 @@ TEST(ElasticMigration, DroppedVoteRollsBackAndStreamStaysExact) {
   par.set_fault_plan(&plan);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
-  ASSERT_EQ(res.migrations.attempts.size(), 1u);
-  EXPECT_EQ(res.migrations.committed(), 0);
-  EXPECT_EQ(res.migrations.rolled_back(), 1);
-  EXPECT_EQ(res.migrations.attempts[0].abort_reason, "vote_timeout");
-  EXPECT_GE(res.faults.frames_dropped, 1u);
+  const auto attempts = res.events.migrations();
+  ASSERT_EQ(attempts.size(), 1u);
+  EXPECT_EQ(attempts[0].kind, EventKind::kMigrationRollback);
+  EXPECT_STREQ(attempts[0].note, "vote_timeout");
+  EXPECT_GE(res.events.count(EventKind::kFrameDropped), 1u);
   EXPECT_TRUE(res.faults.shed_cpis.empty());
 
   // Rollback restored nothing because nothing changed: the stream is
@@ -347,11 +347,11 @@ TEST(ElasticMigration, KilledMigratingRankRollsBackNotWedge) {
   par.set_fault_plan(&plan);
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
-  EXPECT_EQ(res.faults.kills, 1u);
-  ASSERT_EQ(res.migrations.attempts.size(), 1u);
-  EXPECT_EQ(res.migrations.committed(), 0);
-  EXPECT_EQ(res.migrations.rolled_back(), 1);
-  const std::string& reason = res.migrations.attempts[0].abort_reason;
+  EXPECT_EQ(res.events.count(EventKind::kKill), 1u);
+  const auto attempts = res.events.migrations();
+  ASSERT_EQ(attempts.size(), 1u);
+  EXPECT_EQ(attempts[0].kind, EventKind::kMigrationRollback);
+  const std::string reason = attempts[0].note;
   EXPECT_TRUE(reason == "migrating_rank_dead" ||
               reason == "vote_peer_dead" || reason == "vote_timeout")
       << reason;
@@ -362,7 +362,7 @@ TEST(ElasticMigration, KilledMigratingRankRollsBackNotWedge) {
   EXPECT_FALSE(res.faults.shed_cpis.empty());
   std::vector<bool> shed(static_cast<size_t>(n_cpis), false);
   for (index_t s : res.faults.shed_cpis) shed[static_cast<size_t>(s)] = true;
-  const index_t barrier = res.migrations.attempts[0].barrier_cpi;
+  const index_t barrier = attempts[0].cpi;
   for (index_t cpi = 0; cpi < n_cpis; ++cpi) {
     if (shed[static_cast<size_t>(cpi)]) continue;
     // Non-shed CPIs after a rollback are still exact; the kill can only
@@ -401,15 +401,22 @@ TEST(ElasticMigration, KilledCoordinatorRollsBackNotWedge) {
   ft.cpi_deadline_seconds = 10.0;
   par.set_fault_tolerance(ft);
   par.set_fault_plan(&plan);
+  auto& rolled_back =
+      obs::Registry::global().counter("elastic.migrations_rolled_back");
+  const std::uint64_t rolled_back0 = rolled_back.value();
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
-  EXPECT_EQ(res.faults.kills, 1u);
-  ASSERT_EQ(res.migrations.attempts.size(), 1u);
-  EXPECT_EQ(res.migrations.committed(), 0);
-  EXPECT_EQ(res.migrations.rolled_back(), 1);
+  EXPECT_EQ(res.events.count(EventKind::kKill), 1u);
+  const auto attempts = res.events.migrations();
+  ASSERT_EQ(attempts.size(), 1u);
+  EXPECT_EQ(attempts[0].kind, EventKind::kMigrationRollback);
+  // The counter derives from the same record, so an attempt still pending
+  // when the stream drained counts as rolled back there too.
+  EXPECT_EQ(rolled_back.value() - rolled_back0,
+            res.events.count(EventKind::kMigrationRollback));
   // Whoever won the CAS attributed the rollback; all of these name the
   // same failure (the coordinator never answered).
-  const std::string& reason = res.migrations.attempts[0].abort_reason;
+  const std::string reason = attempts[0].note;
   EXPECT_TRUE(reason == "coordinator_dead" || reason == "verdict_timeout" ||
               reason == "unresolved_at_exit")
       << reason;
@@ -453,9 +460,10 @@ TEST(ElasticMigration, OverloadAssistMigratesBeforeDegrading) {
   // The assist was consulted and proposed a migration; on this clean run
   // it must have resolved (either way — commit needs the barrier to land
   // inside the stream).
-  ASSERT_GE(res.migrations.attempts.size(), 1u);
-  EXPECT_EQ(res.migrations.attempts[0].trigger, "overload");
-  EXPECT_FALSE(res.migrations.attempts[0].outcome.empty());
+  const auto attempts = res.events.migrations();
+  ASSERT_GE(attempts.size(), 1u);
+  EXPECT_STREQ(attempts[0].cause, "overload");
+  EXPECT_GE(res.events.count(EventKind::kElasticAssist), 1u);
   // Lossless composition: throttle mode + migration never drops a CPI.
   EXPECT_TRUE(res.overload.rejected_cpis.empty());
   EXPECT_TRUE(res.faults.shed_cpis.empty());
@@ -490,8 +498,8 @@ TEST(ElasticMigration, TwoForcedMigrationsBothCommit) {
 
   // Forced migrations bypass the cap by design (tests need determinism),
   // so both commit — but never more than the forced list's length.
-  EXPECT_EQ(res.migrations.attempts.size(), 2u);
-  EXPECT_EQ(res.migrations.committed(), 2);
+  EXPECT_EQ(res.events.migrations().size(), 2u);
+  EXPECT_EQ(res.events.count(EventKind::kMigrationCommit), 2u);
   EXPECT_TRUE(res.faults.clean());
   ASSERT_EQ(res.detections.size(), static_cast<size_t>(n_cpis));
 }

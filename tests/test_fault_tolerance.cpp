@@ -105,6 +105,20 @@ void expect_cpi_matches(const std::vector<stap::Detection>& got,
   }
 }
 
+// Every shed CPI has exactly one recorded cause: its earliest origin, with
+// a cause from the fixed set.
+void expect_shed_causes(const PipelineResult& res) {
+  for (const index_t cpi : res.faults.shed_cpis) {
+    const Event* e = res.events.shed_cause(cpi);
+    ASSERT_NE(e, nullptr) << "cpi=" << cpi;
+    const std::string cause = e->cause;
+    EXPECT_TRUE(cause == "admission" || cause == "timeout" ||
+                cause == "dead_peer" || cause == "corrupt" ||
+                cause == "abft" || cause == "sweep")
+        << "cpi=" << cpi << " cause=" << cause;
+  }
+}
+
 TEST(FaultTolerance, FaultFreeRunHasCleanLedger) {
   auto f = Fixture::make();
   ScenarioGenerator gen(f.sp);
@@ -112,6 +126,7 @@ TEST(FaultTolerance, FaultFreeRunHasCleanLedger) {
                            {gen.replica().begin(), gen.replica().end()});
   auto res = par.run(gen, 4, /*warmup=*/1, /*cooldown=*/1);
   EXPECT_TRUE(res.faults.clean());
+  EXPECT_TRUE(res.events.records.empty());
 }
 
 // The acceptance scenario: kill the hard-weight rank mid-stream. The spare
@@ -148,14 +163,16 @@ TEST(FaultTolerance, HardWeightKillFailsOverWithExactDetections) {
                        ref[static_cast<size_t>(cpi)], cpi);
 
   EXPECT_TRUE(res.faults.shed_cpis.empty());
-  EXPECT_EQ(res.faults.kills, 1u);
-  ASSERT_EQ(res.healing.events.size(), 1u);
-  const auto& ev = res.healing.events[0];
-  EXPECT_EQ(ev.mechanism, "spare");
+  EXPECT_EQ(res.events.count(EventKind::kKill), 1u);
+  const auto heals = res.events.heals();
+  ASSERT_EQ(heals.size(), 1u);
+  const auto& ev = heals[0];
+  EXPECT_EQ(ev.kind, EventKind::kHealSpare);
+  EXPECT_STREQ(ev.cause, "death");
   EXPECT_EQ(ev.rank, victim);
   EXPECT_EQ(ev.task, static_cast<int>(Task::kHardWeight));
-  EXPECT_EQ(ev.resume_cpi, kill_cpi);
-  EXPECT_GT(ev.mttr_seconds, 0.0);
+  EXPECT_EQ(ev.cpi, kill_cpi);
+  EXPECT_GT(ev.seconds, 0.0);
 }
 
 TEST(FaultTolerance, EasyWeightKillFailsOverWithExactDetections) {
@@ -183,12 +200,12 @@ TEST(FaultTolerance, EasyWeightKillFailsOverWithExactDetections) {
   for (index_t cpi = 0; cpi < n_cpis; ++cpi)
     expect_cpi_matches(res.detections[static_cast<size_t>(cpi)],
                        ref[static_cast<size_t>(cpi)], cpi);
-  ASSERT_EQ(res.healing.events.size(), 1u);
-  EXPECT_EQ(res.healing.events[0].mechanism, "spare");
-  EXPECT_EQ(res.healing.events[0].rank, victim);
-  EXPECT_EQ(res.healing.events[0].task,
-            static_cast<int>(Task::kEasyWeight));
-  EXPECT_EQ(res.healing.events[0].resume_cpi, kill_cpi);
+  const auto heals = res.events.heals();
+  ASSERT_EQ(heals.size(), 1u);
+  EXPECT_EQ(heals[0].kind, EventKind::kHealSpare);
+  EXPECT_EQ(heals[0].rank, victim);
+  EXPECT_EQ(heals[0].task, static_cast<int>(Task::kEasyWeight));
+  EXPECT_EQ(heals[0].cpi, kill_cpi);
 }
 
 // Deadline shedding under an injected in-flight delay: the stalled CPI is
@@ -236,8 +253,15 @@ TEST(FaultTolerance, DeadlineSheddingUnderInjectedDelay) {
   // detections, present in the ledger, delay counted.
   ASSERT_EQ(res.faults.shed_cpis, std::vector<index_t>{shed_cpi});
   EXPECT_TRUE(res.detections[static_cast<size_t>(shed_cpi)].empty());
-  EXPECT_GE(res.faults.frames_delayed, 1u);
-  EXPECT_EQ(res.healing.spare_takeovers(), 0);
+  EXPECT_GE(res.events.count(EventKind::kFrameDelayed), 1u);
+  EXPECT_EQ(res.events.count(EventKind::kHealSpare), 0u);
+  // The shed originated in a receive that timed out: the easy beamformer
+  // waiting on the delayed frame, or a stage behind it whose own deadline
+  // ran out first.
+  expect_shed_causes(res);
+  const Event* cause = res.events.shed_cause(shed_cpi);
+  ASSERT_NE(cause, nullptr);
+  EXPECT_STREQ(cause->cause, "timeout");
 
   // Every non-shed CPI still matches the sequential reference exactly.
   for (index_t cpi = 0; cpi < n_cpis; ++cpi) {
@@ -279,7 +303,7 @@ TEST(FaultTolerance, CorruptedFrameIsRetransmittedExactly) {
   for (index_t cpi = 0; cpi < n_cpis; ++cpi)
     expect_cpi_matches(res.detections[static_cast<size_t>(cpi)],
                        ref[static_cast<size_t>(cpi)], cpi);
-  EXPECT_EQ(res.faults.frames_corrupted, 1u);
+  EXPECT_EQ(res.events.count(EventKind::kFrameCorrupted), 1u);
   EXPECT_GE(res.faults.retransmissions, 1u);
   EXPECT_TRUE(res.faults.shed_cpis.empty());
 }
@@ -330,20 +354,20 @@ TEST(FaultTolerance, StaleWeightReuseSurvivesSpareFailover) {
 
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
-  // The failover happened and was ledgered.
-  EXPECT_EQ(res.faults.kills, 1u);
-  ASSERT_EQ(res.healing.events.size(), 1u);
-  EXPECT_EQ(res.healing.events[0].mechanism, "spare");
-  EXPECT_EQ(res.healing.events[0].rank, victim);
-  EXPECT_EQ(res.healing.events[0].task,
-            static_cast<int>(Task::kHardWeight));
-  EXPECT_EQ(res.healing.events[0].resume_cpi, kill_cpi);
+  // The failover happened and was recorded.
+  EXPECT_EQ(res.events.count(EventKind::kKill), 1u);
+  const auto heals = res.events.heals();
+  ASSERT_EQ(heals.size(), 1u);
+  EXPECT_EQ(heals[0].kind, EventKind::kHealSpare);
+  EXPECT_EQ(heals[0].rank, victim);
+  EXPECT_EQ(heals[0].task, static_cast<int>(Task::kHardWeight));
+  EXPECT_EQ(heals[0].cpi, kill_cpi);
 
   // The ladder reached stale-weight reuse; throttling (not rejection)
   // absorbed the pressure, so nothing was shed.
-  EXPECT_EQ(res.overload.max_level, 3);
+  EXPECT_EQ(res.events.max_level(), 3);
   EXPECT_TRUE(res.overload.rejected_cpis.empty());
-  EXPECT_GE(res.overload.throttle_waits, 1u);
+  EXPECT_GE(res.events.count(EventKind::kThrottle), 1u);
   EXPECT_TRUE(res.faults.shed_cpis.empty());
 
   // Degraded output is still *valid* output: every CPI produced a (possibly
@@ -355,7 +379,11 @@ TEST(FaultTolerance, StaleWeightReuseSurvivesSpareFailover) {
       EXPECT_TRUE(std::isfinite(d.power));
       EXPECT_TRUE(std::isfinite(d.threshold));
     }
-  EXPECT_TRUE(res.numerics.clean());
+  for (const EventKind k :
+       {EventKind::kNonfiniteTraining, EventKind::kLoadingRetry,
+        EventKind::kQuiescentFallback, EventKind::kQrResidualRetry,
+        EventKind::kQrResidualReject})
+    EXPECT_EQ(res.events.count(k), 0u) << info(k).counter;
 }
 
 // PR 7 (satellite): the single spare covers exactly one weight-rank
@@ -364,7 +392,7 @@ TEST(FaultTolerance, StaleWeightReuseSurvivesSpareFailover) {
 // peers waited for a takeover that could never come). Now the takeover
 // downgrades every remaining weight rank to unrecoverable: the second
 // death surfaces promptly, the CPIs that needed the dead rank's weights
-// are shed, and the ledger records the uncovered failure.
+// are shed, and the event log records the uncovered failure.
 TEST(FaultTolerance, SecondWeightDeathIsUncoveredNotWedged) {
   auto f = Fixture::make();
   const index_t n_cpis = 10;
@@ -395,17 +423,17 @@ TEST(FaultTolerance, SecondWeightDeathIsUncoveredNotWedged) {
   // victim's own recv), so the assertion is on the partition, not the
   // order: the covered and uncovered ranks must together be exactly the
   // two victims.
-  EXPECT_EQ(res.faults.kills, 2u);
-  ASSERT_EQ(res.healing.spare_takeovers(), 1);
-  ASSERT_EQ(res.faults.uncovered_ranks.size(), 1u);
-  int covered = -1;
-  for (const auto& ev : res.healing.events)
-    if (ev.mechanism == "spare") covered = ev.rank;
-  const int uncovered = res.faults.uncovered_ranks[0];
+  EXPECT_EQ(res.events.count(EventKind::kKill), 2u);
+  const auto spares = res.events.of(EventKind::kHealSpare);
+  const auto lost = res.events.of(EventKind::kHealUncovered);
+  ASSERT_EQ(spares.size(), 1u);
+  ASSERT_EQ(lost.size(), 1u);
+  const int covered = spares[0].rank;
+  const int uncovered = lost[0].rank;
   EXPECT_NE(covered, uncovered);
   EXPECT_TRUE(covered == first_victim || covered == second_victim);
   EXPECT_TRUE(uncovered == first_victim || uncovered == second_victim);
-  EXPECT_FALSE(res.faults.clean());
+  expect_shed_causes(res);
 
   // Drained, not wedged: the stream produced a verdict for every CPI.
   // CPIs that needed the dead rank's send-ahead weights either ride the
@@ -455,8 +483,11 @@ TEST(FaultTolerance, PersistentCorruptionExhaustsRetransmissionAndSheds) {
   ASSERT_EQ(res.faults.shed_cpis, std::vector<index_t>{bad_cpi});
   EXPECT_TRUE(res.detections[static_cast<size_t>(bad_cpi)].empty());
   EXPECT_GE(res.faults.retransmissions, 5u);
-  EXPECT_GE(res.faults.frames_corrupted, 5u);
-  EXPECT_EQ(res.healing.spare_takeovers(), 0);
+  EXPECT_GE(res.events.count(EventKind::kFrameCorrupted), 5u);
+  EXPECT_EQ(res.events.count(EventKind::kHealSpare), 0u);
+  expect_shed_causes(res);
+  ASSERT_NE(res.events.shed_cause(bad_cpi), nullptr);
+  EXPECT_STREQ(res.events.shed_cause(bad_cpi)->cause, "corrupt");
 
   // Every other CPI is untouched — still exact against the sequential
   // reference.
@@ -497,22 +528,19 @@ TEST(FaultTolerance, CorrelatedWeightKillsBothHealWithPool) {
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
   // Both deaths were covered — nothing shed, nothing uncovered.
-  EXPECT_EQ(res.faults.kills, 2u);
-  EXPECT_TRUE(res.faults.uncovered_ranks.empty());
+  EXPECT_EQ(res.events.count(EventKind::kKill), 2u);
   EXPECT_TRUE(res.faults.shed_cpis.empty());
 
-  // The healing ledger records one spare takeover per corpse, each with a
-  // positive MTTR, and no shrink or uncovered entries.
-  ASSERT_EQ(res.healing.events.size(), 2u);
-  EXPECT_EQ(res.healing.spare_takeovers(), 2);
-  EXPECT_EQ(res.healing.shrinks(), 0);
-  EXPECT_EQ(res.healing.uncovered(), 0);
-  EXPECT_GT(res.healing.max_mttr_seconds(), 0.0);
+  // One spare takeover per corpse, each with a positive MTTR, and no
+  // shrink or uncovered records.
+  const auto heals = res.events.heals();
+  ASSERT_EQ(heals.size(), 2u);
   std::vector<int> healed;
-  for (const auto& ev : res.healing.events) {
+  for (const auto& ev : heals) {
+    EXPECT_EQ(ev.kind, EventKind::kHealSpare);
     healed.push_back(ev.rank);
-    EXPECT_EQ(ev.resume_cpi, kill_cpi);
-    EXPECT_GT(ev.mttr_seconds, 0.0);
+    EXPECT_EQ(ev.cpi, kill_cpi);
+    EXPECT_GT(ev.seconds, 0.0);
   }
   std::sort(healed.begin(), healed.end());
   EXPECT_EQ(healed, (std::vector<int>{easy_victim, hard_victim}));
@@ -527,8 +555,8 @@ TEST(FaultTolerance, CorrelatedWeightKillsBothHealWithPool) {
 // PR 8 (tentpole): with no spare pool at all, a permanently dead pulse-
 // compression rank heals by shrinking the group to the survivor through
 // the elastic quiesce/re-plan/commit protocol. The stream drains (the
-// in-flight CPIs that needed the corpse are shed and ledgered), the
-// healing ledger records the shrink with its MTTR, and every CPI after
+// in-flight CPIs that needed the corpse are shed and recorded), the
+// event log records the shrink with its MTTR, and every CPI after
 // the commit is exact on the reduced topology.
 TEST(FaultTolerance, PermanentPcDeathShrinksToSurvivor) {
   auto f = Fixture::make();
@@ -583,18 +611,18 @@ TEST(FaultTolerance, PermanentPcDeathShrinksToSurvivor) {
   // The death healed by shrink: ledgered with a positive MTTR (death to
   // epoch commit), not as an uncovered failure, and the reduced capacity
   // was reported.
-  EXPECT_EQ(res.faults.kills, 1u);
-  EXPECT_TRUE(res.faults.uncovered_ranks.empty());
-  EXPECT_EQ(res.healing.spare_takeovers(), 0);
-  ASSERT_EQ(res.healing.events.size(), 1u);
-  const auto& ev = res.healing.events[0];
-  EXPECT_EQ(ev.mechanism, "shrink");
+  EXPECT_EQ(res.events.count(EventKind::kKill), 1u);
+  const auto heals = res.events.heals();
+  ASSERT_EQ(heals.size(), 1u);
+  const auto& ev = heals[0];
+  EXPECT_EQ(ev.kind, EventKind::kHealShrink);
   EXPECT_EQ(ev.rank, victim);
   EXPECT_EQ(ev.task, static_cast<int>(Task::kPulseCompression));
-  EXPECT_GT(ev.mttr_seconds, 0.0);
-  EXPECT_GT(ev.resume_cpi, kill_cpi);
-  EXPECT_EQ(res.overload.capacity_losses, 1u);
+  EXPECT_GT(ev.seconds, 0.0);
+  EXPECT_GT(ev.cpi, kill_cpi);
+  EXPECT_EQ(res.events.count(EventKind::kCapacityLoss), 1u);
   EXPECT_TRUE(res.overload.rejected_cpis.empty());
+  expect_shed_causes(res);
 
   // Drained, not wedged: every CPI either completed or is in the shed
   // ledger; the killed CPI itself is necessarily among the sheds, and the
@@ -605,7 +633,7 @@ TEST(FaultTolerance, PermanentPcDeathShrinksToSurvivor) {
   for (index_t sidx : res.faults.shed_cpis)
     shed[static_cast<size_t>(sidx)] = true;
   EXPECT_TRUE(shed[static_cast<size_t>(kill_cpi)]);
-  EXPECT_LT(ev.resume_cpi, n_cpis - 1);
+  EXPECT_LT(ev.cpi, n_cpis - 1);
   for (index_t cpi = 0; cpi < n_cpis; ++cpi) {
     if (shed[static_cast<size_t>(cpi)]) {
       EXPECT_TRUE(res.detections[static_cast<size_t>(cpi)].empty());

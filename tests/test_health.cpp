@@ -2,7 +2,7 @@
 // machine in isolation (z-score detection, dwell, hysteresis, flap budget,
 // do-no-harm gate) and the end-to-end pipeline path — a persistently slow
 // rank is quarantined onto the spare with no CPI lost, a clean run raises
-// no events, and detect-only mode ledgers without evicting.
+// no events, and detect-only mode records verdicts without evicting.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,33 +53,36 @@ std::vector<HealthGroup> one_group() {
 
 TEST(HealthMonitor, DisabledMonitorIsInert) {
   HealthConfig cfg;  // enabled = false
-  HealthMonitor m(cfg, 4);
+  EventLog log;
+  HealthMonitor m(cfg, 4, log);
   feed(m, 10, /*straggler=*/2, /*factor=*/50.0);
   m.scan(10, one_group(), /*spare_available=*/true, /*shrink_available=*/true);
-  EXPECT_TRUE(m.ledger().clean());
+  m.record_ranks();
+  EXPECT_TRUE(log.snapshot().records.empty());
   EXPECT_FALSE(m.quarantine_requested(2));
-  EXPECT_TRUE(m.ledger().ranks.empty());
 }
 
 TEST(HealthMonitor, UniformGroupRaisesNothing) {
-  HealthMonitor m(test_config(), 4);
+  EventLog log;
+  HealthMonitor m(test_config(), 4, log);
   for (int i = 0; i < 20; ++i) {
     feed(m, 1);
     m.scan(i, one_group(), true, true);
   }
-  const HealthLedger led = m.ledger();
-  EXPECT_TRUE(led.clean());
-  EXPECT_EQ(led.quarantines, 0u);
-  ASSERT_EQ(led.ranks.size(), 4u);
-  for (const auto& r : led.ranks) {
-    EXPECT_FALSE(r.suspect);
-    EXPECT_FALSE(r.quarantined);
-    EXPECT_NEAR(r.ewma_service, 0.010, 1e-9);
+  m.record_ranks();
+  const Events led = log.snapshot();
+  EXPECT_TRUE(led.verdicts().empty());
+  const auto ranks = led.of(EventKind::kRankHealth);
+  ASSERT_EQ(ranks.size(), 4u);
+  for (const auto& r : ranks) {
+    EXPECT_EQ(r.count, 20u);
+    EXPECT_NEAR(r.seconds, 0.010, 1e-9);
   }
 }
 
 TEST(HealthMonitor, StragglerQuarantinedAfterDwell) {
-  HealthMonitor m(test_config(), 4);
+  EventLog log;
+  HealthMonitor m(test_config(), 4, log);
   feed(m, 3, /*straggler=*/2, /*factor=*/8.0);
   // First straggler scan: suspect (strike 1 of dwell 2), no eviction yet.
   m.scan(0, one_group(), true, true);
@@ -89,43 +92,45 @@ TEST(HealthMonitor, StragglerQuarantinedAfterDwell) {
   EXPECT_TRUE(m.quarantine_requested(2));
   EXPECT_FALSE(m.quarantine_requested(0));
 
-  const HealthLedger led = m.ledger();
-  EXPECT_EQ(led.suspects, 1u);
-  EXPECT_EQ(led.quarantines, 1u);
-  ASSERT_GE(led.events.size(), 2u);
-  EXPECT_EQ(led.events.front().action, "suspect");
-  EXPECT_EQ(led.events.front().rank, 2);
-  EXPECT_EQ(led.events.back().action, "quarantine");
-  EXPECT_EQ(led.events.back().rank, 2);
-  EXPECT_GT(led.events.back().zscore, 3.0);
+  const Events led = log.snapshot();
+  EXPECT_EQ(led.count(EventKind::kSuspect), 1u);
+  EXPECT_EQ(led.count(EventKind::kQuarantine), 1u);
+  ASSERT_GE(led.verdicts().size(), 2u);
+  EXPECT_EQ(led.verdicts().front().kind, EventKind::kSuspect);
+  EXPECT_EQ(led.verdicts().front().rank, 2);
+  EXPECT_EQ(led.verdicts().back().kind, EventKind::kQuarantine);
+  EXPECT_EQ(led.verdicts().back().rank, 2);
+  EXPECT_GT(led.verdicts().back().seconds, 3.0);
   EXPECT_TRUE(m.was_quarantined(2));
   // Once quarantined the rank is no longer scored: further scans are quiet.
   m.scan(2, one_group(), true, true);
-  EXPECT_EQ(m.ledger().quarantines, 1u);
+  EXPECT_EQ(log.snapshot().count(EventKind::kQuarantine), 1u);
 }
 
 TEST(HealthMonitor, TransientSpikeClearsWithHysteresis) {
-  HealthMonitor m(test_config(), 4);
+  EventLog log;
+  HealthMonitor m(test_config(), 4, log);
   // One straggling window strikes once...
   feed(m, 3, /*straggler=*/1, /*factor=*/8.0);
   m.scan(0, one_group(), true, true);
-  EXPECT_EQ(m.ledger().suspects, 1u);
+  EXPECT_EQ(log.snapshot().count(EventKind::kSuspect), 1u);
   // ...then the rank recovers: the EWMA decays back toward the peers, the
   // score falls below half the threshold, and the strike clears instead of
   // accumulating into an eviction.
   feed(m, 10);
   m.scan(1, one_group(), true, true);
-  const HealthLedger led = m.ledger();
-  EXPECT_EQ(led.quarantines, 0u);
+  const Events led = log.snapshot();
+  EXPECT_EQ(led.count(EventKind::kQuarantine), 0u);
   EXPECT_FALSE(m.quarantine_requested(1));
-  ASSERT_FALSE(led.events.empty());
-  EXPECT_EQ(led.events.back().action, "clear");
+  ASSERT_FALSE(led.verdicts().empty());
+  EXPECT_EQ(led.verdicts().back().kind, EventKind::kClear);
 }
 
 TEST(HealthMonitor, FlapBudgetSuppressesRepeatEviction) {
   HealthConfig cfg = test_config();
   cfg.flap_limit = 1;
-  HealthMonitor m(cfg, 4);
+  EventLog log;
+  HealthMonitor m(cfg, 4, log);
   feed(m, 3, /*straggler=*/3, /*factor=*/8.0);
   m.scan(0, one_group(), true, true);
   m.scan(1, one_group(), true, true);
@@ -140,31 +145,33 @@ TEST(HealthMonitor, FlapBudgetSuppressesRepeatEviction) {
   m.scan(2, one_group(), true, true);
   m.scan(3, one_group(), true, true);
   EXPECT_FALSE(m.quarantine_requested(3));
-  const HealthLedger led = m.ledger();
-  EXPECT_EQ(led.quarantines, 1u);
-  EXPECT_GE(led.flap_suppressed, 1u);
-  EXPECT_EQ(led.events.back().action, "flap_suppressed");
+  const Events led = log.snapshot();
+  EXPECT_EQ(led.count(EventKind::kQuarantine), 1u);
+  EXPECT_GE(led.count(EventKind::kFlapSuppressed), 1u);
+  EXPECT_EQ(led.verdicts().back().kind, EventKind::kFlapSuppressed);
 }
 
 TEST(HealthMonitor, EvictionVetoedWithoutHealingPath) {
-  HealthMonitor m(test_config(), 4);
+  EventLog log;
+  HealthMonitor m(test_config(), 4, log);
   feed(m, 3, /*straggler=*/0, /*factor=*/8.0);
   m.scan(0, one_group(), /*spare_available=*/false,
          /*shrink_available=*/false);
   m.scan(1, one_group(), false, false);
   // Confirmed straggler, but nobody could inherit the work: vetoed.
   EXPECT_FALSE(m.quarantine_requested(0));
-  const HealthLedger led = m.ledger();
-  EXPECT_EQ(led.quarantines, 0u);
-  EXPECT_GE(led.vetoed, 1u);
-  EXPECT_EQ(led.events.back().action, "vetoed");
+  const Events led = log.snapshot();
+  EXPECT_EQ(led.count(EventKind::kQuarantine), 0u);
+  EXPECT_GE(led.count(EventKind::kVetoed), 1u);
+  EXPECT_EQ(led.verdicts().back().kind, EventKind::kVetoed);
 }
 
 TEST(HealthMonitor, EvictionVetoedWhenAnotherGroupGatesThroughput) {
   // The straggler's group is NOT the pipeline bottleneck: a second group
   // is slower than the straggler group would be even after healing, so the
   // eq.-1 prediction shows no gain and the do-no-harm gate refuses.
-  HealthMonitor m(test_config(), 6);
+  EventLog log;
+  HealthMonitor m(test_config(), 6, log);
   for (int i = 0; i < 3; ++i) {
     for (int r = 0; r < 4; ++r)
       m.observe(r, 0, i, r == 2 ? 0.080 : 0.010, 0.0);
@@ -176,21 +183,22 @@ TEST(HealthMonitor, EvictionVetoedWhenAnotherGroupGatesThroughput) {
   m.scan(0, groups, true, true);
   m.scan(1, groups, true, true);
   EXPECT_FALSE(m.quarantine_requested(2));
-  const HealthLedger led = m.ledger();
-  EXPECT_EQ(led.quarantines, 0u);
-  EXPECT_GE(led.vetoed, 1u);
+  const Events led = log.snapshot();
+  EXPECT_EQ(led.count(EventKind::kQuarantine), 0u);
+  EXPECT_GE(led.count(EventKind::kVetoed), 1u);
 }
 
 TEST(HealthMonitor, DetectOnlyModeNeverEvicts) {
   HealthConfig cfg = test_config();
   cfg.quarantine = false;
-  HealthMonitor m(cfg, 4);
+  EventLog log;
+  HealthMonitor m(cfg, 4, log);
   feed(m, 6, /*straggler=*/1, /*factor=*/10.0);
   for (int i = 0; i < 6; ++i) m.scan(i, one_group(), true, true);
   EXPECT_FALSE(m.quarantine_requested(1));
-  const HealthLedger led = m.ledger();
-  EXPECT_GE(led.suspects, 1u);
-  EXPECT_EQ(led.quarantines, 0u);
+  const Events led = log.snapshot();
+  EXPECT_GE(led.count(EventKind::kSuspect), 1u);
+  EXPECT_EQ(led.count(EventKind::kQuarantine), 0u);
 }
 
 TEST(HealthConfigEnv, KnobsParseAndValidate) {
@@ -290,11 +298,11 @@ TEST(HealthPipeline, CleanRunRaisesNoEvents) {
   // host a preemption storm can inflate one full floor window — but
   // dwell + hysteresis must stop anything stronger, and on an idle host
   // the run is event-free outright.
-  EXPECT_EQ(res.health.quarantines, 0u);
-  for (const auto& e : res.health.events)
-    EXPECT_TRUE(e.action == "suspect" || e.action == "clear")
-        << "rank " << e.rank << " escalated to " << e.action;
-  EXPECT_TRUE(res.healing.clean());
+  EXPECT_EQ(res.events.count(EventKind::kQuarantine), 0u);
+  for (const auto& e : res.events.verdicts())
+    EXPECT_TRUE(e.kind == EventKind::kSuspect || e.kind == EventKind::kClear)
+        << "rank " << e.rank << " escalated to " << info(e.kind).counter;
+  EXPECT_TRUE(res.events.heals().empty());
   EXPECT_TRUE(res.faults.clean());
 }
 
@@ -320,26 +328,27 @@ TEST(HealthPipeline, PersistentStragglerQuarantinedOntoSpare) {
   auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
 
   // The monitor confirmed and evicted exactly the straggler...
-  EXPECT_EQ(res.health.quarantines, 1u);
-  ASSERT_FALSE(res.health.events.empty());
+  EXPECT_EQ(res.events.count(EventKind::kQuarantine), 1u);
+  ASSERT_FALSE(res.events.verdicts().empty());
   bool saw_quarantine = false;
-  for (const auto& e : res.health.events)
-    if (e.action == "quarantine") {
+  for (const auto& e : res.events.verdicts())
+    if (e.kind == EventKind::kQuarantine) {
       saw_quarantine = true;
       EXPECT_EQ(e.rank, victim);
     }
   EXPECT_TRUE(saw_quarantine);
 
-  // ...the spare inherited the role (healing mechanism "quarantine" with a
+  // ...the spare inherited the role (a heal with cause "quarantine" and a
   // measured MTTR), and the stream lost nothing: every CPI completed with
   // detections, none shed.
-  ASSERT_EQ(res.healing.events.size(), 1u);
-  EXPECT_EQ(res.healing.events[0].mechanism, "quarantine");
-  EXPECT_EQ(res.healing.events[0].rank, victim);
-  EXPECT_GT(res.healing.events[0].mttr_seconds, 0.0);
-  EXPECT_EQ(res.healing.quarantines(), 1);
+  const auto heals = res.events.heals();
+  ASSERT_EQ(heals.size(), 1u);
+  EXPECT_EQ(heals[0].kind, EventKind::kHealSpare);
+  EXPECT_STREQ(heals[0].cause, "quarantine");
+  EXPECT_EQ(heals[0].rank, victim);
+  EXPECT_GT(heals[0].seconds, 0.0);
   EXPECT_TRUE(res.faults.shed_cpis.empty());
-  EXPECT_GT(res.faults.stage_slowdowns, 0u);
+  EXPECT_GT(res.events.count(EventKind::kStageSlowdown), 0u);
   ASSERT_EQ(res.detections.size(), static_cast<size_t>(n_cpis));
   const auto ref = sequential_reference(f, n_cpis);
   for (index_t cpi = 0; cpi < n_cpis; ++cpi) {
@@ -364,20 +373,20 @@ TEST(HealthPipeline, QuarantineDisabledStillDetects) {
   par.set_health(hc);
   auto res = par.run(gen, 14, /*warmup=*/1, /*cooldown=*/1);
 
-  EXPECT_GE(res.health.suspects, 1u);
-  EXPECT_EQ(res.health.quarantines, 0u);
-  EXPECT_TRUE(res.healing.clean());  // nobody died
+  EXPECT_GE(res.events.count(EventKind::kSuspect), 1u);
+  EXPECT_EQ(res.events.count(EventKind::kQuarantine), 0u);
+  EXPECT_TRUE(res.events.heals().empty());  // nobody died
   bool victim_suspected = false;
-  for (const auto& e : res.health.events)
-    if (e.action == "suspect" && e.rank == 1) victim_suspected = true;
+  for (const auto& e : res.events.of(EventKind::kSuspect))
+    if (e.rank == 1) victim_suspected = true;
   EXPECT_TRUE(victim_suspected);
   // The straggler's service floor visibly dominates its peer's: the 12x
   // stretch is multiplicative, so it survives the window minimum, while
   // the peer's floor sits at its true compute cost.
   double victim_floor = 0.0, peer_floor = 0.0;
-  for (const auto& r : res.health.ranks) {
-    if (r.rank == 1) victim_floor = r.floor_service;
-    if (r.rank == 0) peer_floor = r.floor_service;
+  for (const auto& r : res.events.of(EventKind::kRankHealth)) {
+    if (r.rank == 1) victim_floor = r.seconds;
+    if (r.rank == 0) peer_floor = r.seconds;
   }
   EXPECT_GT(victim_floor, 2.0 * peer_floor);
 }

@@ -25,6 +25,7 @@ namespace ppstap {
 namespace {
 
 using comm::FaultPlan;
+using core::EventKind;
 using core::IntegrityConfig;
 using core::flip_float_bit;
 using stap::StapParams;
@@ -327,15 +328,15 @@ TEST(IntegrityPipeline, CleanRunLedgerCleanAndBitIdenticalToAbftOff) {
   const auto off = run_pipeline(f, 6, /*abft=*/false, nullptr);
   const auto on = run_pipeline(f, 6, /*abft=*/true, nullptr);
   EXPECT_TRUE(on.integrity.clean());
-  EXPECT_GT(on.integrity.checks_passed, 0u);
-  EXPECT_EQ(on.integrity.recomputes, 0u);
+  EXPECT_GT(on.events.count(EventKind::kCheckPassed), 0u);
+  EXPECT_EQ(on.integrity.repairs, 0u);
   EXPECT_EQ(on.integrity.escalations, 0u);
-  EXPECT_TRUE(on.integrity.events.empty());
+  EXPECT_EQ(on.events.count(EventKind::kDigestMismatch), 0u);
   // The invariants and digests are observers: output is bit-identical.
   EXPECT_TRUE(same_detections(on.detections, off.detections));
-  // ABFT-off runs carry an empty ledger.
+  // ABFT-off runs record no checks at all.
   EXPECT_TRUE(off.integrity.clean());
-  EXPECT_EQ(off.integrity.checks_passed, 0u);
+  EXPECT_EQ(off.events.count(EventKind::kCheckPassed), 0u);
 }
 
 TEST(IntegrityPipeline, EveryStageFlipDetectedAndRepairedBitExact) {
@@ -365,20 +366,23 @@ TEST(IntegrityPipeline, EveryStageFlipDetectedAndRepairedBitExact) {
     EXPECT_EQ(res.integrity.repairs, res.integrity.checks_failed)
         << "task=" << task;
     EXPECT_EQ(res.integrity.escalations, 0u) << "task=" << task;
-    ASSERT_EQ(res.integrity.events.size(),
+    const auto outcomes =
+        res.events.of({EventKind::kAbftRepair, EventKind::kAbftEscalate});
+    ASSERT_EQ(outcomes.size(),
               static_cast<size_t>(res.integrity.checks_failed));
-    for (const auto& e : res.integrity.events) {
+    for (const auto& e : outcomes) {
       EXPECT_EQ(e.task, task);
       EXPECT_EQ(e.cpi, flip_cpi);
-      EXPECT_TRUE(e.repaired);
+      EXPECT_EQ(e.kind, EventKind::kAbftRepair);
     }
+    EXPECT_TRUE(res.faults.shed_cpis.empty()) << "task=" << task;
     // Repair means bit-exact, not approximately right.
     EXPECT_TRUE(same_detections(res.detections, ref.detections))
         << "task=" << task;
   }
 }
 
-TEST(IntegrityPipeline, PersistentCorruptionEscalatesToOneLedgeredShed) {
+TEST(IntegrityPipeline, PersistentCorruptionEscalatesToOneRecordedShed) {
   auto f = Fixture::make();
   const index_t n_cpis = 6;
   const index_t bad_cpi = 3;
@@ -391,18 +395,22 @@ TEST(IntegrityPipeline, PersistentCorruptionEscalatesToOneLedgeredShed) {
   const auto res = run_pipeline(f, n_cpis, /*abft=*/true, &plan);
 
   EXPECT_EQ(res.integrity.escalations, 1u);
-  EXPECT_EQ(res.integrity.recomputes, 1u);
+  EXPECT_EQ(res.integrity.checks_failed, 2u);  // the first run and the redo
   EXPECT_EQ(res.integrity.repairs, 0u);
-  ASSERT_FALSE(res.integrity.events.empty());
-  EXPECT_FALSE(res.integrity.events.back().repaired);
-  EXPECT_EQ(res.integrity.events.back().cpi, bad_cpi);
-  EXPECT_EQ(res.integrity.events.back().task,
-            static_cast<int>(Task::kDopplerFilter));
+  const auto escalated = res.events.of(EventKind::kAbftEscalate);
+  ASSERT_EQ(escalated.size(), 1u);
+  EXPECT_EQ(escalated[0].cpi, bad_cpi);
+  EXPECT_EQ(escalated[0].task, static_cast<int>(Task::kDopplerFilter));
   // The corrupt CPI was refused, not published: exactly one shed. CPIs
   // before it are bit-exact; CPIs after it legitimately diverge from the
   // fault-free reference because the shed CPI's training snapshots are
   // missing from the adaptive weight history.
   ASSERT_EQ(res.faults.shed_cpis, std::vector<index_t>{bad_cpi});
+  // Its one recorded cause is the escalation, at the stage that refused it.
+  const core::Event* cause = res.events.shed_cause(bad_cpi);
+  ASSERT_NE(cause, nullptr);
+  EXPECT_STREQ(cause->cause, "abft");
+  EXPECT_EQ(cause->task, static_cast<int>(Task::kDopplerFilter));
   EXPECT_TRUE(res.detections[static_cast<size_t>(bad_cpi)].empty());
   for (index_t cpi = 0; cpi < bad_cpi; ++cpi)
     EXPECT_TRUE(same_detections(

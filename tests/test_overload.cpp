@@ -25,6 +25,8 @@ namespace ppstap {
 namespace {
 
 using core::DegradationLevel;
+using core::EventKind;
+using core::EventLog;
 using core::OverloadConfig;
 using core::OverloadController;
 
@@ -60,7 +62,8 @@ TEST(Controller, LadderWalksProportionallyAndRejectsAtTheBound) {
   cfg.queue_low = 2;
   cfg.queue_high = 6;
   cfg.dwell = 2;
-  OverloadController ctrl(cfg, /*num_cpis=*/20);
+  EventLog log;
+  OverloadController ctrl(cfg, /*num_cpis=*/20, log);
 
   // Nothing completes: the backlog after admitting CPI i is i+1, so the
   // proportional target climbs one band at a time and the hard bound
@@ -89,12 +92,12 @@ TEST(Controller, LadderWalksProportionallyAndRejectsAtTheBound) {
     ctrl.on_complete(7 + i, 0.01, false);
   }
 
-  const auto ledger = ctrl.ledger();
-  EXPECT_EQ(ledger.rejected_cpis, std::vector<index_t>{6});
-  EXPECT_EQ(ledger.levels[6], 4);
-  EXPECT_EQ(ledger.max_level, 4);
-  EXPECT_EQ(ledger.level_changes, 6u);  // 3 up, 3 down
-  EXPECT_FALSE(ledger.clean());
+  const auto events = log.snapshot();
+  EXPECT_EQ(core::summarize(events).overload.rejected_cpis,
+            std::vector<index_t>{6});
+  EXPECT_EQ(events.level(6), 4);
+  EXPECT_EQ(events.max_level(), 4);
+  EXPECT_EQ(events.count(EventKind::kLevelChange), 6u);  // 3 up, 3 down
 }
 
 TEST(Controller, DecisionIsMemoizedPerCpi) {
@@ -102,7 +105,8 @@ TEST(Controller, DecisionIsMemoizedPerCpi) {
   cfg.enabled = true;
   cfg.queue_low = 1;
   cfg.queue_high = 2;
-  OverloadController ctrl(cfg, 8);
+  EventLog log;
+  OverloadController ctrl(cfg, 8, log);
   ctrl.admit(0);
   ctrl.admit(1);
   const auto first = ctrl.admit(2);  // backlog 2 -> rejected
@@ -125,7 +129,8 @@ TEST(Controller, ThrottleModeBlocksUntilTheBacklogDrains) {
   cfg.queue_low = 1;
   cfg.queue_high = 1;
   cfg.reject_when_full = false;
-  OverloadController ctrl(cfg, 4);
+  EventLog log;
+  OverloadController ctrl(cfg, 4, log);
   ASSERT_TRUE(ctrl.admit(0).admit);
 
   std::atomic<bool> admitted{false};
@@ -139,8 +144,8 @@ TEST(Controller, ThrottleModeBlocksUntilTheBacklogDrains) {
   ctrl.on_complete(0, 0.01, false);
   t.join();
   EXPECT_TRUE(admitted.load());
-  EXPECT_EQ(ctrl.ledger().throttle_waits, 1u);
-  EXPECT_TRUE(ctrl.ledger().rejected_cpis.empty());
+  EXPECT_EQ(log.snapshot().count(EventKind::kThrottle), 1u);
+  EXPECT_TRUE(core::summarize(log.snapshot()).overload.rejected_cpis.empty());
 }
 
 TEST(Controller, SustainedSloViolationEscalatesWithoutBacklog) {
@@ -150,7 +155,8 @@ TEST(Controller, SustainedSloViolationEscalatesWithoutBacklog) {
   cfg.queue_high = 200;
   cfg.slo_latency_seconds = 0.01;
   cfg.dwell = 1;
-  OverloadController ctrl(cfg, 16);
+  EventLog log;
+  OverloadController ctrl(cfg, 16, log);
   // Every completion blows the SLO; each admission climbs one rung until
   // the shed rung rejects outright.
   int first_reject = -1;
@@ -160,7 +166,7 @@ TEST(Controller, SustainedSloViolationEscalatesWithoutBacklog) {
     if (!adm.admit && first_reject < 0) first_reject = static_cast<int>(i);
   }
   EXPECT_EQ(first_reject, 4);  // kFull -> 1 -> 2 -> 3 -> kShedInput
-  EXPECT_EQ(ctrl.ledger().max_level, 4);
+  EXPECT_EQ(log.snapshot().max_level(), 4);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,22 +410,26 @@ TEST(OverloadPipeline, LadderDegradesInsteadOfCollapsing) {
   const index_t n_cpis = 30;
   const auto r = pipe.run(gen, n_cpis, 3, 2);
 
-  ASSERT_EQ(r.overload.levels.size(), static_cast<size_t>(n_cpis));
-  EXPECT_GE(r.overload.max_level, 1);
-  EXPECT_FALSE(r.overload.clean());
+  EXPECT_GE(r.events.max_level(), 1);
+  EXPECT_GT(r.events.count(EventKind::kDegraded), 0u);
 
-  // Every admission rejection is accounted as a shed CPI with no output.
+  // Every admission rejection is accounted as a shed CPI with no output,
+  // and its recorded cause is the admission decision.
   for (const index_t cpi : r.overload.rejected_cpis) {
     EXPECT_TRUE(r.detections[static_cast<size_t>(cpi)].empty()) << cpi;
     bool in_ledger = false;
     for (const index_t s : r.faults.shed_cpis) in_ledger |= (s == cpi);
     EXPECT_TRUE(in_ledger) << cpi;
+    ASSERT_NE(r.events.shed_cause(cpi), nullptr) << cpi;
+    EXPECT_STREQ(r.events.shed_cause(cpi)->cause, "admission") << cpi;
   }
+  // Every shed CPI has exactly one recorded cause.
+  for (const index_t cpi : r.faults.shed_cpis)
+    EXPECT_NE(r.events.shed_cause(cpi), nullptr) << cpi;
 
   // Degraded CPIs only ever report detections inside the active beams.
   for (index_t cpi = 0; cpi < n_cpis; ++cpi) {
-    const auto level = static_cast<DegradationLevel>(
-        r.overload.levels[static_cast<size_t>(cpi)]);
+    const auto level = static_cast<DegradationLevel>(r.events.level(cpi));
     const index_t active = core::active_beams_for(level, p.num_beams);
     for (const auto& d : r.detections[static_cast<size_t>(cpi)])
       EXPECT_LT(d.beam, active) << "cpi " << cpi;
@@ -444,10 +454,15 @@ TEST(OverloadPipeline, DisabledControllerLeavesLedgerClean) {
   core::OverloadConfig off;
   pipe.set_overload(off);
   const auto r = pipe.run(gen, 8, 2, 1);
-  EXPECT_TRUE(r.overload.clean());
-  EXPECT_EQ(r.overload.levels.size(), 8u);
-  for (const int l : r.overload.levels) EXPECT_EQ(l, 0);
-  EXPECT_TRUE(r.numerics.clean());
+  EXPECT_TRUE(r.overload.rejected_cpis.empty());
+  EXPECT_EQ(r.events.max_level(), 0);
+  for (index_t cpi = 0; cpi < 8; ++cpi) EXPECT_EQ(r.events.level(cpi), 0);
+  for (const EventKind k :
+       {EventKind::kDegraded, EventKind::kLevelChange, EventKind::kThrottle,
+        EventKind::kCapacityLoss, EventKind::kNonfiniteTraining,
+        EventKind::kLoadingRetry, EventKind::kQuiescentFallback,
+        EventKind::kQrResidualRetry, EventKind::kQrResidualReject})
+    EXPECT_EQ(r.events.count(k), 0u) << core::info(k).counter;
 }
 
 }  // namespace
