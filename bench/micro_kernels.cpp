@@ -32,6 +32,7 @@
 #include <cmath>
 #include <cstdio>
 #include <functional>
+#include <numbers>
 #include <string>
 #include <vector>
 
@@ -433,6 +434,59 @@ int main(int argc, char** argv) {
                                   {"speedup", speedup},
                                   {"gate", 2.0},
                                   {"pass", pass ? 1 : 0}}));
+  }
+
+  // --- noise sampler: add_cnormal, scalar vs AVX2 (and libm Box–Muller) --
+  // One wall-scene cube of receiver noise (K=128, J=16, N=128 samples).
+  // The libm column is the sampler add_cnormal replaced: the same two
+  // draws per sample through std::log/std::cos/std::sin.
+  bench::print_header("Noise sampler: add_cnormal (Msamples/s)");
+  {
+    constexpr index_t kSamples = 128 * 16 * 128;
+    std::vector<cfloat> noise(static_cast<size_t>(kSamples));
+    Rng base(0x6e6f697365ULL);
+    std::vector<TimedCase> sc = {
+        {"libm", [&] {
+           Rng r = base;
+           for (auto& z : noise) {
+             double u1 = r.uniform();
+             if (u1 < 1e-300) u1 = 1e-300;
+             const double rad = std::sqrt(-2.0 * std::log(u1)) * 0.5 *
+                                std::numbers::sqrt2;
+             const double theta = 2.0 * std::numbers::pi * r.uniform();
+             z += cfloat(static_cast<float>(rad * std::cos(theta)),
+                         static_cast<float>(rad * std::sin(theta)));
+           }
+         }},
+        {"scalar", [&] {
+           Rng r = base;
+           kernels::force_simd_level(kernels::SimdLevel::kScalar);
+           kernels::add_cnormal(r, 1.0, noise.data(), kSamples);
+         }}};
+    if (has_avx2)
+      sc.push_back({"avx2", [&] {
+                      Rng r = base;
+                      kernels::force_simd_level(kernels::SimdLevel::kAvx2);
+                      kernels::add_cnormal(r, 1.0, noise.data(), kSamples);
+                    }});
+    run_interleaved(sc);
+    kernels::force_simd_level(initial);
+    const auto msps = [&](const char* name) {
+      const double s = find_best(sc, name);
+      return s > 0.0 ? static_cast<double>(kSamples) / s / 1e6 : 0.0;
+    };
+    const double libm = msps("libm"), scalar = msps("scalar"),
+                 avx2 = has_avx2 ? msps("avx2") : 0.0;
+    const double speedup = has_avx2 && scalar > 0.0 ? avx2 / scalar : 0.0;
+    std::printf("libm %8.1f   scalar %8.1f   avx2 %8.1f   avx2/scalar "
+                "%.2fx   avx2/libm %.2fx\n",
+                libm, scalar, avx2, speedup, libm > 0.0 ? avx2 / libm : 0.0);
+    bench::report_row(bench::row({{"kind", "sampler"},
+                                  {"name", "cnormal"},
+                                  {"libm_throughput_msamples_s", libm},
+                                  {"scalar_throughput_msamples_s", scalar},
+                                  {"avx2_throughput_msamples_s", avx2},
+                                  {"speedup", speedup}}));
   }
 
   // --- pipeline analogue: sequential STAP chain, Table-8 scene reduced ----

@@ -9,7 +9,9 @@
 #      >= 2x geomean kernel speedup, >= 2x on each of qr_factor and
 #      qr_append, and the >= 1.3x pipeline-analogue gate.
 #  1c. Build-both-ways check: -DPPSTAP_ENABLE_AVX2=OFF must still compile
-#      and pass the kernel + dsp suites with dispatch resolved to scalar.
+#      and pass the kernel, dsp, common and synth suites with dispatch
+#      resolved to scalar — the scalar noise sampler and the scalar golden
+#      scene checksums run where the AVX2 translation units are absent.
 #   2. Seed the machine-readable benchmark baseline: table 8 with --json
 #      writes BENCH_table8.json, with the causal flow tracer armed
 #      (PPSTAP_TRACE=1) so the run also exports trace_table8.json for the
@@ -27,8 +29,9 @@
 #      fault paths cross threads at every step (death notification, spare
 #      take-over, mailbox discard), so a data race there is a correctness
 #      bug even when the race-free interleaving happens to pass. The synth
-#      suite joins them: scene generation runs its three phases on a team
-#      of threads, and a block-boundary off-by-one there is a race.
+#      suite joins them: generate() runs on the front end's producer thread
+#      and inline on rank threads at once, sharing const state and
+#      per-thread scratch.
 #   5. ASan+UBSan job: the comm/core/fault/overload/kernels/stap/synth-
 #      labelled suites under -fsanitize=address,undefined. The overload
 #      paths hand frames across degraded/shed boundaries and retry solves
@@ -36,8 +39,8 @@
 #      overflow would hide; the kernel suite's blocked/tail paths are where
 #      a vector remainder overrun would, the stap suite's in-place Doppler
 #      row view and range-major pack index math are where a slab overrun
-#      would, and the synth suite's per-block stream offsets and chirp
-#      column groups are where a block-boundary overrun would.
+#      would, and the synth suite's chirp column groups and the noise
+#      sampler's vector tails are where an overrun would.
 #   6. Overload bench: ext_overload sweeps offered load vs policy and
 #      writes BENCH_overload.json; its exit code asserts the degradation
 #      ladder beats shed-only admission at 2x load.
@@ -120,14 +123,16 @@ fi
 ./build/bench/micro_kernels --json BENCH_kernels.json
 
 echo "=== build-both-ways: PPSTAP_ENABLE_AVX2=OFF ==="
-# The AVX2 translation unit is optional by build flag, not only by runtime
-# dispatch: a build without it must still compile and pass the kernel and
-# dsp suites (dispatch resolves to scalar and reports compiled_avx2=0).
+# The AVX2 translation units are optional by build flag, not only by
+# runtime dispatch: a build without them must still compile and pass the
+# kernel, dsp, common and synth suites (dispatch resolves to scalar and
+# reports compiled_avx2=0; the scalar sampler and golden scenes run).
 cmake -B build-noavx2 -S . -DCMAKE_BUILD_TYPE=Release \
       -DPPSTAP_ENABLE_AVX2=OFF
-cmake --build build-noavx2 -j "$JOBS" --target test_kernels test_dsp
+cmake --build build-noavx2 -j "$JOBS" \
+      --target test_kernels test_dsp test_common test_synth
 ctest --test-dir build-noavx2 --output-on-failure -j "$JOBS" \
-      -R '^(test_kernels|test_dsp)$'
+      -R '^(test_kernels|test_dsp|test_common|test_synth)$'
 
 echo "=== bench baseline: BENCH_table8.json (traced) ==="
 PPSTAP_TRACE=1 PPSTAP_TRACE_FILE=trace_table8.json \

@@ -5,6 +5,7 @@
 #include <exception>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -12,6 +13,10 @@
 
 namespace ppstap {
 
+namespace {
+
+// Bounds [begin, end) of block `i` when [0, total) splits into `blocks`
+// contiguous blocks whose sizes differ by at most one, the larger first.
 std::pair<index_t, index_t> block_range(index_t total, index_t blocks,
                                         index_t i) {
   const index_t base = total / blocks;
@@ -19,6 +24,8 @@ std::pair<index_t, index_t> block_range(index_t total, index_t blocks,
   const index_t begin = i * base + std::min(i, rem);
   return {begin, begin + base + (i < rem ? 1 : 0)};
 }
+
+}  // namespace
 
 void parallel_for_blocks(index_t threads, index_t total,
                          const std::function<void(index_t, index_t)>& fn) {

@@ -19,17 +19,10 @@
 #pragma once
 
 #include <functional>
-#include <utility>
 
 #include "common/types.hpp"
 
 namespace ppstap {
-
-/// Bounds [begin, end) of block `i` when [0, total) splits into `blocks`
-/// contiguous blocks whose sizes differ by at most one (the larger ones
-/// first) — the partition parallel_for_blocks uses.
-std::pair<index_t, index_t> block_range(index_t total, index_t blocks,
-                                        index_t i);
 
 /// Run fn(begin, end) over a block partition of [0, total) on `threads`
 /// threads (the calling thread executes the first block). threads <= 1 or

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 
 #include "common/types.hpp"
 
@@ -35,7 +34,8 @@ class Rng {
   double uniform(double lo, double hi);
 
   /// Standard normal via Box–Muller (uses two uniforms per pair; caches the
-  /// second sample).
+  /// second sample). The pair is detail::box_muller_ref
+  /// (common/cnormal_ref.hpp): polynomial log and sincos, no libm.
   double normal();
 
   /// Complex circular Gaussian with E|z|^2 = 1. Two draws when no
@@ -49,10 +49,11 @@ class Rng {
   /// Derive an independent stream (e.g. one per range cell or per CPI).
   Rng fork(std::uint64_t salt) const;
 
- private:
-  /// One Box–Muller pair from two uniforms.
-  std::pair<double, double> box_muller();
+  /// The Weyl state: the next draw is detail::splitmix64(state() + gamma).
+  /// Vectorized samplers read it to lay out their lanes' draws.
+  std::uint64_t state() const { return state_; }
 
+ private:
   std::uint64_t state_;
   bool have_cached_ = false;
   double cached_ = 0.0;

@@ -7,11 +7,11 @@
 // walks the CPIs at most one ahead of the fastest Doppler rank: it begins
 // CPI i only after some rank has been admitted CPI i-1, so it double-buffers
 // the feed without ever racing ahead of what the pipeline admits. It
-// synthesizes each cube data-parallel, leading a team of up to
-// ScenarioGenerator::team() threads spawned per CPI, and the cube is
-// bit-identical to a serial generate(). The producer passes admission
-// *before* it generates, so a rejected CPI costs no front-end work and the
-// arrival pacing is unchanged.
+// synthesizes each cube alone: with the vectorized noise sampler a wall
+// scene takes a few milliseconds, well under the eq. (1) period, and a
+// helper team would only take CPU from the rank threads. The producer
+// passes admission *before* it generates, so a rejected CPI costs no
+// front-end work and the arrival pacing is unchanged.
 //
 // Cubes are memoized so the P0 Doppler ranks share one per CPI, and cubes
 // older than a small window are evicted. get() generates inline only on a

@@ -1,6 +1,9 @@
 #include "core/overload.hpp"
 
+#include <algorithm>
+#include <array>
 #include <chrono>
+#include <cmath>
 
 #include "common/check.hpp"
 #include "common/env.hpp"
@@ -59,7 +62,9 @@ void OverloadConfig::validate() const {
 
 OverloadController::OverloadController(const OverloadConfig& cfg,
                                        index_t num_cpis, EventLog& log)
-    : cfg_(cfg), log_(log) {
+    : cfg_(cfg),
+      log_(log),
+      windowed_(!cfg.reject_when_full && cfg.arrival_period_seconds <= 0.0) {
   cfg_.validate();
   PPSTAP_REQUIRE(num_cpis >= 0, "negative CPI count");
   memo_ = std::vector<std::atomic<std::int8_t>>(static_cast<size_t>(num_cpis));
@@ -68,6 +73,7 @@ OverloadController::OverloadController(const OverloadConfig& cfg,
   decided_at_.assign(static_cast<size_t>(num_cpis), 0.0);
   done_early_.assign(static_cast<size_t>(num_cpis), std::uint8_t{0});
   latencies_.reserve(kLatencyWindow);
+  if (windowed_) stage_busy_.assign(static_cast<size_t>(num_cpis), 0.0);
 }
 
 bool OverloadController::slo_violated_locked() const {
@@ -79,6 +85,56 @@ bool OverloadController::slo_violated_locked() const {
                    window.begin() + static_cast<std::ptrdiff_t>(nth),
                    window.end());
   return window[nth] > cfg_.slo_latency_seconds;
+}
+
+OverloadController::Window OverloadController::window_locked() const {
+  Window w;
+  w.bound = cfg_.queue_high;
+  if (!windowed_) return w;
+  // Until both estimates have samples the cap sits at its floor: at
+  // queue_high the first CPIs of a run would all be admitted at once and
+  // queue behind one another, a startup burst that sets the latency tail.
+  w.bound = std::min<index_t>(2, cfg_.queue_high);
+  if (latencies_.empty()) return w;
+  std::array<double, kPeriodWindow> busy;
+  size_t n = 0;
+  for (index_t c = std::max<index_t>(0, sink_newest_ - kPeriodWindow);
+       c < sink_newest_; ++c)
+    if (stage_busy_[static_cast<size_t>(c)] > 0.0)
+      busy[n++] = stage_busy_[static_cast<size_t>(c)];
+  if (n == 0) return w;
+  const auto mid = busy.begin() + n / 2;
+  std::nth_element(busy.begin(), mid, busy.begin() + n);
+  w.period = *mid;
+  w.latency = *std::min_element(latencies_.begin(), latencies_.end());
+  // Little's law: L / P CPIs in flight keep every stage busy.
+  const double in_flight = std::min(std::ceil(w.latency / w.period),
+                                    static_cast<double>(cfg_.queue_high));
+  w.bound = std::min(cfg_.queue_high,
+                     std::max<index_t>(2, static_cast<index_t>(in_flight)));
+  return w;
+}
+
+OverloadController::Window OverloadController::window() const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return window_locked();
+}
+
+double OverloadController::wait_decided(index_t cpi) {
+  std::unique_lock<std::mutex> lk(mu_);
+  PPSTAP_REQUIRE(cpi >= 0 && cpi < static_cast<index_t>(memo_.size()),
+                 "decision wait for an out-of-range CPI");
+  const auto i = static_cast<size_t>(cpi);
+  cv_.wait(lk, [&] { return memo_[i] >= 0 || closed_; });
+  return memo_[i] >= 0 ? decided_at_[i] : -1.0;
+}
+
+void OverloadController::note_stage_busy(index_t cpi, double busy_seconds) {
+  if (!windowed_ || cpi < 0 || cpi >= static_cast<index_t>(memo_.size()))
+    return;
+  std::lock_guard<std::mutex> lk(mu_);
+  double& slot = stage_busy_[static_cast<size_t>(cpi)];
+  slot = std::max(slot, busy_seconds);
 }
 
 void OverloadController::step_ladder_locked() {
@@ -170,14 +226,16 @@ OverloadController::Admission OverloadController::admit(index_t cpi) {
 
   int decided = cfg_.ladder ? level_ : 0;
   bool admit = decided < static_cast<int>(DegradationLevel::kShedInput);
-  if (admit && backlog_locked() >= cfg_.queue_high) {
+  if (admit && backlog_locked() >= window_locked().bound) {
     if (cfg_.reject_when_full) {
       admit = false;
       decided = static_cast<int>(DegradationLevel::kShedInput);
     } else {
-      log_.record({EventKind::kThrottle, 0.0, -1, -1, cpi});
+      const bool at_high = backlog_locked() >= cfg_.queue_high;
+      log_.record({EventKind::kThrottle, 0.0, -1, -1, cpi,
+                   at_high ? "queue_high" : "window"});
       while (memo_[static_cast<size_t>(cpi)] < 0 && !closed_ &&
-             backlog_locked() >= cfg_.queue_high)
+             backlog_locked() >= window_locked().bound)
         cv_.wait(lk);
       if (memo_[static_cast<size_t>(cpi)] >= 0) return cached();
       if (closed_) return refused;
@@ -230,6 +288,7 @@ void OverloadController::on_complete(index_t cpi, double latency_seconds,
     return;
   }
   ++completed_;
+  sink_newest_ = std::max(sink_newest_, cpi);
   if (!shed && latency_seconds > 0.0) {
     if (latencies_.size() < kLatencyWindow) {
       latencies_.push_back(latency_seconds);

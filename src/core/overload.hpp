@@ -11,6 +11,20 @@
 //    the CPI outright (markers flow down the pipeline, the sink records a
 //    shed) or throttles the source until the backlog drains.
 //
+//  * An admission window for the unpaced throttle mode (a closed loop):
+//    admitted-but-unfinished CPIs are capped at clamp(ceil(L / P), 2,
+//    queue_high), where P is the eq. (1) period — the windowed median over
+//    recent CPIs of the largest per-stage service time (recv + comp + send
+//    minus every wait), fed by the stage driver — and L the eq. (2)
+//    latency, the windowed minimum of admission-to-sink latency. By
+//    Little's law L / P CPIs in flight sustain the full rate; every CPI
+//    admitted beyond that only waits in a queue, stretching latency
+//    without adding throughput. P is measured from service times, not the
+//    sink's rate, so a cap that binds cannot pull its own estimate down.
+//    Until both estimates have samples the cap is its floor, 2. Paced
+//    arrivals (the schedule bounds in-flight work) and the reject mode
+//    keep the plain queue_high bound.
+//
 //  * A graceful-degradation ladder: sampling backlog depth and the p95
 //    end-to-end latency each CPI, the controller walks
 //
@@ -157,6 +171,28 @@ class OverloadController {
   /// latency is not a health sample). Unblocks throttled admissions.
   void on_complete(index_t cpi, double latency_seconds, bool shed);
 
+  /// Block until `cpi` is decided or the controller closes. Returns the
+  /// decision stamp (Admission::at), or -1 when it closed first. A CPI's
+  /// receive budget downstream starts no earlier than this stamp: before
+  /// it the CPI does not exist yet.
+  double wait_decided(index_t cpi);
+
+  /// Stage-driver feed of the admission window: one rank spent
+  /// `busy_seconds` of service (its Fig.-10 cycle minus receive, send and
+  /// source waits) on `cpi`. The CPI's eq. (1) sample is the largest over
+  /// every rank. A no-op, without locking, when the window does not apply.
+  void note_stage_busy(index_t cpi, double busy_seconds);
+
+  /// The admission window's current inputs and bound.
+  struct Window {
+    double period = 0.0;   ///< P: median largest stage service, seconds
+    double latency = 0.0;  ///< L: minimum admission-to-sink latency
+    index_t bound = 0;     ///< in-flight cap now in force: queue_high
+                           ///< when the window is off, min(2, queue_high)
+                           ///< until it has samples
+  };
+  Window window() const;
+
   /// The memoized level for `cpi` (kFull when not yet decided). Lock-free
   /// and safe from any thread; a task that received one of the CPI's
   /// frames always sees the decision (it is written before the first
@@ -190,6 +226,7 @@ class OverloadController {
 
  private:
   bool slo_violated_locked() const;
+  Window window_locked() const;
   void step_ladder_locked();
   index_t backlog_locked() const { return admitted_ - completed_; }
   void set_level_locked(int level);
@@ -221,10 +258,20 @@ class OverloadController {
   int level_ = 0;
   int healthy_streak_ = 0;
 
-  // Sliding window of recent end-to-end latencies for the p95 health test.
+  // Sliding window of recent end-to-end latencies for the p95 health test
+  // and the admission window's L.
   static constexpr size_t kLatencyWindow = 32;
   std::vector<double> latencies_;
   size_t latency_next_ = 0;
+
+  // Admission window: on in unpaced throttle mode. stage_busy_ holds each
+  // CPI's largest stage service time (0 = none yet); P is the median over
+  // the kPeriodWindow CPIs before the newest one the sink completed, whose
+  // upstream stages have all finished it.
+  static constexpr index_t kPeriodWindow = 16;
+  const bool windowed_;
+  std::vector<double> stage_busy_;
+  index_t sink_newest_ = -1;
 };
 
 }  // namespace ppstap::core

@@ -14,6 +14,9 @@
 #include <string>
 #include <thread>
 #include <type_traits>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "comm/fault.hpp"
 #include "comm/world.hpp"
@@ -390,14 +393,15 @@ constexpr double kNoDeadline = 1e8;
 // escalation) and only the deadline receive can represent one. The first
 // recv of a CPI starts the real-time budget — cpi_deadline_seconds with
 // shedding on, kNoDeadline otherwise, so without shedding markers are
-// recognized and nothing times out. A recv that cannot complete within the
-// remaining budget (or that delivers a shed marker / hits a dead peer /
-// consumes an unrecoverably corrupt frame) returns nullopt, after which the
-// CPI must be shed. Remaining inputs are still polled with a zero deadline
-// so whatever already arrived is drained, and sources that never delivered
-// go on the stale list — their late frames are discarded at the start of
-// subsequent CPIs. (A kCorrupt frame is already consumed and is NOT
-// staled.)
+// recognized and nothing times out. A budget that ran out before the CPI
+// was admitted restarts at its admission stamp (admitted_late). A recv
+// that cannot complete within the remaining budget (or that delivers a
+// shed marker / hits a dead peer / consumes an unrecoverably corrupt
+// frame) returns nullopt, after which the CPI must be shed. Remaining
+// inputs are still polled with a zero deadline so whatever already arrived
+// is drained, and sources that never delivered go on the stale list —
+// their late frames are discarded at the start of subsequent CPIs. (A
+// kCorrupt frame is already consumed and is NOT staled.)
 struct FtRecv {
   Comm& c;
   Shared& s;
@@ -427,6 +431,10 @@ struct FtRecv {
     const double remaining =
         missed ? 0.0 : std::max(0.0, deadline - WallTimer::now());
     auto r = c.recv_bytes_for(src, tag, remaining);
+    if (r.status == comm::RecvStatus::kTimeout && !missed &&
+        admitted_late(cpi))
+      r = c.recv_bytes_for(src, tag,
+                           std::max(0.0, deadline - WallTimer::now()));
     if (r.status == comm::RecvStatus::kPeerDead && s.ft.heal_shrink) {
       // The dead peer is being healed by a topology shrink: hold the edge
       // to the CPI deadline like any other stall instead of shedding
@@ -456,6 +464,21 @@ struct FtRecv {
                : r.status == comm::RecvStatus::kPeerDead ? "dead_peer"
                                                           : "corrupt";
     return std::nullopt;
+  }
+
+  // True (with the deadline moved) when `cpi` was admitted less than a
+  // budget before the deadline: the budget began while the CPI was still
+  // held at admission — the throttle waiting for a backlog to drain — and
+  // restarts at its admission stamp. Otherwise a throttled CPI would shed
+  // here, and skip a weight task's training update, with nothing upstream
+  // failed. Blocks while the CPI is undecided.
+  bool admitted_late(index_t cpi) {
+    if (s.ctrl == nullptr || !s.ft.shedding) return false;
+    const double budget_end = s.ctrl->wait_decided(cpi) +
+                              s.ft.cpi_deadline_seconds;
+    if (budget_end <= deadline) return false;
+    deadline = budget_end;
+    return true;
   }
 
   // Strip the digest trailing the payload and compare it against the bytes
@@ -535,6 +558,7 @@ struct Cycle {
   PhaseAcc& acc;
   double t0 = 0.0;  // receive phase start
   double t1 = 0.0;  // receive phase end
+  double idle = 0.0;  // waits inside the hooks the comm layer does not see
 };
 
 // Records this CPI's shed where it originated (no-op for a nullptr cause:
@@ -592,6 +616,11 @@ void forward_markers(Comm& c, const Cycle& x, Task t) {
   }
 }
 
+// Seconds this rank has spent blocked in receives and flow-controlled sends.
+double comm_wait(const Comm& c) {
+  return c.stats().recv_wait_seconds + c.stats().send_wait_seconds;
+}
+
 // Runs task `t` on this rank from CPI `begin`. Returns the first CPI it did
 // not process as a `t` rank (s.n_cpis when it ran to the end): a committed
 // migration that changes the rank's role hands control back to run_roles,
@@ -599,9 +628,10 @@ void forward_markers(Comm& c, const Cycle& x, Task t) {
 //
 // The driver owns everything the tasks share: the migration barrier and
 // role check, the deadline receive, the phase clock and spans, health
-// sampling, the PhaseAcc bookkeeping and the shed exit. Each task supplies
-// three hooks over a Cycle and a fresh `Cpi` holding that CPI's buffers,
-// released when the cycle ends:
+// sampling, the admission window's service sample, the PhaseAcc
+// bookkeeping and the shed exit. Each task supplies three hooks over a
+// Cycle and a fresh `Cpi` holding that CPI's buffers, released when the
+// cycle ends:
 //   recv(x, d)     receive + unpack; false sheds the CPI
 //   compute(x, d)  compute + invariant through run_checked; false escalates
 //   send(x, d)     pack + send
@@ -620,6 +650,7 @@ index_t drive(Comm& c, Shared& s, Task t, index_t begin, RecvFn&& recv,
     Cycle x{tp, cpi, role.local, s.measured(cpi), in, acc};
     Cpi d;
     const std::uint64_t bytes0 = acc.bytes;
+    const double waited0 = comm_wait(c);
     x.t0 = WallTimer::now();
     in.begin();
     const bool received = recv(x, d);
@@ -636,6 +667,10 @@ index_t drive(Comm& c, Shared& s, Task t, index_t begin, RecvFn&& recv,
     emit_phase_spans(c.rank(), t, cpi, x.t0, x.t1, t2, t3,
                      acc.bytes - bytes0);
     if (ok) observe_health(c, s, t, cpi, x.t0, x.t1, t3);
+    // The admission window's eq. (1) sample: this cycle's service time.
+    if (ok && s.ctrl != nullptr)
+      s.ctrl->note_stage_busy(
+          cpi, (t3 - x.t0) - x.idle - (comm_wait(c) - waited0));
     if (x.meas) {
       acc.recv += x.t1 - x.t0;
       acc.comp += t2 - x.t1;
@@ -721,8 +756,10 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
         d.level = adm.level;
 
         // "Receive": the radar feed's shared cube; this rank's rows of it
-        // are read in place.
+        // are read in place. Waiting for the front end is not service.
+        const double wait_start = WallTimer::now();
         d.full = s.source.get(x.cpi, c.rank());
+        x.idle += WallTimer::now() - wait_start;
         return true;
       },
       [&](Cycle& x, Cpi& d) {
@@ -1832,6 +1869,14 @@ PipelineResult ParallelStapPipeline::run(
       for (size_t a = 0; a < st.retry_histogram[b].size(); ++a)
         result.retry_histogram[b][a] += st.retry_histogram[b][a];
   result.completion_times = s.completion;
+  // Every rank thread of this run has exited, but glibc keeps what each
+  // freed in its per-thread arena, and the next run's threads attach to
+  // those arenas in another order: a process that runs the pipeline again
+  // and again would grow its resident set run by run. Hand the free pages
+  // back to the system between runs.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
   return result;
 }
 

@@ -8,6 +8,9 @@
 // blocking; these primitives supply the inner loops.
 #pragma once
 
+#include <cstdint>
+
+#include "common/rng.hpp"
 #include "common/types.hpp"
 
 namespace ppstap::kernels {
@@ -61,6 +64,13 @@ void beamform_gemm(const cfloat* w, index_t ldw, index_t j_channels,
 void reflect(cfloat v0, const cfloat* v, index_t ldv, float beta,
              cfloat* pivot, cfloat* rows, index_t ld, index_t k, index_t lw);
 
+/// out[i] += cfloat(rng.cnormal() * scale) for i < n, bit for bit at every
+/// dispatch level: the scalar table loops over detail::cnormal_ref
+/// (common/cnormal_ref.hpp), the AVX2 table runs four samples per vector
+/// through the same operation sequence. Leaves `rng` 2n draws further on;
+/// throws, like Rng::skip, when a normal() half is cached.
+void add_cnormal(Rng& rng, double scale, cfloat* out, index_t n);
+
 namespace detail {
 
 /// Per-ISA implementation table. `beamform_gemm` stays common (blocking and
@@ -83,6 +93,9 @@ struct KernelOps {
   void (*reflect)(cfloat v0, const cfloat* v, index_t ldv, float beta,
                   cfloat* pivot, cfloat* rows, index_t ld, index_t k,
                   index_t lw);
+  /// add_cnormal from the generator's Weyl state (Rng::state()).
+  void (*add_cnormal)(std::uint64_t state, double scale, cfloat* out,
+                      index_t n);
   /// Roofline compute-peak probe: `iters` rounds of independent
   /// register-resident multiply-adds, result folded into *sink so the
   /// chains cannot be optimized away. The caller times it; each iteration
@@ -95,6 +108,11 @@ struct KernelOps {
 const KernelOps& scalar_ops();
 const KernelOps& avx2_ops();  // valid only when dispatch says AVX2 exists
 const KernelOps& ops();       // active table (see dispatch.hpp)
+
+/// The AVX2 table's add_cnormal, compiled apart from the rest of that table
+/// with -ffp-contract=off so no multiply-add fuses (see avx2_cnormal.cpp).
+void add_cnormal_avx2(std::uint64_t state, double scale, cfloat* out,
+                      index_t n);
 
 }  // namespace detail
 
@@ -124,6 +142,12 @@ inline void reflect(cfloat v0, const cfloat* v, index_t ldv, float beta,
                     cfloat* pivot, cfloat* rows, index_t ld, index_t k,
                     index_t lw) {
   detail::ops().reflect(v0, v, ldv, beta, pivot, rows, ld, k, lw);
+}
+
+inline void add_cnormal(Rng& rng, double scale, cfloat* out, index_t n) {
+  const std::uint64_t state = rng.state();
+  rng.skip(2 * static_cast<std::uint64_t>(n));
+  detail::ops().add_cnormal(state, scale, out, n);
 }
 
 /// Compute-peak probe of the active dispatch table (see KernelOps).

@@ -5,6 +5,7 @@
 // pre-SIMD code (ascending j in the beamform sums, ascending butterfly index
 // in the FFT stages), so a forced-scalar run reproduces the legacy numerics
 // on any target the compiler supports.
+#include "common/cnormal_ref.hpp"
 #include "kernels/kernels.hpp"
 #include "kernels/reflect_ref.hpp"
 
@@ -101,6 +102,17 @@ void reflect_scalar(cfloat v0, const cfloat* v, index_t ldv, float beta,
   reflect_ref(v0, v, ldv, beta, pivot, rows, ld, k, lw);
 }
 
+void add_cnormal_scalar(std::uint64_t state, double scale, cfloat* out,
+                        index_t n) {
+  for (index_t i = 0; i < n; ++i) {
+    double re, im;
+    ppstap::detail::cnormal_ref(state, re, im);
+    state += 2 * ppstap::detail::kWeylGamma;
+    out[i] += cfloat(static_cast<float>(re * scale),
+                     static_cast<float>(im * scale));
+  }
+}
+
 // Eight independent scalar multiply-add chains: enough to cover the FPU
 // latency-throughput product on any recent core, so the measurement is the
 // scalar pipe's throughput, not one chain's latency. 16 flops per iter.
@@ -128,7 +140,7 @@ const KernelOps& scalar_ops() {
       axpy_scalar,      mul_inplace_scalar, abs_sq_scalar,
       energy_scalar,    fft_stage_scalar,   fft_stage2_scalar,
       fft_stage4_scalar, bf_panel_scalar,   reflect_scalar,
-      fma_probe_scalar, 16,
+      add_cnormal_scalar, fma_probe_scalar, 16,
   };
   return ops;
 }

@@ -6,30 +6,27 @@
 // ridge while preserving gain on targets displaced from it. We synthesize
 // the ridge as a sum of independent clutter patches, add thermal noise and
 // point targets, and (optionally) convolve the scene with the transmit
-// chirp along range so pulse compression has real work to do.
+// chirp along range so pulse compression has real work to do. Each patch
+// and target is a K-sample range sequence times a fixed (channel, pulse)
+// signature, so the circular convolution acts on those C + T sequences
+// before the signatures spread them over the cube — the same scene as
+// convolving all J·N columns of it, at a fraction of the work.
 //
 // Patch geometry is fixed across CPIs while patch amplitudes redraw each
 // CPI: the clutter *statistics* are stationary (which the paper's
 // train-on-previous-CPIs scheme requires) but realizations differ.
 //
-// Generation is data-parallel and bit-identical for any team size. Every
-// random draw sits at a closed-form offset of the CPI's SplitMix64 stream
-// (clutter, then jammers, then noise, one cnormal() = two draws each), so a
-// block of range cells copies the stream and skip()s to its own offset.
-// Three phases — range blocks for clutter and targets, (channel, pulse)
-// column groups for the chirp spread, range blocks for jammers and noise —
-// give every cube element the same additions in the same order as the
-// serial loop.
+// Every random draw sits at a closed-form offset of the CPI's SplitMix64
+// stream: clutter, then jammers, then noise, one cnormal() = two draws
+// each. The noise, most of the draws, goes through kernels::add_cnormal,
+// the vectorized fixed-draw sampler; a CPI is one serial pass.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "cube/cube.hpp"
-#include "dsp/fft.hpp"
 
 namespace ppstap::synth {
 
@@ -100,20 +97,6 @@ class ScenarioGenerator {
   /// CPI). Bit-identical to generate(cpi_index).
   void generate(index_t cpi_index, cube::CpiCube& out) const;
 
-  /// generate() into `out` on exactly `team` threads (the calling thread
-  /// plus team - 1 helpers). The cube is bit-identical for every team
-  /// size; the overloads above use team().
-  void generate(index_t cpi_index, cube::CpiCube& out, index_t team) const;
-
-  /// Threads generate() uses for this scene: min(3, hardware_concurrency()
-  /// - 1), so one core stays with the pipeline's rank threads, and at most
-  /// one per kSamplesPerMember cube samples (~2 ms of draws), so a small
-  /// scene does not pay a helper's spawn and wake-up for a sliver of work;
-  /// at least 1.
-  index_t team() const { return team_; }
-
-  static constexpr index_t kSamplesPerMember = 32768;
-
   /// Amplitude gain of the transmit beam active on CPI `cpi_index` toward
   /// `azimuth_rad` (1.0 when transmit cycling is disabled).
   double transmit_gain(index_t cpi_index, double azimuth_rad) const;
@@ -135,28 +118,16 @@ class ScenarioGenerator {
   std::vector<std::vector<cfloat>> target_spatial_;
   std::vector<std::vector<cfloat>> target_temporal_;
   std::vector<double> target_amplitude_;  ///< before the transmit gain
-  std::optional<dsp::FftPlan<float>> fwd_, inv_;  ///< K-point, if chirped
-  std::vector<cfloat> replica_spectrum_;
-  index_t team_ = 1;
+  /// The range response clutter and targets pass through: the replica, or
+  /// a single unit tap without waveform spreading.
+  std::vector<cfloat> range_taps_;
 
-  // Columns of the (channel, pulse) plane the chirp spread transforms per
-  // batch: one 64-byte cache line of a range row.
-  static constexpr index_t kChirpLanes = 8;
-
-  // Each adds its term to range cells [k0, k1) (the chirp: spreads column
-  // groups [g0, g1) of kChirpLanes, through kChirpLanes K-sample `lines` of
-  // scratch). `rng` is the CPI's stream at offset 0.
-  void add_clutter(cube::CpiCube& cpi, const Rng& rng,
-                   const std::vector<double>& patch_gain, index_t k0,
-                   index_t k1) const;
-  void add_targets(cube::CpiCube& cpi, index_t cpi_index, index_t k0,
-                   index_t k1) const;
-  void spread_with_chirp(cube::CpiCube& cpi, index_t g0, index_t g1,
-                         std::span<cfloat> lines) const;
-  void add_jammers(cube::CpiCube& cpi, const Rng& rng, index_t k0,
-                   index_t k1) const;
-  void add_noise(cube::CpiCube& cpi, const Rng& rng, index_t k0,
-                 index_t k1) const;
+  // Each adds its term to the whole cube; `rng` is the CPI's stream,
+  // advanced past the term's draws.
+  void add_clutter(cube::CpiCube& cpi, Rng& rng, index_t cpi_index) const;
+  void add_targets(cube::CpiCube& cpi, index_t cpi_index) const;
+  void add_jammers(cube::CpiCube& cpi, Rng& rng) const;
+  void add_noise(cube::CpiCube& cpi, Rng& rng) const;
 };
 
 }  // namespace ppstap::synth

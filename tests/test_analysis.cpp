@@ -3,13 +3,16 @@
 // beamformers, and the Appendix-A beam-shape claims on trained weights.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
 #include "common/rng.hpp"
 #include "linalg/qr.hpp"
 #include "stap/analysis.hpp"
+#include "stap/sequential.hpp"
 #include "stap/weights.hpp"
+#include "synth/scenario.hpp"
 #include "synth/steering.hpp"
 
 namespace ppstap::stap {
@@ -202,6 +205,100 @@ TEST(NullDepth, TrainedWeightsNullTheInterfererPreservingMainbeam) {
   EXPECT_GT(improvement_factor(adapted.weights[0], 0, rin,
                                std::span<const cfloat>(v_look)),
             10.0);  // > 10 dB linear = 10x
+}
+
+// The clutter ridge as a number (SNIPPETS.md Snippet 1 is the picture): on
+// the live benchmark's wall scene (K = 128, J = 16, N = 128, M = 6, eight
+// clutter patches at 40 dB CNR, 32-cell chirp), after four training CPIs,
+// every patch must be nulled at its own point of the ridge,
+// (azimuth, f = 0.5 sin(azimuth)), by the weights of the Doppler bin it
+// falls in — the J-element easy weights or the 2J staggered hard pair —
+// and each of those bins must gain over its quiescent weight against its
+// own interference-plus-noise covariance. The recorded values are the
+// libm Box–Muller sampler's on this scene; across twelve scene seeds its
+// shallowest null was -68 dB and its improvement factors varied by at
+// most 3 dB (one standard deviation), so a sampler with the same
+// statistics stays inside these bounds.
+TEST(WallScene, ClutterRidgeIsNulledWithTheImprovementFactorOfTheOldSampler) {
+  StapParams p;
+  p.num_range = 128;
+  p.num_segments = 4;
+  p.validate();
+  synth::ScenarioParams sp;
+  sp.num_range = p.num_range;
+  sp.num_channels = p.num_channels;
+  sp.num_pulses = p.num_pulses;
+  sp.clutter.num_patches = 8;
+  sp.clutter.cnr_db = 40.0;
+  sp.chirp_length = 32;
+  const synth::ScenarioGenerator gen(sp);
+  const auto steering = synth::steering_matrix(
+      p.num_channels, p.num_beams, p.beam_center_rad, p.beam_span_rad);
+  SequentialStap chain(p, steering, gen.replica());
+  constexpr index_t kTrain = 4;
+  for (index_t i = 0; i < kTrain; ++i) chain.process(gen.generate(i));
+  const WeightSet easy = chain.current_easy_weights();
+  const WeightSet hard = chain.current_hard_weights();
+  chain.process(gen.generate(kTrain));  // fresh snapshots for R_in
+  const cube::CpiCube& stag = chain.last_staggered();
+
+  // Recorded from the libm sampler, patch by patch (west to east).
+  const double old_if_db[8] = {33.50, 39.62, 41.63, 51.43,
+                               28.09, 35.09, 30.71, 36.72};
+  std::vector<double> scan;
+  for (int i = 0; i <= 240; ++i)
+    scan.push_back((-60.0 + 0.5 * i) * std::numbers::pi / 180.0);
+  const index_t j = p.num_channels;
+  const double half = sp.clutter.azimuth_span_rad / 2.0;
+  for (index_t pc = 0; pc < sp.clutter.num_patches; ++pc) {
+    const double frac = static_cast<double>(pc) /
+                        static_cast<double>(sp.clutter.num_patches - 1);
+    const double az = -half + 2.0 * half * frac;
+    const double f = 0.5 * sp.clutter.doppler_slope * std::sin(az);
+    const index_t bin = (std::lround(f * static_cast<double>(p.num_pulses)) +
+                         p.num_pulses) %
+                        p.num_pulses;
+    const bool is_hard = p.is_hard_bin(bin);
+    const WeightSet& set = is_hard ? hard : easy;
+    const auto row = static_cast<size_t>(
+        std::find(set.bins.begin(), set.bins.end(), bin) - set.bins.begin());
+    ASSERT_LT(row, set.bins.size()) << "patch " << pc;
+    // Hard weights: the first range segment's pair.
+    const linalg::MatrixCF& w =
+        set.weights[is_hard ? row * static_cast<size_t>(p.num_segments) : row];
+
+    const std::vector<double> at = {az}, fs = {f};
+    const auto pattern = is_hard ? angle_doppler_response(w, 0, p, scan, fs)
+                                 : angle_response(w, 0, scan);
+    const double ridge = is_hard ? angle_doppler_response(w, 0, p, at, fs)[0]
+                                 : angle_response(w, 0, at)[0];
+    const double depth_db =
+        10.0 * std::log10(ridge / *std::max_element(pattern.begin(),
+                                                    pattern.end()));
+    EXPECT_LT(depth_db, -60.0) << "patch " << pc << " bin " << bin;
+
+    // Look-direction steering of beam 0 at the bin's Doppler: J elements,
+    // or both stagger windows with the stagger phase between them.
+    double fb = static_cast<double>(bin) / static_cast<double>(p.num_pulses);
+    if (fb >= 0.5) fb -= 1.0;
+    const double phi =
+        2.0 * std::numbers::pi * fb * static_cast<double>(p.stagger);
+    const cfloat stagger(static_cast<float>(std::cos(phi)),
+                         static_cast<float>(std::sin(phi)));
+    const index_t dof = is_hard ? 2 * j : j;
+    std::vector<cfloat> v(static_cast<size_t>(dof));
+    linalg::MatrixCF x(p.num_range, dof);
+    for (index_t c = 0; c < j; ++c) {
+      v[static_cast<size_t>(c)] = steering(c, 0);
+      if (is_hard) v[static_cast<size_t>(j + c)] = steering(c, 0) * stagger;
+    }
+    for (index_t k = 0; k < p.num_range; ++k)
+      for (index_t c = 0; c < dof; ++c) x(k, c) = stag.at(k, c, bin);
+    const double if_db = 10.0 * std::log10(improvement_factor(
+                                    w, 0, sample_covariance(x, 1e-3f), v));
+    EXPECT_GT(if_db, 20.0) << "patch " << pc << " bin " << bin;
+    EXPECT_NEAR(if_db, old_if_db[pc], 6.0) << "patch " << pc << " bin " << bin;
+  }
 }
 
 TEST(NullDepth, WindowWithoutScanPointsThrows) {

@@ -1,8 +1,10 @@
 // Tests for the common substrate: error handling, flop counting, RNG.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <numbers>
 #include <span>
 #include <string>
 #include <thread>
@@ -11,6 +13,7 @@
 #include "common/backoff.hpp"
 #include "common/check.hpp"
 #include "common/checksum.hpp"
+#include "common/cnormal_ref.hpp"
 #include "common/env.hpp"
 #include "common/flops.hpp"
 #include "common/rng.hpp"
@@ -101,6 +104,107 @@ TEST(Rng, NormalMomentsMatch) {
   }
   EXPECT_NEAR(sum / n, 0.0, 0.02);
   EXPECT_NEAR(sum_sq / n, 1.0, 0.03);
+}
+
+// Statistical oracles for the fixed-draw sampler (common/cnormal_ref.hpp):
+// 10^6 cnormal() samples, each quadrature against N(0, 1/2). Every bound
+// is five standard errors of its statistic (KS: the 0.1% critical value),
+// so a correct sampler fails one of them with negligible probability while
+// a biased polynomial, a lost quadrant sign or a skewed radius does not
+// pass.
+TEST(Rng, ComplexNormalQuadraturesMatchTheGaussianLaw) {
+  constexpr int kN = 1'000'000;
+  constexpr double kSigma = 0.70710678118654752;  // sqrt(1/2)
+  Rng r(0x6e6f726dULL);
+  std::vector<double> quad[2];
+  quad[0].reserve(kN);
+  quad[1].reserve(kN);
+  for (int i = 0; i < kN; ++i) {
+    const cdouble z = r.cnormal();
+    quad[0].push_back(z.real());
+    quad[1].push_back(z.imag());
+  }
+  const double n = kN;
+  for (int q = 0; q < 2; ++q) {
+    auto& x = quad[q];
+    double m1 = 0, m2 = 0, m3 = 0, m4 = 0;
+    index_t tails = 0;
+    for (const double v : x) {
+      const double t = v / kSigma;
+      m1 += t;
+      m2 += t * t;
+      m3 += t * t * t;
+      m4 += t * t * t * t;
+      if (std::abs(t) > 4.0) ++tails;
+    }
+    m1 /= n, m2 /= n, m3 /= n, m4 /= n;
+    // Standard errors of N(0, 1) moments: 1/sqrt(n), sqrt(2/n), sqrt(6/n),
+    // sqrt(96/n) for the raw fourth moment.
+    EXPECT_NEAR(m1, 0.0, 5.0 / std::sqrt(n)) << "quadrature " << q;
+    EXPECT_NEAR(m2, 1.0, 5.0 * std::sqrt(2.0 / n)) << "quadrature " << q;
+    EXPECT_NEAR(m3, 0.0, 5.0 * std::sqrt(6.0 / n)) << "quadrature " << q;
+    EXPECT_NEAR(m4 / (m2 * m2), 3.0, 5.0 * std::sqrt(24.0 / n))
+        << "kurtosis, quadrature " << q;
+    // P(|t| > 4) = erfc(4 / sqrt 2); the count is Poisson.
+    const double tail_mean = n * std::erfc(4.0 / std::sqrt(2.0));
+    EXPECT_NEAR(static_cast<double>(tails), tail_mean,
+                5.0 * std::sqrt(tail_mean))
+        << "beyond 4 sigma, quadrature " << q;
+    // Kolmogorov–Smirnov distance to Phi(v / sigma) = erfc(-v) / 2.
+    std::sort(x.begin(), x.end());
+    double ks = 0.0;
+    for (size_t i = 0; i < x.size(); ++i) {
+      const double cdf = 0.5 * std::erfc(-x[i]);
+      ks = std::max({ks, cdf - static_cast<double>(i) / n,
+                     static_cast<double>(i + 1) / n - cdf});
+    }
+    EXPECT_LT(ks, 1.95 / std::sqrt(n)) << "KS, quadrature " << q;
+  }
+}
+
+// The polynomial log and sincos against libm, at the edges of the draw
+// range: the smallest nonzero radius uniform 2^-53, the zero draw (clamped
+// to kMinRadiusUniform), u1 -> 1 where log(u1) -> 0, the exponent-split
+// boundary sqrt(1/2), and angle draws at every quadrant boundary.
+TEST(Rng, SamplerPolynomialsMatchLibm) {
+  namespace d = detail;
+  const auto radius_error = [](double u1) {
+    const double r = std::sqrt(-2.0 * d::log_ref(u1));
+    const double ref = std::sqrt(-2.0 * std::log(u1));
+    return std::abs(r - ref) / ref;
+  };
+  const auto angle_error = [](double u2) {
+    double c, s;
+    d::sincos_turn_ref(u2, c, s);
+    const double theta = 2.0 * std::numbers::pi * u2;
+    return std::hypot(c - std::cos(theta), s - std::sin(theta));
+  };
+  std::vector<double> radius = {0x1.0p-53, d::kMinRadiusUniform,
+                                1.0 - 0x1.0p-53, 1.0 - 0x1.0p-52,
+                                0.5, 0.25, 0x1.0p-30};
+  for (double u = 0.70710678118654; u < 0.70710678118656; u += 1e-15)
+    radius.push_back(u);
+  std::vector<double> angle = {0.0, 0x1.0p-53, 1.0 - 0x1.0p-53};
+  for (int k = 1; k < 8; ++k) {
+    angle.push_back(k / 8.0);
+    angle.push_back(k / 8.0 - 0x1.0p-53);
+    angle.push_back(k / 8.0 + 0x1.0p-53);
+  }
+  Rng r(0xacc0ULL);
+  for (int i = 0; i < 100000; ++i) {
+    radius.push_back(std::max(r.uniform(), 0x1.0p-53));
+    angle.push_back(r.uniform());
+  }
+  for (const double u1 : radius)
+    EXPECT_LE(radius_error(u1), 1e-12) << "u1 = " << u1;
+  for (const double u2 : angle)
+    EXPECT_LE(angle_error(u2), 1e-12) << "u2 = " << u2;
+
+  // The zero draw: u1 = 0 is clamped, never log(0).
+  double first, second;
+  d::box_muller_ref(0, 0, first, second);
+  EXPECT_DOUBLE_EQ(first, std::sqrt(-2.0 * std::log(d::kMinRadiusUniform)));
+  EXPECT_EQ(second, 0.0);
 }
 
 TEST(Rng, ComplexNormalUnitPower) {

@@ -317,6 +317,45 @@ TEST(KernelEquivalence, ReflectAdversarialShapes) {
   }
 }
 
+// add_cnormal is the scene generator's noise loop. Both tables must equal
+// the Rng loop it replaced bit for bit — the scalar one by construction, the
+// AVX2 one lane for lane — at every length around the 4-sample vector
+// (n = 0..67: empty, all-tail, exact vectors, ragged), from several stream
+// offsets (odd ones put the radius draw on an odd Weyl step), and must
+// leave the generator where the loop leaves it.
+TEST(KernelEquivalence, AddCnormalIsTheRngLoopBitForBit) {
+  SimdGuard guard;
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (kernels::avx2_available()) levels.push_back(SimdLevel::kAvx2);
+  const double scale = 1.7;
+  for (const SimdLevel level : levels) {
+    kernels::force_simd_level(level);
+    for (index_t n = 0; n <= 67; ++n) {
+      for (const std::uint64_t offset : {0ull, 1ull, 2ull, 7ull, 1000003ull}) {
+        Rng loop = Rng(0xc0ffeeULL + static_cast<std::uint64_t>(n)).fork(3);
+        loop.skip(offset);
+        Rng op = loop;
+        const auto base = random_cf(n, static_cast<unsigned>(60 + n));
+        auto expected = base, got = base;
+        for (auto& z : expected) z += cfloat(loop.cnormal() * scale);
+        kernels::add_cnormal(op, scale, got.data(), n);
+        ASSERT_TRUE(n == 0 || std::memcmp(expected.data(), got.data(),
+                                          expected.size() * sizeof(cfloat)) ==
+                                  0)
+            << kernels::simd_info().level_name << " n=" << n
+            << " offset=" << offset;
+        ASSERT_EQ(op.next_u64(), loop.next_u64())
+            << "stream position, n=" << n << " offset=" << offset;
+      }
+    }
+    // Like Rng::skip, the op refuses a generator holding a normal() half.
+    Rng cached(5);
+    (void)cached.normal();
+    std::vector<cfloat> out(4);
+    EXPECT_THROW(kernels::add_cnormal(cached, 1.0, out.data(), 4), Error);
+  }
+}
+
 // --------------------------------------------------------------------------
 // Dispatch and environment knobs.
 // --------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 // asymptotes), false-alarm control, and configuration validation.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "stap/montecarlo.hpp"
 
 namespace ppstap::stap {
@@ -70,6 +72,47 @@ TEST(FalseAlarms, AtOrNearDesignPfa) {
   // residue) nor be negative; zero is acceptable at these sample sizes.
   EXPECT_GE(pfa, 0.0);
   EXPECT_LT(pfa, 10.0 * cfg.params.cfar_pfa + 1e-3);
+}
+
+// The noise sampler changes every scene, so the detection statistics take
+// over from bit checksums: Pd at fixed SNRs in an easy and a hard bin, and
+// the realized false-alarm rate, over 200 independent scenes each, must lie
+// within the 99.9% confidence interval of the difference from the values
+// the libm Box–Muller sampler gave on the same configuration (two
+// binomial, resp. Poisson, estimates of equal size).
+TEST(SamplerOracle, PdAndPfaMatchTheOldSamplerWithinTheirConfidenceIntervals) {
+  constexpr double kZ = 3.29;  // two-sided 99.9%
+  constexpr index_t kTrials = 200;
+  struct Recorded {
+    index_t bin;
+    double snr_db;
+    double pd;
+  };
+  const Recorded old_pd[] = {{5, 0.0, 0.4650},  {5, 2.0, 0.7600},
+                             {0, 0.0, 0.2950},  {0, 2.0, 0.4100}};
+  for (const Recorded& r : old_pd) {
+    auto cfg = small_config();
+    cfg.trials = kTrials;
+    cfg.target_bin = r.bin;
+    const double snrs[] = {r.snr_db};
+    const double pd = detection_curve(cfg, snrs)[0].pd;
+    const double pooled = 0.5 * (pd + r.pd);
+    const double half_width =
+        kZ * std::sqrt(2.0 * pooled * (1.0 - pooled) / kTrials);
+    EXPECT_LE(std::abs(pd - r.pd), half_width)
+        << "bin " << r.bin << (cfg.params.is_hard_bin(r.bin) ? " (hard)" : "")
+        << " at " << r.snr_db << " dB: Pd " << pd << ", old " << r.pd;
+  }
+  auto cfg = small_config();
+  cfg.trials = kTrials;
+  const double cells = static_cast<double>(kTrials * cfg.params.num_pulses *
+                                           cfg.params.num_beams *
+                                           cfg.params.num_range);
+  const double alarms = measured_false_alarm_rate(cfg) * cells;
+  const double old_alarms = 7.0;  // of 153600 cells: 4.56e-5
+  EXPECT_LE(std::abs(alarms - old_alarms), kZ * std::sqrt(alarms + old_alarms))
+      << alarms << " false alarms, old " << old_alarms;
+  EXPECT_LE(alarms / cells, cfg.params.cfar_pfa);
 }
 
 TEST(Config, RejectsBadTargets) {

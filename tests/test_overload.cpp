@@ -148,6 +148,161 @@ TEST(Controller, ThrottleModeBlocksUntilTheBacklogDrains) {
   EXPECT_TRUE(core::summarize(log.snapshot()).overload.rejected_cpis.empty());
 }
 
+// ---------------------------------------------------------------------------
+// Admission window: unpaced throttle mode caps in-flight CPIs at
+// clamp(ceil(L / P), 2, queue_high) from eq. (1) stage times and eq. (2)
+// latencies
+// ---------------------------------------------------------------------------
+
+OverloadConfig closed_loop(index_t queue_high) {
+  OverloadConfig cfg;
+  cfg.enabled = true;
+  cfg.ladder = false;
+  cfg.queue_low = cfg.queue_high = queue_high;
+  cfg.reject_when_full = false;
+  return cfg;
+}
+
+// CPIs [first, last) one at a time through admission, three synthetic
+// stage samples (the largest is `period`) and a completion at `latency`.
+void feed(OverloadController& ctrl, index_t first, index_t last,
+          double period, double latency) {
+  for (index_t i = first; i < last; ++i) {
+    ASSERT_TRUE(ctrl.admit(i).admit) << i;
+    ctrl.note_stage_busy(i, 0.5 * period);
+    ctrl.note_stage_busy(i, period);
+    ctrl.note_stage_busy(i, 0.25 * period);
+    ctrl.on_complete(i, latency, false);
+  }
+}
+
+TEST(AdmissionWindow, BoundIsLittlesLawOverStageTimesAndLatency) {
+  EventLog log;
+  OverloadController ctrl(closed_loop(8), 64, log);
+  feed(ctrl, 0, 20, 0.010, 0.035);
+  const auto w = ctrl.window();
+  EXPECT_DOUBLE_EQ(w.period, 0.010);
+  EXPECT_DOUBLE_EQ(w.latency, 0.035);
+  EXPECT_EQ(w.bound, 4);  // ceil(3.5)
+  // L is the windowed minimum: one faster CPI lowers it, ceil(2.2) = 3.
+  feed(ctrl, 20, 21, 0.010, 0.022);
+  EXPECT_EQ(ctrl.window().bound, 3);
+  // P is a median: a few slow stage samples do not move it.
+  feed(ctrl, 21, 24, 0.200, 0.040);
+  EXPECT_DOUBLE_EQ(ctrl.window().period, 0.010);
+  // Clamped to [2, queue_high].
+  feed(ctrl, 24, 25, 0.010, 0.004);
+  EXPECT_EQ(ctrl.window().bound, 2);
+  EventLog log2;
+  OverloadController slow(closed_loop(8), 64, log2);
+  feed(slow, 0, 20, 0.001, 0.5);
+  EXPECT_EQ(slow.window().bound, 8);
+}
+
+// Before the estimates have samples the window sits at its floor, not at
+// queue_high: the first CPIs of a run would otherwise be admitted as one
+// burst and queue behind each other.
+TEST(AdmissionWindow, StartsAtItsFloorBeforeItHasSamples) {
+  EventLog log;
+  OverloadController ctrl(closed_loop(4), 8, log);
+  EXPECT_EQ(ctrl.window().bound, 2);
+  EXPECT_EQ(ctrl.window().period, 0.0);
+  for (index_t i = 0; i < 2; ++i) ASSERT_TRUE(ctrl.admit(i).admit);
+  std::atomic<bool> admitted{false};
+  std::thread t([&] {
+    EXPECT_TRUE(ctrl.admit(2).admit);  // blocks: two in flight
+    admitted.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(admitted.load());
+  // A latency sample alone is not an estimate: still the floor.
+  ctrl.on_complete(0, 0.01, false);
+  t.join();
+  EXPECT_EQ(ctrl.window().bound, 2);
+  const auto throttles = log.snapshot().of(EventKind::kThrottle);
+  ASSERT_EQ(throttles.size(), 1u);
+  EXPECT_STREQ(throttles[0].cause, "window");
+  // Never above queue_high.
+  EventLog log1;
+  EXPECT_EQ(OverloadController(closed_loop(1), 8, log1).window().bound, 1);
+}
+
+TEST(AdmissionWindow, BindingCapThrottlesWithoutMovingItsPeriod) {
+  EventLog log;
+  OverloadController ctrl(closed_loop(8), 64, log);
+  feed(ctrl, 0, 20, 0.010, 0.018);
+  const auto before = ctrl.window();
+  ASSERT_EQ(before.bound, 2);
+  ASSERT_TRUE(ctrl.admit(20).admit);
+  ASSERT_TRUE(ctrl.admit(21).admit);
+  std::atomic<bool> admitted{false};
+  std::thread t([&] {
+    EXPECT_TRUE(ctrl.admit(22).admit);  // blocks: two in flight
+    admitted.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(admitted.load());
+  // The capped CPIs still take 10 ms of service each, however long the
+  // sink takes to finish them: the estimate does not chase the cap.
+  ctrl.note_stage_busy(20, 0.010);
+  ctrl.note_stage_busy(21, 0.010);
+  ctrl.on_complete(20, 0.060, false);
+  t.join();
+  EXPECT_TRUE(admitted.load());
+  const auto after = ctrl.window();
+  EXPECT_DOUBLE_EQ(after.period, before.period);
+  EXPECT_EQ(after.bound, 2);
+  const auto throttles = log.snapshot().of(EventKind::kThrottle);
+  ASSERT_EQ(throttles.size(), 1u);
+  EXPECT_STREQ(throttles[0].cause, "window");
+  EXPECT_EQ(throttles[0].cpi, 22);
+}
+
+TEST(AdmissionWindow, OffInRejectModeAndUnderPacedArrivals) {
+  for (const bool paced : {false, true}) {
+    OverloadConfig cfg = closed_loop(8);
+    if (paced)
+      cfg.arrival_period_seconds = 1e-4;
+    else
+      cfg.reject_when_full = true;
+    EventLog log;
+    OverloadController ctrl(cfg, 64, log);
+    feed(ctrl, 0, 20, 0.010, 0.018);
+    // Fatal: a window in force here would park the admissions below.
+    ASSERT_EQ(ctrl.window().bound, 8) << "paced " << paced;
+    EXPECT_EQ(ctrl.window().period, 0.0) << "paced " << paced;
+    // Eight in flight: no throttle, no rejection.
+    for (index_t i = 20; i < 28; ++i)
+      EXPECT_TRUE(ctrl.admit(i).admit) << "paced " << paced << " cpi " << i;
+    EXPECT_EQ(log.snapshot().count(EventKind::kThrottle), 0u);
+    EXPECT_TRUE(core::summarize(log.snapshot()).overload.rejected_cpis.empty());
+  }
+}
+
+// Downstream receive budgets start at a CPI's admission stamp, which
+// wait_decided hands out: it blocks while the CPI is held at admission and
+// returns -1 once the controller closes with the CPI undecided.
+TEST(Controller, WaitDecidedBlocksUntilAdmissionThenReturnsItsStamp) {
+  EventLog log;
+  OverloadController ctrl(closed_loop(1), 4, log);
+  const double t0 = ctrl.admit(0).at;
+  EXPECT_EQ(ctrl.wait_decided(0), t0);
+  std::atomic<double> stamp{0.0};
+  std::thread waiter([&] { stamp.store(ctrl.wait_decided(1)); });
+  std::thread producer([&] { (void)ctrl.admit(1); });  // throttled on CPI 0
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(stamp.load(), 0.0);  // both still held
+  ctrl.on_complete(0, 0.01, false);
+  producer.join();
+  waiter.join();
+  EXPECT_GT(stamp.load(), t0);
+  EXPECT_EQ(stamp.load(), ctrl.admit(1).at);
+  std::thread closed([&] { EXPECT_EQ(ctrl.wait_decided(3), -1.0); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ctrl.close();
+  closed.join();
+}
+
 TEST(Controller, SustainedSloViolationEscalatesWithoutBacklog) {
   OverloadConfig cfg;
   cfg.enabled = true;
