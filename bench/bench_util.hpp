@@ -10,6 +10,7 @@
 // output").
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -153,6 +154,22 @@ inline void report_row(obs::Json r) {
 
 inline int report_finish(int code = 0) {
   return JsonReport::instance().finish(code);
+}
+
+/// Median sink inter-completion gap over completion-time indices [lo, hi)
+/// (pairs with a missing completion are skipped; 0 when none remain).
+inline double median_gap(const std::vector<double>& completion, index_t lo,
+                         index_t hi) {
+  std::vector<double> gaps;
+  for (index_t i = std::max<index_t>(lo, 1); i < hi; ++i) {
+    const auto k = static_cast<size_t>(i);
+    if (completion[k] > 0.0 && completion[k - 1] > 0.0)
+      gaps.push_back(completion[k] - completion[k - 1]);
+  }
+  if (gaps.empty()) return 0.0;
+  auto mid = gaps.begin() + static_cast<std::ptrdiff_t>(gaps.size() / 2);
+  std::nth_element(gaps.begin(), mid, gaps.end());
+  return *mid;
 }
 
 inline core::PipelineSimulator paper_simulator() {

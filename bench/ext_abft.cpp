@@ -28,80 +28,23 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "bench_util.hpp"
-#include "comm/fault.hpp"
-#include "common/timer.hpp"
-#include "core/pipeline.hpp"
-#include "synth/steering.hpp"
+#include "chaos.hpp"
 
 using namespace ppstap;
+using bench::chaos::same_stream;
+using bench::chaos::total_detections;
 using comm::FaultPlan;
-
-namespace {
-
-struct Setup {
-  stap::StapParams p;
-  synth::ScenarioParams sp;
-  core::NodeAssignment a{{4, 2, 6, 2, 2, 2, 2}};
-
-  static Setup make(double cnr_db) {
-    Setup s;
-    s.p.num_range = 128;
-    s.p.num_channels = 8;
-    s.p.num_pulses = 32;
-    s.p.num_beams = 2;
-    s.p.num_hard = 12;
-    s.p.stagger = 2;
-    s.p.num_segments = 3;
-    s.p.easy_samples_per_cpi = 24;
-    s.p.hard_samples_per_segment = 16;
-    s.p.cfar_ref = 6;
-    s.p.cfar_guard = 2;
-    s.p.validate();
-    s.sp.num_range = s.p.num_range;
-    s.sp.num_channels = s.p.num_channels;
-    s.sp.num_pulses = s.p.num_pulses;
-    s.sp.clutter.num_patches = 8;
-    s.sp.clutter.cnr_db = cnr_db;
-    s.sp.chirp_length = 16;
-    s.sp.targets.push_back(synth::Target{45, 10.0 / 32.0, 0.0, 12.0});
-    return s;
-  }
-};
-
-bool same_detections(const std::vector<std::vector<stap::Detection>>& a,
-                     const std::vector<std::vector<stap::Detection>>& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (a[i].size() != b[i].size()) return false;
-    for (size_t j = 0; j < a[i].size(); ++j) {
-      const auto& x = a[i][j];
-      const auto& y = b[i][j];
-      if (x.doppler_bin != y.doppler_bin || x.beam != y.beam ||
-          x.range != y.range || x.power != y.power ||
-          x.threshold != y.threshold)
-        return false;
-    }
-  }
-  return true;
-}
-
-size_t count_dets(const core::PipelineResult& r) {
-  size_t n = 0;
-  for (const auto& d : r.detections) n += d.size();
-  return n;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::report_init("ext_abft", argc, argv);
   int rc = 0;
   const index_t n_cpis = 24;
+  const core::NodeAssignment a{{4, 2, 6, 2, 2, 2, 2}};
 
   // --- panel 1: overhead on the Table-8-analogue scene ----------------------
   bench::print_header("ABFT overhead (Table-8 analogue throughput)");
-  auto hs = Setup::make(/*cnr_db=*/40.0);
+  auto hs = bench::chaos::host_fixture(/*num_range=*/128, /*num_pulses=*/32,
+                                       /*clutter_patches=*/8, /*cnr_db=*/40.0);
   // Heavier CPI than the detection panels: per-CPI kernel work has to
   // dominate the host's fixed per-message scheduling jitter, or the
   // overhead ratio measures the scheduler instead of the checks.
@@ -110,19 +53,14 @@ int main(int argc, char** argv) {
   hs.p.validate();
   hs.sp.num_range = hs.p.num_range;
   hs.sp.num_pulses = hs.p.num_pulses;
-  synth::ScenarioGenerator hgen(hs.sp);
-  auto hsteer = synth::steering_matrix(hs.p.num_channels, hs.p.num_beams,
-                                       hs.p.beam_center_rad,
-                                       hs.p.beam_span_rad);
-  const std::vector<cfloat> hreplica{hgen.replica().begin(),
-                                     hgen.replica().end()};
+  const bench::chaos::Runner heavy(std::move(hs));
   const index_t oh_cpis = 48;
   auto run_once = [&](bool abft) {
-    core::ParallelStapPipeline pipe(hs.p, hs.a, hsteer, hreplica);
+    auto pipe = heavy.pipeline(a.nodes);
     core::IntegrityConfig ic;
     ic.enabled = abft;
     pipe.set_integrity(ic);
-    return pipe.run(hgen, oh_cpis, 2, 2);
+    return pipe.run(heavy.scene(), oh_cpis, 2, 2);
   };
   // The pipeline oversubscribes the host, so a single run is dominated by
   // scheduler noise. Interleave the arms (so a load burst hits both the
@@ -169,7 +107,7 @@ int main(int argc, char** argv) {
     rc = 1;
   }
   if (!r_on.integrity.clean() || digests > 0 ||
-      !same_detections(r_on.detections, r_off.detections)) {
+      !same_stream(r_on.detections, r_off.detections)) {
     std::printf("FAIL: clean ABFT run not clean / not bit-identical\n");
     rc = 1;
   }
@@ -183,18 +121,19 @@ int main(int argc, char** argv) {
 
   // --- panel 2: detection + bit-exact repair --------------------------------
   bench::print_header("Flip detection and repair (CNR 10 dB scene)");
-  auto ds = Setup::make(/*cnr_db=*/10.0);
-  synth::ScenarioGenerator dgen(ds.sp);
-  auto dsteer = synth::steering_matrix(ds.p.num_channels, ds.p.num_beams,
-                                       ds.p.beam_center_rad,
-                                       ds.p.beam_span_rad);
-  const std::vector<cfloat> dreplica{dgen.replica().begin(),
-                                     dgen.replica().end()};
-  auto make_detect_pipe = [&] {
-    return core::ParallelStapPipeline(ds.p, ds.a, dsteer, dreplica);
-  };
+  bench::chaos::Runner detect(bench::chaos::host_fixture(
+      /*num_range=*/128, /*num_pulses=*/32, /*clutter_patches=*/8,
+      /*cnr_db=*/10.0));
   // Fault-free reference for the bit-exactness check.
-  auto ref = make_detect_pipe().run(dgen, n_cpis, 2, 2);
+  const core::PipelineResult& ref = detect.reference(a.nodes, n_cpis).r;
+  auto run_flips = [&](FaultPlan& plan, bool abft) {
+    auto pipe = detect.pipeline(a.nodes);
+    core::IntegrityConfig ic;
+    ic.enabled = abft;
+    pipe.set_integrity(ic);
+    pipe.set_fault_plan(&plan);
+    return pipe.run(detect.scene(), n_cpis, 2, 2);
+  };
 
   // One single-shot flip per (CPI, stage), stages round-robin over all
   // seven tasks; the recompute runs clean, so every flip must be repaired.
@@ -207,17 +146,12 @@ int main(int argc, char** argv) {
   {  // ABFT off: the same corruption passes silently.
     FaultPlan plan(/*seed=*/19);
     add_single_shot(plan);
-    auto pipe = make_detect_pipe();
-    core::IntegrityConfig ic;
-    ic.enabled = false;
-    pipe.set_integrity(ic);
-    pipe.set_fault_plan(&plan);
-    auto r = pipe.run(dgen, n_cpis, 2, 2);
+    auto r = run_flips(plan, /*abft=*/false);
     std::printf("ABFT off: %llu flips injected, %llu detected — silent "
                 "corruption (%zu detections vs %zu fault-free)\n",
                 static_cast<unsigned long long>(plan.stats().flips),
                 static_cast<unsigned long long>(r.integrity.checks_failed),
-                count_dets(r), count_dets(ref));
+                total_detections(r), total_detections(ref));
     bench::report_row(
         bench::row({{"kind", "silent_corruption"},
                     {"flips", plan.stats().flips},
@@ -227,18 +161,13 @@ int main(int argc, char** argv) {
   {  // ABFT on: >= 99% detected, all repaired, output bit-exact.
     FaultPlan plan(/*seed=*/19);
     add_single_shot(plan);
-    auto pipe = make_detect_pipe();
-    core::IntegrityConfig ic;
-    ic.enabled = true;
-    pipe.set_integrity(ic);
-    pipe.set_fault_plan(&plan);
-    auto r = pipe.run(dgen, n_cpis, 2, 2);
+    auto r = run_flips(plan, /*abft=*/true);
     const auto flips = plan.stats().flips;
     const double rate =
         flips > 0 ? static_cast<double>(r.integrity.checks_failed) /
                         static_cast<double>(flips)
                   : 1.0;
-    const bool exact = same_detections(r.detections, ref.detections);
+    const bool exact = same_stream(r.detections, ref.detections);
     std::printf("ABFT on:  %llu flips, %llu detected (rate %.3f), %llu "
                 "repaired, %llu escalated, bit-exact output: %s\n",
                 static_cast<unsigned long long>(flips),
@@ -274,12 +203,7 @@ int main(int argc, char** argv) {
     rule.probability = prob;
     rule.max_applications = -1;
     plan.add_compute(rule);
-    auto pipe = make_detect_pipe();
-    core::IntegrityConfig ic;
-    ic.enabled = true;
-    pipe.set_integrity(ic);
-    pipe.set_fault_plan(&plan);
-    auto r = pipe.run(dgen, n_cpis, 2, 2);
+    auto r = run_flips(plan, /*abft=*/true);
     const auto flips = plan.stats().flips;
     const double rate =
         flips > 0 ? static_cast<double>(r.integrity.checks_failed) /
@@ -313,14 +237,9 @@ int main(int argc, char** argv) {
     auto persistent = FaultPlan::flip_stage(
         static_cast<int>(stap::Task::kDopplerFilter), /*cpi=*/10, /*bit=*/30,
         /*max_applications=*/2);
-    persistent.rank = ds.a.first_rank(stap::Task::kDopplerFilter);
+    persistent.rank = a.first_rank(stap::Task::kDopplerFilter);
     plan.add_compute(persistent);
-    auto pipe = make_detect_pipe();
-    core::IntegrityConfig ic;
-    ic.enabled = true;
-    pipe.set_integrity(ic);
-    pipe.set_fault_plan(&plan);
-    auto r = pipe.run(dgen, n_cpis, 2, 2);
+    auto r = run_flips(plan, /*abft=*/true);
     const bool shed10 = std::find(r.faults.shed_cpis.begin(),
                                   r.faults.shed_cpis.end(),
                                   static_cast<index_t>(10)) !=

@@ -23,21 +23,6 @@ using core::NodeAssignment;
 
 namespace {
 
-/// Median inter-completion gap over completion-time indices [lo, hi).
-double median_gap(const std::vector<double>& completion, index_t lo,
-                  index_t hi) {
-  std::vector<double> gaps;
-  for (index_t i = std::max<index_t>(lo, 1); i < hi; ++i) {
-    const auto k = static_cast<size_t>(i);
-    if (completion[k] > 0.0 && completion[k - 1] > 0.0)
-      gaps.push_back(completion[k] - completion[k - 1]);
-  }
-  if (gaps.empty()) return 0.0;
-  auto mid = gaps.begin() + static_cast<std::ptrdiff_t>(gaps.size() / 2);
-  std::nth_element(gaps.begin(), mid, gaps.end());
-  return *mid;
-}
-
 // Cross-validation against the live elastic engine (PR 7): run the same
 // *kind* of re-allocation — one rank into the Doppler group at a mid-run
 // switch point — on the real threaded pipeline, and put the live engine's
@@ -94,7 +79,7 @@ void live_cross_validation() {
   }
   const core::Event& ev = commits[0];
   const double stall = core::barrier_stall_seconds(live, ev.cpi);
-  const double live_gap = median_gap(live.completion_times, 2, ev.cpi);
+  const double live_gap = bench::median_gap(live.completion_times, 2, ev.cpi);
   const double live_stall_periods = live_gap > 0.0 ? stall / live_gap : 0.0;
 
   core::PipelineSimulator sim_small(p, core::ParagonParams::calibrated());

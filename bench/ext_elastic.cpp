@@ -16,52 +16,30 @@
 // Panel 2 (chaos): >= 20 seeded FaultPlan scenarios land kills, drops,
 // corruptions, and delays inside the migration window — on the protocol's
 // own VOTE/VERDICT messages and on data frames crossing the barrier.
-// Every scenario must end in a resolved attempt (committed or rolled
-// back, never wedged), with zero lost or duplicated CPIs, and with every
+// Every scenario runs through the chaos harness (chaos.hpp) and must end
+// in a resolved attempt (committed or rolled back, never wedged), with
+// zero lost or duplicated CPIs, one heal record per kill, and every
 // non-shed CPI bitwise identical to the non-migrated fault-free baseline.
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
-#include "comm/fault.hpp"
-#include "core/pipeline.hpp"
+#include "chaos.hpp"
 #include "dsp/waveform.hpp"
-#include "synth/steering.hpp"
 
 using namespace ppstap;
-using comm::FaultPlan;
+using bench::median_gap;
+using bench::chaos::protocol_rule;
 using comm::FaultPoint;
 using comm::FaultRule;
 using comm::FaultType;
+using core::kVerdictSlot;
+using core::kVoteSlot;
 using core::NodeAssignment;
 using stap::Task;
 
 namespace {
-
-// Protocol tag layout (core/elastic.cpp): tag = barrier_cpi * 16 + slot.
-constexpr int kTagStride = 16;
-constexpr int kVoteSlot = 10;
-constexpr int kVerdictSlot = 11;
-constexpr int kEdgeDopToEasyBf = 2;
-
-/// Median inter-completion gap over completion-time indices [lo, hi).
-double median_gap(const std::vector<double>& completion, index_t lo,
-                  index_t hi) {
-  std::vector<double> gaps;
-  for (index_t i = std::max<index_t>(lo, 1); i < hi; ++i) {
-    const auto k = static_cast<size_t>(i);
-    if (completion[k] > 0.0 && completion[k - 1] > 0.0)
-      gaps.push_back(completion[k] - completion[k - 1]);
-  }
-  if (gaps.empty()) return 0.0;
-  auto mid = gaps.begin() + static_cast<std::ptrdiff_t>(gaps.size() / 2);
-  std::nth_element(gaps.begin(), mid, gaps.end());
-  return *mid;
-}
 
 // ---------------------------------------------------------------------------
 // Panel 1: performance
@@ -258,78 +236,11 @@ int run_perf_panel() {
 // Panel 2: chaos
 // ---------------------------------------------------------------------------
 
-struct ChaosSetup {
-  stap::StapParams p;
-  synth::ScenarioParams sp;
-  NodeAssignment a{{2, 1, 1, 1, 1, 2, 1}};
-
-  static ChaosSetup make() {
-    ChaosSetup s;
-    s.p = stap::StapParams::small_test();
-    s.p.num_range = 48;
-    s.p.num_channels = 4;
-    s.p.num_pulses = 16;
-    s.p.num_beams = 2;
-    s.p.num_hard = 6;
-    s.p.stagger = 2;
-    s.p.num_segments = 2;
-    s.p.easy_samples_per_cpi = 12;
-    s.p.hard_samples_per_segment = 10;
-    s.p.cfar_ref = 4;
-    s.p.cfar_guard = 1;
-    s.p.validate();
-    s.sp.num_range = s.p.num_range;
-    s.sp.num_channels = s.p.num_channels;
-    s.sp.num_pulses = s.p.num_pulses;
-    s.sp.clutter.num_patches = 6;
-    s.sp.clutter.cnr_db = 35.0;
-    s.sp.chirp_length = 6;
-    s.sp.targets.push_back(synth::Target{21, 8.0 / 16.0, 0.05, 15.0});
-    return s;
-  }
-};
-
-struct ChaosScenario {
-  std::string name;
-  FaultRule rule;
-  // Bitwise comparison ceiling. Most faults shed whole CPIs, so every
-  // surviving CPI must match the baseline; a dead weight rank instead
-  // leaves the beamformer running on its last delivered weights (the
-  // ledgered stale-weight degradation from the fault-tolerance PR), so
-  // only CPIs completed before the kill window are required to match.
-  index_t exact_below = -1;  // -1: the whole stream
-  // Kill scenarios run with no spare pool configured, so the dead rank is
-  // *expected* to be ledgered as an uncovered failure; everywhere else an
-  // uncovered entry means a rank silently died and must fail the gate.
-  bool expect_uncovered = false;
-};
-
-FaultRule protocol_rule(FaultType type, FaultPoint point, int src, int dest,
-                        int slot, int max_applications = -1,
-                        double delay_s = 0.0) {
-  FaultRule r;
-  r.type = type;
-  r.point = point;
-  r.src = src;
-  r.dest = dest;
-  r.tag_period = kTagStride;
-  r.tag_phase = slot;
-  r.max_applications = max_applications;
-  r.delay_seconds = delay_s;
-  return r;
-}
-
 int run_chaos_panel() {
-  auto setup = ChaosSetup::make();
-  synth::ScenarioGenerator gen(setup.sp);
-  auto steering = synth::steering_matrix(
-      setup.p.num_channels, setup.p.num_beams, setup.p.beam_center_rad,
-      setup.p.beam_span_rad);
-  const std::vector<cfloat> replica{gen.replica().begin(),
-                                    gen.replica().end()};
-  const index_t n_cpis = 16;
+  bench::chaos::Runner runner(bench::chaos::small_fixture());
   const index_t migrate_at = 4;
-  const NodeAssignment& a = setup.a;
+  NodeAssignment a;
+  a.nodes = {{2, 1, 1, 1, 1, 2, 1}};
   const int coordinator = a.first_rank(Task::kDopplerFilter);
   const int doppler1 = coordinator + 1;
   const int easy_wt = a.first_rank(Task::kEasyWeight);
@@ -341,20 +252,34 @@ int run_chaos_panel() {
   bench::print_header(
       "Live elastic migration, chaos (faults inside the migration window)");
 
-  // Non-migrated fault-free baseline: the bitwise reference every non-shed
-  // CPI of every scenario must reproduce.
-  core::ParallelStapPipeline base(setup.p, a, steering, replica);
-  auto rb = base.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
-  if (!rb.faults.clean() || !rb.events.migrations().empty()) {
-    std::printf("FAIL: chaos baseline run is not clean\n");
-    return 1;
-  }
+  // Every scenario forces the PC -> Doppler migration and, modulo its
+  // recorded sheds, must reproduce the non-migrated fault-free run bitwise.
+  bench::chaos::Scenario base;
+  base.nodes = a.nodes;
+  base.n_cpis = 16;
+  base.ft.shedding = true;
+  base.ft.cpi_deadline_seconds = 10.0;
+  base.el.forced.push_back(core::ForcedMigration{
+      migrate_at, Task::kPulseCompression, Task::kDopplerFilter});
+  base.el.stall_budget_seconds = 0.4;
 
-  std::vector<ChaosScenario> scenarios;
+  std::vector<bench::chaos::Scenario> scenarios;
+  // Bitwise comparison ceiling: most faults shed whole CPIs, so every
+  // surviving CPI must match the baseline; a dead weight rank instead
+  // leaves the beamformer running on its last delivered weights (the
+  // ledgered stale-weight degradation from the fault-tolerance PR), so
+  // only CPIs completed before the kill window are required to match.
+  // Kill scenarios run with no spare pool configured, so the dead rank is
+  // *expected* to be ledgered as an uncovered failure; everywhere else an
+  // uncovered entry means a rank silently died and must fail the gate.
   auto add = [&](const char* name, const FaultRule& rule,
                  index_t exact_below = -1, bool expect_uncovered = false) {
-    scenarios.push_back(
-        ChaosScenario{name, rule, exact_below, expect_uncovered});
+    bench::chaos::Scenario s = base;
+    s.name = name;
+    s.rules = {rule};
+    s.exact_below = exact_below;
+    s.uncovered = expect_uncovered ? 1 : 0;
+    scenarios.push_back(std::move(s));
   };
   // Dropped protocol messages: starve the coordinator (rollback by vote
   // timeout) or a participant (commit already resolved; the CAS absorbs
@@ -449,138 +374,21 @@ int run_chaos_panel() {
     r.point = FaultPoint::kSend;
     r.src = coordinator;
     r.dest = easy_bf;
-    r.tag = static_cast<int>(migrate_at + 2) * kTagStride + kEdgeDopToEasyBf;
+    r.tag = core::tag_for(migrate_at + 2, core::kDopToEasyBf);
     add("drop_data_frame_in_window", r);
     r.type = FaultType::kCorrupt;
     r.max_applications = 1;
     add("corrupt_data_frame_in_window", r);
   }
 
-  std::printf("%-34s %-12s %-22s %5s %6s\n", "scenario", "outcome",
-              "abort_reason", "shed", "exact");
-  int failures = 0;
-  for (size_t si = 0; si < scenarios.size(); ++si) {
-    const ChaosScenario& sc = scenarios[si];
-    FaultPlan plan(/*seed=*/0x5eedf417 + si);
-    plan.add(sc.rule);
-
-    core::ParallelStapPipeline pipe(setup.p, a, steering, replica);
-    core::ElasticConfig el;
-    el.forced.push_back(core::ForcedMigration{
-        migrate_at, Task::kPulseCompression, Task::kDopplerFilter});
-    el.stall_budget_seconds = 0.4;
-    pipe.set_elastic(el);
-    core::FaultToleranceConfig ft;
-    ft.shedding = true;
-    ft.cpi_deadline_seconds = 10.0;
-    pipe.set_fault_tolerance(ft);
-    pipe.set_fault_plan(&plan);
-    auto res = pipe.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
-
-    std::string why;
-    bool ok = true;
-    // The attempt happened and resolved — never wedged (an attempt still
-    // pending when the stream drains is recorded as rolled back).
-    const auto attempts = res.events.migrations();
-    if (attempts.empty()) {
-      ok = false;
-      why = "no migration attempt";
-    }
-    // Zero lost or duplicated CPIs: the sink timestamped every CPI
-    // (shed CPIs complete too), and nothing appears twice.
-    if (res.detections.size() != static_cast<size_t>(n_cpis) ||
-        res.completion_times.size() != static_cast<size_t>(n_cpis)) {
-      ok = false;
-      why = "stream size mismatch";
-    }
-    // Uncovered-failure gate: an uncovered entry is only legal where the
-    // scenario explicitly expects pool exhaustion (the kill scenarios run
-    // without spares); and where one is expected it must actually appear,
-    // otherwise the kill never landed and the scenario tested nothing.
-    const bool uncovered =
-        res.events.count(core::EventKind::kHealUncovered) > 0;
-    if (!sc.expect_uncovered && uncovered) {
-      ok = false;
-      why = "unexpected uncovered failure";
-    }
-    if (sc.expect_uncovered && !uncovered) {
-      ok = false;
-      why = "expected uncovered failure missing";
-    }
-    std::vector<bool> shed(static_cast<size_t>(n_cpis), false);
-    for (index_t c : res.faults.shed_cpis) {
-      const auto k = static_cast<size_t>(c);
-      if (k >= shed.size() || shed[k]) {
-        ok = false;
-        why = "duplicate/out-of-range shed";
-        continue;
-      }
-      shed[k] = true;
-    }
-    size_t exact = 0;
-    for (index_t cpi = 0; ok && cpi < n_cpis; ++cpi) {
-      const auto k = static_cast<size_t>(cpi);
-      if (res.completion_times[k] <= 0.0) {
-        ok = false;
-        why = "lost CPI " + std::to_string(cpi);
-        break;
-      }
-      if (shed[k]) {
-        if (!res.detections[k].empty()) {
-          ok = false;
-          why = "shed CPI " + std::to_string(cpi) + " has detections";
-        }
-        continue;
-      }
-      if (sc.exact_below >= 0 && cpi >= sc.exact_below) continue;
-      // Bitwise against the non-migrated fault-free baseline: modulo the
-      // ledgered sheds, the chaos run output is *identical*.
-      const auto& g = res.detections[k];
-      const auto& w = rb.detections[k];
-      bool same = g.size() == w.size();
-      for (size_t i = 0; same && i < g.size(); ++i)
-        same = g[i].doppler_bin == w[i].doppler_bin &&
-               g[i].beam == w[i].beam && g[i].range == w[i].range &&
-               g[i].power == w[i].power &&
-               g[i].threshold == w[i].threshold;
-      if (!same) {
-        ok = false;
-        why = "CPI " + std::to_string(cpi) + " not bit-exact";
-        break;
-      }
-      ++exact;
-    }
-    const std::string outcome =
-        attempts.empty() ? "none"
-        : attempts[0].kind == core::EventKind::kMigrationRollback
-            ? "rolled_back"
-            : "committed";
-    const std::string reason = attempts.empty() ? "" : attempts[0].note;
-    std::printf("%-34s %-12s %-22s %5zu %6zu %s%s\n", sc.name.c_str(),
-                outcome.c_str(), reason.empty() ? "-" : reason.c_str(),
-                res.faults.shed_cpis.size(), exact, ok ? "ok" : "FAIL ",
-                ok ? "" : why.c_str());
-    // Which way a scenario resolves (commit vs rollback, and the abort
-    // reason) is a legal race — e.g. a once-corrupted vote either repairs
-    // in time or misses the budget — so rows carry only the invariants:
-    // the attempt resolved, and the scenario's checks passed.
-    const bool resolved = !attempts.empty();
-    bench::report_row(bench::row({{"kind", "chaos"},
-                                  {"scenario", sc.name},
-                                  {"resolved", resolved ? 1 : 0},
-                                  {"shed_cpis", res.faults.shed_cpis.size()},
-                                  {"exact_cpis", exact},
-                                  {"kills", res.events.count(core::EventKind::kKill)},
-                                  {"pass", ok ? 1 : 0}}));
-    if (!ok) ++failures;
-  }
-
-  std::printf("\n%zu scenarios, %d failed\n", scenarios.size(), failures);
-  if (scenarios.size() < 20) {
+  const auto t = bench::chaos::run_table(runner, scenarios,
+                                         /*seed_base=*/0x5eedf417,
+                                         /*smoke=*/false, "chaos");
+  if (t.ran < 20) {
     std::printf("FAIL: chaos panel must cover >= 20 scenarios\n");
     return 1;
   }
-  return failures == 0 ? 0 : 1;
+  return runner.failures() == 0 ? 0 : 1;
 }
 
 }  // namespace

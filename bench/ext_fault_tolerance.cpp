@@ -17,81 +17,41 @@
 //     measured recovery stall next to the machine model's predicted
 //     migration stall (ReallocationPlan::migration_stall — the same
 //     weight-state move, there planned, here survived).
+//
+// Every faulted run goes through the chaos harness (chaos.hpp) and must
+// hold its invariants — the stream whole, sheds recorded, surviving CPIs
+// bitwise equal to the fault-free run — or the exit code is 1.
+#include <algorithm>
 #include <cstdio>
 
-#include "bench_util.hpp"
-#include "comm/fault.hpp"
-#include "common/timer.hpp"
-#include "core/pipeline.hpp"
-#include "synth/steering.hpp"
+#include "chaos.hpp"
 
 using namespace ppstap;
+using bench::chaos::Scenario;
 using comm::FaultPlan;
-
-namespace {
-
-// Pipeline tag layout (pipeline.cpp): tag = cpi * stride + edge.
-constexpr int kTagStride = 16;
-constexpr int kEdgeDopToEasyBf = 2;
-constexpr int kEdgeDopToHardWt = 1;
-
-struct Setup {
-  stap::StapParams p;
-  synth::ScenarioParams sp;
-  core::NodeAssignment a{{4, 2, 6, 2, 2, 2, 2}};
-
-  static Setup make() {
-    Setup s;
-    s.p.num_range = 128;
-    s.p.num_channels = 8;
-    s.p.num_pulses = 32;
-    s.p.num_beams = 2;
-    s.p.num_hard = 12;
-    s.p.stagger = 2;
-    s.p.num_segments = 3;
-    s.p.easy_samples_per_cpi = 24;
-    s.p.hard_samples_per_segment = 16;
-    s.p.cfar_ref = 6;
-    s.p.cfar_guard = 2;
-    s.p.validate();
-    s.sp.num_range = s.p.num_range;
-    s.sp.num_channels = s.p.num_channels;
-    s.sp.num_pulses = s.p.num_pulses;
-    s.sp.clutter.num_patches = 12;
-    s.sp.clutter.cnr_db = 40.0;
-    s.sp.chirp_length = 16;
-    s.sp.targets.push_back(synth::Target{45, 10.0 / 32.0, 0.0, 12.0});
-    return s;
-  }
-};
-
-}  // namespace
 
 int main(int argc, char** argv) {
   bench::report_init("ext_fault_tolerance", argc, argv);
-  auto setup = Setup::make();
-  synth::ScenarioGenerator gen(setup.sp);
-  auto steering = synth::steering_matrix(
-      setup.p.num_channels, setup.p.num_beams, setup.p.beam_center_rad,
-      setup.p.beam_span_rad);
-  const std::vector<cfloat> replica{gen.replica().begin(),
-                                    gen.replica().end()};
+  bench::chaos::Runner runner(bench::chaos::host_fixture(
+      /*num_range=*/128, /*num_pulses=*/32, /*clutter_patches=*/12,
+      /*cnr_db=*/40.0));
+  core::NodeAssignment a;
+  a.nodes = {{4, 2, 6, 2, 2, 2, 2}};
   const index_t n_cpis = 24;
 
-  auto make_pipeline = [&] {
-    return core::ParallelStapPipeline(setup.p, setup.a, steering, replica);
-  };
+  // Every faulted run must reproduce the fault-free run bitwise, apart
+  // from its recorded sheds.
+  Scenario base;
+  base.nodes = a.nodes;
+  base.n_cpis = n_cpis;
 
   // --- fault-free baseline (Table-8 analogue on this host) -----------------
   bench::print_header("Fault tolerance on the host pipeline");
-  auto base = make_pipeline();
-  const double w0 = WallTimer::now();
-  auto r0 = base.run(gen, n_cpis, 2, 2);
-  const double baseline_wall = WallTimer::now() - w0;
-  const double period = baseline_wall / static_cast<double>(n_cpis);
+  const auto& ref = runner.reference(a.nodes, n_cpis);
+  const core::PipelineResult& r0 = ref.r;
+  const double period = ref.wall_s / static_cast<double>(n_cpis);
   const double deadline = std::max(5.0 * period, 0.05);
-  size_t base_dets = 0;
-  for (const auto& d : r0.detections) base_dets += d.size();
+  const size_t base_dets = bench::chaos::total_detections(r0);
   std::printf("fault-free baseline: %.2f CPI/s, %.4f s latency, %zu "
               "detections (deadline calibrated to %.3f s)\n",
               r0.throughput, r0.latency, base_dets, deadline);
@@ -105,78 +65,72 @@ int main(int argc, char** argv) {
   std::printf("\n%-12s %12s %10s %10s %12s\n", "delay prob", "throughput",
               "vs base", "shed CPIs", "detections");
   for (const double prob : {0.0, 0.05, 0.15, 0.30}) {
-    FaultPlan plan(/*seed=*/42);
-    auto rule = FaultPlan::delay_edge(kEdgeDopToEasyBf, kTagStride,
-                                     3.0 * deadline, prob);
-    plan.add(rule);
-    auto pipe = make_pipeline();
-    core::FaultToleranceConfig ft;
-    ft.shedding = true;
-    ft.cpi_deadline_seconds = deadline;
-    pipe.set_fault_tolerance(ft);
-    pipe.set_fault_plan(&plan);
-    auto r = pipe.run(gen, n_cpis, 2, 2);
-    size_t dets = 0;
-    for (const auto& d : r.detections) dets += d.size();
+    Scenario sc = base;
+    sc.name = "delay " + std::to_string(prob);
+    sc.rules = {FaultPlan::delay_edge(core::kDopToEasyBf, comm::kTagStride,
+                                      3.0 * deadline, prob)};
+    sc.ft.shedding = true;
+    sc.ft.cpi_deadline_seconds = deadline;
+    const auto o = runner.run(sc, /*seed=*/42);
+    const core::PipelineResult& r = o.r;
+    const size_t dets = bench::chaos::total_detections(r);
     std::printf("%-12.2f %9.2f /s %9.1f%% %10zu %12zu\n", prob,
                 r.throughput, 100.0 * r.throughput / r0.throughput,
                 r.faults.shed_cpis.size(), dets);
-    bench::report_row(
-        bench::row({{"kind", "delay_sweep"},
-                    {"delay_probability", prob},
-                    {"throughput_cpi_per_s", r.throughput},
-                    {"throughput_vs_baseline",
-                     r.throughput / r0.throughput},
-                    {"shed_cpis", r.faults.shed_cpis.size()},
-                    {"frames_delayed",
-                     r.events.count(core::EventKind::kFrameDelayed)},
-                    {"detections", dets}}));
+    obs::Json row = bench::row(
+        {{"kind", "delay_sweep"},
+         {"delay_probability", prob},
+         {"throughput_cpi_per_s", r.throughput},
+         {"throughput_vs_baseline", r.throughput / r0.throughput},
+         {"frames_delayed", r.events.count(core::EventKind::kFrameDelayed)},
+         {"detections", dets}});
+    bench::chaos::add_fields(row, o);
+    bench::report_row(std::move(row));
   }
 
   // --- panel 2: corruption sweep (retransmission repairs silently) ---------
   std::printf("\n%-12s %12s %14s %14s %12s\n", "corrupt prob", "throughput",
               "corrupted", "retransmits", "detections");
   for (const double prob : {0.02, 0.10}) {
-    FaultPlan plan(/*seed=*/7);
+    Scenario sc = base;
+    sc.name = "corrupt " + std::to_string(prob);
     comm::FaultRule rule;
     rule.type = comm::FaultType::kCorrupt;
     rule.probability = prob;
-    plan.add(rule);
-    auto pipe = make_pipeline();
-    pipe.set_fault_plan(&plan);
-    auto r = pipe.run(gen, n_cpis, 2, 2);
-    size_t dets = 0;
-    for (const auto& d : r.detections) dets += d.size();
+    sc.rules = {rule};
+    sc.allow_shed = false;
+    const auto o = runner.run(sc, /*seed=*/7);
+    const core::PipelineResult& r = o.r;
+    const size_t dets = bench::chaos::total_detections(r);
     std::printf("%-12.2f %9.2f /s %14llu %14llu %12zu\n", prob,
                 r.throughput,
                 static_cast<unsigned long long>(
                     r.events.count(core::EventKind::kFrameCorrupted)),
                 static_cast<unsigned long long>(r.faults.retransmissions),
                 dets);
-    bench::report_row(
-        bench::row({{"kind", "corruption_sweep"},
-                    {"corrupt_probability", prob},
-                    {"throughput_cpi_per_s", r.throughput},
-                    {"frames_corrupted",
-                     r.events.count(core::EventKind::kFrameCorrupted)},
-                    {"retransmissions", r.faults.retransmissions},
-                    {"detections", dets}}));
+    obs::Json row = bench::row(
+        {{"kind", "corruption_sweep"},
+         {"corrupt_probability", prob},
+         {"throughput_cpi_per_s", r.throughput},
+         {"frames_corrupted",
+          r.events.count(core::EventKind::kFrameCorrupted)},
+         {"detections", dets}});
+    bench::chaos::add_fields(row, o);
+    bench::report_row(std::move(row));
   }
 
   // --- panel 3: spare-rank failover vs the model's migration stall ---------
   {
-    FaultPlan plan;
-    plan.add(FaultPlan::kill_on_recv(
-        setup.a.first_rank(stap::Task::kHardWeight),
-        static_cast<int>(n_cpis / 2) * kTagStride + kEdgeDopToHardWt));
-    auto pipe = make_pipeline();
-    core::FaultToleranceConfig ft;
-    ft.spares = 1;
-    pipe.set_fault_tolerance(ft);
-    pipe.set_fault_plan(&plan);
-    auto r = pipe.run(gen, n_cpis, 2, 2);
-    size_t dets = 0;
-    for (const auto& d : r.detections) dets += d.size();
+    Scenario sc = base;
+    sc.name = "failover";
+    sc.rules = {FaultPlan::kill_on_recv(
+        a.first_rank(stap::Task::kHardWeight),
+        core::tag_for(n_cpis / 2, core::kDopToHardWt))};
+    sc.ft.spares = 1;
+    sc.spare_heals = 1;
+    sc.allow_shed = false;
+    const auto o = runner.run(sc, /*seed=*/0x5eedf417);  // FaultPlan's default
+    const core::PipelineResult& r = o.r;
 
     // The model's prediction for moving the same weight state (plan a
     // no-op reallocation: identical assignment, mid-stream switch).
@@ -190,9 +144,9 @@ int main(int argc, char** argv) {
 
     std::printf("\nspare-rank failover (hard weight rank killed at CPI "
                 "%ld):\n", static_cast<long>(n_cpis / 2));
-    const auto heals = r.events.heals();
-    if (heals.size() == 1 && heals[0].kind == core::EventKind::kHealSpare) {
-      const auto& ev = heals[0];
+    if (o.ok()) {
+      const core::Event ev = r.events.heals()[0];
+      const size_t dets = bench::chaos::total_detections(r);
       std::printf("  recovered rank %d at CPI %ld, measured stall %.4f s "
                   "(model migration stall at paper scale: %.4f s)\n",
                   ev.rank, static_cast<long>(ev.cpi), ev.seconds,
@@ -201,7 +155,7 @@ int main(int argc, char** argv) {
                   "detections (baseline %zu)\n",
                   r.throughput, 100.0 * r.throughput / r0.throughput, dets,
                   base_dets);
-      bench::report_row(bench::row(
+      obs::Json row = bench::row(
           {{"kind", "failover"},
            {"killed_rank", ev.rank},
            {"resume_cpi", ev.cpi},
@@ -209,12 +163,9 @@ int main(int argc, char** argv) {
            {"model_migration_stall_s", model_stall},
            {"throughput_cpi_per_s", r.throughput},
            {"throughput_vs_baseline", r.throughput / r0.throughput},
-           {"detections", dets}}));
-    } else {
-      std::printf("  expected one spare takeover, the event log has %zu "
-                  "heals\n",
-                  heals.size());
-      return bench::report_finish(1);
+           {"detections", dets}});
+      bench::chaos::add_fields(row, o);
+      bench::report_row(std::move(row));
     }
   }
 
@@ -224,5 +175,5 @@ int main(int argc, char** argv) {
       "invisible at the cost of a resend; and a dead weight rank costs one\n"
       "recovery stall comparable to the model's planned migration stall,\n"
       "after which the stream continues bit-exact.\n");
-  return bench::report_finish();
+  return bench::report_finish(runner.failures() == 0 ? 0 : 1);
 }

@@ -10,7 +10,7 @@
 //  1. Clean baseline with the detector armed: zero false quarantines
 //     (gate c) — the floor statistic must stay quiet on a noisy host.
 //  2. Slowdown sweep (1.5x-16x on one Doppler rank, containment OFF):
-//     every CPI still completes with the baseline's detections — gray
+//     every CPI still completes bit-identical to the clean baseline — gray
 //     degradation, not data loss (gate a).
 //  3. Containment ON vs OFF under a persistent 8x straggler: ON must
 //     confirm + quarantine exactly the victim onto the spare (mechanism
@@ -23,68 +23,24 @@
 //  5. Duplicate storm: every re-delivered frame is discarded by the
 //     receiver's seq ledger; the sink sees each CPI exactly once (gate a).
 //
+// Every injected run goes through the chaos harness (chaos.hpp), so gate
+// (a) is its invariant set: full stream, no shed, every CPI bitwise equal
+// to the clean baseline, and every duplicate discarded.
+//
 // `--smoke` runs a reduced subset (baseline + containment + duplicates)
 // for sanitizer CI; `--json` writes BENCH_grayfail.json for
 // scripts/bench_compare.py.
 #include <cstdio>
 #include <string>
-#include <vector>
 
-#include "bench_util.hpp"
-#include "comm/fault.hpp"
-#include "common/timer.hpp"
-#include "core/pipeline.hpp"
-#include "synth/steering.hpp"
+#include "chaos.hpp"
 
 using namespace ppstap;
+using bench::chaos::Scenario;
 using comm::FaultPlan;
+using core::EventKind;
 
 namespace {
-
-// Pipeline tag layout (pipeline.cpp): tag = cpi * stride + edge.
-constexpr int kTagStride = 16;
-constexpr int kEdgeDopToEasyBf = 2;
-constexpr int kEdgePcToCfar = 8;
-
-struct Setup {
-  stap::StapParams p;
-  synth::ScenarioParams sp;
-  // Two Doppler ranks (not four): each carries a meaty slab, so a
-  // straggler there measurably paces the sink and the recovery gate has a
-  // real signal to detect even on a heavily shared host.
-  core::NodeAssignment a{{2, 2, 6, 2, 2, 2, 2}};
-
-  static Setup make() {
-    Setup s;
-    // Doppler-heavy shape: many pulses drive the per-slab FFT cost (which
-    // the kSlow injection stretches) well past the send-copy cost (which
-    // it does not), so an 8x straggler in the two-rank Doppler group
-    // outweighs the host's entire per-CPI compute and visibly paces the
-    // sink instead of hiding under pipeline slack.
-    s.p.num_range = 1024;
-    s.p.num_channels = 8;
-    s.p.num_pulses = 64;
-    s.p.num_beams = 2;
-    s.p.num_hard = 12;
-    s.p.stagger = 2;
-    s.p.num_segments = 3;
-    s.p.easy_samples_per_cpi = 24;
-    s.p.hard_samples_per_segment = 16;
-    s.p.cfar_ref = 6;
-    s.p.cfar_guard = 2;
-    s.p.validate();
-    s.sp.num_range = s.p.num_range;
-    s.sp.num_channels = s.p.num_channels;
-    s.sp.num_pulses = s.p.num_pulses;
-    // Light clutter: scenario synthesis is serial per CPI and scales with
-    // patches x range — keep it from dwarfing the pipeline's own compute.
-    s.sp.clutter.num_patches = 4;
-    s.sp.clutter.cnr_db = 40.0;
-    s.sp.chirp_length = 16;
-    s.sp.targets.push_back(synth::Target{45, 10.0 / 32.0, 0.0, 12.0});
-    return s;
-  }
-};
 
 // Detector regime for this bench's scale and an arbitrarily noisy host:
 // floor windows only (min_samples 4) and an absolute floor above
@@ -106,10 +62,19 @@ core::HealthConfig health_on() {
   return hc;
 }
 
-core::HealthConfig health_off() {
-  core::HealthConfig hc;
-  hc.enabled = false;
-  return hc;
+bench::chaos::Fixture make_fixture() {
+  // Doppler-heavy shape: many pulses drive the per-slab FFT cost (which
+  // the kSlow injection stretches) well past the send-copy cost (which
+  // it does not), so an 8x straggler in the two-rank Doppler group
+  // outweighs the host's entire per-CPI compute and visibly paces the
+  // sink instead of hiding under pipeline slack. Light clutter: scenario
+  // synthesis is serial per CPI and scales with patches x range — keep it
+  // from dwarfing the pipeline's own compute.
+  auto f = bench::chaos::host_fixture(/*num_range=*/1024, /*num_pulses=*/64,
+                                      /*clutter_patches=*/4, /*cnr_db=*/40.0);
+  // The clean reference run doubles as the false-quarantine check.
+  f.health = health_on();
+  return f;
 }
 
 int g_failures = 0;
@@ -118,30 +83,6 @@ void gate(bool ok, const std::string& what) {
   if (ok) return;
   ++g_failures;
   std::printf("  GATE FAILED: %s\n", what.c_str());
-}
-
-size_t total_dets(const core::PipelineResult& r) {
-  size_t n = 0;
-  for (const auto& d : r.detections) n += d.size();
-  return n;
-}
-
-/// Gate (a): every CPI completed at the sink, exactly once, with exactly
-/// the baseline's detections — nothing lost, nothing duplicated.
-void gate_stream_whole(const core::PipelineResult& r,
-                       const core::PipelineResult& base,
-                       const std::string& label) {
-  gate(r.detections.size() == base.detections.size(),
-       label + ": stream length mismatch");
-  gate(r.faults.shed_cpis.empty(), label + ": shed CPIs");
-  size_t mismatched = 0;
-  for (size_t i = 0;
-       i < r.detections.size() && i < base.detections.size(); ++i) {
-    if (r.detections[i].size() != base.detections[i].size()) ++mismatched;
-    if (r.completion_times[i] <= 0.0) ++mismatched;
-  }
-  gate(mismatched == 0, label + ": " + std::to_string(mismatched) +
-                            " CPIs lost or altered at the sink");
 }
 
 /// Steady-state pace over the tail of the stream: mean sink
@@ -170,75 +111,76 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i)
     if (std::string(argv[i]) == "--smoke") smoke = true;
 
-  auto setup = Setup::make();
-  synth::ScenarioGenerator gen(setup.sp);
-  auto steering = synth::steering_matrix(
-      setup.p.num_channels, setup.p.num_beams, setup.p.beam_center_rad,
-      setup.p.beam_span_rad);
-  const std::vector<cfloat> replica{gen.replica().begin(),
-                                    gen.replica().end()};
+  bench::chaos::Runner runner(make_fixture());
+  // Two Doppler ranks (not four): each carries a meaty slab, so a
+  // straggler there measurably paces the sink and the recovery gate has a
+  // real signal to detect even on a heavily shared host.
+  core::NodeAssignment a;
+  a.nodes = {{2, 2, 6, 2, 2, 2, 2}};
   const index_t n_cpis = smoke ? 16 : 24;
   // Doppler local 1: a multi-rank group member, never the elastic
   // coordinator (Doppler local 0).
-  const int victim = setup.a.first_rank(stap::Task::kDopplerFilter) + 1;
+  const int victim = a.first_rank(stap::Task::kDopplerFilter) + 1;
 
-  auto make_pipeline = [&] {
-    return core::ParallelStapPipeline(setup.p, setup.a, steering, replica);
-  };
+  // Every injection below must leave the stream whole and bit-identical to
+  // the clean run.
+  Scenario whole;
+  whole.nodes = a.nodes;
+  whole.n_cpis = n_cpis;
+  whole.allow_shed = false;
 
   // --- panel 1: clean baseline, detector armed -----------------------------
   bench::print_header(smoke ? "Gray-failure containment (smoke subset)"
                             : "Gray-failure containment chaos suite");
-  auto base_pipe = make_pipeline();
-  base_pipe.set_health(health_on());
-  auto base = base_pipe.run(gen, n_cpis, 2, 2);
-  gate(base.faults.clean(), "baseline: fault ledger not clean");
-  gate(base.events.count(core::EventKind::kQuarantine) == 0,
+  const auto& reference = runner.reference(a.nodes, n_cpis);
+  const core::PipelineResult& base = reference.r;
+  gate(reference.clean(), "baseline: shed, retransmitted, healed or migrated");
+  gate(base.events.count(EventKind::kQuarantine) == 0,
        "baseline: false quarantine");
-  gate(base.events.heals().empty(), "baseline: phantom healing event");
   const double base_period = tail_period(base, 2);
   std::printf("clean baseline (health armed): %.2f CPI/s, %zu detections, "
               "%.4f s/CPI steady-state, %llu health events\n",
-              base.throughput, total_dets(base), base_period,
+              base.throughput, bench::chaos::total_detections(base),
+              base_period,
               static_cast<unsigned long long>(base.events.verdicts().size()));
   std::printf("per-rank service floors (ms):");
-  for (const auto& rh : base.events.of(core::EventKind::kRankHealth))
+  for (const auto& rh : base.events.of(EventKind::kRankHealth))
     std::printf(" r%d=%.2f", rh.rank, 1e3 * rh.seconds);
   std::printf("\n");
   bench::report_row(bench::row(
       {{"kind", "baseline"},
        {"throughput_cpi_per_s", base.throughput},
        {"steady_period_s", base_period},
-       {"detections", total_dets(base)},
+       {"detections", bench::chaos::total_detections(base)},
        {"health_events", base.events.verdicts().size()},
-       {"false_quarantines", base.events.count(core::EventKind::kQuarantine)}}));
+       {"false_quarantines", base.events.count(EventKind::kQuarantine)}}));
 
   // --- panel 2: slowdown sweep, containment OFF ----------------------------
   if (!smoke) {
     std::printf("\n%-10s %12s %10s %12s %12s\n", "slowdown", "throughput",
                 "vs base", "slow stages", "detections");
     for (const double factor : {1.5, 2.0, 4.0, 8.0, 16.0}) {
-      FaultPlan plan(/*seed=*/42);
-      plan.add(FaultPlan::slow_rank(victim, factor));
-      auto pipe = make_pipeline();
-      pipe.set_health(health_off());
-      pipe.set_fault_plan(&plan);
-      auto r = pipe.run(gen, n_cpis, 2, 2);
-      gate_stream_whole(r, base,
-                        "slowdown " + std::to_string(factor) + "x");
-      gate(r.events.count(core::EventKind::kStageSlowdown) > 0,
+      Scenario sc = whole;
+      sc.name = "slowdown " + std::to_string(factor) + "x";
+      sc.rules = {FaultPlan::slow_rank(victim, factor)};
+      const auto o = runner.run(sc, /*seed=*/42);
+      const core::PipelineResult& r = o.r;
+      gate(r.events.count(EventKind::kStageSlowdown) > 0,
            "slowdown sweep: no stage was slowed");
       std::printf("%-10.1f %9.2f /s %9.1f%% %12llu %12zu\n", factor,
                   r.throughput, 100.0 * r.throughput / base.throughput,
-                  static_cast<unsigned long long>(r.events.count(core::EventKind::kStageSlowdown)),
-                  total_dets(r));
-      bench::report_row(bench::row(
+                  static_cast<unsigned long long>(
+                      r.events.count(EventKind::kStageSlowdown)),
+                  bench::chaos::total_detections(r));
+      obs::Json row = bench::row(
           {{"kind", "slowdown_sweep"},
            {"factor", factor},
            {"throughput_cpi_per_s", r.throughput},
            {"throughput_vs_baseline", r.throughput / base.throughput},
-           {"stage_slowdowns", r.events.count(core::EventKind::kStageSlowdown)},
-           {"detections", total_dets(r)}}));
+           {"stage_slowdowns", r.events.count(EventKind::kStageSlowdown)},
+           {"detections", bench::chaos::total_detections(r)}});
+      bench::chaos::add_fields(row, o);
+      bench::report_row(std::move(row));
     }
   }
 
@@ -250,27 +192,22 @@ int main(int argc, char** argv) {
     // the victim sleeps) before the sink feels it at all. The sweep above
     // shows the knee; the gated scenario sits decisively past it.
     const double factor = 16.0;
-    FaultPlan plan_off(/*seed=*/42);
-    plan_off.add(FaultPlan::slow_rank(victim, factor));
-    auto off_pipe = make_pipeline();
-    off_pipe.set_health(health_off());
-    off_pipe.set_fault_plan(&plan_off);
-    auto off = off_pipe.run(gen, n_cpis, 2, 2);
+    Scenario off_sc = whole;
+    off_sc.name = "containment OFF";
+    off_sc.rules = {FaultPlan::slow_rank(victim, factor)};
+    const auto off_o = runner.run(off_sc, /*seed=*/42);
+    const core::PipelineResult& off = off_o.r;
     const double off_period = tail_period(off, 2);
 
-    FaultPlan plan_on(/*seed=*/42);
-    plan_on.add(FaultPlan::slow_rank(victim, factor));
-    auto on_pipe = make_pipeline();
-    core::FaultToleranceConfig ft;
-    ft.spares = 1;
-    on_pipe.set_fault_tolerance(ft);
-    on_pipe.set_health(health_on());
-    on_pipe.set_fault_plan(&plan_on);
-    auto on = on_pipe.run(gen, n_cpis, 2, 2);
+    Scenario on_sc = off_sc;
+    on_sc.name = "containment ON";
+    on_sc.ft.spares = 1;
+    on_sc.health = health_on();
+    on_sc.spare_heals = 1;
+    const auto on_o = runner.run(on_sc, /*seed=*/42);
+    const core::PipelineResult& on = on_o.r;
 
-    gate_stream_whole(off, base, "containment OFF");
-    gate_stream_whole(on, base, "containment ON");
-    gate(on.events.count(core::EventKind::kQuarantine) == 1,
+    gate(on.events.count(EventKind::kQuarantine) == 1,
          "containment ON: quarantine count");
     int quarantine_heals = 0;
     index_t resume_cpi = 0;
@@ -279,7 +216,6 @@ int main(int argc, char** argv) {
       if (std::string(e.cause) == "quarantine") {
         ++quarantine_heals;
         gate(e.rank == victim, "containment ON: wrong rank evicted");
-        gate(e.seconds > 0.0, "containment ON: zero MTTR");
         resume_cpi = e.cpi;
         mttr = e.seconds;
       }
@@ -308,88 +244,101 @@ int main(int argc, char** argv) {
     std::printf("  OFF: %.4f s/CPI (%.0f%% of baseline pace), ledger %llu "
                 "slow stages\n",
                 off_period, 100.0 * off_pace,
-                static_cast<unsigned long long>(off.events.count(core::EventKind::kStageSlowdown)));
+                static_cast<unsigned long long>(
+                    off.events.count(EventKind::kStageSlowdown)));
     std::printf("  ON:  quarantined at CPI %ld (MTTR %.6f s), post-recovery "
                 "%.4f s/CPI = %.0f%% of baseline pace\n",
                 static_cast<long>(resume_cpi), mttr, on_period,
                 100.0 * recovered);
-    bench::report_row(bench::row(
+    obs::Json row = bench::row(
         {{"kind", "containment"},
          {"factor", factor},
          {"off_steady_period_s", off_period},
          {"off_pace_vs_baseline", off_pace},
          {"on_steady_period_s", on_period},
          {"recovered_vs_baseline", recovered},
-         {"quarantines", on.events.count(core::EventKind::kQuarantine)},
+         {"quarantines", on.events.count(EventKind::kQuarantine)},
          {"quarantine_mttr_s", mttr},
          {"resume_cpi", resume_cpi},
-         {"flap_suppressed",
-          on.events.count(core::EventKind::kFlapSuppressed)},
-         {"vetoed", on.events.count(core::EventKind::kVetoed)}}));
+         {"flap_suppressed", on.events.count(EventKind::kFlapSuppressed)},
+         {"vetoed", on.events.count(EventKind::kVetoed)}});
+    bench::chaos::add_fields(row, on_o);
+    bench::report_row(std::move(row));
   }
 
   // --- panel 4: flaky link (heavy-tailed jitter) ---------------------------
   if (!smoke) {
-    FaultPlan plan(/*seed=*/7);
-    plan.add(FaultPlan::jitter_edge(kEdgeDopToEasyBf, kTagStride,
-                                    /*scale=*/0.002, /*shape=*/1.2,
-                                    /*cap=*/0.02, /*probability=*/0.5));
-    auto pipe = make_pipeline();
-    pipe.set_health(health_on());
-    pipe.set_fault_plan(&plan);
-    auto r = pipe.run(gen, n_cpis, 2, 2);
-    gate_stream_whole(r, base, "flaky link");
-    gate(r.events.count(core::EventKind::kFrameJittered) > 0, "flaky link: nothing jittered");
+    Scenario sc = whole;
+    sc.name = "flaky link";
+    sc.rules = {FaultPlan::jitter_edge(core::kDopToEasyBf, comm::kTagStride,
+                                       /*scale=*/0.002, /*shape=*/1.2,
+                                       /*cap=*/0.02, /*probability=*/0.5)};
+    sc.health = health_on();
+    const auto o = runner.run(sc, /*seed=*/7);
+    const core::PipelineResult& r = o.r;
+    gate(r.events.count(EventKind::kFrameJittered) > 0,
+         "flaky link: nothing jittered");
     // Delivery wait is queue time, not service time: a flaky link must
     // never read as a slow rank.
-    gate(r.events.count(core::EventKind::kQuarantine) == 0, "flaky link: false quarantine");
+    gate(r.events.count(EventKind::kQuarantine) == 0,
+         "flaky link: false quarantine");
     std::printf("\nflaky link (Pareto jitter, p=0.5): %llu frames "
                 "jittered, %.2f CPI/s, %zu detections, %llu quarantines\n",
-                static_cast<unsigned long long>(r.events.count(core::EventKind::kFrameJittered)),
-                r.throughput, total_dets(r),
-                static_cast<unsigned long long>(r.events.count(core::EventKind::kQuarantine)));
-    bench::report_row(bench::row(
+                static_cast<unsigned long long>(
+                    r.events.count(EventKind::kFrameJittered)),
+                r.throughput, bench::chaos::total_detections(r),
+                static_cast<unsigned long long>(
+                    r.events.count(EventKind::kQuarantine)));
+    obs::Json row = bench::row(
         {{"kind", "flaky_link"},
-         {"frames_jittered", r.events.count(core::EventKind::kFrameJittered)},
+         {"frames_jittered", r.events.count(EventKind::kFrameJittered)},
          {"throughput_cpi_per_s", r.throughput},
          {"throughput_vs_baseline", r.throughput / base.throughput},
-         {"detections", total_dets(r)},
-         {"false_quarantines", r.events.count(core::EventKind::kQuarantine)}}));
+         {"detections", bench::chaos::total_detections(r)},
+         {"false_quarantines", r.events.count(EventKind::kQuarantine)}});
+    bench::chaos::add_fields(row, o);
+    bench::report_row(std::move(row));
   }
 
   // --- panel 5: duplicate storm --------------------------------------------
   {
-    FaultPlan plan(/*seed=*/13);
-    plan.add(FaultPlan::duplicate_edge(kEdgeDopToEasyBf, kTagStride,
-                                       /*probability=*/1.0,
-                                       /*extra_delay=*/0.001));
-    plan.add(FaultPlan::duplicate_edge(kEdgePcToCfar, kTagStride,
-                                       /*probability=*/1.0,
-                                       /*extra_delay=*/0.0));
-    auto pipe = make_pipeline();
-    pipe.set_health(health_on());
-    pipe.set_fault_plan(&plan);
-    auto r = pipe.run(gen, n_cpis, 2, 2);
-    gate_stream_whole(r, base, "duplicate storm");
-    gate(r.events.count(core::EventKind::kFrameDuplicated) > 0, "duplicate storm: no duplicates");
-    gate(r.events.count(core::EventKind::kDupDiscarded) > 0,
-         "duplicate storm: receiver discarded nothing");
-    gate(r.events.count(core::EventKind::kQuarantine) == 0, "duplicate storm: false quarantine");
+    Scenario sc = whole;
+    sc.name = "duplicate storm";
+    sc.rules = {FaultPlan::duplicate_edge(core::kDopToEasyBf,
+                                          comm::kTagStride,
+                                          /*probability=*/1.0,
+                                          /*extra_delay=*/0.001),
+                FaultPlan::duplicate_edge(core::kPcToCfar, comm::kTagStride,
+                                          /*probability=*/1.0,
+                                          /*extra_delay=*/0.0)};
+    sc.health = health_on();
+    const auto o = runner.run(sc, /*seed=*/13);
+    const core::PipelineResult& r = o.r;
+    gate(r.events.count(EventKind::kFrameDuplicated) > 0,
+         "duplicate storm: no duplicates");
+    gate(r.events.count(EventKind::kQuarantine) == 0,
+         "duplicate storm: false quarantine");
     std::printf("\nduplicate storm (2 edges, p=1.0): %llu duplicated, %llu "
                 "discarded by the seq ledger, %zu detections (baseline "
                 "%zu)\n",
-                static_cast<unsigned long long>(r.events.count(core::EventKind::kFrameDuplicated)),
-                static_cast<unsigned long long>(r.events.count(core::EventKind::kDupDiscarded)),
-                total_dets(r), total_dets(base));
-    bench::report_row(bench::row(
+                static_cast<unsigned long long>(
+                    r.events.count(EventKind::kFrameDuplicated)),
+                static_cast<unsigned long long>(
+                    r.events.count(EventKind::kDupDiscarded)),
+                bench::chaos::total_detections(r),
+                bench::chaos::total_detections(base));
+    obs::Json row = bench::row(
         {{"kind", "duplicate_storm"},
-         {"frames_duplicated", r.events.count(core::EventKind::kFrameDuplicated)},
-         {"dup_discarded", r.events.count(core::EventKind::kDupDiscarded)},
+         {"frames_duplicated", r.events.count(EventKind::kFrameDuplicated)},
+         {"dup_discarded", r.events.count(EventKind::kDupDiscarded)},
          {"throughput_cpi_per_s", r.throughput},
-         {"detections", total_dets(r)},
-         {"false_quarantines", r.events.count(core::EventKind::kQuarantine)}}));
+         {"detections", bench::chaos::total_detections(r)},
+         {"false_quarantines", r.events.count(EventKind::kQuarantine)}});
+    bench::chaos::add_fields(row, o);
+    bench::report_row(std::move(row));
   }
 
+  g_failures += runner.failures();
   std::printf("\n%s: %d gate failure%s\n",
               g_failures == 0 ? "PASS" : "FAIL", g_failures,
               g_failures == 1 ? "" : "s");

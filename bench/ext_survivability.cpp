@@ -8,12 +8,14 @@
 // and in correlated pairs, mid-CPI (after part of a CPI's inputs were
 // consumed) and mid-migration (inside an elastic VOTE/VERDICT window) —
 // plus pool-exhaustion scenarios where the death is *expected* to land in
-// the uncovered ledger. Every scenario gates on: zero lost CPIs (each is
-// completed or ledgered as shed), zero duplicated sheds, the expected
-// healing mechanism with a bounded MTTR, and every value-checked CPI
-// matching the fault-free reference (bitwise against a same-assignment
-// parallel baseline where the topology never changes, within float
-// tolerance of the sequential reference otherwise).
+// the uncovered ledger. Every scenario gates on the chaos harness's
+// invariants (chaos.hpp): zero lost CPIs (each is completed or ledgered as
+// shed), zero duplicated sheds, one heal per kill, the expected healing
+// mechanism with a bounded MTTR, and every value-checked CPI matching the
+// fault-free reference (bitwise against a same-assignment parallel
+// baseline unless a shrink re-partitions a group, then within float
+// tolerance of the sequential reference). The throughput panel's healed
+// and reduced-topology runs hold the same invariants.
 //
 // Panel 2 (throughput): a permanent pulse-compression death heals by
 // shrink; the post-commit steady-state throughput must land within 10% of
@@ -21,206 +23,36 @@
 // survivors can sustain). On a host without a core per rank the live
 // delta is scheduler noise and the gate falls back to the simulator's
 // reduced-assignment prediction, exactly like ext_elastic's perf panel.
-#include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_util.hpp"
-#include "comm/fault.hpp"
-#include "core/pipeline.hpp"
-#include "stap/sequential.hpp"
-#include "synth/steering.hpp"
+#include "chaos.hpp"
 
 using namespace ppstap;
+using bench::chaos::protocol_rule;
+using bench::chaos::Scenario;
 using comm::FaultPlan;
 using comm::FaultPoint;
-using comm::FaultRule;
 using comm::FaultType;
-using core::NodeAssignment;
 using stap::Task;
+using namespace core;  // assignments, tag slots and event kinds
 
 namespace {
 
-// Pipeline tag layout (core/pipeline.cpp): tag = cpi * 16 + edge slot.
-constexpr int kTagStride = 16;
-constexpr int kDopToEasyWt = 0;
-constexpr int kDopToHardWt = 1;
-constexpr int kDopToEasyBf = 2;
-constexpr int kDopToHardBf = 3;
-constexpr int kEasyWtToBf = 4;
-constexpr int kHardWtToBf = 5;
-constexpr int kEasyBfToPc = 6;
-constexpr int kHardBfToPc = 7;
-constexpr int kPcToCfar = 8;
-// Elastic protocol slots (core/elastic.cpp).
-constexpr int kVoteSlot = 10;
-constexpr int kVerdictSlot = 11;
-
-int tag_for(index_t cpi, int edge) {
-  return static_cast<int>(cpi) * kTagStride + edge;
+/// Pure admission control (ladder off: output stays exact) with a bounded
+/// queue, so the source stays within a few CPIs of the sink.
+core::OverloadConfig bounded_queue() {
+  core::OverloadConfig ov;
+  ov.enabled = true;
+  ov.ladder = false;
+  ov.queue_low = 2;
+  ov.queue_high = 3;
+  ov.reject_when_full = false;
+  return ov;
 }
-
-struct Setup {
-  stap::StapParams p;
-  synth::ScenarioParams sp;
-
-  static Setup make() {
-    Setup s;
-    s.p = stap::StapParams::small_test();
-    s.p.num_range = 48;
-    s.p.num_channels = 4;
-    s.p.num_pulses = 16;
-    s.p.num_beams = 2;
-    s.p.num_hard = 6;
-    s.p.stagger = 2;
-    s.p.num_segments = 2;
-    s.p.easy_samples_per_cpi = 12;
-    s.p.hard_samples_per_segment = 10;
-    s.p.cfar_ref = 4;
-    s.p.cfar_guard = 1;
-    s.p.validate();
-    s.sp.num_range = s.p.num_range;
-    s.sp.num_channels = s.p.num_channels;
-    s.sp.num_pulses = s.p.num_pulses;
-    s.sp.clutter.num_patches = 6;
-    s.sp.clutter.cnr_db = 35.0;
-    s.sp.chirp_length = 6;
-    s.sp.targets.push_back(synth::Target{21, 8.0 / 16.0, 0.05, 15.0});
-    return s;
-  }
-};
-
-/// Fault-free per-CPI detections from the sequential pipeline, sorted the
-/// way PipelineResult sorts — the float-tolerance reference every
-/// value-checked CPI must reproduce regardless of partitioning.
-std::vector<std::vector<stap::Detection>> sequential_reference(
-    const Setup& f, index_t n_cpis) {
-  synth::ScenarioGenerator gen(f.sp);
-  auto steering = synth::steering_matrix(f.p.num_channels, f.p.num_beams,
-                                         f.p.beam_center_rad,
-                                         f.p.beam_span_rad);
-  stap::SequentialStap seq(f.p, steering, gen.replica());
-  std::vector<std::vector<stap::Detection>> ref;
-  for (index_t cpi = 0; cpi < n_cpis; ++cpi) {
-    auto dets = seq.process(gen.generate(cpi)).detections;
-    std::sort(dets.begin(), dets.end(), [](const auto& x, const auto& y) {
-      return std::tie(x.doppler_bin, x.beam, x.range) <
-             std::tie(y.doppler_bin, y.beam, y.range);
-    });
-    ref.push_back(std::move(dets));
-  }
-  return ref;
-}
-
-bool matches_tolerance(const std::vector<stap::Detection>& got,
-                       const std::vector<stap::Detection>& ref) {
-  if (got.size() != ref.size()) return false;
-  for (size_t i = 0; i < got.size(); ++i) {
-    if (got[i].doppler_bin != ref[i].doppler_bin ||
-        got[i].beam != ref[i].beam || got[i].range != ref[i].range)
-      return false;
-    if (std::abs(got[i].power - ref[i].power) >
-        2e-2f * std::abs(ref[i].power) + 1e-5f)
-      return false;
-  }
-  return true;
-}
-
-bool matches_bitwise(const std::vector<stap::Detection>& got,
-                     const std::vector<stap::Detection>& ref) {
-  if (got.size() != ref.size()) return false;
-  for (size_t i = 0; i < got.size(); ++i)
-    if (got[i].doppler_bin != ref[i].doppler_bin ||
-        got[i].beam != ref[i].beam || got[i].range != ref[i].range ||
-        got[i].power != ref[i].power ||
-        got[i].threshold != ref[i].threshold)
-      return false;
-  return true;
-}
-
-FaultRule proto_kill(FaultPoint point, int rank, int slot) {
-  FaultRule r;
-  r.type = FaultType::kKill;
-  r.point = point;
-  if (point == FaultPoint::kSend) {
-    r.src = rank;
-    r.dest = -1;
-  } else {
-    r.src = -1;
-    r.dest = rank;
-  }
-  r.tag_period = kTagStride;
-  r.tag_phase = slot;
-  // One death per rule: the spare-revived incarnation retries the same
-  // protocol receive and must not be struck down again by the same rule.
-  r.max_applications = 1;
-  return r;
-}
-
-struct Scenario {
-  std::string name;
-  std::array<int, stap::kNumTasks> nodes{{1, 1, 1, 1, 1, 1, 1}};
-  std::vector<FaultRule> rules;
-  index_t n_cpis = 10;
-  // Runtime knobs.
-  int spares = 0;
-  bool heal_shrink = false;
-  bool shedding = true;
-  double deadline_s = 10.0;
-  bool throttle = false;     // bounded-queue recipe (stall-paced shrink)
-  double arrival_s = 0.0;    // arrival-paced recipe (sink-side shrink)
-  double stall_budget_s = 0.0;  // 0: engine default
-  bool migration = false;    // forced PC -> Doppler migration window
-  index_t migrate_at = 4;
-  // Expectations.
-  unsigned kills = 1;
-  int spare_heals = 0;
-  int shrink_heals = 0;
-  int uncovered = 0;
-  bool allow_shed = true;   // false: the whole stream must be shed-free
-  index_t exact_below = -1;  // value-check ceiling (-1: whole stream)
-  bool bitwise = false;      // bitwise vs same-assignment baseline
-  double mttr_bound_s = 10.0;
-  bool smoke = false;        // member of the --smoke subset
-};
-
-/// Fault-free parallel baselines per assignment (the bitwise reference for
-/// scenarios whose topology never changes), built lazily.
-class BaselineCache {
- public:
-  BaselineCache(const Setup& f, const linalg::MatrixCF& steering,
-                const std::vector<cfloat>& replica, index_t n_cpis)
-      : f_(f), steering_(steering), replica_(replica), n_cpis_(n_cpis) {}
-
-  const core::PipelineResult* get(
-      const std::array<int, stap::kNumTasks>& nodes) {
-    auto it = cache_.find(nodes);
-    if (it != cache_.end()) return it->second.get();
-    NodeAssignment a;
-    a.nodes = nodes;
-    synth::ScenarioGenerator gen(f_.sp);
-    core::ParallelStapPipeline pipe(f_.p, a, steering_, replica_);
-    auto res = std::make_unique<core::PipelineResult>(
-        pipe.run(gen, n_cpis_, /*warmup=*/1, /*cooldown=*/1));
-    if (!res->faults.clean()) return nullptr;
-    return cache_.emplace(nodes, std::move(res)).first->second.get();
-  }
-
- private:
-  const Setup& f_;
-  const linalg::MatrixCF& steering_;
-  const std::vector<cfloat>& replica_;
-  index_t n_cpis_;
-  std::map<std::array<int, stap::kNumTasks>,
-           std::unique_ptr<core::PipelineResult>>
-      cache_;
-};
 
 std::vector<Scenario> build_scenarios() {
   std::vector<Scenario> out;
@@ -233,6 +65,12 @@ std::vector<Scenario> build_scenarios() {
   const int hbf = ones.first_rank(Task::kHardBeamform);
   const int pc = ones.first_rank(Task::kPulseCompression);
   const int cfar = ones.first_rank(Task::kCfar);
+
+  // Deadline shedding on with a generous budget unless a scenario says
+  // otherwise.
+  Scenario base;
+  base.ft.shedding = true;
+  base.ft.cpi_deadline_seconds = 10.0;
 
   auto add = [&out](Scenario s) { out.push_back(std::move(s)); };
   auto kill_recv = [](int rank, index_t cpi, int edge) {
@@ -248,102 +86,92 @@ std::vector<Scenario> build_scenarios() {
   // bitwise; a kill at a later receive (mid-CPI) may shed the in-flight
   // CPI whose earlier inputs died with the corpse.
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_easy_wt_recv";
     s.rules = {kill_recv(ewt, 3, kDopToEasyWt)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
     s.allow_shed = false;
-    s.bitwise = true;
     s.smoke = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_hard_wt_recv";
     s.rules = {kill_recv(hwt, 3, kDopToHardWt)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
     s.allow_shed = false;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_easy_wt_recv_cpi0";  // earliest possible death
     s.rules = {kill_recv(ewt, 0, kDopToEasyWt)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
     s.allow_shed = false;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_easy_bf_weight_recv";  // first recv of the CPI
     s.rules = {kill_recv(ebf, 3, kEasyWtToBf)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
     s.allow_shed = false;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_easy_bf_data_recv";  // mid-CPI: weights consumed
     s.rules = {kill_recv(ebf, 3, kDopToEasyBf)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_hard_bf_data_recv";  // mid-CPI: weights consumed
     s.rules = {kill_recv(hbf, 3, kDopToHardBf)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_pc_recv";  // first recv of the CPI
     s.rules = {kill_recv(pc, 3, kEasyBfToPc)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
     s.allow_shed = false;
-    s.bitwise = true;
     s.smoke = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_pc_hard_recv";  // mid-CPI: easy half consumed
     s.rules = {kill_recv(pc, 3, kHardBfToPc)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_cfar_recv";  // the sink's only receive
     s.rules = {kill_recv(cfar, 3, kPcToCfar)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
     s.allow_shed = false;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_cfar_recv_late";  // death near the end of the stream
     s.rules = {kill_recv(cfar, 8, kPcToCfar)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
     s.allow_shed = false;
-    s.bitwise = true;
     add(s);
   }
 
@@ -353,123 +181,106 @@ std::vector<Scenario> build_scenarios() {
   // an undelivered weight send replays from the restored checkpoint) or
   // sheds cleanly through the deadline machinery.
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_doppler_send";  // the coordinator itself dies
     s.rules = {kill_send(dop, 3, kDopToEasyWt)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
-    s.bitwise = true;
     s.smoke = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_doppler_send_bf";
     s.rules = {kill_send(dop, 4, kDopToEasyBf)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_easy_bf_send";
     s.rules = {kill_send(ebf, 3, kEasyBfToPc)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_pc_send";
     s.rules = {kill_send(pc, 3, kPcToCfar)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_hard_wt_send";
     s.rules = {kill_send(hwt, 3, kHardWtToBf)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
-    s.bitwise = true;
     add(s);
   }
 
   // --- correlated pairs, pool of two ----------------------------------------
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "pair_both_weights_same_cpi";
     s.rules = {kill_recv(ewt, 3, kDopToEasyWt),
                kill_recv(hwt, 3, kDopToHardWt)};
-    s.spares = 2;
-    s.kills = 2;
+    s.ft.spares = 2;
     s.spare_heals = 2;
     s.allow_shed = false;
-    s.bitwise = true;
     s.smoke = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "pair_both_bf_same_cpi";
     s.rules = {kill_recv(ebf, 3, kEasyWtToBf),
                kill_recv(hbf, 3, kHardWtToBf)};
-    s.spares = 2;
-    s.kills = 2;
+    s.ft.spares = 2;
     s.spare_heals = 2;
     s.allow_shed = false;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "pair_weight_then_pc";
     s.rules = {kill_recv(ewt, 3, kDopToEasyWt),
                kill_recv(pc, 5, kEasyBfToPc)};
-    s.spares = 2;
-    s.kills = 2;
+    s.ft.spares = 2;
     s.spare_heals = 2;
     s.allow_shed = false;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "pair_doppler_then_cfar";
     s.rules = {kill_send(dop, 3, kDopToEasyWt),
                kill_recv(cfar, 5, kPcToCfar)};
-    s.spares = 2;
-    s.kills = 2;
+    s.ft.spares = 2;
     s.spare_heals = 2;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "pair_bf_staggered";
     s.rules = {kill_recv(ebf, 2, kEasyWtToBf),
                kill_recv(hbf, 6, kHardWtToBf)};
-    s.spares = 2;
-    s.kills = 2;
+    s.ft.spares = 2;
     s.spare_heals = 2;
     s.allow_shed = false;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "spare_same_rank_twice";  // the revived rank dies again
     s.rules = {kill_recv(ewt, 2, kDopToEasyWt),
                kill_recv(ewt, 6, kDopToEasyWt)};
-    s.spares = 2;
-    s.kills = 2;
+    s.ft.spares = 2;
     s.spare_heals = 2;
     s.allow_shed = false;
-    s.bitwise = true;
     s.smoke = true;
     add(s);
   }
@@ -478,28 +289,33 @@ std::vector<Scenario> build_scenarios() {
   // A forced PC -> Doppler migration is in flight when the kill lands on
   // the protocol's own VOTE/VERDICT traffic. The spare must heal the death
   // AND the attempt must resolve (committed or rolled back, never wedged);
-  // which way it resolves is a legal race. A commit re-partitions the
-  // migratable groups, so the value check is float-tolerance only.
+  // which way it resolves is a legal race. A commit moves a rank between
+  // groups without changing any CPI's arithmetic, so surviving CPIs stay
+  // bitwise. One death per rule: the spare-revived incarnation retries the
+  // same protocol receive and must not be struck down again.
   {
     // Two-rank Doppler and PC groups so the migration is legal: ranks are
     // dop {0,1}, ewt 2, hwt 3, ebf 4, hbf 5, pc {6,7}, cfar 8.
     const std::array<int, stap::kNumTasks> mig{{2, 1, 1, 1, 1, 2, 1}};
-    Scenario s;
+    Scenario s = base;
     s.nodes = mig;
     s.n_cpis = 12;
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
-    s.migration = true;
-    s.stall_budget_s = 2.0;
+    s.el.forced.push_back({4, Task::kPulseCompression, Task::kDopplerFilter});
+    s.el.stall_budget_seconds = 2.0;
     s.name = "mig_kill_migrating_at_vote";
-    s.rules = {proto_kill(FaultPoint::kSend, 7, kVoteSlot)};
+    s.rules = {protocol_rule(FaultType::kKill, FaultPoint::kSend, 7, -1,
+                             kVoteSlot, /*max_applications=*/1)};
     s.smoke = true;
     add(s);
     s.name = "mig_kill_easy_wt_at_vote";
-    s.rules = {proto_kill(FaultPoint::kSend, 2, kVoteSlot)};
+    s.rules = {protocol_rule(FaultType::kKill, FaultPoint::kSend, 2, -1,
+                             kVoteSlot, /*max_applications=*/1)};
     add(s);
     s.name = "mig_kill_hard_bf_at_verdict";
-    s.rules = {proto_kill(FaultPoint::kRecv, 5, kVerdictSlot)};
+    s.rules = {protocol_rule(FaultType::kKill, FaultPoint::kRecv, -1, 5,
+                             kVerdictSlot, /*max_applications=*/1)};
     add(s);
   }
 
@@ -510,30 +326,30 @@ std::vector<Scenario> build_scenarios() {
   // sink so the death is seen while a barrier still fits in the stream,
   // and the shed deadline paces the stranded ranks toward it.
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "shrink_pc_to_survivor";
     s.nodes = {{1, 1, 1, 1, 1, 2, 1}};  // pc {5,6}, cfar 7
     s.rules = {kill_recv(5, 3, kEasyBfToPc)};
     s.n_cpis = 14;
-    s.heal_shrink = true;
-    s.deadline_s = 1.5;
-    s.throttle = true;
-    s.stall_budget_s = 15.0;
+    s.ft.heal_shrink = true;
+    s.ft.cpi_deadline_seconds = 1.5;
+    s.ov = bounded_queue();
+    s.el.stall_budget_seconds = 15.0;
     s.shrink_heals = 1;
     s.mttr_bound_s = 30.0;
     s.smoke = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "shrink_doppler_to_survivor";
     s.nodes = {{2, 1, 1, 1, 1, 1, 1}};  // dop {0,1}; 1 is not coordinator
     s.rules = {kill_send(1, 3, kDopToEasyWt)};
     s.n_cpis = 14;
-    s.heal_shrink = true;
-    s.deadline_s = 1.5;
-    s.throttle = true;
-    s.stall_budget_s = 15.0;
+    s.ft.heal_shrink = true;
+    s.ft.cpi_deadline_seconds = 1.5;
+    s.ov = bounded_queue();
+    s.el.stall_budget_seconds = 15.0;
     s.shrink_heals = 1;
     s.mttr_bound_s = 30.0;
     // A Doppler outage starves the adaptive weight training (easy: pooled
@@ -549,14 +365,16 @@ std::vector<Scenario> build_scenarios() {
     // front-end arrivals bound the source's progress by wall time instead,
     // and quorum completion at the surviving CFAR rank keeps the stream
     // draining (as ledgered sheds) until the shrink commits.
-    Scenario s;
+    Scenario s = base;
     s.name = "shrink_cfar_to_survivor";
     s.nodes = {{1, 1, 1, 1, 1, 1, 2}};  // cfar {6,7}
     s.rules = {kill_recv(7, 3, kPcToCfar)};
     s.n_cpis = 14;
-    s.heal_shrink = true;
-    s.arrival_s = 0.12;
-    s.stall_budget_s = 15.0;
+    s.ft.heal_shrink = true;
+    s.ov.enabled = true;
+    s.ov.ladder = false;  // pure admission control: output stays exact
+    s.ov.arrival_period_seconds = 0.12;
+    s.el.stall_budget_seconds = 15.0;
     s.shrink_heals = 1;
     s.mttr_bound_s = 30.0;
     add(s);
@@ -569,12 +387,11 @@ std::vector<Scenario> build_scenarios() {
   // uncovered ledger with its CPIs shed — never a wedge, never a silent
   // loss.
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "exhaust_second_weight_death";
     s.rules = {kill_recv(hwt, 2, kDopToHardWt),
                kill_recv(ewt, 5, kDopToEasyWt)};
-    s.spares = 1;
-    s.kills = 2;
+    s.ft.spares = 1;
     s.spare_heals = 1;
     s.uncovered = 1;
     // Stale-weight degradation after the uncovered weight death: only the
@@ -584,31 +401,30 @@ std::vector<Scenario> build_scenarios() {
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "uncovered_sole_pc_death";
     s.rules = {kill_recv(pc, 3, kEasyBfToPc)};
-    s.deadline_s = 1.0;
+    s.ft.cpi_deadline_seconds = 1.0;
     s.uncovered = 1;
     s.exact_below = 3;
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "uncovered_bf_despite_shrink_armed";  // BF is not migratable
     s.rules = {kill_recv(ebf, 3, kDopToEasyBf)};
     s.n_cpis = 8;
-    s.heal_shrink = true;
-    s.deadline_s = 0.5;
+    s.ft.heal_shrink = true;
+    s.ft.cpi_deadline_seconds = 0.5;
     s.uncovered = 1;
     s.exact_below = 3;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "uncovered_cfar_sink_death";  // the sink itself dies
     s.rules = {kill_recv(cfar, 3, kPcToCfar)};
-    s.deadline_s = 1.0;
+    s.ft.cpi_deadline_seconds = 1.0;
     s.uncovered = 1;
     s.exact_below = 3;
     add(s);
@@ -616,266 +432,71 @@ std::vector<Scenario> build_scenarios() {
 
   // --- kills composed with message faults -----------------------------------
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "combo_kill_plus_corrupt";
     s.rules = {kill_recv(hwt, 3, kDopToHardWt),
                FaultPlan::corrupt_message(dop, ebf, tag_for(5, kDopToEasyBf),
                                           /*max_applications=*/1)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
     s.allow_shed = false;  // the corruption is repaired by retransmission
-    s.bitwise = true;
     s.smoke = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "combo_kill_plus_drop";
     s.rules = {kill_recv(ewt, 3, kDopToEasyWt),
                FaultPlan::drop_message(dop, ebf, tag_for(6, kDopToEasyBf))};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;  // the dropped frame sheds its CPI, nothing more
-    s.bitwise = true;
     add(s);
   }
   {
-    Scenario s;
+    Scenario s = base;
     s.name = "combo_kill_plus_delay";
     s.rules = {kill_recv(pc, 3, kEasyBfToPc),
                FaultPlan::delay_message(dop, hbf, tag_for(5, kDopToHardBf),
                                         0.2)};
-    s.spares = 1;
+    s.ft.spares = 1;
     s.spare_heals = 1;
     s.allow_shed = false;  // the delay is well inside the deadline
-    s.bitwise = true;
     add(s);
   }
   return out;
 }
 
 int run_soak_panel(bool smoke) {
-  auto setup = Setup::make();
-  auto steering = synth::steering_matrix(
-      setup.p.num_channels, setup.p.num_beams, setup.p.beam_center_rad,
-      setup.p.beam_span_rad);
-  synth::ScenarioGenerator gen0(setup.sp);
-  const std::vector<cfloat> replica{gen0.replica().begin(),
-                                    gen0.replica().end()};
-
   bench::print_header(smoke ? "Survivability soak (smoke subset)"
                             : "Survivability soak (full matrix)");
-
-  auto scenarios = build_scenarios();
-  index_t max_cpis = 0;
-  for (const auto& sc : scenarios) max_cpis = std::max(max_cpis, sc.n_cpis);
-  const auto ref = sequential_reference(setup, max_cpis);
-  BaselineCache baselines(setup, steering, replica, max_cpis);
-
-  std::printf("%-32s %5s %5s %6s %4s %5s %8s\n", "scenario", "spare",
-              "shrnk", "uncov", "shed", "exact", "mttr(s)");
-  int failures = 0;
-  size_t ran = 0;
-  double worst_mttr = 0.0;
-  for (size_t si = 0; si < scenarios.size(); ++si) {
-    const Scenario& sc = scenarios[si];
-    if (smoke && !sc.smoke) continue;
-    ++ran;
-    FaultPlan plan(/*seed=*/0x51ab1e00 + si);
-    for (const auto& r : sc.rules) plan.add(r);
-
-    NodeAssignment a;
-    a.nodes = sc.nodes;
-    synth::ScenarioGenerator gen(setup.sp);
-    core::ParallelStapPipeline pipe(setup.p, a, steering, replica);
-    core::FaultToleranceConfig ft;
-    ft.spares = sc.spares;
-    ft.heal_shrink = sc.heal_shrink;
-    ft.shedding = sc.shedding;
-    ft.cpi_deadline_seconds = sc.deadline_s;
-    pipe.set_fault_tolerance(ft);
-    pipe.set_fault_plan(&plan);
-    if (sc.throttle || sc.arrival_s > 0.0) {
-      core::OverloadConfig ov;
-      ov.enabled = true;
-      ov.ladder = false;  // pure admission control: output stays exact
-      if (sc.throttle) {
-        ov.queue_low = 2;
-        ov.queue_high = 3;
-        ov.reject_when_full = false;
-      }
-      ov.arrival_period_seconds = sc.arrival_s;
-      pipe.set_overload(ov);
-    }
-    if (sc.stall_budget_s > 0.0 || sc.migration) {
-      core::ElasticConfig el;
-      if (sc.stall_budget_s > 0.0)
-        el.stall_budget_seconds = sc.stall_budget_s;
-      if (sc.migration)
-        pipe.set_elastic([&] {
-          el.forced.push_back(core::ForcedMigration{
-              sc.migrate_at, Task::kPulseCompression, Task::kDopplerFilter});
-          return el;
-        }());
-      else
-        pipe.set_elastic(el);
-    }
-    auto res = pipe.run(gen, sc.n_cpis, /*warmup=*/1, /*cooldown=*/1);
-
-    bool ok = true;
-    std::string why;
-    auto fail = [&](std::string w) {
-      if (ok) why = std::move(w);
-      ok = false;
-    };
-
-    // Stream accounting: the sink saw every CPI.
-    if (res.detections.size() != static_cast<size_t>(sc.n_cpis) ||
-        res.completion_times.size() != static_cast<size_t>(sc.n_cpis))
-      fail("stream size mismatch");
-    const auto& ev = res.events;
-    const std::uint64_t kills = ev.count(core::EventKind::kKill);
-    const auto spares = static_cast<int>(ev.count(core::EventKind::kHealSpare));
-    const auto shrinks =
-        static_cast<int>(ev.count(core::EventKind::kHealShrink));
-    const auto uncovered =
-        static_cast<int>(ev.count(core::EventKind::kHealUncovered));
-    if (kills != sc.kills) fail("kill count mismatch");
-
-    // Healing records: exactly the expected mechanisms, each repair with a
-    // positive MTTR inside the scenario's bound.
-    if (spares != sc.spare_heals) fail("spare takeover count mismatch");
-    if (shrinks != sc.shrink_heals) fail("shrink count mismatch");
-    if (uncovered != sc.uncovered) fail("uncovered count mismatch");
-    double max_mttr = 0.0;
-    for (const auto& h : ev.heals()) {
-      if (h.kind == core::EventKind::kHealUncovered) continue;
-      if (!(h.seconds > 0.0 && h.seconds <= sc.mttr_bound_s))
-        fail("mttr out of bounds");
-      if (h.kind == core::EventKind::kHealShrink &&
-          !(h.cpi > 0 && h.cpi < sc.n_cpis - 1))
-        fail("shrink barrier outside the stream");
-      max_mttr = std::max(max_mttr, h.seconds);
-    }
-    worst_mttr = std::max(worst_mttr, max_mttr);
-
-    // A migration window in flight must resolve, never wedge (an attempt
-    // still pending when the stream drains is recorded as rolled back).
-    if (sc.migration && ev.migrations().empty())
-      fail("no migration attempt");
-
-    // Every shed CPI has exactly one recorded origin.
-    for (index_t c : res.faults.shed_cpis)
-      if (ev.shed_cause(c) == nullptr) fail("shed CPI without a cause");
-
-    // Shed ledger: no duplicates, no out-of-range entries, no detections
-    // on a shed CPI, and none at all where the scenario promises a
-    // shed-free stream.
-    std::vector<bool> shed(static_cast<size_t>(sc.n_cpis), false);
-    for (index_t c : res.faults.shed_cpis) {
-      const auto k = static_cast<size_t>(c);
-      if (k >= shed.size() || shed[k]) {
-        fail("duplicate/out-of-range shed");
-        continue;
-      }
-      shed[k] = true;
-    }
-    if (!sc.allow_shed && !res.faults.shed_cpis.empty())
-      fail("unexpected shed");
-
-    // Zero lost CPIs, and every surviving CPI reproduces the fault-free
-    // reference.
-    const core::PipelineResult* base =
-        sc.bitwise ? baselines.get(sc.nodes) : nullptr;
-    if (sc.bitwise && base == nullptr) fail("baseline run not clean");
-    const index_t check_below =
-        sc.exact_below >= 0 ? sc.exact_below : sc.n_cpis;
-    size_t exact = 0;
-    for (index_t cpi = 0; ok && cpi < sc.n_cpis; ++cpi) {
-      const auto k = static_cast<size_t>(cpi);
-      if (shed[k]) {
-        if (!res.detections[k].empty())
-          fail("shed CPI " + std::to_string(cpi) + " has detections");
-        continue;
-      }
-      if (res.completion_times[k] <= 0.0) {
-        fail("lost CPI " + std::to_string(cpi));
-        break;
-      }
-      if (cpi >= check_below) continue;
-      const bool good =
-          base != nullptr
-              ? matches_bitwise(res.detections[k], base->detections[k])
-              : matches_tolerance(res.detections[k], ref[k]);
-      if (!good) {
-        fail("CPI " + std::to_string(cpi) + " does not match reference");
-        break;
-      }
-      ++exact;
-    }
-
-    std::printf("%-32s %5d %5d %6d %4zu %5zu %8.3f %s%s\n", sc.name.c_str(),
-                spares, shrinks, uncovered, res.faults.shed_cpis.size(), exact,
-                max_mttr, ok ? "ok" : "FAIL ", ok ? "" : why.c_str());
-    bench::report_row(
-        bench::row({{"kind", "soak"},
-                    {"scenario", sc.name},
-                    {"kills", kills},
-                    {"spare_heals", spares},
-                    {"shrink_heals", shrinks},
-                    {"uncovered", uncovered},
-                    {"shed_cpis", res.faults.shed_cpis.size()},
-                    {"exact_cpis", exact},
-                    {"max_mttr_s", max_mttr},
-                    {"retransmissions", res.faults.retransmissions},
-                    {"pass", ok ? 1 : 0}}));
-    if (!ok) ++failures;
-  }
-
-  std::printf("\n%zu scenarios, %d failed, worst MTTR %.3f s\n", ran,
-              failures, worst_mttr);
+  bench::chaos::Runner runner(bench::chaos::small_fixture());
+  const auto t = bench::chaos::run_table(runner, build_scenarios(),
+                                         /*seed_base=*/0x51ab1e00, smoke,
+                                         "soak");
   bench::report_row(bench::row({{"kind", "soak_summary"},
-                                {"scenarios", ran},
-                                {"failures", failures},
-                                {"mttr", worst_mttr}}));
-  if (!smoke && ran < 30) {
+                                {"scenarios", t.ran},
+                                {"failures", runner.failures()},
+                                {"mttr", t.worst_mttr}}));
+  if (!smoke && t.ran < 30) {
     std::printf("FAIL: the soak matrix must cover >= 30 scenarios\n");
     return 1;
   }
-  return failures == 0 ? 0 : 1;
+  return runner.failures() == 0 ? 0 : 1;
 }
 
 // ---------------------------------------------------------------------------
 // Panel 2: post-shrink throughput vs the reduced-topology prediction
 // ---------------------------------------------------------------------------
 
-/// Median inter-completion gap over completion-time indices [lo, hi).
-double median_gap(const std::vector<double>& completion, index_t lo,
-                  index_t hi) {
-  std::vector<double> gaps;
-  for (index_t i = std::max<index_t>(lo, 1); i < hi; ++i) {
-    const auto k = static_cast<size_t>(i);
-    if (completion[k] > 0.0 && completion[k - 1] > 0.0)
-      gaps.push_back(completion[k] - completion[k - 1]);
-  }
-  if (gaps.empty()) return 0.0;
-  auto mid = gaps.begin() + static_cast<std::ptrdiff_t>(gaps.size() / 2);
-  std::nth_element(gaps.begin(), mid, gaps.end());
-  return *mid;
-}
-
 int run_throughput_panel() {
-  auto setup = Setup::make();
   // Heavier range axis so per-CPI compute dominates scheduling noise in
   // the gap estimates.
-  setup.p.num_range = 256;
-  setup.p.validate();
-  setup.sp.num_range = setup.p.num_range;
-  auto steering = synth::steering_matrix(
-      setup.p.num_channels, setup.p.num_beams, setup.p.beam_center_rad,
-      setup.p.beam_span_rad);
-  synth::ScenarioGenerator gen0(setup.sp);
-  const std::vector<cfloat> replica{gen0.replica().begin(),
-                                    gen0.replica().end()};
+  bench::chaos::Fixture f = bench::chaos::small_fixture();
+  f.p.num_range = 256;
+  f.p.validate();
+  f.sp.num_range = f.p.num_range;
+  bench::chaos::Runner runner(std::move(f));
+  const auto& p = runner.fixture().p;
 
   NodeAssignment a;
   a.nodes = {{1, 1, 1, 1, 1, 2, 1}};
@@ -887,61 +508,47 @@ int run_throughput_panel() {
   bench::print_header(
       "Post-shrink throughput vs the reduced-topology prediction");
 
-  FaultPlan plan(/*seed=*/0x51ab1eff);
-  plan.add(FaultPlan::kill_on_recv(a.first_rank(Task::kPulseCompression),
-                                   tag_for(kill_cpi, kEasyBfToPc)));
-
-  synth::ScenarioGenerator gen(setup.sp);
-  core::ParallelStapPipeline pipe(setup.p, a, steering, replica);
-  core::FaultToleranceConfig ft;
-  ft.heal_shrink = true;
-  ft.shedding = true;
-  ft.cpi_deadline_seconds = 1.5;
-  pipe.set_fault_tolerance(ft);
-  pipe.set_fault_plan(&plan);
-  core::ElasticConfig el;
-  el.stall_budget_seconds = 15.0;
-  pipe.set_elastic(el);
-  core::OverloadConfig ov;
-  ov.enabled = true;
-  ov.ladder = false;
-  ov.queue_low = 2;
-  ov.queue_high = 3;
-  ov.reject_when_full = false;
-  pipe.set_overload(ov);
-  auto res = pipe.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
-
-  const auto shrink_heals = res.events.of(core::EventKind::kHealShrink);
-  if (shrink_heals.size() != 1 ||
-      res.events.count(core::EventKind::kHealUncovered) != 0) {
-    std::printf("FAIL: the death did not heal by shrink\n");
-    return 1;
-  }
-  const auto shrink_ev = shrink_heals[0];
+  Scenario healed;
+  healed.name = "shrink_pc_throughput";
+  healed.nodes = a.nodes;
+  healed.rules = {FaultPlan::kill_on_recv(
+      a.first_rank(Task::kPulseCompression), tag_for(kill_cpi, kEasyBfToPc))};
+  healed.n_cpis = n_cpis;
+  healed.ft.heal_shrink = true;
+  healed.ft.shedding = true;
+  healed.ft.cpi_deadline_seconds = 1.5;
+  healed.el.stall_budget_seconds = 15.0;
+  healed.ov = bounded_queue();
+  healed.shrink_heals = 1;
+  healed.mttr_bound_s = 30.0;
+  const auto res = runner.run(healed, /*seed=*/0x51ab1eff);
+  if (!res.ok()) return 1;
+  const Event shrink_ev = res.r.events.of(EventKind::kHealShrink)[0];
 
   // The reduced-topology prediction: a fault-free run on the survivor
   // assignment under the identical admission regime, measured over the
   // same absolute CPI window.
-  synth::ScenarioGenerator gen_red(setup.sp);
-  core::ParallelStapPipeline red(setup.p, a_red, steering, replica);
-  red.set_overload(ov);
-  auto rr = red.run(gen_red, n_cpis, /*warmup=*/1, /*cooldown=*/1);
-  if (!rr.faults.clean()) {
-    std::printf("FAIL: reduced-topology reference run is not clean\n");
-    return 1;
-  }
+  Scenario reduced;
+  reduced.name = "reduced_topology";
+  reduced.nodes = a_red.nodes;
+  reduced.n_cpis = n_cpis;
+  reduced.ov = healed.ov;
+  reduced.allow_shed = false;
+  const auto rr = runner.run(reduced, /*seed=*/0x51ab1eff);
+  if (!rr.ok()) return 1;
 
   const index_t lo = shrink_ev.cpi + 2;
   const index_t hi = n_cpis - 1;
-  const double gap_healed = median_gap(res.completion_times, lo, hi);
-  const double gap_red = median_gap(rr.completion_times, lo, hi);
+  const double gap_healed =
+      bench::median_gap(res.r.completion_times, lo, hi);
+  const double gap_red = bench::median_gap(rr.r.completion_times, lo, hi);
   const double ratio =
       gap_red > 0.0 && gap_healed > 0.0 ? gap_healed / gap_red : 0.0;
 
   // Simulator cross-check on the same assignments (and the fallback gate
   // on a host whose ranks timeshare cores: there the live gaps measure the
   // scheduler, not the topology).
-  core::PipelineSimulator sim(setup.p, core::ParagonParams::calibrated());
+  PipelineSimulator sim(p, ParagonParams::calibrated());
   const auto sim_full = sim.simulate(a);
   const auto sim_red = sim.simulate(a_red);
   const double sim_ratio = sim_red.throughput_measured > 0.0

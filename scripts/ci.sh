@@ -44,6 +44,12 @@
 #   6. Overload bench: ext_overload sweeps offered load vs policy and
 #      writes BENCH_overload.json; its exit code asserts the degradation
 #      ladder beats shed-only admission at 2x load.
+#  6b. Fault-tolerance bench: ext_fault_tolerance's delay sweep,
+#      corruption sweep and spare failover run through the chaos harness
+#      (bench/chaos.hpp); its exit code asserts the harness invariants on
+#      every run (no lost CPI, recorded sheds, one heal per kill, bitwise
+#      output apart from sheds). Gated on the exit code only: its numbers
+#      have no committed baseline.
 #   7. ABFT job: the abft-labelled integrity suite (clean-run invariant
 #      pass + per-stage injected-flip detection) reruns under the ASan
 #      build — recompute-and-swap is exactly where a dangling buffer would
@@ -58,25 +64,31 @@
 #      writes BENCH_elastic.json; its exit code asserts the >= 5%
 #      steady-state throughput gain (live where cores allow, else the sim
 #      prediction for the identical plan), the <= 2x-sim-transient stall,
-#      and 20+ chaos scenarios all ending commit-or-clean-rollback with
-#      bit-exact surviving CPIs.
+#      and 20+ chaos scenarios, run through the chaos harness, all ending
+#      commit-or-clean-rollback with bit-exact surviving CPIs.
 #   9. Survivability job: the ext_survivability smoke subset (spare
 #      takeovers of every role, correlated kills, a mid-migration kill, a
 #      shrink, an expected-exhaustion case) reruns under the TSan build —
 #      death notification, mailbox takeover, and the shrink commit cross
-#      every thread — then the full 34-scenario soak runs on the Release
-#      build and writes BENCH_survivability.json; its exit code asserts
-#      zero lost/duplicated CPIs, the expected healing mechanism with
-#      bounded MTTR in every scenario, uncovered entries only where pool
-#      exhaustion is the scenario's point, and post-shrink throughput
-#      within 10% of the reduced-topology prediction.
+#      every thread, and the smoke run covers the chaos harness (runner,
+#      reference cache, invariant check) too — then the full 34-scenario
+#      soak runs on the Release build and writes BENCH_survivability.json;
+#      its exit code asserts the harness invariants in every scenario (zero
+#      lost/duplicated CPIs, one heal per kill, the expected healing
+#      mechanism with bounded MTTR, uncovered entries only where pool
+#      exhaustion is the scenario's point, bitwise or tolerance-checked
+#      output) and post-shrink throughput within 10% of the
+#      reduced-topology prediction.
 #  10. Gray-failure job: test_health (detector state machine, e2e
 #      quarantine) and the ext_grayfail smoke subset rerun under the TSan
 #      build — the monitor's observe/scan/quarantine-flag handshake crosses
-#      every rank thread per CPI — then the full chaos suite (slowdown
+#      every rank thread per CPI, and the smoke run exercises the chaos
+#      harness on this fixture — then the full chaos suite (slowdown
 #      sweep, containment ON/OFF, flaky link, duplicate storm) runs on the
 #      Release build and writes BENCH_grayfail.json; its exit code asserts
-#      zero lost/duplicated CPIs under every injection, containment
+#      the harness invariants under every injection (zero lost/duplicated
+#      CPIs, every duplicate discarded, every CPI bitwise equal to the
+#      clean baseline), containment
 #      recovering >= 90% of the clean baseline pace under a persistent
 #      straggler, and zero false quarantines on clean runs.
 #  11. Live-pipeline benchmark smoke: builds livebench/ (its own
@@ -170,6 +182,9 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
 
 echo "=== bench: overload ladder vs shed-only (BENCH_overload.json) ==="
 ./build/bench/ext_overload --json BENCH_overload.json
+
+echo "=== fault tolerance: chaos-harness invariants (exit code only) ==="
+./build/bench/ext_fault_tolerance
 
 echo "=== ABFT: integrity suite under ASan + BENCH_abft.json ==="
 cmake --build build-asan -j "$JOBS" --target test_integrity

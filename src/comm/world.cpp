@@ -37,7 +37,7 @@ void corrupt_copy(std::vector<std::byte>& bytes, std::uint64_t salt) {
 /// everything else (protocol slots, test traffic, negative tags) shares the
 /// last bucket.
 int retry_bucket(int tag) {
-  const int slot = tag % 16;
+  const int slot = tag % kTagStride;
   return slot >= 0 && slot < kRetryEdgeBuckets - 1 ? slot
                                                    : kRetryEdgeBuckets - 1;
 }

@@ -58,9 +58,12 @@ class FaultPlan;
 /// on a deadline receive, fatal otherwise).
 inline constexpr int kMaxRetransmitAttempts = 5;
 
+/// Pipeline message tags are cpi * kTagStride + slot (core/tags.hpp).
+inline constexpr int kTagStride = 16;
+
 /// Tag-slot buckets for the per-edge retry histogram: slots 0-8 are the
-/// Fig. 4 data edges (tag = cpi * 16 + slot, see pipeline.cpp tag_for),
-/// bucket 9 aggregates everything else (protocol slots, test traffic).
+/// Fig. 4 data edges, bucket 9 aggregates everything else (protocol slots,
+/// test traffic).
 inline constexpr int kRetryEdgeBuckets = 10;
 
 /// Thrown inside a rank when a FaultPlan kKill rule fires (before the

@@ -12,6 +12,7 @@
 #include "common/checksum.hpp"
 #include "common/env.hpp"
 #include "common/timer.hpp"
+#include "core/tags.hpp"
 #include "obs/critical_path.hpp"
 #include "obs/trace.hpp"
 
@@ -21,19 +22,9 @@ namespace {
 
 using stap::Task;
 
-// Control-message tag slots. Data edges use slots 0-8 of the per-CPI tag
-// stride (pipeline.cpp tag_for); the migration protocol takes 10 and 11,
-// keyed by the barrier CPI so retries at a later barrier can never match a
-// stale attempt's frames.
-constexpr int kTagStride = 16;
-constexpr int kVoteSlot = 10;
-constexpr int kVerdictSlot = 11;
-
-int vote_tag(index_t barrier_cpi) {
-  return static_cast<int>(barrier_cpi) * kTagStride + kVoteSlot;
-}
+int vote_tag(index_t barrier_cpi) { return tag_for(barrier_cpi, kVoteSlot); }
 int verdict_tag(index_t barrier_cpi) {
-  return static_cast<int>(barrier_cpi) * kTagStride + kVerdictSlot;
+  return tag_for(barrier_cpi, kVerdictSlot);
 }
 
 struct VotePayload {

@@ -27,6 +27,7 @@
 #include "core/elastic.hpp"
 #include "core/overload.hpp"
 #include "core/sim.hpp"
+#include "core/tags.hpp"
 #include "cube/partition.hpp"
 #include "obs/trace.hpp"
 #include "stap/beamform.hpp"
@@ -44,25 +45,7 @@ using cube::BlockPartition;
 using linalg::MatrixCF;
 using stap::Task;
 
-// Inter-task edges (arrows of paper Fig. 4, spatial dependencies only; the
-// temporal dependencies TD_{1,3}/TD_{2,4} are realized through the +1 CPI
-// tag offset on the weight edges).
-enum Edge : int {
-  kDopToEasyWt = 0,
-  kDopToHardWt = 1,
-  kDopToEasyBf = 2,
-  kDopToHardBf = 3,
-  kEasyWtToBf = 4,
-  kHardWtToBf = 5,
-  kEasyBfToPc = 6,
-  kHardBfToPc = 7,
-  kPcToCfar = 8,
-};
-constexpr int kEdgeCount = 16;  // tag stride (power of two headroom)
-
-int tag_for(index_t cpi, Edge e) {
-  return static_cast<int>(cpi) * kEdgeCount + static_cast<int>(e);
-}
+static_assert(kPcToCfar + 1 == kNumPipelineEdges);
 
 // Slice of an ordered item list owned by part `p` of a partition.
 template <typename T>

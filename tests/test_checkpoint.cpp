@@ -9,6 +9,7 @@
 #include "comm/fault.hpp"
 #include "common/rng.hpp"
 #include "core/pipeline.hpp"
+#include "core/tags.hpp"
 #include "linalg/serialize.hpp"
 #include "stap/sequential.hpp"
 #include "synth/scenario.hpp"
@@ -190,10 +191,8 @@ TEST(Checkpoint, DigestContinuityAcrossSpareFailover) {
   core::NodeAssignment a;  // all ones: one rank per task plus the spare
   const int victim = a.first_rank(stap::Task::kHardWeight);
   comm::FaultPlan plan;
-  // Pipeline tag layout (pipeline.cpp): tag = cpi * 16 + edge, and the
-  // Doppler -> hard-weight training edge is 1.
   plan.add(comm::FaultPlan::kill_on_recv(
-      victim, static_cast<int>(kill_cpi) * 16 + 1));
+      victim, core::tag_for(kill_cpi, core::kDopToHardWt)));
 
   core::ParallelStapPipeline par(
       f.p, a, f.steering(), {gen.replica().begin(), gen.replica().end()});

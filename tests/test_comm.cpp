@@ -676,7 +676,7 @@ TEST(FaultInjection, SenderDeathDuringInFlightRetransmission) {
   });
   EXPECT_TRUE(world.rank_dead(0));
   // The exhausted budget is recorded in the overflow slot of edge
-  // bucket 9 (tag 9 < kEdgeCount).
+  // bucket 9 (tag 9 < kTagStride).
   EXPECT_EQ(world.last_stats()[1].retry_histogram[9][kMaxRetransmitAttempts],
             1u);
 }
@@ -787,7 +787,7 @@ TEST(FaultInjection, DuplicateStormDeliversEachPayloadOnce) {
   constexpr int kMessages = 16;
   World world(2);
   FaultPlan plan;
-  plan.add(FaultPlan::duplicate_edge(/*edge=*/5, /*tag_stride=*/16,
+  plan.add(FaultPlan::duplicate_edge(/*edge=*/5, kTagStride,
                                      /*probability=*/1.0,
                                      /*extra_delay=*/0.002));
   world.set_fault_plan(&plan);
@@ -795,17 +795,17 @@ TEST(FaultInjection, DuplicateStormDeliversEachPayloadOnce) {
     if (c.rank() == 0) {
       for (int i = 0; i < kMessages; ++i) {
         std::vector<int> v = {100 + i};
-        c.send<int>(1, 5 + 16 * i, v);
+        c.send<int>(1, 5 + kTagStride * i, v);
       }
       c.barrier();
     } else {
       for (int i = 0; i < kMessages; ++i)
-        EXPECT_EQ(c.recv<int>(0, 5 + 16 * i)[0], 100 + i);
+        EXPECT_EQ(c.recv<int>(0, 5 + kTagStride * i)[0], 100 + i);
       c.barrier();
       // Wait out the duplicates' extra delay, then prove none surfaces.
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       for (int i = 0; i < kMessages; ++i)
-        EXPECT_FALSE(c.try_recv<int>(0, 5 + 16 * i).has_value());
+        EXPECT_FALSE(c.try_recv<int>(0, 5 + kTagStride * i).has_value());
     }
   });
   EXPECT_EQ(plan.stats().duplicated, static_cast<std::uint64_t>(kMessages));
@@ -816,7 +816,7 @@ TEST(FaultInjection, DuplicateStormDeliversEachPayloadOnce) {
 TEST(FaultInjection, JitterDelaysButDeliversIntact) {
   World world(2);
   FaultPlan plan;
-  plan.add(FaultPlan::jitter_edge(/*edge=*/3, /*tag_stride=*/16,
+  plan.add(FaultPlan::jitter_edge(/*edge=*/3, kTagStride,
                                   /*scale=*/0.005, /*shape=*/1.5,
                                   /*cap=*/0.02));
   world.set_fault_plan(&plan);
@@ -824,12 +824,12 @@ TEST(FaultInjection, JitterDelaysButDeliversIntact) {
     if (c.rank() == 0) {
       for (int i = 0; i < 8; ++i) {
         std::vector<int> v = {i};
-        c.send<int>(1, 3 + 16 * i, v);
+        c.send<int>(1, 3 + kTagStride * i, v);
       }
     } else {
       // Blocking recv rides out the heavy-tailed delay; payloads intact.
       for (int i = 0; i < 8; ++i)
-        EXPECT_EQ(c.recv<int>(0, 3 + 16 * i)[0], i);
+        EXPECT_EQ(c.recv<int>(0, 3 + kTagStride * i)[0], i);
     }
   });
   EXPECT_EQ(plan.stats().jittered, 8u);

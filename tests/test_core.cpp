@@ -17,6 +17,7 @@
 #include "core/assignment.hpp"
 #include "core/cpi_source.hpp"
 #include "core/pipeline.hpp"
+#include "core/tags.hpp"
 #include "obs/trace.hpp"
 #include "stap/sequential.hpp"
 #include "synth/steering.hpp"
@@ -528,9 +529,9 @@ TEST(ParallelPipeline, ReturnsWhenTheDopplerRankDiesWithNoSpare) {
   ov.queue_low = ov.queue_high = 1;
   par.set_overload(ov);
   comm::FaultPlan plan;
-  // Doppler's first send of a CPI is its easy-beamforming frame (edge 2).
+  // Doppler's first send of a CPI is its easy-beamforming frame.
   plan.add(comm::FaultPlan::kill_on_send(a.first_rank(Task::kDopplerFilter),
-                                         static_cast<int>(kill_cpi) * 16 + 2));
+                                         tag_for(kill_cpi, kDopToEasyBf)));
   par.set_fault_plan(&plan);
   auto r = par.run(gen, n, 1, 1);
 

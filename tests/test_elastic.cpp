@@ -17,6 +17,7 @@
 #include "core/assignment.hpp"
 #include "core/elastic.hpp"
 #include "core/pipeline.hpp"
+#include "core/tags.hpp"
 #include "obs/metrics.hpp"
 #include "stap/sequential.hpp"
 #include "synth/steering.hpp"
@@ -34,13 +35,11 @@ using synth::ScenarioGenerator;
 using synth::ScenarioParams;
 using synth::Target;
 
-// Protocol tag layout (elastic.cpp): tag = barrier_cpi * 16 + slot, with
-// slot 10 = VOTE and 11 = VERDICT. The (tag % period == phase) rule form
+// Protocol messages use tag slots kVoteSlot and kVerdictSlot of every
+// barrier CPI (core/tags.hpp). The (tag % period == phase) rule form
 // targets the protocol messages of *any* barrier CPI, which is how the
 // chaos rules below land inside the migration window without knowing the
 // barrier the engine will pick.
-constexpr int kTagStride = 16;
-constexpr int kVoteSlot = 10;
 
 struct Fixture {
   StapParams p;
@@ -285,7 +284,7 @@ TEST(ElasticMigration, DroppedVoteRollsBackAndStreamStaysExact) {
   drop_vote.point = FaultPoint::kSend;
   drop_vote.src = migrating;
   drop_vote.dest = a.first_rank(Task::kDopplerFilter);
-  drop_vote.tag_period = kTagStride;
+  drop_vote.tag_period = comm::kTagStride;
   drop_vote.tag_phase = kVoteSlot;
   plan.add(drop_vote);
 
@@ -330,7 +329,7 @@ TEST(ElasticMigration, KilledMigratingRankRollsBackNotWedge) {
   kill_vote.type = FaultType::kKill;
   kill_vote.point = FaultPoint::kSend;
   kill_vote.src = migrating;
-  kill_vote.tag_period = kTagStride;
+  kill_vote.tag_period = comm::kTagStride;
   kill_vote.tag_phase = kVoteSlot;
   plan.add(kill_vote);
 
@@ -386,7 +385,7 @@ TEST(ElasticMigration, KilledCoordinatorRollsBackNotWedge) {
   kill_coord.type = FaultType::kKill;
   kill_coord.point = FaultPoint::kRecv;
   kill_coord.dest = a.first_rank(Task::kDopplerFilter);
-  kill_coord.tag_period = kTagStride;
+  kill_coord.tag_period = comm::kTagStride;
   kill_coord.tag_phase = kVoteSlot;
   plan.add(kill_coord);
 

@@ -18,6 +18,7 @@
 #include "core/events.hpp"
 #include "core/overload.hpp"
 #include "core/pipeline.hpp"
+#include "core/tags.hpp"
 #include "obs/metrics.hpp"
 #include "synth/steering.hpp"
 
@@ -214,7 +215,7 @@ TEST(EventPipeline, KilledRankReportsOneKillAndItsHeal) {
   const NodeAssignment a;
   const int victim = a.first_rank(Task::kHardWeight);
   comm::FaultPlan plan;
-  plan.add(comm::FaultPlan::kill_on_recv(victim, /*tag=*/2 * 16 + 1));
+  plan.add(comm::FaultPlan::kill_on_recv(victim, tag_for(2, kDopToHardWt)));
   FaultToleranceConfig ft;
   ft.spares = 1;
   const std::uint64_t kills0 = counter("fault.kills");

@@ -15,6 +15,7 @@
 #include "common/timer.hpp"
 #include "core/assignment.hpp"
 #include "core/pipeline.hpp"
+#include "core/tags.hpp"
 #include "stap/sequential.hpp"
 #include "synth/steering.hpp"
 
@@ -27,17 +28,6 @@ using stap::Task;
 using synth::ScenarioGenerator;
 using synth::ScenarioParams;
 using synth::Target;
-
-// Pipeline tag layout (pipeline.cpp): tag = cpi * kTagStride + edge.
-constexpr int kTagStride = 16;
-constexpr int kEdgeDopToEasyWt = 0;
-constexpr int kEdgeDopToHardWt = 1;
-constexpr int kEdgeDopToEasyBf = 2;
-constexpr int kEdgeEasyBfToPc = 6;
-
-int tag_for(index_t cpi, int edge) {
-  return static_cast<int>(cpi) * kTagStride + edge;
-}
 
 struct Fixture {
   StapParams p;
@@ -145,7 +135,7 @@ TEST(FaultTolerance, HardWeightKillFailsOverWithExactDetections) {
 
   FaultPlan plan;
   plan.add(FaultPlan::kill_on_recv(victim,
-                                   tag_for(kill_cpi, kEdgeDopToHardWt)));
+                                   tag_for(kill_cpi, kDopToHardWt)));
 
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(),
@@ -186,7 +176,7 @@ TEST(FaultTolerance, EasyWeightKillFailsOverWithExactDetections) {
 
   FaultPlan plan;
   plan.add(FaultPlan::kill_on_recv(victim,
-                                   tag_for(kill_cpi, kEdgeDopToEasyWt)));
+                                   tag_for(kill_cpi, kDopToEasyWt)));
 
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(),
@@ -239,7 +229,7 @@ TEST(FaultTolerance, DeadlineSheddingUnderInjectedDelay) {
   plan.add(FaultPlan::delay_message(
       a.first_rank(Task::kDopplerFilter),
       a.first_rank(Task::kEasyBeamform),
-      tag_for(shed_cpi, kEdgeDopToEasyBf), 3.0 * deadline));
+      tag_for(shed_cpi, kDopToEasyBf), 3.0 * deadline));
 
   ParallelStapPipeline par(f.p, a, f.steering(), replica);
   FaultToleranceConfig ft;
@@ -292,7 +282,7 @@ TEST(FaultTolerance, CorruptedFrameIsRetransmittedExactly) {
   FaultPlan plan;
   plan.add(FaultPlan::corrupt_message(
       a.first_rank(Task::kDopplerFilter), a.first_rank(Task::kEasyBeamform),
-      tag_for(2, kEdgeDopToEasyBf)));
+      tag_for(2, kDopToEasyBf)));
 
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(),
@@ -330,7 +320,7 @@ TEST(FaultTolerance, StaleWeightReuseSurvivesSpareFailover) {
   const int victim = a.first_rank(Task::kHardWeight);
   FaultPlan plan;
   plan.add(FaultPlan::kill_on_recv(victim,
-                                   tag_for(kill_cpi, kEdgeDopToHardWt)));
+                                   tag_for(kill_cpi, kDopToHardWt)));
 
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(), dsp::lfm_chirp(8));
@@ -404,9 +394,9 @@ TEST(FaultTolerance, SecondWeightDeathIsUncoveredNotWedged) {
 
   FaultPlan plan;
   plan.add(FaultPlan::kill_on_recv(first_victim,
-                                   tag_for(2, kEdgeDopToHardWt)));
+                                   tag_for(2, kDopToHardWt)));
   plan.add(FaultPlan::kill_on_recv(second_victim,
-                                   tag_for(5, kEdgeDopToEasyWt)));
+                                   tag_for(5, kDopToEasyWt)));
 
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(),
@@ -463,7 +453,7 @@ TEST(FaultTolerance, PersistentCorruptionExhaustsRetransmissionAndSheds) {
   FaultPlan plan;
   plan.add(FaultPlan::corrupt_message(
       a.first_rank(Task::kDopplerFilter), a.first_rank(Task::kEasyBeamform),
-      tag_for(bad_cpi, kEdgeDopToEasyBf), /*max_applications=*/-1));
+      tag_for(bad_cpi, kDopToEasyBf), /*max_applications=*/-1));
 
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(),
@@ -514,9 +504,9 @@ TEST(FaultTolerance, CorrelatedWeightKillsBothHealWithPool) {
 
   FaultPlan plan;
   plan.add(FaultPlan::kill_on_recv(easy_victim,
-                                   tag_for(kill_cpi, kEdgeDopToEasyWt)));
+                                   tag_for(kill_cpi, kDopToEasyWt)));
   plan.add(FaultPlan::kill_on_recv(hard_victim,
-                                   tag_for(kill_cpi, kEdgeDopToHardWt)));
+                                   tag_for(kill_cpi, kDopToHardWt)));
 
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(),
@@ -570,7 +560,7 @@ TEST(FaultTolerance, PermanentPcDeathShrinksToSurvivor) {
 
   FaultPlan plan;
   plan.add(FaultPlan::kill_on_recv(victim,
-                                   tag_for(kill_cpi, kEdgeEasyBfToPc)));
+                                   tag_for(kill_cpi, kEasyBfToPc)));
 
   ScenarioGenerator gen(f.sp);
   ParallelStapPipeline par(f.p, a, f.steering(),
