@@ -25,6 +25,9 @@
 //   * sequential pipeline analogue (Table-8 scene, reduced) >= 1.3x.
 //
 // All gates skip gracefully when the host or build lacks AVX2+FMA.
+// Beside the per-unit QR rows, the batched weight solves run at the
+// live wall shape (224 hard units, 72 easy bins, 8 lanes per group) as
+// ungated rows: qr_append_batch, qr_hard_solve_batch, qr_easy_solve_batch.
 // The DESIGN.md ablations (recursive QR vs re-factorization, pulse
 // compression on M beams vs 2J channels, strided vs contiguous packing,
 // parallel_for spawn overhead) ride the same harness as plain timed rows.
@@ -49,6 +52,7 @@
 #include "linalg/qr.hpp"
 #include "stap/beamform.hpp"
 #include "stap/doppler.hpp"
+#include "stap/flops.hpp"
 #include "stap/params.hpp"
 #include "stap/pulse_compression.hpp"
 #include "stap/sequential.hpp"
@@ -434,6 +438,130 @@ int main(int argc, char** argv) {
                                   {"speedup", speedup},
                                   {"gate", 2.0},
                                   {"pass", pass ? 1 : 0}}));
+  }
+
+  // --- batched weight solves: lane groups at the live wall shape ----------
+  // The weight computers' three kernel paths, one problem per lane: the
+  // hard recursion's row append (30 rows onto 2J x 2J), the hard solve
+  // (the J constraint rows folded with M = 6 steering columns, then back
+  // substitution) and the easy solve (dense QR of 112 x 16 with M columns,
+  // then back substitution). Each call restores the consumed inputs from
+  // pristine copies, as the computers do; flops are the computers' counts.
+  bench::print_header("Batched weight solves (wall shape, 8 lanes/group)");
+  {
+    using kernels::kLaneElem;
+    using kernels::kLanes;
+    const index_t n = 32, j = 16, k = 30, nb = 6, m = 112;
+    const index_t hard_groups = 224 / kLanes, easy_groups = 72 / kLanes;
+    Rng rng(0x6261746368ULL);
+    auto fill = [&rng](index_t floats) {
+      kernels::LaneBuffer g(static_cast<size_t>(floats));
+      for (auto& f : g) f = static_cast<float>(rng.normal());
+      return g;
+    };
+    const index_t rg = n * n * kLaneElem, xg = k * n * kLaneElem,
+                  cg = j * n * kLaneElem, sg = j * nb * kLaneElem,
+                  bg = n * nb * kLaneElem, ag = m * j * kLaneElem,
+                  eg = m * nb * kLaneElem;
+    kernels::LaneBuffer r0 = fill(hard_groups * rg);
+    for (index_t g = 0; g < hard_groups; ++g)  // a dominant diagonal
+      for (index_t i = 0; i < n; ++i)
+        for (index_t l = 0; l < kLanes; ++l)
+          r0[static_cast<size_t>(g * rg + i * (n + 1) * kLaneElem + l)] += 8.0f;
+    const kernels::LaneBuffer x0 = fill(hard_groups * xg),
+                              c0 = fill(hard_groups * cg),
+                              s0 = fill(hard_groups * sg),
+                              a0 = fill(easy_groups * ag),
+                              e0 = fill(easy_groups * eg);
+    kernels::LaneBuffer r, x, c, s, rhs, a, e;
+    struct Batched {
+      const char* name;
+      std::function<void()> fn;
+      double flops, bytes;
+    };
+    const auto u_hard = static_cast<std::uint64_t>(hard_groups * kLanes);
+    const auto u_easy = static_cast<std::uint64_t>(easy_groups * kLanes);
+    const std::vector<Batched> batched = {
+        {"qr_append_batch",
+         [&] {
+           r = r0, x = x0;
+           for (index_t g = 0; g < hard_groups; ++g)
+             kernels::qr_append_lanes(r.data() + g * rg, n, x.data() + g * xg,
+                                      k, nullptr, nullptr, 0);
+         },
+         static_cast<double>(u_hard * stap::qr_append_flops(30, 32, 0)),
+         static_cast<double>(hard_groups * (2 * rg + xg)) * sizeof(float)},
+        {"qr_hard_solve_batch",
+         [&] {
+           r = r0, c = c0, s = s0;
+           rhs.assign(static_cast<size_t>(hard_groups * bg), 0.0f);
+           for (index_t g = 0; g < hard_groups; ++g) {
+             kernels::qr_append_lanes(r.data() + g * rg, n, c.data() + g * cg,
+                                      j, rhs.data() + g * bg,
+                                      s.data() + g * sg, nb);
+             kernels::back_substitute_lanes(r.data() + g * rg, n, 1, n,
+                                            rhs.data() + g * bg, nb, 1, nb);
+           }
+         },
+         static_cast<double>(u_hard * (stap::qr_append_flops(16, 32, 6) +
+                                       stap::back_substitute_flops(32, 6))),
+         static_cast<double>(hard_groups * (rg + cg + sg + bg)) *
+             sizeof(float)},
+        {"qr_easy_solve_batch",
+         [&] {
+           a = a0, e = e0;
+           for (index_t g = 0; g < easy_groups; ++g) {
+             kernels::qr_dense_lanes(a.data() + g * ag, m, j,
+                                     e.data() + g * eg, nb);
+             kernels::back_substitute_lanes(a.data() + g * ag, 1, m, j,
+                                            e.data() + g * eg, 1, m, nb);
+           }
+         },
+         static_cast<double>(u_easy * (stap::qr_flops(112, 16) +
+                                       stap::qr_apply_flops(112, 16, 6) +
+                                       stap::back_substitute_flops(16, 6))),
+         static_cast<double>(easy_groups * (ag + eg)) * sizeof(float)},
+    };
+    std::vector<TimedCase> bc;
+    for (const auto& b : batched) {
+      bc.push_back({std::string(b.name) + "/scalar", [&b] {
+                      kernels::force_simd_level(kernels::SimdLevel::kScalar);
+                      b.fn();
+                    }});
+      if (has_avx2)
+        bc.push_back({std::string(b.name) + "/avx2", [&b] {
+                        kernels::force_simd_level(kernels::SimdLevel::kAvx2);
+                        b.fn();
+                      }});
+    }
+    run_interleaved(bc);
+    kernels::force_simd_level(initial);
+    std::printf("%-20s %11s %11s %8s %9s %9s\n", "kernel", "scalar", "avx2",
+                "speedup", "GFLOP/s", "roof%");
+    for (const auto& b : batched) {
+      const double s_sc = find_best(bc, std::string(b.name) + "/scalar");
+      const double s_vx =
+          has_avx2 ? find_best(bc, std::string(b.name) + "/avx2") : 0.0;
+      const double speedup = has_avx2 && s_vx > 0.0 ? s_sc / s_vx : 0.0;
+      const double active_s = has_avx2 ? s_vx : s_sc;
+      const double peak = has_avx2 ? peak_avx2 : peak_scalar;
+      const double gflops = b.flops / std::max(active_s, 1e-12) / 1e9;
+      const double roof =
+          std::min(peak, b.flops / std::max(b.bytes, 1.0) * stream_gbs);
+      const double frac = roof > 0.0 ? gflops / roof : 0.0;
+      std::printf("%-20s %9.1fµs %9.1fµs %7.2fx %9.2f %8.1f%%\n", b.name,
+                  s_sc * 1e6, s_vx * 1e6, speedup, gflops, 100.0 * frac);
+      bench::report_row(bench::row({{"kind", "batched"},
+                                    {"name", b.name},
+                                    {"scalar_seconds", s_sc},
+                                    {"avx2_seconds", s_vx},
+                                    {"speedup", speedup},
+                                    {"flops_per_call", b.flops},
+                                    {"bytes_per_call", b.bytes},
+                                    {"achieved_gflops", gflops},
+                                    {"roof_gflops", roof},
+                                    {"roof_fraction", frac}}));
+    }
   }
 
   // --- noise sampler: add_cnormal, scalar vs AVX2 (and libm Box–Muller) --

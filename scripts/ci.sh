@@ -2,9 +2,10 @@
 # Tier-1 verification plus the observability checks:
 #
 #   1. Configure, build, and run the full test suite (ROADMAP tier-1).
-#  1b. Kernel dispatch A/B: the kernels suite forced to scalar (the
-#      portable numerical contract, must pass on any host), forced to AVX2
-#      where the CPU has it (skipped gracefully otherwise), then
+#  1b. Kernel dispatch A/B: the kernels suite and the stap weights tests
+#      forced to scalar (the portable numerical contract, must pass on any
+#      host), forced to AVX2 where the CPU has it (skipped gracefully
+#      otherwise), then
 #      micro_kernels writes BENCH_kernels.json — its exit code asserts the
 #      >= 2x geomean kernel speedup, >= 2x on each of qr_factor and
 #      qr_append, and the >= 1.3x pipeline-analogue gate.
@@ -117,18 +118,24 @@ cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
 echo "=== kernels: SIMD dispatch A/B + roofline gates (BENCH_kernels.json) ==="
-# The portable path is the numerical contract: the kernel suite must pass
-# with dispatch forced to scalar on every host. The forced-AVX2 run proves
-# the vector path against the same oracles wherever the CPU has it; on a
-# host without AVX2+FMA it is skipped (PPSTAP_SIMD=avx2 would throw, by
-# design). micro_kernels then asserts the >= 2x geomean kernel speedup, the
+# The portable path is the numerical contract: the kernel suite and the
+# stap weights tests must pass with dispatch forced to scalar on every
+# host. The forced-AVX2 run proves the vector path against the same oracles
+# wherever the CPU has it; on a host without AVX2+FMA it is skipped
+# (PPSTAP_SIMD=avx2 would throw, by design). The weights tests include the
+# batched solves' cross-level check (scalar and AVX2 weights bitwise equal)
+# and their dense-double/SINR oracles, so both run at each forced level;
+# the ASan+UBSan job below runs the kernels and stap labels too, covering
+# the lane-group tails (ragged groups, one to nine units). micro_kernels then asserts the >= 2x geomean kernel speedup, the
 # >= 2x QR factor/append speedups and the >= 1.3x pipeline-analogue gate in
 # its exit code, and bench_compare
 # diffs the roofline numbers at the end (skipping automatically when the
 # baseline's simd level differs from this host's).
 PPSTAP_SIMD=scalar ./build/tests/test_kernels
+PPSTAP_SIMD=scalar ./build/tests/test_stap --gtest_filter='Weights.*'
 if grep -qw avx2 /proc/cpuinfo && grep -qw fma /proc/cpuinfo; then
   PPSTAP_SIMD=avx2 ./build/tests/test_kernels
+  PPSTAP_SIMD=avx2 ./build/tests/test_stap --gtest_filter='Weights.*'
 else
   echo "kernels: host lacks AVX2+FMA — forced-AVX2 run skipped"
 fi

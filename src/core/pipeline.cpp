@@ -1485,7 +1485,12 @@ void run_spare(comm::World& world, Comm& c, Shared& s) {
     }
     if (!dead) bo.idle();
   }
-  s.log.tally(EventKind::kSpareWakeups, bo.wakeups(), c.rank());
+  // Every spare leaves its standby record, a zero count included: whether
+  // a spare polled at all before a short stream drained is up to the host
+  // scheduler, and a skipped zero tally would make the record set vary.
+  Event standby{EventKind::kSpareWakeups, 0.0, c.rank()};
+  standby.count = bo.wakeups();
+  s.log.record(standby);
   if (!dead) return;
   const double t_death = world.death_time(*dead);
 

@@ -362,7 +362,9 @@ const KernelOps& avx2_ops() {
   static const KernelOps ops = {
       axpy_avx2,      mul_inplace_avx2, abs_sq_avx2,     energy_avx2,
       fft_stage_avx2, fft_stage2_avx2,  fft_stage4_avx2, bf_panel_avx2,
-      reflect_avx2,   add_cnormal_avx2, fma_probe_avx2,  128,
+      reflect_avx2,   add_cnormal_avx2, qr_append_lanes_avx2,
+      qr_dense_lanes_avx2, back_substitute_lanes_avx2, lane_abs_sum_avx2,
+      fma_probe_avx2, 128,
   };
   return ops;
 }

@@ -8,10 +8,14 @@
 // blocking; these primitives supply the inner loops.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <new>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/types.hpp"
+#include "kernels/lanes_ref.hpp"
 
 namespace ppstap::kernels {
 
@@ -71,6 +75,48 @@ void reflect(cfloat v0, const cfloat* v, index_t ldv, float beta,
 /// throws, like Rng::skip, when a normal() half is cached.
 void add_cnormal(Rng& rng, double scale, cfloat* out, index_t n);
 
+/// Storage for lane groups, 64-byte aligned so each complex element of a
+/// group (kLaneElem floats) is exactly one cache line.
+template <typename T>
+struct CacheLineAllocator {
+  using value_type = T;
+  static constexpr std::align_val_t kAlign{64};
+  CacheLineAllocator() = default;
+  template <typename U>
+  CacheLineAllocator(const CacheLineAllocator<U>&) {}
+  T* allocate(std::size_t n) {
+    return static_cast<T*>(::operator new(n * sizeof(T), kAlign));
+  }
+  void deallocate(T* p, std::size_t) { ::operator delete(p, kAlign); }
+  template <typename U>
+  bool operator==(const CacheLineAllocator<U>&) const {
+    return true;
+  }
+};
+using LaneBuffer = std::vector<float, CacheLineAllocator<float>>;
+
+/// Batched weight solves over one group of kLanes independent problems in
+/// the lane layout of kernels/lanes_ref.hpp (every pointer addresses a
+/// group; layouts and strides are documented there). Each lane runs the
+/// reference's operation sequence, so both dispatch levels agree bit for
+/// bit and no lane reads another.
+///
+/// qr_append_lanes: re-triangularize [R; X] (R n x n, X k x n) in place,
+/// carrying [rhs; xrhs] (n x p over k x p); x and xrhs are workspace.
+void qr_append_lanes(float* r, index_t n, float* x, index_t k, float* rhs,
+                     float* xrhs, index_t p);
+/// qr_dense_lanes: Householder QR of the m x n a in place (R in its upper
+/// triangle), applying Q^H to the m x p b.
+void qr_dense_lanes(float* a, index_t m, index_t n, float* b, index_t p);
+/// back_substitute_lanes: solve R X = B in place for the n x n upper
+/// triangle of r, B n x p.
+void back_substitute_lanes(const float* r, index_t rs, index_t cs, index_t n,
+                           float* b, index_t brs, index_t bcs, index_t p);
+/// lane_abs_sum: acc[l] += sum of |z| over `count` consecutive elements of
+/// the group from g, in double (sqrt(re^2 + im^2), ascending elements);
+/// `acc` holds kLanes doubles. The weight computers' data-scale proxy.
+void lane_abs_sum(const float* g, index_t count, double* acc);
+
 namespace detail {
 
 /// Per-ISA implementation table. `beamform_gemm` stays common (blocking and
@@ -96,6 +142,14 @@ struct KernelOps {
   /// add_cnormal from the generator's Weyl state (Rng::state()).
   void (*add_cnormal)(std::uint64_t state, double scale, cfloat* out,
                       index_t n);
+  void (*qr_append_lanes)(float* r, index_t n, float* x, index_t k,
+                          float* rhs, float* xrhs, index_t p);
+  void (*qr_dense_lanes)(float* a, index_t m, index_t n, float* b,
+                         index_t p);
+  void (*back_substitute_lanes)(const float* r, index_t rs, index_t cs,
+                                index_t n, float* b, index_t brs,
+                                index_t bcs, index_t p);
+  void (*lane_abs_sum)(const float* g, index_t count, double* acc);
   /// Roofline compute-peak probe: `iters` rounds of independent
   /// register-resident multiply-adds, result folded into *sink so the
   /// chains cannot be optimized away. The caller times it; each iteration
@@ -113,6 +167,18 @@ const KernelOps& ops();       // active table (see dispatch.hpp)
 /// with -ffp-contract=off so no multiply-add fuses (see avx2_cnormal.cpp).
 void add_cnormal_avx2(std::uint64_t state, double scale, cfloat* out,
                       index_t n);
+
+/// The AVX2 table's batched-solve ops, compiled apart with -mfma but
+/// -ffp-contract=off so only the reference's explicit multiply-adds fuse
+/// (see avx2_lanes.cpp).
+void qr_append_lanes_avx2(float* r, index_t n, float* x, index_t k,
+                          float* rhs, float* xrhs, index_t p);
+void qr_dense_lanes_avx2(float* a, index_t m, index_t n, float* b,
+                         index_t p);
+void back_substitute_lanes_avx2(const float* r, index_t rs, index_t cs,
+                                index_t n, float* b, index_t brs, index_t bcs,
+                                index_t p);
+void lane_abs_sum_avx2(const float* g, index_t count, double* acc);
 
 }  // namespace detail
 
@@ -142,6 +208,23 @@ inline void reflect(cfloat v0, const cfloat* v, index_t ldv, float beta,
                     cfloat* pivot, cfloat* rows, index_t ld, index_t k,
                     index_t lw) {
   detail::ops().reflect(v0, v, ldv, beta, pivot, rows, ld, k, lw);
+}
+
+inline void qr_append_lanes(float* r, index_t n, float* x, index_t k,
+                            float* rhs, float* xrhs, index_t p) {
+  detail::ops().qr_append_lanes(r, n, x, k, rhs, xrhs, p);
+}
+inline void qr_dense_lanes(float* a, index_t m, index_t n, float* b,
+                           index_t p) {
+  detail::ops().qr_dense_lanes(a, m, n, b, p);
+}
+inline void back_substitute_lanes(const float* r, index_t rs, index_t cs,
+                                  index_t n, float* b, index_t brs,
+                                  index_t bcs, index_t p) {
+  detail::ops().back_substitute_lanes(r, rs, cs, n, b, brs, bcs, p);
+}
+inline void lane_abs_sum(const float* g, index_t count, double* acc) {
+  detail::ops().lane_abs_sum(g, count, acc);
 }
 
 inline void add_cnormal(Rng& rng, double scale, cfloat* out, index_t n) {

@@ -5,8 +5,11 @@
 // pre-SIMD code (ascending j in the beamform sums, ascending butterfly index
 // in the FFT stages), so a forced-scalar run reproduces the legacy numerics
 // on any target the compiler supports.
+#include <cmath>
+
 #include "common/cnormal_ref.hpp"
 #include "kernels/kernels.hpp"
+#include "kernels/lanes_ref.hpp"
 #include "kernels/reflect_ref.hpp"
 
 namespace ppstap::kernels::detail {
@@ -113,6 +116,62 @@ void add_cnormal_scalar(std::uint64_t state, double scale, cfloat* out,
   }
 }
 
+// The lane policy of lanes_ref.hpp over one float: the scalar table runs
+// each lane of a group through the reference in turn.
+struct ScalarLane {
+  using V = float;
+  static V load(const float* p) { return *p; }
+  static void store(float* p, V v) { *p = v; }
+  static V set1(float x) { return x; }
+  static V add(V a, V b) { return a + b; }
+  static V sub(V a, V b) { return a - b; }
+  static V mul(V a, V b) { return a * b; }
+  static V div(V a, V b) { return a / b; }
+  static V sqrt(V a) { return std::sqrt(a); }
+  static V fma(V a, V b, V c) { return std::fma(a, b, c); }
+  static V fnma(V a, V b, V c) { return std::fma(-a, b, c); }
+  static V neg(V a) { return -a; }
+  static V abs(V a) { return std::fabs(a); }
+  static V max(V a, V b) { return a > b ? a : b; }  // MAXPS semantics
+  static V select_eq0(V c, V a, V b) { return c == 0.0f ? a : b; }
+  static V select_gt0(V c, V a, V b) { return c > 0.0f ? a : b; }
+};
+
+// Lane l of a group pointer (a null pointer stays null: empty operands).
+inline float* lane(float* p, index_t l) { return p != nullptr ? p + l : p; }
+inline const float* lane(const float* p, index_t l) {
+  return p != nullptr ? p + l : p;
+}
+
+void qr_append_lanes_scalar(float* r, index_t n, float* x, index_t k,
+                            float* rhs, float* xrhs, index_t p) {
+  for (index_t l = 0; l < kLanes; ++l)
+    qr_append_ref<ScalarLane>(lane(r, l), n, lane(x, l), k, lane(rhs, l),
+                              lane(xrhs, l), p);
+}
+
+void qr_dense_lanes_scalar(float* a, index_t m, index_t n, float* b,
+                           index_t p) {
+  for (index_t l = 0; l < kLanes; ++l)
+    qr_dense_ref<ScalarLane>(lane(a, l), m, n, lane(b, l), p);
+}
+
+void back_substitute_lanes_scalar(const float* r, index_t rs, index_t cs,
+                                  index_t n, float* b, index_t brs,
+                                  index_t bcs, index_t p) {
+  for (index_t l = 0; l < kLanes; ++l)
+    back_substitute_ref<ScalarLane>(lane(r, l), rs, cs, n, lane(b, l), brs,
+                                    bcs, p);
+}
+
+void lane_abs_sum_scalar(const float* g, index_t count, double* acc) {
+  for (index_t e = 0; e < count; ++e, g += kLaneElem)
+    for (index_t l = 0; l < kLanes; ++l) {
+      const double re = g[l], im = g[kLanes + l];
+      acc[l] += std::sqrt(re * re + im * im);
+    }
+}
+
 // Eight independent scalar multiply-add chains: enough to cover the FPU
 // latency-throughput product on any recent core, so the measurement is the
 // scalar pipe's throughput, not one chain's latency. 16 flops per iter.
@@ -140,7 +199,8 @@ const KernelOps& scalar_ops() {
       axpy_scalar,      mul_inplace_scalar, abs_sq_scalar,
       energy_scalar,    fft_stage_scalar,   fft_stage2_scalar,
       fft_stage4_scalar, bf_panel_scalar,   reflect_scalar,
-      add_cnormal_scalar, fma_probe_scalar, 16,
+      add_cnormal_scalar, qr_append_lanes_scalar, qr_dense_lanes_scalar,
+      back_substitute_lanes_scalar, lane_abs_sum_scalar, fma_probe_scalar, 16,
   };
   return ops;
 }

@@ -112,8 +112,7 @@ QrFactorization<T>::QrFactorization(const Matrix<T>& a)
 namespace detail {
 
 // max|d_i| / min|d_i| over a triangular diagonal; +inf if any entry is
-// zero or non-finite. Shared by QrFactorization::condition_estimate and
-// triangular_condition_estimate so both paths agree on the policy.
+// zero or non-finite.
 template <typename T, typename DiagAt>
 double diag_condition(index_t n, DiagAt at) {
   double dmax = 0.0;
@@ -134,13 +133,6 @@ double diag_condition(index_t n, DiagAt at) {
 template <typename T>
 double QrFactorization<T>::condition_estimate() const {
   return detail::diag_condition<T>(n_, [this](index_t i) { return a_(i, i); });
-}
-
-template <typename T>
-double triangular_condition_estimate(const Matrix<T>& r) {
-  PPSTAP_REQUIRE(r.rows() == r.cols(), "R must be square");
-  return detail::diag_condition<T>(r.rows(),
-                                   [&r](index_t i) { return r(i, i); });
 }
 
 template <typename T>
@@ -330,10 +322,6 @@ template Matrix<float> least_squares<float>(const Matrix<float>&,
                                             const Matrix<float>&);
 template Matrix<double> least_squares<double>(const Matrix<double>&,
                                               const Matrix<double>&);
-template double triangular_condition_estimate<cfloat>(const Matrix<cfloat>&);
-template double triangular_condition_estimate<cdouble>(const Matrix<cdouble>&);
-template double triangular_condition_estimate<float>(const Matrix<float>&);
-template double triangular_condition_estimate<double>(const Matrix<double>&);
 template Matrix<cfloat> qr_append_rows<cfloat>(const Matrix<cfloat>&,
                                                Matrix<cfloat>);
 template Matrix<cfloat> qr_append_rows<cfloat>(const Matrix<cfloat>&,

@@ -63,12 +63,6 @@ class QrFactorization {
 template <typename T>
 void back_substitute(const Matrix<T>& r, Matrix<T>& b);
 
-/// Diagonal-ratio condition estimate of an upper-triangular factor held
-/// outside a QrFactorization (the hard weight path carries R across CPIs):
-/// max|r_ii| / min|r_ii|, +inf on a zero or non-finite diagonal.
-template <typename T>
-double triangular_condition_estimate(const Matrix<T>& r);
-
 /// Least-squares solution of A X = B via QR (one-shot convenience).
 template <typename T>
 Matrix<T> least_squares(const Matrix<T>& a, const Matrix<T>& b);
@@ -139,14 +133,6 @@ extern template Matrix<double> qr_append_rows<double>(const Matrix<double>&,
 extern template Matrix<double> qr_append_rows<double>(const Matrix<double>&,
                                          Matrix<double>, Matrix<double>&,
                                          Matrix<double>);
-extern template double triangular_condition_estimate<cfloat>(
-    const Matrix<cfloat>&);
-extern template double triangular_condition_estimate<cdouble>(
-    const Matrix<cdouble>&);
-extern template double triangular_condition_estimate<float>(
-    const Matrix<float>&);
-extern template double triangular_condition_estimate<double>(
-    const Matrix<double>&);
 extern template double append_column_norm_residual<cfloat>(
     const Matrix<cfloat>&, const Matrix<cfloat>&, const Matrix<cfloat>&);
 extern template double append_column_norm_residual<cdouble>(

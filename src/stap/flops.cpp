@@ -14,10 +14,8 @@ std::uint64_t log2_ceil(std::uint64_t n) {
 
 std::uint64_t fft_flops(std::uint64_t n) { return 5 * n * log2_ceil(n); }
 
-// Complex Householder QR of an m x n matrix (m >= n), matching the
-// instrumented counter in linalg::QrFactorization: per column, the norm
-// accumulation (2 per element) plus reflector application (16 per element
-// per trailing column).
+}  // namespace
+
 std::uint64_t qr_flops(std::uint64_t m, std::uint64_t n) {
   std::uint64_t total = 0;
   for (std::uint64_t j = 0; j < n; ++j) {
@@ -27,25 +25,17 @@ std::uint64_t qr_flops(std::uint64_t m, std::uint64_t n) {
   return total;
 }
 
-// Back substitution against an n x n triangular factor, matching
-// linalg::back_substitute's counter.
 std::uint64_t back_substitute_flops(std::uint64_t n, std::uint64_t nrhs) {
   return 8 * n * n * nrhs / 2;
 }
 
-// Least-squares solve against an already factorized m x n system with
-// `nrhs` right-hand sides: apply Q^H (reflector j touches rows j..m-1)
-// then back-substitute.
-std::uint64_t ls_solve_flops(std::uint64_t m, std::uint64_t n,
+std::uint64_t qr_apply_flops(std::uint64_t m, std::uint64_t n,
                              std::uint64_t nrhs) {
   std::uint64_t total = 0;
   for (std::uint64_t j = 0; j < n; ++j) total += 16 * (m - j) * nrhs;
-  return total + back_substitute_flops(n, nrhs);
+  return total;
 }
 
-// Block row-append QR update of k rows onto an n x n R carrying `nrhs`
-// right-hand sides through the same reflectors, matching
-// linalg::qr_append_rows' counter.
 std::uint64_t qr_append_flops(std::uint64_t k, std::uint64_t n,
                               std::uint64_t nrhs) {
   std::uint64_t total = 0;
@@ -53,8 +43,6 @@ std::uint64_t qr_append_flops(std::uint64_t k, std::uint64_t n,
     total += 2 * (k + 1) + 16 * (k + 1) * (n - j - 1 + nrhs);
   return total;
 }
-
-}  // namespace
 
 const char* task_name(Task t) {
   switch (t) {
@@ -99,7 +87,8 @@ std::uint64_t analytic_flops(Task t, const StapParams& p) {
           static_cast<std::uint64_t>(p.easy_history) *
               static_cast<std::uint64_t>(p.easy_samples_per_cpi) +
           j;
-      return n_easy * (qr_flops(rows, j) + ls_solve_flops(rows, j, m));
+      return n_easy * (qr_flops(rows, j) + qr_apply_flops(rows, j, m) +
+                       back_substitute_flops(j, m));
     }
     case Task::kHardWeight: {
       // Per (hard bin, segment): fade the carried R's upper triangle by the

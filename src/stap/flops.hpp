@@ -27,6 +27,23 @@ enum class Task {
 };
 inline constexpr int kNumTasks = 7;
 
+/// Flop conventions of the weight solvers, shared by linalg's instrumented
+/// kernels, the batched weight computers and the analytic model:
+///  * qr_flops — Householder QR of an m x n matrix (m >= n): per column,
+///    the norm accumulation (2 per element) plus reflector application (16
+///    per element per trailing column);
+///  * qr_apply_flops — applying those reflectors to `nrhs` right-hand sides
+///    (reflector j touches rows j..m-1);
+///  * back_substitute_flops — solving an n x n triangle for `nrhs` columns;
+///  * qr_append_flops — the block row-append update of k rows onto an n x n
+///    R carrying `nrhs` right-hand sides through the same reflectors.
+std::uint64_t qr_flops(std::uint64_t m, std::uint64_t n);
+std::uint64_t qr_apply_flops(std::uint64_t m, std::uint64_t n,
+                             std::uint64_t nrhs);
+std::uint64_t back_substitute_flops(std::uint64_t n, std::uint64_t nrhs);
+std::uint64_t qr_append_flops(std::uint64_t k, std::uint64_t n,
+                              std::uint64_t nrhs);
+
 /// Printable task name matching the paper's tables.
 const char* task_name(Task t);
 

@@ -12,6 +12,12 @@
 //    across CPIs and updated with the block row-append QR under an
 //    exponential forgetting factor — the paper's recursive weight update,
 //    which substitutes temporal history for the scarce range support.
+//
+// Both computers solve their problems as batches, one problem per SIMD lane
+// of a kernels::kLanes-wide group (kernels/lanes_ref.hpp, DESIGN §18): hard
+// units in units() order, easy bins grouped by pooled row count. A lane's
+// result depends only on its own problem, so any partition of the units or
+// bins over computers yields the same weights bit for bit.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +25,7 @@
 #include <iosfwd>
 #include <vector>
 
+#include "kernels/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "stap/params.hpp"
 
@@ -141,7 +148,8 @@ class HardWeightComputer {
   /// (R is seeded with diagonal loading), improving as updates accumulate.
   std::vector<linalg::MatrixCF> compute() const;
 
-  /// Checkpoint / restore the recursive triangular factors.
+  /// Checkpoint / restore the recursive triangular factors (one 2J x 2J
+  /// matrix per unit, in units() order).
   void save(std::ostream& os) const;
   void restore(std::istream& is);
 
@@ -157,7 +165,10 @@ class HardWeightComputer {
   StapParams p_;
   linalg::MatrixCF steering_;          // J x M
   std::vector<HardUnit> units_;
-  std::vector<linalg::MatrixCF> r_;    // per unit: 2J x 2J upper
+  // Per group of kLanes units (unit g * kLanes + l in lane l): the 2J x 2J
+  // factors, row-major in the lane layout. Lanes past the last unit keep
+  // their seed and are never read.
+  kernels::LaneBuffer r_;
   mutable WeightHealth health_;
 };
 

@@ -19,6 +19,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/flops.hpp"
@@ -353,6 +354,241 @@ TEST(KernelEquivalence, AddCnormalIsTheRngLoopBitForBit) {
     (void)cached.normal();
     std::vector<cfloat> out(4);
     EXPECT_THROW(kernels::add_cnormal(cached, 1.0, out.data(), 4), Error);
+  }
+}
+
+// --------------------------------------------------------------------------
+// Batched weight solves (kernels/lanes_ref.hpp): the AVX2 table runs the
+// scalar lane reference's exact operation sequence, so every lane must be
+// equal bit for bit — at ragged unit counts (1..9 units over one or two
+// groups), both weight shapes, every appended-row and right-hand-side count
+// the computers use, and with one non-finite lane, whose neighbours must
+// not notice it.
+// --------------------------------------------------------------------------
+
+using kernels::kLaneElem;
+using kernels::kLanes;
+using kernels::LaneBuffer;
+
+// `units` problems of `elems` elements each in ceil(units / 8) groups (unit
+// u in lane u % 8 of group u / 8); unused lanes stay zero.
+LaneBuffer lane_groups(index_t units, index_t elems, unsigned seed) {
+  const index_t groups = (units + kLanes - 1) / kLanes;
+  LaneBuffer g(static_cast<size_t>(groups * elems * kLaneElem), 0.0f);
+  Rng rng(seed);
+  for (index_t u = 0; u < units; ++u)
+    for (index_t e = 0; e < elems; ++e) {
+      float* f = g.data() + ((u / kLanes) * elems + e) * kLaneElem + u % kLanes;
+      f[0] = static_cast<float>(rng.normal());
+      f[kLanes] = static_cast<float>(rng.normal());
+    }
+  return g;
+}
+
+// Lane (u % 8) of group (u / 8), element e.
+cfloat lane_elem(const LaneBuffer& g, index_t elems, index_t u, index_t e) {
+  const float* f = g.data() + ((u / kLanes) * elems + e) * kLaneElem + u % kLanes;
+  return {f[0], f[kLanes]};
+}
+
+bool same_float_bits(float a, float b) {
+  if (std::isnan(a) || std::isnan(b)) return std::isnan(a) && std::isnan(b);
+  return std::memcmp(&a, &b, sizeof(float)) == 0;
+}
+
+void expect_lanes_equal(const LaneBuffer& a, const LaneBuffer& b,
+                        index_t units, index_t elems, const char* what) {
+  for (index_t u = 0; u < units; ++u)
+    for (index_t e = 0; e < elems; ++e) {
+      const cfloat x = lane_elem(a, elems, u, e), y = lane_elem(b, elems, u, e);
+      ASSERT_TRUE(same_float_bits(x.real(), y.real()) &&
+                  same_float_bits(x.imag(), y.imag()))
+          << what << " unit " << u << " element " << e;
+    }
+}
+
+TEST(KernelEquivalence, QrAppendLanesBitForBit) {
+  SKIP_WITHOUT_AVX2();
+  const auto& sc = kernels::detail::scalar_ops();
+  const auto& vx = kernels::detail::avx2_ops();
+  for (index_t units = 1; units <= 9; ++units)
+    for (index_t n : {16, 32})
+      for (index_t k : {0, 1, 16, 30})
+        for (index_t p : {0, 2, 6}) {
+          LaneBuffer r[2] = {lane_groups(units, n * n, 61), {}};
+          LaneBuffer x[2] = {lane_groups(units, k * n, 62), {}};
+          LaneBuffer rhs[2] = {lane_groups(units, n * p, 63), {}};
+          LaneBuffer xrhs[2] = {lane_groups(units, k * p, 64), {}};
+          if (units == 9 && k > 0)  // one non-finite lane
+            x[0][static_cast<size_t>(3 * kLaneElem + 4)] =
+                std::numeric_limits<float>::infinity();
+          r[1] = r[0], x[1] = x[0], rhs[1] = rhs[0], xrhs[1] = xrhs[0];
+          for (int t = 0; t < 2; ++t) {
+            const auto& ops = t == 0 ? sc : vx;
+            for (index_t g = 0; g * kLanes < units; ++g)
+              ops.qr_append_lanes(
+                  r[t].data() + g * n * n * kLaneElem, n,
+                  x[t].data() + g * k * n * kLaneElem, k,
+                  rhs[t].data() + g * n * p * kLaneElem,
+                  xrhs[t].data() + g * k * p * kLaneElem, p);
+          }
+          expect_lanes_equal(r[1], r[0], units, n * n, "append R");
+          expect_lanes_equal(rhs[1], rhs[0], units, n * p, "append rhs");
+          if (units == 9 && k > 0) {
+            // The poisoned lane is non-finite at both levels; its
+            // neighbours equal an unpoisoned run.
+            EXPECT_FALSE(std::isfinite(lane_elem(r[0], n * n, 4, n * n - 1).real()));
+            LaneBuffer r_ok = lane_groups(units, n * n, 61);
+            LaneBuffer x_ok = lane_groups(units, k * n, 62);
+            LaneBuffer rhs_ok = lane_groups(units, n * p, 63);
+            LaneBuffer xrhs_ok = lane_groups(units, k * p, 64);
+            vx.qr_append_lanes(r_ok.data(), n, x_ok.data(), k, rhs_ok.data(),
+                               xrhs_ok.data(), p);
+            for (index_t u = 0; u < kLanes; ++u)
+              for (index_t e = 0; e < n * n && u != 4; ++e)
+                ASSERT_EQ(lane_elem(r_ok, n * n, u, e), lane_elem(r[1], n * n, u, e))
+                    << "neighbour " << u << " of the non-finite lane";
+          }
+        }
+}
+
+TEST(KernelEquivalence, QrDenseLanesBitForBit) {
+  SKIP_WITHOUT_AVX2();
+  const auto& sc = kernels::detail::scalar_ops();
+  const auto& vx = kernels::detail::avx2_ops();
+  const std::pair<index_t, index_t> shapes[] = {
+      {16, 16}, {17, 16}, {112, 16}, {32, 32}, {62, 32}};
+  for (index_t units = 1; units <= 9; ++units)
+    for (const auto& [m, n] : shapes)
+      for (index_t p : {0, 2, 6}) {
+        LaneBuffer a[2] = {lane_groups(units, m * n, 71), {}};
+        LaneBuffer b[2] = {lane_groups(units, m * p, 72), {}};
+        if (units == 9) a[0][static_cast<size_t>(5 * kLaneElem + 2)] =
+            std::numeric_limits<float>::quiet_NaN();
+        a[1] = a[0], b[1] = b[0];
+        for (int t = 0; t < 2; ++t) {
+          const auto& ops = t == 0 ? sc : vx;
+          for (index_t g = 0; g * kLanes < units; ++g)
+            ops.qr_dense_lanes(a[t].data() + g * m * n * kLaneElem, m, n,
+                               b[t].data() + g * m * p * kLaneElem, p);
+        }
+        expect_lanes_equal(a[1], a[0], units, m * n, "dense A");
+        expect_lanes_equal(b[1], b[0], units, m * p, "dense B");
+      }
+}
+
+TEST(KernelEquivalence, BackSubstituteLanesBitForBit) {
+  SKIP_WITHOUT_AVX2();
+  const auto& sc = kernels::detail::scalar_ops();
+  const auto& vx = kernels::detail::avx2_ops();
+  for (index_t units = 1; units <= 9; ++units)
+    for (index_t n : {16, 32})
+      for (index_t p : {0, 2, 6})
+        for (bool row_major : {true, false}) {
+          LaneBuffer r = lane_groups(units, n * n, 81);
+          // A dominant diagonal keeps the solve well scaled.
+          for (index_t u = 0; u < units; ++u)
+            for (index_t i = 0; i < n; ++i)
+              r[static_cast<size_t>(((u / kLanes) * n * n + i * (n + 1)) *
+                                        kLaneElem +
+                                    u % kLanes)] += 8.0f;
+          LaneBuffer b[2] = {lane_groups(units, n * p, 82), {}};
+          b[1] = b[0];
+          const index_t rs = row_major ? n : 1, cs = row_major ? 1 : n;
+          for (int t = 0; t < 2; ++t) {
+            const auto& ops = t == 0 ? sc : vx;
+            for (index_t g = 0; g * kLanes < units; ++g)
+              ops.back_substitute_lanes(r.data() + g * n * n * kLaneElem, rs,
+                                        cs, n,
+                                        b[t].data() + g * n * p * kLaneElem,
+                                        rs == n ? p : 1, rs == n ? 1 : n, p);
+          }
+          expect_lanes_equal(b[1], b[0], units, n * p, "back substitution");
+        }
+}
+
+TEST(KernelEquivalence, LaneAbsSumBitForBit) {
+  SKIP_WITHOUT_AVX2();
+  const auto& sc = kernels::detail::scalar_ops();
+  const auto& vx = kernels::detail::avx2_ops();
+  for (index_t count : {0, 1, 7, 33}) {
+    const LaneBuffer g = lane_groups(kLanes, std::max<index_t>(count, 1), 91);
+    double acc_sc[kLanes] = {1.5}, acc_vx[kLanes] = {1.5};
+    sc.lane_abs_sum(g.data(), count, acc_sc);
+    vx.lane_abs_sum(g.data(), count, acc_vx);
+    EXPECT_EQ(std::memcmp(acc_sc, acc_vx, sizeof(acc_sc)), 0) << count;
+  }
+}
+
+// The lane kernels are Householder QR: each lane matches linalg's double
+// reference (same reflector convention) to float accuracy, at both levels.
+TEST(KernelInvariants, BatchedQrMatchesDoubleReference) {
+  SimdGuard guard;
+  std::vector<SimdLevel> levels = {SimdLevel::kScalar};
+  if (kernels::avx2_available()) levels.push_back(SimdLevel::kAvx2);
+  const index_t n = 32, k = 30, p = 6, m = 112, nd = 16;
+  for (SimdLevel level : levels) {
+    kernels::force_simd_level(level);
+    LaneBuffer r = lane_groups(kLanes, n * n, 101);
+    LaneBuffer x = lane_groups(kLanes, k * n, 102);
+    LaneBuffer rhs = lane_groups(kLanes, n * p, 103);
+    LaneBuffer xrhs = lane_groups(kLanes, k * p, 104);
+    LaneBuffer a = lane_groups(kLanes, m * nd, 105);
+    LaneBuffer b = lane_groups(kLanes, m * p, 106);
+    const LaneBuffer r0 = r, x0 = x, rhs0 = rhs, xrhs0 = xrhs, a0 = a, b0 = b;
+    kernels::qr_append_lanes(r.data(), n, x.data(), k, rhs.data(), xrhs.data(),
+                             p);
+    kernels::qr_dense_lanes(a.data(), m, nd, b.data(), p);
+    for (index_t l = 0; l < kLanes; ++l) {
+      linalg::MatrixCD rd(n, n), xd(k, n), rhsd(n, p), xrhsd(k, p);
+      for (index_t i = 0; i < n; ++i)
+        for (index_t c = i; c < n; ++c)
+          rd(i, c) = cdouble(lane_elem(r0, n * n, l, i * n + c));
+      for (index_t i = 0; i < k; ++i) {
+        for (index_t c = 0; c < n; ++c)
+          xd(i, c) = cdouble(lane_elem(x0, k * n, l, c * k + i));
+        for (index_t c = 0; c < p; ++c)
+          xrhsd(i, c) = cdouble(lane_elem(xrhs0, k * p, l, c * k + i));
+      }
+      for (index_t i = 0; i < n; ++i)
+        for (index_t c = 0; c < p; ++c)
+          rhsd(i, c) = cdouble(lane_elem(rhs0, n * p, l, i * p + c));
+      const auto rn = linalg::qr_append_rows(rd, xd, rhsd, xrhsd);
+      for (index_t i = 0; i < n; ++i) {
+        for (index_t c = i; c < n; ++c)
+          ASSERT_LE(std::abs(cdouble(lane_elem(r, n * n, l, i * n + c)) -
+                             rn(i, c)),
+                    1e-4 * (1.0 + std::abs(rn(i, c))))
+              << "append R lane " << l;
+        for (index_t c = 0; c < p; ++c)
+          ASSERT_LE(std::abs(cdouble(lane_elem(rhs, n * p, l, i * p + c)) -
+                             rhsd(i, c)),
+                    1e-4 * (1.0 + std::abs(rhsd(i, c))))
+              << "append rhs lane " << l;
+      }
+      linalg::MatrixCD ad(m, nd), bd(m, p);
+      for (index_t i = 0; i < m; ++i) {
+        for (index_t c = 0; c < nd; ++c)
+          ad(i, c) = cdouble(lane_elem(a0, m * nd, l, c * m + i));
+        for (index_t c = 0; c < p; ++c)
+          bd(i, c) = cdouble(lane_elem(b0, m * p, l, c * m + i));
+      }
+      const linalg::QrFactorization<cdouble> qr(ad);
+      qr.apply_qh(bd);
+      const auto rd2 = qr.r();
+      for (index_t i = 0; i < nd; ++i) {
+        for (index_t c = i; c < nd; ++c)
+          ASSERT_LE(std::abs(cdouble(lane_elem(a, m * nd, l, c * m + i)) -
+                             rd2(i, c)),
+                    1e-4 * (1.0 + std::abs(rd2(i, c))))
+              << "dense R lane " << l;
+        for (index_t c = 0; c < p; ++c)
+          ASSERT_LE(std::abs(cdouble(lane_elem(b, m * p, l, c * m + i)) -
+                             bd(i, c)),
+                    1e-4 * (1.0 + std::abs(bd(i, c))))
+              << "dense Q^H b lane " << l;
+      }
+    }
   }
 }
 

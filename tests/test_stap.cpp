@@ -5,7 +5,9 @@
 // detection in clutter.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <cstring>
 #include <numbers>
 #include <sstream>
@@ -14,6 +16,7 @@
 #include "common/rng.hpp"
 #include "cube/partition.hpp"
 #include "dsp/waveform.hpp"
+#include "kernels/dispatch.hpp"
 #include "linalg/qr.hpp"
 #include "linalg/serialize.hpp"
 #include "stap/analysis.hpp"
@@ -969,6 +972,279 @@ TEST(Weights, StructuredHardSolveCountsCorruptedFold) {
   EXPECT_EQ(comp.health().quiescent_fallbacks, 1u);
   for (index_t i = 0; i < w.size(); ++i)
     ASSERT_TRUE(std::isfinite(std::abs(w.data()[i])));
+}
+
+// ---------------------------------------------------------------------------
+// Batched weight solves: one lane per unit (DESIGN §18)
+// ---------------------------------------------------------------------------
+
+bool bitwise_equal(const linalg::MatrixCF& a, const linalg::MatrixCF& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<size_t>(a.size()) * sizeof(cfloat)) == 0;
+}
+
+// One CPI of hard training rows per unit, drawn per unit from its own
+// seeded stream so any unit list reproduces the same rows for a unit.
+std::vector<linalg::MatrixCF> unit_rows(const StapParams& p,
+                                        const std::vector<HardUnit>& units,
+                                        int cpi) {
+  std::vector<linalg::MatrixCF> rows;
+  for (const auto& u : units) {
+    Rng rng(1000u * static_cast<std::uint64_t>(cpi) +
+            37u * static_cast<std::uint64_t>(u.bin) +
+            static_cast<std::uint64_t>(u.segment));
+    rows.push_back(
+        hard_snapshots(p.hard_samples_per_segment, p.num_channels, rng));
+  }
+  return rows;
+}
+
+std::vector<linalg::MatrixCF> bin_rows(const StapParams& p,
+                                       const std::vector<index_t>& bins,
+                                       int cpi) {
+  std::vector<linalg::MatrixCF> rows;
+  for (index_t b : bins) {
+    Rng rng(5000u * static_cast<std::uint64_t>(cpi) +
+            static_cast<std::uint64_t>(b));
+    linalg::MatrixCF x(p.easy_samples_per_cpi, p.num_channels);
+    for (index_t i = 0; i < x.size(); ++i)
+      x.data()[i] = cfloat(rng.cnormal() * 3.0);
+    rows.push_back(std::move(x));
+  }
+  return rows;
+}
+
+// Weights per hard unit after `cpis` updates, from a computer over `units`.
+std::map<std::pair<index_t, index_t>, linalg::MatrixCF> hard_weights_for(
+    const StapParams& p, const linalg::MatrixCF& steering,
+    const std::vector<HardUnit>& units, int cpis) {
+  HardWeightComputer comp(p, steering, units);
+  for (int cpi = 0; cpi < cpis; ++cpi) comp.update(unit_rows(p, units, cpi));
+  const auto w = comp.compute();
+  std::map<std::pair<index_t, index_t>, linalg::MatrixCF> out;
+  for (size_t i = 0; i < units.size(); ++i)
+    out[{units[i].bin, units[i].segment}] = w[i];
+  return out;
+}
+
+std::map<index_t, linalg::MatrixCF> easy_weights_for(
+    const StapParams& p, const linalg::MatrixCF& steering,
+    const std::vector<index_t>& bins, int cpis) {
+  EasyWeightComputer comp(p, steering, bins);
+  for (int cpi = 0; cpi < cpis; ++cpi)
+    comp.push_training(bin_rows(p, bins, cpi));
+  const auto w = comp.compute();
+  std::map<index_t, linalg::MatrixCF> out;
+  for (size_t i = 0; i < bins.size(); ++i) out[bins[i]] = w.weights[i];
+  return out;
+}
+
+TEST(Weights, BatchedWeightsBitwiseEqualAcrossSimdLevels) {
+  if (!kernels::avx2_available())
+    GTEST_SKIP() << "host or build lacks AVX2+FMA";
+  StapParams p = StapParams::small_test();
+  const auto steering = synth::steering_matrix(
+      p.num_channels, p.num_beams, p.beam_center_rad, p.beam_span_rad);
+  const auto hb = p.hard_bins();
+  const auto units =
+      HardWeightComputer::units_for_bins(p, std::span<const index_t>(hb));
+  const auto eb = p.easy_bins();
+  const kernels::SimdLevel initial = kernels::simd_level();
+  kernels::force_simd_level(kernels::SimdLevel::kScalar);
+  const auto hard_sc = hard_weights_for(p, steering, units, 4);
+  const auto easy_sc = easy_weights_for(p, steering, eb, 4);
+  kernels::force_simd_level(kernels::SimdLevel::kAvx2);
+  const auto hard_vx = hard_weights_for(p, steering, units, 4);
+  const auto easy_vx = easy_weights_for(p, steering, eb, 4);
+  kernels::force_simd_level(initial);
+  for (const auto& [key, w] : hard_sc)
+    EXPECT_TRUE(bitwise_equal(w, hard_vx.at(key)))
+        << "hard bin " << key.first << " segment " << key.second;
+  for (const auto& [bin, w] : easy_sc)
+    EXPECT_TRUE(bitwise_equal(w, easy_vx.at(bin))) << "easy bin " << bin;
+}
+
+// A lane's result depends only on its own problem: permuting the unit list
+// or splitting it across computers leaves every unit's weights bit-equal.
+TEST(Weights, LaneResultsIndependentOfBatchComposition) {
+  StapParams p = StapParams::small_test();
+  const auto steering = synth::steering_matrix(
+      p.num_channels, p.num_beams, p.beam_center_rad, p.beam_span_rad);
+  const auto hb = p.hard_bins();
+  auto units =
+      HardWeightComputer::units_for_bins(p, std::span<const index_t>(hb));
+  ASSERT_GT(units.size(), 8u);  // two groups, the second ragged
+  const auto all = hard_weights_for(p, steering, units, 5);
+
+  auto permuted = units;
+  std::reverse(permuted.begin(), permuted.end());
+  std::swap(permuted[0], permuted[5]);
+  for (const auto& [key, w] : hard_weights_for(p, steering, permuted, 5))
+    EXPECT_TRUE(bitwise_equal(w, all.at(key))) << "permuted unit";
+  for (size_t cut : {size_t{1}, size_t{3}, size_t{9}}) {
+    const std::vector<HardUnit> head(units.begin(), units.begin() + cut);
+    const std::vector<HardUnit> tail(units.begin() + cut, units.end());
+    for (const auto* part : {&head, &tail})
+      for (const auto& [key, w] : hard_weights_for(p, steering, *part, 5))
+        EXPECT_TRUE(bitwise_equal(w, all.at(key))) << "split at " << cut;
+  }
+
+  auto bins = p.easy_bins();
+  const auto easy_all = easy_weights_for(p, steering, bins, 4);
+  std::reverse(bins.begin(), bins.end());
+  for (const auto& [bin, w] : easy_weights_for(p, steering, bins, 4))
+    EXPECT_TRUE(bitwise_equal(w, easy_all.at(bin))) << "permuted bin " << bin;
+  const std::vector<index_t> one = {bins[4]};
+  EXPECT_TRUE(bitwise_equal(easy_weights_for(p, steering, one, 4).at(bins[4]),
+                            easy_all.at(bins[4])));
+}
+
+// The guards act per lane: an all-zero R in one lane takes exactly one
+// loading retry, a corrupted fold in one lane exactly one residual retry,
+// and every other unit's weights stay bit-unchanged.
+TEST(Weights, PerLaneGuardsLeaveNeighboursUnchanged) {
+  StapParams p = StapParams::small_test();
+  p.abft_tolerance = 1e-3;
+  const auto steering = synth::steering_matrix(
+      p.num_channels, p.num_beams, p.beam_center_rad, p.beam_span_rad);
+  const index_t jj = p.num_staggered_channels();
+  const auto hb = p.hard_bins();
+  const auto units =
+      HardWeightComputer::units_for_bins(p, std::span<const index_t>(hb));
+  HardWeightComputer comp(p, steering, units);
+  for (int cpi = 0; cpi < 3; ++cpi) comp.update(unit_rows(p, units, cpi));
+  const auto clean = comp.compute();
+  ASSERT_TRUE(comp.health().clean());
+
+  std::stringstream ckpt;
+  comp.save(ckpt);
+  const std::string blob = ckpt.str();
+  // Rewrite unit `victim`'s factor in a copy of the checkpoint.
+  auto restore_with = [&](size_t victim, auto&& edit) {
+    std::stringstream in(blob), out;
+    std::uint64_t count = 0;
+    in.read(reinterpret_cast<char*>(&count), sizeof(count));
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    for (std::uint64_t u = 0; u < count; ++u) {
+      auto r = linalg::read_matrix<cfloat>(in);
+      if (u == victim) edit(r);
+      linalg::write_matrix(out, r);
+    }
+    HardWeightComputer fresh(p, steering, units);
+    fresh.restore(out);
+    return fresh;
+  };
+  const size_t victim = 2;
+  {
+    auto zero = restore_with(victim, [&](linalg::MatrixCF& r) {
+      r = linalg::MatrixCF(jj, jj);
+    });
+    const auto w = zero.compute();
+    EXPECT_EQ(zero.health().loading_retries, 1u);
+    EXPECT_EQ(zero.health().qr_residual_retries, 0u);
+    for (size_t u = 0; u < units.size(); ++u) {
+      if (u != victim) {
+        EXPECT_TRUE(bitwise_equal(w[u], clean[u])) << u;
+      }
+    }
+  }
+  {
+    auto corrupt = restore_with(victim, [](linalg::MatrixCF& r) {
+      r(1, 3) = cfloat(3e37f, r(1, 3).imag());
+    });
+    const auto w = corrupt.compute();
+    EXPECT_EQ(corrupt.health().qr_residual_retries, 1u);
+    EXPECT_EQ(corrupt.health().qr_residual_rejects, 1u);
+    EXPECT_EQ(corrupt.health().loading_retries, 0u);
+    for (size_t u = 0; u < units.size(); ++u) {
+      if (u != victim) {
+        EXPECT_TRUE(bitwise_equal(w[u], clean[u])) << u;
+      }
+    }
+  }
+}
+
+// The easy path's dense-double reference: [conj X; avg I] w ~ [0; S] by a
+// double Householder QR (avg = k mean|x|, as the computer defines it),
+// columns unit-normalized — mirrored on the hard oracle above.
+TEST(Weights, EasySolveMatchesDenseOracle) {
+  StapParams p;  // paper shape: J = 16 columns
+  const index_t j = p.num_channels, m = p.num_beams;
+  const auto steering = synth::steering_matrix(j, m, p.beam_center_rad,
+                                               p.beam_span_rad);
+  const std::vector<index_t> bins = {p.easy_bins()[5], p.easy_bins()[40]};
+  EasyWeightComputer comp(p, steering, bins);
+  // Two spatial interferers over unit noise: the first J halves of the
+  // hard snapshot generator.
+  Rng rng(77);
+  std::vector<std::vector<linalg::MatrixCF>> pushed;
+  for (index_t h = 0; h < p.easy_history; ++h) {
+    std::vector<linalg::MatrixCF> rows;
+    for (size_t b = 0; b < bins.size(); ++b) {
+      const auto x2 = hard_snapshots(p.easy_samples_per_cpi, j, rng);
+      linalg::MatrixCF x(x2.rows(), j);
+      for (index_t r = 0; r < x.rows(); ++r)
+        for (index_t c = 0; c < j; ++c) x(r, c) = x2(r, c);
+      rows.push_back(std::move(x));
+    }
+    pushed.push_back(rows);
+    comp.push_training(std::move(rows));
+  }
+  const auto w = comp.compute();
+  ASSERT_TRUE(comp.health().clean());
+
+  Rng cov_rng(321);
+  const auto big = hard_snapshots(4000, j, cov_rng);
+  linalg::MatrixCF big_j(big.rows(), j);
+  for (index_t r = 0; r < big.rows(); ++r)
+    for (index_t c = 0; c < j; ++c) big_j(r, c) = big(r, c);
+  const auto rin = sample_covariance(big_j, 0.0f);
+
+  for (size_t b = 0; b < bins.size(); ++b) {
+    index_t rows = 0;
+    double abs_acc = 0.0;
+    for (const auto& cpi : pushed) {
+      rows += cpi[b].rows();
+      for (index_t i = 0; i < cpi[b].size(); ++i)
+        abs_acc += std::abs(cdouble(cpi[b].data()[i]));
+    }
+    const double avg =
+        p.beam_constraint_wt * abs_acc / static_cast<double>(rows * j);
+    linalg::MatrixCD a(rows + j, j), rhs(rows + j, m);
+    index_t row = 0;
+    for (const auto& cpi : pushed)
+      for (index_t r = 0; r < cpi[b].rows(); ++r, ++row)
+        for (index_t c = 0; c < j; ++c)
+          a(row, c) = std::conj(cdouble(cpi[b](r, c)));
+    for (index_t c = 0; c < j; ++c) {
+      a(rows + c, c) = avg;
+      for (index_t beam = 0; beam < m; ++beam)
+        rhs(rows + c, beam) = cdouble(steering(c, beam));
+    }
+    auto oracle = linalg::QrFactorization<cdouble>(a).solve(rhs);
+    linalg::MatrixCF w_oracle(j, m);
+    for (index_t c = 0; c < m; ++c) {
+      double n2 = 0.0;
+      for (index_t i = 0; i < j; ++i) n2 += std::norm(oracle(i, c));
+      for (index_t i = 0; i < j; ++i) {
+        oracle(i, c) /= std::sqrt(n2);
+        w_oracle(i, c) = cfloat(oracle(i, c));
+      }
+    }
+    const auto& wb = w.weights[b];
+    for (index_t c = 0; c < m; ++c) {
+      double err2 = 0.0;
+      for (index_t i = 0; i < j; ++i)
+        err2 += std::norm(cdouble(wb(i, c)) - oracle(i, c));
+      EXPECT_LE(std::sqrt(err2), 1e-4) << "bin " << bins[b] << " beam " << c;
+      std::vector<cfloat> v(static_cast<size_t>(j));
+      for (index_t i = 0; i < j; ++i) v[static_cast<size_t>(i)] = steering(i, c);
+      const double db = 10.0 * std::log10(sinr(wb, c, rin, v) /
+                                          sinr(w_oracle, c, rin, v));
+      EXPECT_LE(std::abs(db), 0.1) << "bin " << bins[b] << " beam " << c;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
