@@ -33,8 +33,13 @@
 #      suite joins them: generate() runs on the front end's producer thread
 #      and inline on rank threads at once, sharing const state and
 #      per-thread scratch.
-#   5. ASan+UBSan job: the comm/core/fault/overload/kernels/stap/synth-
-#      labelled suites under -fsanitize=address,undefined. The overload
+#   5. ASan+UBSan job: the comm/core/fault/elastic/overload/kernels/stap/
+#      synth-labelled suites under -fsanitize=address,undefined; every
+#      test those labels select is in the stage's build target list, so
+#      the stage passes from an empty build directory. The recovery paths
+#      (spare takeover through the ordinary role entry, checkpoint
+#      restore, shrink and migration votes) run in the fault suites
+#      (fault tolerance, checkpoint) and the elastic suite. The overload
 #      paths hand frames across degraded/shed boundaries and retry solves
 #      on conditioning failures — exactly where a stale pointer or signed
 #      overflow would hide; the kernel suite's blocked/tail paths are where
@@ -175,17 +180,17 @@ TSAN_OPTIONS="halt_on_error=1" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
       -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_checkpoint|test_overload|test_integrity|test_synth|test_events)$'
 
-echo "=== ASan+UBSan: comm + core + fault + overload + kernels + stap + synth ==="
+echo "=== ASan+UBSan: comm + core + fault + elastic + overload + kernels + stap + synth ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "$JOBS" \
       --target test_comm test_collectives test_core test_sim \
-               test_pipeline_properties test_beam_cycling \
-               test_fault_tolerance test_overload test_kernels test_stap \
-               test_synth
+               test_pipeline_properties test_beam_cycling test_events \
+               test_fault_tolerance test_checkpoint test_elastic \
+               test_overload test_kernels test_stap test_synth
 ctest --test-dir build-asan --output-on-failure -j "$JOBS" \
-      -L 'comm|core|fault|overload|kernels|stap|synth'
+      -L 'comm|core|fault|elastic|overload|kernels|stap|synth'
 
 echo "=== bench: overload ladder vs shed-only (BENCH_overload.json) ==="
 ./build/bench/ext_overload --json BENCH_overload.json

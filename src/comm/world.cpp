@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <deque>
@@ -93,12 +94,15 @@ struct World::Shared {
   int barrier_count = 0;
   std::uint64_t barrier_generation = 0;
   int live = 0;
-  // Per-rank liveness. dead/recoverable are atomic for the same reason as
-  // `aborted`; claimed/death_time are only touched under mu.
+  // Per-rank liveness. dead is atomic for the same reason as `aborted`;
+  // claimed/death_time are only touched under mu.
   std::vector<std::atomic<bool>> dead;
-  std::vector<std::atomic<bool>> recoverable;
   std::vector<char> claimed;
   std::vector<double> death_time;
+  // Spare pool: members not yet taken over (atomic like `dead`; written
+  // under mu) and the end-of-stream release (under mu).
+  std::atomic<int> idle_spares{0};
+  bool released = false;
 };
 
 World::World(int num_ranks, std::size_t mailbox_capacity_bytes)
@@ -113,8 +117,6 @@ World::World(int num_ranks, std::size_t mailbox_capacity_bytes)
     boxes_.back()->delivered.resize(static_cast<size_t>(num_ranks));
   }
   shared_->dead = std::vector<std::atomic<bool>>(static_cast<size_t>(num_ranks));
-  shared_->recoverable =
-      std::vector<std::atomic<bool>>(static_cast<size_t>(num_ranks));
   shared_->claimed.assign(static_cast<size_t>(num_ranks), 0);
   shared_->death_time.assign(static_cast<size_t>(num_ranks), 0.0);
   shared_->live = num_ranks;
@@ -122,21 +124,23 @@ World::World(int num_ranks, std::size_t mailbox_capacity_bytes)
 
 World::~World() = default;
 
-void World::set_recoverable(int rank, bool flag) {
-  PPSTAP_REQUIRE(rank >= 0 && rank < num_ranks_, "invalid rank");
-  shared_->recoverable[static_cast<size_t>(rank)].store(
-      flag, std::memory_order_release);
-  if (flag) return;
-  // Clearing the flag on an already-dead rank (e.g. the spare was just
-  // consumed and can no longer cover it) must wake receivers parked on the
-  // full recovery deadline: their predicate re-reads `recoverable` and now
-  // resolves to a prompt dead-peer status instead of a wait nobody will
-  // ever satisfy.
-  shared_->cv.notify_all();
-  for (auto& box : boxes_) {
-    std::lock_guard<std::mutex> lock(box->mu);
-    box->cv.notify_all();
+void World::set_spare_pool(int spares) {
+  PPSTAP_REQUIRE(spares >= 0 && spares < num_ranks_,
+                 "spare pool must leave at least one rank outside it");
+  pool_size_ = spares;
+  shared_->idle_spares.store(spares, std::memory_order_release);
+}
+
+int World::idle_spares() const {
+  return shared_->idle_spares.load(std::memory_order_acquire);
+}
+
+void World::release_spares() {
+  {
+    std::lock_guard<std::mutex> lock(shared_->mu);
+    shared_->released = true;
   }
+  shared_->cv.notify_all();
 }
 
 bool World::rank_dead(int rank) const {
@@ -147,8 +151,16 @@ bool World::rank_dead(int rank) const {
 
 bool World::rank_recoverable(int rank) const {
   PPSTAP_REQUIRE(rank >= 0 && rank < num_ranks_, "invalid rank");
-  return shared_->recoverable[static_cast<size_t>(rank)].load(
-      std::memory_order_acquire);
+  return rank < num_ranks_ - pool_size_ && idle_spares() > 0;
+}
+
+bool World::rank_lost(int rank) const {
+  const auto& dead = shared_->dead[static_cast<size_t>(rank)];
+  if (!dead.load(std::memory_order_acquire)) return false;
+  // The pool count is read before the liveness flag is read again:
+  // take_over revives the rank before it drops the count, so a reader that
+  // sees the dropped count also sees the revived rank alive.
+  return !rank_recoverable(rank) && dead.load(std::memory_order_acquire);
 }
 
 double World::death_time(int rank) const {
@@ -204,22 +216,29 @@ void World::mark_dead(int rank) {
 
 std::optional<int> World::wait_for_death(double timeout_seconds) {
   PPSTAP_REQUIRE(timeout_seconds >= 0.0, "timeout must be non-negative");
-  const auto deadline = Clock::now() + to_duration(timeout_seconds);
+  const bool forever = std::isinf(timeout_seconds);
+  const auto deadline =
+      forever ? Clock::time_point::max()
+              : Clock::now() + to_duration(timeout_seconds);
   std::unique_lock<std::mutex> lock(shared_->mu);
   for (;;) {
     if (shared_->aborted.load(std::memory_order_acquire))
       throw Error("comm world aborted during wait_for_death");
+    if (shared_->released) return std::nullopt;
     for (int r = 0; r < num_ranks_; ++r) {
       const auto i = static_cast<size_t>(r);
       if (shared_->dead[i].load(std::memory_order_acquire) &&
-          shared_->recoverable[i].load(std::memory_order_acquire) &&
-          !shared_->claimed[i]) {
+          rank_recoverable(r) && !shared_->claimed[i]) {
         shared_->claimed[i] = 1;
         return r;
       }
     }
-    if (Clock::now() >= deadline) return std::nullopt;
-    shared_->cv.wait_until(lock, deadline);
+    if (forever) {
+      shared_->cv.wait(lock);
+    } else {
+      if (Clock::now() >= deadline) return std::nullopt;
+      shared_->cv.wait_until(lock, deadline);
+    }
   }
 }
 
@@ -234,6 +253,10 @@ void World::do_take_over(Comm& c, int dead_rank) {
     shared_->dead[i].store(false, std::memory_order_release);
     shared_->claimed[i] = 0;  // a repeat death can be claimed again
     shared_->live += 1;
+    // One idle member fewer. The last one out makes every death permanent:
+    // the notifies below wake receivers parked on a dead rank, and their
+    // predicates now resolve to a prompt dead-peer status.
+    shared_->idle_spares.fetch_sub(1, std::memory_order_acq_rel);
     c.rank_ = dead_rank;
   }
   shared_->cv.notify_all();
@@ -244,11 +267,13 @@ void World::do_take_over(Comm& c, int dead_rank) {
 }
 
 void World::run(const std::function<void(Comm&)>& fn) {
-  // Reset cross-run state (recoverable flags are configuration and persist).
+  // Reset cross-run state (the pool size is configuration and persists).
   {
     std::lock_guard<std::mutex> lock(shared_->mu);
     shared_->aborted.store(false, std::memory_order_release);
     shared_->first_error = nullptr;
+    shared_->idle_spares.store(pool_size_, std::memory_order_release);
+    shared_->released = false;
     shared_->barrier_count = 0;
     shared_->live = num_ranks_;
     for (int r = 0; r < num_ranks_; ++r) {
@@ -356,9 +381,7 @@ void World::do_send(Comm& c, int dest, int tag,
   const double wait_start = WallTimer::now();
   box.cv.wait(lock, [&] {
     if (shared_->aborted.load(std::memory_order_acquire)) return true;
-    if (shared_->dead[di].load(std::memory_order_acquire) &&
-        !shared_->recoverable[di].load(std::memory_order_acquire))
-      return true;
+    if (rank_lost(dest)) return true;
     return box.frames.empty() ||
            box.buffered_bytes + bytes.size() <= capacity_;
   });
@@ -382,9 +405,7 @@ void World::do_send(Comm& c, int dest, int tag,
   // Black hole: the destination is dead and nobody will revive it. The
   // sender pays for the bytes and moves on (a real interconnect cannot
   // block forever on a failed node either).
-  if (shared_->dead[di].load(std::memory_order_acquire) &&
-      !shared_->recoverable[di].load(std::memory_order_acquire))
-    return;
+  if (rank_lost(dest)) return;
   if (plan_ && plan_->drop_due(f.src, dest, tag, f.seq)) return;
 
   f.checksum = checksum_bytes(bytes);
@@ -421,8 +442,8 @@ std::optional<std::vector<std::byte>> World::finalize_frame(
     Comm& c, Frame&& f, bool allow_corrupt_failure) {
   // Runs with no locks held. A checksum mismatch (only possible under an
   // injected corruption) triggers the retransmission path: refetch the
-  // sender-side pristine copy with jittered exponential backoff (the shared
-  // Backoff ladder, salted by (src, tag, seq) so seeded runs replay
+  // sender-side pristine copy with jittered exponential backoff
+  // (retry_delay, salted by (src, tag, seq) so seeded runs replay
   // identically); a corrupt rule may hit the refetched copy again (keyed by
   // attempt), bounded by the budget. On a deadline receive an exhausted
   // budget surfaces as a lost frame (RecvStatus::kCorrupt) so the caller
@@ -442,8 +463,8 @@ std::optional<std::vector<std::byte>> World::finalize_frame(
                    "frame corruption persisted past the retransmission budget");
       return std::nullopt;
     }
-    std::this_thread::sleep_for(std::chrono::duration<double>(
-        Backoff::retry_delay(attempt, retry_salt)));
+    std::this_thread::sleep_for(
+        std::chrono::duration<double>(retry_delay(attempt, retry_salt)));
     f.bytes = f.pristine;
     if (plan_ && !f.bytes.empty() &&
         plan_->corrupt_due(f.src, c.rank(), f.tag, f.seq, attempt)) {
@@ -550,9 +571,7 @@ RecvResult World::do_recv(Comm& c, int src, int tag, const double* timeout) {
       r.bytes = std::move(*bytes);
       return r;
     }
-    const bool src_dead = shared_->dead[si].load(std::memory_order_acquire);
-    if (src_dead &&
-        !shared_->recoverable[si].load(std::memory_order_acquire)) {
+    if (rank_lost(src)) {
       // Mailbox drained of matches and the source can never produce more.
       c.stats_.recv_wait_seconds += WallTimer::now() - wait_start;
       if (timeout) return RecvResult{RecvStatus::kPeerDead, false, {}};
@@ -563,7 +582,9 @@ RecvResult World::do_recv(Comm& c, int src, int tag, const double* timeout) {
       c.stats_.recv_wait_seconds += WallTimer::now() - wait_start;
       // A recoverable death that no spare claimed within the deadline is
       // reported as peer-dead, not a mere timeout.
-      return RecvResult{src_dead ? RecvStatus::kPeerDead : RecvStatus::kTimeout,
+      return RecvResult{shared_->dead[si].load(std::memory_order_acquire)
+                            ? RecvStatus::kPeerDead
+                            : RecvStatus::kTimeout,
                         false,
                         {}};
     }

@@ -26,11 +26,13 @@
 // Failure behaviour: a rank that throws RankKilled dies *individually* —
 // peers observe peer-dead (recv_bytes_for returns RecvStatus::kPeerDead,
 // plain recv throws once the mailbox drains, barriers complete over the
-// surviving ranks) and, if the rank was marked recoverable, a standby can
-// claim the death with wait_for_death() and assume the dead rank's
-// identity (and intact mailbox) with Comm::take_over(). Any other
-// exception aborts the whole world and every blocked operation on any
-// rank throws ppstap::Error instead of hanging.
+// surviving ranks). A world may declare its last ranks a spare pool: while
+// a pool member is still idle, every other rank is recoverable — a death
+// parks its receivers instead of failing them, an idle spare claims it
+// with wait_for_death() and assumes the dead rank's identity (and intact
+// mailbox) with Comm::take_over(). Any other exception aborts the whole
+// world and every blocked operation on any rank throws ppstap::Error
+// instead of hanging.
 #pragma once
 
 #include <array>
@@ -38,6 +40,7 @@
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <span>
@@ -209,7 +212,8 @@ class Comm {
   /// Assume the identity (rank number and mailbox) of a dead recoverable
   /// rank previously claimed via World::wait_for_death. After this call
   /// rank() == dead_rank, pending frames addressed to the dead rank are
-  /// receivable, and peers no longer observe the rank as dead.
+  /// receivable, peers no longer observe the rank as dead, and the pool
+  /// holds one idle member fewer.
   void take_over(int dead_rank);
 
   /// Typed span send for trivially copyable T.
@@ -317,22 +321,37 @@ class World {
   /// plan replays identically across runs.
   void set_fault_plan(FaultPlan* plan) { plan_ = plan; }
 
-  /// Declare a rank recoverable: if it dies, peers keep buffering to it
-  /// and wait for a spare instead of observing peer-dead immediately.
-  void set_recoverable(int rank, bool flag = true);
+  /// Declare the last `spares` ranks a spare pool (configuration; persists
+  /// across runs). Each member may take over one dead rank per run.
+  void set_spare_pool(int spares);
 
-  /// Block up to `timeout_seconds` for a dead recoverable rank nobody has
-  /// claimed yet; claims and returns it, or std::nullopt on timeout.
-  /// Throws if the world aborts while waiting. Intended for spare ranks.
-  std::optional<int> wait_for_death(double timeout_seconds);
+  /// Pool members that have not taken over a rank yet in this run.
+  int idle_spares() const;
+
+  /// Block until a dead recoverable rank nobody has claimed yet exists
+  /// (claims and returns it), the pool is released (std::nullopt), or
+  /// `timeout_seconds` passes (std::nullopt; the default never times out).
+  /// Throws if the world aborts while waiting. Intended for pool members.
+  std::optional<int> wait_for_death(
+      double timeout_seconds = std::numeric_limits<double>::infinity());
+
+  /// End of stream for the pool: every current and later wait_for_death
+  /// of this run returns std::nullopt.
+  void release_spares();
 
   /// True while `rank` is dead and unclaimed/unrevived.
   bool rank_dead(int rank) const;
 
-  /// True while `rank` is marked recoverable (a standby may still claim its
-  /// death). False means a death of this rank is permanent — the signal the
-  /// elastic shrink path keys on.
+  /// True for a non-pool rank while some pool member has not taken over
+  /// yet: a death of it may still be claimed (a claimed rank stays
+  /// recoverable until its replacement takes over). False means a death of
+  /// this rank is permanent.
   bool rank_recoverable(int rank) const;
+
+  /// Dead and not recoverable: the rank's frames will never arrive — the
+  /// signal the elastic shrink path and the sink's quorum key on. Safe
+  /// against a concurrent take_over (never true for a just-revived rank).
+  bool rank_lost(int rank) const;
 
   /// WallTimer::now() timestamp at which `rank` died (0 if alive);
   /// subtract from the spare's restore-complete time for recovery stall.
@@ -358,6 +377,7 @@ class World {
   struct Frame;
   int num_ranks_;
   std::size_t capacity_;
+  int pool_size_ = 0;
   FaultPlan* plan_ = nullptr;
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   std::vector<CommStats> last_stats_;

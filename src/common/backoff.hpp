@@ -1,95 +1,32 @@
-// Adaptive spin -> yield -> sleep backoff for idle polling loops.
-//
-// A fixed-interval poll burns a constant CPU wakeup rate no matter how long
-// the wait turns out to be. This ladder starts with a handful of pure spins
-// (an event a few hundred nanoseconds away costs nothing), escalates to
-// sched-yields, then to sleeps that double from a small seed up to `cap`
-// and beyond it to `max_stretch * cap` once the wait has proven to be long.
-// reset() drops back to spinning after an event so reaction latency stays
-// sharp when the loop is busy.
+// Jittered exponential retry delay for bounded retry loops.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <thread>
 
 namespace ppstap {
 
-class Backoff {
- public:
-  /// `cap_seconds` is the configured steady-state poll interval (e.g.
-  /// PPSTAP_FAULT_POLL); after prolonged idleness the sleep stretches to
-  /// `max_stretch` times that, bounding the idle wakeup rate.
-  explicit Backoff(double cap_seconds, double max_stretch = 50.0)
-      : cap_(cap_seconds > 0.0 ? cap_seconds : 1e-3),
-        limit_(std::max(cap_, cap_ * max_stretch)) {}
-
-  /// Current sleep budget in seconds: 0 while still in the spin/yield
-  /// phases (the caller should poll immediately), growing once asleep.
-  double next_timeout() const {
-    if (round_ < kSpinRounds + kYieldRounds) return 0.0;
-    return sleep_;
-  }
-
-  /// One idle iteration: spin, yield, or account a completed timed wait
-  /// (the caller is expected to have slept via its own timed primitive for
-  /// next_timeout() seconds when that was nonzero).
-  void idle() {
-    ++wakeups_;
-    if (round_ < kSpinRounds) {
-      // spin: fall straight through to the next poll
-    } else if (round_ < kSpinRounds + kYieldRounds) {
-      std::this_thread::yield();
-    } else {
-      sleep_ = std::min(limit_, sleep_ * 2.0);
-    }
-    ++round_;
-  }
-
-  /// An event fired: return to the responsive end of the ladder.
-  void reset() {
-    round_ = 0;
-    sleep_ = kSeedSleep;
-  }
-
-  /// Deterministically jittered exponential retry delay for bounded retry
-  /// loops (e.g. the transport's retransmission path): attempt N (1-based)
-  /// sleeps seed * 2^(N-1) capped at `cap_seconds`, scaled by a jitter
-  /// factor in [0.75, 1.25) derived from (salt, attempt). The jitter
-  /// decorrelates retries that would otherwise fire in lock-step (several
-  /// receivers refetching from one sender), and the determinism keeps
-  /// seeded fault-injection runs replayable.
-  static double retry_delay(int attempt, std::uint64_t salt,
-                            double seed_seconds = 50e-6,
-                            double cap_seconds = 2e-3) {
-    if (attempt < 1) attempt = 1;
-    double d = seed_seconds;
-    for (int i = 1; i < attempt && d < cap_seconds; ++i) d *= 2.0;
-    d = std::min(d, cap_seconds);
-    std::uint64_t h = salt * 0x9e3779b97f4a7c15ull +
-                      static_cast<std::uint64_t>(attempt) * 0xbf58476d1ce4e5b9ull;
-    h ^= h >> 31;
-    h *= 0x94d049bb133111ebull;
-    h ^= h >> 29;
-    const double jitter = 0.75 + 0.5 * static_cast<double>(h >> 40) /
-                                     static_cast<double>(1ull << 24);
-    return d * jitter;
-  }
-
-  /// Total idle iterations since construction (monotone across resets) —
-  /// the measurable "poll wakeups" a fixed-interval loop would multiply.
-  std::uint64_t wakeups() const { return wakeups_; }
-
- private:
-  static constexpr int kSpinRounds = 16;
-  static constexpr int kYieldRounds = 16;
-  static constexpr double kSeedSleep = 50e-6;
-
-  double cap_;
-  double limit_;
-  int round_ = 0;
-  double sleep_ = kSeedSleep;
-  std::uint64_t wakeups_ = 0;
-};
+/// Deterministically jittered exponential retry delay (e.g. the transport's
+/// retransmission path): attempt N (1-based) sleeps seed * 2^(N-1) capped at
+/// `cap_seconds`, scaled by a jitter factor in [0.75, 1.25) derived from
+/// (salt, attempt). The jitter decorrelates retries that would otherwise
+/// fire in lock-step (several receivers refetching from one sender), and the
+/// determinism keeps seeded fault-injection runs replayable.
+inline double retry_delay(int attempt, std::uint64_t salt,
+                          double seed_seconds = 50e-6,
+                          double cap_seconds = 2e-3) {
+  if (attempt < 1) attempt = 1;
+  double d = seed_seconds;
+  for (int i = 1; i < attempt && d < cap_seconds; ++i) d *= 2.0;
+  d = std::min(d, cap_seconds);
+  std::uint64_t h = salt * 0x9e3779b97f4a7c15ull +
+                    static_cast<std::uint64_t>(attempt) * 0xbf58476d1ce4e5b9ull;
+  h ^= h >> 31;
+  h *= 0x94d049bb133111ebull;
+  h ^= h >> 29;
+  const double jitter = 0.75 + 0.5 * static_cast<double>(h >> 40) /
+                                   static_cast<double>(1ull << 24);
+  return d * jitter;
+}
 
 }  // namespace ppstap

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 #include <span>
 #include <thread>
 #include <utility>
@@ -31,7 +30,6 @@ struct VotePayload {
   std::int32_t rank = -1;
   std::int32_t attempt = -1;
   std::int64_t barrier_cpi = -1;
-  std::uint64_t ckpt_checksum = 0;
   std::uint64_t topo_checksum = 0;
 };
 
@@ -40,25 +38,6 @@ struct VerdictPayload {
   std::int32_t committed = 0;
   std::int64_t barrier_cpi = -1;
 };
-
-const cube::BlockPartition& partition_for(const Topology& t, Task task) {
-  switch (task) {
-    case Task::kDopplerFilter:
-      return t.part_k;
-    case Task::kEasyWeight:
-      return t.part_ewt;
-    case Task::kHardWeight:
-      return t.part_hwu;
-    case Task::kEasyBeamform:
-      return t.part_ebf;
-    case Task::kHardBeamform:
-      return t.part_hbf;
-    case Task::kPulseCompression:
-      return t.part_pc;
-    default:
-      return t.part_cfar;
-  }
-}
 
 void rebuild_partitions(Topology& t, const stap::StapParams& p) {
   using cube::BlockPartition;
@@ -72,71 +51,11 @@ void rebuild_partitions(Topology& t, const stap::StapParams& p) {
   t.part_cfar = BlockPartition(p.num_pulses, t.count(Task::kCfar));
 }
 
-/// Partition-state checkpoint for the stateless per-CPI tasks: everything a
-/// successor needs (the (task, local) slot, resume CPI, and owned slice) is
-/// derivable from the topology, which is exactly why these tasks migrate
-/// bit-exactly. Beamform shares the serializer but reports
-/// can_transfer() == false: its weight cache and in-flight temporal weight
-/// frames (TD_{1,3}/TD_{2,4}) are not reconstructible from a topology.
-class PartitionStateTransfer final : public SolverStateTransfer {
- public:
-  explicit PartitionStateTransfer(Task t) : task_(t) {}
-  const char* scheme() const override { return "partition-state-v1"; }
-  bool can_transfer() const override { return task_migratable(task_); }
-  std::vector<std::byte> save(const Topology& t, Topology::Role role,
-                              index_t next_cpi) const override {
-    const cube::BlockPartition& part = partition_for(t, task_);
-    const std::int64_t words[5] = {
-        static_cast<std::int64_t>(task_), role.local,
-        static_cast<std::int64_t>(next_cpi), part.offset(role.local),
-        part.length(role.local)};
-    std::vector<std::byte> blob(sizeof(words));
-    std::memcpy(blob.data(), words, sizeof(words));
-    return blob;
-  }
-
- private:
-  Task task_;
-};
-
-/// The adaptive-weight tasks carry cross-CPI solver state (easy training
-/// history, hard triangular factors) that today's solver cannot hand to a
-/// differently-sized group mid-recursion; they attest their progress at the
-/// barrier but refuse transfer. A pluggable cheap-solver weight path in the
-/// style of arXiv:1008.4160 would implement can_transfer() == true here and
-/// make the weight groups elastic without touching the protocol.
-class AdaptiveWeightStateTransfer final : public SolverStateTransfer {
- public:
-  explicit AdaptiveWeightStateTransfer(Task t) : task_(t) {}
-  const char* scheme() const override { return "adaptive-weight-attest-v1"; }
-  bool can_transfer() const override { return false; }
-  std::vector<std::byte> save(const Topology& t, Topology::Role role,
-                              index_t next_cpi) const override {
-    const cube::BlockPartition& part = partition_for(t, task_);
-    const std::int64_t words[4] = {static_cast<std::int64_t>(task_),
-                                   role.local,
-                                   static_cast<std::int64_t>(next_cpi),
-                                   part.length(role.local)};
-    std::vector<std::byte> blob(sizeof(words));
-    std::memcpy(blob.data(), words, sizeof(words));
-    return blob;
-  }
-
- private:
-  Task task_;
-};
-
 }  // namespace
 
 bool task_migratable(Task t) {
   return t == Task::kDopplerFilter || t == Task::kPulseCompression ||
          t == Task::kCfar;
-}
-
-std::unique_ptr<SolverStateTransfer> make_state_transfer(Task t) {
-  if (t == Task::kEasyWeight || t == Task::kHardWeight)
-    return std::make_unique<AdaptiveWeightStateTransfer>(t);
-  return std::make_unique<PartitionStateTransfer>(t);
 }
 
 Topology Topology::initial(const stap::StapParams& p,
@@ -324,23 +243,15 @@ const Topology& ElasticEngine::barrier_point(comm::Comm& c, index_t cpi) {
 }
 
 void ElasticEngine::participate(comm::Comm& c, Proposal& p) {
-  // Checkpoint under the pre-migration topology: the blob's checksum rides
-  // on the vote, so the coordinator learns every rank quiesced at B with a
-  // serializable state snapshot before anything commits.
-  const Topology& cur = topo(p.barrier_cpi > 0 ? p.barrier_cpi - 1 : 0);
-  const Topology::Role role = cur.role_of(c.rank());
-  const auto transfer = make_state_transfer(role.task);
-  const std::vector<std::byte> blob =
-      transfer->save(cur, role, p.barrier_cpi);
-  const std::uint64_t ckpt_sum =
-      checksum_bytes(std::span<const std::byte>(blob));
+  // The vote tells the coordinator this rank quiesced at B and agrees on
+  // the candidate topology before anything commits.
   if (c.rank() == coordinator_rank_) {
     collect_votes(c, p);
     return;
   }
   const VotePayload vote{static_cast<std::int32_t>(c.rank()),
                          static_cast<std::int32_t>(p.attempt),
-                         static_cast<std::int64_t>(p.barrier_cpi), ckpt_sum,
+                         static_cast<std::int64_t>(p.barrier_cpi),
                          p.next.checksum()};
   c.send<VotePayload>(coordinator_rank_, vote_tag(p.barrier_cpi),
                       std::span<const VotePayload>(&vote, 1));
@@ -513,8 +424,7 @@ bool ElasticEngine::any_rank_dead() const {
 }
 
 bool ElasticEngine::rank_permanently_dead(int rank) const {
-  return world_ != nullptr && world_->rank_dead(rank) &&
-         !world_->rank_recoverable(rank);
+  return world_ != nullptr && world_->rank_lost(rank);
 }
 
 void ElasticEngine::set_shrink(bool enabled, ShrinkCallback on_commit) {
@@ -539,7 +449,7 @@ void ElasticEngine::shrink_tick(index_t cpi) {
   const Topology& cur = topo(cpi);
   for (size_t task = 0; task < cur.ranks.size(); ++task) {
     for (const int r : cur.ranks[task]) {
-      if (!world_->rank_dead(r) || world_->rank_recoverable(r)) continue;
+      if (!world_->rank_lost(r)) continue;
       {
         std::lock_guard<std::mutex> lock(mu_);
         if (std::find(shrunk_ranks_.begin(), shrunk_ranks_.end(), r) !=

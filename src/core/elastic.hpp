@@ -13,12 +13,11 @@
 //
 //  * Migration is a transactional two-phase protocol anchored at a CPI
 //    barrier B chosen ahead of every rank's progress. Each rank, on
-//    reaching B, checkpoints its partition state (via SolverStateTransfer),
-//    VOTEs to the coordinator (checkpoint checksum + candidate-topology
-//    checksum), and waits for the VERDICT. The coordinator commits only
-//    when every rank voted consistently within the stall budget; any
-//    timeout, peer death, or checksum mismatch aborts the attempt. The
-//    single linearization point is an atomic outcome CAS
+//    reaching B, VOTEs to the coordinator (its rank, the attempt, B and the
+//    candidate topology's checksum) and waits for the VERDICT. The
+//    coordinator commits only when every rank voted consistently within
+//    the stall budget; any timeout, peer death, or mismatch aborts the
+//    attempt. The single linearization point is an atomic outcome CAS
 //    (pending -> committed | rolled_back): whoever wins the CAS resolves
 //    the attempt for everyone, so a dead coordinator cannot wedge the
 //    stream. A rolled-back attempt restores nothing because nothing was
@@ -26,13 +25,12 @@
 //    rank keeps streaming under the old topology.
 //
 //  * Only the stateless per-CPI tasks (Doppler, pulse compression, CFAR)
-//    migrate: their partition state is fully reconstructed from the new
+//    migrate: their partition state is a pure function of the new
 //    topology, which is what makes a committed migration bit-exact. The
 //    weight tasks carry cross-CPI solver state (training history,
-//    triangular factors) and temporal send-ahead edges; their
-//    SolverStateTransfer reports can_transfer() == false until a pluggable
-//    cheap-solver path (arXiv:1008.4160) provides a transferable
-//    representation, so they are never chosen as donor or recipient.
+//    triangular factors) and temporal send-ahead edges, and the
+//    beamformers a weight cache fed by them, so none of those four groups
+//    is ever chosen as donor or recipient.
 //
 // Two drivers feed proposals: a policy loop on the coordinator rank driven
 // by obs::critical_path's live verdict (gated on predicted equation-1 gain
@@ -50,7 +48,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -126,25 +123,6 @@ struct Topology {
   std::uint64_t checksum() const;
 };
 
-/// Pluggable per-task solver-state transfer, consulted at every migration
-/// barrier. The stateless tasks serialize (and can rebuild) their partition
-/// descriptor; the adaptive-weight tasks only attest their progress and
-/// report can_transfer() == false — the seam where the pluggable
-/// weight-computation paths of arXiv:1008.4160 would slot a transferable
-/// solver representation in, making the weight groups elastic too.
-class SolverStateTransfer {
- public:
-  virtual ~SolverStateTransfer() = default;
-  virtual const char* scheme() const = 0;
-  /// Whether a successor rank could resume this task from save() alone.
-  virtual bool can_transfer() const = 0;
-  /// Serialize the state needed to continue `role` from `next_cpi`.
-  virtual std::vector<std::byte> save(const Topology& t, Topology::Role role,
-                                      index_t next_cpi) const = 0;
-};
-
-std::unique_ptr<SolverStateTransfer> make_state_transfer(stap::Task t);
-
 struct ForcedMigration {
   index_t at_cpi = 0;  ///< propose once the coordinator reaches this CPI
   stap::Task donor = stap::Task::kPulseCompression;
@@ -200,8 +178,8 @@ class ElasticEngine {
   int epoch_count() const;
 
   /// Per-CPI hook at the top of every task loop: records progress, takes
-  /// part in a pending barrier once `cpi` reaches it (checkpoint + VOTE +
-  /// VERDICT, or vote collection on the coordinator), and returns the
+  /// part in a pending barrier once `cpi` reaches it (VOTE + VERDICT, or
+  /// vote collection on the coordinator), and returns the
   /// topology for `cpi`. The rank's role under the returned topology may
   /// differ from its role at cpi-1 — the caller must then return control
   /// to the per-rank driver loop.

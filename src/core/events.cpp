@@ -31,7 +31,6 @@ constexpr std::array<EventKindInfo, kNumEventKinds> kTable{{
     {K::kHealSpare,        "healing.spare_takeovers",     kFault,  "fault",     "heal_spare",         "failover"},
     {K::kHealShrink,       "healing.shrinks",             kFault,  "fault",     "heal_shrink",        "shrink"},
     {K::kHealUncovered,    "healing.uncovered",           kNoSpan, "",          "",                   nullptr},
-    {K::kSpareWakeups,     "spare.poll_wakeups",          kNoSpan, "",          "",                   nullptr},
     {K::kDegraded,         "overload.degraded_cpis",      kFault,  "overload",  nullptr,              nullptr},
     {K::kLevelChange,      "overload.level_changes",      kNoSpan, "",          "",                   nullptr},
     {K::kThrottle,         "overload.throttle_waits",     kNoSpan, "",          "",                   nullptr},

@@ -17,8 +17,8 @@
 //
 // Nothing is recorded on a path that runs once per successful check or per
 // frame: those tallies (checks passed, retransmissions, injected-fault
-// counts, spare wakeups, weight-solver health) enter the log as one
-// count-carrying record per rank at exit.
+// counts, weight-solver health) enter the log as one count-carrying record
+// per rank at exit.
 #pragma once
 
 #include <array>
@@ -52,7 +52,6 @@ enum class EventKind : std::uint8_t {
   kHealShrink,       ///< the group shrank to its survivors (same fields,
                      ///< cpi = the epoch's begin CPI)
   kHealUncovered,    ///< neither mechanism applied
-  kSpareWakeups,     ///< tally: standby poll wakeups of one spare
   // --- overload control --------------------------------------------------
   kDegraded,         ///< a CPI admitted below full fidelity; peer = level,
                      ///< note = level name

@@ -17,8 +17,6 @@ FaultToleranceConfig FaultToleranceConfig::from_env() {
   if (auto n = parse_env_int("PPSTAP_SPARES", 0, 64))
     cfg.spares = static_cast<int>(*n);
   if (auto f = parse_env_flag("PPSTAP_HEAL_SHRINK")) cfg.heal_shrink = *f;
-  if (auto d = parse_env_double("PPSTAP_FAULT_POLL", 1e-6, 60.0))
-    cfg.death_poll_seconds = *d;
   return cfg;
 }
 

@@ -10,14 +10,17 @@
 //    downstream instead of stalling the stream; the CFAR sink records the
 //    CPI as shed. Late frames for a shed CPI are discarded on arrival.
 //
-//  * Spare pool — the world gets `spares` standby ranks, each able to
-//    assume any role. Weight-task ranks checkpoint their adaptive state
-//    (easy training history / hard triangular factors, via the
-//    weight-computer save/restore) after every CPI; a pool member claims a
-//    dead rank, restores that state (or, for a stateless task, the
-//    topology role), assumes the identity and mailbox, and resumes the
-//    stream. The measured recovery stall is the empirical counterpart of
-//    the machine model's ReallocationPlan::migration_stall.
+//  * Spare pool — the comm world's last `spares` ranks stand by, each able
+//    to assume any role. While one is idle every topology rank is
+//    recoverable. Weight-task ranks checkpoint their adaptive state (easy
+//    training history / hard triangular factors, via the weight-computer
+//    save/restore) after every CPI. An idle member blocks until a rank
+//    dies (or the last CFAR rank releases the pool at end of stream),
+//    claims it, assumes its identity and mailbox, and re-enters the
+//    pipeline like any rank: a weight role restores its checkpoint and
+//    resumes at the CPI it names, a stateless role resumes at the dead
+//    rank's frozen progress. The measured recovery stall is the empirical
+//    counterpart of the machine model's ReallocationPlan::migration_stall.
 //
 //  * Shrink-to-survivors — with the pool exhausted, a dead rank's group is
 //    re-planned across the survivors by the elastic engine.
@@ -47,8 +50,6 @@ struct FaultToleranceConfig {
   /// group dies, let the elastic engine shrink the group to the survivors
   /// under a new topology epoch instead of recording an uncovered failure.
   bool heal_shrink = false;
-  /// How often the idle spare polls for deaths (and for stream completion).
-  double death_poll_seconds = 0.002;
 
   bool any() const { return shedding || spares > 0 || heal_shrink; }
 
@@ -57,7 +58,6 @@ struct FaultToleranceConfig {
   ///   PPSTAP_FAULT_DEADLINE  seconds; > 0 enables shedding with that budget
   ///   PPSTAP_SPARES          spare-pool size
   ///   PPSTAP_HEAL_SHRINK     nonzero enables shrink-to-survivors
-  ///   PPSTAP_FAULT_POLL      seconds; overrides death_poll_seconds
   static FaultToleranceConfig from_env();
 };
 

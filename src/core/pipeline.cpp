@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
@@ -20,7 +19,6 @@
 
 #include "comm/fault.hpp"
 #include "comm/world.hpp"
-#include "common/backoff.hpp"
 #include "common/checksum.hpp"
 #include "common/timer.hpp"
 #include "core/cpi_source.hpp"
@@ -103,7 +101,8 @@ struct Shared {
   comm::FaultPlan* plan = nullptr;
   /// The run's event log: every shed origin, repair, heal and tally.
   EventLog log;
-  std::atomic<bool> stream_done{false};  // every CFAR rank finished
+  /// The run's comm world; it owns the spare pool.
+  comm::World* world = nullptr;
   /// Per-(global rank) weight-state checkpoint: serialized computers and
   /// the CPI the restored rank should resume at. Guarded by mu.
   struct Checkpoint {
@@ -111,11 +110,13 @@ struct Shared {
     std::string blob;
   };
   std::map<int, Checkpoint> checkpoints;
-  /// Idle members left in the universal spare pool. The claiming spare
-  /// decrements; whoever takes the pool to zero clears every recoverable
-  /// flag so further deaths surface as prompt dead-peer statuses instead
-  /// of parking receivers on a recovery that will never come.
-  std::atomic<int> spares_left{0};
+  /// Ranks a pool spare has taken over whose new incarnation has not
+  /// entered a CPI loop yet: the death time and heal cause. Guarded by mu.
+  struct Revival {
+    double died_at = 0.0;
+    const char* cause = "death";
+  };
+  std::map<int, Revival> revivals;
 
   std::mutex mu;
   std::vector<double> input_ready;  // per CPI: its admission stamp
@@ -161,15 +162,24 @@ struct Shared {
     return tp;
   }
 
-  // Task owning global rank `r` at `cpi`, as a stap::Task index (-1 for
-  // the spare) — used to attribute end-to-end digest mismatches to the
-  // producer across migration epochs.
-  int task_of_rank(int r, index_t cpi) const {
-    const Topology& tp = topo(cpi);
-    for (size_t t = 0; t < tp.ranks.size(); ++t)
-      for (const int rr : tp.ranks[t])
-        if (rr == r) return static_cast<int>(t);
-    return -1;
+  /// Logs the heal of a rank a pool spare took over, at its new
+  /// incarnation's first CPI-loop entry (task `t`, resume CPI `cpi`): the
+  /// state is restored and no CPI barrier has passed, so MTTR (death to
+  /// here) ends at the same point for every role. No-op for any other
+  /// entry.
+  void record_heal(int rank, Task t, index_t cpi) {
+    Revival rv;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      const auto it = revivals.find(rank);
+      if (it == revivals.end()) return;
+      rv = it->second;
+      revivals.erase(it);
+    }
+    Event e{EventKind::kHealSpare, WallTimer::now(), rank, static_cast<int>(t),
+            cpi, rv.cause};
+    e.seconds = e.time - rv.died_at;
+    log.record(e);
   }
 
   // Training rows of weight rank `r` of task `wt`, in the order Doppler
@@ -480,7 +490,7 @@ struct FtRecv {
     buf.resize(buf.size() - digest_elems<T>());
     if (d == checksum_of(std::span<const T>(buf))) return;
     Event e{EventKind::kDigestMismatch, 0.0, c.rank(),
-            s.task_of_rank(src, cpi), cpi};
+            static_cast<int>(s.topo(cpi).role_of(src).task), cpi};
     e.peer = src;
     s.log.record(e);
   }
@@ -509,6 +519,15 @@ void observe_health(Comm& c, Shared& s, Task t, index_t cpi, double t0,
     s.health->observe(c.rank(), static_cast<int>(t), cpi, t3 - t1, t1 - t0);
 }
 
+// Members of task `t`'s group under `tp` whose frames and ticks can still
+// arrive: alive, or dead but recoverable by an idle pool spare.
+std::vector<int> live_members(const Shared& s, const Topology& tp, Task t) {
+  std::vector<int> out;
+  for (const int r : tp.ranks[static_cast<size_t>(t)])
+    if (!s.eng->rank_permanently_dead(r)) out.push_back(r);
+  return out;
+}
+
 // Sink-side detector tick: score every task group's live members.
 // Eviction viability rides along — a spare left in the pool, else the
 // shrink protocol — so the do-no-harm gate can refuse quarantines nobody
@@ -516,15 +535,21 @@ void observe_health(Comm& c, Shared& s, Task t, index_t cpi, double t0,
 void health_scan(Shared& s, const Topology& tp, index_t cpi) {
   if (s.health == nullptr) return;
   std::vector<HealthGroup> groups;
-  for (size_t t = 0; t < tp.ranks.size(); ++t) {
-    HealthGroup g;
-    g.task = static_cast<int>(t);
-    for (const int r : tp.ranks[t])
-      if (!s.eng->rank_permanently_dead(r)) g.ranks.push_back(r);
+  for (int t = 0; t < stap::kNumTasks; ++t) {
+    HealthGroup g{t, live_members(s, tp, static_cast<Task>(t))};
     if (!g.ranks.empty()) groups.push_back(std::move(g));
   }
-  const bool spare = s.spares_left.load(std::memory_order_acquire) > 0;
-  s.health->scan(cpi, groups, spare, s.ft.heal_shrink);
+  s.health->scan(cpi, groups, s.world->idle_spares() > 0, s.ft.heal_shrink);
+}
+
+// Sink-side sweep of a CPI that can never complete whole (a CFAR tick died
+// with its rank): shed it, drop the detections banked for it and record the
+// shed. The caller holds s.mu, or the stream has drained.
+void sweep_cpi(Shared& s, index_t cpi, int rank, int task) {
+  const auto i = static_cast<size_t>(cpi);
+  s.shed[i] = 1;
+  s.detections[i].clear();
+  s.log.record({EventKind::kShed, 0.0, rank, task, cpi, "sweep"});
 }
 
 // ---------------------------------------------------------------------------
@@ -609,12 +634,12 @@ double comm_wait(const Comm& c) {
 // migration that changes the rank's role hands control back to run_roles,
 // which re-dispatches the new task at the returned CPI.
 //
-// The driver owns everything the tasks share: the migration barrier and
-// role check, the deadline receive, the phase clock and spans, health
-// sampling, the admission window's service sample, the PhaseAcc
-// bookkeeping and the shed exit. Each task supplies three hooks over a
-// Cycle and a fresh `Cpi` holding that CPI's buffers, released when the
-// cycle ends:
+// drive() owns everything the tasks share: a revived rank's heal
+// record, the migration barrier and role check, the deadline receive, the
+// phase clock and spans, health sampling, the admission window's service
+// sample, the PhaseAcc bookkeeping and the shed exit. Each task supplies
+// three hooks over a Cycle and a fresh `Cpi` holding that CPI's buffers,
+// released when the cycle ends:
 //   recv(x, d)     receive + unpack; false sheds the CPI
 //   compute(x, d)  compute + invariant through run_checked; false escalates
 //   send(x, d)     pack + send
@@ -623,6 +648,7 @@ double comm_wait(const Comm& c) {
 template <typename Cpi, typename RecvFn, typename CompFn, typename SendFn>
 index_t drive(Comm& c, Shared& s, Task t, index_t begin, RecvFn&& recv,
               CompFn&& compute, SendFn&& send) {
+  if (s.ft.spares > 0) s.record_heal(c.rank(), t, begin);
   FtRecv in{c, s};
   PhaseAcc acc;
   index_t cpi = begin;
@@ -665,15 +691,6 @@ index_t drive(Comm& c, Shared& s, Task t, index_t begin, RecvFn&& recv,
               static_cast<int>(t));
   return cpi;
 }
-
-/// Spare-rank resume request: restore the serialized weight computers and
-/// re-enter the CPI loop at `cpi`. `restored` fires once state is back
-/// (recovery-stall measurement point).
-struct Resume {
-  index_t cpi = 0;
-  std::string blob;
-  std::function<void(index_t)> restored;
-};
 
 // ---------------------------------------------------------------------------
 // Task 0: Doppler filter processing (partitioned along K)
@@ -811,9 +828,10 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
 // recursive QR factors. One computer per transmit position: training pools
 // only same-azimuth looks (paper §3). A fresh rank first sends the quiescent
 // weights that beamform each position's first visit (TD_{1,3} bootstrap); a
-// spare resumes from the dead rank's checkpoint instead.
+// revived rank restores its checkpoint instead and resumes at the CPI it
+// names.
 template <typename Computer>
-index_t run_weight_task(Comm& c, Shared& s, int me, const Resume* resume) {
+index_t run_weight_task(Comm& c, Shared& s, int me) {
   constexpr bool hard = std::is_same_v<Computer, stap::HardWeightComputer>;
   const Task task = hard ? Task::kHardWeight : Task::kEasyWeight;
   const Task bf_task = hard ? Task::kHardBeamform : Task::kEasyBeamform;
@@ -881,13 +899,23 @@ index_t run_weight_task(Comm& c, Shared& s, int me, const Resume* resume) {
     ck.blob = os.str();
   };
 
+  // Only a revived incarnation finds a checkpoint under its global rank,
+  // and it must find one.
+  std::optional<Shared::Checkpoint> resume;
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (const auto it = s.checkpoints.find(c.rank());
+        it != s.checkpoints.end())
+      resume = it->second;
+    PPSTAP_CHECK(resume || s.revivals.count(c.rank()) == 0,
+                 "no checkpoint for the dead rank");
+  }
   index_t start_cpi = 0;
   PhaseAcc boot;  // bootstrap bytes, folded into the task's totals below
-  if (resume != nullptr) {
+  if (resume) {
     std::istringstream is(resume->blob);
     for (auto& comp : computers) comp.restore(is);
-    start_cpi = resume->cpi;
-    if (resume->restored) resume->restored(start_cpi);
+    start_cpi = resume->next_cpi;
   } else {
     for (index_t pos = 0; pos < positions && pos < s.n_cpis; ++pos)
       send_weights(solve(computers[static_cast<size_t>(pos)]), pos, boot);
@@ -1010,11 +1038,10 @@ index_t run_weight_task(Comm& c, Shared& s, int me, const Resume* resume) {
   return next;
 }
 
-index_t run_weights(Comm& c, Shared& s, Task t, int me,
-                    const Resume* resume = nullptr) {
+index_t run_weights(Comm& c, Shared& s, Task t, int me) {
   return t == Task::kHardWeight
-             ? run_weight_task<stap::HardWeightComputer>(c, s, me, resume)
-             : run_weight_task<stap::EasyWeightComputer>(c, s, me, resume);
+             ? run_weight_task<stap::HardWeightComputer>(c, s, me)
+             : run_weight_task<stap::EasyWeightComputer>(c, s, me);
 }
 
 // ---------------------------------------------------------------------------
@@ -1340,13 +1367,9 @@ index_t run_cfar(Comm& c, Shared& s, index_t begin) {
           // live == group and coverage is whole again. While the peer is
           // merely dead-recoverable (a pool spare will revive it and
           // deliver its ticks) the full group count stands.
-          const int group = x.tp.count(Task::kCfar);
-          int live = 0;
-          for (int r = 0; r < group; ++r)
-            live += s.eng->rank_permanently_dead(x.tp.rank_at(Task::kCfar, r))
-                        ? 0
-                        : 1;
-          if (live < group) {
+          const auto live = static_cast<int>(
+              live_members(s, x.tp, Task::kCfar).size());
+          if (live < x.tp.count(Task::kCfar)) {
             quorum_shed = !d.shed;
             d.shed = true;
             d.dets.clear();
@@ -1357,16 +1380,10 @@ index_t run_cfar(Comm& c, Shared& s, index_t begin) {
             for (index_t j = 0; j < cpi; ++j) {
               const auto ji = static_cast<size_t>(j);
               if (s.completion[ji] > 0.0) continue;
-              const Topology& tj = s.topo(j);
-              int live_j = 0;
-              for (int r = 0; r < tj.count(Task::kCfar); ++r)
-                live_j += s.eng->rank_permanently_dead(
-                              tj.rank_at(Task::kCfar, r))
-                              ? 0
-                              : 1;
+              const auto live_j = static_cast<int>(
+                  live_members(s, s.topo(j), Task::kCfar).size());
               if (s.cfar_done[ji] >= live_j && live_j > 0) {
-                s.shed[ji] = 1;
-                s.detections[ji].clear();
+                sweep_cpi(s, j, c.rank(), static_cast<int>(Task::kCfar));
                 s.completion[ji] = WallTimer::now();
                 retro.push_back(j);
               }
@@ -1396,11 +1413,8 @@ index_t run_cfar(Comm& c, Shared& s, index_t begin) {
         // A dead CFAR peer's missing slice sheds at the sink itself, and so
         // does every CPI its death left incomplete (the sweep).
         if (quorum_shed) record_shed(c, s, Task::kCfar, x, "dead_peer");
-        for (const index_t j : retro) {
-          if (s.ctrl != nullptr) s.ctrl->on_complete(j, 0.0, true);
-          s.log.record({EventKind::kShed, 0.0, c.rank(),
-                        static_cast<int>(Task::kCfar), j, "sweep"});
-        }
+        if (s.ctrl != nullptr)
+          for (const index_t j : retro) s.ctrl->on_complete(j, 0.0, true);
         // Detector tick from the sink, not the coordinator: the pipelined
         // front can sprint arbitrarily far ahead of a straggler (and exit
         // its loop before the victim has min_samples), while the sink only
@@ -1418,8 +1432,7 @@ index_t run_cfar(Comm& c, Shared& s, index_t begin) {
 // migration changed this rank's role (only the migratable Doppler / PC /
 // CFAR groups ever do) and the loop re-enters the new task's body there.
 // Shared by the normal per-rank driver body (cpi 0) and by a spare that
-// just assumed a dead stateless rank's identity (the dead rank's frozen
-// progress).
+// just assumed a dead rank's identity (the dead rank's frozen progress).
 void run_roles(Comm& c, Shared& s, index_t cpi) {
   const int rank = c.rank();
   while (cpi < s.n_cpis) {
@@ -1445,106 +1458,59 @@ void run_roles(Comm& c, Shared& s, index_t cpi) {
         break;
     }
   }
-  // Last CFAR rank (under the final topology) out releases idle spares
-  // from their standby loops. Only ranks whose *final* role is CFAR count:
-  // a rank migrating away mid-stream must not tick the counter, and a
-  // revived CFAR rank ticks in place of the one that died.
+  // Last CFAR rank (under the final topology) out releases the idle
+  // spares. Only ranks whose *final* role is CFAR count: a rank migrating
+  // away mid-stream must not tick the counter, and a revived CFAR rank
+  // ticks in place of the one that died.
   const Topology& tf = s.topo(s.n_cpis - 1);
-  if (tf.role_of(rank).task == Task::kCfar) {
+  if (tf.role_of(rank).task != Task::kCfar) return;
+  bool last = false;
+  {
     std::lock_guard<std::mutex> lock(s.mu);
-    if (++s.cfar_ranks_finished == tf.count(Task::kCfar))
-      s.stream_done.store(true, std::memory_order_release);
+    last = ++s.cfar_ranks_finished == tf.count(Task::kCfar);
   }
+  if (last) s.world->release_spares();
 }
 
 // ---------------------------------------------------------------------------
 // Spare pool: hot standby for every pipeline role
 // ---------------------------------------------------------------------------
-// Each pool member polls for a claimed-recoverable death until the stream
-// drains, then assumes the dead rank's identity and mailbox (healing state
-// machine: detect -> claim -> restore -> re-enter -> report). A weight rank
-// resumes from its per-CPI checkpoint at exactly the CPI it would have
-// processed next; a stateless rank (Doppler / beamform / pulse compression
-// / CFAR) re-enters its role at the dead rank's frozen progress CPI — any
-// inputs the dead rank had already consumed for that CPI are re-driven by
-// the deadline/shed machinery, so the in-flight CPI either completes
-// bit-exactly (mailbox intact) or sheds cleanly. Downstream ranks never
-// notice beyond the recovery stall (paper §6's reallocation stall, measured
-// here per takeover as MTTR).
-void run_spare(comm::World& world, Comm& c, Shared& s) {
-  // Standby polling climbs a spin -> yield -> sleep ladder instead of
-  // waking at a fixed interval: an idle spare costs (almost) nothing while
-  // a death early in the stream is still claimed promptly.
-  Backoff bo(s.ft.death_poll_seconds);
+// Each pool member blocks until a topology rank dies (or the last CFAR rank
+// releases the pool), then assumes the dead rank's identity and mailbox and
+// re-enters through run_roles at the dead rank's frozen progress point (the
+// top-of-loop store a dead rank can never advance past). A weight role
+// restores its per-CPI checkpoint there and resumes at exactly the CPI it
+// would have processed next; a stateless role (Doppler / beamform / pulse
+// compression / CFAR) resumes at the frozen CPI — any inputs the dead rank
+// had already consumed for it are re-driven by the deadline/shed
+// machinery, so the in-flight CPI either completes bit-exactly (mailbox
+// intact) or sheds cleanly. Downstream ranks never notice beyond the
+// recovery stall (paper §6's reallocation stall, measured here per
+// takeover as MTTR; drive() records the heal).
+void run_spare(Comm& c, Shared& s) {
   std::optional<int> dead;
-  while (!dead && !s.stream_done.load(std::memory_order_acquire)) {
-    try {
-      dead = world.wait_for_death(bo.next_timeout());
-    } catch (const Error&) {
-      break;  // world aborted while standing by
-    }
-    if (!dead) bo.idle();
+  try {
+    dead = s.world->wait_for_death();
+  } catch (const Error&) {
+    return;  // world aborted while standing by
   }
-  // Every spare leaves its standby record, a zero count included: whether
-  // a spare polled at all before a short stream drained is up to the host
-  // scheduler, and a skipped zero tally would make the record set vary.
-  Event standby{EventKind::kSpareWakeups, 0.0, c.rank()};
-  standby.count = bo.wakeups();
-  s.log.record(standby);
   if (!dead) return;
-  const double t_death = world.death_time(*dead);
-
-  // Resolve the dead rank's role at its frozen progress point (the
-  // top-of-loop store a dead rank can never advance past).
   const index_t at = std::max<index_t>(0, s.eng->progress_of(*dead));
-  const Topology::Role role = s.topo(at).role_of(*dead);
-  PPSTAP_CHECK(role.local >= 0, "dead rank not in the topology");
-  const bool stateful =
-      role.task == Task::kEasyWeight || role.task == Task::kHardWeight;
-
-  Resume resume;
-  if (stateful) {
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.checkpoints.find(*dead);
-    PPSTAP_CHECK(it != s.checkpoints.end(),
-                 "no checkpoint for the dead rank");
-    resume.cpi = it->second.next_cpi;
-    resume.blob = it->second.blob;
-  }
-
   c.take_over(*dead);
   // A quarantined straggler's death is attributed to the monitor, and
   // the revival clears its eviction request and statistics — the rank id
   // now names healthy replacement hardware, so per-rank slowdown rules
   // keyed on the old identity no longer apply.
-  const bool was_quarantined =
-      s.health != nullptr && s.health->was_quarantined(*dead);
-  if (s.health != nullptr) s.health->on_revived(*dead);
-  // This claim consumed one pool member. Whoever takes the pool to zero
-  // clears every recoverable flag (the taken-over id included — the
-  // revived rank is alive again, so the flag only governs a *repeat*
-  // death) so any further death surfaces to receivers as a prompt
-  // dead-peer status — the CPI sheds and the run records an uncovered
-  // failure or the shrink path re-plans — instead of parking them on a
-  // recovery wait that nobody will ever satisfy.
-  if (s.spares_left.fetch_sub(1, std::memory_order_acq_rel) - 1 <= 0)
-    for (int g = 0; g < s.a.total(); ++g) world.set_recoverable(g, false);
-
-  auto record = [&s, dead = *dead, task = role.task, t_death,
-                 was_quarantined](index_t cpi) {
-    Event e{EventKind::kHealSpare, WallTimer::now(), dead,
-            static_cast<int>(task), cpi,
-            was_quarantined ? "quarantine" : "death"};
-    e.seconds = e.time - t_death;
-    s.log.record(e);
-  };
-  if (stateful) {
-    resume.restored = record;
-    run_weights(c, s, role.task, role.local, &resume);
-  } else {
-    record(at);
-    run_roles(c, s, at);
+  Shared::Revival rv{s.world->death_time(*dead), "death"};
+  if (s.health != nullptr) {
+    if (s.health->was_quarantined(*dead)) rv.cause = "quarantine";
+    s.health->on_revived(*dead);
   }
+  {
+    std::lock_guard<std::mutex> lock(s.mu);
+    s.revivals[*dead] = rv;
+  }
+  run_roles(c, s, at);
 }
 
 // Post-stream accounting, recorded before the log is read.
@@ -1556,13 +1522,9 @@ void record_exit(Shared& s, comm::World& world, const HealthMonitor& monitor) {
   // detections, exactly like any other shed.
   bool any_rank_dead = false;
   for (int g = 0; g < s.a.total(); ++g) any_rank_dead |= world.rank_dead(g);
-  for (index_t cpi = 0; any_rank_dead && cpi < s.n_cpis; ++cpi) {
-    const auto i = static_cast<size_t>(cpi);
-    if (s.completion[i] != 0.0) continue;
-    s.shed[i] = 1;
-    s.detections[i].clear();
-    s.log.record({EventKind::kShed, 0.0, -1, -1, cpi, "sweep"});
-  }
+  for (index_t cpi = 0; any_rank_dead && cpi < s.n_cpis; ++cpi)
+    if (s.completion[static_cast<size_t>(cpi)] == 0.0)
+      sweep_cpi(s, cpi, -1, -1);
   // A topology rank dead at exit with neither a heal nor a shrink in
   // flight died uncovered: its CPIs were shed (prompt dead-peer statuses,
   // not hangs) and the gap is recorded here.
@@ -1574,7 +1536,7 @@ void record_exit(Shared& s, comm::World& world, const HealthMonitor& monitor) {
     for (const Event& h : heals) covered |= h.rank == g;
     if (!covered)
       s.log.record({EventKind::kHealUncovered, 0.0, g,
-                    s.task_of_rank(g, s.n_cpis - 1)});
+                    static_cast<int>(s.topo(s.n_cpis - 1).role_of(g).task)});
   }
   s.eng->finish();
   monitor.record_ranks();
@@ -1694,16 +1656,15 @@ PipelineResult ParallelStapPipeline::run(
     obs::set_track_name(obs::kSourceTrack, "source");
   }
 
-  // Extra ranks beyond the assignment form the spare pool; they stay idle
-  // unless a recoverable rank dies. While the pool holds at least one
+  // Extra ranks beyond the assignment form the world's spare pool; they
+  // stay idle unless a topology rank dies. While the pool holds an idle
   // member every topology rank is recoverable — the pool is universal, any
   // role can be assumed (weight state from its per-CPI checkpoint, the
   // stateless roles from the dead rank's frozen progress point).
   comm::World world(assign_.total() + ft_.spares);
   world.set_fault_plan(plan_);
-  s.spares_left.store(ft_.spares, std::memory_order_relaxed);
-  if (ft_.spares > 0)
-    for (int g = 0; g < assign_.total(); ++g) world.set_recoverable(g);
+  world.set_spare_pool(ft_.spares);
+  s.world = &world;
 
   // The migration engine is always installed: with elastic disabled and no
   // forced migrations it never leaves epoch 0 and every topo(cpi) lookup is
@@ -1742,7 +1703,7 @@ PipelineResult ParallelStapPipeline::run(
       ~StopSource() { src.stop(); }
     } stop_source{source};
     world.run([&](Comm& c) {
-      if (c.rank() >= s.a.total()) return run_spare(world, c, s);
+      if (c.rank() >= s.a.total()) return run_spare(c, s);
       run_roles(c, s, 0);
     });
   }

@@ -558,7 +558,7 @@ TEST(FaultInjection, KillIsPerRankDeathNotGlobalAbort) {
 
 TEST(FaultInjection, SpareTakesOverRecoverableDeadRank) {
   World world(3);
-  world.set_recoverable(1);
+  world.set_spare_pool(1);  // rank 2 stands by
   FaultPlan plan;
   plan.add(FaultPlan::kill_on_recv(1, 7));
   world.set_fault_plan(&plan);
@@ -593,12 +593,139 @@ TEST(FaultInjection, SpareTakesOverRecoverableDeadRank) {
 
 TEST(FaultInjection, WaitForDeathTimesOutWhenNobodyDies) {
   World world(2);
-  world.set_recoverable(0);
+  world.set_spare_pool(1);
   world.run([&world](Comm& c) {
     if (c.rank() == 1) {
       EXPECT_FALSE(world.wait_for_death(0.02).has_value());
     }
   });
+}
+
+// A claimed death stays recoverable until its replacement takes over:
+// receivers keep waiting for the spare, and the pool count drops only at
+// take_over. The last member out makes every rank unrecoverable.
+TEST(FaultInjection, ClaimedRankStaysRecoverableUntilTakeOver) {
+  World world(3);
+  world.set_spare_pool(1);
+  FaultPlan plan;
+  plan.add(FaultPlan::kill_on_recv(1, 7));
+  world.set_fault_plan(&plan);
+  world.run([&world](Comm& c) {
+    if (c.rank() == 0) {
+      std::vector<int> v = {5};
+      c.send<int>(1, 7, v);
+      // The dead source is recoverable: the deadline receive waits for the
+      // spare instead of reporting a dead peer.
+      const RecvResult r = c.recv_bytes_for(1, 8, 5.0);
+      ASSERT_TRUE(r.ok());
+      EXPECT_EQ(r.as<int>()[0], 6);
+    } else if (c.rank() == 1) {
+      EXPECT_THROW((void)c.recv<int>(0, 7), RankKilled);
+      throw RankKilled(1);
+    } else {
+      const auto dead = world.wait_for_death(5.0);
+      ASSERT_TRUE(dead.has_value());
+      EXPECT_TRUE(world.rank_dead(1));
+      EXPECT_TRUE(world.rank_recoverable(1));
+      EXPECT_EQ(world.idle_spares(), 1);
+      c.take_over(1);
+      EXPECT_EQ(world.idle_spares(), 0);
+      EXPECT_FALSE(world.rank_recoverable(0));
+      EXPECT_FALSE(world.rank_recoverable(1));
+      EXPECT_EQ(c.recv<int>(0, 7)[0], 5);
+      std::vector<int> v = {6};
+      c.send<int>(0, 8, v);
+    }
+  });
+  EXPECT_FALSE(world.rank_dead(1));
+}
+
+// After the last pool member took over, no rank is recoverable — the
+// revived id included — so a repeat death reaches its receivers as a dead
+// peer at once instead of parking them on the full deadline.
+TEST(FaultInjection, RepeatDeathAfterPoolDrainsIsPeerDeadAtOnce) {
+  World world(3);
+  world.set_spare_pool(1);
+  FaultPlan plan;
+  plan.add(FaultPlan::kill_on_recv(1, 7));  // the first incarnation
+  plan.add(FaultPlan::kill_on_recv(1, 9));  // the revived one
+  world.set_fault_plan(&plan);
+  world.run([&world](Comm& c) {
+    if (c.rank() == 0) {
+      std::vector<int> v = {1};
+      c.send<int>(1, 7, v);
+      c.send<int>(1, 9, v);
+      const double t0 = WallTimer::now();
+      const RecvResult r = c.recv_bytes_for(1, 10, 30.0);
+      EXPECT_EQ(r.status, RecvStatus::kPeerDead);
+      EXPECT_LT(WallTimer::now() - t0, 15.0);
+    } else if (c.rank() == 1) {
+      EXPECT_THROW((void)c.recv<int>(0, 7), RankKilled);
+      throw RankKilled(1);
+    } else {
+      const auto dead = world.wait_for_death(5.0);
+      ASSERT_TRUE(dead.has_value());
+      c.take_over(*dead);
+      EXPECT_EQ(c.recv<int>(0, 7)[0], 1);
+      EXPECT_THROW((void)c.recv<int>(0, 9), RankKilled);
+      throw RankKilled(1);
+    }
+  });
+  EXPECT_EQ(plan.stats().kills, 2u);
+  EXPECT_TRUE(world.rank_dead(1));
+  EXPECT_FALSE(world.rank_recoverable(1));
+}
+
+// A pool member blocked without a timeout returns std::nullopt once the
+// pool is released, and so does every later wait of the run. (Rank 0
+// aborts the world if the release never wakes it, so a broken release
+// fails the test instead of hanging it.)
+TEST(FaultInjection, ReleasingThePoolWakesABlockedSpare) {
+  World world(2);
+  world.set_spare_pool(1);
+  std::atomic<bool> woke{false};
+  world.run([&world, &woke](Comm& c) {
+    if (c.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      world.release_spares();
+      const double give_up = WallTimer::now() + 30.0;
+      while (!woke.load() && WallTimer::now() < give_up)
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      if (!woke.load()) world.request_abort("release did not wake the spare");
+    } else {
+      EXPECT_FALSE(world.wait_for_death().has_value());
+      woke.store(true);
+      EXPECT_FALSE(world.wait_for_death().has_value());
+    }
+  });
+}
+
+// Pool members are never recoverable themselves: a dead pool member is
+// not claimable by another.
+TEST(FaultInjection, SpareRanksAreNeverRecoverable) {
+  World world(3);
+  world.set_spare_pool(2);  // ranks 1 and 2
+  EXPECT_TRUE(world.rank_recoverable(0));
+  EXPECT_FALSE(world.rank_recoverable(1));
+  EXPECT_FALSE(world.rank_recoverable(2));
+  FaultPlan plan;
+  plan.add(FaultPlan::kill_on_recv(2, 7));
+  world.set_fault_plan(&plan);
+  world.run([&world](Comm& c) {
+    if (c.rank() == 0) {
+      std::vector<int> v = {1};
+      c.send<int>(2, 7, v);
+    } else if (c.rank() == 1) {
+      EXPECT_FALSE(world.wait_for_death(0.2).has_value());
+    } else {
+      EXPECT_THROW((void)c.recv<int>(0, 7), RankKilled);
+      throw RankKilled(2);
+    }
+  });
+  EXPECT_TRUE(world.rank_dead(2));
+  EXPECT_FALSE(world.rank_recoverable(2));
+  world.set_spare_pool(0);
+  EXPECT_FALSE(world.rank_recoverable(0));
 }
 
 TEST(FaultInjection, PlanReplaysIdenticallyAcrossRuns) {
@@ -686,8 +813,7 @@ TEST(FaultInjection, SenderDeathDuringInFlightRetransmission) {
 // the two claimants take over disjoint corpses and both roles resume.
 TEST(FaultInjection, SimultaneousMultiRankKillClaimsAreDisjoint) {
   World world(5);
-  world.set_recoverable(0);
-  world.set_recoverable(1);
+  world.set_spare_pool(2);  // ranks 3 and 4 stand by
   FaultPlan plan;
   plan.add(FaultPlan::kill_on_recv(0, 7));
   plan.add(FaultPlan::kill_on_recv(1, 7));
@@ -727,7 +853,7 @@ TEST(FaultInjection, SimultaneousMultiRankKillClaimsAreDisjoint) {
 // pending protocol traffic.
 TEST(FaultInjection, IdleRankDeathAfterCompletionIsClaimedPromptly) {
   World world(3);
-  world.set_recoverable(1);
+  world.set_spare_pool(1);
   FaultPlan plan;
   plan.add(FaultPlan::kill_on_recv(1, 99));
   world.set_fault_plan(&plan);

@@ -412,7 +412,7 @@ TEST(Backoff, RetryDelayJitterStaysInBounds) {
     for (int attempt = 1; attempt <= 10; ++attempt) {
       const double base =
           std::min(kSeed * std::pow(2.0, attempt - 1), kCap);
-      const double d = Backoff::retry_delay(attempt, salt, kSeed, kCap);
+      const double d = retry_delay(attempt, salt, kSeed, kCap);
       EXPECT_GE(d, 0.75 * base) << "salt " << salt << " attempt " << attempt;
       EXPECT_LT(d, 1.25 * base) << "salt " << salt << " attempt " << attempt;
     }
@@ -421,13 +421,11 @@ TEST(Backoff, RetryDelayJitterStaysInBounds) {
 TEST(Backoff, RetryDelayIsDeterministicPerSaltAndAttempt) {
   for (std::uint64_t salt : {3ull, 99ull})
     for (int attempt = 1; attempt <= 6; ++attempt)
-      EXPECT_DOUBLE_EQ(Backoff::retry_delay(attempt, salt),
-                       Backoff::retry_delay(attempt, salt));
+      EXPECT_DOUBLE_EQ(retry_delay(attempt, salt), retry_delay(attempt, salt));
   // Different salts decorrelate: at least one attempt must differ.
   bool any_differ = false;
   for (int attempt = 1; attempt <= 6; ++attempt)
-    any_differ |= Backoff::retry_delay(attempt, 3) !=
-                  Backoff::retry_delay(attempt, 99);
+    any_differ |= retry_delay(attempt, 3) != retry_delay(attempt, 99);
   EXPECT_TRUE(any_differ);
 }
 
@@ -436,36 +434,13 @@ TEST(Backoff, RetryDelayCapSaturates) {
   // and ever-larger attempts cannot grow it further.
   constexpr double kCap = 2e-3;
   for (int attempt : {20, 100, 1000}) {
-    const double d = Backoff::retry_delay(attempt, 7, 50e-6, kCap);
+    const double d = retry_delay(attempt, 7, 50e-6, kCap);
     EXPECT_GE(d, 0.75 * kCap);
     EXPECT_LT(d, 1.25 * kCap);
   }
   // Attempts below 1 clamp to the first attempt's delay.
-  EXPECT_DOUBLE_EQ(Backoff::retry_delay(0, 7), Backoff::retry_delay(1, 7));
-  EXPECT_DOUBLE_EQ(Backoff::retry_delay(-5, 7), Backoff::retry_delay(1, 7));
-}
-
-TEST(Backoff, LadderSpinsThenYieldsThenSleepsToLimit) {
-  Backoff bo(/*cap_seconds=*/1e-3, /*max_stretch=*/4.0);
-  // Spin + yield phases advertise a zero timeout (poll immediately).
-  for (int i = 0; i < 32; ++i) {
-    EXPECT_EQ(bo.next_timeout(), 0.0);
-    bo.idle();
-  }
-  // Sleep phase: budget grows monotonically and saturates at stretch*cap.
-  double last = 0.0;
-  for (int i = 0; i < 16; ++i) {
-    const double t = bo.next_timeout();
-    EXPECT_GE(t, last);
-    EXPECT_LE(t, 4e-3);
-    last = t;
-    bo.idle();
-  }
-  EXPECT_DOUBLE_EQ(bo.next_timeout(), 4e-3);
-  // reset() drops back to the responsive end; wakeups keep accumulating.
-  bo.reset();
-  EXPECT_EQ(bo.next_timeout(), 0.0);
-  EXPECT_EQ(bo.wakeups(), 48u);
+  EXPECT_DOUBLE_EQ(retry_delay(0, 7), retry_delay(1, 7));
+  EXPECT_DOUBLE_EQ(retry_delay(-5, 7), retry_delay(1, 7));
 }
 
 }  // namespace

@@ -542,6 +542,60 @@ TEST(FaultTolerance, CorrelatedWeightKillsBothHealWithPool) {
                        ref[static_cast<size_t>(cpi)], cpi);
 }
 
+// The same hard-weight rank dies twice: first its original, then the
+// incarnation the first spare revived. Each revival restores the latest
+// checkpoint through the ordinary role entry, so the second spare resumes
+// where the first one died and the whole stream stays bitwise equal to
+// the fault-free run.
+TEST(FaultTolerance, RevivedHardWeightRankDiesAgainAndHealsAgain) {
+  auto f = Fixture::make();
+  const index_t n_cpis = 8;
+  NodeAssignment a;
+  const int victim = a.first_rank(Task::kHardWeight);
+
+  ScenarioGenerator gen(f.sp);
+  ParallelStapPipeline par(f.p, a, f.steering(),
+                           {gen.replica().begin(), gen.replica().end()});
+  const auto clean = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
+
+  FaultPlan plan;
+  plan.add(FaultPlan::kill_on_recv(victim, tag_for(2, kDopToHardWt)));
+  plan.add(FaultPlan::kill_on_recv(victim, tag_for(5, kDopToHardWt)));
+  FaultToleranceConfig ft;
+  ft.spares = 2;
+  par.set_fault_tolerance(ft);
+  par.set_fault_plan(&plan);
+  const auto res = par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
+
+  EXPECT_EQ(res.events.count(EventKind::kKill), 2u);
+  EXPECT_TRUE(res.faults.shed_cpis.empty());
+  const auto heals = res.events.heals();
+  ASSERT_EQ(heals.size(), 2u);
+  std::vector<index_t> resumed;
+  for (const auto& ev : heals) {
+    EXPECT_EQ(ev.kind, EventKind::kHealSpare);
+    EXPECT_EQ(ev.rank, victim);
+    EXPECT_EQ(ev.task, static_cast<int>(Task::kHardWeight));
+    EXPECT_GT(ev.seconds, 0.0);
+    resumed.push_back(ev.cpi);
+  }
+  std::sort(resumed.begin(), resumed.end());
+  EXPECT_EQ(resumed, (std::vector<index_t>{2, 5}));
+
+  ASSERT_EQ(res.detections.size(), clean.detections.size());
+  for (size_t cpi = 0; cpi < res.detections.size(); ++cpi) {
+    const auto& got = res.detections[cpi];
+    const auto& want = clean.detections[cpi];
+    ASSERT_EQ(got.size(), want.size()) << "cpi=" << cpi;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].doppler_bin, want[i].doppler_bin) << "cpi=" << cpi;
+      EXPECT_EQ(got[i].beam, want[i].beam) << "cpi=" << cpi;
+      EXPECT_EQ(got[i].range, want[i].range) << "cpi=" << cpi;
+      EXPECT_EQ(got[i].power, want[i].power) << "cpi=" << cpi;
+    }
+  }
+}
+
 // PR 8 (tentpole): with no spare pool at all, a permanently dead pulse-
 // compression rank heals by shrinking the group to the survivor through
 // the elastic quiesce/re-plan/commit protocol. The stream drains (the
