@@ -3,8 +3,8 @@
 //
 // Three panels, all on the REAL threaded pipeline:
 //
-//  1. Overhead: the Table-8-analogue throughput bench with PPSTAP_ABFT off
-//     vs on (no faults injected). The kernel invariants (Parseval, column
+//  1. Overhead: the Table-8-analogue throughput bench with the integrity
+//     layer off vs on (no faults injected). The kernel invariants (Parseval, column
 //     checksums, energy bounds, power-lookup equality) plus the per-frame
 //     digests must cost <= 10% throughput — that is the acceptance gate.
 //  2. Detection + repair: one seeded single-bit flip into each stage's

@@ -12,7 +12,7 @@
 
 using namespace ppstap;
 using core::NodeAssignment;
-using core::SimEdge;
+using core::Edge;
 
 namespace {
 
@@ -46,39 +46,39 @@ int main(int argc, char** argv) {
     NodeAssignment a112{{d, 16, 112, 16, 16, 16, 8}};
     const auto r56 = sim.simulate(a56);
     const auto r112 = sim.simulate(a112);
-    const auto edge = [&](const core::SimResult& r, SimEdge e) {
+    const auto edge = [&](const core::SimResult& r, Edge e) {
       return r.edges[static_cast<size_t>(e)];
     };
 
     std::printf("%8d | send      |", d);
-    bench::print_vs(edge(r56, SimEdge::kDopToEasyWt).send, kEasyWt[row].send);
-    bench::print_vs(edge(r56, SimEdge::kDopToHardWt).send,
+    bench::print_vs(edge(r56, Edge::kDopToEasyWt).send, kEasyWt[row].send);
+    bench::print_vs(edge(r56, Edge::kDopToHardWt).send,
                     kHardWt56[row].send);
-    bench::print_vs(edge(r112, SimEdge::kDopToHardWt).send,
+    bench::print_vs(edge(r112, Edge::kDopToHardWt).send,
                     kHardWt112[row].send);
-    bench::print_vs(edge(r56, SimEdge::kDopToEasyBf).send, kEasyBf[row].send);
-    bench::print_vs(edge(r56, SimEdge::kDopToHardBf).send, kHardBf[row].send);
+    bench::print_vs(edge(r56, Edge::kDopToEasyBf).send, kEasyBf[row].send);
+    bench::print_vs(edge(r56, Edge::kDopToHardBf).send, kHardBf[row].send);
     std::printf("\n%8s | recv      |", "");
-    bench::print_vs(edge(r56, SimEdge::kDopToEasyWt).recv, kEasyWt[row].recv);
-    bench::print_vs(edge(r56, SimEdge::kDopToHardWt).recv,
+    bench::print_vs(edge(r56, Edge::kDopToEasyWt).recv, kEasyWt[row].recv);
+    bench::print_vs(edge(r56, Edge::kDopToHardWt).recv,
                     kHardWt56[row].recv);
-    bench::print_vs(edge(r112, SimEdge::kDopToHardWt).recv,
+    bench::print_vs(edge(r112, Edge::kDopToHardWt).recv,
                     kHardWt112[row].recv);
-    bench::print_vs(edge(r56, SimEdge::kDopToEasyBf).recv, kEasyBf[row].recv);
-    bench::print_vs(edge(r56, SimEdge::kDopToHardBf).recv, kHardBf[row].recv);
+    bench::print_vs(edge(r56, Edge::kDopToEasyBf).recv, kEasyBf[row].recv);
+    bench::print_vs(edge(r56, Edge::kDopToHardBf).recv, kHardBf[row].recv);
     std::printf("\n");
 
     const struct {
       const char* successor;
       const core::SimResult& r;
-      SimEdge e;
+      Edge e;
       const PaperRow& paper;
     } cols[] = {
-        {"easy_wt_16", r56, SimEdge::kDopToEasyWt, kEasyWt[row]},
-        {"hard_wt_56", r56, SimEdge::kDopToHardWt, kHardWt56[row]},
-        {"hard_wt_112", r112, SimEdge::kDopToHardWt, kHardWt112[row]},
-        {"easy_bf_16", r56, SimEdge::kDopToEasyBf, kEasyBf[row]},
-        {"hard_bf_16", r56, SimEdge::kDopToHardBf, kHardBf[row]},
+        {"easy_wt_16", r56, Edge::kDopToEasyWt, kEasyWt[row]},
+        {"hard_wt_56", r56, Edge::kDopToHardWt, kHardWt56[row]},
+        {"hard_wt_112", r112, Edge::kDopToHardWt, kHardWt112[row]},
+        {"easy_bf_16", r56, Edge::kDopToEasyBf, kEasyBf[row]},
+        {"hard_bf_16", r56, Edge::kDopToHardBf, kHardBf[row]},
     };
     for (const auto& col : cols)
       bench::report_row(bench::row({{"doppler_nodes", d},

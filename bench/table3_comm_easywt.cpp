@@ -6,7 +6,7 @@
 
 using namespace ppstap;
 using core::NodeAssignment;
-using core::SimEdge;
+using core::Edge;
 
 int main(int argc, char** argv) {
   bench::report_init("table3_comm_easywt", argc, argv);
@@ -32,13 +32,13 @@ int main(int argc, char** argv) {
       NodeAssignment a{{32, wt_nodes[row], 112, bf_nodes[col], 28, 16, 16}};
       results[col] = sim.simulate(a);
       const auto& e =
-          results[col].edges[static_cast<size_t>(SimEdge::kEasyWtToBf)];
+          results[col].edges[static_cast<size_t>(Edge::kEasyWtToBf)];
       bench::print_vs(e.send, paper[row][col][0]);
     }
     std::printf("\n%8s | recv      |", "");
     for (int col = 0; col < 2; ++col) {
       const auto& e =
-          results[col].edges[static_cast<size_t>(SimEdge::kEasyWtToBf)];
+          results[col].edges[static_cast<size_t>(Edge::kEasyWtToBf)];
       bench::print_vs(e.recv, paper[row][col][1]);
       bench::report_row(bench::row({{"easy_wt_nodes", wt_nodes[row]},
                                     {"easy_bf_nodes", bf_nodes[col]},

@@ -6,7 +6,7 @@
 
 using namespace ppstap;
 using core::NodeAssignment;
-using core::SimEdge;
+using core::Edge;
 
 int main(int argc, char** argv) {
   bench::report_init("table4_comm_hardwt", argc, argv);
@@ -32,13 +32,13 @@ int main(int argc, char** argv) {
       NodeAssignment a{{32, 16, wt_nodes[row], 16, bf_nodes[col], 16, 16}};
       results[col] = sim.simulate(a);
       const auto& e =
-          results[col].edges[static_cast<size_t>(SimEdge::kHardWtToBf)];
+          results[col].edges[static_cast<size_t>(Edge::kHardWtToBf)];
       bench::print_vs(e.send, paper[row][col][0]);
     }
     std::printf("\n%8s | recv      |", "");
     for (int col = 0; col < 2; ++col) {
       const auto& e =
-          results[col].edges[static_cast<size_t>(SimEdge::kHardWtToBf)];
+          results[col].edges[static_cast<size_t>(Edge::kHardWtToBf)];
       bench::print_vs(e.recv, paper[row][col][1]);
       bench::report_row(bench::row({{"hard_wt_nodes", wt_nodes[row]},
                                     {"hard_bf_nodes", bf_nodes[col]},

@@ -6,7 +6,7 @@
 
 using namespace ppstap;
 using core::NodeAssignment;
-using core::SimEdge;
+using core::Edge;
 
 int main(int argc, char** argv) {
   bench::report_init("table5_comm_bf", argc, argv);
@@ -41,14 +41,14 @@ int main(int argc, char** argv) {
         NodeAssignment a{{32, 16, 112, bf_nodes[row], bf_nodes[row],
                           pc_nodes[col], 16}};
         results[col] = sim.simulate(a);
-        const auto e = hard ? SimEdge::kHardBfToPc : SimEdge::kEasyBfToPc;
+        const auto e = hard ? Edge::kHardBfToPc : Edge::kEasyBfToPc;
         const auto& et = results[col].edges[static_cast<size_t>(e)];
         const auto& pv = hard ? paper_hard[row][col] : paper_easy[row][col];
         bench::print_vs(et.send, pv[0]);
       }
       std::printf("\n%8s | recv      |", "");
       for (int col = 0; col < 2; ++col) {
-        const auto e = hard ? SimEdge::kHardBfToPc : SimEdge::kEasyBfToPc;
+        const auto e = hard ? Edge::kHardBfToPc : Edge::kEasyBfToPc;
         const auto& et = results[col].edges[static_cast<size_t>(e)];
         const auto& pv = hard ? paper_hard[row][col] : paper_easy[row][col];
         bench::print_vs(et.recv, pv[1]);

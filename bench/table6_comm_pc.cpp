@@ -6,7 +6,7 @@
 
 using namespace ppstap;
 using core::NodeAssignment;
-using core::SimEdge;
+using core::Edge;
 
 int main(int argc, char** argv) {
   bench::report_init("table6_comm_pc", argc, argv);
@@ -31,13 +31,13 @@ int main(int argc, char** argv) {
       NodeAssignment a{{32, 16, 112, 16, 28, pc_nodes[row], cfar_nodes[col]}};
       results[col] = sim.simulate(a);
       const auto& e =
-          results[col].edges[static_cast<size_t>(SimEdge::kPcToCfar)];
+          results[col].edges[static_cast<size_t>(Edge::kPcToCfar)];
       bench::print_vs(e.send, paper[row][col][0]);
     }
     std::printf("\n%8s | recv      |", "");
     for (int col = 0; col < 2; ++col) {
       const auto& e =
-          results[col].edges[static_cast<size_t>(SimEdge::kPcToCfar)];
+          results[col].edges[static_cast<size_t>(Edge::kPcToCfar)];
       bench::print_vs(e.recv, paper[row][col][1]);
       bench::report_row(bench::row({{"pc_nodes", pc_nodes[row]},
                                     {"cfar_nodes", cfar_nodes[col]},

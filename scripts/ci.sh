@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus the observability checks:
 #
-#   1. Configure, build, and run the full test suite (ROADMAP tier-1).
+#   1. Environment guard, then configure, build, and run the full test
+#      suite (ROADMAP tier-1). The guard fails if any file under src/
+#      other than obs/trace.cpp, kernels/dispatch.cpp and common/env.*
+#      calls getenv or a parse_env_ helper: only the kernel-dispatch and
+#      tracing knobs live in the environment, and a pipeline run is
+#      configured through its setters alone.
 #  1b. Kernel dispatch A/B: the kernels suite and the stap weights tests
 #      forced to scalar (the portable numerical contract, must pass on any
 #      host), forced to AVX2 where the CPU has it (skipped gracefully
@@ -117,6 +122,16 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
+echo "=== env guard: only kernel dispatch and tracing read the environment ==="
+stray_env=$(grep -rlE '\bgetenv\b|\bparse_env_' src |
+  grep -vxE 'src/(obs/trace\.cpp|kernels/dispatch\.cpp|common/env\.(hpp|cpp))' ||
+  true)
+if [ -n "$stray_env" ]; then
+  echo "environment read outside the allowed files:" >&2
+  echo "$stray_env" >&2
+  exit 1
+fi
+
 echo "=== tier-1: build + ctest (tracing ON) ==="
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j "$JOBS"
@@ -173,19 +188,19 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
 cmake --build build-tsan -j "$JOBS" \
-      --target test_comm test_collectives test_core test_fault_tolerance \
+      --target test_comm test_core test_fault_tolerance \
                test_elastic test_checkpoint test_overload test_integrity \
                test_synth test_events
 TSAN_OPTIONS="halt_on_error=1" \
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" \
-      -R '^(test_comm|test_collectives|test_core|test_fault_tolerance|test_elastic|test_checkpoint|test_overload|test_integrity|test_synth|test_events)$'
+      -R '^(test_comm|test_core|test_fault_tolerance|test_elastic|test_checkpoint|test_overload|test_integrity|test_synth|test_events)$'
 
 echo "=== ASan+UBSan: comm + core + fault + elastic + overload + kernels + stap + synth ==="
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined"
 cmake --build build-asan -j "$JOBS" \
-      --target test_comm test_collectives test_core test_sim \
+      --target test_comm test_core test_sim \
                test_pipeline_properties test_beam_cycling test_events \
                test_fault_tolerance test_checkpoint test_elastic \
                test_overload test_kernels test_stap test_synth

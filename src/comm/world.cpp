@@ -90,10 +90,6 @@ struct World::Shared {
   /// wakeup is missed.
   std::atomic<bool> aborted{false};
   std::exception_ptr first_error;
-  // Sense-reversing barrier over the live ranks.
-  int barrier_count = 0;
-  std::uint64_t barrier_generation = 0;
-  int live = 0;
   // Per-rank liveness. dead is atomic for the same reason as `aborted`;
   // claimed/death_time are only touched under mu.
   std::vector<std::atomic<bool>> dead;
@@ -119,7 +115,6 @@ World::World(int num_ranks, std::size_t mailbox_capacity_bytes)
   shared_->dead = std::vector<std::atomic<bool>>(static_cast<size_t>(num_ranks));
   shared_->claimed.assign(static_cast<size_t>(num_ranks), 0);
   shared_->death_time.assign(static_cast<size_t>(num_ranks), 0.0);
-  shared_->live = num_ranks;
 }
 
 World::~World() = default;
@@ -199,13 +194,6 @@ void World::mark_dead(int rank) {
     shared_->dead[static_cast<size_t>(rank)].store(true,
                                                    std::memory_order_release);
     shared_->death_time[static_cast<size_t>(rank)] = WallTimer::now();
-    shared_->live -= 1;
-    // The death may complete a barrier the survivors are already inside.
-    if (shared_->barrier_count > 0 &&
-        shared_->barrier_count >= shared_->live) {
-      shared_->barrier_count = 0;
-      ++shared_->barrier_generation;
-    }
   }
   shared_->cv.notify_all();
   for (auto& box : boxes_) {
@@ -252,7 +240,6 @@ void World::do_take_over(Comm& c, int dead_rank) {
                    "take_over requires a dead rank claimed via wait_for_death");
     shared_->dead[i].store(false, std::memory_order_release);
     shared_->claimed[i] = 0;  // a repeat death can be claimed again
-    shared_->live += 1;
     // One idle member fewer. The last one out makes every death permanent:
     // the notifies below wake receivers parked on a dead rank, and their
     // predicates now resolve to a prompt dead-peer status.
@@ -274,8 +261,6 @@ void World::run(const std::function<void(Comm&)>& fn) {
     shared_->first_error = nullptr;
     shared_->idle_spares.store(pool_size_, std::memory_order_release);
     shared_->released = false;
-    shared_->barrier_count = 0;
-    shared_->live = num_ranks_;
     for (int r = 0; r < num_ranks_; ++r) {
       const auto i = static_cast<size_t>(r);
       shared_->dead[i].store(false, std::memory_order_release);
@@ -350,17 +335,11 @@ RecvResult Comm::recv_bytes_for(int src, int tag, double timeout_seconds) {
   return world_->do_recv(*this, src, tag, &timeout_seconds);
 }
 
-std::optional<std::vector<std::byte>> Comm::try_recv_bytes(int src, int tag) {
-  return world_->do_try_recv(*this, src, tag);
-}
-
 std::size_t Comm::discard(int src, int tag) {
   return world_->do_discard(*this, src, tag);
 }
 
 void Comm::take_over(int dead_rank) { world_->do_take_over(*this, dead_rank); }
-
-void Comm::barrier() { world_->do_barrier(); }
 
 void World::do_send(Comm& c, int dest, int tag,
                     std::span<const std::byte> bytes, bool marker,
@@ -597,44 +576,6 @@ RecvResult World::do_recv(Comm& c, int src, int tag, const double* timeout) {
   }
 }
 
-std::optional<std::vector<std::byte>> World::do_try_recv(Comm& c, int src,
-                                                         int tag) {
-  PPSTAP_REQUIRE(src >= 0 && src < num_ranks_, "invalid source rank");
-  Mailbox& box = *boxes_[static_cast<size_t>(c.rank())];
-  std::unique_lock<std::mutex> lock(box.mu);
-  if (shared_->aborted.load(std::memory_order_acquire))
-    throw Error("comm world aborted during try_recv");
-  const auto now = Clock::now();
-  const auto si = static_cast<size_t>(src);
-  for (auto it = box.frames.begin(); it != box.frames.end();) {
-    if (it->src != src || it->tag != tag) {
-      ++it;
-      continue;
-    }
-    // Drop re-delivered frames before FIFO matching (same ledger as
-    // do_recv).
-    if (box.delivered[si].count(it->seq) != 0) {
-      box.buffered_bytes -= it->bytes.size();
-      it = box.frames.erase(it);
-      c.stats_.dup_discarded += 1;
-      continue;
-    }
-    // FIFO per (src, tag): a delayed head frame hides its successors.
-    if (it->deliver_at > now) return std::nullopt;
-    Frame f = std::move(*it);
-    box.delivered[si].insert(f.seq);
-    box.buffered_bytes -= f.bytes.size();
-    box.frames.erase(it);
-    sweep_duplicates(c, box, src, f.seq);
-    lock.unlock();
-    box.cv.notify_all();
-    // allow_corrupt_failure=false: persistent corruption throws here, so
-    // the returned optional is engaged whenever a frame matched.
-    return finalize_frame(c, std::move(f), /*allow_corrupt_failure=*/false);
-  }
-  return std::nullopt;
-}
-
 std::size_t World::do_discard(Comm& c, int src, int tag) {
   PPSTAP_REQUIRE(src >= 0 && src < num_ranks_, "invalid source rank");
   Mailbox& box = *boxes_[static_cast<size_t>(c.rank())];
@@ -657,26 +598,6 @@ std::size_t World::do_discard(Comm& c, int src, int tag) {
   }
   if (dropped > 0) box.cv.notify_all();  // wake senders blocked on capacity
   return dropped;
-}
-
-void World::do_barrier() {
-  std::unique_lock<std::mutex> lock(shared_->mu);
-  if (shared_->aborted.load(std::memory_order_acquire))
-    throw Error("comm world aborted during barrier");
-  const std::uint64_t gen = shared_->barrier_generation;
-  if (++shared_->barrier_count >= shared_->live) {
-    shared_->barrier_count = 0;
-    ++shared_->barrier_generation;
-    lock.unlock();
-    shared_->cv.notify_all();
-    return;
-  }
-  shared_->cv.wait(lock, [&] {
-    return shared_->aborted.load(std::memory_order_acquire) ||
-           shared_->barrier_generation != gen;
-  });
-  if (shared_->aborted.load(std::memory_order_acquire))
-    throw Error("comm world aborted during barrier");
 }
 
 }  // namespace ppstap::comm

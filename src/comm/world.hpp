@@ -3,7 +3,8 @@
 // The paper's implementation uses ANSI C + MPI on the Paragon; this runtime
 // reproduces the same programming model inside one process: a World of
 // ranks (one thread each), tagged point-to-point messages matched on
-// (source, tag), eager buffered sends, blocking receives, and a barrier.
+// (source, tag), eager buffered sends and blocking or deadline receives —
+// the personalized point-to-point exchange of the paper's Fig. 10 loop.
 // Every inter-task byte of the parallel pipeline flows through here, so the
 // functional behaviour (who sends what to whom, in which order) is
 // identical to a distributed run, and per-rank byte counters feed the
@@ -25,14 +26,13 @@
 //
 // Failure behaviour: a rank that throws RankKilled dies *individually* —
 // peers observe peer-dead (recv_bytes_for returns RecvStatus::kPeerDead,
-// plain recv throws once the mailbox drains, barriers complete over the
-// surviving ranks). A world may declare its last ranks a spare pool: while
-// a pool member is still idle, every other rank is recoverable — a death
-// parks its receivers instead of failing them, an idle spare claims it
-// with wait_for_death() and assumes the dead rank's identity (and intact
-// mailbox) with Comm::take_over(). Any other exception aborts the whole
-// world and every blocked operation on any rank throws ppstap::Error
-// instead of hanging.
+// plain recv throws once the mailbox drains). A world may declare its last
+// ranks a spare pool: while a pool member is still idle, every other rank
+// is recoverable — a death parks its receivers instead of failing them, an
+// idle spare claims it with wait_for_death() and assumes the dead rank's
+// identity (and intact mailbox) with Comm::take_over(). Any other exception
+// aborts the whole world and every blocked operation on any rank throws
+// ppstap::Error instead of hanging.
 #pragma once
 
 #include <array>
@@ -122,7 +122,7 @@ struct CommStats {
 struct FlowContext {
   std::int64_t cpi = -1;    ///< CPI the consumer will process
   std::int16_t task = -1;   ///< producing task (stap::Task index)
-  std::int16_t edge = -1;   ///< redistribution edge id (core SimEdge)
+  std::int16_t edge = -1;   ///< redistribution edge id (core::Edge)
   std::int32_t hop = 0;     ///< hop sequence along the pipeline (1-based)
   double sent_at = 0.0;     ///< WallTimer::now() when the send started
 };
@@ -181,12 +181,9 @@ class Comm {
   /// `timeout_seconds` (RecvStatus::kTimeout) and reports a dead,
   /// unrevivable source as RecvStatus::kPeerDead instead of hanging. A
   /// recoverable dead source is waited on for the full deadline — a spare
-  /// may still take over and produce the message.
+  /// may still take over and produce the message. A zero deadline is the
+  /// nonblocking probe: it delivers only a frame that is already due.
   RecvResult recv_bytes_for(int src, int tag, double timeout_seconds);
-
-  /// Nonblocking probe-and-receive: returns the matching message if one is
-  /// already buffered, std::nullopt otherwise (never blocks).
-  std::optional<std::vector<std::byte>> try_recv_bytes(int src, int tag);
 
   /// Send a zero-payload control marker (delivered with
   /// RecvResult::marker == true). The pipeline uses it as the "CPI shed"
@@ -236,63 +233,6 @@ class Comm {
     if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
     return out;
   }
-
-  /// Typed nonblocking receive.
-  template <typename T>
-  std::optional<std::vector<T>> try_recv(int src, int tag) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    auto bytes = try_recv_bytes(src, tag);
-    if (!bytes) return std::nullopt;
-    PPSTAP_CHECK(bytes->size() % sizeof(T) == 0,
-                 "received byte count not a multiple of element size");
-    std::vector<T> out(bytes->size() / sizeof(T));
-    if (!bytes->empty()) std::memcpy(out.data(), bytes->data(), bytes->size());
-    return out;
-  }
-
-  /// Posted-receive handle in the style of Fig. 10's asynchronous calls
-  /// (line 6 posts, line 7 waits). Because the runtime buffers eagerly,
-  /// posting is free; the handle packages the (source, tag) match so loop
-  /// code can separate posting from completion like the paper's.
-  template <typename T>
-  class PendingRecv {
-   public:
-    /// True when the message is already deliverable (does not consume it).
-    bool ready() { return result_ || take(); }
-
-    /// Block until the message arrives and return it (line 7).
-    std::vector<T> wait() {
-      if (!result_) result_ = comm_->recv<T>(src_, tag_);
-      auto out = std::move(*result_);
-      result_.reset();
-      done_ = true;
-      return out;
-    }
-
-   private:
-    friend class Comm;
-    PendingRecv(Comm* comm, int src, int tag)
-        : comm_(comm), src_(src), tag_(tag) {}
-    bool take() {
-      if (done_) return false;
-      result_ = comm_->try_recv<T>(src_, tag_);
-      return result_.has_value();
-    }
-    Comm* comm_;
-    int src_;
-    int tag_;
-    bool done_ = false;
-    std::optional<std::vector<T>> result_;
-  };
-
-  /// Post a receive for (src, tag); complete it later with wait().
-  template <typename T>
-  PendingRecv<T> irecv(int src, int tag) {
-    return PendingRecv<T>(this, src, tag);
-  }
-
-  /// Global barrier over all live ranks of the world.
-  void barrier();
 
   const CommStats& stats() const { return stats_; }
 
@@ -382,7 +322,7 @@ class World {
   std::vector<std::unique_ptr<Mailbox>> boxes_;
   std::vector<CommStats> last_stats_;
 
-  // Abort + barrier + liveness state live behind the Impl wall too.
+  // Abort + liveness state live behind the Impl wall too.
   struct Shared;
   std::unique_ptr<Shared> shared_;
 
@@ -396,13 +336,10 @@ class World {
   /// permanent backpressure.
   static void sweep_duplicates(Comm& c, Mailbox& box, int src,
                                std::uint64_t seq);
-  std::optional<std::vector<std::byte>> do_try_recv(Comm& c, int src,
-                                                    int tag);
   std::size_t do_discard(Comm& c, int src, int tag);
   void do_take_over(Comm& c, int dead_rank);
-  void do_barrier();
   // nullopt (budget exhausted) only when allow_corrupt_failure; the plain
-  // recv/try_recv paths keep treating persistent corruption as fatal.
+  // recv path keeps treating persistent corruption as fatal.
   std::optional<std::vector<std::byte>> finalize_frame(
       Comm& c, Frame&& frame, bool allow_corrupt_failure);
   void mark_dead(int rank);

@@ -2,7 +2,6 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cmath>
 #include <cstdlib>
 #include <string>
 
@@ -39,23 +38,6 @@ std::string lower(std::string s) {
 }
 
 }  // namespace
-
-std::optional<double> parse_env_double(const char* name, double lo,
-                                       double hi) {
-  const auto text = env_text(name);
-  if (!text) return std::nullopt;
-  errno = 0;
-  char* end = nullptr;
-  const double v = std::strtod(text->c_str(), &end);
-  if (end == text->c_str() || *end != '\0' || errno == ERANGE ||
-      !std::isfinite(v))
-    bad_value(name, *text, "a finite number");
-  if (v < lo || v > hi)
-    bad_value(name, *text,
-              "a number in [" + std::to_string(lo) + ", " +
-                  std::to_string(hi) + "]");
-  return v;
-}
 
 std::optional<long long> parse_env_int(const char* name, long long lo,
                                        long long hi) {

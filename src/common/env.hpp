@@ -1,10 +1,13 @@
 // Hardened PPSTAP_* environment parsing.
 //
-// Every runtime knob read from the environment goes through these helpers
-// instead of atoi/atof: a garbage or out-of-range value throws ppstap::Error
-// naming the variable and the offending text, instead of silently parsing
-// to zero and disabling (or mis-tuning) the feature the operator asked for.
-// An unset or empty variable is "not configured" (nullopt), never an error.
+// Only the process-wide knobs live in the environment: kernel dispatch
+// (PPSTAP_SIMD, PPSTAP_KERNEL_THREADS) and tracing (PPSTAP_TRACE*,
+// PPSTAP_FLIGHT_*). A pipeline run is configured through its setters
+// alone. Each knob goes through these helpers instead of atoi: a garbage
+// or out-of-range value throws ppstap::Error naming the variable and the
+// offending text, instead of silently parsing to zero and disabling (or
+// mis-tuning) the feature the operator asked for. An unset or empty
+// variable is "not configured" (nullopt), never an error.
 #pragma once
 
 #include <limits>
@@ -14,13 +17,6 @@
 #include "common/types.hpp"
 
 namespace ppstap {
-
-/// Parse env var `name` as a double in [lo, hi]. Returns nullopt when the
-/// variable is unset or empty; throws Error on garbage, non-finite input,
-/// or a value outside the range.
-std::optional<double> parse_env_double(
-    const char* name, double lo = -std::numeric_limits<double>::max(),
-    double hi = std::numeric_limits<double>::max());
 
 /// Parse env var `name` as a (decimal) integer in [lo, hi]. Returns nullopt
 /// when unset or empty; throws Error on garbage or out-of-range input.

@@ -107,7 +107,6 @@ std::shared_ptr<const cube::CpiCube> CpiSource::get(index_t cpi, int rank) {
   const int prior = generated_[cpi]++;
   if (prior > 0) {
     ++regenerations_;
-    ++regen_by_rank_[rank];
     obs::Registry::global().counter("cpi_source.regenerations").add(1);
     if (rank >= 0)
       obs::Registry::global()
@@ -214,11 +213,6 @@ void CpiSource::stop() {
 index_t CpiSource::regeneration_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return regenerations_;
-}
-
-std::map<int, index_t> CpiSource::regenerations_by_rank() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return regen_by_rank_;
 }
 
 index_t CpiSource::produced() const {

@@ -87,7 +87,7 @@ class CpiSource {
   /// producer when it will publish `cpi`; otherwise generates inline.
   /// Rethrows a producer failure at or before `cpi`. Throws once the total
   /// regeneration count exceeds the bound. `rank` (when >= 0) attributes
-  /// any regeneration to the calling rank in the per-rank accounting.
+  /// any regeneration to the calling rank in its per-rank obs counter.
   std::shared_ptr<const cube::CpiCube> get(index_t cpi, int rank = -1);
 
   /// Start the front-end producer thread for CPIs [0, num_cpis). At most
@@ -102,11 +102,6 @@ class CpiSource {
   /// How many CPIs had to be generated more than once (eviction misses);
   /// useful as a health check in tests.
   index_t regeneration_count() const;
-
-  /// Per-rank regeneration attribution (rank -> count), for the
-  /// gray-failure robustness accounting. Ranks that never regenerated are
-  /// absent; calls without a rank land on key -1.
-  std::map<int, index_t> regenerations_by_rank() const;
 
   /// CPIs the producer has finished with (published or passed over as
   /// rejected): it is working on, or waiting to start, CPI produced().
@@ -134,7 +129,6 @@ class CpiSource {
   std::set<index_t> inflight_;  // being generated right now
   std::map<index_t, int> generated_;
   std::map<index_t, double> admitted_at_;  // stamps when no controller
-  std::map<int, index_t> regen_by_rank_;
   index_t regenerations_ = 0;
 
   // Producer state.

@@ -9,7 +9,6 @@
 #include "comm/world.hpp"
 #include "common/check.hpp"
 #include "common/checksum.hpp"
-#include "common/env.hpp"
 #include "common/timer.hpp"
 #include "core/tags.hpp"
 #include "obs/critical_path.hpp"
@@ -20,6 +19,20 @@ namespace ppstap::core {
 namespace {
 
 using stap::Task;
+
+// Policy cadence and amortization window, in CPIs: the predicted per-CPI
+// gain is credited over this many CPIs and must exceed the expected
+// quiesce stall.
+constexpr int kHorizonCpis = 8;
+// Cap on committed optimization migrations per run (forced migrations and
+// shrinks bypass it).
+constexpr int kMaxMigrations = 1;
+// Barrier distance ahead of the fastest rank's observed progress.
+constexpr index_t kBarrierMargin = 2;
+// Minimum predicted throughput gain fraction for a policy migration.
+constexpr double kMinGainFraction = 0.05;
+// CPIs the policy stays quiet after a rolled-back attempt.
+constexpr int kCooldownCpis = 16;
 
 int vote_tag(index_t barrier_cpi) { return tag_for(barrier_cpi, kVoteSlot); }
 int verdict_tag(index_t barrier_cpi) {
@@ -126,28 +139,9 @@ std::uint64_t Topology::checksum() const {
   return checksum_of(std::span<const std::int64_t>(words));
 }
 
-ElasticConfig ElasticConfig::from_env() {
-  ElasticConfig cfg;
-  if (const auto v = parse_env_flag("PPSTAP_ELASTIC")) cfg.enabled = *v;
-  if (const auto v = parse_env_int("PPSTAP_ELASTIC_HORIZON", 1, 1000000))
-    cfg.horizon_cpis = static_cast<int>(*v);
-  if (const auto v =
-          parse_env_double("PPSTAP_ELASTIC_STALL_BUDGET", 1e-3, 3600.0))
-    cfg.stall_budget_seconds = *v;
-  if (const auto v = parse_env_int("PPSTAP_ELASTIC_MAX_MIGRATIONS", 0, 64))
-    cfg.max_migrations = static_cast<int>(*v);
-  cfg.validate();
-  return cfg;
-}
-
 void ElasticConfig::validate() const {
-  PPSTAP_REQUIRE(horizon_cpis >= 1, "elastic horizon must be >= 1 CPI");
   PPSTAP_REQUIRE(stall_budget_seconds > 0.0,
                  "elastic stall budget must be positive");
-  PPSTAP_REQUIRE(max_migrations >= 0, "max_migrations must be >= 0");
-  PPSTAP_REQUIRE(barrier_margin >= 1, "barrier margin must be >= 1");
-  PPSTAP_REQUIRE(min_gain_fraction >= 0.0, "min gain must be >= 0");
-  PPSTAP_REQUIRE(cooldown_cpis >= 0, "cooldown must be >= 0");
   for (const ForcedMigration& f : forced) {
     PPSTAP_REQUIRE(f.at_cpi >= 0, "forced migration CPI must be >= 0");
     PPSTAP_REQUIRE(f.donor != f.recipient &&
@@ -172,7 +166,7 @@ ElasticEngine::ElasticEngine(comm::World* world, const stap::StapParams& p,
   // Headroom covers the optimization migrations plus, in the worst case,
   // one shrink epoch per topology rank.
   epoch_capacity_ = cfg_.forced.size() +
-                    static_cast<size_t>(cfg_.max_migrations) + 8 +
+                    static_cast<size_t>(kMaxMigrations) + 8 +
                     static_cast<size_t>(total_ranks_);
   epochs_.reserve(epoch_capacity_);
   epochs_.push_back(Epoch{0, std::move(initial)});
@@ -195,9 +189,6 @@ const Topology& ElasticEngine::final_topology() const {
   return topo(n_cpis_ - 1);
 }
 
-int ElasticEngine::epoch_count() const {
-  return static_cast<int>(epoch_count_.load(std::memory_order_acquire));
-}
 
 const Topology& ElasticEngine::barrier_point(comm::Comm& c, index_t cpi) {
   const int rank = c.rank();
@@ -353,7 +344,7 @@ int ElasticEngine::resolve(Proposal& p, int outcome, const char* reason) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (outcome != kCommitted) {
-      cooldown_until_ = p.barrier_cpi + cfg_.cooldown_cpis;
+      cooldown_until_ = p.barrier_cpi + kCooldownCpis;
       // A rolled-back shrink may be re-proposed at the next tick.
       if (p.shrink)
         shrunk_ranks_.erase(std::remove(shrunk_ranks_.begin(),
@@ -487,7 +478,7 @@ bool ElasticEngine::propose_shrink(index_t cpi, int dead_rank) {
   index_t max_progress = -1;
   for (const auto& x : progress_)
     max_progress = std::max(max_progress, x.load(std::memory_order_seq_cst));
-  index_t barrier = std::max(max_progress, cpi) + cfg_.barrier_margin;
+  index_t barrier = std::max(max_progress, cpi) + kBarrierMargin;
   barrier = std::max(barrier, last_barrier_cpi_ + 1);
   if (barrier > n_cpis_ - 2) return false;
   proposals_.emplace_back();
@@ -518,7 +509,7 @@ bool ElasticEngine::propose_shrink(index_t cpi, int dead_rank) {
 }
 
 bool ElasticEngine::request_overload_assist() {
-  if (committed_.load(std::memory_order_relaxed) >= cfg_.max_migrations)
+  if (committed_.load(std::memory_order_relaxed) >= kMaxMigrations)
     return false;
   overload_assist_.store(true, std::memory_order_release);
   log_.record({EventKind::kElasticAssist});
@@ -545,7 +536,7 @@ bool ElasticEngine::propose(index_t cpi, Task donor, Task recipient,
   index_t max_progress = -1;
   for (const auto& x : progress_)
     max_progress = std::max(max_progress, x.load(std::memory_order_seq_cst));
-  index_t barrier = std::max(max_progress, cpi) + cfg_.barrier_margin;
+  index_t barrier = std::max(max_progress, cpi) + kBarrierMargin;
   barrier = std::max(barrier, last_barrier_cpi_ + 1);
   // Need the barrier strictly inside the stream: every rank must still
   // pass through it, and at least one post-migration CPI must exist.
@@ -590,7 +581,7 @@ void ElasticEngine::policy_tick(comm::Comm& c, index_t cpi) {
     propose(cpi, f.donor, f.recipient, "forced");
     return;
   }
-  if (committed_.load(std::memory_order_relaxed) >= cfg_.max_migrations)
+  if (committed_.load(std::memory_order_relaxed) >= kMaxMigrations)
     return;
   if (overload_assist_.exchange(false, std::memory_order_acq_rel)) {
     // Overload rung: migrate toward the gating group before degrading
@@ -619,7 +610,7 @@ void ElasticEngine::policy_tick(comm::Comm& c, index_t cpi) {
     return;
   }
   if (!cfg_.enabled) return;
-  if (last_eval_cpi_ >= 0 && cpi - last_eval_cpi_ < cfg_.horizon_cpis) return;
+  if (last_eval_cpi_ >= 0 && cpi - last_eval_cpi_ < kHorizonCpis) return;
   last_eval_cpi_ = cpi;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -654,10 +645,10 @@ void ElasticEngine::policy_tick(comm::Comm& c, index_t cpi) {
   const double period_pred = 1.0 / rep.predicted_throughput;
   const double gain_fraction =
       rep.predicted_throughput / rep.throughput_estimate - 1.0;
-  if (gain_fraction < cfg_.min_gain_fraction) return;
+  if (gain_fraction < kMinGainFraction) return;
   const double stall_estimate =
       rep.mean_latency > 0.0 ? rep.mean_latency : 4.0 * rep.period;
-  const double benefit = cfg_.horizon_cpis * (rep.period - period_pred);
+  const double benefit = kHorizonCpis * (rep.period - period_pred);
   if (benefit <= stall_estimate) return;
   // Two-tick hysteresis (like the overload ladder): the same verdict must
   // hold across two consecutive evaluations before a barrier is raised.

@@ -130,35 +130,19 @@ struct ForcedMigration {
 };
 
 struct ElasticConfig {
-  /// Master switch for the analyzer-driven policy loop (PPSTAP_ELASTIC).
-  /// Forced migrations and the overload assist work whenever the engine is
-  /// installed, even with the policy loop off.
+  /// Master switch for the analyzer-driven policy loop. Forced migrations
+  /// and the overload assist work whenever the engine is installed, even
+  /// with the policy loop off.
   bool enabled = false;
-  /// Policy cadence and amortization window, in CPIs
-  /// (PPSTAP_ELASTIC_HORIZON): the predicted per-CPI gain is credited over
-  /// this many CPIs and must exceed the expected quiesce stall.
-  int horizon_cpis = 8;
-  /// Vote-collection deadline at the barrier, seconds
-  /// (PPSTAP_ELASTIC_STALL_BUDGET). Participants wait twice this (plus
-  /// margin) for the verdict. Generous budgets cost nothing on clean runs —
-  /// they are deadlines, not sleeps.
+  /// Vote-collection deadline at the barrier, seconds. Participants wait
+  /// twice this (plus margin) for the verdict. Generous budgets cost
+  /// nothing on clean runs — they are deadlines, not sleeps.
   double stall_budget_seconds = 5.0;
-  /// Cap on committed migrations per run (PPSTAP_ELASTIC_MAX_MIGRATIONS).
-  int max_migrations = 1;
-  /// Barrier distance ahead of the fastest rank's observed progress.
-  index_t barrier_margin = 2;
-  /// Minimum predicted throughput gain fraction for a policy migration.
-  double min_gain_fraction = 0.05;
-  /// CPIs the policy stays quiet after a rolled-back attempt.
-  int cooldown_cpis = 16;
   /// Deterministic migrations for tests/benches, fired in order.
   std::vector<ForcedMigration> forced;
 
   bool any() const { return enabled || !forced.empty(); }
 
-  /// Read the PPSTAP_ELASTIC* knobs (see README). Garbage throws; the
-  /// engine is never silently misconfigured.
-  static ElasticConfig from_env();
   /// Throws ppstap::Error on an inconsistent configuration.
   void validate() const;
 };
@@ -174,8 +158,6 @@ class ElasticEngine {
   /// Topology governing `cpi`. Lock-free fast path.
   const Topology& topo(index_t cpi) const;
   const Topology& final_topology() const;
-  /// Number of published epochs (1 + committed migrations).
-  int epoch_count() const;
 
   /// Per-CPI hook at the top of every task loop: records progress, takes
   /// part in a pending barrier once `cpi` reaches it (VOTE + VERDICT, or
@@ -225,7 +207,7 @@ class ElasticEngine {
   /// dies permanently (dead and not recoverable — the spare pool is
   /// exhausted or absent), the coordinator's policy tick proposes removing
   /// it from its group under the same two-phase barrier protocol. Shrinks
-  /// bypass max_migrations (they are repairs, not optimizations).
+  /// bypass the migration cap (they are repairs, not optimizations).
   void set_shrink(bool enabled, ShrinkCallback on_commit = nullptr);
 
   /// Ranks healed by a committed shrink so far (for uncovered accounting).

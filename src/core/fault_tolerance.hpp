@@ -29,7 +29,6 @@
 // recovery (with its MTTR) is a record in the run's event log (events.hpp).
 #pragma once
 
-
 namespace ppstap::core {
 
 struct FaultToleranceConfig {
@@ -52,13 +51,6 @@ struct FaultToleranceConfig {
   bool heal_shrink = false;
 
   bool any() const { return shedding || spares > 0 || heal_shrink; }
-
-  /// Read the PPSTAP_FAULT_* / PPSTAP_SPARES / PPSTAP_HEAL* environment
-  /// knobs (see README):
-  ///   PPSTAP_FAULT_DEADLINE  seconds; > 0 enables shedding with that budget
-  ///   PPSTAP_SPARES          spare-pool size
-  ///   PPSTAP_HEAL_SHRINK     nonzero enables shrink-to-survivors
-  static FaultToleranceConfig from_env();
 };
 
 }  // namespace ppstap::core

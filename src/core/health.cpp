@@ -4,24 +4,17 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 
 namespace ppstap::core {
 
-HealthConfig HealthConfig::from_env() {
-  HealthConfig cfg;
-  if (const auto v = parse_env_flag("PPSTAP_HEALTH")) cfg.enabled = *v;
-  if (const auto v = parse_env_double("PPSTAP_HEALTH_ZSCORE", 0.5, 1e3))
-    cfg.zscore = *v;
-  if (const auto v = parse_env_int("PPSTAP_HEALTH_DWELL", 1, 1000000))
-    cfg.dwell = static_cast<int>(*v);
-  if (const auto v = parse_env_flag("PPSTAP_HEALTH_QUARANTINE"))
-    cfg.quarantine = *v;
-  if (const auto v = parse_env_double("PPSTAP_HEALTH_MIN_SERVICE", 0.0, 1e3))
-    cfg.min_service = *v;
-  cfg.validate();
-  return cfg;
-}
+namespace {
+
+// Quarantines allowed per rank per run (the flap guard).
+constexpr int kFlapLimit = 1;
+// Do-no-harm margin: predicted eq.-1 period shrink required to evict.
+constexpr double kMinGain = 0.05;
+
+}  // namespace
 
 void HealthConfig::validate() const {
   PPSTAP_REQUIRE(zscore > 0.0, "health zscore threshold must be positive");
@@ -30,9 +23,6 @@ void HealthConfig::validate() const {
                  "health EWMA alpha must be in (0, 1]");
   PPSTAP_REQUIRE(min_ratio >= 1.0, "health min_ratio must be >= 1");
   PPSTAP_REQUIRE(min_samples >= 1, "health min_samples must be >= 1");
-  PPSTAP_REQUIRE(flap_limit >= 0, "health flap_limit must be >= 0");
-  PPSTAP_REQUIRE(min_gain >= 0.0 && min_gain < 1.0,
-                 "health min_gain must be in [0, 1)");
   PPSTAP_REQUIRE(min_service >= 0.0, "health min_service must be >= 0");
 }
 
@@ -102,7 +92,7 @@ bool HealthMonitor::do_no_harm_ok(const std::vector<HealthGroup>& groups,
   // straggler's group runs at its healthy peers' pace (spare takeover) or
   // at the peers' mean stretched by the survivors sharing the evictee's
   // partition (shrink). Evict only when the pipeline period shrinks by at
-  // least min_gain — e.g. a straggler in a non-gating group with slack is
+  // least kMinGain — e.g. a straggler in a non-gating group with slack is
   // left alone.
   if (healthy.empty()) return false;  // nobody left to carry the work
   if (!spare_available && group.ranks.size() < 2) return false;
@@ -127,7 +117,7 @@ bool HealthMonitor::do_no_harm_ok(const std::vector<HealthGroup>& groups,
   }
   (void)rank;
   const double post = std::max(others, healed);
-  return post < (1.0 - cfg_.min_gain) * current;
+  return post < (1.0 - kMinGain) * current;
 }
 
 void HealthMonitor::scan(long long cpi,
@@ -178,7 +168,7 @@ void HealthMonitor::scan(long long cpi,
         if (s.strikes < cfg_.dwell) continue;
         // Confirmed. Flap budget first, then the do-no-harm prediction.
         if (!cfg_.quarantine) continue;
-        if (s.quarantine_count >= cfg_.flap_limit) {
+        if (s.quarantine_count >= kFlapLimit) {
           verdict(EventKind::kFlapSuppressed, r, s, cpi, z);
           s.strikes = 0;
           continue;

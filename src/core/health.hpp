@@ -42,12 +42,12 @@
 //    hands the rank to the existing recovery machinery (spare-pool
 //    takeover, else elastic shrink-to-survivors), recorded with cause
 //    "quarantine" and MTTR. Two guards precede eviction: a flap budget
-//    (`flap_limit` quarantines per rank per run, so an intermittently slow
-//    rank is not evicted repeatedly), and a do-no-harm gate — an eq.-1
-//    throughput prediction built from the same per-group intrinsic EWMAs
-//    the critical-path analyzer uses: eviction must shrink the pipeline
-//    period (straggler group healed vs. every other group's estimate) by
-//    at least `min_gain`, otherwise the verdict is vetoed and recorded.
+//    (one quarantine per rank per run, so an intermittently slow rank is
+//    not evicted repeatedly), and a do-no-harm gate — an eq.-1 throughput
+//    prediction built from the same per-group intrinsic EWMAs the
+//    critical-path analyzer uses: eviction must shrink the pipeline period
+//    (straggler group healed vs. every other group's estimate) by at least
+//    5%, otherwise the verdict is vetoed and recorded.
 //
 // Every verdict (suspect, clear, quarantine, flap suppression, veto) is
 // recorded into the run's event log, plus one kRankHealth exit record per
@@ -66,18 +66,16 @@
 namespace ppstap::core {
 
 struct HealthConfig {
-  /// Master switch (PPSTAP_HEALTH). Off by default: scoring costs one
-  /// mutexed EWMA update per rank per CPI, and quarantine changes failure
-  /// semantics — operators opt in.
+  /// Master switch. Off by default: scoring costs one mutexed EWMA update
+  /// per rank per CPI, and quarantine changes failure semantics —
+  /// operators opt in.
   bool enabled = false;
-  /// Leave-one-out peer z-score a rank must exceed to strike
-  /// (PPSTAP_HEALTH_ZSCORE).
+  /// Leave-one-out peer z-score a rank must exceed to strike.
   double zscore = 4.0;
-  /// Consecutive straggler scans required before quarantine
-  /// (PPSTAP_HEALTH_DWELL).
+  /// Consecutive straggler scans required before quarantine.
   int dwell = 3;
-  /// Whether a confirmed straggler is actually evicted
-  /// (PPSTAP_HEALTH_QUARANTINE); off = detect-and-record only.
+  /// Whether a confirmed straggler is actually evicted; off =
+  /// detect-and-record only.
   bool quarantine = true;
   /// EWMA weight of the newest per-CPI sample.
   double alpha = 0.3;
@@ -86,19 +84,13 @@ struct HealthConfig {
   double min_ratio = 1.5;
   /// Samples a rank needs before it can be scored at all.
   int min_samples = 3;
-  /// Absolute service floor (seconds, PPSTAP_HEALTH_MIN_SERVICE): a rank
-  /// whose service EWMA sits below it is never flagged, however its peers
-  /// compare — sub-floor groups live in scheduler-noise territory where a
-  /// relative z-score is meaningless, and a straggler that slow cannot be
-  /// gating the pipeline anyway.
+  /// Absolute service floor (seconds): a rank whose service EWMA sits
+  /// below it is never flagged, however its peers compare — sub-floor
+  /// groups live in scheduler-noise territory where a relative z-score is
+  /// meaningless, and a straggler that slow cannot be gating the pipeline
+  /// anyway.
   double min_service = 1e-4;
-  /// Quarantines allowed per rank per run (the flap guard).
-  int flap_limit = 1;
-  /// Do-no-harm margin: predicted eq.-1 period shrink required to evict.
-  double min_gain = 0.05;
 
-  /// Read the PPSTAP_HEALTH* knobs (see README). Garbage throws.
-  static HealthConfig from_env();
   /// Throws ppstap::Error on an inconsistent configuration.
   void validate() const;
 };

@@ -3,17 +3,8 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 
 namespace ppstap::core {
-
-IntegrityConfig IntegrityConfig::from_env() {
-  IntegrityConfig c;
-  if (const auto on = parse_env_flag("PPSTAP_ABFT")) c.enabled = *on;
-  if (const auto tol = parse_env_double("PPSTAP_ABFT_TOL", 1e-12, 1.0))
-    c.tolerance = *tol;
-  return c;
-}
 
 void flip_float_bit(std::span<float> data, int bit, std::uint64_t salt) {
   if (data.empty()) return;

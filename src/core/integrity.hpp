@@ -18,23 +18,12 @@
 
 namespace ppstap::core {
 
-/// Runtime knobs for the integrity layer. Off by default: the invariants
+/// Runtime switch for the integrity layer. Off by default: the invariants
 /// cost a few percent of kernel time and real deployments opt in.
 struct IntegrityConfig {
-  /// Master switch (PPSTAP_ABFT). Enables kernel invariants, the per-CPI
-  /// digest on every redistribution edge, and the recovery policy.
+  /// Enables kernel invariants, the per-CPI digest on every redistribution
+  /// edge, and the recovery policy.
   bool enabled = false;
-
-  /// Relative tolerance for the floating-point invariants
-  /// (PPSTAP_ABFT_TOL). Verification accumulates in double, so the slack
-  /// only has to absorb float rounding in the kernel under test; 1e-4
-  /// leaves ~two orders of magnitude of margin at Table-1 sizes while
-  /// still catching every interesting exponent-bit flip.
-  double tolerance = 1e-4;
-
-  /// Reads PPSTAP_ABFT / PPSTAP_ABFT_TOL (hardened parse, see
-  /// common/env.hpp).
-  static IntegrityConfig from_env();
 };
 
 /// Deterministically flip one bit of one element of a float buffer — the

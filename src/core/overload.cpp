@@ -6,7 +6,6 @@
 #include <cmath>
 
 #include "common/check.hpp"
-#include "common/env.hpp"
 #include "common/timer.hpp"
 
 namespace ppstap::core {
@@ -27,37 +26,12 @@ const char* degradation_level_name(DegradationLevel level) {
   return "?";
 }
 
-OverloadConfig OverloadConfig::from_env() {
-  OverloadConfig cfg;
-  if (auto f = parse_env_flag("PPSTAP_OVERLOAD")) cfg.enabled = *f;
-  if (auto f = parse_env_flag("PPSTAP_OVERLOAD_LADDER")) cfg.ladder = *f;
-  if (auto v = parse_env_int("PPSTAP_OVERLOAD_QLO", 1, 1'000'000))
-    cfg.queue_low = static_cast<index_t>(*v);
-  if (auto v = parse_env_int("PPSTAP_OVERLOAD_QHI", 1, 1'000'000))
-    cfg.queue_high = static_cast<index_t>(*v);
-  if (auto v = parse_env_double("PPSTAP_OVERLOAD_SLO", 0.0, 1e6))
-    cfg.slo_latency_seconds = *v;
-  if (auto v = parse_env_int("PPSTAP_OVERLOAD_DWELL", 1, 1'000'000))
-    cfg.dwell = static_cast<int>(*v);
-  if (auto v = parse_env_double("PPSTAP_OVERLOAD_PERIOD", 0.0, 1e6))
-    cfg.arrival_period_seconds = *v;
-  if (auto c = parse_env_choice("PPSTAP_OVERLOAD_ADMIT",
-                                {"throttle", "reject"}))
-    cfg.reject_when_full = (*c == 1);
-  if (auto v = parse_env_double("PPSTAP_OVERLOAD_COND", 0.0, 1e15))
-    cfg.condition_threshold = *v;
-  if (cfg.enabled) cfg.validate();
-  return cfg;
-}
-
 void OverloadConfig::validate() const {
   PPSTAP_REQUIRE(queue_low >= 1 && queue_high >= queue_low,
                  "overload queue thresholds need 1 <= low <= high");
   PPSTAP_REQUIRE(dwell >= 1, "overload dwell must be >= 1");
   PPSTAP_REQUIRE(slo_latency_seconds >= 0.0 && arrival_period_seconds >= 0.0,
                  "overload timing knobs must be nonnegative");
-  PPSTAP_REQUIRE(condition_threshold == 0.0 || condition_threshold > 1.0,
-                 "overload condition threshold must be 0 (keep) or > 1");
 }
 
 OverloadController::OverloadController(const OverloadConfig& cfg,

@@ -111,23 +111,6 @@ struct OverloadConfig {
   /// At queue_high: true rejects the CPI (real-time front ends cannot
   /// block), false throttles the source until the backlog drains.
   bool reject_when_full = true;
-  /// Override for StapParams::condition_threshold; 0 keeps the params
-  /// default.
-  double condition_threshold = 0.0;
-
-  /// Read the PPSTAP_OVERLOAD* environment knobs (see README):
-  ///   PPSTAP_OVERLOAD         flag; enables the subsystem
-  ///   PPSTAP_OVERLOAD_LADDER  flag; default on (off = shed-only baseline)
-  ///   PPSTAP_OVERLOAD_QLO     escalation backlog threshold
-  ///   PPSTAP_OVERLOAD_QHI     hard backlog bound
-  ///   PPSTAP_OVERLOAD_SLO     p95 latency SLO, seconds (0 = depth only)
-  ///   PPSTAP_OVERLOAD_DWELL   healthy admissions before de-escalation
-  ///   PPSTAP_OVERLOAD_PERIOD  arrival period, seconds (0 = free-run)
-  ///   PPSTAP_OVERLOAD_ADMIT   "reject" | "throttle"
-  ///   PPSTAP_OVERLOAD_COND    condition-threshold override (0 = keep)
-  /// All parsed through the hardened common/env.hpp helpers: garbage
-  /// throws, it never silently disables the protection.
-  static OverloadConfig from_env();
 
   /// Throws ppstap::Error on an inconsistent configuration.
   void validate() const;

@@ -43,7 +43,12 @@ using cube::BlockPartition;
 using linalg::MatrixCF;
 using stap::Task;
 
-static_assert(kPcToCfar + 1 == kNumPipelineEdges);
+// Relative tolerance of the floating-point ABFT invariants and of the
+// weight-path QR residual gate. Verification accumulates in double, so the
+// slack only has to absorb float rounding in the kernel under test; 1e-4
+// leaves ~two orders of magnitude of margin at Table-1 sizes while still
+// catching every interesting exponent-bit flip.
+constexpr double kAbftTolerance = 1e-4;
 
 // Slice of an ordered item list owned by part `p` of a partition.
 template <typename T>
@@ -80,7 +85,7 @@ struct Shared {
   /// simply never leaves epoch 0).
   ElasticEngine* eng = nullptr;
 
-  /// Gray-failure detector (PR 10; nullptr when PPSTAP_HEALTH is off).
+  /// Gray-failure detector (PR 10; nullptr when health is disabled).
   /// Every rank feeds its Fig.-10 timestamps in, the coordinator scans,
   /// and a quarantined rank honours the eviction flag at its next barrier.
   HealthMonitor* health = nullptr;
@@ -127,7 +132,6 @@ struct Shared {
   std::vector<std::vector<stap::Detection>> detections;
   std::array<TaskTiming, stap::kNumTasks> timing_sum{};
   std::array<int, stap::kNumTasks> timing_ranks{};
-  std::array<std::uint64_t, stap::kNumTasks> bytes_sent{};
   // Per-link (Fig. 4 edge) byte counters over the measured CPIs; updated
   // with relaxed atomics from the sending ranks.
   std::array<std::atomic<std::uint64_t>, kNumPipelineEdges> edge_bytes{};
@@ -227,7 +231,6 @@ struct PhaseAcc {
     sum.comp += comp * inv;
     sum.send += send * inv;
     s.timing_ranks[static_cast<size_t>(t)] += 1;
-    s.bytes_sent[static_cast<size_t>(t)] += bytes;
   }
 };
 
@@ -334,7 +337,7 @@ void append_digest(std::vector<T>& buf) {
 comm::FlowContext flow_for(index_t cpi, Edge e) {
   comm::FlowContext fc;
   fc.cpi = static_cast<std::int64_t>(cpi);
-  fc.task = static_cast<std::int16_t>(sim_edge_src(static_cast<SimEdge>(e)));
+  fc.task = static_cast<std::int16_t>(edge_src(e));
   fc.edge = static_cast<std::int16_t>(e);
   fc.hop = e <= kDopToHardBf ? 1 : (e == kPcToCfar ? 3 : 2);
   return fc;
@@ -614,13 +617,12 @@ bool run_checked(Comm& c, Shared& s, Task t, Cycle& x, ComputeFn&& compute,
 // Shed exit: markers take the place of every frame task `t` would have sent
 // for this CPI, so each downstream receiver sheds it instead of waiting.
 void forward_markers(Comm& c, const Cycle& x, Task t) {
-  for (int e = 0; e < kNumPipelineEdges; ++e) {
-    const auto se = static_cast<SimEdge>(e);
-    if (sim_edge_src(se) != t) continue;
-    const Task dst = sim_edge_dst(se);
+  for (int i = 0; i < kNumPipelineEdges; ++i) {
+    const auto e = static_cast<Edge>(i);
+    if (edge_src(e) != t) continue;
+    const Task dst = edge_dst(e);
     for (int r = 0; r < x.tp.count(dst); ++r)
-      c.send_marker(x.tp.rank_at(dst, r),
-                    tag_for(x.cpi, static_cast<Edge>(e)));
+      c.send_marker(x.tp.rank_at(dst, r), tag_for(x.cpi, e));
   }
 }
 
@@ -772,7 +774,7 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
             },
             [&] {
               return filter.parseval_check_rows(*d.full, d.k0, stag,
-                                                s.integ.tolerance);
+                                                kAbftTolerance);
             });
       },
       [&](Cycle& x, Cpi& d) {
@@ -911,7 +913,7 @@ index_t run_weight_task(Comm& c, Shared& s, int me) {
                  "no checkpoint for the dead rank");
   }
   index_t start_cpi = 0;
-  PhaseAcc boot;  // bootstrap bytes, folded into the task's totals below
+  PhaseAcc boot;  // bootstrap sends; send_frame charges their edge bytes
   if (resume) {
     std::istringstream is(resume->blob);
     for (auto& comp : computers) comp.restore(is);
@@ -997,7 +999,7 @@ index_t run_weight_task(Comm& c, Shared& s, int me) {
                                             d.w);
                        },
                        [&] {
-                         return weights_unit_norm(d.w, s.integ.tolerance);
+                         return weights_unit_norm(d.w, kAbftTolerance);
                        })) {
           cache = d.w;
         } else if (cache) {
@@ -1033,8 +1035,6 @@ index_t run_weight_task(Comm& c, Shared& s, int me) {
   s.log.tally(EventKind::kQrResidualRetry, h.qr_residual_retries, c.rank(), t);
   s.log.tally(EventKind::kQrResidualReject, h.qr_residual_rejects, c.rank(),
               t);
-  std::lock_guard<std::mutex> lock(s.mu);
-  s.bytes_sent[static_cast<size_t>(task)] += boot.bytes;
   return next;
 }
 
@@ -1170,7 +1170,7 @@ index_t run_beamform(Comm& c, Shared& s, Task task, int me, index_t begin) {
                          float_view(d.out));
             },
             [&] {
-              return check(d.data, d.w, p, d.out, active, s.integ.tolerance);
+              return check(d.data, d.w, p, d.out, active, kAbftTolerance);
             });
       },
       [&](Cycle& x, Cpi& d) {
@@ -1259,17 +1259,15 @@ index_t run_pc(Comm& c, Shared& s, index_t begin) {
             },
             [&] {
               return stap::pc_energy_check(d.power, d.row_energy, active,
-                                           s.integ.tolerance);
+                                           kAbftTolerance);
             });
       },
       [&](Cycle& x, Cpi& d) {
         for (int r = 0; r < x.tp.count(Task::kCfar); ++r) {
-          const index_t c0 = x.tp.part_cfar.offset(r);
-          const index_t c1 = c0 + x.tp.part_cfar.length(r);
-          const index_t lo = std::max(d.g0, c0);
-          const index_t hi = std::min(d.g0 + d.gl, c1);
+          const cube::IndexRange ov =
+              cube::intersect(x.tp.part_pc, x.me, x.tp.part_cfar, r);
           std::vector<float> buf;
-          for (index_t bin = lo; bin < hi; ++bin) {
+          for (index_t bin = ov.begin; bin < ov.end; ++bin) {
             const float* src = &d.power.at(bin - d.g0, 0, 0);
             buf.insert(buf.end(), src, src + m * k);
           }
@@ -1305,10 +1303,8 @@ index_t run_cfar(Comm& c, Shared& s, index_t begin) {
         for (index_t i = 0; i < cl; ++i) d.bins.push_back(c0 + i);
         d.power = cube::RealCube(cl, m, k);
         for (int r = 0; r < x.tp.count(Task::kPulseCompression); ++r) {
-          const index_t g0 = x.tp.part_pc.offset(r);
-          const index_t g1 = g0 + x.tp.part_pc.length(r);
-          const index_t lo = std::max(c0, g0);
-          const index_t hi = std::min(c0 + cl, g1);
+          const cube::IndexRange ov =
+              cube::intersect(x.tp.part_pc, r, x.tp.part_cfar, x.me);
           auto buf = x.in.recv<float>(
               x.tp.rank_at(Task::kPulseCompression, r), x.cpi, kPcToCfar);
           if (!buf) {
@@ -1316,10 +1312,10 @@ index_t run_cfar(Comm& c, Shared& s, index_t begin) {
             continue;
           }
           PPSTAP_CHECK(static_cast<index_t>(buf->size()) ==
-                           std::max<index_t>(0, hi - lo) * m * k,
+                           ov.length() * m * k,
                        "power message length");
           size_t off = 0;
-          for (index_t bin = lo; bin < hi; ++bin) {
+          for (index_t bin = ov.begin; bin < ov.end; ++bin) {
             std::copy_n(buf->begin() + static_cast<std::ptrdiff_t>(off),
                         static_cast<size_t>(m * k),
                         &d.power.at(bin - c0, 0, 0));
@@ -1603,14 +1599,11 @@ PipelineResult ParallelStapPipeline::run(
                      scenario.params().num_pulses == p_.num_pulses,
                  "scenario dimensions must match STAP parameters");
 
-  // Effective params for this run: the overload config may tighten the QR
-  // conditioning threshold without mutating the pipeline object.
+  // Effective params for this run: the integrity layer arms the
+  // weight-path QR residual gate at the same tolerance as the
+  // pipeline-level invariants, without mutating the pipeline object.
   stap::StapParams params = p_;
-  if (ov_.enabled && ov_.condition_threshold > 0.0)
-    params.condition_threshold = ov_.condition_threshold;
-  // The integrity layer arms the weight-path QR residual gate at the same
-  // tolerance as the pipeline-level invariants.
-  if (integ_.enabled) params.abft_tolerance = integ_.tolerance;
+  if (integ_.enabled) params.abft_tolerance = kAbftTolerance;
 
   CpiSource source(scenario);
   Shared s{params,  assign_, steering_, replica_, source,
@@ -1742,9 +1735,6 @@ PipelineResult ParallelStapPipeline::run(
         s.timing_sum[static_cast<size_t>(t)].recv / ranks,
         s.timing_sum[static_cast<size_t>(t)].comp / ranks,
         s.timing_sum[static_cast<size_t>(t)].send / ranks};
-    result.bytes_sent_per_cpi[static_cast<size_t>(t)] =
-        static_cast<double>(s.bytes_sent[static_cast<size_t>(t)]) /
-        static_cast<double>(s.measured_count());
   }
 
   double gap_sum = 0.0;

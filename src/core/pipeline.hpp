@@ -26,6 +26,7 @@
 #include "core/health.hpp"
 #include "core/integrity.hpp"
 #include "core/overload.hpp"
+#include "core/tags.hpp"
 #include "linalg/matrix.hpp"
 #include "obs/metrics.hpp"
 #include "stap/cfar.hpp"
@@ -38,9 +39,6 @@ class FaultPlan;
 }  // namespace ppstap::comm
 
 namespace ppstap::core {
-
-/// Number of inter-task edges of Fig. 4 (indexed like SimEdge in sim.hpp).
-inline constexpr int kNumPipelineEdges = 9;
 
 /// Figure-10 phase times for one task (seconds per CPI, averaged over the
 /// measured CPIs and over the task's ranks).
@@ -87,12 +85,9 @@ struct PipelineResult {
   /// charged to Fig. 10's receive phase.
   std::array<double, stap::kNumTasks> queue_wait_per_cpi{};
 
-  /// Total bytes moved between tasks per measured CPI (send side), indexed
-  /// by sending task — feeds the machine-model volume validation.
-  std::array<double, stap::kNumTasks> bytes_sent_per_cpi{};
-
   /// Per-link byte counters: bytes per measured CPI crossing each Fig. 4
-  /// edge, indexed like core::SimEdge (sim.hpp).
+  /// edge (send side), indexed by core::Edge (tags.hpp) — feeds the
+  /// machine-model volume validation.
   std::array<double, kNumPipelineEdges> bytes_per_edge_per_cpi{};
 
   /// Every run event in record order (events.hpp): sheds with their
@@ -151,8 +146,10 @@ class ParallelStapPipeline {
                      index_t num_cpis, index_t warmup = 3,
                      index_t cooldown = 2);
 
-  /// Enable/disable the fault-tolerance policies (default: read from the
-  /// PPSTAP_FAULT_* environment, i.e. disabled unless knobs are set).
+  // A run is configured only through the setters below; every config
+  // defaults to off, whatever the environment holds.
+
+  /// Enable/disable the fault-tolerance policies.
   void set_fault_tolerance(const FaultToleranceConfig& cfg) { ft_ = cfg; }
   const FaultToleranceConfig& fault_tolerance() const { return ft_; }
 
@@ -160,24 +157,20 @@ class ParallelStapPipeline {
   /// must outlive run(); nullptr to clear).
   void set_fault_plan(comm::FaultPlan* plan) { plan_ = plan; }
 
-  /// Enable/disable adaptive overload control (default: read from the
-  /// PPSTAP_OVERLOAD* environment, i.e. disabled unless knobs are set).
+  /// Enable/disable adaptive overload control.
   void set_overload(const OverloadConfig& cfg) { ov_ = cfg; }
   const OverloadConfig& overload() const { return ov_; }
 
-  /// Enable/disable the ABFT integrity layer (default: read from the
-  /// PPSTAP_ABFT* environment, i.e. disabled unless knobs are set).
+  /// Enable/disable the ABFT integrity layer.
   void set_integrity(const IntegrityConfig& cfg) { integ_ = cfg; }
   const IntegrityConfig& integrity() const { return integ_; }
 
-  /// Configure live elastic rank migration (default: read from the
-  /// PPSTAP_ELASTIC* environment, i.e. disabled unless knobs are set).
-  /// Forced migrations fire even with the policy loop disabled.
+  /// Configure live elastic rank migration. Forced migrations fire even
+  /// with the policy loop disabled.
   void set_elastic(const ElasticConfig& cfg) { el_ = cfg; }
   const ElasticConfig& elastic() const { return el_; }
 
-  /// Configure gray-failure detection/quarantine (default: read from the
-  /// PPSTAP_HEALTH* environment, i.e. disabled unless knobs are set).
+  /// Configure gray-failure detection/quarantine.
   void set_health(const HealthConfig& cfg) { hc_ = cfg; }
   const HealthConfig& health() const { return hc_; }
 
@@ -186,11 +179,11 @@ class ParallelStapPipeline {
   NodeAssignment assign_;
   std::vector<linalg::MatrixCF> steering_;  // per transmit position
   std::vector<cfloat> replica_;
-  FaultToleranceConfig ft_ = FaultToleranceConfig::from_env();
-  OverloadConfig ov_ = OverloadConfig::from_env();
-  IntegrityConfig integ_ = IntegrityConfig::from_env();
-  ElasticConfig el_ = ElasticConfig::from_env();
-  HealthConfig hc_ = HealthConfig::from_env();
+  FaultToleranceConfig ft_;
+  OverloadConfig ov_;
+  IntegrityConfig integ_;
+  ElasticConfig el_;
+  HealthConfig hc_;
   comm::FaultPlan* plan_ = nullptr;
 };
 

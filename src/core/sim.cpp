@@ -20,7 +20,7 @@ struct EdgeInfo {
   bool temporal;
 };
 
-constexpr std::array<EdgeInfo, kNumEdges> kEdges = {{
+constexpr std::array<EdgeInfo, kNumPipelineEdges> kEdges = {{
     {Task::kDopplerFilter, Task::kEasyWeight, "Doppler->easy weight", true,
      false},
     {Task::kDopplerFilter, Task::kHardWeight, "Doppler->hard weight", true,
@@ -41,11 +41,11 @@ constexpr std::array<EdgeInfo, kNumEdges> kEdges = {{
      false},
 }};
 
-const EdgeInfo& info(SimEdge e) { return kEdges[static_cast<size_t>(e)]; }
+const EdgeInfo& info(Edge e) { return kEdges[static_cast<size_t>(e)]; }
 
 // All per-edge and per-task timing constants for one node assignment.
 struct Constants {
-  std::array<double, kNumEdges> wire{}, pack{}, post{}, unpack{};
+  std::array<double, kNumPipelineEdges> wire{}, pack{}, post{}, unpack{};
   std::array<double, stap::kNumTasks> comp{}, pack_total{}, post_total{},
       unpack_total{};
   double input_time = 0.0;  // Doppler front-end ingest per node
@@ -53,11 +53,11 @@ struct Constants {
 
 }  // namespace
 
-Task sim_edge_src(SimEdge e) { return info(e).src; }
-Task sim_edge_dst(SimEdge e) { return info(e).dst; }
-const char* sim_edge_name(SimEdge e) { return info(e).name; }
-bool sim_edge_needs_reorg(SimEdge e) { return info(e).reorg; }
-bool sim_edge_is_temporal(SimEdge e) { return info(e).temporal; }
+Task edge_src(Edge e) { return info(e).src; }
+Task edge_dst(Edge e) { return info(e).dst; }
+const char* edge_name(Edge e) { return info(e).name; }
+bool edge_needs_reorg(Edge e) { return info(e).reorg; }
+bool edge_is_temporal(Edge e) { return info(e).temporal; }
 
 PipelineSimulator::PipelineSimulator(const stap::StapParams& p,
                                      const ParagonParams& machine)
@@ -67,7 +67,7 @@ PipelineSimulator::PipelineSimulator(const stap::StapParams& p,
     PPSTAP_REQUIRE(r > 0.0, "machine model needs positive compute rates");
 }
 
-double PipelineSimulator::edge_volume_bytes(SimEdge e) const {
+double PipelineSimulator::edge_volume_bytes(Edge e) const {
   const double cx = 8.0;  // complex<float>
   const double re = 4.0;  // float
   const auto k = static_cast<double>(p_.num_range);
@@ -78,24 +78,24 @@ double PipelineSimulator::edge_volume_bytes(SimEdge e) const {
   const auto nh = static_cast<double>(p_.num_hard);
   const auto s = static_cast<double>(p_.num_segments);
   switch (e) {
-    case SimEdge::kDopToEasyWt:
+    case Edge::kDopToEasyWt:
       return ne * static_cast<double>(p_.easy_samples_per_cpi) * j * cx;
-    case SimEdge::kDopToHardWt:
+    case Edge::kDopToHardWt:
       return nh * s * static_cast<double>(p_.hard_samples_per_segment) *
              2.0 * j * cx;
-    case SimEdge::kDopToEasyBf:
+    case Edge::kDopToEasyBf:
       return ne * k * j * cx;
-    case SimEdge::kDopToHardBf:
+    case Edge::kDopToHardBf:
       return nh * k * 2.0 * j * cx;
-    case SimEdge::kEasyWtToBf:
+    case Edge::kEasyWtToBf:
       return ne * j * m * cx;
-    case SimEdge::kHardWtToBf:
+    case Edge::kHardWtToBf:
       return nh * s * 2.0 * j * m * cx;
-    case SimEdge::kEasyBfToPc:
+    case Edge::kEasyBfToPc:
       return ne * m * k * cx;
-    case SimEdge::kHardBfToPc:
+    case Edge::kHardBfToPc:
       return nh * m * k * cx;
-    case SimEdge::kPcToCfar:
+    case Edge::kPcToCfar:
       return n * m * k * re;
   }
   PPSTAP_CHECK(false, "unknown edge");
@@ -141,8 +141,8 @@ Constants build_constants(const PipelineSimulator& sim,
   Constants c;
   const auto nodes = [&](Task t) { return static_cast<double>(assign[t]); };
 
-  for (int ei = 0; ei < kNumEdges; ++ei) {
-    const auto e = static_cast<SimEdge>(ei);
+  for (int ei = 0; ei < kNumPipelineEdges; ++ei) {
+    const auto e = static_cast<Edge>(ei);
     const auto& inf = kEdges[static_cast<size_t>(ei)];
     const double vol = sim.edge_volume_bytes(e);
     const double ps = nodes(inf.src), pd = nodes(inf.dst);
@@ -244,7 +244,7 @@ SimResult PipelineSimulator::simulate_replicated(const NodeAssignment& assign,
   for (auto& v : send_end) v.assign(n, 0.0);
 
   std::array<TaskTiming, stap::kNumTasks> timing{};
-  std::array<SimEdgeTiming, kNumEdges> edge_timing{};
+  std::array<SimEdgeTiming, kNumPipelineEdges> edge_timing{};
   std::vector<double> completion(n, 0.0), latency(n, 0.0);
 
   const auto measured = [&](size_t t) {
@@ -300,7 +300,7 @@ SimResult PipelineSimulator::simulate_replicated(const NodeAssignment& assign,
       const auto tsz = static_cast<size_t>(ti);
 
       double ready = loop_start[tsz][t];
-      for (int ei = 0; ei < kNumEdges; ++ei) {
+      for (int ei = 0; ei < kNumPipelineEdges; ++ei) {
         const auto& inf = kEdges[static_cast<size_t>(ei)];
         if (inf.dst != task) continue;
         const auto ssz = static_cast<size_t>(inf.src);
@@ -328,7 +328,7 @@ SimResult PipelineSimulator::simulate_replicated(const NodeAssignment& assign,
             sp.t_start = avail;
             sp.t_end = arrival;
             sp.bytes = static_cast<std::int64_t>(
-                edge_volume_bytes(static_cast<SimEdge>(ei)));
+                edge_volume_bytes(static_cast<Edge>(ei)));
             sp.src_rank = static_cast<std::int32_t>(inf.src);
             sp.src_task = static_cast<std::int32_t>(inf.src);
             sp.edge = ei;
@@ -358,7 +358,7 @@ SimResult PipelineSimulator::simulate_replicated(const NodeAssignment& assign,
       // loop's messages to complete delivery.
       double send_done = comp_end + c.pack_total[tsz] + c.post_total[tsz];
       if (t >= stride(ti)) {
-        for (int ei = 0; ei < kNumEdges; ++ei) {
+        for (int ei = 0; ei < kNumPipelineEdges; ++ei) {
           const auto& inf = kEdges[static_cast<size_t>(ei)];
           if (inf.src != task) continue;
           const auto m =
@@ -407,7 +407,7 @@ SimResult PipelineSimulator::simulate_replicated(const NodeAssignment& assign,
   // Sender-side edge timing: the visible send phase of the sending task,
   // including any line-14 delivery waits (the paper's tables repeat the
   // task's send figure per successor column).
-  for (int ei = 0; ei < kNumEdges; ++ei) {
+  for (int ei = 0; ei < kNumPipelineEdges; ++ei) {
     const auto ssz = static_cast<size_t>(kEdges[static_cast<size_t>(ei)].src);
     edge_timing[static_cast<size_t>(ei)].send = timing[ssz].send;
   }
@@ -507,7 +507,7 @@ DynamicSimResult PipelineSimulator::simulate_reallocation(
       const auto task = static_cast<Task>(ti);
       const auto tsz = static_cast<size_t>(ti);
       double ready = loop_start[tsz][t];
-      for (int ei = 0; ei < kNumEdges; ++ei) {
+      for (int ei = 0; ei < kNumPipelineEdges; ++ei) {
         const auto& inf = kEdges[static_cast<size_t>(ei)];
         if (inf.dst != task) continue;
         const std::ptrdiff_t m =

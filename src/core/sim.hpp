@@ -30,30 +30,15 @@
 
 namespace ppstap::core {
 
-/// The nine inter-task edges of Fig. 4. Weight->beamform edges carry the
-/// temporal dependency (weights computed from CPI i-1 are consumed by CPI
-/// i).
-enum class SimEdge : int {
-  kDopToEasyWt = 0,
-  kDopToHardWt = 1,
-  kDopToEasyBf = 2,
-  kDopToHardBf = 3,
-  kEasyWtToBf = 4,
-  kHardWtToBf = 5,
-  kEasyBfToPc = 6,
-  kHardBfToPc = 7,
-  kPcToCfar = 8,
-};
-inline constexpr int kNumEdges = 9;
-
-stap::Task sim_edge_src(SimEdge e);
-stap::Task sim_edge_dst(SimEdge e);
-const char* sim_edge_name(SimEdge e);
+// Endpoints and shape of each Fig. 4 edge (core::Edge, tags.hpp).
+stap::Task edge_src(Edge e);
+stap::Task edge_dst(Edge e);
+const char* edge_name(Edge e);
 /// True when the edge requires data collection or reorganization before
 /// sending (partition dimensions differ across the edge) — paper §5.2/5.3.
-bool sim_edge_needs_reorg(SimEdge e);
+bool edge_needs_reorg(Edge e);
 /// True when the consumer uses the producer's output of the previous CPI.
-bool sim_edge_is_temporal(SimEdge e);
+bool edge_is_temporal(Edge e);
 
 /// Send/recv phase times attributable to a single edge (Tables 2-6 report
 /// these per task pair).
@@ -126,7 +111,7 @@ struct DynamicSimResult {
 
 struct SimResult {
   std::array<TaskTiming, stap::kNumTasks> timing{};
-  std::array<SimEdgeTiming, kNumEdges> edges{};
+  std::array<SimEdgeTiming, kNumPipelineEdges> edges{};
   double throughput_measured = 0.0;  ///< sink inter-completion rate
   double latency_measured = 0.0;     ///< input arrival -> detection report
   double throughput_equation = 0.0;  ///< eq. (1): 1 / max_i T_i
@@ -139,7 +124,7 @@ class PipelineSimulator {
 
   /// Total bytes per CPI crossing edge `e` (all node pairs combined). The
   /// same quantity the real pipeline's byte counters measure.
-  double edge_volume_bytes(SimEdge e) const;
+  double edge_volume_bytes(Edge e) const;
 
   /// Simulate `num_cpis` CPIs; phase times average the middle CPIs.
   SimResult simulate(const NodeAssignment& assign, index_t num_cpis = 25,

@@ -16,6 +16,10 @@
 
 namespace ppstap::core {
 
+/// The nine inter-task edges of Fig. 4, numbered by their tag slot.
+/// Weight->beamform edges carry the temporal dependency (weights computed
+/// from CPI i-1 are consumed by CPI i). sim.hpp maps each edge to its
+/// endpoints.
 enum Edge : int {
   kDopToEasyWt = 0,
   kDopToHardWt = 1,
@@ -27,6 +31,7 @@ enum Edge : int {
   kHardBfToPc = 7,
   kPcToCfar = 8,
 };
+inline constexpr int kNumPipelineEdges = kPcToCfar + 1;
 
 inline constexpr int kVoteSlot = 10;
 inline constexpr int kVerdictSlot = 11;

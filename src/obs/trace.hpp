@@ -2,8 +2,8 @@
 // MPI_Wtime() instrumentation (Fig. 10), kept rather than flattened.
 //
 // Every rank of the parallel pipeline emits one span per Figure-10 phase
-// per CPI ({recv, comp, send} x task x rank x CPI); the comm collectives
-// and the sequential reference chain emit spans too. Spans accumulate in
+// per CPI ({recv, comp, send} x task x rank x CPI); the sequential
+// reference chain emits spans too. Spans accumulate in
 // lock-free per-thread ring buffers — the hot path is one relaxed atomic
 // load when tracing is disabled, and one slot write plus a release store
 // when enabled; no allocation, no locks (a mutex is taken only the first
@@ -54,7 +54,7 @@ struct Span {
   // the FlowContext piggybacked on redistribution frames; -1 when absent.
   std::int32_t src_rank = -1;  ///< producing rank
   std::int32_t src_task = -1;  ///< producing task (stap::Task index)
-  std::int32_t edge = -1;      ///< redistribution edge id (core SimEdge)
+  std::int32_t edge = -1;      ///< redistribution edge id (core::Edge)
   std::int32_t hop = -1;       ///< hop sequence number along the pipeline
   /// Seconds the frame sat delivered-but-unconsumed in the receiver's
   /// mailbox (consumer busy); t_end - t_start - queue_s is pure transport.

@@ -56,7 +56,8 @@ struct StapParams {
   /// fresh QR is retried once through the diagonal-loading path; a failing
   /// recursive row-append update is recomputed once and, if still off,
   /// rejected so the corruption cannot enter the carried R. 0 disables the
-  /// gate (the default — the pipeline sets it from PPSTAP_ABFT).
+  /// gate (the default — the pipeline sets it when its integrity layer is
+  /// enabled).
   double abft_tolerance = 0.0;
 
   // --- beam set ------------------------------------------------------------

@@ -1,6 +1,7 @@
 // Tests for the in-process message-passing runtime: point-to-point
-// semantics, tag matching, flow control, barriers, abort-on-error, and the
-// all-to-all personalized exchange pattern the pipeline uses.
+// semantics, tag matching, flow control, zero-deadline probes,
+// abort-on-error, and the all-to-all personalized exchange pattern the
+// pipeline uses.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,6 +17,21 @@
 
 namespace ppstap::comm {
 namespace {
+
+// The nonblocking probe the pipeline drains with: a zero-deadline receive
+// delivers a frame only if one is already due.
+RecvResult poll(Comm& c, int src, int tag) {
+  return c.recv_bytes_for(src, tag, 0.0);
+}
+
+// Tag handshake: mark_sent tells rank `to` that everything the caller sent
+// it so far is buffered in its mailbox (frames are enqueued at send time);
+// wait_sent blocks until rank `from` said so.
+constexpr int kSyncTag = 1000;
+void mark_sent(Comm& c, int to) { c.send_marker(to, kSyncTag); }
+void wait_sent(Comm& c, int from) {
+  EXPECT_TRUE(c.recv_bytes_for(from, kSyncTag, 30.0).marker);
+}
 
 TEST(World, PingPong) {
   World world(2);
@@ -92,28 +108,6 @@ TEST(World, AllToAllPersonalized) {
   });
 }
 
-TEST(World, BarrierSynchronizes) {
-  const int n = 4;
-  World world(n);
-  std::atomic<int> before{0}, after{0};
-  world.run([&](Comm& c) {
-    before.fetch_add(1);
-    c.barrier();
-    // Every rank must have passed `before` by now.
-    EXPECT_EQ(before.load(), n);
-    after.fetch_add(1);
-    c.barrier();
-    EXPECT_EQ(after.load(), n);
-  });
-}
-
-TEST(World, RepeatedBarriers) {
-  World world(3);
-  world.run([](Comm& c) {
-    for (int i = 0; i < 50; ++i) c.barrier();
-  });
-}
-
 TEST(World, RankExceptionPropagatesWithoutHanging) {
   World world(3);
   EXPECT_THROW(world.run([](Comm& c) {
@@ -121,15 +115,6 @@ TEST(World, RankExceptionPropagatesWithoutHanging) {
                  // Other ranks block on a receive that will never be
                  // satisfied; the abort must wake them.
                  (void)c.recv<int>(2, 99);
-               }),
-               Error);
-}
-
-TEST(World, AbortWakesBarrierWaiters) {
-  World world(3);
-  EXPECT_THROW(world.run([](Comm& c) {
-                 if (c.rank() == 0) throw Error("boom");
-                 c.barrier();
                }),
                Error);
 }
@@ -167,61 +152,37 @@ TEST(World, OversizedMessageStillAdmitted) {
   });
 }
 
-TEST(World, TryRecvNeverBlocksAndConsumesOnce) {
+TEST(World, ZeroDeadlineRecvNeverBlocksAndConsumesOnce) {
   World world(2);
   world.run([](Comm& c) {
     if (c.rank() == 0) {
-      EXPECT_FALSE(c.try_recv<int>(1, 5).has_value());  // nothing yet
-      c.barrier();  // rank 1 sends before this barrier
-      c.barrier();
-      auto got = c.try_recv<int>(1, 5);
-      ASSERT_TRUE(got.has_value());
-      EXPECT_EQ((*got)[0], 42);
-      EXPECT_FALSE(c.try_recv<int>(1, 5).has_value());  // consumed
+      EXPECT_EQ(poll(c, 1, 5).status, RecvStatus::kTimeout);  // nothing yet
+      mark_sent(c, 1);  // rank 1 sends only after this
+      wait_sent(c, 1);
+      auto got = poll(c, 1, 5);
+      ASSERT_TRUE(got.ok());
+      EXPECT_EQ(got.as<int>()[0], 42);
+      EXPECT_EQ(poll(c, 1, 5).status, RecvStatus::kTimeout);  // consumed
     } else {
       std::vector<int> v = {42};
-      c.barrier();
+      wait_sent(c, 0);
       c.send<int>(0, 5, v);
-      c.barrier();
+      mark_sent(c, 0);
     }
   });
 }
 
-TEST(World, TryRecvMatchesTagsSelectively) {
+TEST(World, ZeroDeadlineRecvMatchesTagsSelectively) {
   World world(2);
   world.run([](Comm& c) {
     if (c.rank() == 0) {
       std::vector<int> v = {7};
       c.send<int>(1, 99, v);
-      c.barrier();
+      mark_sent(c, 1);
     } else {
-      c.barrier();
-      EXPECT_FALSE(c.try_recv<int>(0, 98).has_value());
-      EXPECT_TRUE(c.try_recv<int>(0, 99).has_value());
-    }
-  });
-}
-
-TEST(World, PendingRecvPostThenWait) {
-  // The Fig. 10 structure: post receives for the next iteration (line 6),
-  // wait for the current one (line 7).
-  World world(2);
-  world.run([](Comm& c) {
-    if (c.rank() == 0) {
-      for (int i = 0; i < 3; ++i) {
-        std::vector<int> v = {i * 10};
-        c.send<int>(1, i, v);
-      }
-    } else {
-      auto r0 = c.irecv<int>(0, 0);
-      auto r1 = c.irecv<int>(0, 1);  // posted before r0 completes
-      EXPECT_EQ(r0.wait()[0], 0);
-      EXPECT_EQ(r1.wait()[0], 10);
-      auto r2 = c.irecv<int>(0, 2);
-      // ready() does not consume; wait() still returns the payload.
-      while (!r2.ready()) {
-      }
-      EXPECT_EQ(r2.wait()[0], 20);
+      wait_sent(c, 0);
+      EXPECT_EQ(poll(c, 0, 98).status, RecvStatus::kTimeout);
+      EXPECT_TRUE(poll(c, 0, 99).ok());
     }
   });
 }
@@ -274,7 +235,6 @@ TEST(World, SingleRankWorldWorks) {
     std::vector<int> v = {42};
     c.send<int>(0, 0, v);  // self-send
     EXPECT_EQ(c.recv<int>(0, 0)[0], 42);
-    c.barrier();
   });
 }
 
@@ -358,15 +318,15 @@ TEST(WorldAbort, AbortWakesFlowControlBlockedSender) {
       Error);
 }
 
-TEST(WorldAbort, AbortWakesMixedBarrierAndRecvWaiters) {
+TEST(WorldAbort, AbortWakesMixedDeadlineAndBlockingReceivers) {
   World world(4);
   Watchdog dog(world, 0.2);
   const double t0 = WallTimer::now();
   EXPECT_THROW(world.run([](Comm& c) {
-                 // Half the ranks park in a barrier that can never
-                 // complete, half in a recv that is never satisfied.
+                 // Half the ranks park in a deadline recv far longer than
+                 // the test, half in a blocking recv; nobody ever sends.
                  if (c.rank() % 2 == 0)
-                   c.barrier();
+                   (void)c.recv_bytes_for(1, 77, 60.0);
                  else
                    (void)c.recv<int>(0, 77);
                }),
@@ -382,16 +342,16 @@ TEST(WorldDeadline, RecvForTimesOutThenDelivers) {
   World world(2);
   world.run([](Comm& c) {
     if (c.rank() == 0) {
-      // Nothing has been sent yet: rank 1 is parked in the barrier.
+      // Nothing has been sent yet: rank 1 waits for the handshake.
       auto r = c.recv_bytes_for(1, 3, 0.02);
       EXPECT_EQ(r.status, RecvStatus::kTimeout);
-      c.barrier();
+      mark_sent(c, 1);
       auto r2 = c.recv_bytes_for(1, 3, 5.0);
       ASSERT_EQ(r2.status, RecvStatus::kOk);
       EXPECT_FALSE(r2.marker);
       EXPECT_EQ(r2.as<int>()[0], 42);
     } else {
-      c.barrier();  // rank 0 has observed the timeout
+      wait_sent(c, 0);  // rank 0 has observed the timeout
       std::vector<int> v = {42};
       c.send<int>(0, 3, v);
     }
@@ -420,12 +380,12 @@ TEST(WorldDeadline, DiscardDropsAllMatchingFrames) {
       std::vector<int> v = {1};
       for (int i = 0; i < 3; ++i) c.send<int>(1, 6, v);
       c.send<int>(1, 7, v);  // different tag must survive
-      c.barrier();
+      mark_sent(c, 1);
     } else {
-      c.barrier();
+      wait_sent(c, 0);
       EXPECT_EQ(c.discard(0, 6), 3u);
       EXPECT_EQ(c.discard(0, 6), 0u);
-      EXPECT_TRUE(c.try_recv<int>(0, 7).has_value());
+      EXPECT_TRUE(poll(c, 0, 7).ok());
     }
   });
 }
@@ -443,11 +403,11 @@ TEST(FaultInjection, DelayHoldsFrameInFlight) {
     if (c.rank() == 0) {
       std::vector<int> v = {5};
       c.send<int>(1, 7, v);
-      c.barrier();
+      mark_sent(c, 1);
     } else {
-      c.barrier();
-      // The frame is buffered but not yet due: invisible to try_recv.
-      EXPECT_FALSE(c.try_recv<int>(0, 7).has_value());
+      wait_sent(c, 0);
+      // The frame is buffered but not yet due: invisible to the probe.
+      EXPECT_EQ(poll(c, 0, 7).status, RecvStatus::kTimeout);
       // The blocking recv waits out the injected latency.
       EXPECT_EQ(c.recv<int>(0, 7)[0], 5);
     }
@@ -516,11 +476,11 @@ TEST(FaultInjection, SeededCoinIsDeterministic) {
           std::vector<int> v = {i};
           c.send<int>(1, 5, v);
         }
-        c.barrier();
+        mark_sent(c, 1);
       } else {
-        c.barrier();  // all sends (and drops) resolved
-        while (auto v = c.try_recv<int>(0, 5))
-          survivors[run].push_back((*v)[0]);
+        wait_sent(c, 0);  // all sends (and drops) resolved
+        for (auto r = poll(c, 0, 5); r.ok(); r = poll(c, 0, 5))
+          survivors[run].push_back(r.as<int>()[0]);
       }
     });
     EXPECT_GT(plan.stats().dropped, 0u);
@@ -890,14 +850,14 @@ TEST(FaultInjection, DuplicateIsDeliveredOnceAndDiscarded) {
       std::vector<int> a = {41}, b = {42};
       c.send<int>(1, 11, a);  // re-delivered in flight
       c.send<int>(1, 11, b);
-      c.barrier();
+      mark_sent(c, 1);
     } else {
       // Payloads arrive exactly once, in order; the duplicated copy never
       // surfaces as a third message.
       EXPECT_EQ(c.recv<int>(0, 11)[0], 41);
       EXPECT_EQ(c.recv<int>(0, 11)[0], 42);
-      c.barrier();
-      EXPECT_FALSE(c.try_recv<int>(0, 11).has_value());
+      wait_sent(c, 0);
+      EXPECT_EQ(poll(c, 0, 11).status, RecvStatus::kTimeout);
     }
   });
   // duplicate_message is count-limited: only the first matching frame is
@@ -923,15 +883,16 @@ TEST(FaultInjection, DuplicateStormDeliversEachPayloadOnce) {
         std::vector<int> v = {100 + i};
         c.send<int>(1, 5 + kTagStride * i, v);
       }
-      c.barrier();
+      mark_sent(c, 1);
     } else {
       for (int i = 0; i < kMessages; ++i)
         EXPECT_EQ(c.recv<int>(0, 5 + kTagStride * i)[0], 100 + i);
-      c.barrier();
+      wait_sent(c, 0);
       // Wait out the duplicates' extra delay, then prove none surfaces.
       std::this_thread::sleep_for(std::chrono::milliseconds(10));
       for (int i = 0; i < kMessages; ++i)
-        EXPECT_FALSE(c.try_recv<int>(0, 5 + kTagStride * i).has_value());
+        EXPECT_EQ(poll(c, 0, 5 + kTagStride * i).status,
+                  RecvStatus::kTimeout);
     }
   });
   EXPECT_EQ(plan.stats().duplicated, static_cast<std::uint64_t>(kMessages));

@@ -291,20 +291,16 @@ class EnvParse : public ::testing::Test {
 
 TEST_F(EnvParse, UnsetAndEmptyAreNotConfigured) {
   unsetenv(kVar);
-  EXPECT_FALSE(parse_env_double(kVar).has_value());
   EXPECT_FALSE(parse_env_int(kVar).has_value());
   EXPECT_FALSE(parse_env_flag(kVar).has_value());
   EXPECT_FALSE(parse_env_choice(kVar, {"a", "b"}).has_value());
   set("");
-  EXPECT_FALSE(parse_env_double(kVar).has_value());
   EXPECT_FALSE(parse_env_int(kVar).has_value());
   EXPECT_FALSE(parse_env_flag(kVar).has_value());
   EXPECT_FALSE(parse_env_choice(kVar, {"a", "b"}).has_value());
 }
 
 TEST_F(EnvParse, ParsesValidNumbers) {
-  set("2.5");
-  EXPECT_DOUBLE_EQ(parse_env_double(kVar).value(), 2.5);
   set("-3");
   EXPECT_EQ(parse_env_int(kVar).value(), -3);
   set("42");
@@ -321,20 +317,13 @@ TEST_F(EnvParse, GarbageThrowsNamingTheVariable) {
       EXPECT_NE(std::string(e.what()).find(kVar), std::string::npos) << bad;
     }
   }
-  set("not-a-number");
-  EXPECT_THROW(parse_env_double(kVar).value(), Error);
-  set("nan");
-  EXPECT_THROW(parse_env_double(kVar).value(), Error);
 }
 
 TEST_F(EnvParse, OutOfRangeThrowsInsteadOfClamping) {
   set("-1");
   EXPECT_THROW(parse_env_int(kVar, 0, 100), Error);
-  EXPECT_THROW(parse_env_double(kVar, 0.0, 1.0), Error);
   set("101");
   EXPECT_THROW(parse_env_int(kVar, 0, 100), Error);
-  set("1e300");
-  EXPECT_THROW(parse_env_double(kVar, 0.0, 1e6), Error);
 }
 
 TEST_F(EnvParse, FlagAcceptsCommonSpellings) {

@@ -6,17 +6,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "comm/fault.hpp"
 #include "core/assignment.hpp"
 #include "core/cpi_source.hpp"
 #include "core/pipeline.hpp"
+#include "core/sim.hpp"
 #include "core/tags.hpp"
 #include "obs/trace.hpp"
 #include "stap/sequential.hpp"
@@ -455,9 +459,30 @@ TEST(ParallelPipeline, ReportsTimingAndThroughput) {
             0.0);
   EXPECT_GT(result.timing[static_cast<size_t>(Task::kHardWeight)].comp, 0.0);
   // Sanity on measured inter-task volume: Doppler sends the most data.
-  EXPECT_GT(result.bytes_sent_per_cpi[static_cast<size_t>(
-                Task::kDopplerFilter)],
-            result.bytes_sent_per_cpi[static_cast<size_t>(Task::kEasyWeight)]);
+  // A task's volume is the sum over its out-edges.
+  std::array<double, stap::kNumTasks> sent{};
+  for (int e = 0; e < kNumPipelineEdges; ++e)
+    sent[static_cast<size_t>(edge_src(static_cast<Edge>(e)))] +=
+        result.bytes_per_edge_per_cpi[static_cast<size_t>(e)];
+  EXPECT_GT(sent[static_cast<size_t>(Task::kDopplerFilter)],
+            sent[static_cast<size_t>(Task::kEasyWeight)]);
+}
+
+// A run is configured only through its setters: robustness knobs left in
+// the environment are not read, so every config keeps its default.
+TEST(ParallelPipeline, EnvironmentDoesNotConfigureARun) {
+  auto f = Fixture::make();
+  const std::pair<const char*, const char*> knobs[] = {
+      {"PPSTAP_SPARES", "2"}, {"PPSTAP_ABFT", "1"}, {"PPSTAP_OVERLOAD", "1"}};
+  for (const auto& [name, value] : knobs) setenv(name, value, 1);
+  ScenarioGenerator gen(f.sp);
+  ParallelStapPipeline par(f.p, NodeAssignment{{1, 1, 1, 1, 1, 1, 1}},
+                           f.steering(),
+                           {gen.replica().begin(), gen.replica().end()});
+  for (const auto& [name, value] : knobs) unsetenv(name);
+  EXPECT_EQ(par.fault_tolerance().spares, 0);
+  EXPECT_FALSE(par.integrity().enabled);
+  EXPECT_FALSE(par.overload().enabled);
 }
 
 // Latency starts at the admission decision, shared by every Doppler rank:

@@ -199,9 +199,6 @@ TEST(ElasticTopology, MigratedMovesDonorsLastRankOnly) {
 TEST(ElasticConfigTest, ValidateRejectsInconsistentKnobs) {
   ElasticConfig el;
   el.validate();  // defaults are consistent
-  el.horizon_cpis = 0;
-  EXPECT_THROW(el.validate(), Error);
-  el = ElasticConfig{};
   el.stall_budget_seconds = 0.0;
   EXPECT_THROW(el.validate(), Error);
   el = ElasticConfig{};
@@ -475,7 +472,7 @@ TEST(ElasticMigration, OverloadAssistMigratesBeforeDegrading) {
 }
 
 // Two forced migrations in sequence (forced attempts bypass the
-// max_migrations cap — tests need determinism): both commit, through two
+// one-migration cap — tests need determinism): both commit, through two
 // separate barriers, and the stream stays lossless.
 TEST(ElasticMigration, TwoForcedMigrationsBothCommit) {
   auto f = Fixture::make();
@@ -487,7 +484,6 @@ TEST(ElasticMigration, TwoForcedMigrationsBothCommit) {
   ParallelStapPipeline par(f.p, a, f.steering(),
                            {gen.replica().begin(), gen.replica().end()});
   ElasticConfig el;
-  el.max_migrations = 1;
   el.forced.push_back(ForcedMigration{2, Task::kPulseCompression,
                                       Task::kDopplerFilter});
   el.forced.push_back(

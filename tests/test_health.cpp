@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <tuple>
 #include <vector>
 
@@ -128,7 +127,6 @@ TEST(HealthMonitor, TransientSpikeClearsWithHysteresis) {
 
 TEST(HealthMonitor, FlapBudgetSuppressesRepeatEviction) {
   HealthConfig cfg = test_config();
-  cfg.flap_limit = 1;
   EventLog log;
   HealthMonitor m(cfg, 4, log);
   feed(m, 3, /*straggler=*/3, /*factor=*/8.0);
@@ -199,22 +197,6 @@ TEST(HealthMonitor, DetectOnlyModeNeverEvicts) {
   const Events led = log.snapshot();
   EXPECT_GE(led.count(EventKind::kSuspect), 1u);
   EXPECT_EQ(led.count(EventKind::kQuarantine), 0u);
-}
-
-TEST(HealthConfigEnv, KnobsParseAndValidate) {
-  ::setenv("PPSTAP_HEALTH", "1", 1);
-  ::setenv("PPSTAP_HEALTH_ZSCORE", "2.5", 1);
-  ::setenv("PPSTAP_HEALTH_DWELL", "5", 1);
-  ::setenv("PPSTAP_HEALTH_QUARANTINE", "0", 1);
-  const HealthConfig cfg = HealthConfig::from_env();
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_DOUBLE_EQ(cfg.zscore, 2.5);
-  EXPECT_EQ(cfg.dwell, 5);
-  EXPECT_FALSE(cfg.quarantine);
-  ::unsetenv("PPSTAP_HEALTH");
-  ::unsetenv("PPSTAP_HEALTH_ZSCORE");
-  ::unsetenv("PPSTAP_HEALTH_DWELL");
-  ::unsetenv("PPSTAP_HEALTH_QUARANTINE");
 }
 
 // ---------------------------------------------------------------------------

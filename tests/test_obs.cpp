@@ -21,7 +21,6 @@
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
-#include "comm/collectives.hpp"
 #include "core/pipeline.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
@@ -354,24 +353,6 @@ TEST_F(TraceTest, ScopedSpanEmitsOnDestruction) {
   EXPECT_EQ(spans[0].bytes, 512);
   EXPECT_EQ(spans[0].items, 3);
   EXPECT_GE(spans[0].t_end, spans[0].t_start);
-}
-
-TEST_F(TraceTest, CollectivesEmitCommSpans) {
-  comm::World world(3);
-  world.run([](comm::Comm& c) {
-    std::vector<int> data;
-    if (c.rank() == 0) data = {1, 2, 3};
-    comm::broadcast(c, 0, data, 42);
-  });
-  const auto spans = snapshot();
-  int broadcasts = 0;
-  for (const auto& s : spans)
-    if (std::string(s.name) == "broadcast") {
-      ++broadcasts;
-      EXPECT_EQ(s.task, kCommTrack);
-      EXPECT_EQ(s.items, 3);
-    }
-  EXPECT_EQ(broadcasts, 3);
 }
 
 TEST_F(TraceTest, SequentialChainEmitsStageSpans) {

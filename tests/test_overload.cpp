@@ -1,5 +1,5 @@
 // Tests for the adaptive overload-control subsystem: the admission/ladder
-// controller, the PPSTAP_OVERLOAD* configuration surface, the numerical-
+// controller, OverloadConfig validation, the numerical-
 // health guards on the weight path, and the end-to-end pipeline behavior
 // under offered load beyond capacity.
 #include <gtest/gtest.h>
@@ -328,51 +328,7 @@ TEST(Controller, SustainedSloViolationEscalatesWithoutBacklog) {
 // Configuration
 // ---------------------------------------------------------------------------
 
-class OverloadEnv : public ::testing::Test {
- protected:
-  void TearDown() override {
-    for (const char* v :
-         {"PPSTAP_OVERLOAD", "PPSTAP_OVERLOAD_LADDER",
-          "PPSTAP_OVERLOAD_QLO", "PPSTAP_OVERLOAD_QHI",
-          "PPSTAP_OVERLOAD_SLO", "PPSTAP_OVERLOAD_DWELL",
-          "PPSTAP_OVERLOAD_PERIOD", "PPSTAP_OVERLOAD_ADMIT",
-          "PPSTAP_OVERLOAD_COND"})
-      unsetenv(v);
-  }
-};
-
-TEST_F(OverloadEnv, FromEnvReadsEveryKnob) {
-  setenv("PPSTAP_OVERLOAD", "1", 1);
-  setenv("PPSTAP_OVERLOAD_LADDER", "off", 1);
-  setenv("PPSTAP_OVERLOAD_QLO", "3", 1);
-  setenv("PPSTAP_OVERLOAD_QHI", "9", 1);
-  setenv("PPSTAP_OVERLOAD_SLO", "0.25", 1);
-  setenv("PPSTAP_OVERLOAD_DWELL", "7", 1);
-  setenv("PPSTAP_OVERLOAD_PERIOD", "0.001", 1);
-  setenv("PPSTAP_OVERLOAD_ADMIT", "throttle", 1);
-  setenv("PPSTAP_OVERLOAD_COND", "1e4", 1);
-  const OverloadConfig cfg = OverloadConfig::from_env();
-  EXPECT_TRUE(cfg.enabled);
-  EXPECT_FALSE(cfg.ladder);
-  EXPECT_EQ(cfg.queue_low, 3);
-  EXPECT_EQ(cfg.queue_high, 9);
-  EXPECT_DOUBLE_EQ(cfg.slo_latency_seconds, 0.25);
-  EXPECT_EQ(cfg.dwell, 7);
-  EXPECT_DOUBLE_EQ(cfg.arrival_period_seconds, 0.001);
-  EXPECT_FALSE(cfg.reject_when_full);
-  EXPECT_DOUBLE_EQ(cfg.condition_threshold, 1e4);
-}
-
-TEST_F(OverloadEnv, GarbageKnobsThrowInsteadOfDisablingProtection) {
-  setenv("PPSTAP_OVERLOAD", "1", 1);
-  setenv("PPSTAP_OVERLOAD_QLO", "many", 1);
-  EXPECT_THROW(OverloadConfig::from_env(), Error);
-  setenv("PPSTAP_OVERLOAD_QLO", "4", 1);
-  setenv("PPSTAP_OVERLOAD_ADMIT", "drop", 1);
-  EXPECT_THROW(OverloadConfig::from_env(), Error);
-}
-
-TEST_F(OverloadEnv, InconsistentConfigurationFailsValidation) {
+TEST(OverloadConfigTest, InconsistentConfigurationFailsValidation) {
   OverloadConfig cfg;
   cfg.enabled = true;
   cfg.queue_low = 8;
@@ -382,9 +338,6 @@ TEST_F(OverloadEnv, InconsistentConfigurationFailsValidation) {
   cfg.dwell = 0;
   EXPECT_THROW(cfg.validate(), Error);
   cfg.dwell = 4;
-  cfg.condition_threshold = 0.5;  // must be 0 (keep) or > 1
-  EXPECT_THROW(cfg.validate(), Error);
-  cfg.condition_threshold = 1e6;
   EXPECT_NO_THROW(cfg.validate());
 }
 
