@@ -152,8 +152,6 @@ int main(int argc, char** argv) {
   bench::report_row(bench::row({{"kind", "calibration"},
                                 {"capacity_cpi_per_s", r0.throughput},
                                 {"t0_s", t0}}));
-  if (std::getenv("PPSTAP_OVERLOAD_BENCH_CALIBRATE_ONLY") != nullptr)
-    return bench::report_finish(0);
 
   std::printf("\n%-8s %-14s %12s %10s %10s %10s %8s\n", "load", "policy",
               "completion", "p99 (s)", "CPI/s", "shed", "maxlvl");

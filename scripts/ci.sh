@@ -2,11 +2,11 @@
 # Tier-1 verification plus the observability checks:
 #
 #   1. Environment guard, then configure, build, and run the full test
-#      suite (ROADMAP tier-1). The guard fails if any file under src/
-#      other than obs/trace.cpp, kernels/dispatch.cpp and common/env.*
-#      calls getenv or a parse_env_ helper: only the kernel-dispatch and
-#      tracing knobs live in the environment, and a pipeline run is
-#      configured through its setters alone.
+#      suite (ROADMAP tier-1). The guard fails if any file under src/ or
+#      bench/ other than obs/trace.cpp, kernels/dispatch.cpp and
+#      common/env.* calls getenv or a parse_env_ helper: only the
+#      kernel-dispatch and tracing knobs live in the environment, and a
+#      pipeline run or a bench is configured through setters and flags.
 #  1b. Kernel dispatch A/B: the kernels suite and the stap weights tests
 #      forced to scalar (the portable numerical contract, must pass on any
 #      host), forced to AVX2 where the CPU has it (skipped gracefully
@@ -123,7 +123,7 @@ cd "$(dirname "$0")/.."
 JOBS="${1:-$(nproc)}"
 
 echo "=== env guard: only kernel dispatch and tracing read the environment ==="
-stray_env=$(grep -rlE '\bgetenv\b|\bparse_env_' src |
+stray_env=$(grep -rlE '\bgetenv\b|\bparse_env_' src bench |
   grep -vxE 'src/(obs/trace\.cpp|kernels/dispatch\.cpp|common/env\.(hpp|cpp))' ||
   true)
 if [ -n "$stray_env" ]; then

@@ -317,9 +317,15 @@ void World::run(const std::function<void(Comm&)>& fn) {
 
 int Comm::size() const { return world_->size(); }
 
+void Comm::send_bytes(int dest, int tag, std::vector<std::byte>&& bytes,
+                      const FlowContext* flow) {
+  world_->do_send(*this, dest, tag, std::move(bytes), /*marker=*/false, flow);
+}
+
 void Comm::send_bytes(int dest, int tag, std::span<const std::byte> bytes,
                       const FlowContext* flow) {
-  world_->do_send(*this, dest, tag, bytes, /*marker=*/false, flow);
+  world_->do_send(*this, dest, tag, {bytes.begin(), bytes.end()},
+                  /*marker=*/false, flow);
 }
 
 void Comm::send_marker(int dest, int tag) {
@@ -341,12 +347,15 @@ std::size_t Comm::discard(int src, int tag) {
 
 void Comm::take_over(int dead_rank) { world_->do_take_over(*this, dead_rank); }
 
-void World::do_send(Comm& c, int dest, int tag,
-                    std::span<const std::byte> bytes, bool marker,
-                    const FlowContext* flow) {
+void World::do_send(Comm& c, int dest, int tag, std::vector<std::byte> bytes,
+                    bool marker, const FlowContext* flow) {
   PPSTAP_REQUIRE(dest >= 0 && dest < num_ranks_, "invalid destination rank");
   if (plan_ && plan_->kill_due(FaultPoint::kSend, c.rank(), dest, tag))
     throw RankKilled(c.rank());
+  // The one pass over the payload, outside the lock: the buffer itself
+  // moves into the mailbox. It is the sender's own work, so it precedes the
+  // flow stamp.
+  const std::uint64_t checksum = checksum_bytes(bytes);
   // Stamped before the mailbox lock so flow-control blocking is charged to
   // the frame's transport interval, like a congested interconnect.
   const double flow_sent = flow ? WallTimer::now() : 0.0;
@@ -387,8 +396,8 @@ void World::do_send(Comm& c, int dest, int tag,
   if (rank_lost(dest)) return;
   if (plan_ && plan_->drop_due(f.src, dest, tag, f.seq)) return;
 
-  f.checksum = checksum_bytes(bytes);
-  f.bytes = {bytes.begin(), bytes.end()};
+  f.checksum = checksum;
+  f.bytes = std::move(bytes);
   f.deliver_at = Clock::now();
   if (plan_) {
     const double delay = plan_->delay_due(f.src, dest, tag, f.seq);

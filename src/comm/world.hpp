@@ -8,7 +8,11 @@
 // Every inter-task byte of the parallel pipeline flows through here, so the
 // functional behaviour (who sends what to whom, in which order) is
 // identical to a distributed run, and per-rank byte counters feed the
-// communication-volume checks against the machine model.
+// communication-volume checks against the machine model. Ranks share one
+// address space, so a send hands its buffer over: the frame's bytes move
+// from the sender into the mailbox and on to the receiver, and the only
+// data movement is the one the paper's redistribution needs — the sender
+// building its per-destination message.
 //
 // Flow control: each rank's mailbox has a byte capacity; senders block when
 // the destination is full (at least one message is always admitted so a
@@ -46,6 +50,7 @@
 #include <span>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/check.hpp"
@@ -146,17 +151,44 @@ struct RecvResult {
 
   /// True only for a regular data delivery.
   bool ok() const { return status == RecvStatus::kOk && !marker; }
+};
 
-  /// Reinterpret the payload as trivially copyable T.
-  template <typename T>
-  std::vector<T> as() const {
-    static_assert(std::is_trivially_copyable_v<T>);
-    PPSTAP_CHECK(bytes.size() % sizeof(T) == 0,
+/// A delivered payload read in place as trivially copyable T: the view owns
+/// the frame's bytes — the very buffer the sender filled, when no fault was
+/// injected — so unpacking reads them without another copy. The sender
+/// wrote T objects into that storage (an owned send of a buffer viewed as
+/// T), and operator new aligns it for any T the static_asserts admit.
+template <typename T>
+class FrameView {
+  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
+
+ public:
+  explicit FrameView(std::vector<std::byte>&& bytes)
+      : bytes_(std::move(bytes)) {
+    PPSTAP_CHECK(bytes_.size() % sizeof(T) == 0,
                  "received byte count not a multiple of element size");
-    std::vector<T> out(bytes.size() / sizeof(T));
-    if (!bytes.empty()) std::memcpy(out.data(), bytes.data(), bytes.size());
-    return out;
+    elems_ = {reinterpret_cast<const T*>(bytes_.data()),
+              bytes_.size() / sizeof(T)};
   }
+
+  std::span<const std::byte> bytes() const { return std::as_bytes(elems_); }
+  std::size_t size() const { return elems_.size(); }
+  auto begin() const { return elems_.begin(); }
+  auto end() const { return elems_.end(); }
+  const T& operator[](std::size_t i) const { return elems_[i]; }
+
+  /// Shrink the view by its trailing `n` bytes (a whole number of
+  /// elements); the storage is kept.
+  void drop_back_bytes(std::size_t n) {
+    PPSTAP_CHECK(n % sizeof(T) == 0 && n <= bytes().size(),
+                 "cannot drop a partial element or more than the view");
+    elems_ = elems_.first(elems_.size() - n / sizeof(T));
+  }
+
+ private:
+  std::vector<std::byte> bytes_;
+  std::span<const T> elems_;
 };
 
 /// A rank's handle to the world. Valid only inside World::run's callback,
@@ -166,11 +198,18 @@ class Comm {
   int rank() const { return rank_; }
   int size() const;
 
-  /// Eager buffered send: copies `bytes` into the destination mailbox.
+  /// Eager buffered send that hands `bytes` over: the buffer moves into
+  /// the destination mailbox and on to the receiver without a copy, and
+  /// the caller's vector is left empty — one rank owns a frame at a time.
   /// Blocks only when the destination mailbox is over capacity. When
   /// `flow` is non-null its trace context rides on the frame (sent_at is
   /// stamped here) and the receiver emits an obs "xfer" flow span on
   /// delivery.
+  void send_bytes(int dest, int tag, std::vector<std::byte>&& bytes,
+                  const FlowContext* flow = nullptr);
+
+  /// Eager buffered send of borrowed bytes: copies them once into an owned
+  /// buffer and sends that.
   void send_bytes(int dest, int tag, std::span<const std::byte> bytes,
                   const FlowContext* flow = nullptr);
 
@@ -326,7 +365,7 @@ class World {
   struct Shared;
   std::unique_ptr<Shared> shared_;
 
-  void do_send(Comm& c, int dest, int tag, std::span<const std::byte> bytes,
+  void do_send(Comm& c, int dest, int tag, std::vector<std::byte> bytes,
                bool marker, const FlowContext* flow);
   RecvResult do_recv(Comm& c, int src, int tag, const double* timeout);
   /// Drop re-delivered copies of a just-consumed frame from the mailbox

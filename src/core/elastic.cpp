@@ -263,7 +263,7 @@ void ElasticEngine::collect_votes(comm::Comm& c, Proposal& p) {
     // The shrink target is dead by construction: no vote will ever come.
     if (p.shrink && r == p.migrating_rank) continue;
     const double remaining = std::max(1e-3, deadline - WallTimer::now());
-    const comm::RecvResult res =
+    comm::RecvResult res =
         c.recv_bytes_for(r, vote_tag(p.barrier_cpi), remaining);
     if (!res.ok()) {
       reason = res.status == comm::RecvStatus::kPeerDead ? "vote_peer_dead"
@@ -271,7 +271,7 @@ void ElasticEngine::collect_votes(comm::Comm& c, Proposal& p) {
                                                           : "vote_timeout";
       break;
     }
-    const auto votes = res.as<VotePayload>();
+    const comm::FrameView<VotePayload> votes(std::move(res.bytes));
     if (votes.size() != 1 || votes[0].rank != r ||
         votes[0].attempt != p.attempt ||
         votes[0].barrier_cpi != static_cast<std::int64_t>(p.barrier_cpi) ||
@@ -304,11 +304,11 @@ void ElasticEngine::await_verdict(comm::Comm& c, Proposal& p) {
   // Twice the vote budget plus margin: the coordinator itself waits up to
   // one budget for the slowest voter before it can possibly answer.
   const double budget = 2.0 * cfg_.stall_budget_seconds + 1.0;
-  const comm::RecvResult res =
+  comm::RecvResult res =
       c.recv_bytes_for(coordinator_rank_, verdict_tag(p.barrier_cpi), budget);
   int out;
   if (res.ok()) {
-    const auto verdicts = res.as<VerdictPayload>();
+    const comm::FrameView<VerdictPayload> verdicts(std::move(res.bytes));
     if (verdicts.size() == 1 && verdicts[0].attempt == p.attempt) {
       // The coordinator resolved before sending; this CAS can only read.
       out = resolve(p, verdicts[0].committed != 0 ? kCommitted : kRolledBack,

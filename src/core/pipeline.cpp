@@ -311,24 +311,35 @@ bool weights_unit_norm(const std::vector<MatrixCF>& ws, double tol) {
   return true;
 }
 
-// The 8-byte end-to-end digest is bit-cast into trailing elements of the
-// payload's own type and rides inside the data frame itself — a separate
-// digest message would double the per-CPI message count, and on an
-// oversubscribed host each extra message is a condvar wakeup. Markers carry
-// no digest. Digest bytes bypass the byte accounting so the Table 2-6
-// volume validation is unperturbed.
-template <typename T>
-constexpr size_t digest_elems() {
-  static_assert(sizeof(std::uint64_t) % sizeof(T) == 0);
-  return sizeof(std::uint64_t) / sizeof(T);
-}
+// The 8-byte end-to-end digest trails the payload inside the data frame
+// itself — a separate digest message would double the per-CPI message
+// count, and on an oversubscribed host each extra message is a condvar
+// wakeup. Markers carry no digest. Digest bytes bypass the byte accounting
+// so the Table 2-6 volume validation is unperturbed.
+constexpr size_t kDigestBytes = sizeof(std::uint64_t);
 
+// One redistribution frame's owned buffer: `n` payload elements of T,
+// written in place through elems(), with capacity for the digest reserved
+// up front so appending it never reallocates. send_frame hands the buffer
+// to the transport, which moves it on to the receiver's FrameView — the
+// payload is written once and never copied on the way.
 template <typename T>
-void append_digest(std::vector<T>& buf) {
-  const std::uint64_t d = checksum_of(std::span<const T>(buf));
-  const size_t n = buf.size();
-  buf.resize(n + digest_elems<T>());
-  std::memcpy(static_cast<void*>(buf.data() + n), &d, sizeof d);
+struct OutFrame {
+  std::vector<std::byte> bytes;
+
+  explicit OutFrame(size_t n) {
+    bytes.reserve(n * sizeof(T) + kDigestBytes);
+    bytes.resize(n * sizeof(T));
+  }
+  std::span<T> elems() {
+    return {reinterpret_cast<T*>(bytes.data()), bytes.size() / sizeof(T)};
+  }
+};
+
+void append_digest(std::vector<std::byte>& buf) {
+  const std::uint64_t d = checksum_bytes(buf);
+  const auto* p = reinterpret_cast<const std::byte*>(&d);
+  buf.insert(buf.end(), p, p + sizeof d);
 }
 
 // Trace context for a redistribution frame on edge `e` toward the consumer
@@ -344,12 +355,14 @@ comm::FlowContext flow_for(index_t cpi, Edge e) {
 }
 
 // Send one redistribution frame on edge `e` for consumer CPI `cpi`. With the
-// integrity layer on, the digest is appended to `buf` first. The payload
-// bytes are charged to `acc` and to the edge's counter when `measured`.
+// integrity layer on, the digest is appended to the frame first. The
+// payload bytes are charged to `acc` and to the edge's counter when
+// `measured`.
 template <typename T>
 void send_frame(Comm& c, Shared& s, int dest, index_t cpi, Edge e,
-                std::vector<T>& buf, bool measured, PhaseAcc& acc) {
-  const std::uint64_t n = buf.size() * sizeof(T);
+                OutFrame<T>&& frame, bool measured, PhaseAcc& acc) {
+  std::vector<std::byte>& buf = frame.bytes;
+  const std::uint64_t n = buf.size();
   comm::FlowContext fc;
   const comm::FlowContext* flow = nullptr;
   if (obs::tracing_enabled()) {
@@ -357,7 +370,7 @@ void send_frame(Comm& c, Shared& s, int dest, index_t cpi, Edge e,
     flow = &fc;
   }
   if (s.integ.enabled) append_digest(buf);
-  c.send<T>(dest, tag_for(cpi, e), buf, flow);
+  c.send_bytes(dest, tag_for(cpi, e), std::move(buf), flow);
   if (measured) {
     acc.bytes += n;
     s.edge_bytes[static_cast<size_t>(e)].fetch_add(n,
@@ -418,11 +431,11 @@ struct FtRecv {
       it = c.discard(it->first, it->second) > 0 ? stale.erase(it) : it + 1;
   }
 
-  /// CPI `cpi`'s frame from `src` on edge `e`, digest checked and stripped.
-  /// nullopt => marker, timeout, dead peer, or corrupt frame: the CPI
-  /// cannot complete.
+  /// CPI `cpi`'s frame from `src` on edge `e`, digest checked and stripped,
+  /// read in place. nullopt => marker, timeout, dead peer, or corrupt
+  /// frame: the CPI cannot complete.
   template <typename T>
-  std::optional<std::vector<T>> recv(int src, index_t cpi, Edge e) {
+  std::optional<comm::FrameView<T>> recv(int src, index_t cpi, Edge e) {
     const int tag = tag_for(cpi, e);
     const double remaining =
         missed ? 0.0 : std::max(0.0, deadline - WallTimer::now());
@@ -447,7 +460,7 @@ struct FtRecv {
       }
     }
     if (r.ok()) {
-      std::vector<T> buf = r.as<T>();
+      comm::FrameView<T> buf(std::move(r.bytes));
       strip_digest(src, buf, cpi);
       return buf;
     }
@@ -483,15 +496,16 @@ struct FtRecv {
   // mismatch here means the producer's buffer changed between verification
   // and pack, or the redistribution reassembly disagrees with the
   // producer.) Runs before the caller's payload-length checks — it shrinks
-  // the buffer back to the payload proper.
+  // the view back to the payload proper.
   template <typename T>
-  void strip_digest(int src, std::vector<T>& buf, index_t cpi) {
+  void strip_digest(int src, comm::FrameView<T>& buf, index_t cpi) {
     if (!s.integ.enabled) return;
-    if (buf.size() < digest_elems<T>()) return;
+    const auto b = buf.bytes();
+    if (b.size() < kDigestBytes) return;
     std::uint64_t d = 0;
-    std::memcpy(&d, buf.data() + buf.size() - digest_elems<T>(), sizeof d);
-    buf.resize(buf.size() - digest_elems<T>());
-    if (d == checksum_of(std::span<const T>(buf))) return;
+    std::memcpy(&d, b.data() + b.size() - kDigestBytes, kDigestBytes);
+    buf.drop_back_bytes(kDigestBytes);
+    if (d == checksum_bytes(buf.bytes())) return;
     Event e{EventKind::kDigestMismatch, 0.0, c.rank(),
             static_cast<int>(s.topo(cpi).role_of(src).task), cpi};
     e.peer = src;
@@ -702,12 +716,11 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
   const index_t j = p.num_channels;
   const index_t jj = p.num_staggered_channels();
   stap::DopplerFilter filter(p);
-  // Kept across CPIs: the staggered slab, the frame buffer, and the
-  // range-major gather plan of every outgoing frame ([hard] per
-  // destination rank), rebuilt only when a migration moves this rank's
-  // slab. The weight and beamforming groups never migrate.
+  // Kept across CPIs: the staggered slab and the range-major gather plan
+  // of every outgoing frame ([hard] per destination rank), rebuilt only
+  // when a migration moves this rank's slab. The weight and beamforming
+  // groups never migrate.
   cube::CpiCube stag;
-  std::vector<cfloat> buf;
   index_t plan_k0 = -1, plan_kl = -1;
   std::array<std::vector<std::vector<stap::PackRow>>, 2> bf_rows, wt_rows;
   auto plan = [&](const Topology& tp, index_t k0, index_t kl) {
@@ -728,6 +741,13 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
       for (int r = 0; r < tp.count(wt); ++r)
         wtr.push_back(stap::training_pack_rows(s.train_blocks(wt, r), k0, kl));
     }
+  };
+  // Each outgoing frame is gathered straight into its own buffer.
+  auto pack = [&](const std::vector<stap::PackRow>& rows, bool hard) {
+    const index_t nch = hard ? jj : j;
+    OutFrame<cfloat> f(rows.size() * static_cast<size_t>(nch));
+    stap::pack_rows(stag, rows, nch, f.elems());
+    return f;
   };
   struct Cpi {
     index_t k0 = 0, kl = 0;
@@ -791,11 +811,10 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
         for (const bool hard : {false, true}) {
           const Task bf = hard ? Task::kHardBeamform : Task::kEasyBeamform;
           for (int r = 0; r < x.tp.count(bf); ++r) {
-            stap::pack_rows(stag, bf_rows[hard][static_cast<size_t>(r)],
-                            hard ? jj : j, buf);
             send_frame(c, s, x.tp.rank_at(bf, r), x.cpi,
-                       hard ? kDopToHardBf : kDopToEasyBf, buf, x.meas,
-                       x.acc);
+                       hard ? kDopToHardBf : kDopToEasyBf,
+                       pack(bf_rows[hard][static_cast<size_t>(r)], hard),
+                       x.meas, x.acc);
           }
         }
         // Weight tasks: training rows at each destination's training cells
@@ -814,9 +833,9 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
               c.send_marker(dest, tag_for(x.cpi, e));
               continue;
             }
-            stap::pack_rows(stag, wt_rows[hard][static_cast<size_t>(r)],
-                            hard ? jj : j, buf);
-            send_frame(c, s, dest, x.cpi, e, buf, x.meas, x.acc);
+            send_frame(c, s, dest, x.cpi, e,
+                       pack(wt_rows[hard][static_cast<size_t>(r)], hard),
+                       x.meas, x.acc);
           }
         }
       });
@@ -880,13 +899,17 @@ index_t run_weight_task(Comm& c, Shared& s, int me) {
       const index_t lo = std::max(w0, bpart.offset(r) * segs);
       const index_t hi = std::min(w0 + wpart.length(me),
                                   (bpart.offset(r) + bpart.length(r)) * segs);
-      std::vector<cfloat> buf;
+      size_t n = 0;
+      for (index_t pos = lo; pos < hi; ++pos)
+        n += static_cast<size_t>(w[static_cast<size_t>(pos - w0)].size());
+      OutFrame<cfloat> f(n);
+      cfloat* out = f.elems().data();
       for (index_t pos = lo; pos < hi; ++pos) {
         const auto& wm = w[static_cast<size_t>(pos - w0)];
-        buf.insert(buf.end(), wm.data(), wm.data() + wm.size());
+        out = std::copy_n(wm.data(), wm.size(), out);
       }
-      send_frame(c, s, tp0.rank_at(bf_task, r), for_cpi, out_edge, buf,
-                 s.measured(for_cpi), acc);
+      send_frame(c, s, tp0.rank_at(bf_task, r), for_cpi, out_edge,
+                 std::move(f), s.measured(for_cpi), acc);
     }
   };
   // Checkpoint the computers' state after every CPI so a spare can resume
@@ -1179,17 +1202,22 @@ index_t run_beamform(Comm& c, Shared& s, Task task, int me, index_t begin) {
         for (int r = 0; r < x.tp.count(Task::kPulseCompression); ++r) {
           const index_t g0 = x.tp.part_pc.offset(r);
           const index_t g1 = g0 + x.tp.part_pc.length(r);
-          std::vector<cfloat> buf;
+          const auto in_span = [&](index_t gbin) {
+            return gbin >= g0 && gbin < g1;
+          };
+          const auto nb = static_cast<size_t>(
+              std::count_if(bins.begin(), bins.end(), in_span));
+          OutFrame<cfloat> f(nb * static_cast<size_t>(m * k));
+          cfloat* out = f.elems().data();
           for (index_t b = 0; b < bl; ++b) {
-            const index_t gbin = bins[static_cast<size_t>(b)];
-            if (gbin < g0 || gbin >= g1) continue;
+            if (!in_span(bins[static_cast<size_t>(b)])) continue;
             for (index_t mm = 0; mm < m; ++mm) {
               auto line = d.out.line(b, mm);
-              buf.insert(buf.end(), line.begin(), line.end());
+              out = std::copy(line.begin(), line.end(), out);
             }
           }
           send_frame(c, s, x.tp.rank_at(Task::kPulseCompression, r), x.cpi,
-                     out_edge, buf, x.meas, x.acc);
+                     out_edge, std::move(f), x.meas, x.acc);
         }
       });
 }
@@ -1266,13 +1294,12 @@ index_t run_pc(Comm& c, Shared& s, index_t begin) {
         for (int r = 0; r < x.tp.count(Task::kCfar); ++r) {
           const cube::IndexRange ov =
               cube::intersect(x.tp.part_pc, x.me, x.tp.part_cfar, r);
-          std::vector<float> buf;
-          for (index_t bin = ov.begin; bin < ov.end; ++bin) {
-            const float* src = &d.power.at(bin - d.g0, 0, 0);
-            buf.insert(buf.end(), src, src + m * k);
-          }
+          OutFrame<float> f(static_cast<size_t>(ov.length() * m * k));
+          float* out = f.elems().data();
+          for (index_t bin = ov.begin; bin < ov.end; ++bin)
+            out = std::copy_n(&d.power.at(bin - d.g0, 0, 0), m * k, out);
           send_frame(c, s, x.tp.rank_at(Task::kCfar, r), x.cpi, kPcToCfar,
-                     buf, x.meas, x.acc);
+                     std::move(f), x.meas, x.acc);
         }
       });
 }

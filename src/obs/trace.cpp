@@ -196,7 +196,6 @@ Json chrome_trace_json() {
     std::lock_guard<std::mutex> lock(r.mu);
     names = r.track_names;
   }
-  names.emplace(kCommTrack, "comm");
   names.emplace(kSeqTrack, "sequential");
   names.emplace(kFlowTrack, "flow");
   names.emplace(kSourceTrack, "source");

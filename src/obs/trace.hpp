@@ -42,9 +42,9 @@ namespace ppstap::obs {
 /// that is what keeps the hot path allocation-free).
 struct Span {
   const char* name = "";      ///< e.g. "recv", "comp", "send", "broadcast"
-  const char* category = "";  ///< e.g. "pipeline", "comm", "sequential"
+  const char* category = "";  ///< e.g. "pipeline", "flow", "sequential"
   int rank = 0;               ///< global rank (trace thread row)
-  int task = -1;              ///< stap::Task index, or kCommTrack/kSeqTrack
+  int task = -1;              ///< stap::Task index, or a pseudo-track below
   std::int64_t cpi = -1;      ///< CPI index, -1 when not CPI-scoped
   double t_start = 0.0;       ///< WallTimer::now() seconds
   double t_end = 0.0;
@@ -63,7 +63,6 @@ struct Span {
 
 /// Pseudo-task ids for spans not owned by one of the seven pipeline tasks;
 /// they map to their own process groups in the exported trace.
-inline constexpr int kCommTrack = -1;
 inline constexpr int kSeqTrack = -2;
 /// Fault events: injected faults, shed CPIs, spare-rank recoveries.
 inline constexpr int kFaultTrack = -3;

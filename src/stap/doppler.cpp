@@ -203,10 +203,11 @@ std::vector<PackRow> training_pack_rows(std::span<const TrainingBlock> blocks,
 }
 
 void pack_rows(const cube::CpiCube& stag, std::span<const PackRow> rows,
-               index_t nch, std::vector<cfloat>& out) {
+               index_t nch, std::span<cfloat> out) {
   PPSTAP_REQUIRE(nch >= 0 && nch <= stag.extent(1),
                  "pack channel count exceeds the slab");
-  out.resize(rows.size() * static_cast<size_t>(nch));
+  PPSTAP_REQUIRE(out.size() == rows.size() * static_cast<size_t>(nch),
+                 "pack output does not match the frame's rows");
   const index_t n = stag.extent(2);
   const cfloat* base = stag.data();
   for (const PackRow& r : rows) {

@@ -105,12 +105,12 @@ std::vector<PackRow> beamform_pack_rows(std::span<const index_t> bins,
 std::vector<PackRow> training_pack_rows(std::span<const TrainingBlock> blocks,
                                         index_t k0, index_t kl);
 
-/// Gather `rows` of the staggered slab into `out` (resized to
-/// rows.size() * nch, storage reused). The rows are visited in the order
-/// given — range-major from the builders above — so each range row's 2J
-/// Doppler lines are read while cache-resident instead of the whole slab
-/// being swept once per bin.
+/// Gather `rows` of the staggered slab into `out`, which holds exactly
+/// rows.size() * nch elements — a frame's own payload, written in place.
+/// The rows are visited in the order given — range-major from the builders
+/// above — so each range row's 2J Doppler lines are read while
+/// cache-resident instead of the whole slab being swept once per bin.
 void pack_rows(const cube::CpiCube& stag, std::span<const PackRow> rows,
-               index_t nch, std::vector<cfloat>& out);
+               index_t nch, std::span<cfloat> out);
 
 }  // namespace ppstap::stap

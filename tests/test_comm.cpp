@@ -81,6 +81,29 @@ TEST(World, SameTagPreservesFifoPerSource) {
   });
 }
 
+// An owned send hands the sender's buffer over: with no fault plan the
+// receiver reads the very allocation the sender filled, and the sender is
+// left with nothing — one rank owns a frame at a time.
+TEST(World, OwnedSendDeliversTheSendersBuffer) {
+  World world(2);
+  const std::byte* sent = nullptr;  // published to rank 1 by the message
+  world.run([&](Comm& c) {
+    if (c.rank() == 0) {
+      std::vector<std::byte> frame(4096, std::byte{0x5a});
+      sent = frame.data();
+      c.send_bytes(1, 3, std::move(frame));
+      EXPECT_TRUE(frame.empty());
+    } else {
+      const auto got = c.recv_bytes(0, 3);
+      EXPECT_EQ(got.data(), sent);
+      ASSERT_EQ(got.size(), 4096u);
+      EXPECT_EQ(got.front(), std::byte{0x5a});
+    }
+  });
+  EXPECT_EQ(world.last_stats()[0].bytes_sent, 4096u);
+  EXPECT_EQ(world.last_stats()[1].bytes_received, 4096u);
+}
+
 TEST(World, EmptyMessagesAreDelivered) {
   World world(2);
   world.run([](Comm& c) {
@@ -161,7 +184,7 @@ TEST(World, ZeroDeadlineRecvNeverBlocksAndConsumesOnce) {
       wait_sent(c, 1);
       auto got = poll(c, 1, 5);
       ASSERT_TRUE(got.ok());
-      EXPECT_EQ(got.as<int>()[0], 42);
+      EXPECT_EQ(FrameView<int>(std::move(got.bytes))[0], 42);
       EXPECT_EQ(poll(c, 1, 5).status, RecvStatus::kTimeout);  // consumed
     } else {
       std::vector<int> v = {42};
@@ -349,7 +372,7 @@ TEST(WorldDeadline, RecvForTimesOutThenDelivers) {
       auto r2 = c.recv_bytes_for(1, 3, 5.0);
       ASSERT_EQ(r2.status, RecvStatus::kOk);
       EXPECT_FALSE(r2.marker);
-      EXPECT_EQ(r2.as<int>()[0], 42);
+      EXPECT_EQ(FrameView<int>(std::move(r2.bytes))[0], 42);
     } else {
       wait_sent(c, 0);  // rank 0 has observed the timeout
       std::vector<int> v = {42};
@@ -459,6 +482,31 @@ TEST(FaultInjection, CorruptionTriggersRetransmission) {
   EXPECT_EQ(world.last_stats()[1].retry_histogram[9][0], 1u);
 }
 
+// The corrupt rule flips a byte of the handed-over buffer itself; the
+// pristine copy it keeps when it fires still repairs the frame.
+TEST(FaultInjection, CorruptionOfAnOwnedSendIsRetransmitted) {
+  World world(2);
+  FaultPlan plan;
+  plan.add(FaultPlan::corrupt_message(0, 1, 9));  // corrupt once
+  world.set_fault_plan(&plan);
+  world.run([](Comm& c) {
+    if (c.rank() == 0) {
+      std::vector<std::byte> frame(256);
+      for (size_t i = 0; i < frame.size(); ++i)
+        frame[i] = static_cast<std::byte>(i);
+      c.send_bytes(1, 9, std::move(frame));
+      EXPECT_TRUE(frame.empty());
+    } else {
+      const auto got = c.recv_bytes(0, 9);
+      ASSERT_EQ(got.size(), 256u);
+      for (size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], static_cast<std::byte>(i)) << i;
+    }
+  });
+  EXPECT_EQ(plan.stats().corrupted, 1u);
+  EXPECT_EQ(world.last_stats()[1].retransmissions, 1u);
+}
+
 TEST(FaultInjection, SeededCoinIsDeterministic) {
   // Two identical runs of a probabilistic plan drop exactly the same
   // messages — the receiver sees the same survivor set both times.
@@ -480,7 +528,7 @@ TEST(FaultInjection, SeededCoinIsDeterministic) {
       } else {
         wait_sent(c, 0);  // all sends (and drops) resolved
         for (auto r = poll(c, 0, 5); r.ok(); r = poll(c, 0, 5))
-          survivors[run].push_back(r.as<int>()[0]);
+          survivors[run].push_back(FrameView<int>(std::move(r.bytes))[0]);
       }
     });
     EXPECT_GT(plan.stats().dropped, 0u);
@@ -576,9 +624,9 @@ TEST(FaultInjection, ClaimedRankStaysRecoverableUntilTakeOver) {
       c.send<int>(1, 7, v);
       // The dead source is recoverable: the deadline receive waits for the
       // spare instead of reporting a dead peer.
-      const RecvResult r = c.recv_bytes_for(1, 8, 5.0);
+      RecvResult r = c.recv_bytes_for(1, 8, 5.0);
       ASSERT_TRUE(r.ok());
-      EXPECT_EQ(r.as<int>()[0], 6);
+      EXPECT_EQ(FrameView<int>(std::move(r.bytes))[0], 6);
     } else if (c.rank() == 1) {
       EXPECT_THROW((void)c.recv<int>(0, 7), RankKilled);
       throw RankKilled(1);
@@ -862,6 +910,32 @@ TEST(FaultInjection, DuplicateIsDeliveredOnceAndDiscarded) {
   });
   // duplicate_message is count-limited: only the first matching frame is
   // re-delivered, and that one extra copy is discarded by the seq ledger.
+  EXPECT_EQ(plan.stats().duplicated, 1u);
+  EXPECT_EQ(world.last_stats()[1].dup_discarded, 1u);
+}
+
+// The duplicate rule copies a handed-over frame only when it fires; the
+// receiver still consumes each payload once.
+TEST(FaultInjection, DuplicateOfAnOwnedSendIsDeliveredOnce) {
+  World world(2);
+  FaultPlan plan;
+  plan.add(FaultPlan::duplicate_message(0, 1, 11));
+  world.set_fault_plan(&plan);
+  world.run([](Comm& c) {
+    if (c.rank() == 0) {
+      for (const std::byte b : {std::byte{41}, std::byte{42}}) {
+        std::vector<std::byte> frame(64, b);
+        c.send_bytes(1, 11, std::move(frame));
+        EXPECT_TRUE(frame.empty());
+      }
+      mark_sent(c, 1);
+    } else {
+      EXPECT_EQ(c.recv_bytes(0, 11), std::vector<std::byte>(64, std::byte{41}));
+      EXPECT_EQ(c.recv_bytes(0, 11), std::vector<std::byte>(64, std::byte{42}));
+      wait_sent(c, 0);
+      EXPECT_EQ(poll(c, 0, 11).status, RecvStatus::kTimeout);
+    }
+  });
   EXPECT_EQ(plan.stats().duplicated, 1u);
   EXPECT_EQ(world.last_stats()[1].dup_discarded, 1u);
 }

@@ -298,6 +298,58 @@ TEST(FaultTolerance, CorruptedFrameIsRetransmittedExactly) {
   EXPECT_TRUE(res.faults.shed_cpis.empty());
 }
 
+// Corruption and duplication act on handed-over frame buffers. With the
+// end-to-end digests on and seeded corrupt and duplicate rules on all nine
+// Fig.-4 edges (one rule pair per tag slot), every damaged frame is
+// repaired from its pristine copy and every re-delivery is discarded: the
+// detections are bitwise those of the fault-free run, and nothing sheds.
+TEST(FaultTolerance, CorruptAndDuplicateOnEveryEdgeKeepDetectionsExact) {
+  auto f = Fixture::make();
+  const index_t n_cpis = 6;
+  auto run = [&](FaultPlan* plan) {
+    ScenarioGenerator gen(f.sp);
+    ParallelStapPipeline par(f.p, NodeAssignment{}, f.steering(),
+                             {gen.replica().begin(), gen.replica().end()});
+    IntegrityConfig ic;
+    ic.enabled = true;
+    par.set_integrity(ic);
+    par.set_fault_plan(plan);
+    return par.run(gen, n_cpis, /*warmup=*/1, /*cooldown=*/1);
+  };
+  const auto clean = run(nullptr);
+
+  FaultPlan plan(/*seed=*/0x2511);
+  for (int e = 0; e < kNumPipelineEdges; ++e) {
+    comm::FaultRule corrupt;
+    corrupt.type = comm::FaultType::kCorrupt;
+    corrupt.tag_period = comm::kTagStride;
+    corrupt.tag_phase = e;
+    corrupt.probability = 0.2;
+    plan.add(corrupt);
+    plan.add(FaultPlan::duplicate_edge(e, comm::kTagStride, 0.2));
+  }
+  const auto res = run(&plan);
+
+  EXPECT_GT(plan.stats().corrupted, 0u);
+  EXPECT_GT(plan.stats().duplicated, 0u);
+  EXPECT_GE(res.faults.retransmissions, plan.stats().corrupted);
+  EXPECT_TRUE(res.faults.shed_cpis.empty());
+  EXPECT_EQ(res.events.count(EventKind::kDigestMismatch), 0u);
+  ASSERT_EQ(res.detections.size(), clean.detections.size());
+  for (size_t cpi = 0; cpi < clean.detections.size(); ++cpi) {
+    const auto& got = res.detections[cpi];
+    const auto& ref = clean.detections[cpi];
+    ASSERT_EQ(got.size(), ref.size()) << "cpi=" << cpi;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].doppler_bin, ref[i].doppler_bin) << "cpi=" << cpi;
+      EXPECT_EQ(got[i].beam, ref[i].beam) << "cpi=" << cpi;
+      EXPECT_EQ(got[i].range, ref[i].range) << "cpi=" << cpi;
+      EXPECT_EQ(got[i].power, ref[i].power) << "cpi=" << cpi;
+      EXPECT_EQ(got[i].threshold, ref[i].threshold) << "cpi=" << cpi;
+    }
+  }
+}
+
 // Combined fault: the overload ladder held at stale-weight reuse while the
 // hard-weight rank is killed mid-stream. The spare must restore the
 // checkpointed recursive state and resume, the throttled admission keeps

@@ -306,7 +306,7 @@ TEST_F(TraceTest, ChromeTraceExportIsWellFormed) {
   set_track_name(0, "doppler_filter");
   emit({"recv", "pipeline", 0, 0, 3, 1.0, 1.5, 128, -1});
   emit({"comp", "pipeline", 0, 0, 3, 1.5, 2.0, -1, -1});
-  emit({"gather", "comm", 1, kCommTrack, -1, 1.2, 1.4, 256, 4});
+  emit({"xfer", "flow", 1, kFlowTrack, -1, 1.2, 1.4, 256, 4});
 
   const auto doc = Json::parse(chrome_trace_json().dump(2));
   const auto* events = doc.find("traceEvents");
@@ -328,28 +328,28 @@ TEST_F(TraceTest, ChromeTraceExportIsWellFormed) {
   EXPECT_EQ(x_events, 3);
   EXPECT_GE(meta, 1);
 
-  // The comm span keeps its byte/participant annotations.
-  bool found_comm = false;
+  // The flow span keeps its byte/participant annotations.
+  bool found_flow = false;
   for (size_t i = 0; i < events->size(); ++i) {
     const auto& e = events->at(i);
-    if (e.find("name") && e.find("name")->as_string() == "gather") {
-      found_comm = true;
+    if (e.find("name") && e.find("name")->as_string() == "xfer") {
+      found_flow = true;
       EXPECT_EQ(e.find("args")->find("bytes")->as_number(), 256.0);
       EXPECT_EQ(e.find("args")->find("items")->as_number(), 4.0);
     }
   }
-  EXPECT_TRUE(found_comm);
+  EXPECT_TRUE(found_flow);
 }
 
 TEST_F(TraceTest, ScopedSpanEmitsOnDestruction) {
   {
-    ScopedSpan span("broadcast", "comm", 2, kCommTrack);
+    ScopedSpan span("xfer", "flow", 2, kFlowTrack);
     span.set_bytes(512);
     span.set_items(3);
   }
   const auto spans = snapshot();
   ASSERT_EQ(spans.size(), 1u);
-  EXPECT_STREQ(spans[0].name, "broadcast");
+  EXPECT_STREQ(spans[0].name, "xfer");
   EXPECT_EQ(spans[0].bytes, 512);
   EXPECT_EQ(spans[0].items, 3);
   EXPECT_GE(spans[0].t_end, spans[0].t_start);

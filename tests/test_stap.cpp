@@ -432,7 +432,9 @@ TEST(Doppler, RangeMajorPacksMatchBinMajorFrames) {
           for (index_t k = 0; k < kl; ++k)
             for (index_t ch = 0; ch < nch; ++ch)
               ref.push_back(stag.at(k, ch, bin));
-        pack_rows(stag, beamform_pack_rows(mine, kl), nch, frame);
+        const auto rows = beamform_pack_rows(mine, kl);
+        frame.assign(rows.size() * static_cast<size_t>(nch), cfloat{});
+        pack_rows(stag, rows, nch, frame);
         EXPECT_EQ(frame, ref) << "bf hard=" << is_hard << " slab " << d
                               << " dest " << r;
       }
@@ -461,12 +463,19 @@ TEST(Doppler, RangeMajorPacksMatchBinMajorFrames) {
         const auto rows = training_pack_rows(blocks, k0, kl);
         for (size_t i = 1; i < rows.size(); ++i)
           ASSERT_LE(rows[i - 1].k, rows[i].k) << "not range-major";
+        frame.assign(rows.size() * static_cast<size_t>(nch), cfloat{});
         pack_rows(stag, rows, nch, frame);
         EXPECT_EQ(frame, ref) << "wt hard=" << is_hard << " slab " << d
                               << " dest " << r;
       }
     }
   }
+
+  // The output is the frame's own payload: its size must match the rows.
+  const auto stag = random_cube(4, jj, p.num_pulses, 7);
+  const auto rows = beamform_pack_rows(std::span(easy).first(2), 4);
+  frame.assign(rows.size() * static_cast<size_t>(jj) + 1, cfloat{});
+  EXPECT_THROW(pack_rows(stag, rows, jj, frame), Error);
 }
 
 // ---------------------------------------------------------------------------
