@@ -28,7 +28,7 @@ Clock::duration to_duration(double seconds) {
 }
 
 /// Deterministically flip one byte of a nonempty payload.
-void corrupt_copy(std::vector<std::byte>& bytes, std::uint64_t salt) {
+void corrupt_copy(Bytes& bytes, std::uint64_t salt) {
   const std::size_t idx =
       static_cast<std::size_t>(salt * 0x9e3779b97f4a7c15ull % bytes.size());
   bytes[idx] ^= std::byte{0x40};
@@ -57,10 +57,10 @@ struct World::Frame {
   /// The frame is invisible to receivers before this instant (injected
   /// in-flight latency; frames are still delivered FIFO per (src, tag)).
   Clock::time_point deliver_at{};
-  std::vector<std::byte> bytes;
+  Bytes bytes;
   /// Uncorrupted original, kept only when a corrupt rule fired, so the
   /// receiver's retransmission path has something to refetch.
-  std::vector<std::byte> pristine;
+  Bytes pristine;
   /// Piggybacked causal trace context (never part of the payload bytes).
   FlowContext flow;
   bool has_flow = false;
@@ -317,22 +317,23 @@ void World::run(const std::function<void(Comm&)>& fn) {
 
 int Comm::size() const { return world_->size(); }
 
-void Comm::send_bytes(int dest, int tag, std::vector<std::byte>&& bytes,
+void Comm::send_bytes(int dest, int tag, Bytes&& bytes,
                       const FlowContext* flow) {
   world_->do_send(*this, dest, tag, std::move(bytes), /*marker=*/false, flow);
 }
 
 void Comm::send_bytes(int dest, int tag, std::span<const std::byte> bytes,
                       const FlowContext* flow) {
-  world_->do_send(*this, dest, tag, {bytes.begin(), bytes.end()},
-                  /*marker=*/false, flow);
+  Bytes owned(bytes.size());
+  if (!bytes.empty()) std::memcpy(owned.data(), bytes.data(), bytes.size());
+  world_->do_send(*this, dest, tag, std::move(owned), /*marker=*/false, flow);
 }
 
 void Comm::send_marker(int dest, int tag) {
   world_->do_send(*this, dest, tag, {}, /*marker=*/true, /*flow=*/nullptr);
 }
 
-std::vector<std::byte> Comm::recv_bytes(int src, int tag) {
+Bytes Comm::recv_bytes(int src, int tag) {
   return world_->do_recv(*this, src, tag, /*timeout=*/nullptr).bytes;
 }
 
@@ -347,7 +348,7 @@ std::size_t Comm::discard(int src, int tag) {
 
 void Comm::take_over(int dead_rank) { world_->do_take_over(*this, dead_rank); }
 
-void World::do_send(Comm& c, int dest, int tag, std::vector<std::byte> bytes,
+void World::do_send(Comm& c, int dest, int tag, Bytes bytes,
                     bool marker, const FlowContext* flow) {
   PPSTAP_REQUIRE(dest >= 0 && dest < num_ranks_, "invalid destination rank");
   if (plan_ && plan_->kill_due(FaultPoint::kSend, c.rank(), dest, tag))
@@ -426,7 +427,7 @@ void World::do_send(Comm& c, int dest, int tag, std::vector<std::byte> bytes,
   box.cv.notify_all();
 }
 
-std::optional<std::vector<std::byte>> World::finalize_frame(
+std::optional<Bytes> World::finalize_frame(
     Comm& c, Frame&& f, bool allow_corrupt_failure) {
   // Runs with no locks held. A checksum mismatch (only possible under an
   // injected corruption) triggers the retransmission path: refetch the

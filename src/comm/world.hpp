@@ -61,6 +61,38 @@ namespace ppstap::comm {
 class World;
 class FaultPlan;
 
+/// An allocator whose value-less construct() default-initializes: growing
+/// a buffer of trivial elements leaves the new elements unwritten instead
+/// of zero-filling them. Frame buffers are written in full by their sender
+/// (a pack, a serializer), so the zero-fill would be one wasted pass over
+/// every frame.
+template <typename T, typename A = std::allocator<T>>
+class DefaultInitAllocator : public A {
+  using Traits = std::allocator_traits<A>;
+
+ public:
+  template <typename U>
+  struct rebind {
+    using other =
+        DefaultInitAllocator<U, typename Traits::template rebind_alloc<U>>;
+  };
+
+  using A::A;
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    Traits::construct(static_cast<A&>(*this), p, std::forward<Args>(args)...);
+  }
+};
+
+/// A frame's owned payload: what an owned send hands over and a receive
+/// hands back. resize() does not zero the bytes it adds.
+using Bytes = std::vector<std::byte, DefaultInitAllocator<std::byte>>;
+
 /// A corrupted frame is refetched from the sender-side pristine copy at
 /// most this many times before the receiver gives up (RecvStatus::kCorrupt
 /// on a deadline receive, fatal otherwise).
@@ -147,7 +179,7 @@ enum class RecvStatus {
 struct RecvResult {
   RecvStatus status = RecvStatus::kOk;
   bool marker = false;
-  std::vector<std::byte> bytes;
+  Bytes bytes;
 
   /// True only for a regular data delivery.
   bool ok() const { return status == RecvStatus::kOk && !marker; }
@@ -164,7 +196,7 @@ class FrameView {
   static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
 
  public:
-  explicit FrameView(std::vector<std::byte>&& bytes)
+  explicit FrameView(Bytes&& bytes)
       : bytes_(std::move(bytes)) {
     PPSTAP_CHECK(bytes_.size() % sizeof(T) == 0,
                  "received byte count not a multiple of element size");
@@ -187,7 +219,7 @@ class FrameView {
   }
 
  private:
-  std::vector<std::byte> bytes_;
+  Bytes bytes_;
   std::span<const T> elems_;
 };
 
@@ -205,7 +237,7 @@ class Comm {
   /// `flow` is non-null its trace context rides on the frame (sent_at is
   /// stamped here) and the receiver emits an obs "xfer" flow span on
   /// delivery.
-  void send_bytes(int dest, int tag, std::vector<std::byte>&& bytes,
+  void send_bytes(int dest, int tag, Bytes&& bytes,
                   const FlowContext* flow = nullptr);
 
   /// Eager buffered send of borrowed bytes: copies them once into an owned
@@ -214,7 +246,7 @@ class Comm {
                   const FlowContext* flow = nullptr);
 
   /// Blocking receive of the next message matching (src, tag).
-  std::vector<std::byte> recv_bytes(int src, int tag);
+  Bytes recv_bytes(int src, int tag);
 
   /// Deadline receive: like recv_bytes but gives up after
   /// `timeout_seconds` (RecvStatus::kTimeout) and reports a dead,
@@ -365,7 +397,7 @@ class World {
   struct Shared;
   std::unique_ptr<Shared> shared_;
 
-  void do_send(Comm& c, int dest, int tag, std::vector<std::byte> bytes,
+  void do_send(Comm& c, int dest, int tag, Bytes bytes,
                bool marker, const FlowContext* flow);
   RecvResult do_recv(Comm& c, int src, int tag, const double* timeout);
   /// Drop re-delivered copies of a just-consumed frame from the mailbox
@@ -379,7 +411,7 @@ class World {
   void do_take_over(Comm& c, int dead_rank);
   // nullopt (budget exhausted) only when allow_corrupt_failure; the plain
   // recv path keeps treating persistent corruption as fatal.
-  std::optional<std::vector<std::byte>> finalize_frame(
+  std::optional<Bytes> finalize_frame(
       Comm& c, Frame&& frame, bool allow_corrupt_failure);
   void mark_dead(int rank);
   void abort_world();

@@ -1,5 +1,7 @@
 #include "core/cpi_source.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -30,7 +32,10 @@ struct CpiSource::Pool {
 CpiSource::CpiSource(const synth::ScenarioGenerator& gen, index_t window,
                      index_t max_regenerations)
     : CpiSource(
-          [&gen](index_t cpi, cube::CpiCube& out) { gen.generate(cpi, out); },
+          [&gen](index_t cpi, cube::CpiCube& out,
+                 const synth::ScenarioGenerator::RowProgress& progress) {
+            gen.generate(cpi, out, progress);
+          },
           window, max_regenerations) {}
 
 CpiSource::CpiSource(Generator gen, index_t window, index_t max_regenerations)
@@ -80,27 +85,67 @@ std::shared_ptr<cube::CpiCube> CpiSource::fresh_cube() {
 }
 
 void CpiSource::publish_locked(index_t cpi,
-                               std::shared_ptr<const cube::CpiCube> cube,
-                               double t_admit) {
-  if (t_admit > 0.0 && obs::tracing_enabled())
+                               const std::shared_ptr<cube::CpiCube>& cube,
+                               index_t rows, double t_admit) {
+  auto [it, fresh] = cache_.try_emplace(cpi);
+  Entry& e = it->second;
+  if (!fresh && e.rows >= rows) return;  // the generator reported them all
+  e.cube = cube;
+  e.rows = rows;
+  ++publications_;
+  if (e.whole() && t_admit > 0.0 && obs::tracing_enabled())
     obs::emit({"generate", "source", -1, obs::kSourceTrack,
                static_cast<std::int64_t>(cpi), t_admit, WallTimer::now(),
                static_cast<std::int64_t>(cube->size() * sizeof(cfloat)), -1});
-  cache_[cpi] = std::move(cube);
-  while (!cache_.empty() && cache_.begin()->first + window_ < cpi)
+  // A cube still being written stays: its writer and readers use the entry.
+  while (fresh && !cache_.empty() && cache_.begin()->first + window_ < cpi &&
+         cache_.begin()->second.whole())
     cache_.erase(cache_.begin());
   cv_.notify_all();
 }
 
-std::shared_ptr<const cube::CpiCube> CpiSource::get(index_t cpi, int rank) {
-  std::unique_lock<std::mutex> lock(mu_);
+CpiSource::Entry CpiSource::generate_locked(
+    std::unique_lock<std::mutex>& lock, index_t cpi, double t_admit) {
+  // The cube is written outside the lock, so the producer and inline
+  // generations run side by side; the in-flight mark makes other callers
+  // for this CPI wait for it, keeping the accounting exact.
+  inflight_.insert(cpi);
+  lock.unlock();
+  std::shared_ptr<cube::CpiCube> cube;
+  try {
+    cube = fresh_cube();
+    gen_(cpi, *cube, [&](index_t rows) {
+      std::lock_guard<std::mutex> guard(mu_);
+      publish_locked(cpi, cube, rows, t_admit);
+    });
+  } catch (...) {
+    lock.lock();
+    inflight_.erase(cpi);
+    if (auto it = cache_.find(cpi);
+        it != cache_.end() && it->second.cube == cube)
+      cache_.erase(it);
+    cv_.notify_all();
+    throw;
+  }
+  lock.lock();
+  inflight_.erase(cpi);
+  publish_locked(cpi, cube, cube->extent(0), t_admit);
+  return {cube, cube->extent(0)};
+}
+
+CpiSource::Entry CpiSource::await_locked(std::unique_lock<std::mutex>& lock,
+                                         index_t cpi, index_t row, int rank) {
   note_started_locked(cpi);
   for (;;) {
-    if (auto it = cache_.find(cpi); it != cache_.end()) return it->second;
-    if (error_ && cpi >= error_cpi_) std::rethrow_exception(error_);
+    if (auto it = cache_.find(cpi); it != cache_.end()) {
+      if (it->second.whole() || row < it->second.rows) return it->second;
+    } else if (error_ && cpi >= error_cpi_) {
+      std::rethrow_exception(error_);
+    } else if (inflight_.count(cpi) == 0 && !(producing_ && cpi >= next_)) {
+      break;
+    }
     // Wait rather than duplicate work: someone is generating this CPI, or
     // the producer has yet to reach it.
-    if (inflight_.count(cpi) == 0 && !(producing_ && cpi >= next_)) break;
     cv_.wait(lock);
   }
 
@@ -124,67 +169,51 @@ std::shared_ptr<const cube::CpiCube> CpiSource::get(index_t cpi, int rank) {
           "); the pipeline has fallen out of lockstep");
     }
   }
-  // The miss path generates outside the lock, so the producer keeps
-  // publishing meanwhile; the in-flight mark makes concurrent callers for
-  // this CPI wait for it, keeping the accounting exact.
-  inflight_.insert(cpi);
+  return generate_locked(lock, cpi, 0.0);
+}
+
+std::shared_ptr<const cube::CpiCube> CpiSource::get(index_t cpi, int rank) {
+  std::unique_lock<std::mutex> lock(mu_);
+  return await_locked(lock, cpi, std::numeric_limits<index_t>::max(), rank)
+      .cube;
+}
+
+FinalRows CpiSource::rows(index_t cpi, index_t k0, index_t k1, int rank) {
+  PPSTAP_REQUIRE(k0 >= 0 && k0 < k1, "row range must be nonempty");
+  std::unique_lock<std::mutex> lock(mu_);
+  const Entry e = await_locked(lock, cpi, k0, rank);
   lock.unlock();
-  std::shared_ptr<cube::CpiCube> cube;
-  try {
-    cube = fresh_cube();
-    gen_(cpi, *cube);
-  } catch (...) {
-    lock.lock();
-    inflight_.erase(cpi);
-    cv_.notify_all();
-    throw;
-  }
-  lock.lock();
-  inflight_.erase(cpi);
-  publish_locked(cpi, cube, 0.0);
-  return cube;
+  return {cube::ConstRows<cfloat>(*e.cube, k0, std::min(k1, e.rows)), e.cube};
 }
 
 void CpiSource::produce(index_t num_cpis) {
+  std::unique_lock<std::mutex> lock(mu_);
   for (index_t i = 0; i < num_cpis; ++i) {
-    {
-      // Double buffering, depth one: CPI i starts once a consumer has been
-      // admitted CPI i-1.
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return stopping_ || started_ >= i - 1; });
-      if (stopping_) break;
-    }
+    // Double buffering, depth one: CPI i starts once a consumer has been
+    // admitted CPI i-1.
+    cv_.wait(lock, [&] { return stopping_ || started_ >= i - 1; });
+    if (stopping_) break;
     // Admission first: a rejected CPI is never generated, and the pacing
     // and throttle waits happen here, before any front-end work.
+    lock.unlock();
     const auto adm = decide(i);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (stopping_) break;
-      if (!adm.admit) {
-        next_ = i + 1;
-        cv_.notify_all();
-        continue;
-      }
-      ++generated_[i];
-      inflight_.insert(i);
+    lock.lock();
+    if (stopping_) break;
+    if (!adm.admit) {
+      next_ = i + 1;
+      cv_.notify_all();
+      continue;
     }
-    std::shared_ptr<cube::CpiCube> cube;
+    ++generated_[i];
     try {
-      cube = fresh_cube();
-      gen_(i, *cube);
+      generate_locked(lock, i, adm.at);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(mu_);
-      inflight_.erase(i);
       error_ = std::current_exception();
       error_cpi_ = i;
       break;
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    inflight_.erase(i);
     next_ = i + 1;
-    publish_locked(i, std::move(cube), adm.at);
   }
-  std::lock_guard<std::mutex> lock(mu_);
   producing_ = false;
   cv_.notify_all();
 }
@@ -218,6 +247,11 @@ index_t CpiSource::regeneration_count() const {
 index_t CpiSource::produced() const {
   std::lock_guard<std::mutex> lock(mu_);
   return next_;
+}
+
+index_t CpiSource::publications() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return publications_;
 }
 
 }  // namespace ppstap::core

@@ -1,24 +1,29 @@
 // Thread-safe CPI input feed for the parallel pipeline: the radar front end.
 //
 // In the flight system, CPI cubes arrive from separate front-end hardware,
-// which fills the next CPI while the Doppler nodes process the current one,
-// and every Doppler node reads its range slab of the same CPI. Here the
-// scene generator plays the radar. One producer thread (start()/stop())
-// walks the CPIs at most one ahead of the fastest Doppler rank: it begins
-// CPI i only after some rank has been admitted CPI i-1, so it double-buffers
-// the feed without ever racing ahead of what the pipeline admits. It
-// synthesizes each cube alone: with the vectorized noise sampler a wall
-// scene takes a few milliseconds, well under the eq. (1) period, and a
-// helper team would only take CPU from the rank threads. The producer
-// passes admission *before* it generates, so a rejected CPI costs no
-// front-end work and the arrival pacing is unchanged.
+// which corner-turns each CPI and streams it to the Doppler nodes while
+// the next one is being filled, and every Doppler node reads its range
+// slab of the same CPI. Here the scene generator plays the radar. One
+// producer thread (start()/stop()) walks the CPIs at most one ahead of the
+// fastest Doppler rank: it begins CPI i only after some rank has been
+// admitted CPI i-1, so it double-buffers the feed without ever racing
+// ahead of what the pipeline admits. It synthesizes each cube alone, one
+// block of range rows at a time (synth::ScenarioGenerator::kBlockBytes),
+// and publishes the CPI as soon as its first block is final, then each
+// further block as it completes. A Doppler rank reads its slab through
+// rows(), which hands out only final rows, so its filter runs underneath
+// the synthesis of the rows after them. A scene that fits one block is
+// published once, when it is whole. The producer passes admission
+// *before* it generates, so a rejected CPI costs no front-end work and the
+// arrival pacing is unchanged.
 //
 // Cubes are memoized so the P0 Doppler ranks share one per CPI, and cubes
-// older than a small window are evicted. get() generates inline only on a
-// miss: first touch when no producer runs (unit tests, sequential tools),
-// or a straggler that missed the window, which transparently regenerates.
-// Cube storage is recycled once its last reference drops, so a running
-// front end allocates nothing per CPI.
+// older than a small window are evicted (a cube still being written never
+// is). get() and rows() generate inline only on a miss: first touch when
+// no producer runs (unit tests, sequential tools), or a straggler that
+// missed the window, which transparently regenerates. Cube storage is
+// recycled once its last reference drops, so a running front end
+// allocates nothing per CPI.
 //
 // Regeneration is bounded: a straggler stuck behind the eviction window
 // regenerates the full cube on every get(), which unchecked turns one slow
@@ -37,7 +42,8 @@
 // controller), and that stamp is where eq. (2) latency starts — whichever
 // thread admitted the CPI. With tracing on, the producer records one
 // "generate" span per CPI on obs::kSourceTrack, from that stamp until the
-// cube is published; critical-path chains start there.
+// cube's last block is published; critical-path chains start there, and a
+// Doppler filter already running on the first blocks overlaps it.
 #pragma once
 
 #include <condition_variable>
@@ -54,11 +60,23 @@
 
 namespace ppstap::core {
 
+/// Final rows of a CPI cube being streamed by a CpiSource, read in place.
+/// `keep` holds the cube's storage for as long as the rows are read.
+struct FinalRows {
+  cube::ConstRows<cfloat> rows;
+  std::shared_ptr<const void> keep;
+};
+
 class CpiSource {
  public:
-  /// Fills `out` with CPI `cpi` (reusing its storage when the shape fits).
-  /// Must be deterministic per index and safe to call concurrently.
-  using Generator = std::function<void(index_t cpi, cube::CpiCube& out)>;
+  /// Fills `out` with CPI `cpi` (reusing its storage when the shape fits),
+  /// reporting the final leading rows through `progress` as it goes (see
+  /// synth::ScenarioGenerator::generate). A generator that reports nothing
+  /// publishes its cube whole when it returns. Must be deterministic per
+  /// index and safe to call concurrently.
+  using Generator =
+      std::function<void(index_t cpi, cube::CpiCube& out,
+                         const synth::ScenarioGenerator::RowProgress& progress)>;
 
   explicit CpiSource(const synth::ScenarioGenerator& gen, index_t window = 4,
                      index_t max_regenerations = 64);
@@ -90,13 +108,20 @@ class CpiSource {
   /// any regeneration to the calling rank in its per-rank obs counter.
   std::shared_ptr<const cube::CpiCube> get(index_t cpi, int rank = -1);
 
+  /// The streamed view of get(): waits until row `k0` of CPI `cpi` is
+  /// final, then returns the final rows of [k0, k1) — at least one, all of
+  /// them once the cube is whole. Same waiting, miss, failure and
+  /// regeneration rules as get(). Requires 0 <= k0 < k1 <= K.
+  FinalRows rows(index_t cpi, index_t k0, index_t k1, int rank = -1);
+
   /// Start the front-end producer thread for CPIs [0, num_cpis). At most
   /// one producer per source.
   void start(index_t num_cpis);
 
   /// Stop and join the producer, from any wait it is in — including an
-  /// admission wait inside the controller, which is closed for good.
-  /// Idempotent; later misses fall back to inline generation.
+  /// admission wait inside the controller, which is closed for good. A CPI
+  /// being generated is finished first. Idempotent; later misses fall back
+  /// to inline generation.
   void stop();
 
   /// How many CPIs had to be generated more than once (eviction misses);
@@ -107,14 +132,36 @@ class CpiSource {
   /// rejected): it is working on, or waiting to start, CPI produced().
   index_t produced() const;
 
+  /// Row-block publications so far, over every CPI and generation: each
+  /// one wakes the waiting consumers once.
+  index_t publications() const;
+
  private:
   struct Pool;  // recycled cube storage, shared with the cubes' deleters
+
+  // A published cube: rows [0, rows) are final; it is whole at K rows.
+  struct Entry {
+    std::shared_ptr<const cube::CpiCube> cube;
+    index_t rows = 0;
+    bool whole() const { return rows == cube->extent(0); }
+  };
 
   OverloadController::Admission decide(index_t cpi);
   void note_started_locked(index_t cpi);
   std::shared_ptr<cube::CpiCube> fresh_cube();
-  void publish_locked(index_t cpi, std::shared_ptr<const cube::CpiCube> cube,
-                      double t_admit);
+  // Waits until CPI `cpi` has more than `row` final rows (whole, for a
+  // row at or past K) and returns its entry, or generates it inline on a
+  // miss.
+  Entry await_locked(std::unique_lock<std::mutex>& lock, index_t cpi,
+                     index_t row, int rank);
+  // Generates CPI `cpi` with `lock` released, publishing its blocks as
+  // they become final, and returns it whole. On failure the partial cube
+  // is withdrawn and the exception propagates; `lock` is held again on
+  // every exit.
+  Entry generate_locked(std::unique_lock<std::mutex>& lock, index_t cpi,
+                        double t_admit);
+  void publish_locked(index_t cpi, const std::shared_ptr<cube::CpiCube>& cube,
+                      index_t rows, double t_admit);
   void produce(index_t num_cpis);
 
   Generator gen_;
@@ -125,11 +172,12 @@ class CpiSource {
 
   mutable std::mutex mu_;
   std::condition_variable cv_;
-  std::map<index_t, std::shared_ptr<const cube::CpiCube>> cache_;
+  std::map<index_t, Entry> cache_;
   std::set<index_t> inflight_;  // being generated right now
   std::map<index_t, int> generated_;
   std::map<index_t, double> admitted_at_;  // stamps when no controller
   index_t regenerations_ = 0;
+  index_t publications_ = 0;
 
   // Producer state.
   std::thread producer_;

@@ -320,12 +320,14 @@ constexpr size_t kDigestBytes = sizeof(std::uint64_t);
 
 // One redistribution frame's owned buffer: `n` payload elements of T,
 // written in place through elems(), with capacity for the digest reserved
-// up front so appending it never reallocates. send_frame hands the buffer
-// to the transport, which moves it on to the receiver's FrameView — the
-// payload is written once and never copied on the way.
+// up front so appending it never reallocates. The elements start unwritten
+// (comm::Bytes does not zero-fill); every sender writes all of them.
+// send_frame hands the buffer to the transport, which moves it on to the
+// receiver's FrameView — the payload is written once and never copied on
+// the way.
 template <typename T>
 struct OutFrame {
-  std::vector<std::byte> bytes;
+  comm::Bytes bytes;
 
   explicit OutFrame(size_t n) {
     bytes.reserve(n * sizeof(T) + kDigestBytes);
@@ -336,7 +338,7 @@ struct OutFrame {
   }
 };
 
-void append_digest(std::vector<std::byte>& buf) {
+void append_digest(comm::Bytes& buf) {
   const std::uint64_t d = checksum_bytes(buf);
   const auto* p = reinterpret_cast<const std::byte*>(&d);
   buf.insert(buf.end(), p, p + sizeof d);
@@ -361,7 +363,7 @@ comm::FlowContext flow_for(index_t cpi, Edge e) {
 template <typename T>
 void send_frame(Comm& c, Shared& s, int dest, index_t cpi, Edge e,
                 OutFrame<T>&& frame, bool measured, PhaseAcc& acc) {
-  std::vector<std::byte>& buf = frame.bytes;
+  comm::Bytes& buf = frame.bytes;
   const std::uint64_t n = buf.size();
   comm::FlowContext fc;
   const comm::FlowContext* flow = nullptr;
@@ -607,8 +609,10 @@ template <typename ComputeFn, typename VerifyFn>
 bool run_checked(Comm& c, Shared& s, Task t, Cycle& x, ComputeFn&& compute,
                  VerifyFn&& verify) {
   const double c_start = WallTimer::now();
+  const double idle_before = x.idle;
   compute(0);
-  maybe_straggle(c, s, x.cpi, WallTimer::now() - c_start);
+  maybe_straggle(c, s, x.cpi,
+                 WallTimer::now() - c_start - (x.idle - idle_before));
   if (!s.integ.enabled) return true;
   if (verify()) {
     ++x.acc.checks_passed;
@@ -680,8 +684,13 @@ index_t drive(Comm& c, Shared& s, Task t, index_t begin, RecvFn&& recv,
     in.begin();
     const bool received = recv(x, d);
     x.t1 = WallTimer::now();
+    const double idle_before = x.idle;
     const bool ok = received && compute(x, d);
     const double t2 = WallTimer::now();
+    // Waits inside compute (a streamed input's row blocks) are receive
+    // time: the recv/comp boundary moves past them, so the comp phase, the
+    // health sample and the spans all carry compute alone.
+    x.t1 += x.idle - idle_before;
     if (ok) {
       send(x, d);
     } else {
@@ -752,7 +761,6 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
   struct Cpi {
     index_t k0 = 0, kl = 0;
     DegradationLevel level = DegradationLevel::kFull;
-    std::shared_ptr<const cube::CpiCube> full;
   };
 
   return drive<Cpi>(
@@ -776,24 +784,33 @@ index_t run_doppler(Comm& c, Shared& s, index_t begin) {
         // the cube is never generated.
         if (!adm.admit) return false;
         d.level = adm.level;
-
-        // "Receive": the radar feed's shared cube; this rank's rows of it
-        // are read in place. Waiting for the front end is not service.
-        const double wait_start = WallTimer::now();
-        d.full = s.source.get(x.cpi, c.rank());
-        x.idle += WallTimer::now() - wait_start;
         return true;
       },
       [&](Cycle& x, Cpi& d) {
+        // The input is the radar feed's shared cube, streamed: each block
+        // of this rank's rows is filtered in place as soon as the front end
+        // has finished it, underneath the synthesis of the rows after it.
+        // Waiting for the front end is not service: drive() charges
+        // those waits to the receive phase.
+        const index_t end = d.k0 + d.kl;
+        if (stag.extent(0) != d.kl)
+          stag = cube::CpiCube(d.kl, jj, p.num_pulses);
         return run_checked(
             c, s, Task::kDopplerFilter, x,
             [&](int attempt) {
-              filter.filter_rows(*d.full, d.k0, d.kl, stag);
+              for (index_t k = d.k0; k < end;) {
+                const double wait_start = WallTimer::now();
+                const auto blk = s.source.rows(x.cpi, k, end, c.rank());
+                x.idle += WallTimer::now() - wait_start;
+                filter.filter_rows(blk.rows, d.k0, stag);
+                k = blk.rows.end();
+              }
               maybe_flip(s, Task::kDopplerFilter, x.cpi, c.rank(), attempt,
                          float_view(stag));
             },
             [&] {
-              return filter.parseval_check_rows(*d.full, d.k0, stag,
+              const auto all = s.source.rows(x.cpi, d.k0, end, c.rank());
+              return filter.parseval_check_rows(all.rows, stag,
                                                 kAbftTolerance);
             });
       },

@@ -64,6 +64,38 @@ class Cube {
 using CpiCube = Cube<cfloat>;   // raw & Doppler-filtered data
 using RealCube = Cube<float>;   // post-detection power domain
 
+/// Read-only view of rows [begin, end) of a cube along dimension 0, read
+/// in place: only the lines of those rows are reachable through it (a
+/// streamed CPI hands its consumers the rows it has finished this way).
+template <typename T>
+class ConstRows {
+ public:
+  ConstRows(const Cube<T>& c, index_t begin, index_t end)
+      : c_(&c), begin_(begin), end_(end) {
+    PPSTAP_REQUIRE(begin >= 0 && begin <= end && end <= c.extent(0),
+                   "row range must lie inside the cube");
+  }
+  /// Every row of `c`.
+  explicit ConstRows(const Cube<T>& c) : ConstRows(c, 0, c.extent(0)) {}
+
+  index_t begin() const { return begin_; }
+  index_t end() const { return end_; }
+  /// Rows in the view along dimension 0; the cube's extents otherwise.
+  index_t extent(int dim) const {
+    return dim == 0 ? end_ - begin_ : c_->extent(dim);
+  }
+
+  /// The unit-stride line (k, j, *) of cube row k, begin() <= k < end().
+  std::span<const T> line(index_t k, index_t j) const {
+    PPSTAP_CHECK(k >= begin_ && k < end_, "row outside the view");
+    return c_->line(k, j);
+  }
+
+ private:
+  const Cube<T>* c_;
+  index_t begin_, end_;
+};
+
 /// Copy the subcube starting at `lo` with extents `len` into a contiguous
 /// buffer (row-major in the subcube's own extents). Returns the number of
 /// elements written. This is the "data collection" step the paper performs

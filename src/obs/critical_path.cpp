@@ -131,6 +131,7 @@ BottleneckReport analyze_spans(const std::vector<Span>& spans) {
     std::set<int> ranks;
   };
   std::map<int, Acc> acc;
+  const int source_task = *tasks.begin();
   for (const auto& [key, tr] : triples) {
     if (!tr.complete() || kept.count(key.second) == 0) continue;
     Acc& a = acc[tr.task];
@@ -140,16 +141,22 @@ BottleneckReport analyze_spans(const std::vector<Span>& spans) {
     a.recv += recv_len;
     a.comp += tr.c1 - tr.r1;
     a.send += tr.s1 - tr.c1;
-    const auto fit = flows.find(key);
-    if (fit != flows.end()) {
-      double last_delivery = 0.0;
-      bool any = false;
+    // The source stage waits on the front end instead: its cube, or the
+    // last rows it filters, are final only when the CPI's generate span
+    // ends.
+    double last_delivery = 0.0;
+    bool any = false;
+    if (const auto fit = flows.find(key); fit != flows.end()) {
       for (const Span* f : fit->second) {
         if (!any || f->t_end > last_delivery) last_delivery = f->t_end;
         any = true;
       }
-      if (any) a.wait += std::clamp(last_delivery - tr.r0, 0.0, recv_len);
+    } else if (const auto gen = fronts.find(key.second);
+               tr.task == source_task && gen != fronts.end()) {
+      last_delivery = gen->second->t_end;
+      any = true;
     }
+    if (any) a.wait += std::clamp(last_delivery - tr.r0, 0.0, recv_len);
   }
   for (const auto& [task, a] : acc) {
     StageStat st;
@@ -241,13 +248,17 @@ BottleneckReport analyze_spans(const std::vector<Span>& spans) {
         // entered the system at its admission: generation is the front
         // end's compute, the published cube then waits (queue) until the
         // walked rank starts on it, and the recv work after publication
-        // is ingest. A rank already waiting on the front end overlaps it.
+        // is ingest. A rank already waiting on the front end overlaps it,
+        // and so does a rank filtering a streamed cube's first rows: the
+        // front end's compute ends where the rank's own begins.
         if (const auto fit = fronts.find(cpi); fit != fronts.end()) {
           const Span* g = fit->second;
           const double pickup = std::clamp(g->t_end, tr->r0, tr->r1);
           ch.unpack += tr->r1 - pickup;
           ch.queue += std::max(0.0, tr->r0 - g->t_end);
           ch.compute += std::min(g->t_end, pickup) - g->t_start;
+          ch.overlap = std::max(0.0, std::min(g->t_end, tr->c1) -
+                                         std::max(g->t_start, tr->r1));
           t_in = g->t_start;
           ok = true;
           break;
@@ -336,13 +347,15 @@ Json BottleneckReport::to_json() const {
   doc["mean_latency_s"] = mean_latency;
   doc["accounted_fraction"] = accounted_fraction;
   if (!chains.empty()) {
-    double compute = 0, unpack = 0, pack = 0, transport = 0, queue = 0;
+    double compute = 0, unpack = 0, pack = 0, transport = 0, queue = 0,
+           overlap = 0;
     for (const CpiChain& ch : chains) {
       compute += ch.compute;
       unpack += ch.unpack;
       pack += ch.pack;
       transport += ch.transport;
       queue += ch.queue;
+      overlap += ch.overlap;
     }
     const auto n = static_cast<double>(chains.size());
     Json b = Json::object();
@@ -351,6 +364,7 @@ Json BottleneckReport::to_json() const {
     b["pack_s"] = pack / n;
     b["transport_s"] = transport / n;
     b["queue_s"] = queue / n;
+    b["overlap_s"] = overlap / n;
     doc["latency_breakdown"] = std::move(b);
   }
 

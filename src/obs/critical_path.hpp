@@ -21,7 +21,11 @@
 //    decomposition closes the latency budget by construction; the reported
 //    accounted_fraction drops below 1 only when spans are missing. A chain
 //    starts at the CPI's front-end "generate" span (its admission) when the
-//    trace has one, else at the source stage's first recv.
+//    trace has one, else at the source stage's first recv. A source stage
+//    that filters a streamed cube while it is generated overlaps that
+//    span: the shared time is counted once, as compute, and reported as
+//    the chain's overlap. The front end's span also bounds the source
+//    stage's queue-wait, as a delivery bounds any other stage's.
 //  * A Table-9/10-style recommendation: how many ranks to add to the
 //    gating group to bring its intrinsic time down to the runner-up's.
 //
@@ -74,6 +78,10 @@ struct CpiChain {
   double pack = 0.0;       ///< send-side work up to the gating frame's send
   double transport = 0.0;  ///< send call -> delivery, minus queue residency
   double queue = 0.0;      ///< delivered-but-unconsumed mailbox residency
+  /// Source-stage compute that ran under the front end's generate span (a
+  /// filter working on the first rows of a streamed cube): part of
+  /// `compute` once, not a tile of its own.
+  double overlap = 0.0;
 
   double accounted() const {
     return compute + unpack + pack + transport + queue;

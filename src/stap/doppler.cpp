@@ -34,28 +34,30 @@ float DopplerFilter::range_gain(index_t k) const {
 cube::CpiCube DopplerFilter::filter(const cube::CpiCube& raw,
                                     index_t k_offset) const {
   PPSTAP_REQUIRE(k_offset >= 0, "slab offset must be nonnegative");
-  cube::CpiCube out;
-  filter_into(raw, 0, raw.extent(0), k_offset, out);
+  cube::CpiCube out(raw.extent(0), 2 * p_.num_channels, p_.num_pulses);
+  filter_into(cube::ConstRows<cfloat>(raw), k_offset, out, 0);
   return out;
 }
 
-void DopplerFilter::filter_rows(const cube::CpiCube& full, index_t k0,
-                                index_t kl, cube::CpiCube& out) const {
-  PPSTAP_REQUIRE(k0 >= 0 && kl >= 0 && k0 + kl <= full.extent(0),
-                 "row range must lie inside the cube");
-  filter_into(full, k0, kl, k0, out);
+void DopplerFilter::filter_rows(const cube::ConstRows<cfloat>& rows,
+                                index_t k0, cube::CpiCube& out) const {
+  PPSTAP_REQUIRE(k0 >= 0 && rows.begin() >= k0 &&
+                     rows.end() - k0 <= out.extent(0),
+                 "rows must lie inside the slab");
+  filter_into(rows, rows.begin(), out, rows.begin() - k0);
 }
 
-void DopplerFilter::filter_into(const cube::CpiCube& raw, index_t row0,
-                                index_t kl, index_t k_gain0,
-                                cube::CpiCube& out) const {
+void DopplerFilter::filter_into(const cube::ConstRows<cfloat>& raw,
+                                index_t k_gain0, cube::CpiCube& out,
+                                index_t out_row0) const {
   const index_t j = p_.num_channels;
   const index_t n = p_.num_pulses;
   const index_t wlen = p_.window_length();
+  const index_t kl = raw.extent(0);
   PPSTAP_REQUIRE(raw.extent(1) == j && raw.extent(2) == n,
                  "raw slab must be K_local x J x N");
-  if (out.extent(0) != kl || out.extent(1) != 2 * j || out.extent(2) != n)
-    out = cube::CpiCube(kl, 2 * j, n);
+  PPSTAP_REQUIRE(out.extent(1) == 2 * j && out.extent(2) == n,
+                 "staggered slab must be K_local x 2J x N");
 
   parallel_for_blocks(kernels::kernel_threads(p_.intra_task_threads), kl,
                       [&](index_t k_begin, index_t k_end) {
@@ -66,7 +68,7 @@ void DopplerFilter::filter_into(const cube::CpiCube& raw, index_t row0,
     for (index_t i = 0; i < wlen; ++i)
       wg[static_cast<size_t>(i)] = window_[static_cast<size_t>(i)] * gain;
     for (index_t ch = 0; ch < j; ++ch) {
-      const auto pulses = raw.line(row0 + k, ch);
+      const auto pulses = raw.line(raw.begin() + k, ch);
 
       // Window both staggers directly into the output cube — the 2J lines
       // of one range gate are contiguous there, so a single batched FFT
@@ -74,14 +76,14 @@ void DopplerFilter::filter_into(const cube::CpiCube& raw, index_t row0,
       // explicitly: `out` may be a reused buffer.
 
       // First stagger window: pulses [0, wlen), zero-padded to N.
-      auto line0 = out.line(k, ch);
+      auto line0 = out.line(out_row0 + k, ch);
       for (index_t i = 0; i < wlen; ++i)
         line0[static_cast<size_t>(i)] =
             pulses[static_cast<size_t>(i)] * wg[static_cast<size_t>(i)];
       std::fill(line0.begin() + wlen, line0.end(), cfloat{});
 
       // Second stagger window: pulses [stagger, stagger + wlen).
-      auto line1 = out.line(k, j + ch);
+      auto line1 = out.line(out_row0 + k, j + ch);
       for (index_t i = 0; i < wlen; ++i)
         line1[static_cast<size_t>(i)] =
             pulses[static_cast<size_t>(i + p_.stagger)] *
@@ -94,7 +96,8 @@ void DopplerFilter::filter_into(const cube::CpiCube& raw, index_t row0,
                   (p_.range_correction ? 3 : 2));
     }
     plan_->fwd.execute_batch(
-        std::span<cfloat>(&out.at(k, 0, 0), static_cast<size_t>(2 * j * n)),
+        std::span<cfloat>(&out.at(out_row0 + k, 0, 0),
+                          static_cast<size_t>(2 * j * n)),
         2 * j);
   }
   });
@@ -103,34 +106,31 @@ void DopplerFilter::filter_into(const cube::CpiCube& raw, index_t row0,
 bool DopplerFilter::parseval_check(const cube::CpiCube& raw,
                                    const cube::CpiCube& stag,
                                    index_t k_offset, double tol) const {
-  PPSTAP_REQUIRE(stag.extent(0) == raw.extent(0),
-                 "staggered slab must be K_local x 2J x N");
-  return check_rows(raw, 0, stag, k_offset, tol);
+  return check_rows(cube::ConstRows<cfloat>(raw), stag, k_offset, tol);
 }
 
-bool DopplerFilter::parseval_check_rows(const cube::CpiCube& full, index_t k0,
+bool DopplerFilter::parseval_check_rows(const cube::ConstRows<cfloat>& rows,
                                         const cube::CpiCube& stag,
                                         double tol) const {
-  PPSTAP_REQUIRE(k0 >= 0 && k0 + stag.extent(0) <= full.extent(0),
-                 "row range must lie inside the cube");
-  return check_rows(full, k0, stag, k0, tol);
+  return check_rows(rows, stag, rows.begin(), tol);
 }
 
-bool DopplerFilter::check_rows(const cube::CpiCube& raw, index_t row0,
+bool DopplerFilter::check_rows(const cube::ConstRows<cfloat>& raw,
                                const cube::CpiCube& stag, index_t k_gain0,
                                double tol) const {
   const index_t k_local = stag.extent(0);
   const index_t j = p_.num_channels;
   const index_t n = p_.num_pulses;
   const index_t wlen = p_.window_length();
-  PPSTAP_REQUIRE(raw.extent(1) == j && raw.extent(2) == n &&
-                     stag.extent(1) == 2 * j && stag.extent(2) == n,
+  PPSTAP_REQUIRE(raw.extent(0) == k_local && raw.extent(1) == j &&
+                     raw.extent(2) == n && stag.extent(1) == 2 * j &&
+                     stag.extent(2) == n,
                  "staggered slab must be K_local x 2J x N");
 
   for (index_t k = 0; k < k_local; ++k) {
     const double gain = range_gain(k_gain0 + k);
     for (index_t ch = 0; ch < j; ++ch) {
-      const auto pulses = raw.line(row0 + k, ch);
+      const auto pulses = raw.line(raw.begin() + k, ch);
       for (int w = 0; w < 2; ++w) {
         const index_t shift = w == 0 ? 0 : p_.stagger;
         double time_energy = 0.0;

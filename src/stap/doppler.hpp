@@ -9,8 +9,9 @@
 // The function operates on any range slab (the task is embarrassingly
 // parallel along K, Fig. 5), so the sequential pipeline and each parallel
 // Doppler node share the same kernel. A parallel node filters its rows of
-// the shared input cube in place — no slab copy — and packs the staggered
-// output for the downstream tasks with the range-major gathers below.
+// the shared input cube in place — no slab copy — block by block as the
+// front end finishes them, and packs the staggered output for the
+// downstream tasks with the range-major gathers below.
 #pragma once
 
 #include <memory>
@@ -33,11 +34,14 @@ class DopplerFilter {
   /// range correction is enabled, whose gain depends on absolute range.
   cube::CpiCube filter(const cube::CpiCube& raw, index_t k_offset = 0) const;
 
-  /// Filter rows [k0, k0 + kl) of a full K x J x N cube, read in place,
-  /// into `out` (kl x 2J x N; its storage is reused when the shape already
-  /// matches). Bit-identical to filter() of a copied slab with
+  /// Filter `rows` of a full K x J x N cube, read in place, into their
+  /// rows of `out`: a staggered slab (K_local x 2J x N, shape already set)
+  /// whose first row is global range cell `k0`. Only rows
+  /// [rows.begin() - k0, rows.end() - k0) of `out` are written, so a slab
+  /// can be filled block by block as its input rows become final.
+  /// Bit-identical to the same rows of filter() of a copied slab with
   /// k_offset = k0.
-  void filter_rows(const cube::CpiCube& full, index_t k0, index_t kl,
+  void filter_rows(const cube::ConstRows<cfloat>& rows, index_t k0,
                    cube::CpiCube& out) const;
 
   /// The range-correction amplitude gain applied to global range cell `k`
@@ -58,17 +62,19 @@ class DopplerFilter {
   bool parseval_check(const cube::CpiCube& raw, const cube::CpiCube& stag,
                       index_t k_offset, double tol) const;
 
-  /// parseval_check for filter_rows(): `stag` holds rows
-  /// [k0, k0 + stag.extent(0)) of the full cube `full`.
-  bool parseval_check_rows(const cube::CpiCube& full, index_t k0,
+  /// parseval_check for filter_rows(): `stag` holds the filtered `rows`
+  /// of the full cube, its row 0 being global cell rows.begin().
+  bool parseval_check_rows(const cube::ConstRows<cfloat>& rows,
                            const cube::CpiCube& stag, double tol) const;
 
  private:
-  // The shared bodies: local row k of the output reads row `row0 + k` of
-  // `raw` and takes the range gain of global cell `k_gain0 + k`.
-  void filter_into(const cube::CpiCube& raw, index_t row0, index_t kl,
-                   index_t k_gain0, cube::CpiCube& out) const;
-  bool check_rows(const cube::CpiCube& raw, index_t row0,
+  // The shared bodies: local row k of `raw` (cube row raw.begin() + k)
+  // takes the range gain of global cell `k_gain0 + k`; filter_into writes
+  // it to row `out_row0 + k` of `out`, check_rows compares it with row k
+  // of `stag`.
+  void filter_into(const cube::ConstRows<cfloat>& raw, index_t k_gain0,
+                   cube::CpiCube& out, index_t out_row0) const;
+  bool check_rows(const cube::ConstRows<cfloat>& raw,
                   const cube::CpiCube& stag, index_t k_gain0,
                   double tol) const;
 

@@ -75,6 +75,12 @@ double ScenarioGenerator::transmit_gain(index_t cpi_index,
   return std::max(g * g, kSidelobeFloor);
 }
 
+index_t ScenarioGenerator::block_rows() const {
+  const auto row_bytes = static_cast<std::size_t>(
+      params_.num_channels * params_.num_pulses) * sizeof(cfloat);
+  return std::max<index_t>(1, static_cast<index_t>(kBlockBytes / row_bytes));
+}
+
 namespace {
 
 // Per-CPI clutter amplitudes, kept per thread so a generating thread
@@ -88,10 +94,8 @@ thread_local Scratch tls_scratch;
 
 }  // namespace
 
-void ScenarioGenerator::add_clutter(cube::CpiCube& cpi, Rng& rng,
-                                    index_t cpi_index) const {
-  const auto& p = params_;
-  const index_t k_len = p.num_range;
+void ScenarioGenerator::draw_clutter(Rng stream, index_t cpi_index) const {
+  const index_t k_len = params_.num_range;
   const index_t c = static_cast<index_t>(patch_spatial_.size());
   Scratch& scratch = tls_scratch;
   scratch.patch_gain.resize(static_cast<size_t>(c));
@@ -103,7 +107,7 @@ void ScenarioGenerator::add_clutter(cube::CpiCube& cpi, Rng& rng,
   scratch.spread.assign(static_cast<size_t>(k_len * c), cdouble{});
   for (index_t i = 0; i < k_len * c; ++i)
     scratch.drawn[static_cast<size_t>(i)] =
-        rng.cnormal() * scratch.patch_gain[static_cast<size_t>(i % c)];
+        stream.cnormal() * scratch.patch_gain[static_cast<size_t>(i % c)];
   // Circular convolution along range of each patch's amplitude sequence:
   // spread[k] = sum_m drawn[(k - m) mod K] * taps[m].
   for (size_t m = 0; m < range_taps_.size(); ++m) {
@@ -115,7 +119,14 @@ void ScenarioGenerator::add_clutter(cube::CpiCube& cpi, Rng& rng,
             scratch.drawn[static_cast<size_t>(src * c + pc)] * tap;
     }
   }
-  for (index_t k = 0; k < k_len; ++k) {
+}
+
+void ScenarioGenerator::add_clutter(cube::CpiCube& cpi, index_t k0,
+                                    index_t k1) const {
+  const auto& p = params_;
+  const index_t c = static_cast<index_t>(patch_spatial_.size());
+  const Scratch& scratch = tls_scratch;
+  for (index_t k = k0; k < k1; ++k) {
     for (index_t pc = 0; pc < c; ++pc) {
       const cdouble gamma = scratch.spread[static_cast<size_t>(k * c + pc)];
       const cfloat g(static_cast<float>(gamma.real()),
@@ -141,16 +152,24 @@ void ScenarioGenerator::add_clutter(cube::CpiCube& cpi, Rng& rng,
   }
 }
 
-void ScenarioGenerator::add_jammers(cube::CpiCube& cpi, Rng& rng) const {
+void ScenarioGenerator::add_jammers(cube::CpiCube& cpi, const Rng& stream,
+                                    index_t k0, index_t k1) const {
   const auto& p = params_;
+  const auto k_len = static_cast<std::uint64_t>(p.num_range);
+  const auto n_len = static_cast<std::uint64_t>(p.num_pulses);
+  const auto clutter_draws =
+      2 * k_len * static_cast<std::uint64_t>(patch_spatial_.size());
   for (size_t q = 0; q < jammer_spatial_.size(); ++q) {
     // Spatially coherent, temporally white: one fresh complex amplitude
     // per (range cell, pulse) applied across the array through the
     // jammer's steering vector. Jammers radiate continuously, so no
     // transmit-beam gain applies.
+    Rng rng = stream;
+    rng.skip(clutter_draws +
+             2 * (q * k_len * n_len + static_cast<std::uint64_t>(k0) * n_len));
     const double sigma = jammer_sigma_[q];
     const auto& a = jammer_spatial_[q];
-    for (index_t k = 0; k < p.num_range; ++k)
+    for (index_t k = k0; k < k1; ++k)
       for (index_t n = 0; n < p.num_pulses; ++n) {
         const cdouble z = rng.cnormal() * sigma;
         const cfloat g(static_cast<float>(z.real()),
@@ -161,13 +180,22 @@ void ScenarioGenerator::add_jammers(cube::CpiCube& cpi, Rng& rng) const {
   }
 }
 
-void ScenarioGenerator::add_noise(cube::CpiCube& cpi, Rng& rng) const {
-  kernels::add_cnormal(rng, std::sqrt(params_.noise_power), cpi.data(),
-                       cpi.size());
+void ScenarioGenerator::add_noise(cube::CpiCube& cpi, const Rng& stream,
+                                  index_t k0, index_t k1) const {
+  const auto& p = params_;
+  const auto k_len = static_cast<std::uint64_t>(p.num_range);
+  const auto row = static_cast<std::uint64_t>(p.num_channels * p.num_pulses);
+  Rng rng = stream;
+  rng.skip(2 * (k_len * static_cast<std::uint64_t>(patch_spatial_.size()) +
+                jammer_spatial_.size() * k_len *
+                    static_cast<std::uint64_t>(p.num_pulses) +
+                static_cast<std::uint64_t>(k0) * row));
+  kernels::add_cnormal(rng, std::sqrt(p.noise_power), &cpi.at(k0, 0, 0),
+                       (k1 - k0) * p.num_channels * p.num_pulses);
 }
 
-void ScenarioGenerator::add_targets(cube::CpiCube& cpi,
-                                    index_t cpi_index) const {
+void ScenarioGenerator::add_targets(cube::CpiCube& cpi, index_t cpi_index,
+                                    index_t k0, index_t k1) const {
   // A target is an impulse in range: through the taps it lands on cells
   // r, r + 1, ... (mod K), scaled by each tap.
   const auto& p = params_;
@@ -179,6 +207,7 @@ void ScenarioGenerator::add_targets(cube::CpiCube& cpi,
     const auto& d = target_temporal_[t];
     for (size_t m = 0; m < range_taps_.size(); ++m) {
       const index_t k = (tg.range_cell + static_cast<index_t>(m)) % p.num_range;
+      if (k < k0 || k >= k1) continue;
       const cfloat tap = amp * range_taps_[m];
       for (index_t j = 0; j < p.num_channels; ++j) {
         const cfloat aj = tap * a[static_cast<size_t>(j)];
@@ -196,20 +225,32 @@ cube::CpiCube ScenarioGenerator::generate(index_t cpi_index) const {
   return cpi;
 }
 
-void ScenarioGenerator::generate(index_t cpi_index, cube::CpiCube& cpi) const {
+void ScenarioGenerator::generate(index_t cpi_index, cube::CpiCube& cpi,
+                                 const RowProgress& progress) const {
   const auto& p = params_;
-  if (cpi.extent(0) != p.num_range || cpi.extent(1) != p.num_channels ||
-      cpi.extent(2) != p.num_pulses)
-    cpi = cube::CpiCube(p.num_range, p.num_channels, p.num_pulses);
-  else
-    std::fill(cpi.data(), cpi.data() + cpi.size(), cfloat{});
-  Rng rng = Rng(p.seed).fork(static_cast<std::uint64_t>(cpi_index));
-  // Clutter and targets pass through the transmit pulse; jammers do not
-  // carry the waveform, and receiver noise is added after it.
-  add_clutter(cpi, rng, cpi_index);
-  add_targets(cpi, cpi_index);
-  add_jammers(cpi, rng);
-  add_noise(cpi, rng);
+  const bool reuse = cpi.extent(0) == p.num_range &&
+                     cpi.extent(1) == p.num_channels &&
+                     cpi.extent(2) == p.num_pulses;
+  if (!reuse) cpi = cube::CpiCube(p.num_range, p.num_channels, p.num_pulses);
+  const Rng stream = Rng(p.seed).fork(static_cast<std::uint64_t>(cpi_index));
+  draw_clutter(stream, cpi_index);
+  // Each block's rows are finished before the next block starts, every
+  // element taking its terms in the whole-cube order: clutter and targets
+  // through the transmit pulse, then jammers (which do not carry the
+  // waveform), then receiver noise.
+  const index_t rows = block_rows();
+  const index_t row_size = p.num_channels * p.num_pulses;
+  for (index_t k0 = 0; k0 < p.num_range; k0 += rows) {
+    const index_t k1 = std::min(p.num_range, k0 + rows);
+    if (reuse)
+      std::fill(&cpi.at(k0, 0, 0), &cpi.at(k0, 0, 0) + (k1 - k0) * row_size,
+                cfloat{});
+    add_clutter(cpi, k0, k1);
+    add_targets(cpi, cpi_index, k0, k1);
+    add_jammers(cpi, stream, k0, k1);
+    add_noise(cpi, stream, k0, k1);
+    if (progress) progress(k1);
+  }
 }
 
 }  // namespace ppstap::synth

@@ -19,10 +19,17 @@
 // Every random draw sits at a closed-form offset of the CPI's SplitMix64
 // stream: clutter, then jammers, then noise, one cnormal() = two draws
 // each. The noise, most of the draws, goes through kernels::add_cnormal,
-// the vectorized fixed-draw sampler; a CPI is one serial pass.
+// the vectorized fixed-draw sampler. A CPI is one serial pass: a prologue
+// draws and convolves the clutter amplitudes, then blocks of range rows
+// are written in order, each complete — clutter spread, targets, jammers
+// and noise, every draw taken at its offset — before the next begins. A
+// caller can read the rows of a block as soon as it is reported, which is
+// how the front end streams a cube to the Doppler filter.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -81,6 +88,16 @@ struct ScenarioParams {
 /// their partition of the input independently.
 class ScenarioGenerator {
  public:
+  /// Byte budget of one generation block of range rows: a block holds as
+  /// many whole rows as fit, and at least one. Small enough that the
+  /// front end hands the Doppler filter its first rows early; large enough
+  /// that a small scene is one block and one hand-off per CPI.
+  static constexpr std::size_t kBlockBytes = 256 * 1024;
+
+  /// Reports that rows [0, rows_final) of the cube being generated are
+  /// final: they will not be written again during this generation.
+  using RowProgress = std::function<void(index_t rows_final)>;
+
   explicit ScenarioGenerator(ScenarioParams params);
 
   const ScenarioParams& params() const { return params_; }
@@ -88,14 +105,21 @@ class ScenarioGenerator {
   /// The transmit replica used to spread the scene (empty if disabled).
   const std::vector<cfloat>& replica() const { return replica_; }
 
+  /// Range rows per generation block (kBlockBytes of J x N rows).
+  index_t block_rows() const;
+
   /// Generate CPI number `cpi_index` as a K x J x N cube, pulses unit
   /// stride (the corner-turned layout of the paper's interface boards).
   cube::CpiCube generate(index_t cpi_index) const;
 
   /// generate() into `out`, reusing its storage when the shape already
   /// matches (a front end cycling a few cube buffers allocates nothing per
-  /// CPI). Bit-identical to generate(cpi_index).
-  void generate(index_t cpi_index, cube::CpiCube& out) const;
+  /// CPI), block by block. When set, `progress` is called after each block
+  /// of block_rows() rows with the count of final leading rows: strictly
+  /// increasing, the last call reporting K. Bit-identical to
+  /// generate(cpi_index), with or without `progress`.
+  void generate(index_t cpi_index, cube::CpiCube& out,
+                const RowProgress& progress = {}) const;
 
   /// Amplitude gain of the transmit beam active on CPI `cpi_index` toward
   /// `azimuth_rad` (1.0 when transmit cycling is disabled).
@@ -122,12 +146,19 @@ class ScenarioGenerator {
   /// a single unit tap without waveform spreading.
   std::vector<cfloat> range_taps_;
 
-  // Each adds its term to the whole cube; `rng` is the CPI's stream,
-  // advanced past the term's draws.
-  void add_clutter(cube::CpiCube& cpi, Rng& rng, index_t cpi_index) const;
-  void add_targets(cube::CpiCube& cpi, index_t cpi_index) const;
-  void add_jammers(cube::CpiCube& cpi, Rng& rng) const;
-  void add_noise(cube::CpiCube& cpi, Rng& rng) const;
+  // The prologue: draw the CPI's clutter amplitudes from the head of its
+  // stream and convolve them along range, into the thread's scratch.
+  void draw_clutter(Rng stream, index_t cpi_index) const;
+  // Each adds its term to range rows [k0, k1). `stream` is the CPI's
+  // stream at offset 0; a term takes its draws at their closed-form
+  // offsets from it.
+  void add_clutter(cube::CpiCube& cpi, index_t k0, index_t k1) const;
+  void add_targets(cube::CpiCube& cpi, index_t cpi_index, index_t k0,
+                   index_t k1) const;
+  void add_jammers(cube::CpiCube& cpi, const Rng& stream, index_t k0,
+                   index_t k1) const;
+  void add_noise(cube::CpiCube& cpi, const Rng& stream, index_t k0,
+                 index_t k1) const;
 };
 
 }  // namespace ppstap::synth

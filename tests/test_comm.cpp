@@ -89,7 +89,7 @@ TEST(World, OwnedSendDeliversTheSendersBuffer) {
   const std::byte* sent = nullptr;  // published to rank 1 by the message
   world.run([&](Comm& c) {
     if (c.rank() == 0) {
-      std::vector<std::byte> frame(4096, std::byte{0x5a});
+      Bytes frame(4096, std::byte{0x5a});
       sent = frame.data();
       c.send_bytes(1, 3, std::move(frame));
       EXPECT_TRUE(frame.empty());
@@ -491,7 +491,7 @@ TEST(FaultInjection, CorruptionOfAnOwnedSendIsRetransmitted) {
   world.set_fault_plan(&plan);
   world.run([](Comm& c) {
     if (c.rank() == 0) {
-      std::vector<std::byte> frame(256);
+      Bytes frame(256);
       for (size_t i = 0; i < frame.size(); ++i)
         frame[i] = static_cast<std::byte>(i);
       c.send_bytes(1, 9, std::move(frame));
@@ -924,14 +924,14 @@ TEST(FaultInjection, DuplicateOfAnOwnedSendIsDeliveredOnce) {
   world.run([](Comm& c) {
     if (c.rank() == 0) {
       for (const std::byte b : {std::byte{41}, std::byte{42}}) {
-        std::vector<std::byte> frame(64, b);
+        Bytes frame(64, b);
         c.send_bytes(1, 11, std::move(frame));
         EXPECT_TRUE(frame.empty());
       }
       mark_sent(c, 1);
     } else {
-      EXPECT_EQ(c.recv_bytes(0, 11), std::vector<std::byte>(64, std::byte{41}));
-      EXPECT_EQ(c.recv_bytes(0, 11), std::vector<std::byte>(64, std::byte{42}));
+      EXPECT_EQ(c.recv_bytes(0, 11), Bytes(64, std::byte{41}));
+      EXPECT_EQ(c.recv_bytes(0, 11), Bytes(64, std::byte{42}));
       wait_sent(c, 0);
       EXPECT_EQ(poll(c, 0, 11).status, RecvStatus::kTimeout);
     }

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <numbers>
 #include <span>
 #include <string>
@@ -373,6 +374,35 @@ TEST(Checksum, TypedViewMatchesRawBytes) {
   const std::vector<cfloat> z{{1.0f, -2.0f}, {0.25f, 4.0f}};
   const std::span<const cfloat> view(z);
   EXPECT_EQ(checksum_of(view), checksum_bytes(std::as_bytes(view)));
+}
+
+// The serial rotate-xor chain checksum_bytes is defined by.
+std::uint64_t serial_checksum(std::span<const std::byte> b) {
+  std::uint64_t h = 0x9e3779b97f4a7c15ull ^ b.size();
+  std::size_t i = 0;
+  for (; i + 8 <= b.size(); i += 8) {
+    std::uint64_t w;
+    std::memcpy(&w, b.data() + i, 8);
+    h = (h << 7 | h >> 57) ^ w;
+  }
+  if (i < b.size()) {
+    std::uint64_t tail = 0;
+    std::memcpy(&tail, b.data() + i, b.size() - i);
+    h = (h << 7 | h >> 57) ^ tail;
+  }
+  return h;
+}
+
+TEST(Checksum, LaneParallelChainsEqualTheSerialChain) {
+  std::vector<std::byte> buf(300 + 8);
+  Rng rng(0xc5c5);
+  for (auto& x : buf) x = static_cast<std::byte>(rng.next_u64());
+  for (std::size_t start = 0; start < 8; ++start)
+    for (std::size_t len = 0; len + start <= 300; ++len) {
+      const std::span<const std::byte> view(buf.data() + start, len);
+      ASSERT_EQ(checksum_bytes(view), serial_checksum(view))
+          << "start " << start << ", length " << len;
+    }
 }
 
 TEST_F(EnvParse, ChoiceMatchesCaseInsensitiveAndListsOptions) {

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -208,12 +209,13 @@ struct RecordingGenerator {
   std::vector<index_t> calls;
 
   CpiSource::Generator fn() {
-    return [this](index_t cpi, cube::CpiCube& out) {
+    return [this](index_t cpi, cube::CpiCube& out,
+                  const ScenarioGenerator::RowProgress& progress) {
       {
         std::lock_guard<std::mutex> lock(mu);
         calls.push_back(cpi);
       }
-      gen.generate(cpi, out);
+      gen.generate(cpi, out, progress);
     };
   }
   std::vector<index_t> snapshot() {
@@ -301,9 +303,10 @@ TEST(CpiSource, CpiRejectedAtAdmissionIsNeverGenerated) {
 
 TEST(CpiSource, ProducerFailureSurfacesAtGet) {
   ScenarioGenerator gen(tiny_scene());
-  CpiSource source([&gen](index_t cpi, cube::CpiCube& out) {
+  CpiSource source([&gen](index_t cpi, cube::CpiCube& out,
+                          const ScenarioGenerator::RowProgress& progress) {
     if (cpi == 1) throw Error("front end failed on CPI 1");
-    gen.generate(cpi, out);
+    gen.generate(cpi, out, progress);
   });
   source.start(4);
   ASSERT_TRUE(source.admit(0).admit);
@@ -336,6 +339,160 @@ TEST(CpiSource, StopWakesAProducerParkedInTheThrottle) {
   // The closed controller refuses undecided CPIs without recording them.
   EXPECT_FALSE(ctrl.admit(1).admit);
   EXPECT_TRUE(summarize(log.snapshot()).overload.rejected_cpis.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Streaming: the producer publishes each block of range rows as it is final
+// ---------------------------------------------------------------------------
+
+// 16 KiB rows make 16-row generation blocks; K = 40 makes three of them,
+// the last one ragged.
+ScenarioParams streamed_scene() {
+  ScenarioParams sp;
+  sp.num_range = 40;
+  sp.num_channels = 16;
+  sp.num_pulses = 128;
+  sp.clutter.num_patches = 2;
+  sp.chirp_length = 8;
+  sp.targets = {Target{14, 0.25, 0.0, 12.0}};
+  return sp;
+}
+
+// The rows of `rows` equal the same rows of `ref`, bit for bit.
+bool same_rows(const cube::ConstRows<cfloat>& rows, const cube::CpiCube& ref) {
+  for (index_t k = rows.begin(); k < rows.end(); ++k)
+    for (index_t j = 0; j < ref.extent(1); ++j)
+      if (std::memcmp(rows.line(k, j).data(), ref.line(k, j).data(),
+                      static_cast<size_t>(ref.extent(2)) * sizeof(cfloat)) !=
+          0)
+        return false;
+  return true;
+}
+
+// Two consumers read their slabs as the rows become final, each slab
+// straddling a block boundary, while the producer writes the rows after
+// them: every row handed out is generate()'s row.
+TEST(CpiSource, RowsReadAsTheyBecomeFinalAreTheGeneratedRows) {
+  ScenarioGenerator gen(streamed_scene());
+  ASSERT_EQ(gen.block_rows(), 16);
+  CpiSource source(gen);
+  const index_t n = 4;
+  source.start(n);
+  for (index_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(source.admit(i).admit);
+    const auto ref = gen.generate(i);
+    std::atomic<int> bad{0};
+    auto read_slab = [&](index_t k0, index_t k1) {
+      for (index_t k = k0; k < k1;) {
+        const auto blk = source.rows(i, k, k1);
+        if (blk.rows.begin() != k || blk.rows.end() <= k ||
+            blk.rows.end() > k1 || !same_rows(blk.rows, ref))
+          bad.fetch_add(1);
+        k = blk.rows.end();
+      }
+    };
+    std::thread a(read_slab, 0, 24), b(read_slab, 24, 40);
+    a.join();
+    b.join();
+    EXPECT_EQ(bad.load(), 0) << "cpi " << i;
+  }
+  source.stop();
+  EXPECT_EQ(source.regeneration_count(), 0);
+  // Three blocks per CPI, each published once.
+  EXPECT_EQ(source.publications(), 3 * n);
+}
+
+// The producer fails after the first block of CPI 1 while a consumer
+// waits for the second: the consumer wakes and gets the failure, and the
+// partial cube is never handed out again.
+TEST(CpiSource, ProducerFailureMidCpiWakesABlockedRowConsumer) {
+  ScenarioGenerator gen(streamed_scene());
+  const index_t k_len = streamed_scene().num_range;
+  std::atomic<bool> waiting{false};
+  CpiSource source([&](index_t cpi, cube::CpiCube& out,
+                       const ScenarioGenerator::RowProgress& progress) {
+    gen.generate(cpi, out, [&](index_t rows) {
+      progress(rows);
+      if (cpi != 1) return;
+      while (!waiting.load()) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      throw Error("front end failed inside CPI 1");
+    });
+  });
+  source.start(3);
+  ASSERT_TRUE(source.admit(0).admit);
+  (void)source.get(0);
+  ASSERT_TRUE(source.admit(1).admit);
+  const auto first = source.rows(1, 0, k_len);
+  EXPECT_EQ(first.rows.end(), gen.block_rows());  // only block 0 is final
+  waiting = true;
+  EXPECT_THROW((void)source.rows(1, gen.block_rows(), k_len), Error);
+  EXPECT_THROW((void)source.rows(1, 0, k_len), Error);
+  EXPECT_THROW((void)source.get(2), Error);  // nothing is produced past it
+  source.stop();
+}
+
+// A consumer waits for the rows of a CPI the producer is parked before
+// (its admission is throttled): stop() returns, and the consumer then
+// generates the CPI itself.
+TEST(CpiSource, StopReturnsWhileAConsumerWaitsForRows) {
+  ScenarioGenerator gen(streamed_scene());
+  const index_t k_len = streamed_scene().num_range;
+  OverloadConfig cfg;
+  cfg.enabled = true;
+  cfg.ladder = false;
+  cfg.reject_when_full = false;  // throttle
+  cfg.queue_low = cfg.queue_high = 1;
+  EventLog log;
+  OverloadController ctrl(cfg, 8, log);
+  CpiSource source(gen);
+  source.set_overload_controller(&ctrl);
+  source.start(8);
+  ASSERT_TRUE(source.admit(0).admit);
+  (void)source.get(0);
+  ASSERT_TRUE(eventually(
+      [&] { return log.snapshot().count(EventKind::kThrottle) == 1; }));
+  std::atomic<bool> done{false};
+  std::optional<FinalRows> got;
+  std::thread consumer([&] {
+    got.emplace(source.rows(1, 0, k_len));
+    done = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(done.load());
+  source.stop();  // must return
+  consumer.join();
+  ASSERT_TRUE(got.has_value());
+  EXPECT_EQ(got->rows.end(), k_len);
+  EXPECT_TRUE(same_rows(got->rows, gen.generate(1)));
+  EXPECT_EQ(source.produced(), 1);
+}
+
+// A scene that fits one block is published once per CPI, whole: one
+// publication, one wake of its consumers. So is the cube of a generator
+// that reports no progress, on its return.
+TEST(CpiSource, OneBlockScenePublishesOncePerCpi) {
+  ScenarioGenerator gen(tiny_scene());
+  const index_t k_len = tiny_scene().num_range;
+  ASSERT_GE(gen.block_rows(), k_len);
+  CpiSource source(gen);
+  const index_t n = 5;
+  source.start(n);
+  for (index_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(source.admit(i).admit);
+    EXPECT_EQ(source.rows(i, 0, k_len).rows.end(), k_len);
+    (void)source.get(i);
+  }
+  source.stop();
+  EXPECT_EQ(source.publications(), n);
+
+  CpiSource silent([&gen](index_t cpi, cube::CpiCube& out,
+                          const ScenarioGenerator::RowProgress&) {
+    gen.generate(cpi, out);
+  });
+  (void)silent.get(0);
+  EXPECT_EQ(silent.rows(1, 3, k_len).rows.end(), k_len);
+  EXPECT_EQ(silent.publications(), 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -437,6 +594,46 @@ TEST(ParallelPipeline, MaximallyParallelWeightTask) {
   // Hard weights at one unit per node (num_hard * segments = 12).
   NodeAssignment a{{2, 2, 12, 2, 6, 2, 2}};
   expect_matches_sequential(f, a, 4);
+}
+
+// A scene of three generation blocks (16 KiB rows, K = 48) on two Doppler
+// ranks with ABFT on: each rank's 24-row slab straddles a block boundary,
+// so it filters its first rows while the front end still writes later
+// ones. The detections are bitwise those of the sequential chain.
+TEST(ParallelPipeline, StreamedInputMatchesSequentialBitwise) {
+  auto f = Fixture::make();
+  f.p.num_channels = f.sp.num_channels = 16;
+  f.p.num_pulses = f.sp.num_pulses = 128;
+  f.p.validate();
+  f.sp.targets = {Target{21, 0.3, 0.05, 15.0}, Target{30, -0.2, 0.0, 12.0}};
+  ScenarioGenerator gen(f.sp);
+  ASSERT_EQ(gen.block_rows(), 16);
+  ASSERT_EQ(f.p.num_range, 3 * gen.block_rows());
+  const index_t n = 5;
+  stap::SequentialStap seq(f.p, f.steering(), gen.replica());
+  ParallelStapPipeline par(f.p, NodeAssignment{{2, 1, 1, 1, 1, 1, 1}},
+                           f.steering(),
+                           {gen.replica().begin(), gen.replica().end()});
+  IntegrityConfig ic;
+  ic.enabled = true;
+  par.set_integrity(ic);
+  const auto r = par.run(gen, n, 1, 1);
+  ASSERT_EQ(r.detections.size(), static_cast<size_t>(n));
+  for (index_t cpi = 0; cpi < n; ++cpi) {
+    auto ref = seq.process(gen.generate(cpi)).detections;
+    std::sort(ref.begin(), ref.end(), [](const auto& x, const auto& y) {
+      return std::tie(x.doppler_bin, x.beam, x.range) <
+             std::tie(y.doppler_bin, y.beam, y.range);
+    });
+    const auto& got = r.detections[static_cast<size_t>(cpi)];
+    ASSERT_EQ(got.size(), ref.size()) << "cpi " << cpi;
+    for (size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].doppler_bin, ref[i].doppler_bin) << "cpi " << cpi;
+      EXPECT_EQ(got[i].beam, ref[i].beam) << "cpi " << cpi;
+      EXPECT_EQ(got[i].range, ref[i].range) << "cpi " << cpi;
+      EXPECT_EQ(got[i].power, ref[i].power) << "cpi " << cpi;
+    }
+  }
 }
 
 TEST(ParallelPipeline, ReportsTimingAndThroughput) {

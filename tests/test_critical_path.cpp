@@ -181,6 +181,42 @@ TEST(CriticalPath, ChainsStartAtTheFrontEndSpan) {
   EXPECT_NEAR(rep.accounted_fraction, 1.0, 1e-9);
 }
 
+// A streamed front end: the source rank filters the first rows of each
+// cube while the rest are generated, so its comp phase [T+0.05, T+0.25)
+// starts 0.10 s before the generate span [T-0.10, T+0.15) ends. The chain
+// counts that stretch once, as compute, and reports it as overlap; the
+// tiles still close the latency. The source's receive is all waiting on
+// the front end, so none of it is intrinsic.
+TEST(CriticalPath, StreamedSourceOverlapsTheFrontEndOnce) {
+  auto spans = synthetic_pipeline(2);
+  spans.push_back(front_end(0, -0.10, 0.15));
+  spans.push_back(front_end(1, 0.90, 1.15));
+  const auto rep = analyze_spans(spans);
+  ASSERT_TRUE(rep.valid) << rep.note;
+  EXPECT_EQ(rep.gating_task, 1);
+  ASSERT_EQ(rep.chains.size(), 2u);
+  for (const auto& ch : rep.chains) {
+    EXPECT_NEAR(ch.latency, 1.50, 1e-9);
+    // Front end up to the filter's start (0.15), then every comp phase.
+    EXPECT_NEAR(ch.compute, 0.15 + 0.90, 1e-9);
+    EXPECT_NEAR(ch.overlap, 0.10, 1e-9);
+    EXPECT_NEAR(ch.unpack, 0.13 - 0.05, 1e-9);
+    EXPECT_NEAR(ch.queue, 0.02, 1e-9);
+    EXPECT_NEAR(ch.accounted(), ch.latency, 1e-9);
+  }
+  EXPECT_NEAR(rep.accounted_fraction, 1.0, 1e-9);
+  for (const auto& st : rep.stages)
+    if (st.task == 0) {
+      EXPECT_NEAR(st.wait, 0.05, 1e-9);
+      EXPECT_NEAR(st.intrinsic(), 0.25, 1e-9);
+    }
+  const Json doc = rep.to_json();
+  const Json* b = doc.find("latency_breakdown");
+  ASSERT_NE(b, nullptr);
+  ASSERT_NE(b->find("overlap_s"), nullptr);
+  EXPECT_NEAR(b->find("overlap_s")->as_number(), 0.10, 1e-9);
+}
+
 TEST(CriticalPath, TemporalEdgesBoundWaitButStayOffTheChain) {
   // A temporal delivery (edge 4: weights trained on an earlier CPI) lands
   // at T+0.80, after the spatial input at T+0.42. It extends stage 1's

@@ -362,7 +362,8 @@ bool bitwise_equal(const cube::CpiCube& a, const cube::CpiCube& b) {
 // A parallel Doppler rank filters its rows of the shared input cube in
 // place; the result must be the copied-slab filter bit for bit (range
 // correction on, so the global row offset matters), for every part of an
-// uneven partition, into a fresh or a reused (dirty) output buffer. The
+// uneven partition, into a fresh or a reused (dirty) output buffer, whole
+// or block by block as a streamed cube's rows become final. The
 // Parseval/inverse-DFT ABFT check must agree between the two views.
 TEST(Doppler, InPlaceRowsMatchCopiedSlabBitwise) {
   StapParams p = StapParams::small_test();
@@ -370,9 +371,9 @@ TEST(Doppler, InPlaceRowsMatchCopiedSlabBitwise) {
   DopplerFilter f(p);
   const auto full = random_cube(p.num_range, p.num_channels, p.num_pulses, 21);
   const cube::BlockPartition part(p.num_range, 3);  // 22 / 21 / 21 rows
-  cube::CpiCube reused = random_cube(5, 2 * p.num_channels, p.num_pulses, 4);
   for (index_t r = 0; r < part.parts(); ++r) {
     const index_t k0 = part.offset(r), kl = part.length(r);
+    const cube::ConstRows<cfloat> rows(full, k0, k0 + kl);
     cube::CpiCube slab(kl, p.num_channels, p.num_pulses);
     for (index_t k = 0; k < kl; ++k)
       for (index_t ch = 0; ch < p.num_channels; ++ch) {
@@ -380,22 +381,35 @@ TEST(Doppler, InPlaceRowsMatchCopiedSlabBitwise) {
         std::copy(src.begin(), src.end(), slab.line(k, ch).begin());
       }
     const auto copied = f.filter(slab, k0);
-    cube::CpiCube fresh;
-    f.filter_rows(full, k0, kl, fresh);
+    cube::CpiCube fresh(kl, 2 * p.num_channels, p.num_pulses);
+    f.filter_rows(rows, k0, fresh);
     EXPECT_TRUE(bitwise_equal(fresh, copied)) << "part " << r;
-    f.filter_rows(full, k0, kl, reused);
+    cube::CpiCube reused =
+        random_cube(kl, 2 * p.num_channels, p.num_pulses, 4 + r);
+    f.filter_rows(rows, k0, reused);
     EXPECT_TRUE(bitwise_equal(reused, copied)) << "part " << r << " reused";
+    // Blocks of 5 rows (the last one ragged) into a dirty slab.
+    cube::CpiCube blocked =
+        random_cube(kl, 2 * p.num_channels, p.num_pulses, 9 + r);
+    for (index_t b = k0; b < k0 + kl; b += 5)
+      f.filter_rows(cube::ConstRows<cfloat>(full, b, std::min(b + 5, k0 + kl)),
+                    k0, blocked);
+    EXPECT_TRUE(bitwise_equal(blocked, copied)) << "part " << r << " blocked";
 
     EXPECT_TRUE(f.parseval_check(slab, copied, k0, 1e-4));
-    EXPECT_TRUE(f.parseval_check_rows(full, k0, fresh, 1e-4));
+    EXPECT_TRUE(f.parseval_check_rows(rows, fresh, 1e-4));
     // A corrupted element trips both views alike.
     cube::CpiCube bad = fresh;
     bad.at(kl / 2, 1, 3) *= 4.0f;
     EXPECT_FALSE(f.parseval_check(slab, bad, k0, 1e-4));
-    EXPECT_FALSE(f.parseval_check_rows(full, k0, bad, 1e-4));
+    EXPECT_FALSE(f.parseval_check_rows(rows, bad, 1e-4));
   }
-  cube::CpiCube out;
-  EXPECT_THROW(f.filter_rows(full, 60, 10, out), Error);
+  cube::CpiCube out(10, 2 * p.num_channels, p.num_pulses);
+  EXPECT_THROW(f.filter_rows(cube::ConstRows<cfloat>(full, 60, 70), 60, out),
+               Error);
+  // Rows that fall outside the slab are refused.
+  EXPECT_THROW(f.filter_rows(cube::ConstRows<cfloat>(full, 0, 11), 0, out),
+               Error);
 }
 
 // The Doppler rank's range-major gathers must emit the exact frames of the

@@ -5,11 +5,14 @@
 #include <array>
 #include <cmath>
 #include <complex>
+#include <cstring>
 #include <numbers>
 #include <span>
 
 #include "common/checksum.hpp"
+#include "common/rng.hpp"
 #include "kernels/dispatch.hpp"
+#include "kernels/kernels.hpp"
 #include "synth/scenario.hpp"
 #include "synth/steering.hpp"
 
@@ -368,6 +371,114 @@ TEST(Scenario, ChirpSpreadIsTheCircularConvolutionOfEachColumn) {
       }
   EXPECT_GT(peak, 0.0);
   EXPECT_LT(worst, 1e-3 * peak);
+}
+
+// A streamed scene: 16 KiB rows make 16-row blocks, and K = 72 leaves a
+// ragged fifth block of 8. The chirp of the target at cell 10 straddles
+// the first two block boundaries, the one at 70 wraps from the last block
+// into the first two, and a jammer and transmit cycling put every term
+// under the comparison.
+ScenarioParams streamed_scene() {
+  ScenarioParams sp;
+  sp.num_range = 72;
+  sp.num_channels = 16;
+  sp.num_pulses = 128;
+  sp.clutter.num_patches = 4;
+  sp.chirp_length = 24;
+  sp.targets = {Target{10, 0.3, 0.1, 12.0}, Target{70, -0.2, -0.1, 10.0}};
+  sp.jammers = {Jammer{0.5, 20.0}};
+  sp.transmit_azimuths = {-0.3, 0.3};
+  return sp;
+}
+
+// Generates CPIs 0..2 of `sp` block by block into one reused cube. At each
+// report the newly final rows are copied out; they must equal the
+// whole-cube generate()'s rows, and the cube must be that cube at the end,
+// so no reported row is written again.
+void expect_blocks_are_final(const ScenarioParams& sp, index_t want_blocks) {
+  const ScenarioGenerator gen(sp);
+  const index_t k_len = sp.num_range;
+  const auto row = static_cast<size_t>(sp.num_channels * sp.num_pulses);
+  cube::CpiCube out;
+  for (index_t i = 0; i < 3; ++i) {
+    const cube::CpiCube whole = gen.generate(i);
+    cube::CpiCube seen(k_len, sp.num_channels, sp.num_pulses);
+    std::vector<index_t> reports;
+    gen.generate(i, out, [&](index_t rows) {
+      const index_t from = reports.empty() ? 0 : reports.back();
+      ASSERT_GT(rows, from) << "rows reported out of order";
+      ASSERT_LE(rows, k_len);
+      std::memcpy(&seen.at(from, 0, 0), &out.at(from, 0, 0),
+                  static_cast<size_t>(rows - from) * row * sizeof(cfloat));
+      reports.push_back(rows);
+    });
+    ASSERT_EQ(static_cast<index_t>(reports.size()), want_blocks)
+        << "CPI " << i;
+    EXPECT_EQ(reports.back(), k_len);
+    const auto bytes = static_cast<size_t>(whole.size()) * sizeof(cfloat);
+    EXPECT_EQ(std::memcmp(seen.data(), whole.data(), bytes), 0)
+        << "CPI " << i << ", simd " << kernels::simd_info().level_name;
+    EXPECT_EQ(std::memcmp(out.data(), whole.data(), bytes), 0) << "CPI " << i;
+  }
+}
+
+TEST(Scenario, BlockedGenerationReportsFinalRowsOfTheWholeCube) {
+  SimdRestore restore;
+  ASSERT_EQ(ScenarioGenerator(streamed_scene()).block_rows(), 16);
+  kernels::force_simd_level(kernels::SimdLevel::kScalar);
+  expect_blocks_are_final(streamed_scene(), 5);
+  // A scene of small rows is one block: one report, of K.
+  expect_blocks_are_final(small_fanout_scene(), 1);
+  if (!kernels::avx2_available())
+    GTEST_SKIP() << "host or build lacks AVX2+FMA";
+  kernels::force_simd_level(kernels::SimdLevel::kAvx2);
+  expect_blocks_are_final(streamed_scene(), 5);
+  expect_blocks_are_final(small_fanout_scene(), 1);
+}
+
+// An oracle for the block offsets of the stream table (DESIGN §15a): with
+// no clutter and no targets, the cube is the jammers' (k, n) draws taken
+// serially from the head of the CPI's stream, then one noise pass over
+// the whole cube continuing from there. The blocked generator starts each
+// block's draws at a closed-form offset instead.
+TEST(Scenario, JammerAndNoiseDrawsSitAtTheirStreamOffsets) {
+  SimdRestore restore;
+  ScenarioParams sp = streamed_scene();
+  sp.clutter.num_patches = 0;
+  sp.targets.clear();
+  sp.jammers = {Jammer{0.5, 20.0}, Jammer{-0.2, 15.0}};
+  const ScenarioGenerator gen(sp);
+  ASSERT_GT(sp.num_range, gen.block_rows());
+  for (const auto level :
+       {kernels::SimdLevel::kScalar, kernels::SimdLevel::kAvx2}) {
+    if (level == kernels::SimdLevel::kAvx2 && !kernels::avx2_available())
+      continue;
+    kernels::force_simd_level(level);
+    for (index_t i = 0; i < 2; ++i) {
+      cube::CpiCube ref(sp.num_range, sp.num_channels, sp.num_pulses);
+      Rng rng = Rng(sp.seed).fork(static_cast<std::uint64_t>(i));
+      for (const Jammer& jam : sp.jammers) {
+        const double sigma =
+            std::sqrt(sp.noise_power) * std::pow(10.0, jam.jnr_db / 20.0);
+        const auto a = spatial_steering(sp.num_channels, jam.azimuth_rad);
+        for (index_t k = 0; k < sp.num_range; ++k)
+          for (index_t n = 0; n < sp.num_pulses; ++n) {
+            const cdouble z = rng.cnormal() * sigma;
+            const cfloat g(static_cast<float>(z.real()),
+                           static_cast<float>(z.imag()));
+            for (index_t j = 0; j < sp.num_channels; ++j)
+              ref.at(k, j, n) += g * a[static_cast<size_t>(j)];
+          }
+      }
+      kernels::add_cnormal(rng, std::sqrt(sp.noise_power), ref.data(),
+                           ref.size());
+      const cube::CpiCube got = gen.generate(i);
+      EXPECT_EQ(std::memcmp(got.data(), ref.data(),
+                            static_cast<size_t>(ref.size()) * sizeof(cfloat)),
+                0)
+          << "CPI " << i << ", simd " << kernels::simd_info().level_name;
+    }
+  }
 }
 
 }  // namespace
